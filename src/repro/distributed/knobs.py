@@ -11,22 +11,17 @@ knob was added.
 
 :class:`SimulationKnobs` is now the single source of truth: the field order
 *is* the sweep's canonical knob order (``repro.harness.sweep.SWEEP_KNOBS``
-derives from :data:`KNOB_FIELDS`), the field defaults *are* the defaults of
-every consuming config (``TrainerConfig`` and ``BenchmarkConfig`` read them at
-class-definition time), and validation — including cross-knob consistency like
+derives from :data:`KNOB_FIELDS`), ``TrainerConfig`` holds exactly one bundle
+in its ``knobs`` field, ``run_benchmark``/``compare_compressors`` take one as
+``knobs=``, and validation — including cross-knob consistency like
 ``backup_workers`` requiring the ``backup-workers`` policy — happens once, in
-``__post_init__``.  A knob added here is automatically a sweepable axis, a
-trainer field, and a benchmark field; it can no longer miss the grid.
-
-Old flat kwargs on ``run_benchmark``/``compare_compressors`` keep working for
-one release through :func:`apply_flat_overrides`, which folds them into a
-knob bundle with a :class:`DeprecationWarning`.
+``__post_init__``.  A knob added here is automatically a sweepable axis and a
+trainer setting; it can no longer miss the grid.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields, replace
 
 from .faults import validate_sync_policy
@@ -141,36 +136,3 @@ class SimulationKnobs:
 
 #: Canonical knob order — the single source the sweep grid derives from.
 KNOB_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(SimulationKnobs))
-
-
-def knob_defaults() -> dict:
-    """Field name -> default, in canonical knob order.
-
-    This is *the* default table: ``TrainerConfig`` and ``BenchmarkConfig``
-    read it at class-definition time, so a default changed here changes
-    everywhere at once and cannot drift.
-    """
-    return {f.name: f.default for f in fields(SimulationKnobs)}
-
-
-def apply_flat_overrides(base: SimulationKnobs, overrides: dict, caller: str) -> SimulationKnobs:
-    """Deprecation shim: fold legacy flat knob kwargs into a knob bundle.
-
-    ``overrides`` maps knob names to values where ``None`` means "not passed"
-    (the legacy kwargs' sentinel); any knob actually passed emits a
-    :class:`DeprecationWarning` naming ``caller`` and wins over ``base``.
-    Kept for one release so existing call sites migrate at their own pace.
-    """
-    passed = {name: value for name, value in overrides.items() if value is not None}
-    unknown = set(passed) - set(KNOB_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown knobs {sorted(unknown)}; known: {list(KNOB_FIELDS)}")
-    if not passed:
-        return base
-    warnings.warn(
-        f"passing flat knob kwargs ({sorted(passed)}) to {caller} is deprecated; "
-        "pass knobs=SimulationKnobs(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return base.replace(**passed)

@@ -33,20 +33,6 @@ class WorkerStep:
     corrected_gradient: np.ndarray
 
 
-@dataclass
-class PreparedGradient:
-    """The pre-compression half of a worker step (compute + clip + EF correct).
-
-    Splitting :meth:`Worker.step` at the compress call is what lets a
-    compression backend dispatch the heavy middle to a process pool while the
-    model-touching halves stay in-process.
-    """
-
-    loss: float
-    gradient_norm: float
-    corrected: np.ndarray
-
-
 class Worker:
     """One data-parallel worker in the synchronous SGD simulation."""
 
@@ -85,8 +71,8 @@ class Worker:
         flat, _ = flatten(self.model.gradient_dict(), self.flat_spec)
         return loss, flat
 
-    def prepare(self) -> PreparedGradient:
-        """Compute and (optionally) clip + error-correct this worker's gradient."""
+    def step(self, ratio: float) -> WorkerStep:
+        """Compute, (optionally) clip + error-correct, and compress this worker's gradient."""
         loss, flat = self.compute_gradient()
         if self.clip_norm is not None:
             flat, _ = clip_flat_by_norm(flat, self.clip_norm)
@@ -96,24 +82,15 @@ class Worker:
             corrected = self.error_feedback.correct(flat)
         else:
             corrected = flat
-        return PreparedGradient(loss=loss, gradient_norm=gradient_norm, corrected=corrected)
-
-    def finalize(self, prepared: PreparedGradient, result: CompressionResult) -> WorkerStep:
-        """Fold a compression result back into this worker's error-feedback memory."""
+        result = self.compressor.compress(corrected, ratio)
         if self.error_feedback is not None:
-            self.error_feedback.update(prepared.corrected, result.sparse)
+            self.error_feedback.update(corrected, result.sparse)
         return WorkerStep(
-            loss=prepared.loss,
+            loss=loss,
             compression=result,
-            gradient_norm=prepared.gradient_norm,
-            corrected_gradient=prepared.corrected,
+            gradient_norm=gradient_norm,
+            corrected_gradient=corrected,
         )
-
-    def step(self, ratio: float) -> WorkerStep:
-        """Compute, (optionally) error-correct, and compress this worker's gradient."""
-        prepared = self.prepare()
-        result = self.compressor.compress(prepared.corrected, ratio)
-        return self.finalize(prepared, result)
 
     def reset(self) -> None:
         """Clear per-run state (compressor adaptation and residual memory)."""

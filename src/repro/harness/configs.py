@@ -19,14 +19,9 @@ from ..data import (
     make_language_modeling,
     make_sequence_classification,
 )
-from ..distributed.knobs import KNOB_FIELDS, SimulationKnobs, knob_defaults
 from ..distributed.network import CLUSTER_ETHERNET_10G, NetworkModel
 from ..distributed.timeline import compute_time_for_overhead
 from ..nn.models import build_model
-
-#: Shared knob-default table (single source: ``SimulationKnobs`` field
-#: defaults), read once at class-definition time below.
-_KNOB_DEFAULTS = knob_defaults()
 
 #: Number of workers in the paper's dedicated cluster (Appendix D, Cluster 1).
 PAPER_NUM_WORKERS = 8
@@ -60,55 +55,6 @@ class BenchmarkConfig:
     proxy_momentum: float = 0.0
     proxy_nesterov: bool = False
     proxy_clip_norm: float | None = None
-    # -- simulation knobs (defaults from the shared SimulationKnobs table) --
-    #: Bucketed-pipeline knob: bytes per gradient bucket (DDP-style).  ``None``
-    #: compresses the whole flattened gradient as one tensor; a value wraps
-    #: each worker's compressor in :class:`repro.pipeline.CompressionPipeline`
-    #: and prices communication per bucket.
-    bucket_bytes: int | None = _KNOB_DEFAULTS["bucket_bytes"]
-    #: Overlap policy for the event-driven iteration schedule (``"none"``,
-    #: ``"comm"`` or ``"comm+compress"``); meaningful for bucketed runs.
-    overlap: str = _KNOB_DEFAULTS["overlap"]
-    #: Cluster-topology preset name (see :func:`repro.distributed.get_topology`)
-    #: the collectives run over; ``None`` keeps the degenerate single-level
-    #: topology over the run's network.  When set, the worker count comes from
-    #: the topology.
-    topology: str | None = _KNOB_DEFAULTS["topology"]
-    #: Collective algorithm pricing the dense baseline all-reduce.
-    allreduce_algorithm: str = _KNOB_DEFAULTS["allreduce_algorithm"]
-    #: Collective algorithm pricing the sparse all-gather.
-    allgather_algorithm: str = _KNOB_DEFAULTS["allgather_algorithm"]
-    #: Payload chunks the hierarchical collective phases pipeline over
-    #: (1 = serial phases, the PR-3 pricing).
-    pipeline_chunks: int = _KNOB_DEFAULTS["pipeline_chunks"]
-    #: Index-overlap assumption for per-node sparse dedup (``"uniform"``,
-    #: ``"identical"``, ``"disjoint"``) or ``None`` to ship raw concatenated
-    #: node aggregates.
-    dedup_assumption: str | None = _KNOB_DEFAULTS["dedup_assumption"]
-    #: Schedule buckets on per-link network lanes (cross-bucket pipelining):
-    #: bucket *i+1*'s intra-node collective phase overlaps bucket *i*'s
-    #: inter-node phase.  ``False`` keeps the serial whole-occupancy network
-    #: lane (the PR-4 scheduler, reproduced bit-for-bit).
-    cross_bucket_pipeline: bool = _KNOB_DEFAULTS["cross_bucket_pipeline"]
-    #: Scheduler implementation for bucketed iterations: ``"loop"`` (the
-    #: scalar reference simulator) or ``"vectorized"`` (batched NumPy pricing
-    #: + array scheduling, bit-identical results).
-    scheduler_backend: str = _KNOB_DEFAULTS["scheduler_backend"]
-    #: Synchronization policy under faults (see :mod:`repro.distributed.faults`).
-    sync_policy: str = _KNOB_DEFAULTS["sync_policy"]
-    #: Slowest workers the ``backup-workers`` policy cuts per iteration.
-    backup_workers: int = _KNOB_DEFAULTS["backup_workers"]
-    #: ``time-window`` accumulation window factor, or ``None`` for the
-    #: policy default when selected.
-    time_window_factor: float | None = _KNOB_DEFAULTS["time_window_factor"]
-    #: Deterministic compute slowdown (>= 1) of the designated straggler.
-    straggler_severity: float = _KNOB_DEFAULTS["straggler_severity"]
-    #: Deterministic link-time multiplier (>= 1) of the designated straggler.
-    link_degradation: float = _KNOB_DEFAULTS["link_degradation"]
-
-    def simulation_knobs(self) -> SimulationKnobs:
-        """This benchmark's knob settings as the consolidated validated bundle."""
-        return SimulationKnobs(**{name: getattr(self, name) for name in KNOB_FIELDS})
 
     def build_proxy_model(self, *, seed: int = 1):
         """Instantiate a freshly initialised proxy model."""
@@ -135,19 +81,18 @@ class BenchmarkConfig:
         proxy_dim = model.num_parameters()
         return self.full_dimension / proxy_dim
 
-    def proxy_bucket_bytes(self, full_scale_bytes: int | None = None) -> int | None:
+    def proxy_bucket_bytes(self, full_scale_bytes: int | None) -> int | None:
         """Bucket byte budget rescaled to the proxy's gradient dimension.
 
-        Bucket budgets are always stated against the full-size model
-        (``full_scale_bytes`` overrides this config's ``bucket_bytes``); the
+        Bucket budgets are always stated against the full-size model; the
         proxy trains a much smaller gradient, so the budget shrinks by the
         dimension scale to keep the *number* of buckets (and hence the
         per-bucket communication structure) the same as at full size.
+        ``None`` (no bucketing) stays ``None``.
         """
-        budget = self.bucket_bytes if full_scale_bytes is None else full_scale_bytes
-        if budget is None:
+        if full_scale_bytes is None:
             return None
-        return max(int(round(budget / self.dimension_scale())), 4)
+        return max(int(round(full_scale_bytes / self.dimension_scale())), 4)
 
 
 def _lm_config() -> BenchmarkConfig:

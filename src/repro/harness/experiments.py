@@ -13,13 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..distributed.knobs import SimulationKnobs
+from ..distributed.network import CLUSTER_ETHERNET_10G
+from ..distributed.trainer import DistributedTrainer
 from ..gradients.capture import GradientCapture
 from ..stats.compressibility import CompressibilityReport, fit_power_law_decay, sparsification_error_curve
 from ..stats.distributions import Laplace, DoubleGamma, DoubleGeneralizedPareto
 from ..stats.fitting import fit_absolute
 from ..stats.goodness import FitQuality, evaluate_fit
 from .configs import BenchmarkConfig, get_benchmark
-from .training_runs import run_benchmark
+from .training_runs import _trainer_config, run_benchmark
 
 
 @dataclass(frozen=True)
@@ -105,23 +108,11 @@ def gradient_fit_study(
     # asks for the no-EC view we re-run with EC disabled.
     if not use_error_feedback:
         capture = GradientCapture(iterations=set(capture_iterations), normalize=True)
-        from ..distributed.trainer import DistributedTrainer, TrainerConfig
-
         dataset = config.build_proxy_dataset(seed=seed)
         model = config.build_proxy_model(seed=seed + 1)
-        trainer_cfg = TrainerConfig(
-            num_workers=num_workers,
-            batch_size=config.proxy_batch_size,
-            iterations=run_config_iterations,
-            ratio=ratio,
-            lr=config.proxy_lr,
-            momentum=config.proxy_momentum,
-            nesterov=config.proxy_nesterov,
-            clip_norm=config.proxy_clip_norm,
-            use_error_feedback=False,
-            seed=seed,
-            compute_seconds=config.compute_seconds(),
-            dimension_scale=config.dimension_scale(),
+        trainer_cfg = _trainer_config(
+            config, ratio, num_workers=num_workers, iterations=run_config_iterations, seed=seed,
+            network=CLUSTER_ETHERNET_10G, knobs=SimulationKnobs(), use_error_feedback=False,
         )
         trainer = DistributedTrainer(model, dataset, "topk", trainer_cfg, capture=capture)
         result = trainer.run()

@@ -24,11 +24,9 @@ specs crossed with a config grid:
   (topology, algorithm, payload, density, ...), so repeated points are
   priced once.  Memoized results are bit-for-bit equal to memoization-off
   runs — every cached value is the output of a deterministic pure function.
-* :func:`run_sweep` — executes a spec serially or across a ``spawn`` process
-  pool (:class:`~repro.distributed.backend.SpawnPool`, the machinery behind
-  ``TrainerConfig(worker_backend="process")``), returning a
-  :class:`SweepResult` whose versioned JSON rides the unified
-  ``BENCH_*`` artifact schema (:mod:`repro.harness.artifacts`).
+* :func:`run_sweep` — evaluates every point of a spec in order, returning a
+  :class:`SweepResult` whose versioned JSON rides the unified ``BENCH_*``
+  artifact schema (:mod:`repro.harness.artifacts`).
 
 The auto-tuner (:mod:`repro.harness.tuner`) searches this grid and answers
 the production-facing query — "best config for my job on this fabric" —
@@ -48,14 +46,13 @@ from ..compressors.registry import available_compressors, create_compressor
 from ..gradients.synthetic import realistic_gradient
 from ..perfmodel.device import GPU_V100
 from ..pipeline import CompressionPipeline
-from ..distributed.backend import SpawnPool
 from ..distributed.faults import (
     ClusterProfile,
     get_sync_policy,
     price_iteration,
     validate_sync_policy,
 )
-from ..distributed.knobs import KNOB_FIELDS, knob_defaults
+from ..distributed.knobs import KNOB_FIELDS, SimulationKnobs
 from ..distributed.schedule import (
     validate_cross_bucket,
     validate_overlap,
@@ -80,8 +77,8 @@ from .configs import get_benchmark
 #: the sweep grid.
 SWEEP_KNOBS: tuple[str, ...] = ("compressor", "ratio", *KNOB_FIELDS)
 
-#: Default value per knob for axes a spec does not sweep — the shared
-#: :func:`~repro.distributed.knobs.knob_defaults` table, with three
+#: Default value per knob for axes a spec does not sweep — the
+#: :class:`~repro.distributed.knobs.SimulationKnobs` defaults, with three
 #: sweep-specific overrides: the paper's densest ratio, the 4 MiB DDP bucket
 #: budget, the strongest overlap policy and the two-level reference fabric
 #: (a sweep prices bucketed schedules, so the trainer's unbucketed/serial
@@ -89,14 +86,11 @@ SWEEP_KNOBS: tuple[str, ...] = ("compressor", "ratio", *KNOB_FIELDS)
 DEFAULT_KNOBS: dict = {
     "compressor": "topk",
     "ratio": 0.1,
-    **knob_defaults(),
+    **SimulationKnobs().as_dict(),
     "bucket_bytes": 4 * 2**20,
     "overlap": "comm+compress",
     "topology": "ethernet-4x8",
 }
-
-#: Execution backends :func:`run_sweep` accepts.
-SWEEP_BACKENDS: tuple[str, ...] = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -437,8 +431,7 @@ class SweepCache:
         self.misses = 0
 
 
-#: Process-wide default cache (each spawn-pool worker gets its own copy of
-#: the module, hence its own cache).
+#: Process-wide default cache.
 _GLOBAL_CACHE = SweepCache()
 
 
@@ -611,9 +604,8 @@ def evaluate_point(
 
     Deterministic in its inputs: the proxy gradient is seeded, compression
     and collective pricing are pure, and the schedule simulator is
-    event-driven — which is what makes both the memoized and the
-    process-pool execution paths bit-for-bit equal to a serial
-    memoization-off run.
+    event-driven — which is what makes the memoized path bit-for-bit equal
+    to a memoization-off run.
 
     When any fault knob is off its default, the point is additionally priced
     through the :mod:`~repro.distributed.faults` layer: worker 0 becomes the
@@ -767,42 +759,22 @@ class SweepResult:
         return cls(workloads=workloads, records=records, benchmark=payload["benchmark"])
 
 
-def _evaluate_task(task: tuple[WorkloadSpec, SweepPoint, bool]) -> dict:
-    """Pool-worker body (module-level so it pickles by reference)."""
-    workload, point, memoize = task
-    return evaluate_point(workload, point, cache=_GLOBAL_CACHE if memoize else None)
-
-
 def run_sweep(
     spec: SweepSpec,
     *,
-    backend: str = "serial",
-    processes: int | None = None,
     memoize: bool = True,
     cache: SweepCache | None = None,
 ) -> SweepResult:
-    """Expand ``spec`` and evaluate every point.
+    """Expand ``spec`` and evaluate every point, in order.
 
-    ``backend="process"`` maps the points over a ``spawn`` process pool
-    (ordered, chunked — the worker-compression machinery); each pool process
-    memoizes into its own module-level cache.  ``memoize=False`` bypasses all
-    caching; results are bit-for-bit identical either way.
+    Points memoize into ``cache`` (default: the process-wide cache);
+    ``memoize=False`` bypasses all caching.  Results are bit-for-bit
+    identical either way.
     """
-    if backend not in SWEEP_BACKENDS:
-        raise ValueError(f"unknown sweep backend {backend!r}; known: {list(SWEEP_BACKENDS)}")
     points = spec.expand()
     by_name = {workload.name: workload for workload in spec.workloads}
-    if backend == "process":
-        pool = SpawnPool(processes)
-        try:
-            metrics = pool.map(
-                _evaluate_task, [(by_name[p.workload], p, memoize) for p in points]
-            )
-        finally:
-            pool.close()
-    else:
-        active = cache if cache is not None else (_GLOBAL_CACHE if memoize else None)
-        metrics = [evaluate_point(by_name[p.workload], p, cache=active) for p in points]
+    active = cache if cache is not None else (_GLOBAL_CACHE if memoize else None)
+    metrics = [evaluate_point(by_name[p.workload], p, cache=active) for p in points]
     records = [
         SweepRecord(workload=p.workload, config=p.config, metrics=m)
         for p, m in zip(points, metrics)

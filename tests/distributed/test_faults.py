@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.data import make_blobs_classification
 from repro.distributed import (
+    KNOB_FIELDS,
     OVERLAP_POLICIES,
     BackupWorkers,
     BucketTask,
@@ -25,6 +26,7 @@ from repro.distributed import (
     FaultModel,
     FullSync,
     LinkDegradation,
+    SimulationKnobs,
     StragglerInjector,
     TimeWindowSync,
     TrainerConfig,
@@ -335,11 +337,13 @@ def _model(seed=1):
 
 
 def _config(**kwargs):
+    """A small TrainerConfig; knob kwargs are routed into its ``knobs`` bundle."""
+    knobs = {name: kwargs.pop(name) for name in KNOB_FIELDS if name in kwargs}
     defaults = dict(
         num_workers=4, batch_size=8, iterations=12, ratio=0.01, lr=0.05, seed=0, compute_seconds=0.01
     )
     defaults.update(kwargs)
-    return TrainerConfig(**defaults)
+    return TrainerConfig(**defaults, knobs=SimulationKnobs(**knobs))
 
 
 class TestTrainerIntegration:

@@ -1,24 +1,17 @@
 """Tests for the consolidated SimulationKnobs bundle and its single-source contract.
 
-The API redesign's core promise: every surface that prices an iteration
-(``TrainerConfig``, ``BenchmarkConfig``, the sweep grid, ``run_benchmark``)
-reads its knob names, defaults and validation from ``SimulationKnobs`` — so a
-default can no longer drift between surfaces, and a new knob is automatically
-a trainer field, a benchmark field and a sweep axis.
+The API's core promise: every surface that prices an iteration
+(``TrainerConfig``, the sweep grid, ``run_benchmark``) reads its knob names,
+defaults and validation from ``SimulationKnobs`` — so a default can no longer
+drift between surfaces, and a new knob is automatically a trainer setting and
+a sweep axis.
 """
 
-import warnings
 from dataclasses import fields
 
 import pytest
 
-from repro.distributed import (
-    KNOB_FIELDS,
-    SimulationKnobs,
-    TrainerConfig,
-    apply_flat_overrides,
-    knob_defaults,
-)
+from repro.distributed import KNOB_FIELDS, SimulationKnobs, TrainerConfig
 from repro.harness import BenchmarkConfig
 from repro.harness.sweep import DEFAULT_KNOBS, SWEEP_KNOBS
 
@@ -31,63 +24,25 @@ class TestSingleSourceOfTruth:
         assert SWEEP_KNOBS == ("compressor", "ratio", *KNOB_FIELDS)
         assert set(DEFAULT_KNOBS) == set(SWEEP_KNOBS)
 
-    def test_trainer_config_defaults_pin_knob_defaults(self):
-        # Regression for knob-default drift: TrainerConfig's knob fields must
-        # default to exactly the SimulationKnobs values.
-        config = TrainerConfig(num_workers=2, compute_seconds=0.01)
-        for name, default in knob_defaults().items():
-            assert getattr(config, name) == default, name
+    def test_configs_mirror_no_knob_fields(self):
+        # Each config holds one bundle; a flat copy of any knob would let its
+        # default drift from SimulationKnobs again.
+        for config_cls in (TrainerConfig, BenchmarkConfig):
+            assert not set(KNOB_FIELDS) & {f.name for f in fields(config_cls)}, config_cls
 
-    def test_benchmark_config_defaults_pin_knob_defaults(self):
-        config = BenchmarkConfig(
-            name="x",
-            task="t",
-            quality_metric="accuracy",
-            full_dimension=1000,
-            per_worker_batch=8,
-            learning_rate=0.1,
-            epochs=1,
-            comm_overhead=0.5,
-            optimizer="sgd",
-        )
-        for name, default in knob_defaults().items():
-            assert getattr(config, name) == default, name
-
-    def test_benchmark_config_bundles_knobs(self):
-        config = BenchmarkConfig(
-            name="x",
-            task="t",
-            quality_metric="accuracy",
-            full_dimension=1000,
-            per_worker_batch=8,
-            learning_rate=0.1,
-            epochs=1,
-            comm_overhead=0.5,
-            optimizer="sgd",
-            overlap="comm",
-            sync_policy="time-window",
-            time_window_factor=2.0,
-        )
-        knobs = config.simulation_knobs()
-        assert knobs.overlap == "comm"
-        assert knobs.time_window_factor == 2.0
-        assert knobs.faulted
-
-    def test_trainer_config_snapshot_and_knobs_param(self):
-        bundle = SimulationKnobs(overlap="comm", scheduler_backend="vectorized")
-        via_knobs = TrainerConfig(num_workers=2, compute_seconds=0.01, knobs=bundle)
-        via_flat = TrainerConfig(
-            num_workers=2, compute_seconds=0.01, overlap="comm", scheduler_backend="vectorized"
-        )
-        assert via_knobs.overlap == via_flat.overlap == "comm"
-        assert via_knobs.knobs == via_flat.knobs
+    def test_trainer_config_holds_the_bundle(self):
+        bundle = SimulationKnobs(overlap="comm", sync_policy="time-window", time_window_factor=2.0)
+        config = TrainerConfig(num_workers=2, compute_seconds=0.01, knobs=bundle)
+        assert config.knobs is bundle
+        assert config.faulted
+        assert TrainerConfig(num_workers=2).knobs == SimulationKnobs()
 
 
 class TestValidation:
     def test_defaults_are_clean(self):
         knobs = SimulationKnobs()
         assert not knobs.faulted
-        assert knobs.as_dict() == knob_defaults()
+        assert knobs.as_dict() == {f.name: f.default for f in fields(SimulationKnobs)}
 
     def test_cross_knob_implications(self):
         with pytest.raises(ValueError, match="backup_workers > 0 requires"):
@@ -119,22 +74,3 @@ class TestValidation:
         assert knobs.replace(overlap="comm").overlap == "comm"
         with pytest.raises(ValueError):
             knobs.replace(backup_workers=1)
-
-
-class TestDeprecationShim:
-    def test_none_values_mean_not_passed(self):
-        base = SimulationKnobs(overlap="comm")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any warning would fail the test
-            out = apply_flat_overrides(base, {"overlap": None, "bucket_bytes": None}, "f")
-        assert out is base
-
-    def test_passed_knobs_warn_and_win(self):
-        base = SimulationKnobs()
-        with pytest.warns(DeprecationWarning, match="deprecated.*SimulationKnobs"):
-            out = apply_flat_overrides(base, {"overlap": "comm+compress"}, "run_benchmark")
-        assert out.overlap == "comm+compress"
-
-    def test_unknown_knob_rejected(self):
-        with pytest.raises(ValueError, match="unknown knobs"):
-            apply_flat_overrides(SimulationKnobs(), {"turbo": True}, "f")

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.data import make_blobs_classification
-from repro.distributed import DistributedTrainer, TrainerConfig, train_baseline_and_compressed
+from repro.distributed import (
+    KNOB_FIELDS,
+    DistributedTrainer,
+    SimulationKnobs,
+    TrainerConfig,
+    train_baseline_and_compressed,
+)
 from repro.gradients import GradientCapture
 from repro.nn import build_model
 from repro.optim import WarmupStepDecay
@@ -19,9 +25,11 @@ def _model(seed=1):
 
 
 def _config(**kwargs):
+    """A small TrainerConfig; knob kwargs are routed into its ``knobs`` bundle."""
+    knobs = {name: kwargs.pop(name) for name in KNOB_FIELDS if name in kwargs}
     defaults = dict(num_workers=4, batch_size=8, iterations=30, ratio=0.01, lr=0.05, seed=0, compute_seconds=0.01)
     defaults.update(kwargs)
-    return TrainerConfig(**defaults)
+    return TrainerConfig(**defaults, knobs=SimulationKnobs(**knobs))
 
 
 class TestTrainingLoop:
@@ -106,7 +114,78 @@ class TestHelpers:
         with pytest.raises(ValueError):
             TrainerConfig(warmup_iterations=-1)
         with pytest.raises(ValueError):
-            TrainerConfig(bucket_bytes=0)
+            _config(bucket_bytes=0)
+        # Non-finite compute time would price every iteration as NaN/inf.
+        for bad in (float("nan"), float("inf"), -0.01):
+            with pytest.raises(ValueError, match="compute_seconds"):
+                TrainerConfig(compute_seconds=bad)
+
+
+#: Per knob: a non-default bundle (plus the companions its validation needs)
+#: and a probe reading the value back from the trainer component it drives.
+KNOB_PROBES = {
+    "bucket_bytes": (
+        dict(bucket_bytes=512),
+        lambda t: {getattr(w.compressor, "bucket_bytes", None) for w in t.workers} == {512},
+    ),
+    "overlap": (dict(overlap="comm"), lambda t: t.timeline.overlap == "comm"),
+    "topology": (
+        dict(topology="cluster1"),
+        lambda t: t.collective.topology.name == "cluster1-ethernet-10g",
+    ),
+    "allreduce_algorithm": (
+        dict(allreduce_algorithm="recursive-doubling"),
+        lambda t: t.collective.allreduce_algorithm == "recursive-doubling",
+    ),
+    "allgather_algorithm": (
+        dict(allgather_algorithm="recursive-doubling"),
+        lambda t: t.collective.allgather_algorithm == "recursive-doubling",
+    ),
+    "pipeline_chunks": (dict(pipeline_chunks=4), lambda t: t.collective.pipeline_chunks == 4),
+    "dedup_assumption": (
+        dict(dedup_assumption="identical"),
+        lambda t: getattr(t.collective.allgather_dedup, "assumption", None) == "identical",
+    ),
+    "cross_bucket_pipeline": (
+        dict(cross_bucket_pipeline=True),
+        lambda t: t.timeline.cross_bucket_pipeline is True,
+    ),
+    "scheduler_backend": (
+        dict(scheduler_backend="vectorized"),
+        lambda t: t.timeline.scheduler_backend == "vectorized",
+    ),
+    "sync_policy": (dict(sync_policy="time-window"), lambda t: t.sync_policy.name == "time-window"),
+    "backup_workers": (
+        dict(sync_policy="backup-workers", backup_workers=2),
+        lambda t: getattr(t.sync_policy, "backup_workers", None) == 2,
+    ),
+    "time_window_factor": (
+        dict(sync_policy="time-window", time_window_factor=2.5),
+        lambda t: getattr(t.sync_policy, "window_factor", None) == 2.5,
+    ),
+    "straggler_severity": (
+        dict(straggler_severity=3.0),
+        lambda t: t.fault_model is not None and t.fault_model.profile.workers[0].compute == 3.0,
+    ),
+    "link_degradation": (
+        dict(link_degradation=2.0),
+        lambda t: t.fault_model is not None and t.fault_model.profile.workers[0].link == 2.0,
+    ),
+}
+
+
+class TestKnobBundleThreading:
+    def test_every_knob_has_a_probe(self):
+        assert tuple(KNOB_PROBES) == KNOB_FIELDS
+
+    @pytest.mark.parametrize("knob", KNOB_FIELDS)
+    def test_knob_reaches_the_component_it_drives(self, knob):
+        # The trainer reads every knob from config.knobs; a reader left on a
+        # removed flat field, or one that ignores the bundle, fails here.
+        overrides, probe = KNOB_PROBES[knob]
+        config = _config(num_workers=8, **overrides)
+        assert not probe(DistributedTrainer(_model(), _dataset(), "topk", _config(num_workers=8)))
+        assert probe(DistributedTrainer(_model(), _dataset(), "topk", config))
 
 
 class TestBucketedPipeline:
@@ -184,7 +263,7 @@ class TestBucketedPipeline:
 class TestOverlapPolicy:
     def test_invalid_overlap_rejected(self):
         with pytest.raises(ValueError):
-            TrainerConfig(overlap="pipelined")
+            _config(overlap="pipelined")
 
     def test_overlap_reduces_wall_time_not_loss(self):
         serial = DistributedTrainer(
@@ -231,9 +310,9 @@ class TestTopologyThreading:
 
     def test_invalid_algorithm_rejected_at_config_time(self):
         with pytest.raises(ValueError):
-            TrainerConfig(allgather_algorithm="ring-allreduce")
+            _config(allgather_algorithm="ring-allreduce")
         with pytest.raises(ValueError):
-            TrainerConfig(allreduce_algorithm="nccl")
+            _config(allreduce_algorithm="nccl")
 
     def test_topology_worker_mismatch_rejected_at_config_time(self):
         with pytest.raises(ValueError, match="workers"):
@@ -397,4 +476,4 @@ class TestCrossBucketThreading:
         assert cross.metrics.serialized_total_time == pytest.approx(
             serial.metrics.serialized_total_time
         )
-        assert cross.config.cross_bucket_pipeline
+        assert cross.config.knobs.cross_bucket_pipeline

@@ -1,15 +1,13 @@
 """Property suite for the declarative sweep engine.
 
-Three contracts, hypothesis-driven:
+Two contracts, hypothesis-driven:
 
 * **expansion** — ``SweepSpec.expand()`` is exactly the constrained
   cross-product of the axes (workloads slowest, knobs in canonical order),
   with no duplicates, defaults filled for unswept knobs, and every
   constraint honoured;
 * **memoization transparency** — a memoized run is bit-for-bit equal to a
-  memoization-off run of the same spec;
-* **process-pool transparency** — ``backend="process"`` results equal
-  serial results on fixed seeds.
+  memoization-off run of the same spec.
 """
 
 import itertools
@@ -170,11 +168,6 @@ class TestSpecValidation:
                 name="bad", knob="sparsity", inactive=(None,), target="ratio", allowed=(0.1,)
             )
 
-    def test_unknown_backend_rejected(self):
-        spec = SweepSpec(workloads=(_workload(),), axes={"ratio": (0.1,)})
-        with pytest.raises(ValueError, match="unknown sweep backend"):
-            run_sweep(spec, backend="threads")
-
 
 EQUIVALENCE_SPEC_AXES = {
     "compressor": ("topk", "dgc"),
@@ -209,10 +202,6 @@ class TestExecutionEquivalence:
         assert warm.records == uncached.records
         # Every point replays from the point-level cache.
         assert cache.hits - hits_before == len(uncached.records)
-
-    def test_process_pool_equals_serial_bit_for_bit(self, spec, uncached):
-        pooled = run_sweep(spec, backend="process", processes=2)
-        assert pooled.records == uncached.records
 
     def test_evaluate_point_rejects_foreign_workload(self):
         point = SweepPoint.from_config("other", {})

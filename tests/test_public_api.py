@@ -28,6 +28,14 @@ class TestPublicAPI:
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
 
+    def test_distributed_surface_has_one_knob_bundle_and_no_pools(self):
+        import repro.distributed
+
+        exported = set(repro.distributed.__all__)
+        assert {"SimulationKnobs", "KNOB_FIELDS", "TrainerConfig", "Worker"} <= exported
+        # Compression runs in-process; no worker-pool machinery is public.
+        assert not [name for name in exported if "Pool" in name or "CompressionBackend" in name]
+
     def test_fault_and_knob_surfaces_exposed(self):
         from repro.distributed import (
             SYNC_POLICIES,
@@ -36,7 +44,6 @@ class TestPublicAPI:
             StragglerInjector,
             WorkerChurn,
             get_sync_policy,
-            knob_defaults,
         )
         from repro.harness import (
             SWEEP_KNOBS,
@@ -46,7 +53,7 @@ class TestPublicAPI:
 
         assert SYNC_POLICIES == ("full-sync", "backup-workers", "time-window")
         # The sweep grid's tail is exactly the SimulationKnobs field order.
-        assert SWEEP_KNOBS[2:] == tuple(knob_defaults())
+        assert SWEEP_KNOBS[2:] == tuple(SimulationKnobs().as_dict())
         assert SimulationKnobs().faulted is False
         assert ClusterProfile.homogeneous(4).homogeneous_nominal
         assert get_sync_policy("full-sync").name == "full-sync"

@@ -1,34 +1,28 @@
-"""Scheduler throughput: batched-NumPy core vs the scalar loop reference.
+"""Scheduler throughput: schedules per second of the array scheduler.
 
-PR 7 keeps the loop scheduler as the bit-for-bit reference and adds a
-vectorized backend that prices all buckets as one ``(bucket, phase)``
-:class:`~repro.distributed.topology.PhaseTable` and schedules them with
-:func:`~repro.distributed.schedule.simulate_iteration_arrays`.  The loop
-pays O(buckets) object churn per call — ``CollectiveCost``/``BucketTask``
-construction and validation, per-phase ``PhaseEvent`` objects — which is
-what a parameter sweep over schedules actually spends its time on.
+Every bucketed iteration prices its buckets as one ``(bucket, phase)``
+:class:`~repro.distributed.topology.PhaseTable` and places them with
+:func:`~repro.distributed.schedule.simulate_iteration_arrays`.  This
+benchmark times that hot path, ``TimelineModel.schedule_iteration`` with
+precomputed compression seconds, on the 128-node ``fat-tree-128`` preset
+(1024 workers, 7 phase columns) with a ~96-bucket top-k pipeline result.
 
-This benchmark times the hot path both sweeps share,
-``TimelineModel.schedule_iteration`` with precomputed compression seconds,
-on the 128-node ``fat-tree-128`` preset (1024 workers, 7 phase columns)
-with a ~96-bucket top-k pipeline result.
-
-Acceptance bar: the vectorized backend schedules >= 10x more iterations
-per second than the loop on the serial-lane policy, and both backends
-return bit-identical schedules.  The cross-bucket row is reported without
-a bar: per-link template fitting is a sequential recurrence both backends
-share in scalar form (reassociating it would change IEEE rounding and
-break the equality contract), so its speedup is structurally modest.
-Results land in ``BENCH_sched_throughput.json`` at the repo root.
+Two rows: the serial network lane and the cross-bucket per-link lanes.  The
+cross-bucket row is dominated by the scalar per-link template-fitting
+recurrence, the roadmap's remaining scheduler hot spot.  Neither row carries
+a bar yet; the former 10x bar compared against a second (loop) scheduler that
+no longer exists.  Results land in ``BENCH_sched_throughput.json`` at the repo
+root.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_sched_throughput.py -v``.
 Setting ``SIDCO_SMOKE_DIMENSION`` (e.g. ``500000``) shrinks the gradient for
-a CI execution smoke: the equality assertions still run, the throughput bar
-and the artifact write are skipped (timings at toy scale are all overhead).
+a CI execution smoke: the schedule sanity checks still run, the artifact
+write is skipped (timings at toy scale are all overhead).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from pathlib import Path
@@ -38,7 +32,6 @@ import pytest
 from repro.compressors import create_compressor
 from repro.distributed import (
     CollectiveModel,
-    IterationSchedule,
     ScheduleArrays,
     SparseAggregateModel,
     TimelineModel,
@@ -58,14 +51,14 @@ RATIO = 0.05
 COMM_OVERHEAD = 0.94
 #: 1 MiB buckets — ~96 buckets at the 25M scale, a realistic DDP sweep size.
 BUCKET_BYTES = 2**20
-#: The vectorized backend must schedule at least this many times more
-#: iterations per second than the loop reference (measured ~16x).
-MIN_SPEEDUP = 10.0
+#: Timed calls per batch: the serial lane runs in about a millisecond, the
+#: cross-bucket lanes in about a tenth of a second.
+REPEATS = {False: 300, True: 10}
 
 ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_sched_throughput.json"
 
 
-def _timeline(backend: str, *, cross_bucket: bool) -> TimelineModel:
+def _timeline(*, cross_bucket: bool) -> TimelineModel:
     topology = get_topology(PRESET)
     collective = CollectiveModel(
         topology,
@@ -84,7 +77,6 @@ def _timeline(backend: str, *, cross_bucket: bool) -> TimelineModel:
         overlap="comm+compress",
         collective=collective,
         cross_bucket_pipeline=cross_bucket,
-        scheduler_backend=backend,
     )
 
 
@@ -113,95 +105,62 @@ def _seconds_per_call(timeline, results, *, repeats: int, warmup: int = 3) -> fl
     return best
 
 
-@pytest.mark.parametrize("cross_bucket", [False, True])
-def test_backends_agree_on_the_benchmark_scenario(cross_bucket, worker_results):
-    loop = _timeline("loop", cross_bucket=cross_bucket).schedule_iteration(
+def test_benchmark_scenario_schedules(worker_results):
+    serial = _timeline(cross_bucket=False).schedule_iteration(
         worker_results, compression_seconds=0.01
     )
-    vec = _timeline("vectorized", cross_bucket=cross_bucket).schedule_iteration(
+    cross = _timeline(cross_bucket=True).schedule_iteration(
         worker_results, compression_seconds=0.01
     )
-    assert isinstance(loop, IterationSchedule)
-    assert isinstance(vec, ScheduleArrays)
-    assert vec.events == loop.events
-    assert vec.iteration_seconds == loop.iteration_seconds
-    assert vec.link_utilization() == loop.link_utilization()
-
-
-@pytest.mark.skipif(SMOKE, reason="throughput bar calibrated to the 25M-parameter scale")
-def test_vectorized_scheduler_throughput_ratchet(worker_results):
-    loop_s = _seconds_per_call(
-        _timeline("loop", cross_bucket=False), worker_results, repeats=30
-    )
-    vec_s = _seconds_per_call(
-        _timeline("vectorized", cross_bucket=False), worker_results, repeats=300
-    )
-    speedup = loop_s / vec_s
-    assert speedup >= MIN_SPEEDUP, (
-        f"vectorized scheduler {speedup:.1f}x vs loop, below the "
-        f"{MIN_SPEEDUP:.0f}x bar on {PRESET} "
-        f"(loop {loop_s * 1e3:.3f} ms/call, vectorized {vec_s * 1e3:.3f} ms/call)"
-    )
+    for schedule in (serial, cross):
+        assert isinstance(schedule, ScheduleArrays)
+        assert schedule.num_buckets == worker_results[0].metadata["num_buckets"]
+        assert len(schedule.phase_names) == 7
+        assert math.isfinite(schedule.iteration_seconds)
+        assert schedule.iteration_seconds <= schedule.serialized_seconds
+    # Per-link lanes reprice nothing and can only start buckets earlier.
+    assert cross.total_comm_seconds == pytest.approx(serial.total_comm_seconds)
+    assert cross.iteration_seconds <= serial.iteration_seconds
 
 
 @pytest.mark.skipif(SMOKE, reason="artifact records full-scale numbers only")
 def test_emit_sched_throughput_artifact(worker_results, emit_artifact):
     topology = get_topology(PRESET)
-    num_buckets = worker_results[0].metadata["num_buckets"]
     rows = []
     for cross_bucket in (False, True):
-        loop_s = _seconds_per_call(
-            _timeline("loop", cross_bucket=cross_bucket), worker_results, repeats=30
-        )
-        vec_s = _seconds_per_call(
-            _timeline("vectorized", cross_bucket=cross_bucket),
+        seconds = _seconds_per_call(
+            _timeline(cross_bucket=cross_bucket),
             worker_results,
-            repeats=300,
+            repeats=REPEATS[cross_bucket],
         )
         rows.append(
             {
                 "cross_bucket_pipeline": cross_bucket,
-                "loop_seconds_per_call": loop_s,
-                "vectorized_seconds_per_call": vec_s,
-                "loop_schedules_per_second": 1.0 / loop_s,
-                "vectorized_schedules_per_second": 1.0 / vec_s,
-                "speedup": loop_s / vec_s,
+                "seconds_per_call": seconds,
+                "schedules_per_second": 1.0 / seconds,
             }
         )
-
-    serial_lane = rows[0]
-    artifact = {
-        "benchmark": "sched_throughput",
-        "dimension": DIMENSION,
-        "ratio": RATIO,
-        "bucket_bytes": BUCKET_BYTES,
-        "num_buckets": num_buckets,
-        "overlap": "comm+compress",
-        "topology": {
-            "name": topology.name,
-            "num_nodes": topology.num_nodes,
-            "devices_per_node": topology.devices_per_node,
-            "num_workers": topology.num_workers,
-            "num_levels": topology.num_levels,
-        },
-        "speedup": serial_lane["speedup"],
-        "min_speedup_bar": MIN_SPEEDUP,
-        "note": (
-            "cross-bucket row shares the scalar per-link template-fitting "
-            "recurrence between backends (bit-for-bit contract), so only the "
-            "serial-lane row carries the ratchet bar"
-        ),
-        "scenarios": rows,
-    }
     written = emit_artifact(
         ARTIFACT_PATH,
         "sched_throughput",
         params={
-            key: artifact[key]
-            for key in ("dimension", "ratio", "bucket_bytes", "num_buckets", "overlap",
-                        "topology", "min_speedup_bar")
+            "dimension": DIMENSION,
+            "ratio": RATIO,
+            "bucket_bytes": BUCKET_BYTES,
+            "num_buckets": worker_results[0].metadata["num_buckets"],
+            "overlap": "comm+compress",
+            "topology": {
+                "name": topology.name,
+                "num_nodes": topology.num_nodes,
+                "devices_per_node": topology.devices_per_node,
+                "num_workers": topology.num_workers,
+                "num_levels": topology.num_levels,
+            },
         },
-        metrics={"speedup": artifact["speedup"]},
+        metrics={
+            "serial_lane_schedules_per_second": rows[0]["schedules_per_second"],
+            "cross_bucket_schedules_per_second": rows[1]["schedules_per_second"],
+        },
         records=[
             {
                 "workload": "sched_throughput",
@@ -210,16 +169,12 @@ def test_emit_sched_throughput_artifact(worker_results, emit_artifact):
                     "cross_bucket_pipeline": row["cross_bucket_pipeline"],
                 },
                 "metrics": {
-                    key: row[key]
-                    for key in ("loop_seconds_per_call", "vectorized_seconds_per_call",
-                                "loop_schedules_per_second",
-                                "vectorized_schedules_per_second", "speedup")
+                    "seconds_per_call": row["seconds_per_call"],
+                    "schedules_per_second": row["schedules_per_second"],
                 },
             }
             for row in rows
         ],
-        legacy=artifact,
     )
-    assert written["speedup"] >= MIN_SPEEDUP
-    for row in written["scenarios"]:
-        assert row["speedup"] >= 1.0
+    assert set(written) == {"schema", "schema_version", "benchmark", "params", "metrics", "records"}
+    assert all(value > 0.0 for value in written["metrics"].values())

@@ -14,7 +14,7 @@ needed to ask it:
   factor.  Rates are *time* multipliers: ``compute=2.0`` means this worker's
   backward pass, compression stream and update take twice as long;
   ``link=2.0`` means its network transfers do.  The homogeneous profile is all
-  1.0s and reproduces today's schedules bit-for-bit (the schedulers skip the
+  1.0s and reproduces today's schedules bit-for-bit (the scheduler skips the
   scaling branch entirely at nominal rates).
 * **Injection** — :class:`StragglerInjector`, :class:`LinkDegradation` and
   :class:`WorkerChurn` perturb the profile per iteration.  Draws come from

@@ -25,13 +25,26 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .faults import validate_sync_policy
-from .schedule import validate_cross_bucket, validate_overlap, validate_scheduler_backend
+from .schedule import validate_cross_bucket, validate_overlap
 from .topology import (
     SparseAggregateModel,
     get_collective_algorithm,
     get_topology,
     validate_pipeline_chunks,
 )
+
+
+#: Accepted values of the inert ``SimulationKnobs.scheduler_backend`` field.
+_INERT_SCHEDULER_BACKENDS: tuple[str, ...] = ("loop", "vectorized")
+
+
+def validate_scheduler_backend(backend: str) -> str:
+    """Return ``backend`` if it is an accepted (inert) scheduler name, else raise."""
+    if backend not in _INERT_SCHEDULER_BACKENDS:
+        raise ValueError(
+            f"unknown scheduler backend {backend!r}; known: {list(_INERT_SCHEDULER_BACKENDS)}"
+        )
+    return backend
 
 
 @dataclass(frozen=True)
@@ -61,7 +74,9 @@ class SimulationKnobs:
     dedup_assumption: str | None = None
     #: Schedule buckets on per-link network lanes (cross-bucket pipelining).
     cross_bucket_pipeline: bool = False
-    #: Scheduler implementation: ``"loop"`` or ``"vectorized"``.
+    #: Inert.  Every bucketed iteration runs the one array scheduler; both
+    #: former backend names (``"loop"``, ``"vectorized"``) are still accepted
+    #: so existing bundles, sweep grids and their records keep this key.
     scheduler_backend: str = "loop"
     #: Synchronization policy under faults: ``"full-sync"``,
     #: ``"backup-workers"`` or ``"time-window"`` (see ``faults.py``).

@@ -6,9 +6,10 @@ bucket *i+1* — a flat ``compute + compression + communication`` sum (the old
 timeline pricing) models a stack that serialises everything and therefore
 overstates the iteration time of every real DDP/Horovod deployment.
 
-This module replaces the closed-form sum with a small event-driven simulator.
-One iteration is a set of per-bucket :class:`BucketTask` jobs scheduled on two
-resource lanes:
+This module replaces the closed-form sum with a small event-driven simulator,
+:func:`simulate_iteration_arrays`.  One iteration is a set of per-bucket jobs,
+given as ``(bucket,)`` ready/compress arrays plus a ``(bucket, phase)``
+collective table, scheduled on two resource lanes:
 
 * the **compute lane** runs backpropagation from ``t = 0`` to
   ``compute_seconds`` and produces each bucket's gradient at its
@@ -46,9 +47,11 @@ What may start when is governed by the overlap policy:
     Additionally, bucket *i*'s compression starts at its gradient-ready time,
     on a stream that runs concurrently with the remaining backpropagation.
 
-The simulator returns the full per-bucket event trace plus the critical-path
-iteration time, so callers can report overlapped vs serialised time and the
-overlap efficiency, not just a single scalar.
+The simulator returns the full per-bucket event trace as
+:class:`ScheduleArrays` plus the critical-path iteration time, so callers can
+report overlapped vs serialised time and the overlap efficiency, not just a
+single scalar; :meth:`ScheduleArrays.to_schedule` builds the per-event
+:class:`IterationSchedule` view for reporting.
 """
 
 from __future__ import annotations
@@ -62,25 +65,12 @@ import numpy as np
 #: Recognised overlap policies, weakest to strongest.
 OVERLAP_POLICIES: tuple[str, ...] = ("none", "comm", "comm+compress")
 
-#: Scheduler implementations: the scalar reference loop and the batched-NumPy
-#: core that reproduces it bit-for-bit.
-SCHEDULER_BACKENDS: tuple[str, ...] = ("loop", "vectorized")
-
 
 def validate_overlap(policy: str) -> str:
     """Return ``policy`` if it is a recognised overlap policy, else raise."""
     if policy not in OVERLAP_POLICIES:
         raise ValueError(f"unknown overlap policy {policy!r}; known: {list(OVERLAP_POLICIES)}")
     return policy
-
-
-def validate_scheduler_backend(backend: str) -> str:
-    """Return ``backend`` if it is a recognised scheduler backend, else raise."""
-    if backend not in SCHEDULER_BACKENDS:
-        raise ValueError(
-            f"unknown scheduler backend {backend!r}; known: {list(SCHEDULER_BACKENDS)}"
-        )
-    return backend
 
 
 def validate_cross_bucket(cross_bucket_pipeline: bool) -> bool:
@@ -109,117 +99,24 @@ def validate_rate(name: str, value: float) -> float:
     return value
 
 
-def _scaled_task(task: BucketTask, compute_scale: float, comm_scale: float) -> BucketTask:
-    """``task`` with compute-lane times x ``compute_scale`` and network times x ``comm_scale``.
+def validate_duration(name: str, value: float) -> float:
+    """Return ``value`` as a float if it is a finite, non-negative duration.
 
-    Ready and compression times live on the compute lane (backprop produces
-    the gradient, the compression stream shares the device), communication
-    phases live on the network lane.  Multiplying by exactly 1.0 is bit-exact
-    in IEEE, but callers still skip this entirely at (1.0, 1.0) so the nominal
-    path is provably byte-identical to the unscaled scheduler.
+    A NaN or infinite time would flow through every ``max``/``+`` of the
+    schedule and come out as a NaN/inf iteration time, so it is rejected at
+    the entry point instead.
     """
-    if task.has_placed_phases:
-        phases: tuple[tuple, ...] = tuple(
-            (name, seconds * comm_scale, start * comm_scale, link)
-            for name, seconds, start, link in task.comm_phases
-        )
-    else:
-        phases = tuple(
-            (name, seconds * comm_scale) for name, seconds in task.comm_phases
-        )
-    return BucketTask(
-        index=task.index,
-        ready_seconds=task.ready_seconds * compute_scale,
-        compress_seconds=task.compress_seconds * compute_scale,
-        comm_seconds=task.comm_seconds * comm_scale,
-        comm_phases=phases,
-    )
-
-
-@dataclass(frozen=True)
-class BucketTask:
-    """Work one gradient bucket contributes to the iteration (durations in seconds).
-
-    ``comm_phases`` optionally breaks the bucket's collective into named
-    phases.  Two entry shapes are accepted (one shape per task, not mixed):
-
-    * ``(name, seconds)`` — serial phases placed back-to-back; the durations
-      must sum to ``comm_seconds`` (the pre-pipeline contract).
-    * ``(name, seconds, start, link)`` — explicitly placed phases from a
-      chunk-pipelined collective: ``start`` is the offset inside the bucket's
-      network occupancy and ``link`` names the fabric the phase runs on.
-      Phases on *different* links may overlap (that is the point of
-      pipelining), phases on one link must not, and the last phase must end
-      at ``comm_seconds``.
-    """
-
-    index: int
-    ready_seconds: float
-    compress_seconds: float
-    comm_seconds: float
-    comm_phases: tuple[tuple, ...] = ()
-
-    @property
-    def has_placed_phases(self) -> bool:
-        """True when the phases carry explicit pipelined placements."""
-        return bool(self.comm_phases) and len(self.comm_phases[0]) == 4
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"index must be non-negative, got {self.index}")
-        for name in ("ready_seconds", "compress_seconds", "comm_seconds"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if not self.comm_phases:
-            object.__setattr__(self, "comm_phases", ())
-            return
-        widths = {len(entry) for entry in self.comm_phases}
-        if widths == {2}:
-            phases = tuple((str(name), float(seconds)) for name, seconds in self.comm_phases)
-            object.__setattr__(self, "comm_phases", phases)
-            if any(seconds < 0.0 for _, seconds in phases):
-                raise ValueError("comm phase durations must be non-negative")
-            total = sum(seconds for _, seconds in phases)
-            if abs(total - self.comm_seconds) > 1e-9 * max(1.0, self.comm_seconds):
-                raise ValueError(
-                    f"comm_phases sum to {total!r} but comm_seconds is {self.comm_seconds!r}"
-                )
-            return
-        if widths != {4}:
-            raise ValueError(
-                "comm_phases entries must be uniformly (name, seconds) or "
-                "(name, seconds, start, link)"
-            )
-        phases = tuple(
-            (str(name), float(seconds), float(start), str(link))
-            for name, seconds, start, link in self.comm_phases
-        )
-        object.__setattr__(self, "comm_phases", phases)
-        tolerance = 1e-9 * max(1.0, self.comm_seconds)
-        if any(seconds < 0.0 or start < 0.0 for _, seconds, start, _ in phases):
-            raise ValueError("comm phase durations and starts must be non-negative")
-        last_end = max(start + seconds for _, seconds, start, _ in phases)
-        if abs(last_end - self.comm_seconds) > tolerance:
-            raise ValueError(
-                f"placed comm_phases end at {last_end!r} but comm_seconds is "
-                f"{self.comm_seconds!r}"
-            )
-        by_link: dict[str, list[tuple[float, float]]] = {}
-        for _, seconds, start, link in phases:
-            by_link.setdefault(link, []).append((start, start + seconds))
-        for link, spans in by_link.items():
-            spans.sort()
-            for (_, a_end), (b_start, _) in zip(spans, spans[1:]):
-                if b_start < a_end - tolerance:
-                    raise ValueError(f"placed comm_phases overlap on link {link!r}")
+    value = float(value)
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class PhaseEvent:
     """Absolute start/end of one named collective phase on the network lane.
 
-    ``link`` names the fabric the phase occupies (empty for single-link
-    collectives priced before the topology layer); pipelined phases on
+    ``link`` names the fabric the phase occupies; pipelined phases on
     different links may overlap in time, phases sharing a link never do.
     """
 
@@ -233,9 +130,8 @@ class PhaseEvent:
 class BucketEvent:
     """Scheduled start/end times of one bucket's compress and all-gather jobs.
 
-    ``phases`` subdivides ``[comm_start, comm_end]`` into the collective's
-    serial phases when the task carried a per-phase breakdown (empty for
-    single-phase collectives priced as one span).
+    ``phases`` places the collective's phases inside ``[comm_start,
+    comm_end]`` (empty when the collective has none, e.g. on one worker).
     """
 
     index: int
@@ -249,7 +145,11 @@ class BucketEvent:
 
 @dataclass(frozen=True)
 class IterationSchedule:
-    """Event trace plus critical-path time of one simulated iteration."""
+    """Per-event reporting view of one simulated iteration.
+
+    Built by :meth:`ScheduleArrays.to_schedule`; the scheduler itself works
+    on arrays.
+    """
 
     policy: str
     compute_seconds: float
@@ -281,29 +181,24 @@ class IterationSchedule:
     def link_utilization(self) -> dict[str, dict[str, float]]:
         """Per-link busy time over the network's active window, by fabric.
 
-        Phases are attributed to the link they name (collectives priced before
-        the topology layer, and buckets without a phase breakdown, occupy the
-        anonymous ``""`` lane).  ``utilization`` is the link's busy time over
-        the window from the first to the last communication event — the
-        quantity cross-bucket pipelining raises by letting one fabric work
-        while another bucket occupies the other.
+        Phases are attributed to the link they name.  ``utilization`` is the
+        link's busy time over the window from the first to the last
+        communication event — the quantity cross-bucket pipelining raises by
+        letting one fabric work while another bucket occupies the other.
 
-        A schedule with no communication events at all (every bucket empty)
-        reports no lanes: the empty dict, never an ``inf``/NaN window.
+        A schedule with no communication events at all (no bucket has a
+        phase) reports no lanes: the empty dict, never an ``inf``/NaN window.
         """
         busy: dict[str, float] = {}
         first: float | None = None
         last = 0.0
         for event in self.events:
-            if event.comm_end <= event.comm_start and not event.phases:
+            if not event.phases:
                 continue
             first = event.comm_start if first is None else min(first, event.comm_start)
             last = max(last, event.comm_end)
-            if event.phases:
-                for phase in event.phases:
-                    busy[phase.link] = busy.get(phase.link, 0.0) + (phase.end - phase.start)
-            else:
-                busy[""] = busy.get("", 0.0) + (event.comm_end - event.comm_start)
+            for phase in event.phases:
+                busy[phase.link] = busy.get(phase.link, 0.0) + (phase.end - phase.start)
         if first is None:
             # No event contributed: the window is undefined, not [inf, 0].
             return {}
@@ -320,20 +215,18 @@ class IterationSchedule:
 
 @dataclass(frozen=True, eq=False)
 class ScheduleArrays:
-    """Array-backed iteration schedule — the vectorized backend's native form.
+    """Array-backed iteration schedule — the scheduler's native form.
 
-    Semantically the same trace as :class:`IterationSchedule`, held as
-    ``(bucket,)`` and ``(bucket, phase)`` NumPy arrays in bucket-index order
-    instead of per-bucket event objects: for a fixed topology every bucket's
-    collective has the same phase structure, so one ``phase_names``/
-    ``phase_links`` template shared across rows replaces thousands of
-    :class:`PhaseEvent` constructions per simulated iteration.  Scalars and
-    arrays are bit-identical to the loop backend's; :meth:`to_schedule`
-    materializes the exact :class:`IterationSchedule` the loop would have
-    produced (pinned by the golden schedule tests), so anything needing the
-    object trace can convert losslessly.
+    The trace is held as ``(bucket,)`` and ``(bucket, phase)`` NumPy arrays
+    in bucket-index order instead of per-bucket event objects: one
+    ``phase_names``/``phase_links`` template shared across rows replaces
+    thousands of :class:`PhaseEvent` constructions per simulated iteration.
+    When rows are ragged (chunk-pipelined and serial collectives in one
+    iteration) ``phase_mask`` marks the phases each row has.
+    :meth:`to_schedule` builds the per-event :class:`IterationSchedule` view
+    (pinned by the golden schedule tests).
 
-    The duck-typed reporting surface (``policy``, ``cross_bucket``,
+    The reporting surface (``policy``, ``cross_bucket``,
     ``iteration_seconds``, ``overlap_saving``, ``link_utilization()``...)
     matches :class:`IterationSchedule`, so harness formatters accept either.
     """
@@ -356,6 +249,8 @@ class ScheduleArrays:
     #: (B, P) absolute phase placements.
     phase_start: np.ndarray
     phase_end: np.ndarray
+    #: (B, P) True where the row has the phase, or ``None`` when all do.
+    phase_mask: np.ndarray | None = None
 
     @property
     def num_buckets(self) -> int:
@@ -384,17 +279,20 @@ class ScheduleArrays:
     def link_utilization(self) -> dict[str, dict[str, float]]:
         """Per-link busy time over the network's active window, by fabric.
 
-        Delegates to the materialized trace so the numbers are bit-identical
-        to the loop backend's — utilization is a reporting call, not part of
-        the scheduling hot path.
+        Delegates to the materialized trace — utilization is a reporting
+        call, not part of the scheduling hot path.
         """
         return self.to_schedule().link_utilization()
 
     def to_schedule(self) -> IterationSchedule:
-        """Materialize the bit-identical :class:`IterationSchedule` object trace."""
-        num_phases = len(self.phase_names)
+        """Materialize the per-event :class:`IterationSchedule` view."""
+        all_columns = range(len(self.phase_names))
         events = []
         for b in range(self.num_buckets):
+            if self.phase_mask is None:
+                columns = all_columns
+            else:
+                columns = np.flatnonzero(self.phase_mask[b]).tolist()
             phases = tuple(
                 PhaseEvent(
                     name=self.phase_names[p],
@@ -402,7 +300,7 @@ class ScheduleArrays:
                     end=float(self.phase_end[b, p]),
                     link=self.phase_links[p],
                 )
-                for p in range(num_phases)
+                for p in columns
             )
             events.append(
                 BucketEvent(
@@ -426,28 +324,6 @@ class ScheduleArrays:
         )
 
 
-def _comm_layout(task: BucketTask) -> list[tuple[float, float, str]]:
-    """The task's rigid network template: ``(offset, seconds, link)`` spans.
-
-    Placed phases keep their explicit offsets and links; serial phases tile
-    back-to-back; tasks without a phase breakdown occupy the anonymous ``""``
-    lane for their whole duration.  The ``""`` lane conflicts with *every*
-    named lane (see :func:`_conflicting_lanes`), so buckets priced before the
-    topology layer serialise against each other and against placed-phase
-    buckets alike — one physical network, nothing to overlap.
-    """
-    if task.has_placed_phases:
-        return [(start, seconds, link) for _, seconds, start, link in task.comm_phases]
-    if task.comm_phases:
-        layout = []
-        cursor = 0.0
-        for name, seconds in task.comm_phases:
-            layout.append((cursor, seconds, ""))
-            cursor += seconds
-        return layout
-    return [(0.0, task.comm_seconds, "")]
-
-
 def _first_conflict_end(
     spans: list[tuple[float, float]], start: float, end: float
 ) -> float | None:
@@ -467,25 +343,6 @@ def _first_conflict_end(
     return None
 
 
-def _conflicting_lanes(
-    link: str, link_spans: dict[str, list[tuple[float, float]]]
-) -> list[list[tuple[float, float]]]:
-    """The committed span lists a phase on ``link`` must not overlap.
-
-    The anonymous ``""`` lane stands for *the* network of a collective priced
-    before the topology layer — physically the same wires as every named
-    fabric — so it conflicts with all lanes and all lanes conflict with it.
-    Without this, a phaseless bucket would ride "for free" alongside another
-    bucket's placed phases, double-counting the hardware.
-    """
-    if link == "":
-        return list(link_spans.values())
-    lanes = [link_spans[link]] if link in link_spans else []
-    if "" in link_spans:
-        lanes.append(link_spans[""])
-    return lanes
-
-
 def _earliest_template_fit(
     layout: list[tuple[float, float, str]],
     gate: float,
@@ -494,8 +351,8 @@ def _earliest_template_fit(
     """Earliest ``t >= gate`` at which the rigid template fits on every link.
 
     A candidate start is infeasible when any template span overlaps a span
-    already committed to a conflicting lane; the only way to clear a conflict
-    while moving forward in time is to push the template until the conflicting
+    already committed to its link; the only way to clear a conflict while
+    moving forward in time is to push the template until the conflicting
     phase starts at the committed span's end, so the bump-and-recheck loop
     finds the *minimal* feasible start.  Because the serial-lane start (after
     every earlier bucket has fully drained) is always feasible, this start is
@@ -505,150 +362,21 @@ def _earliest_template_fit(
     while True:
         bump = None
         for offset, seconds, link in layout:
-            if seconds <= 0.0:
+            spans = link_spans.get(link)
+            if seconds <= 0.0 or spans is None:
                 continue
-            for spans in _conflicting_lanes(link, link_spans):
-                conflict_end = _first_conflict_end(
-                    spans, t + offset, t + offset + seconds
-                )
-                if conflict_end is not None:
-                    bump = conflict_end - offset
-                    break
-            if bump is not None:
+            conflict_end = _first_conflict_end(spans, t + offset, t + offset + seconds)
+            if conflict_end is not None:
+                bump = conflict_end - offset
                 break
         if bump is None:
             return t
         t = bump
 
 
-def simulate_iteration(
-    tasks: list[BucketTask],
-    *,
-    compute_seconds: float,
-    overlap: str = "none",
-    update_seconds: float = 0.0,
-    cross_bucket_pipeline: bool = False,
-    compute_scale: float = 1.0,
-    comm_scale: float = 1.0,
-) -> IterationSchedule:
-    """Schedule per-bucket compress/all-gather jobs and return the event trace.
-
-    Buckets are processed in gradient-ready order (ties broken by index), which
-    is how DDP-style stacks drain their fusion buffers — and, for layer-aware
-    buckets, is exactly reverse-layer priority order.  ``ready_seconds`` beyond
-    ``compute_seconds`` is allowed (a caller may model delayed readiness), but
-    the usual construction derives ready times as fractions of the backward
-    pass.
-
-    ``cross_bucket_pipeline=False`` serialises buckets on one network lane as
-    whole occupancies (the pre-cross-bucket behaviour, reproduced bit-for-bit);
-    ``True`` schedules each bucket's per-link phase template on independent
-    per-link lanes, so consecutive buckets overlap wherever they occupy
-    different fabrics.
-
-    ``compute_scale``/``comm_scale`` are per-worker lane rates for the fault
-    layer (:mod:`repro.distributed.faults`): a straggler's schedule is this
-    worker's own iteration with its compute lane (backward pass, compression
-    stream, update) slowed by ``compute_scale`` and its network lane slowed by
-    ``comm_scale``.  At the nominal ``(1.0, 1.0)`` the scaling branch is not
-    taken at all, so homogeneous profiles reproduce today's schedules
-    bit-for-bit.
-    """
-    validate_overlap(overlap)
-    validate_cross_bucket(cross_bucket_pipeline)
-    if compute_seconds < 0.0 or update_seconds < 0.0:
-        raise ValueError("compute_seconds and update_seconds must be non-negative")
-    compute_scale = validate_rate("compute_scale", compute_scale)
-    comm_scale = validate_rate("comm_scale", comm_scale)
-    if compute_scale != 1.0 or comm_scale != 1.0:
-        tasks = [_scaled_task(task, compute_scale, comm_scale) for task in tasks]
-        compute_seconds = compute_seconds * compute_scale
-        update_seconds = update_seconds * compute_scale
-
-    order = sorted(tasks, key=lambda t: (t.ready_seconds, t.index))
-
-    # Compression stream: serialises compression jobs; gated per policy.  No
-    # policy may compress a gradient before it exists, so the full-backward
-    # gate still honours a ready time beyond compute_seconds.
-    compress_free = 0.0
-    compress_spans: dict[int, tuple[float, float]] = {}
-    for task in order:
-        if overlap == "comm+compress":
-            gate = task.ready_seconds
-        else:
-            gate = max(compute_seconds, task.ready_seconds)
-        start = max(gate, compress_free)
-        end = start + task.compress_seconds
-        compress_spans[task.index] = (start, end)
-        compress_free = end
-
-    # Network: one all-gather per bucket.  The serial lane holds each bucket as
-    # one opaque occupancy; the cross-bucket pipeline slides each bucket's
-    # rigid phase template to the earliest time it fits on every link it uses.
-    all_compressed = compress_free
-    comm_free = 0.0
-    link_spans: dict[str, list[tuple[float, float]]] = {}
-    events: list[BucketEvent] = []
-    for task in order:
-        compress_start, compress_end = compress_spans[task.index]
-        gate = all_compressed if overlap == "none" else compress_end
-        if cross_bucket_pipeline:
-            layout = _comm_layout(task)
-            start = _earliest_template_fit(layout, gate, link_spans)
-            for offset, seconds, link in layout:
-                if seconds > 0.0:
-                    insort(link_spans.setdefault(link, []), (start + offset, start + offset + seconds))
-        else:
-            start = max(gate, comm_free)
-        end = start + task.comm_seconds
-        comm_free = end
-        phases: list[PhaseEvent] = []
-        if task.has_placed_phases:
-            # Pipelined placement: each phase rides at its explicit offset
-            # inside the bucket's network occupancy, keeping per-link
-            # exclusivity while phases on different links overlap.
-            for name, seconds, offset, link in task.comm_phases:
-                phases.append(
-                    PhaseEvent(name=name, start=start + offset, end=start + offset + seconds, link=link)
-                )
-        elif task.comm_phases:
-            cursor = start
-            for phase_index, (name, seconds) in enumerate(task.comm_phases):
-                # The last phase absorbs any accumulated rounding so the phase
-                # spans tile [comm_start, comm_end] exactly.
-                phase_end = end if phase_index == len(task.comm_phases) - 1 else cursor + seconds
-                phases.append(PhaseEvent(name=name, start=cursor, end=phase_end))
-                cursor = phase_end
-        events.append(
-            BucketEvent(
-                index=task.index,
-                ready=task.ready_seconds,
-                compress_start=compress_start,
-                compress_end=compress_end,
-                comm_start=start,
-                comm_end=end,
-                phases=tuple(phases),
-            )
-        )
-    events.sort(key=lambda e: e.index)
-
-    last_comm = max((e.comm_end for e in events), default=0.0)
-    iteration = max(compute_seconds, compress_free, last_comm) + update_seconds
-    serialized = (
-        compute_seconds
-        + sum(t.compress_seconds for t in tasks)
-        + sum(t.comm_seconds for t in tasks)
-        + update_seconds
-    )
-    return IterationSchedule(
-        policy=overlap,
-        compute_seconds=compute_seconds,
-        update_seconds=update_seconds,
-        events=tuple(events),
-        iteration_seconds=iteration,
-        serialized_seconds=serialized,
-        cross_bucket=cross_bucket_pipeline,
-    )
+def _check_bucket_times(name: str, values: np.ndarray) -> None:
+    if not ((values >= 0.0) & (values < math.inf)).all():
+        raise ValueError(f"per-bucket times must be finite and non-negative ({name})")
 
 
 def simulate_iteration_arrays(
@@ -664,39 +392,54 @@ def simulate_iteration_arrays(
     cross_bucket_pipeline: bool = False,
     compute_scale: float = 1.0,
     comm_scale: float = 1.0,
+    phase_offsets=None,
+    phase_mask=None,
 ) -> ScheduleArrays:
-    """Batched-NumPy :func:`simulate_iteration`, bit-identical to the loop.
+    """Schedule per-bucket compress/all-gather jobs and return the event trace.
 
-    Takes the per-bucket workload as arrays — ``ready_seconds`` and
-    ``compress_seconds`` of shape ``(B,)`` plus a ``(B, P)`` matrix of serial
-    per-phase communication durations sharing one ``phase_names``/
-    ``phase_links`` template (the shape every batched collective pricing
-    produces; each bucket's total communication time is its row's cumulative
-    sum) — and returns the same schedule the loop backend would build from the
-    equivalent :class:`BucketTask` list, as :class:`ScheduleArrays`.
+    The workload comes as arrays: ``ready_seconds`` and ``compress_seconds``
+    of shape ``(B,)`` plus a ``(B, P)`` matrix of per-phase communication
+    durations sharing one ``phase_names``/``phase_links`` template.  By
+    default the phases are serial — each starts where the previous column
+    ended, so a bucket's communication time is its row's cumulative sum.
+    ``phase_offsets`` (``(B, P)``) instead places every phase explicitly
+    inside its bucket's collective (chunk-pipelined phases on different links
+    overlap), and the bucket's communication time is its latest phase end;
+    ``phase_mask`` (``(B, P)`` bools) marks the phases each row has, so ragged
+    rows share one template (absent phases must last zero seconds).  A
+    :class:`~repro.distributed.topology.PhaseTable` carries all three.
 
-    Bit-for-bit equality with the loop is a hard contract, which dictates the
-    implementation split: the sequential recurrences (compression stream,
-    serial network lane, template fitting) stay scalar Python-float loops —
-    reassociating them would change IEEE rounding — while everything
-    elementwise (phase offsets/cumsums, absolute phase placement) runs as
-    NumPy matrix ops, whose per-element operation order matches the scalar
-    expressions exactly.  The speedup comes from skipping the loop backend's
-    per-bucket object churn (``CollectivePhase``/``BucketTask`` validation/
-    ``PhaseEvent``), not from changing the arithmetic.
+    Buckets are processed in gradient-ready order (ties broken by index),
+    which is how DDP-style stacks drain their fusion buffers — and, for
+    layer-aware buckets, is exactly reverse-layer priority order.  A ready
+    time beyond ``compute_seconds`` is allowed (delayed readiness); the usual
+    construction derives ready times as fractions of the backward pass.
 
-    ``compute_scale``/``comm_scale`` slow this worker's compute and network
-    lanes like :func:`simulate_iteration` does.  Bit-for-bit loop equality is
-    only pinned at the nominal ``(1.0, 1.0)`` rates: at scaled rates the loop
-    backend scales each bucket's precomputed communication total while this
-    backend scales the per-phase matrix before the cumulative sum, which can
-    differ in the last ulp (IEEE multiplication does not distribute over
-    addition).
+    ``cross_bucket_pipeline=False`` serialises buckets on one network lane as
+    whole occupancies; ``True`` slides each bucket's phase template to the
+    earliest time it fits on every per-link lane, so consecutive buckets
+    overlap wherever they occupy different fabrics.
+
+    The sequential recurrences (compression stream, serial network lane,
+    template fitting) are scalar Python-float loops, while everything
+    elementwise (phase offsets, absolute phase placement) runs as NumPy
+    matrix ops whose per-element operation order matches the scalar
+    expressions — so every time equals pricing the buckets one
+    :class:`~repro.distributed.topology.CollectiveCost` at a time, bit for
+    bit.
+
+    ``compute_scale``/``comm_scale`` are per-worker lane rates for the fault
+    layer (:mod:`repro.distributed.faults`): a straggler's schedule is this
+    worker's own iteration with its compute lane (backward pass, compression
+    stream, update) slowed by ``compute_scale`` and its network lane slowed
+    by ``comm_scale``.  Phase offsets and bucket totals are derived from the
+    unscaled durations and then scaled, like the durations themselves.  At
+    the nominal ``(1.0, 1.0)`` the scaling branch is not taken at all.
     """
     validate_overlap(overlap)
     validate_cross_bucket(cross_bucket_pipeline)
-    if compute_seconds < 0.0 or update_seconds < 0.0:
-        raise ValueError("compute_seconds and update_seconds must be non-negative")
+    compute_seconds = validate_duration("compute_seconds", compute_seconds)
+    update_seconds = validate_duration("update_seconds", update_seconds)
     compute_scale = validate_rate("compute_scale", compute_scale)
     comm_scale = validate_rate("comm_scale", comm_scale)
     ready = np.asarray(ready_seconds, dtype=float)
@@ -712,32 +455,48 @@ def simulate_iteration_arrays(
         raise ValueError("phase_names and phase_links must match phase_seconds columns")
     if compress.shape != (num_buckets,):
         raise ValueError("compress_seconds must match ready_seconds in shape")
-    if ready.size and (ready.min() < 0.0 or compress.min() < 0.0 or phase_seconds.min() < 0.0):
-        raise ValueError("per-bucket times must be non-negative")
+    _check_bucket_times("ready_seconds", ready)
+    _check_bucket_times("compress_seconds", compress)
+    _check_bucket_times("phase_seconds", phase_seconds)
+    if phase_mask is not None:
+        phase_mask = np.asarray(phase_mask, dtype=bool)
+        if phase_mask.shape != phase_seconds.shape:
+            raise ValueError("phase_mask must match phase_seconds in shape")
+        if phase_seconds[~phase_mask].any():
+            raise ValueError("absent phases (phase_mask False) must last zero seconds")
+    if phase_offsets is not None:
+        offsets = np.asarray(phase_offsets, dtype=float)
+        if offsets.shape != phase_seconds.shape:
+            raise ValueError("phase_offsets must match phase_seconds in shape")
+        _check_bucket_times("phase_offsets", offsets)
+        comm = (offsets + phase_seconds).max(axis=1) if num_phases else np.zeros(num_buckets)
+    else:
+        # Serial phase offsets: the cursor walk is a cumulative sum, so
+        # offset[:, p] is the end of column p-1.
+        ends = np.cumsum(phase_seconds, axis=1)
+        offsets = np.zeros_like(phase_seconds)
+        if num_phases:
+            offsets[:, 1:] = ends[:, :-1]
+            comm = ends[:, -1]
+        else:
+            comm = np.zeros(num_buckets)
     if compute_scale != 1.0 or comm_scale != 1.0:
         ready = ready * compute_scale
         compress = compress * compute_scale
-        phase_seconds = phase_seconds * comm_scale
         compute_seconds = compute_seconds * compute_scale
         update_seconds = update_seconds * compute_scale
-
-    # Serial phase offsets inside each bucket's occupancy: the cursor walk is
-    # a cumulative sum, so offset[:, p] is the end of column p-1.
-    ends = np.cumsum(phase_seconds, axis=1)
-    offsets = np.zeros_like(phase_seconds)
-    if num_phases:
-        offsets[:, 1:] = ends[:, :-1]
-        comm = ends[:, -1]
-    else:
-        comm = np.zeros(num_buckets)
+        offsets = offsets * comm_scale
+        phase_seconds = phase_seconds * comm_scale
+        comm = comm * comm_scale
 
     ready_list = ready.tolist()
     compress_list = compress.tolist()
     comm_list = comm.tolist()
     order = sorted(range(num_buckets), key=lambda i: (ready_list[i], i))
 
-    # Compression stream: the same sequential max/add recurrence as the loop,
-    # on plain Python floats (cheap at O(B), and exactly associative with it).
+    # Compression stream: serialises compression jobs; gated per policy.  No
+    # policy may compress a gradient before it exists, so the full-backward
+    # gate still honours a ready time beyond compute_seconds.
     compress_start_list = [0.0] * num_buckets
     compress_end_list = [0.0] * num_buckets
     compress_free = 0.0
@@ -752,8 +511,9 @@ def simulate_iteration_arrays(
         compress_end_list[i] = end
         compress_free = end
 
-    # Network lane(s): serial occupancy recurrence, or the same rigid
-    # per-link template fitting the loop backend uses.
+    # Network: one all-gather per bucket.  The serial lane holds each bucket
+    # as one opaque occupancy; the cross-bucket pipeline slides each bucket's
+    # rigid phase template to the earliest time it fits on every link it uses.
     all_compressed = compress_free
     comm_start_list = [0.0] * num_buckets
     comm_end_list = [0.0] * num_buckets
@@ -764,17 +524,15 @@ def simulate_iteration_arrays(
     for i in order:
         gate = all_compressed if overlap == "none" else compress_end_list[i]
         if cross_bucket_pipeline:
-            if num_phases:
-                layout = list(zip(offsets_rows[i], seconds_rows[i], phase_links))
-            else:
-                layout = [(0.0, comm_list[i], "")]
+            layout = list(zip(offsets_rows[i], seconds_rows[i], phase_links))
             start = _earliest_template_fit(layout, gate, link_spans)
             for offset, seconds, link in layout:
-                if seconds > 0.0:
-                    insort(
-                        link_spans.setdefault(link, []),
-                        (start + offset, start + offset + seconds),
-                    )
+                span = (start + offset, start + offset + seconds)
+                # A phase shorter than the clock's resolution occupies
+                # nothing; committing its zero-width span could pin a later
+                # template fit at a bump that rounds back to the same start.
+                if span[1] > span[0]:
+                    insort(link_spans.setdefault(link, []), span)
         else:
             start = max(gate, comm_free)
         end = start + comm_list[i]
@@ -805,6 +563,7 @@ def simulate_iteration_arrays(
         phase_links=tuple(phase_links),
         phase_start=phase_start,
         phase_end=phase_start + phase_seconds,
+        phase_mask=phase_mask,
     )
 
 

@@ -15,13 +15,18 @@ components:
 How the components compose is governed by the *overlap policy*.  The old
 closed-form sum survives as ``overlap="none"``; with ``"comm"`` or
 ``"comm+compress"`` the iteration is priced by the event-driven schedule
-simulator (:mod:`repro.distributed.schedule`), which overlaps bucket *i*'s
-all-gather with bucket *i+1*'s compression (and, for ``"comm+compress"``, with
-the tail of backpropagation) the way DDP/Horovod stacks actually run.
+simulator (:func:`~repro.distributed.schedule.simulate_iteration_arrays`),
+which overlaps bucket *i*'s all-gather with bucket *i+1*'s compression (and,
+for ``"comm+compress"``, with the tail of backpropagation) the way
+DDP/Horovod stacks actually run.  Bucketed results are priced as one
+``(bucket, phase)`` :class:`~repro.distributed.topology.PhaseTable` and
+scheduled from it; unbucketed results price one single-payload all-gather and
+carry no schedule.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,45 +37,15 @@ from ..perfmodel.costs import DeviceProfile, distribute_cost
 from ..tensor.sparse import FLOAT_BYTES, INDEX_BYTES
 from .network import NetworkModel
 from .schedule import (
-    BucketTask,
-    IterationSchedule,
     ScheduleArrays,
     ready_times_from_fractions,
-    simulate_iteration,
     simulate_iteration_arrays,
     validate_cross_bucket,
+    validate_duration,
     validate_overlap,
     validate_rate,
-    validate_scheduler_backend,
 )
-from .topology import CollectiveCost, CollectiveModel, PhaseTable
-
-#: One-shot-per-category guard so a long training run does not spam the
-#: inconsistent-metadata warning every iteration, while a *different* kind of
-#: misconfiguration later in the same process still warns.
-_BUCKET_FALLBACK_WARNED: set[str] = set()
-
-
-def _warn_bucket_fallback_once(category: str, reason: str) -> None:
-    if category not in _BUCKET_FALLBACK_WARNED:
-        warnings.warn(
-            "falling back to single-payload all-gather pricing: " + reason,
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        _BUCKET_FALLBACK_WARNED.add(category)
-
-
-def reset_bucket_fallback_warnings() -> None:
-    """Clear the warn-once guard so the next misconfiguration warns again.
-
-    The guard is module-global process state: without a reset, a warning
-    consumed (or swallowed) by one caller hides the same misconfiguration from
-    every later caller in the process — including unrelated tests.  Test
-    suites should call this between cases (the repo does so from an autouse
-    fixture).
-    """
-    _BUCKET_FALLBACK_WARNED.clear()
+from .topology import CollectiveModel, PhaseTable
 
 
 def _payload_density(payload_bytes: float, dense_elements: float) -> float | None:
@@ -84,21 +59,13 @@ def _payload_density(payload_bytes: float, dense_elements: float) -> float | Non
     return min(1.0, elements / dense_elements)
 
 
-def _payload_weighted_dedup_ratio(bucket_costs: list["CollectiveCost"]) -> float:
-    """Aggregate per-bucket dedup ratios, weighting each by its wire volume."""
-    weights = [cost.volume_bytes for cost in bucket_costs]
-    total = sum(weights)
-    if total <= 0.0:
-        return 1.0
-    return float(sum(w * cost.dedup_ratio for w, cost in zip(weights, bucket_costs)) / total)
-
-
-def _table_dedup_ratio(table: "PhaseTable") -> float:
-    """:func:`_payload_weighted_dedup_ratio` over a batched phase table.
+def _table_dedup_ratio(table: PhaseTable) -> float:
+    """Per-bucket dedup ratios aggregated by wire volume.
 
     Replays the per-cost arithmetic on the table's rows — Python sums in
-    phase order, then the same weighted mean — so the result is bit-identical
-    to pricing each bucket through :class:`CollectiveCost` objects.
+    phase order (absent phases add an exact ``0.0``), then the weighted
+    mean — so the result is bit-identical to weighting each bucket's
+    :class:`~repro.distributed.topology.CollectiveCost` by its volume.
     """
     weights = [sum(row) for row in table.volumes.tolist()]
     total = sum(weights)
@@ -130,26 +97,6 @@ def _bucket_layout(metadata: dict, num_buckets: int) -> tuple[list, list]:
     return sizes, fractions
 
 
-def _comm_phase_entries(cost: "CollectiveCost") -> tuple[tuple, ...]:
-    """Map a collective's phases onto placed :class:`BucketTask.comm_phases` entries.
-
-    Every entry carries its explicit placement and link as ``(name, seconds,
-    start, link)`` so :class:`~repro.distributed.schedule.PhaseEvent.link` is
-    populated uniformly — serial phases get back-to-back cumulative starts
-    (bit-identical to the tiled spans, since ``CollectiveCost.total``
-    accumulates the same way), pipelined phases keep their scheduler
-    placements with the chunk index folded into the name.
-    """
-    entries = []
-    cursor = 0.0
-    for phase in cost.phases:
-        name = phase.name if phase.chunk is None else f"{phase.name}[c{phase.chunk}]"
-        start = cursor if phase.start is None else phase.start
-        entries.append((name, phase.seconds, start, phase.link))
-        cursor = start + phase.seconds
-    return tuple(entries)
-
-
 @dataclass(frozen=True)
 class IterationTiming:
     """Simulated duration of one synchronous training iteration (seconds).
@@ -164,7 +111,7 @@ class IterationTiming:
     communication: float
     update: float = 0.0
     overlap: str = "none"
-    schedule: IterationSchedule | ScheduleArrays | None = None
+    schedule: ScheduleArrays | None = None
     #: Payload-weighted achieved sparse-dedup ratio across the iteration's
     #: collectives (concatenated / deduplicated node-aggregate size); 1.0
     #: when no dedup model is configured or nothing could be deduplicated.
@@ -226,32 +173,23 @@ class TimelineModel:
     collective: CollectiveModel | None = None
     #: Schedule buckets on per-link network lanes so bucket *i+1*'s intra-node
     #: phase overlaps bucket *i*'s inter-node phase (see
-    #: :func:`~repro.distributed.schedule.simulate_iteration`).  ``False``
-    #: keeps the serial whole-occupancy network lane (the PR-4 scheduler,
-    #: reproduced bit-for-bit).
+    #: :func:`~repro.distributed.schedule.simulate_iteration_arrays`).
+    #: ``False`` keeps the serial whole-occupancy network lane.
     cross_bucket_pipeline: bool = False
-    #: Scheduler implementation for bucketed iterations: ``"loop"`` runs the
-    #: scalar reference simulator over per-bucket objects; ``"vectorized"``
-    #: prices all buckets as one batched phase table and schedules them with
-    #: :func:`~repro.distributed.schedule.simulate_iteration_arrays`.  The two
-    #: produce bit-identical timings/schedules; ``"vectorized"`` silently
-    #: defers to the loop whenever the batched contract cannot hold (mixed or
-    #: unbucketed metadata, chunk pipelining, algorithms without batched
-    #: pricing), so it is always safe to enable.
-    scheduler_backend: str = "loop"
 
     def __post_init__(self) -> None:
-        if self.compute_seconds < 0.0 or self.update_seconds < 0.0:
-            raise ValueError("times must be non-negative")
+        validate_duration("compute_seconds", self.compute_seconds)
+        validate_duration("update_seconds", self.update_seconds)
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if self.model_dimension < 1:
             raise ValueError("model_dimension must be >= 1")
-        if self.dimension_scale <= 0.0:
-            raise ValueError("dimension_scale must be positive")
+        if not math.isfinite(self.dimension_scale) or self.dimension_scale <= 0.0:
+            raise ValueError(
+                f"dimension_scale must be positive and finite, got {self.dimension_scale!r}"
+            )
         validate_overlap(self.overlap)
         validate_cross_bucket(self.cross_bucket_pipeline)
-        validate_scheduler_backend(self.scheduler_backend)
         if self.collective is None:
             object.__setattr__(
                 self, "collective", CollectiveModel.flat(self.network, self.num_workers)
@@ -315,7 +253,7 @@ class TimelineModel:
         stream, update) is slowed by ``compute_scale`` and the network lane by
         ``comm_scale``, both in the reported components and inside the event
         schedule.  The nominal (1.0, 1.0) call is bit-for-bit the unscaled
-        price (the schedulers skip their scaling branch and ``x * 1.0`` is an
+        price (the scheduler skips its scaling branch and ``x * 1.0`` is an
         IEEE identity).
         """
         if not worker_results:
@@ -327,17 +265,9 @@ class TimelineModel:
         compute_scale = validate_rate("compute_scale", compute_scale)
         comm_scale = validate_rate("comm_scale", comm_scale)
         compression = max(self.device.trace_cost(self._scaled_ops(r)) for r in worker_results)
-        if self.scheduler_backend == "vectorized":
-            timing = self._vectorized_iteration(
-                worker_results, compression, policy, cross_bucket, compute_scale, comm_scale
-            )
-            if timing is not None:
-                return timing
-        bucket_costs = self.bucket_communication_costs(worker_results)
-        if bucket_costs is not None:
-            comm = float(sum(cost.total for cost in bucket_costs))
-            dedup_ratio = _payload_weighted_dedup_ratio(bucket_costs)
-        else:
+        table = self._phase_table(worker_results)
+        schedule = None
+        if table is None:
             slowest = max(worker_results, key=lambda r: r.sparse.payload_bytes())
             payload = slowest.sparse.payload_bytes() * self.dimension_scale
             cost = self.collective.allgather_cost(
@@ -345,88 +275,18 @@ class TimelineModel:
             )
             comm = cost.total
             dedup_ratio = cost.dedup_ratio
-        schedule = None
-        if policy != "none" and bucket_costs is not None:
-            schedule = self._bucket_schedule(
-                worker_results[0].metadata,
-                bucket_costs,
-                compression,
-                policy,
-                cross_bucket,
-                compute_scale=compute_scale,
-                comm_scale=comm_scale,
-            )
+        else:
+            comm = float(sum(table.totals.tolist()))
+            dedup_ratio = _table_dedup_ratio(table)
+            if policy != "none":
+                schedule = self._schedule(
+                    worker_results[0].metadata, table, compression, policy, cross_bucket,
+                    compute_scale, comm_scale,
+                )
         return IterationTiming(
             compute=self.compute_seconds * compute_scale,
             compression=compression * compute_scale,
             communication=comm * comm_scale,
-            update=self.update_seconds * compute_scale,
-            overlap=policy,
-            schedule=schedule,
-            dedup_ratio=dedup_ratio,
-            cross_bucket_pipeline=schedule.cross_bucket if schedule is not None else False,
-        )
-
-    def _vectorized_iteration(
-        self,
-        worker_results: list[CompressionResult],
-        compression: float,
-        policy: str,
-        cross_bucket: bool,
-        compute_scale: float = 1.0,
-        comm_scale: float = 1.0,
-    ) -> IterationTiming | None:
-        """Batched-array pricing and scheduling; ``None`` defers to the loop path.
-
-        Declines — returning ``None`` so the loop path (which owns the
-        fallback warnings and single-payload pricing) handles the call —
-        whenever the batched contract does not hold: unbucketed, mixed or
-        count-mismatched worker metadata, an empty bucket list, or a
-        collective that cannot price payload batches (chunk pipelining,
-        algorithms without ``batched_allgather``).  When it does run, every
-        number matches the loop path bit-for-bit: the batched phase table
-        equals the per-bucket :class:`CollectiveCost` objects and the array
-        scheduler replays the loop scheduler's arithmetic.
-        """
-        payload_lists = [r.metadata.get("bucket_payload_bytes") for r in worker_results]
-        if any(p is None for p in payload_lists):
-            return None
-        if len({len(p) for p in payload_lists}) != 1:
-            return None
-        num_buckets = len(payload_lists[0])
-        if num_buckets == 0:
-            return None
-        per_bucket = [max(worker[i] for worker in payload_lists) for i in range(num_buckets)]
-        sizes = worker_results[0].metadata.get("bucket_sizes")
-        if sizes is None or len(sizes) != num_buckets:
-            sizes = [0] * num_buckets  # unknown layout: density (and dedup) unavailable
-        densities = [_payload_density(payload, size) for payload, size in zip(per_bucket, sizes)]
-        payloads = np.asarray(per_bucket, dtype=float) * self.dimension_scale
-        table = self.collective.allgather_phase_table(payloads, densities)
-        if table is None:
-            return None
-        communication = float(sum(table.totals.tolist()))
-        dedup_ratio = _table_dedup_ratio(table)
-        schedule = None
-        if policy != "none":
-            layout_sizes, fractions = _bucket_layout(worker_results[0].metadata, num_buckets)
-            schedule = simulate_iteration_arrays(
-                ready_seconds=ready_times_from_fractions(fractions, self.compute_seconds),
-                compress_seconds=distribute_cost(compression, layout_sizes),
-                phase_seconds=table.seconds,
-                phase_names=table.names,
-                phase_links=table.links,
-                compute_seconds=self.compute_seconds,
-                overlap=policy,
-                update_seconds=self.update_seconds,
-                cross_bucket_pipeline=cross_bucket,
-                compute_scale=compute_scale,
-                comm_scale=comm_scale,
-            )
-        return IterationTiming(
-            compute=self.compute_seconds * compute_scale,
-            compression=compression * compute_scale,
-            communication=communication * comm_scale,
             update=self.update_seconds * compute_scale,
             overlap=policy,
             schedule=schedule,
@@ -441,15 +301,15 @@ class TimelineModel:
         compression_seconds: float | None = None,
         overlap: str | None = None,
         cross_bucket_pipeline: bool | None = None,
-    ) -> IterationSchedule | ScheduleArrays:
+    ) -> ScheduleArrays:
         """Build just the iteration schedule for bucketed worker results.
 
         This is the scheduler hot path the throughput benchmark times:
-        pricing the per-bucket collectives and placing them on the lanes,
-        routed by ``scheduler_backend``.  ``compression_seconds`` may be
-        passed precomputed (e.g. once per sweep) to keep device-model pricing
-        out of the timed region.  Raises for ``overlap="none"`` (no schedule
-        exists there) and for unbucketed worker results.
+        pricing the per-bucket collectives and placing them on the lanes.
+        ``compression_seconds`` may be passed precomputed (e.g. once per
+        sweep) to keep device-model pricing out of the timed region.  Raises
+        for ``overlap="none"`` (no schedule exists there) and for unbucketed
+        worker results.
         """
         if not worker_results:
             raise ValueError("need at least one worker result")
@@ -465,68 +325,24 @@ class TimelineModel:
             compression_seconds = max(
                 self.device.trace_cost(self._scaled_ops(r)) for r in worker_results
             )
-        if self.scheduler_backend == "vectorized":
-            timing = self._vectorized_iteration(
-                worker_results, compression_seconds, policy, cross_bucket
-            )
-            if timing is not None and timing.schedule is not None:
-                return timing.schedule
-        bucket_costs = self.bucket_communication_costs(worker_results)
-        if bucket_costs is None:
+        table = self._phase_table(worker_results)
+        if table is None:
             raise ValueError("worker results carry no per-bucket payloads; nothing to schedule")
-        return self._bucket_schedule(
-            worker_results[0].metadata, bucket_costs, compression_seconds, policy, cross_bucket
-        )
-
-    def _bucket_schedule(
-        self,
-        metadata: dict,
-        bucket_costs: list[CollectiveCost],
-        compression_seconds: float,
-        policy: str,
-        cross_bucket_pipeline: bool = False,
-        *,
-        compute_scale: float = 1.0,
-        comm_scale: float = 1.0,
-    ) -> IterationSchedule:
-        """Place per-bucket compress/all-gather jobs on the event timeline."""
-        num_buckets = len(bucket_costs)
-        sizes, fractions = _bucket_layout(metadata, num_buckets)
-        compress_seconds = distribute_cost(compression_seconds, sizes)
-        ready_seconds = ready_times_from_fractions(fractions, self.compute_seconds)
-        tasks = [
-            BucketTask(
-                index=i,
-                ready_seconds=ready_seconds[i],
-                compress_seconds=float(compress_seconds[i]),
-                comm_seconds=float(bucket_costs[i].total),
-                comm_phases=_comm_phase_entries(bucket_costs[i]),
-            )
-            for i in range(num_buckets)
-        ]
-        return simulate_iteration(
-            tasks,
-            compute_seconds=self.compute_seconds,
-            overlap=policy,
-            update_seconds=self.update_seconds,
-            cross_bucket_pipeline=cross_bucket_pipeline,
-            compute_scale=compute_scale,
-            comm_scale=comm_scale,
+        return self._schedule(
+            worker_results[0].metadata, table, compression_seconds, policy, cross_bucket
         )
 
     def bucket_communication_times(
         self, worker_results: list[CompressionResult]
     ) -> list[float] | None:
         """Per-bucket all-gather times, or ``None`` if the results are unbucketed."""
-        costs = self.bucket_communication_costs(worker_results)
-        if costs is None:
+        table = self._phase_table(worker_results)
+        if table is None:
             return None
-        return [cost.total for cost in costs]
+        return table.totals.tolist()
 
-    def bucket_communication_costs(
-        self, worker_results: list[CompressionResult]
-    ) -> list[CollectiveCost] | None:
-        """Per-bucket all-gather cost breakdowns, or ``None`` if the results are unbucketed.
+    def _phase_table(self, worker_results: list[CompressionResult]) -> PhaseTable | None:
+        """Price every bucket's all-gather as one table (``None`` if unbucketed).
 
         Bucket ``i`` of the synchronous all-gather completes when the slowest
         worker's bucket-``i`` payload has made it around the ring, so each
@@ -535,42 +351,68 @@ class TimelineModel:
         All workers compress replicas of the same gradient, so their results
         must agree on the bucket structure: a mix of bucketed and unbucketed
         results, or differing bucket counts, indicates a mis-assembled worker
-        pool — those fall back to single-payload pricing with a one-time
-        :class:`RuntimeWarning` instead of silently under-pricing.
+        pool — those fall back to single-payload pricing with a
+        :class:`RuntimeWarning` instead of silently under-pricing.  Python's
+        warning registry shows a repeated warning once per calling location.
+
+        Per-bucket payload density feeds the sparse-dedup model: the
+        dimension scale multiplies payloads and bucket sizes alike, so the
+        density is scale-free and computed from the proxy-sized metadata.
         """
         payload_lists = [r.metadata.get("bucket_payload_bytes") for r in worker_results]
         missing = sum(p is None for p in payload_lists)
         if missing == len(payload_lists):
             return None  # plain unbucketed compressors: nothing to warn about
-        if missing:
-            _warn_bucket_fallback_once(
-                "mixed",
-                f"{missing}/{len(payload_lists)} worker results lack "
-                "metadata['bucket_payload_bytes'] (mixed bucketed/unbucketed workers)",
+        counts = {len(p) for p in payload_lists if p is not None}
+        if missing or len(counts) != 1:
+            if missing:
+                reason = (
+                    f"{missing}/{len(payload_lists)} worker results lack "
+                    "metadata['bucket_payload_bytes'] (mixed bucketed/unbucketed workers)"
+                )
+            else:
+                reason = f"worker results disagree on the number of buckets: {sorted(counts)}"
+            warnings.warn(
+                "falling back to single-payload all-gather pricing: " + reason,
+                RuntimeWarning,
+                stacklevel=3,
             )
             return None
-        if len({len(p) for p in payload_lists}) != 1:
-            _warn_bucket_fallback_once(
-                "mismatch",
-                "worker results disagree on the number of buckets: "
-                f"{sorted({len(p) for p in payload_lists})}",
-            )
-            return None
-        num_buckets = len(payload_lists[0])
-        per_bucket_max = [max(worker[i] for worker in payload_lists) for i in range(num_buckets)]
-        # Per-bucket payload density feeds the sparse-dedup model: the
-        # dimension scale multiplies payloads and bucket sizes alike, so the
-        # density is scale-free and computed from the proxy-sized metadata.
+        per_bucket = [max(column) for column in zip(*payload_lists)]
         sizes = worker_results[0].metadata.get("bucket_sizes")
-        if sizes is None or len(sizes) != num_buckets:
-            sizes = [0] * num_buckets  # unknown layout: density (and dedup) unavailable
-        return [
-            self.collective.allgather_cost(
-                payload * self.dimension_scale,
-                density=_payload_density(payload, size),
-            )
-            for payload, size in zip(per_bucket_max, sizes)
-        ]
+        if sizes is None or len(sizes) != len(per_bucket):
+            sizes = [0] * len(per_bucket)  # unknown layout: density (and dedup) unavailable
+        densities = [_payload_density(payload, size) for payload, size in zip(per_bucket, sizes)]
+        payloads = np.asarray(per_bucket, dtype=float) * self.dimension_scale
+        return self.collective.allgather_phase_table(payloads, densities)
+
+    def _schedule(
+        self,
+        metadata: dict,
+        table: PhaseTable,
+        compression_seconds: float,
+        policy: str,
+        cross_bucket_pipeline: bool,
+        compute_scale: float = 1.0,
+        comm_scale: float = 1.0,
+    ) -> ScheduleArrays:
+        """Place per-bucket compress/all-gather jobs on the event timeline."""
+        sizes, fractions = _bucket_layout(metadata, table.num_buckets)
+        return simulate_iteration_arrays(
+            ready_seconds=ready_times_from_fractions(fractions, self.compute_seconds),
+            compress_seconds=distribute_cost(compression_seconds, sizes),
+            phase_seconds=table.seconds,
+            phase_names=table.names,
+            phase_links=table.links,
+            phase_offsets=table.offsets,
+            phase_mask=table.mask,
+            compute_seconds=self.compute_seconds,
+            overlap=policy,
+            update_seconds=self.update_seconds,
+            cross_bucket_pipeline=cross_bucket_pipeline,
+            compute_scale=compute_scale,
+            comm_scale=comm_scale,
+        )
 
     def _scaled_ops(self, result: CompressionResult):
         if self.dimension_scale == 1.0:

@@ -384,27 +384,45 @@ class CollectiveCost:
         return sum(phase.volume_bytes for phase in self.phases)
 
 
+def _phase_label(phase: CollectivePhase) -> str:
+    """A phase's schedule name: pipelined phases carry their chunk index."""
+    return phase.name if phase.chunk is None else f"{phase.name}[c{phase.chunk}]"
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseTable:
-    """Batched serial collective pricing: one (bucket, phase) matrix per field.
+    """Batched collective pricing: one (bucket, phase) matrix per field.
 
-    For a fixed topology and algorithm every bucket's cost has the same phase
-    structure (trivial levels contribute no phases regardless of payload), so
     ``B`` buckets price as ``(B, P)`` matrices sharing per-column names and
     links.  Row ``b`` is elementwise bit-identical to the scalar
-    :class:`CollectiveCost` of bucket ``b`` — the affine per-phase pricing
-    ``steps * (latency + payload / bandwidth)`` commutes with batching — which
-    is what lets the vectorized scheduler reproduce the loop backend exactly.
+    :class:`CollectiveCost` of bucket ``b``, which is what keeps the array
+    scheduler's timings equal to per-bucket pricing.
+
+    Two layouts exist.  Serial tables (``offsets is None``), from the batched
+    algorithm pricing, give every bucket the same phases back-to-back in
+    column order — trivial levels contribute no phases regardless of payload,
+    and the affine per-phase pricing ``steps * (latency + payload /
+    bandwidth)`` commutes with batching.  Placed tables, from
+    :meth:`from_costs`, carry each phase's start offset and a present-phase
+    mask instead, because chunk pipelining makes rows ragged: a latency-bound
+    payload falls back to the serial phases while a large one pipelines into
+    chunk phases, so one template holds both column blocks and each row
+    fills only its own.
     """
 
     names: tuple[str, ...]
     links: tuple[str, ...]
-    #: (B, P) serial per-phase durations, in phase order.
+    #: (B, P) per-phase durations (0.0 where a phase is absent).
     seconds: np.ndarray
-    #: (B, P) per-phase wire volumes.
+    #: (B, P) per-phase wire volumes (0.0 where a phase is absent).
     volumes: np.ndarray
     #: (B,) per-bucket achieved dedup ratios.
     dedup_ratios: np.ndarray
+    #: (B, P) phase start offsets inside each bucket's collective, or ``None``
+    #: for serial rows (each phase starts where the previous column ended).
+    offsets: np.ndarray | None = None
+    #: (B, P) True where the row has the phase, or ``None`` when all do.
+    mask: np.ndarray | None = None
 
     @property
     def num_buckets(self) -> int:
@@ -412,10 +430,55 @@ class PhaseTable:
 
     @property
     def totals(self) -> np.ndarray:
-        """(B,) serial collective totals — the cumulative cursor walk, batched."""
+        """(B,) collective totals: the serial cursor walk, or the placed makespan."""
         if self.seconds.shape[1] == 0:
             return np.zeros(self.num_buckets)
-        return np.cumsum(self.seconds, axis=1)[:, -1]
+        if self.offsets is None:
+            return np.cumsum(self.seconds, axis=1)[:, -1]
+        return (self.offsets + self.seconds).max(axis=1)
+
+    @classmethod
+    def from_costs(cls, costs) -> "PhaseTable":
+        """Pack per-bucket :class:`CollectiveCost` objects into one placed table.
+
+        Each distinct phase sequence (names and links, in order) gets one
+        contiguous block of columns the first time a cost shows it; a row
+        fills its own block, so iterating a row's present columns replays its
+        cost's phases in order.  Offsets follow :attr:`CollectiveCost.total`'s
+        cursor walk, so every row's total equals its cost's bit for bit.
+        """
+        blocks: dict[tuple, int] = {}
+        names: list[str] = []
+        links: list[str] = []
+        firsts = []
+        for cost in costs:
+            signature = tuple((_phase_label(phase), phase.link) for phase in cost.phases)
+            if signature not in blocks:
+                blocks[signature] = len(names)
+                names.extend(name for name, _ in signature)
+                links.extend(link for _, link in signature)
+            firsts.append(blocks[signature])
+        shape = (len(firsts), len(names))
+        seconds, volumes, offsets = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        mask = np.zeros(shape, dtype=bool)
+        for row, (cost, first) in enumerate(zip(costs, firsts)):
+            cursor = 0.0
+            for column, phase in enumerate(cost.phases, start=first):
+                start = cursor if phase.start is None else phase.start
+                seconds[row, column] = phase.seconds
+                volumes[row, column] = phase.volume_bytes
+                offsets[row, column] = start
+                mask[row, column] = True
+                cursor = start + phase.seconds
+        return cls(
+            names=tuple(names),
+            links=tuple(links),
+            seconds=seconds,
+            volumes=volumes,
+            dedup_ratios=np.array([cost.dedup_ratio for cost in costs], dtype=float),
+            offsets=offsets,
+            mask=mask,
+        )
 
 
 def _check_payload(num_bytes: float) -> None:
@@ -581,9 +644,9 @@ class CollectiveAlgorithm:
         """Serial all-gather pricing for a whole batch of bucket payloads.
 
         Returns ``None`` when the algorithm has no batched form (the caller
-        falls back to per-bucket :meth:`cost` calls).  Implementations must be
+        packs per-bucket :meth:`cost` calls instead).  Implementations must be
         row-for-row bit-identical to the scalar pricing — the contract the
-        vectorized scheduler backend builds on.
+        array scheduler's timings build on.
         """
         return None
 
@@ -1087,27 +1150,35 @@ class CollectiveModel:
             pipeline_chunks=self.pipeline_chunks,
         )
 
-    def allgather_phase_table(
-        self, payloads, densities: list[float | None]
-    ) -> PhaseTable | None:
-        """Batched all-gather pricing for ``B`` bucket payloads at once.
+    def allgather_phase_table(self, payloads, densities: list[float | None]) -> PhaseTable:
+        """All-gather pricing for ``B`` bucket payloads at once.
 
         ``payloads`` is a length-``B`` array of per-worker payload bytes and
         ``densities`` the matching per-bucket dense fractions (``None``
         disables dedup for that bucket, exactly like
-        :meth:`allgather_cost`).  Returns ``None`` when the configuration has
-        no batched form — chunk pipelining reshapes phases per payload, and a
-        custom algorithm may not implement batching — in which case callers
-        fall back to per-bucket :meth:`allgather_cost` calls.  Row ``b`` of a
-        returned table is bit-identical to ``allgather_cost(payloads[b],
-        density=densities[b])``.
+        :meth:`allgather_cost`).  Row ``b`` of the table is bit-identical to
+        ``allgather_cost(payloads[b], density=densities[b])``.
+
+        Unchunked collectives use the algorithm's batched serial pricing.
+        Chunk pipelining reshapes phases per payload, and a custom algorithm
+        may not implement batching; those price each distinct (payload,
+        density) pair once and pack the costs with
+        :meth:`PhaseTable.from_costs`.
         """
-        if self.pipeline_chunks != 1:
-            return None
         algorithm = get_collective_algorithm(self.allgather_algorithm, op="allgather")
-        return algorithm.batched_allgather(
-            self.topology, payloads, densities, self.allgather_dedup
-        )
+        if self.pipeline_chunks == 1:
+            table = algorithm.batched_allgather(
+                self.topology, payloads, densities, self.allgather_dedup
+            )
+            if table is not None:
+                return table
+        priced: dict[tuple, CollectiveCost] = {}
+        costs = []
+        for key in zip(np.asarray(payloads, dtype=float).tolist(), densities):
+            if key not in priced:
+                priced[key] = self.allgather_cost(key[0], density=key[1])
+            costs.append(priced[key])
+        return PhaseTable.from_costs(costs)
 
     def allreduce_time(self, num_bytes: float) -> float:
         return self.allreduce_cost(num_bytes).total

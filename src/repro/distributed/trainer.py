@@ -252,7 +252,6 @@ class DistributedTrainer:
             overlap=knobs.overlap,
             collective=self.collective,
             cross_bucket_pipeline=knobs.cross_bucket_pipeline,
-            scheduler_backend=knobs.scheduler_backend,
         )
         self._warmup_compressor = NoCompression()
         # Fault layer: None on the clean path so the nominal iteration code is

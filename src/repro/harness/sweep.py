@@ -52,12 +52,8 @@ from ..distributed.faults import (
     price_iteration,
     validate_sync_policy,
 )
-from ..distributed.knobs import KNOB_FIELDS, SimulationKnobs
-from ..distributed.schedule import (
-    validate_cross_bucket,
-    validate_overlap,
-    validate_scheduler_backend,
-)
+from ..distributed.knobs import KNOB_FIELDS, SimulationKnobs, validate_scheduler_backend
+from ..distributed.schedule import validate_cross_bucket, validate_overlap
 from ..distributed.timeline import TimelineModel, compute_time_for_overhead
 from ..distributed.topology import (
     CollectiveModel,
@@ -565,7 +561,6 @@ def _build_timeline(workload: WorkloadSpec, config: Mapping, cache: SweepCache |
         overlap=config["overlap"],
         collective=collective,
         cross_bucket_pipeline=config["cross_bucket_pipeline"],
-        scheduler_backend=config["scheduler_backend"],
     )
 
 

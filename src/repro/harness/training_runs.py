@@ -56,9 +56,6 @@ class BenchmarkRunRow:
     #: Whether the run's schedule placed buckets on per-link network lanes
     #: (cross-bucket pipelining) instead of the serial PR-4 network lane.
     cross_bucket_pipeline: bool = False
-    #: Scheduler implementation the run's iterations were priced with
-    #: (``"loop"`` or ``"vectorized"`` — bit-identical results).
-    scheduler_backend: str = "loop"
     #: Synchronization policy the run's barriers were priced under
     #: (``"full-sync"``, ``"backup-workers"`` or ``"time-window"``).
     sync_policy: str = "full-sync"
@@ -246,7 +243,6 @@ def compare_compressors(
                     dedup_assumption=run_knobs.dedup_assumption or "off",
                     dedup_ratio=result.metrics.mean_dedup_ratio(),
                     cross_bucket_pipeline=run_knobs.cross_bucket_pipeline,
-                    scheduler_backend=run_knobs.scheduler_backend,
                     sync_policy=run_knobs.sync_policy,
                 )
             )

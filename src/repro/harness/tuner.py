@@ -7,7 +7,7 @@ fully auditable:
 
 1. **Coarse grid** — a declarative :class:`~repro.harness.sweep.SweepSpec`
    over the tuning axes (compressor, ratio, bucket bytes, overlap,
-   collectives, dedup, scheduler) is expanded and evaluated through
+   collectives, dedup) is expanded and evaluated through
    :func:`~repro.harness.sweep.run_sweep`.  With ``refine_rounds=0`` the
    result is exactly the exhaustive-enumeration argbest of the grid — the
    property the oracle tests pin.
@@ -61,6 +61,8 @@ DEFAULT_TUNE_AXES: dict = {
     "overlap": ("none", "comm", "comm+compress"),
     "allgather_algorithm": ("flat-allgather", "hierarchical"),
     "dedup_assumption": (None, "uniform"),
+    # Inert knob: one scheduler prices every point; the axis keeps the value
+    # that existing tuner records carry.
     "scheduler_backend": ("vectorized",),
 }
 

@@ -25,22 +25,6 @@ def _seed_global_rngs():
     yield
 
 
-@pytest.fixture(autouse=True)
-def _reset_bucket_fallback_warnings():
-    """Clear the timeline's warn-once guard around every test.
-
-    The guard is module-global process state: without the reset, whichever
-    test first triggers (or swallows) a bucket-metadata fallback warning would
-    hide the same warning from every later test in the process, making
-    warning assertions order-dependent.
-    """
-    from repro.distributed import reset_bucket_fallback_warnings
-
-    reset_bucket_fallback_warnings()
-    yield
-    reset_bucket_fallback_warnings()
-
-
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
@@ -78,30 +62,27 @@ def two_fabric_schedule():
     """Factory for the canonical two-fabric workload, scheduled either way.
 
     Three hierarchical-style buckets (gather/broadcast on ``intra``, exchange
-    on ``inter``) with reverse-order readiness; ``build(cross)`` runs them
-    under ``overlap="comm"`` on the serial network lane (``False``) or the
-    per-link lanes (``True``).  Shared by the schedule- and reporting-level
-    link-utilisation tests.
+    on ``inter``, back-to-back) with reverse-order readiness; ``build(cross)``
+    runs them under ``overlap="comm"`` on the serial network lane (``False``)
+    or the per-link lanes (``True``) and checks the schedule's invariants.
+    Shared by the schedule- and reporting-level link-utilisation tests.
     """
-    from repro.distributed import BucketTask, simulate_iteration
+    from repro.distributed import simulate_iteration_arrays
+
+    from .schedule_checks import check_schedule
 
     def build(cross: bool):
-        tasks = [
-            BucketTask(
-                index=i,
-                ready_seconds=0.3 * (3 - i) / 3,
-                compress_seconds=0.01,
-                comm_seconds=0.68,
-                comm_phases=(
-                    ("gather", 0.1, 0.0, "intra"),
-                    ("exchange", 0.5, 0.1, "inter"),
-                    ("broadcast", 0.08, 0.6, "intra"),
-                ),
-            )
-            for i in range(3)
-        ]
-        return simulate_iteration(
-            tasks, compute_seconds=0.3, overlap="comm", cross_bucket_pipeline=cross
+        schedule = simulate_iteration_arrays(
+            ready_seconds=[0.3 * (3 - i) / 3 for i in range(3)],
+            compress_seconds=[0.01] * 3,
+            phase_seconds=[[0.1, 0.5, 0.08]] * 3,
+            phase_names=("gather", "exchange", "broadcast"),
+            phase_links=("intra", "inter", "intra"),
+            compute_seconds=0.3,
+            overlap="comm",
+            cross_bucket_pipeline=cross,
         )
+        check_schedule(schedule)
+        return schedule
 
     return build

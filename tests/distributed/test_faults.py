@@ -3,7 +3,7 @@
 The load-bearing contracts, each pinned by a property below:
 
 * a homogeneous profile reproduces today's schedules bit-for-bit (the
-  schedulers skip the scaling branch entirely at nominal rates),
+  scheduler skips the scaling branch entirely at nominal rates),
 * slowdowns >= 1 never shorten an iteration,
 * ``backup-workers(k=0)`` prices exactly like ``full-sync``,
 * injection is a pure function of ``(seed, iteration)`` — never of call
@@ -20,7 +20,6 @@ from repro.distributed import (
     KNOB_FIELDS,
     OVERLAP_POLICIES,
     BackupWorkers,
-    BucketTask,
     ClusterProfile,
     DistributedTrainer,
     FaultModel,
@@ -34,24 +33,30 @@ from repro.distributed import (
     WorkerProfile,
     get_sync_policy,
     price_iteration,
-    simulate_iteration,
+    simulate_iteration_arrays,
     validate_sync_policy,
     worker_finish_times,
 )
 from repro.nn import build_model
+from tests.schedule_checks import check_schedule
 
 
-def _tasks(durations, compute=1.0):
+def _simulate(durations, compute=1.0, **kwargs):
+    """Buckets with reverse-order readiness and two-fabric serial collectives.
+
+    Each ``(compress, comm)`` pair splits its communication 1:3 over an
+    intra and an inter phase, so the scaled offsets and totals are exercised.
+    """
     n = len(durations)
-    return [
-        BucketTask(
-            index=i,
-            ready_seconds=compute * (n - i) / n,
-            compress_seconds=c,
-            comm_seconds=m,
-        )
-        for i, (c, m) in enumerate(durations)
-    ]
+    return simulate_iteration_arrays(
+        ready_seconds=[compute * (n - i) / n for i in range(n)],
+        compress_seconds=[c for c, _ in durations],
+        phase_seconds=[[0.25 * m, 0.75 * m] for _, m in durations],
+        phase_names=("gather", "exchange"),
+        phase_links=("intra", "inter"),
+        compute_seconds=compute,
+        **kwargs,
+    )
 
 
 _durations = st.lists(
@@ -114,18 +119,11 @@ class TestScheduleScaling:
     @given(durations=_durations, policy=st.sampled_from(OVERLAP_POLICIES))
     def test_nominal_rates_bit_for_bit(self, durations, policy):
         # Explicitly passing (1.0, 1.0) must take today's exact code path.
-        tasks = _tasks(durations)
-        base = simulate_iteration(tasks, compute_seconds=1.0, overlap=policy, update_seconds=0.05)
-        scaled = simulate_iteration(
-            tasks,
-            compute_seconds=1.0,
-            overlap=policy,
-            update_seconds=0.05,
-            compute_scale=1.0,
-            comm_scale=1.0,
+        base = _simulate(durations, overlap=policy, update_seconds=0.05)
+        scaled = _simulate(
+            durations, overlap=policy, update_seconds=0.05, compute_scale=1.0, comm_scale=1.0
         )
-        assert scaled.iteration_seconds == base.iteration_seconds
-        assert scaled.serialized_seconds == base.serialized_seconds
+        assert scaled.to_schedule() == base.to_schedule()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -135,33 +133,27 @@ class TestScheduleScaling:
         comm_scale=_rates,
     )
     def test_slowdown_never_shortens(self, durations, policy, compute_scale, comm_scale):
-        tasks = _tasks(durations)
-        base = simulate_iteration(tasks, compute_seconds=1.0, overlap=policy)
-        slow = simulate_iteration(
-            tasks,
-            compute_seconds=1.0,
-            overlap=policy,
-            compute_scale=compute_scale,
-            comm_scale=comm_scale,
+        base = _simulate(durations, overlap=policy)
+        slow = _simulate(
+            durations, overlap=policy, compute_scale=compute_scale, comm_scale=comm_scale
         )
+        check_schedule(slow)
         assert slow.iteration_seconds >= base.iteration_seconds * (1.0 - 1e-9)
 
     @settings(max_examples=50, deadline=None)
     @given(durations=_durations, policy=st.sampled_from(OVERLAP_POLICIES), scale=_rates)
     def test_uniform_scaling_scales_makespan(self, durations, policy, scale):
         # Scaling both lanes by one factor stretches the whole schedule by it.
-        tasks = _tasks(durations)
-        base = simulate_iteration(tasks, compute_seconds=1.0, overlap=policy)
-        slow = simulate_iteration(
-            tasks, compute_seconds=1.0, overlap=policy, compute_scale=scale, comm_scale=scale
-        )
+        base = _simulate(durations, overlap=policy)
+        slow = _simulate(durations, overlap=policy, compute_scale=scale, comm_scale=scale)
         assert slow.iteration_seconds == pytest.approx(base.iteration_seconds * scale, rel=1e-9)
 
     def test_invalid_rates_rejected(self):
-        tasks = _tasks([(0.1, 0.2)])
         for bad in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="positive finite multiplier"):
-                simulate_iteration(tasks, compute_seconds=1.0, compute_scale=bad)
+                _simulate([(0.1, 0.2)], compute_scale=bad)
+            with pytest.raises(ValueError, match="positive finite multiplier"):
+                _simulate([(0.1, 0.2)], comm_scale=bad)
 
 
 class TestSyncPolicies:

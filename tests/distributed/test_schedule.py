@@ -1,60 +1,85 @@
 """Tests for the event-driven iteration schedule simulator."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distributed import (
     OVERLAP_POLICIES,
-    BucketTask,
+    CollectiveCost,
+    CollectivePhase,
     PhaseEvent,
+    PhaseTable,
     ready_times_from_fractions,
-    simulate_iteration,
+    simulate_iteration_arrays,
     validate_overlap,
 )
+from tests.schedule_checks import check_schedule, simulate_table
 
 
-def _tasks(durations, compute=1.0):
-    """Tasks with reverse-order readiness over equal-size buckets."""
+def _reverse_ready(n, compute):
+    """Reverse-order readiness over equal-size buckets."""
+    return [compute * (n - i) / n for i in range(n)]
+
+
+def _single_phase(durations, *, ready=None, compute=1.0, **kwargs):
+    """Buckets whose all-gather is one network phase: ``(compress, comm)`` pairs."""
     n = len(durations)
-    return [
-        BucketTask(
-            index=i,
-            ready_seconds=compute * (n - i) / n,
-            compress_seconds=c,
-            comm_seconds=m,
-        )
-        for i, (c, m) in enumerate(durations)
-    ]
+    return simulate_iteration_arrays(
+        ready_seconds=_reverse_ready(n, compute) if ready is None else ready,
+        compress_seconds=[c for c, _ in durations],
+        phase_seconds=np.array([m for _, m in durations], dtype=float).reshape(n, 1),
+        phase_names=("allgather",),
+        phase_links=("net",),
+        compute_seconds=compute,
+        **kwargs,
+    )
+
+
+def _placed_cost(phases):
+    """A collective of explicitly placed ``(name, seconds, start, link)`` phases."""
+    return CollectiveCost(
+        op="allgather",
+        algorithm="test",
+        num_workers=2,
+        phases=tuple(
+            CollectivePhase(name, link, seconds, start=start)
+            for name, seconds, start, link in phases
+        ),
+    )
 
 
 class TestPolicies:
     def test_none_matches_closed_form_sum(self):
-        tasks = _tasks([(0.2, 0.5), (0.1, 0.4), (0.3, 0.2)], compute=1.0)
-        schedule = simulate_iteration(tasks, compute_seconds=1.0, overlap="none", update_seconds=0.05)
+        schedule = _single_phase(
+            [(0.2, 0.5), (0.1, 0.4), (0.3, 0.2)], overlap="none", update_seconds=0.05
+        )
+        check_schedule(schedule)
         assert schedule.iteration_seconds == pytest.approx(1.0 + 0.6 + 1.1 + 0.05)
         assert schedule.iteration_seconds == pytest.approx(schedule.serialized_seconds)
         assert schedule.overlap_saving == pytest.approx(0.0)
 
     def test_comm_strictly_faster_on_multi_bucket(self):
-        tasks = _tasks([(0.2, 0.5), (0.1, 0.4), (0.3, 0.2)])
-        none = simulate_iteration(tasks, compute_seconds=1.0, overlap="none")
-        comm = simulate_iteration(tasks, compute_seconds=1.0, overlap="comm")
+        durations = [(0.2, 0.5), (0.1, 0.4), (0.3, 0.2)]
+        none = _single_phase(durations, overlap="none")
+        comm = _single_phase(durations, overlap="comm")
         assert comm.iteration_seconds < none.iteration_seconds
         assert 0.0 < comm.overlap_saving < 1.0
 
     def test_comm_compress_at_least_as_fast_as_comm(self):
-        tasks = _tasks([(0.2, 0.5), (0.1, 0.4), (0.3, 0.2)])
-        comm = simulate_iteration(tasks, compute_seconds=1.0, overlap="comm")
-        both = simulate_iteration(tasks, compute_seconds=1.0, overlap="comm+compress")
+        durations = [(0.2, 0.5), (0.1, 0.4), (0.3, 0.2)]
+        comm = _single_phase(durations, overlap="comm")
+        both = _single_phase(durations, overlap="comm+compress")
         assert both.iteration_seconds < comm.iteration_seconds
 
     def test_policy_ordering_single_bucket_degenerates(self):
         # One bucket (ready only when backprop completes): nothing to overlap,
         # every policy prices the same critical path.
-        task = [BucketTask(index=0, ready_seconds=1.0, compress_seconds=0.3, comm_seconds=0.4)]
         totals = {
-            policy: simulate_iteration(task, compute_seconds=1.0, overlap=policy).iteration_seconds
+            policy: _single_phase([(0.3, 0.4)], ready=[1.0], overlap=policy).iteration_seconds
             for policy in OVERLAP_POLICIES
         }
         assert totals["none"] == pytest.approx(1.7)
@@ -63,42 +88,50 @@ class TestPolicies:
 
     def test_ragged_last_bucket_schedule(self):
         # A small ragged bucket ready last still serialises correctly on both lanes.
-        tasks = _tasks([(0.2, 0.4), (0.2, 0.4), (0.01, 0.02)])
-        schedule = simulate_iteration(tasks, compute_seconds=0.5, overlap="comm")
-        events = {e.index: e for e in schedule.events}
-        # The network lane never runs two all-gathers at once.
-        spans = sorted((e.comm_start, e.comm_end) for e in schedule.events)
-        assert all(a_end <= b_start + 1e-12 for (_, a_end), (b_start, _) in zip(spans, spans[1:]))
+        schedule = _single_phase(
+            [(0.2, 0.4), (0.2, 0.4), (0.01, 0.02)], compute=0.5, overlap="comm"
+        )
+        view = check_schedule(schedule)
         # Bucket 0 is ready last; its compression cannot start before backprop ends.
-        assert events[0].compress_start >= 0.5
+        assert view.events[0].compress_start >= 0.5
 
     def test_delayed_readiness_gates_every_policy(self):
         # A ready time beyond compute_seconds (delayed readiness) must gate
         # compression under all policies — no gradient compresses before it exists.
-        task = [BucketTask(index=0, ready_seconds=2.0, compress_seconds=0.5, comm_seconds=0.1)]
         for policy in OVERLAP_POLICIES:
-            schedule = simulate_iteration(task, compute_seconds=1.0, overlap=policy)
-            assert schedule.events[0].compress_start >= 2.0
+            schedule = _single_phase([(0.5, 0.1)], ready=[2.0], overlap=policy)
+            check_schedule(schedule)
+            assert schedule.compress_start[0] >= 2.0
             assert schedule.iteration_seconds == pytest.approx(2.6)
 
     def test_empty_tasks(self):
-        schedule = simulate_iteration([], compute_seconds=0.7, overlap="comm", update_seconds=0.1)
+        schedule = _single_phase([], compute=0.7, overlap="comm", update_seconds=0.1)
         assert schedule.iteration_seconds == pytest.approx(0.8)
-        assert schedule.events == ()
+        assert check_schedule(schedule).events == ()
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            simulate_iteration([], compute_seconds=1.0, overlap="pipelined")
+            _single_phase([], overlap="pipelined")
         with pytest.raises(ValueError):
             validate_overlap("overlapped")
         with pytest.raises(ValueError):
-            BucketTask(index=0, ready_seconds=-1.0, compress_seconds=0.0, comm_seconds=0.0)
+            _single_phase([(0.0, 0.0)], ready=[-1.0])
         with pytest.raises(ValueError):
-            BucketTask(index=-1, ready_seconds=0.0, compress_seconds=0.0, comm_seconds=0.0)
-        with pytest.raises(ValueError):
-            simulate_iteration([], compute_seconds=-0.1)
+            _single_phase([], compute=-0.1)
         with pytest.raises(ValueError):
             ready_times_from_fractions([1.5], 1.0)
+        # Non-finite times would surface as a NaN/inf iteration time.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                _single_phase([(0.1, 0.2)], compute=bad)
+            with pytest.raises(ValueError, match="finite"):
+                _single_phase([(0.1, 0.2)], update_seconds=bad)
+            with pytest.raises(ValueError, match="finite"):
+                _single_phase([(0.1, 0.2)], ready=[bad])
+            with pytest.raises(ValueError, match="finite"):
+                _single_phase([(bad, 0.2)])
+            with pytest.raises(ValueError, match="finite"):
+                _single_phase([(0.1, bad)])
 
     def test_ready_times_from_fractions(self):
         assert ready_times_from_fractions([1.0, 0.5, 0.0], 2.0) == [2.0, 1.0, 0.0]
@@ -107,75 +140,55 @@ class TestPolicies:
 class TestPhaseEvents:
     """Per-phase collective events on the network lane (multi-phase collectives)."""
 
-    def _phased_task(self, index=0, ready=0.0, compress=0.1):
-        phases = (("intra-gather", 0.05), ("inter-allgather", 0.3), ("intra-broadcast", 0.1))
-        total = sum(s for _, s in phases)
-        return BucketTask(
-            index=index,
-            ready_seconds=ready,
-            compress_seconds=compress,
-            comm_seconds=total,
-            comm_phases=phases,
+    PHASES = (("intra-gather", 0.05), ("inter-allgather", 0.3), ("intra-broadcast", 0.1))
+
+    def _phased(self, num_buckets=1, *, ready=None, compute=0.5, overlap="comm"):
+        return simulate_iteration_arrays(
+            ready_seconds=[0.0] * num_buckets if ready is None else ready,
+            compress_seconds=[0.1] * num_buckets,
+            phase_seconds=[[seconds for _, seconds in self.PHASES]] * num_buckets,
+            phase_names=tuple(name for name, _ in self.PHASES),
+            phase_links=("intra", "inter", "intra"),
+            compute_seconds=compute,
+            overlap=overlap,
         )
 
     def test_phases_tile_the_comm_span(self):
-        task = self._phased_task()
-        schedule = simulate_iteration([task], compute_seconds=0.5, overlap="comm")
-        event = schedule.events[0]
-        assert [p.name for p in event.phases] == [
-            "intra-gather",
-            "inter-allgather",
-            "intra-broadcast",
-        ]
+        event = check_schedule(self._phased()).events[0]
+        assert [p.name for p in event.phases] == [name for name, _ in self.PHASES]
         assert event.phases[0].start == event.comm_start
-        assert event.phases[-1].end == event.comm_end
+        assert event.phases[-1].end == pytest.approx(event.comm_end, abs=1e-15)
         for before, after in zip(event.phases, event.phases[1:]):
-            assert before.end == after.start  # serial, gap-free
-        for phase, (_, seconds) in zip(event.phases, task.comm_phases):
+            assert before.end == pytest.approx(after.start, abs=1e-15)  # serial, gap-free
+        for phase, (_, seconds) in zip(event.phases, self.PHASES):
             assert phase.end - phase.start == pytest.approx(seconds)
 
-    def test_phaseless_tasks_keep_empty_trace(self):
-        task = BucketTask(index=0, ready_seconds=0.0, compress_seconds=0.1, comm_seconds=0.2)
-        schedule = simulate_iteration([task], compute_seconds=0.5, overlap="comm")
-        assert schedule.events[0].phases == ()
+    def test_phaseless_collectives_keep_empty_trace(self):
+        # A one-worker collective has no phases: no communication at all.
+        schedule = simulate_iteration_arrays(
+            ready_seconds=[0.0], compress_seconds=[0.1], phase_seconds=np.zeros((1, 0)),
+            phase_names=(), phase_links=(), compute_seconds=0.5, overlap="comm",
+        )
+        event = check_schedule(schedule).events[0]
+        assert event.phases == ()
+        assert event.comm_end == event.comm_start
 
     @pytest.mark.parametrize("policy", OVERLAP_POLICIES)
     def test_total_time_unchanged_by_phase_breakdown(self, policy):
         # Splitting a bucket's collective into serial phases is bookkeeping:
         # the critical path must match the single-span pricing exactly.
-        phased = [self._phased_task(index=i, ready=1.0 - 0.5 * i) for i in range(2)]
-        merged = [
-            BucketTask(
-                index=t.index,
-                ready_seconds=t.ready_seconds,
-                compress_seconds=t.compress_seconds,
-                comm_seconds=t.comm_seconds,
-            )
-            for t in phased
-        ]
-        with_phases = simulate_iteration(phased, compute_seconds=1.0, overlap=policy)
-        without = simulate_iteration(merged, compute_seconds=1.0, overlap=policy)
+        ready = [1.0 - 0.5 * i for i in range(2)]
+        with_phases = self._phased(2, ready=ready, compute=1.0, overlap=policy)
+        total = sum(seconds for _, seconds in self.PHASES)
+        without = _single_phase([(0.1, total)] * 2, ready=ready, overlap=policy)
         assert with_phases.iteration_seconds == without.iteration_seconds
         assert with_phases.serialized_seconds == without.serialized_seconds
 
-    def test_phase_sum_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="comm_phases sum"):
-            BucketTask(
-                index=0,
-                ready_seconds=0.0,
-                compress_seconds=0.0,
-                comm_seconds=1.0,
-                comm_phases=(("only", 0.5),),
-            )
-
     def test_negative_phase_duration_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            BucketTask(
-                index=0,
-                ready_seconds=0.0,
-                compress_seconds=0.0,
-                comm_seconds=0.0,
-                comm_phases=(("bad", -0.5), ("worse", 0.5)),
+            simulate_iteration_arrays(
+                ready_seconds=[0.0], compress_seconds=[0.0], phase_seconds=[[-0.5, 0.5]],
+                phase_names=("bad", "worse"), phase_links=("a", "a"), compute_seconds=0.0,
             )
 
     @settings(max_examples=100, deadline=None)
@@ -189,35 +202,31 @@ class TestPhaseEvents:
         ),
     )
     def test_lane_consistency_with_random_phase_splits(self, policy, compute, splits):
-        tasks = []
+        # Ragged serial rows share one padded template; the mask hides the
+        # padding, so each event shows exactly its own phases.
+        width = max(len(durations) for durations in splits)
+        seconds = np.zeros((len(splits), width))
+        mask = np.zeros((len(splits), width), dtype=bool)
         for i, durations in enumerate(splits):
-            phases = tuple((f"phase-{j}", d) for j, d in enumerate(durations))
-            tasks.append(
-                BucketTask(
-                    index=i,
-                    ready_seconds=compute * (len(splits) - i) / len(splits),
-                    compress_seconds=0.05,
-                    comm_seconds=sum(durations),
-                    comm_phases=phases,
-                )
-            )
-        schedule = simulate_iteration(tasks, compute_seconds=compute, overlap=policy)
-        spans = []
-        for event in schedule.events:
+            seconds[i, : len(durations)] = durations
+            mask[i, : len(durations)] = True
+        schedule = simulate_iteration_arrays(
+            ready_seconds=_reverse_ready(len(splits), compute),
+            compress_seconds=[0.05] * len(splits),
+            phase_seconds=seconds,
+            phase_names=tuple(f"phase-{j}" for j in range(width)),
+            phase_links=("net",) * width,
+            phase_mask=mask,
+            compute_seconds=compute,
+            overlap=policy,
+        )
+        view = check_schedule(schedule)
+        for event in view.events:
             assert len(event.phases) == len(splits[event.index])
             assert event.phases[0].start == event.comm_start
-            assert event.phases[-1].end == event.comm_end
             for phase in event.phases:
                 assert isinstance(phase, PhaseEvent)
-                assert phase.end >= phase.start - 1e-12
-            for before, after in zip(event.phases, event.phases[1:]):
-                assert before.end == after.start
-            spans.append((event.comm_start, event.comm_end))
-        # The network lane never runs two buckets' phases at once, and the
-        # critical path still ends at (or after) the last phase.
-        spans.sort()
-        assert all(a_end <= b_start + 1e-12 for (_, a_end), (b_start, _) in zip(spans, spans[1:]))
-        last_phase_end = max(e.phases[-1].end for e in schedule.events)
+        last_phase_end = max(e.phases[-1].end for e in view.events)
         assert schedule.iteration_seconds >= last_phase_end - 1e-12
 
 
@@ -236,20 +245,21 @@ class TestPlacedPhaseEvents:
         ("broadcast[c1]", 0.05, 0.7, "a"),
     )
 
-    def _task(self, index=0, ready=0.0):
-        return BucketTask(
-            index=index,
+    def _schedule(self, ready, **kwargs):
+        return simulate_iteration_arrays(
             ready_seconds=ready,
-            compress_seconds=0.05,
-            comm_seconds=0.75,
-            comm_phases=self.PLACED,
+            compress_seconds=[0.05] * len(ready),
+            phase_seconds=[[seconds for _, seconds, _, _ in self.PLACED]] * len(ready),
+            phase_offsets=[[start for _, _, start, _ in self.PLACED]] * len(ready),
+            phase_names=tuple(name for name, _, _, _ in self.PLACED),
+            phase_links=tuple(link for _, _, _, link in self.PLACED),
+            compute_seconds=0.2,
+            overlap="comm",
+            **kwargs,
         )
 
     def test_placed_phases_ride_at_their_offsets(self):
-        task = self._task()
-        assert task.has_placed_phases
-        schedule = simulate_iteration([task], compute_seconds=0.2, overlap="comm")
-        event = schedule.events[0]
+        event = check_schedule(self._schedule([0.0])).events[0]
         assert len(event.phases) == len(self.PLACED)
         for phase, (name, seconds, offset, link) in zip(event.phases, self.PLACED):
             assert phase.name == name
@@ -258,59 +268,22 @@ class TestPlacedPhaseEvents:
             assert phase.end == pytest.approx(phase.start + seconds)
         assert max(p.end for p in event.phases) == pytest.approx(event.comm_end)
 
-    def test_same_link_phases_never_overlap_in_trace(self):
-        tasks = [self._task(index=i, ready=0.2 - 0.1 * i) for i in range(2)]
-        schedule = simulate_iteration(tasks, compute_seconds=0.2, overlap="comm")
-        by_link: dict[str, list[tuple[float, float]]] = {}
-        for event in schedule.events:
-            for phase in event.phases:
-                by_link.setdefault(phase.link, []).append((phase.start, phase.end))
-        for spans in by_link.values():
-            spans.sort()
-            for (_, a_end), (b_start, _) in zip(spans, spans[1:]):
-                assert b_start >= a_end - 1e-12
+    def test_comm_time_is_the_placed_makespan(self):
+        schedule = self._schedule([0.2, 0.1, 0.0])
+        check_schedule(schedule)
+        # The collective ends with chunk 1's broadcast at 0.7 + 0.05.
+        assert schedule.total_comm_seconds == pytest.approx(3 * 0.75)
 
-    def test_total_comm_seconds_still_sums_exactly(self):
-        tasks = [self._task(index=i) for i in range(3)]
-        schedule = simulate_iteration(tasks, compute_seconds=0.2, overlap="comm")
-        assert schedule.total_comm_seconds == pytest.approx(sum(t.comm_seconds for t in tasks))
-        # Buckets still serialise on the network lane as whole occupancies.
-        spans = sorted((e.comm_start, e.comm_end) for e in schedule.events)
-        assert all(a_end <= b_start + 1e-12 for (_, a_end), (b_start, _) in zip(spans, spans[1:]))
-
-    def test_serial_tasks_report_no_placement(self):
-        task = BucketTask(
-            index=0, ready_seconds=0.0, compress_seconds=0.0, comm_seconds=0.4,
-            comm_phases=(("one", 0.1), ("two", 0.3)),
-        )
-        assert not task.has_placed_phases
-
-    def test_overlapping_same_link_placement_rejected(self):
-        with pytest.raises(ValueError, match="overlap on link"):
-            BucketTask(
-                index=0, ready_seconds=0.0, compress_seconds=0.0, comm_seconds=0.3,
-                comm_phases=(("p0", 0.2, 0.0, "a"), ("p1", 0.2, 0.1, "a")),
-            )
-
-    def test_end_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="comm_seconds"):
-            BucketTask(
-                index=0, ready_seconds=0.0, compress_seconds=0.0, comm_seconds=1.0,
-                comm_phases=(("p0", 0.2, 0.0, "a"),),
-            )
-
-    def test_mixed_entry_shapes_rejected(self):
-        with pytest.raises(ValueError, match="uniformly"):
-            BucketTask(
-                index=0, ready_seconds=0.0, compress_seconds=0.0, comm_seconds=0.5,
-                comm_phases=(("p0", 0.2), ("p1", 0.3, 0.2, "a")),
-            )
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_same_link_phases_never_overlap_in_trace(self, cross):
+        check_schedule(self._schedule([0.2, 0.1], cross_bucket_pipeline=cross))
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            BucketTask(
-                index=0, ready_seconds=0.0, compress_seconds=0.0, comm_seconds=0.2,
-                comm_phases=(("p0", 0.2, -0.1, "a"),),
+            simulate_iteration_arrays(
+                ready_seconds=[0.0], compress_seconds=[0.0], phase_seconds=[[0.2]],
+                phase_offsets=[[-0.1]], phase_names=("p0",), phase_links=("a",),
+                compute_seconds=0.0,
             )
 
     @settings(max_examples=100, deadline=None)
@@ -323,11 +296,10 @@ class TestPlacedPhaseEvents:
     def test_lane_consistency_with_pipelined_collective_costs(
         self, policy, chunks, payload, num_buckets
     ):
-        # End-to-end shape check: real pipelined hierarchical costs, mapped
-        # through the timeline's own comm-phase conversion, must schedule
-        # with exclusive per-link lanes and an exactly-summing comm total.
+        # End-to-end shape check: real pipelined hierarchical costs, packed
+        # into one table, must schedule with exclusive per-link lanes and an
+        # exactly-summing comm total.
         from repro.distributed import COLLECTIVE_ALGORITHMS, ClusterTopology, NetworkModel
-        from repro.distributed.timeline import _comm_phase_entries
 
         topology = ClusterTopology(
             num_nodes=4,
@@ -338,31 +310,19 @@ class TestPlacedPhaseEvents:
         cost = COLLECTIVE_ALGORITHMS["hierarchical"].cost(
             topology, "allgather", payload, pipeline_chunks=chunks
         )
-        tasks = [
-            BucketTask(
-                index=i,
-                ready_seconds=(num_buckets - i) / num_buckets,
-                compress_seconds=0.01,
-                comm_seconds=cost.total,
-                comm_phases=_comm_phase_entries(cost),
-            )
-            for i in range(num_buckets)
-        ]
-        schedule = simulate_iteration(tasks, compute_seconds=1.0, overlap=policy)
-        assert schedule.total_comm_seconds == pytest.approx(
-            sum(t.comm_seconds for t in tasks), rel=1e-12
+        table = PhaseTable.from_costs([cost] * num_buckets)
+        assert table.totals.tolist() == [cost.total] * num_buckets
+        schedule = simulate_table(
+            table,
+            ready_seconds=_reverse_ready(num_buckets, 1.0),
+            compress_seconds=[0.01] * num_buckets,
+            compute_seconds=1.0,
+            overlap=policy,
         )
-        by_link: dict[str, list[tuple[float, float]]] = {}
-        for event in schedule.events:
+        view = check_schedule(schedule)
+        assert schedule.total_comm_seconds == pytest.approx(num_buckets * cost.total, rel=1e-12)
+        for event in view.events:
             assert len(event.phases) == len(cost.phases)
-            for phase in event.phases:
-                assert event.comm_start - 1e-12 <= phase.start
-                assert phase.end <= event.comm_end + 1e-12
-                by_link.setdefault(phase.link, []).append((phase.start, phase.end))
-        for spans in by_link.values():
-            spans.sort()
-            for (_, a_end), (b_start, _) in zip(spans, spans[1:]):
-                assert b_start >= a_end - 1e-9 * max(1.0, a_end)
 
 
 @st.composite
@@ -370,36 +330,31 @@ def _workloads(draw):
     compute = draw(st.floats(min_value=0.0, max_value=2.0))
     n = draw(st.integers(min_value=1, max_value=8))
     fractions = sorted(
-        draw(
-            st.lists(
-                st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n
-            )
-        ),
+        draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n)),
         reverse=True,
     )
-    tasks = [
-        BucketTask(
-            index=i,
-            ready_seconds=fractions[i] * compute,
-            compress_seconds=draw(st.floats(min_value=0.0, max_value=1.0)),
-            comm_seconds=draw(st.floats(min_value=0.0, max_value=1.0)),
+    durations = [
+        (
+            draw(st.floats(min_value=0.0, max_value=1.0)),
+            draw(st.floats(min_value=0.0, max_value=1.0)),
         )
-        for i in range(n)
+        for _ in range(n)
     ]
+    ready = [f * compute for f in fractions]
     update = draw(st.floats(min_value=0.0, max_value=0.2))
-    return tasks, compute, update
+    return durations, ready, compute, update
 
 
 class TestCriticalPathBounds:
     @settings(max_examples=200, deadline=None)
     @given(workload=_workloads(), policy=st.sampled_from(OVERLAP_POLICIES))
     def test_bounded_by_serial_sum_and_resource_lower_bound(self, workload, policy):
-        tasks, compute, update = workload
-        schedule = simulate_iteration(
-            tasks, compute_seconds=compute, overlap=policy, update_seconds=update
+        durations, ready, compute, update = workload
+        schedule = _single_phase(
+            durations, ready=ready, compute=compute, overlap=policy, update_seconds=update
         )
-        total_compress = sum(t.compress_seconds for t in tasks)
-        total_comm = sum(t.comm_seconds for t in tasks)
+        total_compress = sum(c for c, _ in durations)
+        total_comm = sum(m for _, m in durations)
         serial = compute + total_compress + total_comm + update
         # Never better than keeping each resource lane 100% busy...
         lower = max(compute, total_comm, total_compress) + update
@@ -410,10 +365,10 @@ class TestCriticalPathBounds:
     @settings(max_examples=100, deadline=None)
     @given(workload=_workloads())
     def test_stronger_policies_never_slower(self, workload):
-        tasks, compute, update = workload
+        durations, ready, compute, update = workload
         totals = [
-            simulate_iteration(
-                tasks, compute_seconds=compute, overlap=policy, update_seconds=update
+            _single_phase(
+                durations, ready=ready, compute=compute, overlap=policy, update_seconds=update
             ).iteration_seconds
             for policy in ("none", "comm", "comm+compress")
         ]
@@ -422,134 +377,81 @@ class TestCriticalPathBounds:
     @settings(max_examples=100, deadline=None)
     @given(workload=_workloads(), policy=st.sampled_from(OVERLAP_POLICIES))
     def test_event_trace_is_consistent(self, workload, policy):
-        tasks, compute, update = workload
-        schedule = simulate_iteration(
-            tasks, compute_seconds=compute, overlap=policy, update_seconds=update
+        durations, ready, compute, update = workload
+        schedule = _single_phase(
+            durations, ready=ready, compute=compute, overlap=policy, update_seconds=update
         )
-        assert len(schedule.events) == len(tasks)
-        by_index = {t.index: t for t in tasks}
-        for event in schedule.events:
-            task = by_index[event.index]
-            assert event.compress_start >= event.ready - 1e-12
-            assert event.compress_end == pytest.approx(event.compress_start + task.compress_seconds)
-            assert event.comm_start >= event.compress_end - 1e-12
-            assert event.comm_end == pytest.approx(event.comm_start + task.comm_seconds)
-            if policy != "comm+compress":
-                assert event.compress_start >= compute - 1e-12
-        # Compression jobs serialise on the compression stream.
-        spans = sorted((e.compress_start, e.compress_end) for e in schedule.events)
-        assert all(a_end <= b_start + 1e-9 for (_, a_end), (b_start, _) in zip(spans, spans[1:]))
+        view = check_schedule(schedule)
+        assert len(view.events) == len(durations)
+        for event, (compress, comm) in zip(view.events, durations):
+            assert event.compress_end == pytest.approx(event.compress_start + compress)
+            assert event.comm_end == pytest.approx(event.comm_start + comm)
 
 
 class TestCrossBucketPipeline:
     """Per-link network lanes: buckets overlap wherever they use different fabrics."""
 
-    #: Serial hierarchical-style template: gather (intra "a"), exchange
-    #: (inter "b"), broadcast (intra "a") — placed back-to-back.
-    def _task(self, index=0, ready=0.0, compress=0.02, gather=0.1, exchange=0.5, broadcast=0.08):
-        total = gather + exchange + broadcast
-        return BucketTask(
-            index=index,
-            ready_seconds=ready,
-            compress_seconds=compress,
-            comm_seconds=total,
-            comm_phases=(
-                ("gather", gather, 0.0, "a"),
-                ("exchange", exchange, gather, "b"),
-                ("broadcast", broadcast, gather + exchange, "a"),
-            ),
+    def _schedule(self, n=3, compute=0.3, *, cross=False, overlap="comm"):
+        """Serial hierarchical-style template: gather (intra "a"), exchange
+        (inter "b"), broadcast (intra "a") — placed back-to-back."""
+        return simulate_iteration_arrays(
+            ready_seconds=_reverse_ready(n, compute),
+            compress_seconds=[0.02] * n,
+            phase_seconds=[[0.1, 0.5, 0.08]] * n,
+            phase_names=("gather", "exchange", "broadcast"),
+            phase_links=("a", "b", "a"),
+            compute_seconds=compute,
+            overlap=overlap,
+            cross_bucket_pipeline=cross,
         )
-
-    def _tasks(self, n=3, compute=0.3):
-        return [
-            self._task(index=i, ready=compute * (n - i) / n) for i in range(n)
-        ]
 
     def test_flag_off_matches_default_bit_for_bit(self):
-        tasks = self._tasks()
-        base = simulate_iteration(tasks, compute_seconds=0.3, overlap="comm")
-        off = simulate_iteration(
-            tasks, compute_seconds=0.3, overlap="comm", cross_bucket_pipeline=False
-        )
-        assert off == base
+        base = self._schedule()
+        off = self._schedule(cross=False)
+        assert off.to_schedule() == base.to_schedule()
         assert not off.cross_bucket
 
     def test_cross_bucket_overlaps_intra_under_inter(self):
-        tasks = self._tasks()
-        serial = simulate_iteration(tasks, compute_seconds=0.3, overlap="comm")
-        cross = simulate_iteration(
-            tasks, compute_seconds=0.3, overlap="comm", cross_bucket_pipeline=True
-        )
+        serial = self._schedule()
+        cross = self._schedule(cross=True)
+        view = check_schedule(cross)
         assert cross.cross_bucket
         assert cross.iteration_seconds < serial.iteration_seconds
         # Steady state: the inter lane stays contiguous, so each later bucket
         # saves one gather + one broadcast of serial-lane time.
-        events = sorted(cross.events, key=lambda e: e.comm_start)
+        events = sorted(view.events, key=lambda e: e.comm_start)
         for before, after in zip(events, events[1:]):
             assert after.comm_start < before.comm_end  # whole occupancies overlap
         # The bucket's internal placement rides rigidly at its new offset.
-        for event in cross.events:
+        for event in view.events:
             assert event.phases[0].start == pytest.approx(event.comm_start)
             assert event.phases[-1].end == pytest.approx(event.comm_end)
 
-    def test_single_link_tasks_degenerate_to_serial_lane(self):
-        # Phases all on one fabric (or no phase breakdown at all): nothing to
-        # overlap, the per-link lanes reproduce the serial lane exactly.
-        single = [
-            BucketTask(
-                index=i,
-                ready_seconds=0.1 * (3 - i),
-                compress_seconds=0.01,
-                comm_seconds=0.2,
-                comm_phases=(("ring", 0.2, 0.0, "eth"),),
+    def test_single_link_buckets_degenerate_to_serial_lane(self):
+        # Phases all on one fabric: nothing to overlap, the per-link lanes
+        # reproduce the serial lane exactly.
+        for policy in OVERLAP_POLICIES:
+            serial = _single_phase([(0.01, 0.2)] * 3, compute=0.3, overlap=policy)
+            cross = _single_phase(
+                [(0.01, 0.2)] * 3, compute=0.3, overlap=policy, cross_bucket_pipeline=True
             )
-            for i in range(3)
-        ]
-        phaseless = [
-            BucketTask(index=i, ready_seconds=0.1 * (3 - i), compress_seconds=0.01, comm_seconds=0.2)
-            for i in range(3)
-        ]
-        for tasks in (single, phaseless):
-            for policy in OVERLAP_POLICIES:
-                serial = simulate_iteration(tasks, compute_seconds=0.3, overlap=policy)
-                cross = simulate_iteration(
-                    tasks, compute_seconds=0.3, overlap=policy, cross_bucket_pipeline=True
-                )
-                assert cross.iteration_seconds == serial.iteration_seconds
-                assert [(e.comm_start, e.comm_end) for e in cross.events] == [
-                    (e.comm_start, e.comm_end) for e in serial.events
-                ]
+            check_schedule(cross)
+            assert cross.iteration_seconds == serial.iteration_seconds
+            assert cross.comm_start.tolist() == serial.comm_start.tolist()
+            assert cross.comm_end.tolist() == serial.comm_end.tolist()
 
     def test_non_bool_flag_rejected(self):
         with pytest.raises(ValueError, match="cross_bucket_pipeline"):
-            simulate_iteration([], compute_seconds=0.1, cross_bucket_pipeline=1)
+            _single_phase([], compute=0.1, cross_bucket_pipeline=1)
         from repro.distributed import validate_cross_bucket
 
         assert validate_cross_bucket(True) is True
         with pytest.raises(ValueError, match="bool"):
             validate_cross_bucket("false")
 
-    def test_anonymous_lane_conflicts_with_named_fabrics(self):
-        # A bucket without a phase breakdown occupies "the network" — the
-        # same physical wires as any named fabric — so it must serialise
-        # against placed-phase buckets instead of riding for free beside them.
-        placed = self._task(index=0, ready=0.0)
-        phaseless = BucketTask(
-            index=1, ready_seconds=0.0, compress_seconds=0.0, comm_seconds=0.3
-        )
-        for tasks in ([placed, phaseless], [phaseless, placed]):
-            cross = simulate_iteration(
-                tasks, compute_seconds=0.0, overlap="comm", cross_bucket_pipeline=True
-            )
-            serial = simulate_iteration(tasks, compute_seconds=0.0, overlap="comm")
-            assert cross.iteration_seconds == pytest.approx(serial.iteration_seconds)
-            spans = sorted((e.comm_start, e.comm_end) for e in cross.events)
-            assert spans[0][1] <= spans[1][0] + 1e-12
-
     def test_empty_tasks_cross_bucket(self):
-        schedule = simulate_iteration(
-            [], compute_seconds=0.5, overlap="comm", update_seconds=0.1,
-            cross_bucket_pipeline=True,
+        schedule = _single_phase(
+            [], compute=0.5, overlap="comm", update_seconds=0.1, cross_bucket_pipeline=True
         )
         assert schedule.iteration_seconds == pytest.approx(0.6)
         assert schedule.link_utilization() == {}
@@ -560,21 +462,17 @@ def _linked_workloads(draw):
     """Buckets whose collectives chain randomly-linked phases back-to-back."""
     compute = draw(st.floats(min_value=0.0, max_value=1.0))
     n = draw(st.integers(min_value=1, max_value=6))
-    tasks = []
-    for i in range(n):
+    costs = []
+    for _ in range(n):
         num_phases = draw(st.integers(min_value=1, max_value=4))
         durations = draw(
             st.lists(
-                st.floats(min_value=0.0, max_value=0.5),
-                min_size=num_phases,
-                max_size=num_phases,
+                st.floats(min_value=0.0, max_value=0.5), min_size=num_phases, max_size=num_phases
             )
         )
         links = draw(
             st.lists(
-                # "" is the anonymous pre-topology lane: it stands for the
-                # same physical network as every named fabric.
-                st.sampled_from(["intra", "inter", "bus", ""]),
+                st.sampled_from(["intra", "inter", "bus"]),
                 min_size=num_phases,
                 max_size=num_phases,
             )
@@ -584,94 +482,89 @@ def _linked_workloads(draw):
         for j, (seconds, link) in enumerate(zip(durations, links)):
             phases.append((f"phase-{j}", seconds, cursor, link))
             cursor += seconds
-        tasks.append(
-            BucketTask(
-                index=i,
-                ready_seconds=compute * (n - i) / n,
-                compress_seconds=draw(st.floats(min_value=0.0, max_value=0.2)),
-                comm_seconds=cursor,
-                comm_phases=tuple(phases),
-            )
-        )
+        costs.append(_placed_cost(phases))
+    compress = [draw(st.floats(min_value=0.0, max_value=0.2)) for _ in range(n)]
     update = draw(st.floats(min_value=0.0, max_value=0.1))
-    return tasks, compute, update
+    return PhaseTable.from_costs(costs), costs, compress, compute, update
+
+
+def _run_linked(workload, policy, cross):
+    table, costs, compress, compute, update = workload
+    return simulate_table(
+        table,
+        ready_seconds=_reverse_ready(len(costs), compute),
+        compress_seconds=compress,
+        compute_seconds=compute,
+        overlap=policy,
+        update_seconds=update,
+        cross_bucket_pipeline=cross,
+    )
 
 
 class TestCrossBucketInvariants:
     @settings(max_examples=150, deadline=None)
     @given(workload=_linked_workloads(), policy=st.sampled_from(OVERLAP_POLICIES))
     def test_per_link_exclusivity_across_buckets(self, workload, policy):
-        tasks, compute, update = workload
-        schedule = simulate_iteration(
-            tasks, compute_seconds=compute, overlap=policy, update_seconds=update,
-            cross_bucket_pipeline=True,
-        )
-        by_link: dict[str, list[tuple[float, float]]] = {}
-        for event in schedule.events:
-            for phase in event.phases:
-                if phase.end > phase.start:
-                    by_link.setdefault(phase.link, []).append((phase.start, phase.end))
-        anonymous = by_link.get("", [])
-        for link, spans in by_link.items():
-            # The anonymous "" lane is the same physical network as every
-            # named fabric, so its spans join every lane's exclusivity check.
-            spans = sorted(spans + (anonymous if link != "" else []))
-            for (_, a_end), (b_start, _) in zip(spans, spans[1:]):
-                assert b_start >= a_end - 1e-9 * max(1.0, a_end)
+        check_schedule(_run_linked(workload, policy, cross=True))
 
     @settings(max_examples=150, deadline=None)
     @given(workload=_linked_workloads(), policy=st.sampled_from(OVERLAP_POLICIES))
     def test_pipelined_never_slower_than_serial_lane(self, workload, policy):
-        tasks, compute, update = workload
-        serial = simulate_iteration(
-            tasks, compute_seconds=compute, overlap=policy, update_seconds=update
-        )
-        cross = simulate_iteration(
-            tasks, compute_seconds=compute, overlap=policy, update_seconds=update,
-            cross_bucket_pipeline=True,
-        )
+        serial = _run_linked(workload, policy, cross=False)
+        cross = _run_linked(workload, policy, cross=True)
         assert cross.iteration_seconds <= serial.iteration_seconds + 1e-9
         # Every bucket starts no later than on the serial lane.
-        serial_starts = {e.index: e.comm_start for e in serial.events}
-        for event in cross.events:
-            assert event.comm_start <= serial_starts[event.index] + 1e-9
+        assert np.all(cross.comm_start <= serial.comm_start + 1e-9)
 
     @settings(max_examples=150, deadline=None)
     @given(workload=_linked_workloads(), policy=st.sampled_from(OVERLAP_POLICIES))
     def test_total_comm_seconds_conserved(self, workload, policy):
-        tasks, compute, update = workload
-        cross = simulate_iteration(
-            tasks, compute_seconds=compute, overlap=policy, update_seconds=update,
-            cross_bucket_pipeline=True,
-        )
+        costs = workload[1]
+        cross = _run_linked(workload, policy, cross=True)
         assert cross.total_comm_seconds == pytest.approx(
-            sum(t.comm_seconds for t in tasks), rel=1e-12, abs=1e-12
+            sum(cost.total for cost in costs), rel=1e-12, abs=1e-12
         )
         # Rigid sliding: each bucket's internal placement is preserved.
-        by_index = {t.index: t for t in tasks}
-        for event in cross.events:
-            task = by_index[event.index]
-            assert event.comm_end - event.comm_start == pytest.approx(task.comm_seconds)
-            for phase, (_, seconds, offset, link) in zip(event.phases, task.comm_phases):
-                assert phase.start - event.comm_start == pytest.approx(offset, abs=1e-12)
-                assert phase.end - phase.start == pytest.approx(seconds, abs=1e-12)
-                assert phase.link == link
+        for event, cost in zip(check_schedule(cross).events, costs):
+            assert event.comm_end - event.comm_start == pytest.approx(cost.total)
+            for phase, placed in zip(event.phases, cost.phases):
+                assert phase.start - event.comm_start == pytest.approx(placed.start, abs=1e-12)
+                assert phase.end - phase.start == pytest.approx(placed.seconds, abs=1e-12)
+                assert phase.link == placed.link
+
+    def test_sub_resolution_phase_does_not_stall_template_fit(self):
+        # Regression: the second bucket ends with a 2.7e-155 s phase on "bus",
+        # a zero-width span at float resolution.  Committing it made the first
+        # bucket's bus phase bump to a start that rounded back to itself, and
+        # the template fit looped forever.
+        table = PhaseTable.from_costs([
+            _placed_cost([("exchange", 0.26467745411261984, 0.0, "inter"),
+                          ("gather", 0.5, 0.26467745411261984, "bus")]),
+            _placed_cost([("a", 0.5, 0.0, "intra"), ("b", 0.25, 0.5, "intra"),
+                          ("tiny", 2.6597885605377292e-155, 0.75, "bus")]),
+        ])
+        schedule = simulate_table(
+            table,
+            ready_seconds=[0.5, 0.125],
+            compress_seconds=[0.0, 0.07625499513491063],
+            compute_seconds=0.5,
+            overlap="comm+compress",
+            cross_bucket_pipeline=True,
+        )
+        check_schedule(schedule)
+        assert schedule.comm_start.tolist() == [0.5, 0.20125499513491063]
 
     @settings(max_examples=80, deadline=None)
     @given(
         policy=st.sampled_from(OVERLAP_POLICIES),
         chunks=st.integers(min_value=1, max_value=8),
-        payload=st.floats(min_value=1e4, max_value=1e8),
-        num_buckets=st.integers(min_value=1, max_value=4),
+        payloads=st.lists(st.floats(min_value=1e4, max_value=1e8), min_size=1, max_size=4),
     )
-    def test_invariants_hold_for_real_pipelined_collectives(
-        self, policy, chunks, payload, num_buckets
-    ):
-        # Chunk-placed hierarchical costs (gapped templates) through the
-        # timeline's own phase conversion: exclusivity and conservation must
-        # survive template sliding too.
-        from repro.distributed import COLLECTIVE_ALGORITHMS, ClusterTopology, NetworkModel
-        from repro.distributed.timeline import _comm_phase_entries
+    def test_invariants_hold_for_real_pipelined_collectives(self, policy, chunks, payloads):
+        # Chunk-placed hierarchical costs (gapped, possibly ragged templates)
+        # through the collective model's own table: exclusivity and
+        # conservation must survive template sliding too.
+        from repro.distributed import ClusterTopology, CollectiveModel, NetworkModel
 
         topology = ClusterTopology(
             num_nodes=4,
@@ -679,36 +572,24 @@ class TestCrossBucketInvariants:
             inter_node=NetworkModel(bandwidth_gbps=10.0, latency_s=5e-5, name="inter"),
             intra_node=NetworkModel(bandwidth_gbps=100.0, latency_s=5e-6, name="intra"),
         )
-        cost = COLLECTIVE_ALGORITHMS["hierarchical"].cost(
-            topology, "allgather", payload, pipeline_chunks=chunks
+        model = CollectiveModel(
+            topology, allgather_algorithm="hierarchical", pipeline_chunks=chunks
         )
-        tasks = [
-            BucketTask(
-                index=i,
-                ready_seconds=(num_buckets - i) / num_buckets,
-                compress_seconds=0.01,
-                comm_seconds=cost.total,
-                comm_phases=_comm_phase_entries(cost),
-            )
-            for i in range(num_buckets)
-        ]
-        serial = simulate_iteration(tasks, compute_seconds=1.0, overlap=policy)
-        cross = simulate_iteration(
-            tasks, compute_seconds=1.0, overlap=policy, cross_bucket_pipeline=True
+        table = model.allgather_phase_table(payloads, [None] * len(payloads))
+        expected = [model.allgather_cost(payload).total for payload in payloads]
+        assert table.totals.tolist() == expected
+        kwargs = dict(
+            ready_seconds=_reverse_ready(len(payloads), 1.0),
+            compress_seconds=[0.01] * len(payloads),
+            compute_seconds=1.0,
+            overlap=policy,
         )
+        serial = simulate_table(table, **kwargs)
+        cross = simulate_table(table, cross_bucket_pipeline=True, **kwargs)
+        check_schedule(serial)
+        check_schedule(cross)
         assert cross.iteration_seconds <= serial.iteration_seconds + 1e-9
-        assert cross.total_comm_seconds == pytest.approx(
-            sum(t.comm_seconds for t in tasks), rel=1e-12
-        )
-        by_link: dict[str, list[tuple[float, float]]] = {}
-        for event in cross.events:
-            for phase in event.phases:
-                if phase.end > phase.start:
-                    by_link.setdefault(phase.link, []).append((phase.start, phase.end))
-        for spans in by_link.values():
-            spans.sort()
-            for (_, a_end), (b_start, _) in zip(spans, spans[1:]):
-                assert b_start >= a_end - 1e-9 * max(1.0, a_end)
+        assert cross.total_comm_seconds == pytest.approx(sum(expected), rel=1e-12)
 
 
 class TestLinkUtilization:
@@ -727,11 +608,11 @@ class TestLinkUtilization:
             assert cross[link]["utilization"] > serial[link]["utilization"]
         assert cross["inter"]["utilization"] <= 1.0 + 1e-9
 
-    def test_phaseless_events_fall_on_anonymous_lane(self):
-        tasks = [
-            BucketTask(index=0, ready_seconds=0.0, compress_seconds=0.0, comm_seconds=0.4)
-        ]
-        schedule = simulate_iteration(tasks, compute_seconds=0.1, overlap="comm")
+    def test_unnamed_link_reported_under_empty_key(self):
+        schedule = simulate_iteration_arrays(
+            ready_seconds=[0.0], compress_seconds=[0.0], phase_seconds=[[0.4]],
+            phase_names=("allgather",), phase_links=("",), compute_seconds=0.1, overlap="comm",
+        )
         util = schedule.link_utilization()
         assert set(util) == {""}
         assert util[""]["busy_seconds"] == pytest.approx(0.4)
@@ -743,12 +624,10 @@ class TestLinkUtilization:
         # contributes to the window.  The window start must not be left at a
         # sentinel that leaks inf/NaN into utilizations — the contract is an
         # empty dict, same as a schedule with no buckets.
-        tasks = [
-            BucketTask(index=i, ready_seconds=0.0, compress_seconds=0.1, comm_seconds=0.0)
-            for i in range(3)
-        ]
-        schedule = simulate_iteration(
-            tasks, compute_seconds=0.1, overlap="comm", cross_bucket_pipeline=cross
+        schedule = simulate_iteration_arrays(
+            ready_seconds=[0.0] * 3, compress_seconds=[0.1] * 3, phase_seconds=np.zeros((3, 0)),
+            phase_names=(), phase_links=(), compute_seconds=0.1, overlap="comm",
+            cross_bucket_pipeline=cross,
         )
         assert schedule.link_utilization() == {}
 
@@ -757,11 +636,10 @@ class TestPr4GoldenSchedules:
     """Golden pins captured at the PR-4 head (commit 562d90d).
 
     The workload prices four buckets' hierarchical all-gathers on the
-    ``ethernet-4x8`` preset (serial phases and ``pipeline_chunks=4``) and runs
-    them through ``simulate_iteration`` with the serial network lane.  The
+    ``ethernet-4x8`` preset (serial phases and ``pipeline_chunks=4``) and
+    schedules them on the serial network lane.  The
     ``cross_bucket_pipeline=False`` default must reproduce every number
-    bit-for-bit — the cross-bucket refactor may not perturb the PR-4
-    schedules.
+    bit-for-bit — no scheduler refactor may perturb the PR-4 schedules.
     """
 
     PAYLOADS = (2_000_000.0, 1_500_000.0, 1_000_000.0, 500_000.0)
@@ -778,21 +656,6 @@ class TestPr4GoldenSchedules:
         ("chunked", "comm+compress"): (0.3006790476190476, ((0.18679142857142858, 0.2996790476190476), (0.1019657142857143, 0.18679142857142858), (0.04520190476190476, 0.1019657142857143), (0.0165, 0.04520190476190476))),
     }
 
-    def _tasks(self, model):
-        from repro.distributed.timeline import _comm_phase_entries
-
-        n = len(self.PAYLOADS)
-        return [
-            BucketTask(
-                index=i,
-                ready_seconds=self.COMPUTE * (n - i) / n,
-                compress_seconds=0.001 * (i + 1),
-                comm_seconds=model.allgather_cost(payload).total,
-                comm_phases=_comm_phase_entries(model.allgather_cost(payload)),
-            )
-            for i, payload in enumerate(self.PAYLOADS)
-        ]
-
     @pytest.mark.parametrize("collective", ["serial", "chunked"])
     @pytest.mark.parametrize("policy", OVERLAP_POLICIES)
     def test_serial_lane_reproduces_pr4_head(self, collective, policy):
@@ -804,13 +667,17 @@ class TestPr4GoldenSchedules:
             allgather_algorithm="hierarchical",
             pipeline_chunks=chunks,
         )
-        schedule = simulate_iteration(
-            self._tasks(model),
+        n = len(self.PAYLOADS)
+        schedule = simulate_table(
+            model.allgather_phase_table(self.PAYLOADS, [None] * n),
+            ready_seconds=_reverse_ready(n, self.COMPUTE),
+            compress_seconds=[0.001 * (i + 1) for i in range(n)],
             compute_seconds=self.COMPUTE,
             overlap=policy,
             update_seconds=self.UPDATE,
             cross_bucket_pipeline=False,
         )
+        check_schedule(schedule)
         golden_total, golden_spans = self.GOLDEN[(collective, policy)]
         assert schedule.iteration_seconds == golden_total
-        assert tuple((e.comm_start, e.comm_end) for e in schedule.events) == golden_spans
+        assert tuple(zip(schedule.comm_start.tolist(), schedule.comm_end.tolist())) == golden_spans

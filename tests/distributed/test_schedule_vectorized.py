@@ -1,11 +1,14 @@
-"""Golden pins and loop-vs-vectorized equality for the batched scheduler core.
+"""Golden pins and invariants for the array scheduler.
 
-The vectorized backend's contract is *bit-for-bit* reproduction of the loop
-reference, so these tests use exact ``==`` comparisons throughout — no
-``pytest.approx``.  The golden tables below were generated by the loop
-backend before the vectorized core landed; both backends must keep
-reproducing them unchanged.
+The scheduler's contract is *bit-for-bit* reproduction of its pinned
+schedules, so the golden tests use exact ``==`` comparisons throughout — no
+``pytest.approx``.  ``GOLDEN`` was captured before the batched core landed;
+``LOOP_GOLDEN`` was captured from the former scalar reference scheduler on
+the two paths where its arithmetic differed from, or bypassed, the batched
+core: ragged chunk-pipelined collectives and non-nominal lane rates.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from repro.distributed import (
     CollectiveModel,
     IterationSchedule,
     NetworkModel,
+    PhaseTable,
     ScheduleArrays,
     SparseAggregateModel,
     TimelineModel,
@@ -25,11 +29,11 @@ from repro.distributed import (
 from repro.gradients import realistic_gradient
 from repro.perfmodel import GPU_V100
 from repro.pipeline import CompressionPipeline
+from tests.schedule_checks import check_schedule
 
 ALL_PRESETS = sorted(TOPOLOGIES)
-BACKENDS = ("loop", "vectorized")
 
-#: Loop-backend schedules for the pre-existing presets, captured verbatim
+#: Pre-vectorization schedules for the pre-existing presets, captured verbatim
 #: (full float repr) under the scenario built by ``_timeline``/``_results``:
 #: per-bucket (ready, compress_start, compress_end, comm_start, comm_end).
 GOLDEN = {
@@ -61,23 +65,223 @@ GOLDEN = {
     },
 }
 
+#: Full schedules from the former scalar reference scheduler (under
+#: ``overlap="comm+compress"``), keyed by (scenario, cross_bucket_pipeline):
+#:
+#: * ``"chunked"`` — ``ethernet-4x8``, ``pipeline_chunks=4``, dimension scale
+#:   100 over ``_results(36_000)``: the two 360 kB buckets pipeline into 12
+#:   chunk phases, the 80 kB tail bucket falls back to 3 serial phases;
+#: * ``"comm_scale"`` — ``fat-tree-128`` over ``_results(16_000)``, priced by
+#:   ``compressed_iteration(..., comm_scale=1.7)``.
+#:
+#: Per bucket: (ready, compress_start, compress_end, comm_start, comm_end,
+#: ((phase name, start, end, link), ...)).
+LOOP_GOLDEN = {
+    ("chunked", False): {
+        "iteration_seconds": 0.04285934675788852,
+        "serialized_seconds": 0.05419461367125167,
+        "events": [
+            (0.005, 0.0068135, 0.010877, 0.02433642337894426, 0.04185934675788852, (
+                ("intra-gather[c0]", 0.02433642337894426, 0.024455423378944262, "infiniband-100g"),
+                ("inter-allgather[c0]", 0.024455423378944262, 0.028759776912747836, "ethernet-10g"),
+                ("intra-broadcast[c0]", 0.028759776912747836, 0.028946286156477798, "infiniband-100g"),
+                ("intra-gather[c1]", 0.024455423378944262, 0.024574423378944263, "infiniband-100g"),
+                ("inter-allgather[c1]", 0.028759776912747836, 0.03306413044655141, "ethernet-10g"),
+                ("intra-broadcast[c1]", 0.03306413044655141, 0.03325063969028137, "infiniband-100g"),
+                ("intra-gather[c2]", 0.02457442337894426, 0.02469342337894426, "infiniband-100g"),
+                ("inter-allgather[c2]", 0.03306413044655141, 0.037368483980354986, "ethernet-10g"),
+                ("intra-broadcast[c2]", 0.037368483980354986, 0.03755499322408495, "infiniband-100g"),
+                ("intra-gather[c3]", 0.02469342337894426, 0.02481242337894426, "infiniband-100g"),
+                ("inter-allgather[c3]", 0.037368483980354986, 0.04167283751415856, "ethernet-10g"),
+                ("intra-broadcast[c3]", 0.04167283751415856, 0.04185934675788852, "infiniband-100g"),
+            )),
+            (0.0027500000000000003, 0.0027500000000000003, 0.0068135, 0.0068135, 0.02433642337894426, (
+                ("intra-gather[c0]", 0.0068135, 0.0069325, "infiniband-100g"),
+                ("inter-allgather[c0]", 0.0069325, 0.011236853533803576, "ethernet-10g"),
+                ("intra-broadcast[c0]", 0.011236853533803576, 0.011423362777533535, "infiniband-100g"),
+                ("intra-gather[c1]", 0.0069325, 0.0070515000000000005, "infiniband-100g"),
+                ("inter-allgather[c1]", 0.011236853533803576, 0.01554120706760715, "ethernet-10g"),
+                ("intra-broadcast[c1]", 0.01554120706760715, 0.01572771631133711, "infiniband-100g"),
+                ("intra-gather[c2]", 0.0070515000000000005, 0.007170500000000001, "infiniband-100g"),
+                ("inter-allgather[c2]", 0.01554120706760715, 0.019845560601410725, "ethernet-10g"),
+                ("intra-broadcast[c2]", 0.019845560601410725, 0.020032069845140686, "infiniband-100g"),
+                ("intra-gather[c3]", 0.0071705, 0.0072895, "infiniband-100g"),
+                ("inter-allgather[c3]", 0.019845560601410725, 0.0241499141352143, "ethernet-10g"),
+                ("intra-broadcast[c3]", 0.0241499141352143, 0.02433642337894426, "infiniband-100g"),
+            )),
+            (0.0005, 0.0005, 0.001403, 0.001403, 0.005521766913363141, (
+                ("intra-gather", 0.001403, 0.0015126666666666667, "infiniband-100g"),
+                ("inter-allgather", 0.0015126666666666667, 0.005355425363380955, "ethernet-10g"),
+                ("intra-broadcast", 0.005355425363380955, 0.005521766913363141, "infiniband-100g"),
+            )),
+        ],
+    },
+    ("chunked", True): {
+        "iteration_seconds": 0.04285934675788852,
+        "serialized_seconds": 0.05419461367125167,
+        "events": [
+            (0.005, 0.0068135, 0.010877, 0.02433642337894426, 0.04185934675788852, (
+                ("intra-gather[c0]", 0.02433642337894426, 0.024455423378944262, "infiniband-100g"),
+                ("inter-allgather[c0]", 0.024455423378944262, 0.028759776912747836, "ethernet-10g"),
+                ("intra-broadcast[c0]", 0.028759776912747836, 0.028946286156477798, "infiniband-100g"),
+                ("intra-gather[c1]", 0.024455423378944262, 0.024574423378944263, "infiniband-100g"),
+                ("inter-allgather[c1]", 0.028759776912747836, 0.03306413044655141, "ethernet-10g"),
+                ("intra-broadcast[c1]", 0.03306413044655141, 0.03325063969028137, "infiniband-100g"),
+                ("intra-gather[c2]", 0.02457442337894426, 0.02469342337894426, "infiniband-100g"),
+                ("inter-allgather[c2]", 0.03306413044655141, 0.037368483980354986, "ethernet-10g"),
+                ("intra-broadcast[c2]", 0.037368483980354986, 0.03755499322408495, "infiniband-100g"),
+                ("intra-gather[c3]", 0.02469342337894426, 0.02481242337894426, "infiniband-100g"),
+                ("inter-allgather[c3]", 0.037368483980354986, 0.04167283751415856, "ethernet-10g"),
+                ("intra-broadcast[c3]", 0.04167283751415856, 0.04185934675788852, "infiniband-100g"),
+            )),
+            (0.0027500000000000003, 0.0027500000000000003, 0.0068135, 0.0068135, 0.02433642337894426, (
+                ("intra-gather[c0]", 0.0068135, 0.0069325, "infiniband-100g"),
+                ("inter-allgather[c0]", 0.0069325, 0.011236853533803576, "ethernet-10g"),
+                ("intra-broadcast[c0]", 0.011236853533803576, 0.011423362777533535, "infiniband-100g"),
+                ("intra-gather[c1]", 0.0069325, 0.0070515000000000005, "infiniband-100g"),
+                ("inter-allgather[c1]", 0.011236853533803576, 0.01554120706760715, "ethernet-10g"),
+                ("intra-broadcast[c1]", 0.01554120706760715, 0.01572771631133711, "infiniband-100g"),
+                ("intra-gather[c2]", 0.0070515000000000005, 0.007170500000000001, "infiniband-100g"),
+                ("inter-allgather[c2]", 0.01554120706760715, 0.019845560601410725, "ethernet-10g"),
+                ("intra-broadcast[c2]", 0.019845560601410725, 0.020032069845140686, "infiniband-100g"),
+                ("intra-gather[c3]", 0.0071705, 0.0072895, "infiniband-100g"),
+                ("inter-allgather[c3]", 0.019845560601410725, 0.0241499141352143, "ethernet-10g"),
+                ("intra-broadcast[c3]", 0.0241499141352143, 0.02433642337894426, "infiniband-100g"),
+            )),
+            (0.0005, 0.0005, 0.001403, 0.001403, 0.005521766913363141, (
+                ("intra-gather", 0.001403, 0.0015126666666666667, "infiniband-100g"),
+                ("inter-allgather", 0.0015126666666666667, 0.005355425363380955, "ethernet-10g"),
+                ("intra-broadcast", 0.005355425363380955, 0.005521766913363141, "infiniband-100g"),
+            )),
+        ],
+    },
+    ("comm_scale", False): {
+        "iteration_seconds": 0.5195039642053142,
+        "serialized_seconds": 0.5271199642053142,
+        "communication": 0.5165999642053143,
+        "events": [
+            (0.005, 0.005, 0.005904, 0.4151839713642514, 0.5185039642053142, (
+                ("node-gather", 0.4151839713642514, 0.41537040469758474, "infiniband-100g"),
+                ("rack-gather", 0.41537040469758474, 0.42158658182970477, "ethernet-25g"),
+                ("pod-gather", 0.4215865818297047, 0.4361008216450872, "ethernet-25g/os2"),
+                ("core-allgather", 0.43610082164508723, 0.510961388014838, "ethernet-10g/os4"),
+                ("pod-broadcast", 0.510961388014838, 0.5157374165862666, "ethernet-25g/os2"),
+                ("rack-broadcast", 0.5157374165862666, 0.5181509308719808, "ethernet-25g"),
+                ("node-broadcast", 0.5181509308719809, 0.5185039642053143, "infiniband-100g"),
+            )),
+            (0.004, 0.004, 0.004904, 0.31186397852318853, 0.4151839713642514, (
+                ("node-gather", 0.31186397852318853, 0.3120504118565219, "infiniband-100g"),
+                ("rack-gather", 0.3120504118565219, 0.3182665889886419, "ethernet-25g"),
+                ("pod-gather", 0.31826658898864185, 0.3327808288040243, "ethernet-25g/os2"),
+                ("core-allgather", 0.3327808288040244, 0.4076413951737752, "ethernet-10g/os4"),
+                ("pod-broadcast", 0.4076413951737752, 0.41241742374520374, "ethernet-25g/os2"),
+                ("rack-broadcast", 0.41241742374520374, 0.41483093803091803, "ethernet-25g"),
+                ("node-broadcast", 0.41483093803091803, 0.41518397136425134, "infiniband-100g"),
+            )),
+            (0.003, 0.003, 0.003904, 0.20854398568212568, 0.31186397852318853, (
+                ("node-gather", 0.20854398568212568, 0.20873041901545902, "infiniband-100g"),
+                ("rack-gather", 0.20873041901545902, 0.21494659614757902, "ethernet-25g"),
+                ("pod-gather", 0.21494659614757902, 0.2294608359629615, "ethernet-25g/os2"),
+                ("core-allgather", 0.2294608359629615, 0.3043214023327123, "ethernet-10g/os4"),
+                ("pod-broadcast", 0.3043214023327123, 0.3090974309041409, "ethernet-25g/os2"),
+                ("rack-broadcast", 0.3090974309041409, 0.31151094518985517, "ethernet-25g"),
+                ("node-broadcast", 0.31151094518985517, 0.3118639785231885, "infiniband-100g"),
+            )),
+            (0.002, 0.002, 0.002904, 0.10522399284106285, 0.20854398568212568, (
+                ("node-gather", 0.10522399284106285, 0.10541042617439618, "infiniband-100g"),
+                ("rack-gather", 0.10541042617439618, 0.11162660330651618, "ethernet-25g"),
+                ("pod-gather", 0.11162660330651618, 0.12614084312189866, "ethernet-25g/os2"),
+                ("core-allgather", 0.12614084312189866, 0.20100140949164946, "ethernet-10g/os4"),
+                ("pod-broadcast", 0.2010014094916495, 0.20577743806307805, "ethernet-25g/os2"),
+                ("rack-broadcast", 0.20577743806307808, 0.20819095234879237, "ethernet-25g"),
+                ("node-broadcast", 0.20819095234879237, 0.2085439856821257, "infiniband-100g"),
+            )),
+            (0.001, 0.001, 0.0019039999999999999, 0.0019039999999999999, 0.10522399284106285, (
+                ("node-gather", 0.0019039999999999999, 0.002090433333333333, "infiniband-100g"),
+                ("rack-gather", 0.002090433333333333, 0.008306610465453336, "ethernet-25g"),
+                ("pod-gather", 0.008306610465453336, 0.022820850280835817, "ethernet-25g/os2"),
+                ("core-allgather", 0.022820850280835817, 0.09768141665058663, "ethernet-10g/os4"),
+                ("pod-broadcast", 0.09768141665058665, 0.10245744522201522, "ethernet-25g/os2"),
+                ("rack-broadcast", 0.10245744522201522, 0.10487095950772951, "ethernet-25g"),
+                ("node-broadcast", 0.10487095950772951, 0.10522399284106285, "infiniband-100g"),
+            )),
+        ],
+    },
+    ("comm_scale", True): {
+        "iteration_seconds": 0.4056662583200661,
+        "serialized_seconds": 0.5271199642053142,
+        "communication": 0.5165999642053143,
+        "events": [
+            (0.005, 0.005, 0.005904, 0.30134626547900323, 0.4046662583200661, (
+                ("node-gather", 0.30134626547900323, 0.3015326988123366, "infiniband-100g"),
+                ("rack-gather", 0.3015326988123366, 0.3077488759444566, "ethernet-25g"),
+                ("pod-gather", 0.30774887594445655, 0.322263115759839, "ethernet-25g/os2"),
+                ("core-allgather", 0.32226311575983907, 0.39712368212958987, "ethernet-10g/os4"),
+                ("pod-broadcast", 0.39712368212958987, 0.40189971070101843, "ethernet-25g/os2"),
+                ("rack-broadcast", 0.40189971070101843, 0.4043132249867327, "ethernet-25g"),
+                ("node-broadcast", 0.4043132249867327, 0.40466625832006603, "infiniband-100g"),
+            )),
+            (0.004, 0.004, 0.004904, 0.22648569910925245, 0.3298056919503153, (
+                ("node-gather", 0.22648569910925245, 0.2266721324425858, "infiniband-100g"),
+                ("rack-gather", 0.2266721324425858, 0.2328883095747058, "ethernet-25g"),
+                ("pod-gather", 0.2328883095747058, 0.24740254939008827, "ethernet-25g/os2"),
+                ("core-allgather", 0.24740254939008827, 0.32226311575983907, "ethernet-10g/os4"),
+                ("pod-broadcast", 0.3222631157598391, 0.3270391443312677, "ethernet-25g/os2"),
+                ("rack-broadcast", 0.3270391443312677, 0.329452658616982, "ethernet-25g"),
+                ("node-broadcast", 0.329452658616982, 0.3298056919503153, "infiniband-100g"),
+            )),
+            (0.003, 0.003, 0.003904, 0.15162513273950165, 0.2549451255805645, (
+                ("node-gather", 0.15162513273950165, 0.151811566072835, "infiniband-100g"),
+                ("rack-gather", 0.151811566072835, 0.158027743204955, "ethernet-25g"),
+                ("pod-gather", 0.158027743204955, 0.17254198302033746, "ethernet-25g/os2"),
+                ("core-allgather", 0.17254198302033746, 0.24740254939008827, "ethernet-10g/os4"),
+                ("pod-broadcast", 0.2474025493900883, 0.2521785779615169, "ethernet-25g/os2"),
+                ("rack-broadcast", 0.2521785779615169, 0.25459209224723117, "ethernet-25g"),
+                ("node-broadcast", 0.25459209224723117, 0.2549451255805645, "infiniband-100g"),
+            )),
+            (0.002, 0.002, 0.002904, 0.07676456636975082, 0.18008455921081368, (
+                ("node-gather", 0.07676456636975082, 0.07695099970308415, "infiniband-100g"),
+                ("rack-gather", 0.07695099970308415, 0.08316717683520415, "ethernet-25g"),
+                ("pod-gather", 0.08316717683520415, 0.09768141665058663, "ethernet-25g/os2"),
+                ("core-allgather", 0.09768141665058663, 0.17254198302033746, "ethernet-10g/os4"),
+                ("pod-broadcast", 0.17254198302033746, 0.17731801159176602, "ethernet-25g/os2"),
+                ("rack-broadcast", 0.17731801159176602, 0.1797315258774803, "ethernet-25g"),
+                ("node-broadcast", 0.1797315258774803, 0.18008455921081365, "infiniband-100g"),
+            )),
+            (0.001, 0.001, 0.0019039999999999999, 0.0019039999999999999, 0.10522399284106285, (
+                ("node-gather", 0.0019039999999999999, 0.002090433333333333, "infiniband-100g"),
+                ("rack-gather", 0.002090433333333333, 0.008306610465453336, "ethernet-25g"),
+                ("pod-gather", 0.008306610465453336, 0.022820850280835817, "ethernet-25g/os2"),
+                ("core-allgather", 0.022820850280835817, 0.09768141665058663, "ethernet-10g/os4"),
+                ("pod-broadcast", 0.09768141665058665, 0.10245744522201522, "ethernet-25g/os2"),
+                ("rack-broadcast", 0.10245744522201522, 0.10487095950772951, "ethernet-25g"),
+                ("node-broadcast", 0.10487095950772951, 0.10522399284106285, "infiniband-100g"),
+            )),
+        ],
+    },
+}
+
 
 @pytest.fixture(scope="module")
 def bucketed_results():
+    return _results(16_000)
+
+
+def _results(bucket_bytes):
     gradient = realistic_gradient(20_000, seed=13)
-    pipeline = CompressionPipeline(create_compressor("topk"), bucket_bytes=16_000)
+    pipeline = CompressionPipeline(create_compressor("topk"), bucket_bytes=bucket_bytes)
     return [pipeline.compress(gradient, 0.05) for _ in range(2)]
 
 
 def _timeline(
     preset,
-    backend,
     *,
     overlap="comm+compress",
     cross_bucket=True,
     algorithm="hierarchical",
     dedup="uniform",
     pipeline_chunks=1,
+    dimension_scale=50.0,
 ):
     topology = get_topology(preset)
     collective = CollectiveModel(
@@ -93,11 +297,10 @@ def _timeline(
         num_workers=topology.num_workers,
         model_dimension=20_000,
         update_seconds=0.001,
-        dimension_scale=50.0,
+        dimension_scale=dimension_scale,
         overlap=overlap,
         collective=collective,
         cross_bucket_pipeline=cross_bucket,
-        scheduler_backend=backend,
     )
 
 
@@ -108,14 +311,22 @@ def _event_rows(schedule):
     ]
 
 
+def _full_rows(schedule):
+    return [
+        (*row, tuple((p.name, p.start, p.end, p.link) for p in ev.phases))
+        for row, ev in zip(_event_rows(schedule), schedule.events)
+    ]
+
+
 class TestGoldenPins:
-    """Both backends reproduce the captured pre-vectorization schedules exactly."""
+    """The scheduler reproduces the captured schedules exactly."""
 
     @pytest.mark.parametrize("preset", sorted(GOLDEN))
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_schedule_matches_golden(self, preset, backend, bucketed_results):
+    def test_schedule_matches_golden(self, preset, bucketed_results):
         golden = GOLDEN[preset]
-        schedule = _timeline(preset, backend).schedule_iteration(bucketed_results)
+        schedule = _timeline(preset).schedule_iteration(bucketed_results)
+        assert isinstance(schedule, ScheduleArrays)
+        check_schedule(schedule)
         assert schedule.iteration_seconds == golden["iteration_seconds"]
         assert schedule.serialized_seconds == golden["serialized_seconds"]
         assert _event_rows(schedule) == golden["events"]
@@ -123,119 +334,165 @@ class TestGoldenPins:
         assert tuple(p.name for p in first.phases) == golden["phase_names"]
         assert tuple(p.link for p in first.phases) == golden["phase_links"]
 
-    @pytest.mark.parametrize("preset", sorted(GOLDEN))
-    def test_backend_types(self, preset, bucketed_results):
-        loop = _timeline(preset, "loop").schedule_iteration(bucketed_results)
-        vec = _timeline(preset, "vectorized").schedule_iteration(bucketed_results)
-        assert isinstance(loop, IterationSchedule)
-        assert isinstance(vec, ScheduleArrays)
+    @pytest.mark.parametrize("cross_bucket", [False, True])
+    def test_ragged_chunked_schedule_matches_loop_golden(self, cross_bucket):
+        golden = LOOP_GOLDEN[("chunked", cross_bucket)]
+        timeline = _timeline(
+            "ethernet-4x8", cross_bucket=cross_bucket, pipeline_chunks=4, dimension_scale=100.0
+        )
+        schedule = timeline.schedule_iteration(_results(36_000))
+        view = check_schedule(schedule)
+        # Ragged rows: both sides of the latency-bound serial fallback.
+        assert [len(event.phases) for event in view.events] == [12, 12, 3]
+        assert schedule.iteration_seconds == golden["iteration_seconds"]
+        assert schedule.serialized_seconds == golden["serialized_seconds"]
+        assert _full_rows(view) == golden["events"]
+
+    @pytest.mark.parametrize("cross_bucket", [False, True])
+    def test_scaled_comm_lane_matches_loop_golden(self, cross_bucket, bucketed_results):
+        golden = LOOP_GOLDEN[("comm_scale", cross_bucket)]
+        timing = _timeline("fat-tree-128", cross_bucket=cross_bucket).compressed_iteration(
+            bucketed_results, comm_scale=1.7
+        )
+        view = check_schedule(timing.schedule)
+        assert timing.communication == golden["communication"]
+        assert timing.total == golden["iteration_seconds"]
+        assert view.serialized_seconds == golden["serialized_seconds"]
+        assert _full_rows(view) == golden["events"]
 
 
-class TestBackendEquality:
-    """Vectorized == loop, bit for bit, across every preset and knob combo."""
+class TestInvariantsAcrossPresets:
+    """Every preset and knob combination yields a valid, consistent schedule."""
 
     @pytest.mark.parametrize("preset", ALL_PRESETS)
     @pytest.mark.parametrize("cross_bucket", [False, True])
     @pytest.mark.parametrize("overlap", ["comm", "comm+compress"])
-    def test_schedules_identical_across_presets(
-        self, preset, cross_bucket, overlap, bucketed_results
-    ):
-        loop = _timeline(preset, "loop", overlap=overlap, cross_bucket=cross_bucket)
-        vec = _timeline(preset, "vectorized", overlap=overlap, cross_bucket=cross_bucket)
-        loop_schedule = loop.schedule_iteration(bucketed_results)
-        vec_schedule = vec.schedule_iteration(bucketed_results)
-        assert isinstance(vec_schedule, ScheduleArrays)
-        assert vec_schedule.events == loop_schedule.events
-        assert vec_schedule.iteration_seconds == loop_schedule.iteration_seconds
-        assert vec_schedule.serialized_seconds == loop_schedule.serialized_seconds
-        assert vec_schedule.link_utilization() == loop_schedule.link_utilization()
+    def test_schedules_valid_across_presets(self, preset, cross_bucket, overlap, bucketed_results):
+        timeline = _timeline(preset, overlap=overlap, cross_bucket=cross_bucket)
+        schedule = timeline.schedule_iteration(bucketed_results)
+        assert isinstance(schedule, ScheduleArrays)
+        assert schedule.cross_bucket is cross_bucket
+        check_schedule(schedule)
+        times = timeline.bucket_communication_times(bucketed_results)
+        assert (schedule.comm_end - schedule.comm_start).tolist() == pytest.approx(times)
 
     @pytest.mark.parametrize("preset", ALL_PRESETS)
     @pytest.mark.parametrize("overlap", ["none", "comm", "comm+compress"])
-    def test_iteration_timings_identical(self, preset, overlap, bucketed_results):
-        loop = _timeline(preset, "loop", overlap=overlap).compressed_iteration(bucketed_results)
-        vec = _timeline(preset, "vectorized", overlap=overlap).compressed_iteration(
-            bucketed_results
-        )
-        assert vec.compute == loop.compute
-        assert vec.compression == loop.compression
-        assert vec.communication == loop.communication
-        assert vec.update == loop.update
-        assert vec.dedup_ratio == loop.dedup_ratio
-        assert vec.total == loop.total
-        assert vec.serialized == loop.serialized
+    def test_iteration_timing_consistent_with_schedule(self, preset, overlap, bucketed_results):
+        timeline = _timeline(preset, overlap=overlap)
+        timing = timeline.compressed_iteration(bucketed_results)
+        assert timing.communication == sum(timeline.bucket_communication_times(bucketed_results))
+        if overlap == "none":
+            assert timing.schedule is None
+            assert timing.total == timing.serialized
+        else:
+            check_schedule(timing.schedule)
+            assert timing.total == timing.schedule.iteration_seconds
+            assert timing.schedule.serialized_seconds == pytest.approx(timing.serialized)
 
-    @pytest.mark.parametrize("algorithm", ["flat-allgather", "recursive-doubling"])
+    @pytest.mark.parametrize("algorithm", ["flat-allgather", "recursive-doubling", "hierarchical"])
     @pytest.mark.parametrize("dedup", [None, "uniform"])
-    def test_equality_holds_for_other_algorithms(self, algorithm, dedup, bucketed_results):
-        loop = _timeline("fat-tree-128", "loop", algorithm=algorithm, dedup=dedup)
-        vec = _timeline("fat-tree-128", "vectorized", algorithm=algorithm, dedup=dedup)
-        loop_schedule = loop.schedule_iteration(bucketed_results)
-        vec_schedule = vec.schedule_iteration(bucketed_results)
-        assert isinstance(vec_schedule, ScheduleArrays)
-        assert vec_schedule.events == loop_schedule.events
-        assert vec_schedule.iteration_seconds == loop_schedule.iteration_seconds
+    @pytest.mark.parametrize("pipeline_chunks", [1, 4])
+    def test_table_rows_equal_per_bucket_costs(
+        self, algorithm, dedup, pipeline_chunks, bucketed_results
+    ):
+        # Row b of the priced table is bucket b's CollectiveCost, bit for bit.
+        timeline = _timeline(
+            "fat-tree-128", algorithm=algorithm, dedup=dedup, pipeline_chunks=pipeline_chunks
+        )
+        metadata = bucketed_results[0].metadata
+        payloads = [
+            max(r.metadata["bucket_payload_bytes"][i] for r in bucketed_results)
+            for i in range(metadata["num_buckets"])
+        ]
+        densities = [p / 8 / size for p, size in zip(payloads, metadata["bucket_sizes"])]
+        costs = [
+            timeline.collective.allgather_cost(p * 50.0, density=d)
+            for p, d in zip(payloads, densities)
+        ]
+        assert timeline.bucket_communication_times(bucketed_results) == [c.total for c in costs]
+        check_schedule(timeline.schedule_iteration(bucketed_results))
 
 
 class TestScheduleArraysSurface:
-    """ScheduleArrays duck-types the IterationSchedule the rest of the repo reads."""
+    """ScheduleArrays and its IterationSchedule view report the same trace."""
 
     def test_to_schedule_round_trips_exactly(self, bucketed_results):
-        vec = _timeline("torus-2d", "vectorized").schedule_iteration(bucketed_results)
-        loop = _timeline("torus-2d", "loop").schedule_iteration(bucketed_results)
-        materialized = vec.to_schedule()
-        assert isinstance(materialized, IterationSchedule)
-        assert materialized.events == loop.events
-        assert materialized.iteration_seconds == loop.iteration_seconds
+        arrays = _timeline("torus-2d").schedule_iteration(bucketed_results)
+        view = arrays.to_schedule()
+        assert isinstance(view, IterationSchedule)
+        assert [e.comm_start for e in view.events] == arrays.comm_start.tolist()
+        assert [e.comm_end for e in view.events] == arrays.comm_end.tolist()
+        assert [e.phases[0].start for e in view.events] == arrays.phase_start[:, 0].tolist()
+        assert view.iteration_seconds == arrays.iteration_seconds
+        assert view.link_utilization() == arrays.link_utilization()
 
-    def test_summary_properties_match_loop(self, bucketed_results):
-        vec = _timeline("ethernet-4x8", "vectorized").schedule_iteration(bucketed_results)
-        loop = _timeline("ethernet-4x8", "loop").schedule_iteration(bucketed_results)
-        assert vec.num_buckets == len(loop.events)
-        assert vec.total_compress_seconds == loop.total_compress_seconds
-        assert vec.total_comm_seconds == loop.total_comm_seconds
-        assert vec.overlap_saving == loop.overlap_saving
+    def test_summary_properties_match_view(self, bucketed_results):
+        arrays = _timeline("ethernet-4x8").schedule_iteration(bucketed_results)
+        view = arrays.to_schedule()
+        assert arrays.num_buckets == len(view.events)
+        assert arrays.total_compress_seconds == view.total_compress_seconds
+        assert arrays.total_comm_seconds == view.total_comm_seconds
+        assert arrays.overlap_saving == view.overlap_saving
 
 
-class TestVectorizedFallback:
-    """Configurations outside the batched contract silently defer to the loop."""
+class TestChunkedAndUnbucketed:
+    def test_chunked_collectives_schedule_from_a_masked_table(self, bucketed_results):
+        timeline = _timeline("ethernet-4x8", pipeline_chunks=4, dimension_scale=100.0)
+        schedule = timeline.schedule_iteration(_results(36_000))
+        assert isinstance(schedule, ScheduleArrays)
+        assert schedule.phase_mask is not None
+        assert schedule.phase_mask.sum(axis=1).tolist() == [12, 12, 3]
 
-    def test_pipeline_chunks_fall_back_to_loop(self, bucketed_results):
-        # Chunked collectives reshape phases per payload; no batched pricing
-        # exists, so the vectorized backend must hand over to the reference.
-        vec = _timeline("ethernet-4x8", "vectorized", pipeline_chunks=4)
-        loop = _timeline("ethernet-4x8", "loop", pipeline_chunks=4)
-        vec_schedule = vec.schedule_iteration(bucketed_results)
-        assert isinstance(vec_schedule, IterationSchedule)
-        assert vec_schedule.events == loop.schedule_iteration(bucketed_results).events
-
-    def test_unbucketed_results_fall_back_in_compressed_iteration(self):
+    def test_unbucketed_results_price_one_payload_without_schedule(self):
         gradient = realistic_gradient(5_000, seed=7)
         results = [create_compressor("topk").compress(gradient, 0.05)]
-        loop = _timeline("torus-2d", "loop").compressed_iteration(results)
-        vec = _timeline("torus-2d", "vectorized").compressed_iteration(results)
-        assert vec.total == loop.total
-        assert vec.communication == loop.communication
+        timeline = _timeline("torus-2d")
+        timing = timeline.compressed_iteration(results)
+        assert timing.schedule is None
+        payload = results[0].sparse.payload_bytes() * 50.0
+        expected = timeline.collective.allgather_cost(payload, density=results[0].sparse.density)
+        assert timing.communication == expected.total
+
+
+class TestPhaseTableFromCosts:
+    def test_ragged_rows_fill_their_own_blocks(self):
+        model = CollectiveModel(
+            get_topology("ethernet-4x8"), allgather_algorithm="hierarchical", pipeline_chunks=4
+        )
+        costs = [model.allgather_cost(p) for p in (2e6, 1e4, 3e6)]
+        table = PhaseTable.from_costs(costs)
+        assert table.seconds.shape == (3, 15)  # 12 chunk columns + 3 serial columns
+        assert table.mask.sum(axis=1).tolist() == [12, 3, 12]
+        assert table.mask[0, :12].all() and table.mask[1, 12:].all()
+        assert table.names[12:] == ("intra-gather", "inter-allgather", "intra-broadcast")
+        assert table.names[0] == "intra-gather[c0]"
+        assert table.totals.tolist() == [cost.total for cost in costs]
+        assert table.seconds[~table.mask].tolist() == [0.0] * (3 * 15 - 27)
+
+    def test_empty_and_phaseless_costs(self):
+        one_worker = CollectiveModel.flat(NetworkModel(), 1)
+        table = PhaseTable.from_costs([one_worker.allgather_cost(1e5)])
+        assert table.seconds.shape == (1, 0)
+        assert table.totals.tolist() == [0.0]
+        assert PhaseTable.from_costs([]).num_buckets == 0
 
 
 class TestScheduleIterationErrors:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_results_rejected(self, backend):
+    def test_empty_results_rejected(self):
         with pytest.raises(ValueError, match="at least one worker result"):
-            _timeline("torus-2d", backend).schedule_iteration([])
+            _timeline("torus-2d").schedule_iteration([])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_overlap_none_rejected(self, backend, bucketed_results):
-        timeline = _timeline("torus-2d", backend, overlap="none")
+    def test_overlap_none_rejected(self, bucketed_results):
+        timeline = _timeline("torus-2d", overlap="none")
         with pytest.raises(ValueError, match="builds no schedule"):
             timeline.schedule_iteration(bucketed_results)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unbucketed_results_rejected(self, backend):
+    def test_unbucketed_results_rejected(self):
         gradient = realistic_gradient(5_000, seed=7)
         results = [create_compressor("topk").compress(gradient, 0.05)]
         with pytest.raises(ValueError, match="no per-bucket payloads"):
-            _timeline("torus-2d", backend).schedule_iteration(results)
+            _timeline("torus-2d").schedule_iteration(results)
 
 
 class TestSimulateIterationArraysValidation:
@@ -255,6 +512,7 @@ class TestSimulateIterationArraysValidation:
         assert isinstance(arrays, ScheduleArrays)
         assert arrays.num_buckets == 2
         assert arrays.iteration_seconds > 0.0
+        check_schedule(arrays)
 
     def test_phase_matrix_shape_enforced(self):
         kwargs = self._valid_kwargs()
@@ -274,6 +532,18 @@ class TestSimulateIterationArraysValidation:
         with pytest.raises(ValueError, match="compress_seconds"):
             simulate_iteration_arrays(**kwargs)
 
+    def test_offsets_and_mask_shapes_enforced(self):
+        with pytest.raises(ValueError, match="phase_offsets"):
+            simulate_iteration_arrays(**self._valid_kwargs(), phase_offsets=[[0.0, 0.1]])
+        with pytest.raises(ValueError, match="phase_mask"):
+            simulate_iteration_arrays(**self._valid_kwargs(), phase_mask=[[True, True]])
+
+    def test_absent_phases_must_be_empty(self):
+        with pytest.raises(ValueError, match="zero seconds"):
+            simulate_iteration_arrays(
+                **self._valid_kwargs(), phase_mask=[[True, False], [True, True]]
+            )
+
     def test_negative_times_rejected(self):
         kwargs = self._valid_kwargs()
         kwargs["ready_seconds"] = [-0.1, 0.2]
@@ -282,35 +552,32 @@ class TestSimulateIterationArraysValidation:
         with pytest.raises(ValueError, match="non-negative"):
             simulate_iteration_arrays(**{**self._valid_kwargs(), "compute_seconds": -1.0})
 
-    def test_matches_loop_built_from_same_arrays(self):
-        # Direct API-level equality, independent of the timeline plumbing.
-        from repro.distributed.schedule import BucketTask, simulate_iteration
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_times_rejected(self, bad):
+        # NaN fails every ordered comparison, so "< 0" alone let it through
+        # and the iteration time came back NaN.
+        for field in ("compute_seconds", "update_seconds"):
+            with pytest.raises(ValueError, match="finite"):
+                simulate_iteration_arrays(**{**self._valid_kwargs(), field: bad})
+        for field, value in (
+            ("ready_seconds", [bad, 0.2]),
+            ("compress_seconds", [0.01, bad]),
+            ("phase_seconds", [[0.1, bad], [0.1, 0.2]]),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                simulate_iteration_arrays(**{**self._valid_kwargs(), field: value})
+        with pytest.raises(ValueError, match="finite"):
+            simulate_iteration_arrays(**self._valid_kwargs(), phase_offsets=[[0.0, bad]] * 2)
 
-        kwargs = self._valid_kwargs()
-        arrays = simulate_iteration_arrays(**kwargs, cross_bucket_pipeline=True)
-        phase_seconds = np.asarray(kwargs["phase_seconds"], dtype=float)
-        tasks = []
-        for i in range(2):
-            entries = []
-            cursor = 0.0
-            for p, name in enumerate(kwargs["phase_names"]):
-                seconds = float(phase_seconds[i, p])
-                entries.append((name, seconds, cursor, kwargs["phase_links"][p]))
-                cursor += seconds
-            tasks.append(
-                BucketTask(
-                    index=i,
-                    ready_seconds=kwargs["ready_seconds"][i],
-                    compress_seconds=kwargs["compress_seconds"][i],
-                    comm_seconds=float(phase_seconds[i].sum()),
-                    comm_phases=tuple(entries),
-                )
-            )
-        loop = simulate_iteration(
-            tasks,
-            compute_seconds=kwargs["compute_seconds"],
-            overlap=kwargs["overlap"],
-            cross_bucket_pipeline=True,
-        )
-        assert arrays.events == loop.events
-        assert arrays.iteration_seconds == loop.iteration_seconds
+    @pytest.mark.parametrize("cross_bucket", [False, True])
+    @pytest.mark.parametrize("comm_scale", [1.0, 1.7])
+    def test_serial_offsets_given_explicitly_change_nothing(self, cross_bucket, comm_scale):
+        # Offsets equal to the serial cursor walk reproduce the default path.
+        kwargs = dict(self._valid_kwargs(), cross_bucket_pipeline=cross_bucket,
+                      comm_scale=comm_scale)
+        seconds = np.asarray(kwargs["phase_seconds"])
+        offsets = np.zeros_like(seconds)
+        offsets[:, 1:] = np.cumsum(seconds, axis=1)[:, :-1]
+        implicit = simulate_iteration_arrays(**kwargs)
+        explicit = simulate_iteration_arrays(**kwargs, phase_offsets=offsets)
+        assert explicit.to_schedule() == implicit.to_schedule()

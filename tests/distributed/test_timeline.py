@@ -1,5 +1,6 @@
 """Tests for the iteration-time model."""
 
+import math
 import warnings
 
 import pytest
@@ -12,7 +13,6 @@ from repro.distributed import (
     SparseAggregateModel,
     TimelineModel,
     compute_time_for_overhead,
-    reset_bucket_fallback_warnings,
 )
 from repro.gradients import realistic_gradient
 from repro.perfmodel import GPU_V100
@@ -80,6 +80,14 @@ class TestCompressedIteration:
             TimelineModel(NetworkModel(), GPU_V100, compute_seconds=0.0, num_workers=0, model_dimension=10)
         with pytest.raises(ValueError):
             TimelineModel(NetworkModel(), GPU_V100, compute_seconds=0.0, num_workers=2, model_dimension=10, dimension_scale=0.0)
+        # Non-finite times would price every iteration as NaN/inf.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="compute_seconds"):
+                TimelineModel(NetworkModel(), GPU_V100, compute_seconds=bad, num_workers=2, model_dimension=10)
+            with pytest.raises(ValueError, match="update_seconds"):
+                TimelineModel(NetworkModel(), GPU_V100, compute_seconds=0.0, num_workers=2, model_dimension=10, update_seconds=bad)
+            with pytest.raises(ValueError, match="dimension_scale"):
+                TimelineModel(NetworkModel(), GPU_V100, compute_seconds=0.0, num_workers=2, model_dimension=10, dimension_scale=bad)
 
 
 class TestComputeTimeForOverhead:
@@ -99,6 +107,33 @@ class TestComputeTimeForOverhead:
     def test_invalid_fraction_rejected(self):
         with pytest.raises(ValueError):
             compute_time_for_overhead(NetworkModel(), 8, 100, 1.0)
+
+
+def _price_mixed_worker_pool():
+    """Price a mis-assembled (mixed bucketed/unbucketed) worker pool.
+
+    Both tests below call through this one line, so their warnings share a
+    location in Python's per-location warning registry.
+    """
+    from repro.pipeline import CompressionPipeline
+
+    gradient = realistic_gradient(20_000, seed=13)
+    bucketed = CompressionPipeline(create_compressor("topk"), bucket_bytes=16_000)
+    results = [bucketed.compress(gradient, 0.05), create_compressor("topk").compress(gradient, 0.05)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        assert _timeline(workers=2).bucket_communication_times(results) is None
+    return [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestFallbackWarningCarriesNoProcessState:
+    """The same misconfiguration warns again in the next test, with no reset hook."""
+
+    def test_first_test_sees_the_warning(self):
+        assert len(_price_mixed_worker_pool()) == 1
+
+    def test_next_test_sees_it_again(self):
+        assert len(_price_mixed_worker_pool()) == 1
 
 
 class TestBucketedCommunication:
@@ -140,24 +175,35 @@ class TestBucketedCommunication:
         # not an inconsistency: no warning.
         assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
 
-    def test_mixed_results_fall_back_with_warning(self):
-        # The autouse fixture already cleared the warn-once guard; the
-        # explicit reset documents that this test depends on a clean slate.
-        reset_bucket_fallback_warnings()
-        timeline = _timeline(workers=2)
+    def _mixed_results(self):
         bucketed = self._bucketed_results()[0]
         plain = create_compressor("topk").compress(realistic_gradient(20_000, seed=13), 0.05)
+        return [bucketed, plain]
+
+    def test_mixed_results_fall_back_with_warning(self):
+        timeline = _timeline(workers=2)
         with pytest.warns(RuntimeWarning, match="single-payload"):
-            assert timeline.bucket_communication_times([bucketed, plain]) is None
-        # The warning fires once per process, not once per iteration.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert timeline.bucket_communication_times([bucketed, plain]) is None
+            assert timeline.bucket_communication_times(self._mixed_results()) is None
+        # Every pricing entry point reports the fallback and prices one payload.
+        with pytest.warns(RuntimeWarning, match="single-payload"):
+            timing = timeline.compressed_iteration(self._mixed_results(), overlap="comm")
+        assert timing.schedule is None
+
+    def test_repeated_fallback_shows_once_per_calling_location(self):
+        # Python's warning registry, not module state, keeps a long training
+        # run from repeating the warning every iteration.
+        timeline = _timeline(workers=2)
+        results = self._mixed_results()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for _ in range(3):
+                timeline.compressed_iteration(results)
+        assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) == 1
+        assert caught[0].filename == __file__  # attributed to the caller
 
     def test_mismatched_bucket_counts_fall_back_with_warning(self):
         from repro.pipeline import CompressionPipeline
 
-        reset_bucket_fallback_warnings()
         timeline = _timeline(workers=2)
         gradient = realistic_gradient(20_000, seed=13)
         coarse = CompressionPipeline(create_compressor("topk"), bucket_bytes=16_000)
@@ -171,7 +217,6 @@ class TestBucketedCommunication:
         # a different one later in the same process.
         from repro.pipeline import CompressionPipeline
 
-        reset_bucket_fallback_warnings()
         timeline = _timeline(workers=2)
         gradient = realistic_gradient(20_000, seed=13)
         bucketed = self._bucketed_results()[0]

@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from repro.harness import (
@@ -168,19 +169,32 @@ class TestLinkUtilizationReport:
             assert "intra" in text and "inter" in text
             assert "utilisation=" in text and "busy=" in text
 
+    def _schedule(self, phase_seconds, links):
+        from repro.distributed import simulate_iteration_arrays
+
+        from tests.schedule_checks import check_schedule
+
+        num_buckets = len(phase_seconds)
+        schedule = simulate_iteration_arrays(
+            ready_seconds=[0.0] * num_buckets,
+            compress_seconds=[0.0] * num_buckets,
+            phase_seconds=np.reshape(phase_seconds, (num_buckets, len(links))),
+            phase_names=tuple(f"phase-{j}" for j in range(len(links))),
+            phase_links=links,
+            compute_seconds=0.1,
+            overlap="comm",
+        )
+        check_schedule(schedule)
+        return schedule
+
     def test_empty_schedule_renders_placeholder(self):
-        from repro.distributed import simulate_iteration
         from repro.harness import format_link_utilization
 
-        schedule = simulate_iteration([], compute_seconds=0.1, overlap="comm")
+        schedule = self._schedule([], ("net",))
         assert "(no communication events)" in format_link_utilization(schedule)
 
-    def test_anonymous_lane_labelled(self):
-        from repro.distributed import BucketTask, simulate_iteration
+    def test_unnamed_link_labelled(self):
         from repro.harness import format_link_utilization
 
-        tasks = [BucketTask(index=0, ready_seconds=0.0, compress_seconds=0.0, comm_seconds=0.2)]
-        text = format_link_utilization(
-            simulate_iteration(tasks, compute_seconds=0.1, overlap="comm")
-        )
+        text = format_link_utilization(self._schedule([[0.2]], ("",)))
         assert "(unattributed)" in text

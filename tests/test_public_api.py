@@ -36,6 +36,21 @@ class TestPublicAPI:
         # Compression runs in-process; no worker-pool machinery is public.
         assert not [name for name in exported if "Pool" in name or "CompressionBackend" in name]
 
+    def test_distributed_surface_has_one_scheduler(self):
+        import repro.distributed
+
+        exported = set(repro.distributed.__all__)
+        assert {"simulate_iteration_arrays", "PhaseTable", "ScheduleArrays"} <= exported
+        removed = {
+            "simulate_iteration",
+            "BucketTask",
+            "SCHEDULER_BACKENDS",
+            "validate_scheduler_backend",
+            "reset_bucket_fallback_warnings",
+        }
+        assert not removed & exported
+        assert not [name for name in removed if hasattr(repro.distributed, name)]
+
     def test_fault_and_knob_surfaces_exposed(self):
         from repro.distributed import (
             SYNC_POLICIES,

@@ -60,9 +60,8 @@ def comparison_cache():
 def emit_artifact():
     """Write one ``BENCH_*`` artifact in the unified schema.
 
-    Wraps :func:`repro.harness.write_bench_artifact`: every emitter passes its
-    pre-schema payload as ``legacy=`` (old top-level keys kept for one
-    release) plus the envelope's ``params``/``metrics``/``records``, and
-    asserts its ratchet bars against the returned disk round-trip.
+    Wraps :func:`repro.harness.write_bench_artifact`: every emitter passes the
+    envelope's ``params``/``metrics``/``records`` and asserts its ratchet bars
+    against the returned disk round-trip.
     """
     return write_bench_artifact

@@ -189,94 +189,48 @@ def test_full_stack_acceptance_on_ethernet(worker_results):
 
 @pytest.mark.skipif(SMOKE, reason="artifact records full-scale numbers only")
 def test_emit_cross_bucket_bench_artifact(worker_results, emit_artifact):
-    scenarios = []
+    records = []
     for preset in SCENARIOS:
-        topology = get_topology(preset)
-        rows = []
         for ratio in RATIOS:
-            results = worker_results[ratio]
-            pr4_serial, cross_serial = _timings(preset, results, tuned=False)
-            pr4_tuned, cross_tuned = _timings(preset, results, tuned=True)
-            rows.append(
+            pr4_serial, cross_serial = _timings(preset, worker_results[ratio], tuned=False)
+            _, cross_tuned = _timings(preset, worker_results[ratio], tuned=True)
+            records.append(
                 {
-                    "ratio": ratio,
-                    "num_buckets": results[0].metadata["num_buckets"],
-                    "pr4_scheduler_seconds": pr4_serial.total,
-                    "cross_bucket_seconds": cross_serial.total,
-                    "pr4_tuned_seconds": pr4_tuned.total,
-                    "cross_bucket_tuned_seconds": cross_tuned.total,
-                    "scheduler_only_speedup": pr4_serial.total / cross_serial.total,
-                    "full_stack_speedup": pr4_serial.total / cross_tuned.total,
-                    "vs_pr4_tuned_speedup": pr4_tuned.total / cross_tuned.total,
-                    "link_utilization": {
-                        "pr4_scheduler": pr4_serial.schedule.link_utilization(),
-                        "cross_bucket": cross_serial.schedule.link_utilization(),
+                    "workload": "cross_bucket_speedup",
+                    "config": {"topology": get_topology(preset).name, "ratio": ratio},
+                    "metrics": {
+                        "pr4_scheduler_seconds": pr4_serial.total,
+                        "cross_bucket_tuned_seconds": cross_tuned.total,
+                        "scheduler_only_speedup": pr4_serial.total / cross_serial.total,
+                        "full_stack_speedup": pr4_serial.total / cross_tuned.total,
                     },
                 }
             )
-        scenarios.append(
-            {
-                "topology": {
-                    "name": topology.name,
-                    "num_nodes": topology.num_nodes,
-                    "devices_per_node": topology.devices_per_node,
-                    "inter_node": topology.inter_node.name,
-                    "intra_node": topology.intra_node.name,
-                },
-                "iterations": rows,
-            }
-        )
-
     acceptance = next(
-        row
-        for scenario in scenarios
-        if scenario["topology"]["name"] == "ethernet-4x8"
-        for row in scenario["iterations"]
-        if row["ratio"] == ACCEPTANCE_RATIO
+        r["metrics"]
+        for r in records
+        if r["config"] == {"topology": "ethernet-4x8", "ratio": ACCEPTANCE_RATIO}
     )
-    artifact = {
-        "benchmark": "cross_bucket_speedup",
-        "dimension": DIMENSION,
-        "comm_overhead": COMM_OVERHEAD,
-        "overlap": "comm",
-        "baseline": "PR-4 scheduler: serial network lane, serial hierarchical phases",
-        "tuned_stack": (
-            f"cross-bucket per-link lanes + pipeline_chunks={PIPELINE_CHUNKS} "
-            "+ uniform dedup"
-        ),
-        "speedup": acceptance["full_stack_speedup"],
-        "scheduler_only_speedup": acceptance["scheduler_only_speedup"],
-        "scenarios": scenarios,
-    }
     written = emit_artifact(
         ARTIFACT_PATH,
         "cross_bucket_speedup",
         params={
-            key: artifact[key]
-            for key in ("dimension", "comm_overhead", "overlap", "baseline", "tuned_stack")
+            "dimension": DIMENSION,
+            "comm_overhead": COMM_OVERHEAD,
+            "overlap": "comm",
+            "baseline": "PR-4 scheduler: serial network lane, serial hierarchical phases",
+            "tuned_stack": (
+                f"cross-bucket per-link lanes + pipeline_chunks={PIPELINE_CHUNKS} "
+                "+ uniform dedup"
+            ),
         },
         metrics={
-            "speedup": artifact["speedup"],
-            "scheduler_only_speedup": artifact["scheduler_only_speedup"],
+            "speedup": acceptance["full_stack_speedup"],
+            "scheduler_only_speedup": acceptance["scheduler_only_speedup"],
         },
-        records=[
-            {
-                "workload": "cross_bucket_speedup",
-                "config": {"topology": scenario["topology"]["name"], "ratio": row["ratio"]},
-                "metrics": {
-                    "pr4_scheduler_seconds": row["pr4_scheduler_seconds"],
-                    "cross_bucket_tuned_seconds": row["cross_bucket_tuned_seconds"],
-                    "scheduler_only_speedup": row["scheduler_only_speedup"],
-                    "full_stack_speedup": row["full_stack_speedup"],
-                },
-            }
-            for scenario in scenarios
-            for row in scenario["iterations"]
-        ],
-        legacy=artifact,
+        records=records,
     )
-    assert written["speedup"] >= 1.10
-    for scenario in written["scenarios"]:
-        for row in scenario["iterations"]:
-            assert row["scheduler_only_speedup"] >= 1.0 - 1e-9
-            assert row["full_stack_speedup"] > 1.0
+    assert written["metrics"]["speedup"] >= 1.10
+    for record in written["records"]:
+        assert record["metrics"]["scheduler_only_speedup"] >= 1.0 - 1e-9
+        assert record["metrics"]["full_stack_speedup"] > 1.0

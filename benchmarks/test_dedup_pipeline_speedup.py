@@ -51,7 +51,6 @@ RATIOS = (0.1, 0.05, 0.01)
 #: uniform random-k dedup is overlap-driven, so it bites hardest here).
 ACCEPTANCE_RATIO = 0.1
 COMM_OVERHEAD = 0.72
-CHUNK_SWEEP = (1, 2, 4, 8, 16)
 PIPELINE_CHUNKS = 8
 
 ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_dedup.json"
@@ -149,46 +148,30 @@ def test_iteration_time_speedup_clears_1_3x(worker_results):
         f"end-to-end iteration speedup {speedup:.3f}x below the 1.3x acceptance bar"
     )
     # Pipelined placements ride in the schedule trace, per link.
-    links = {p.link for e in tuned.schedule.events for p in e.phases}
+    used = tuned.schedule.present.any(axis=0)
+    links = {link for link, seen in zip(tuned.schedule.phase_links, used) if seen}
     assert links == {"infiniband-100g", "ethernet-10g"}
 
 
 def test_emit_dedup_bench_artifact(worker_results, emit_artifact):
-    scenarios = []
+    records = []
     for preset in SCENARIOS:
-        topology = get_topology(preset)
-        rows = []
         for ratio in RATIOS:
             payload = ratio * DIMENSION * SPARSE_ELEMENT_BYTES
             serial = _serial_model(preset).allgather_cost(payload)
             tuned = _tuned_model(preset).allgather_cost(payload, density=ratio)
-            sweep = {
-                chunks: _tuned_model(preset, chunks).allgather_cost(payload, density=ratio).total
-                for chunks in CHUNK_SWEEP
-            }
-            rows.append(
+            records.append(
                 {
-                    "ratio": ratio,
-                    "payload_bytes_per_worker": payload,
-                    "pr3_serial_seconds": serial.total,
-                    "dedup_pipelined_seconds": tuned.total,
-                    "speedup": serial.total / tuned.total,
-                    "achieved_dedup_ratio": tuned.dedup_ratio,
-                    "pipeline_chunk_sweep_seconds": sweep,
+                    "workload": "dedup_pipeline_speedup",
+                    "config": {"topology": get_topology(preset).name, "ratio": ratio},
+                    "metrics": {
+                        "pr3_serial_seconds": serial.total,
+                        "dedup_pipelined_seconds": tuned.total,
+                        "speedup": serial.total / tuned.total,
+                        "achieved_dedup_ratio": tuned.dedup_ratio,
+                    },
                 }
             )
-        scenarios.append(
-            {
-                "topology": {
-                    "name": topology.name,
-                    "num_nodes": topology.num_nodes,
-                    "devices_per_node": topology.devices_per_node,
-                    "inter_node": topology.inter_node.name,
-                    "intra_node": topology.intra_node.name,
-                },
-                "allgather": rows,
-            }
-        )
 
     serial = _timeline(_serial_model("ethernet-4x8")).compressed_iteration(
         worker_results, overlap="comm"
@@ -196,52 +179,19 @@ def test_emit_dedup_bench_artifact(worker_results, emit_artifact):
     tuned = _timeline(_tuned_model("ethernet-4x8")).compressed_iteration(
         worker_results, overlap="comm"
     )
-    artifact = {
-        "benchmark": "dedup_pipeline_speedup",
-        "dimension": DIMENSION,
-        "dedup_assumption": "uniform",
-        "pipeline_chunks": PIPELINE_CHUNKS,
-        "pr3_golden_serial_2mb_seconds": PR3_SERIAL_TOTAL_2MB,
-        "scenarios": scenarios,
-        "compressed_iteration": {
-            "topology": "ethernet-4x8",
-            "compressor": "topk",
-            "ratio": ACCEPTANCE_RATIO,
-            "overlap": "comm",
-            "num_buckets": worker_results[0].metadata["num_buckets"],
-            "pr3_serial_iteration_seconds": serial.total,
-            "dedup_pipelined_iteration_seconds": tuned.total,
-            "speedup": serial.total / tuned.total,
-            "achieved_dedup_ratio": tuned.dedup_ratio,
-        },
-    }
     written = emit_artifact(
         ARTIFACT_PATH,
         "dedup_pipeline_speedup",
         params={
-            key: artifact[key]
-            for key in ("dimension", "dedup_assumption", "pipeline_chunks")
+            "dimension": DIMENSION,
+            "dedup_assumption": "uniform",
+            "pipeline_chunks": PIPELINE_CHUNKS,
         },
         metrics={
-            "compressed_iteration_speedup": artifact["compressed_iteration"]["speedup"],
-            "achieved_dedup_ratio": artifact["compressed_iteration"]["achieved_dedup_ratio"],
+            "compressed_iteration_speedup": serial.total / tuned.total,
+            "achieved_dedup_ratio": tuned.dedup_ratio,
         },
-        records=[
-            {
-                "workload": "dedup_pipeline_speedup",
-                "config": {"topology": scenario["topology"]["name"], "ratio": row["ratio"]},
-                "metrics": {
-                    "pr3_serial_seconds": row["pr3_serial_seconds"],
-                    "dedup_pipelined_seconds": row["dedup_pipelined_seconds"],
-                    "speedup": row["speedup"],
-                    "achieved_dedup_ratio": row["achieved_dedup_ratio"],
-                },
-            }
-            for scenario in scenarios
-            for row in scenario["allgather"]
-        ],
-        legacy=artifact,
+        records=records,
     )
-    assert written["compressed_iteration"]["speedup"] >= 1.3
-    for scenario in written["scenarios"]:
-        assert all(row["speedup"] > 1.0 for row in scenario["allgather"])
+    assert written["metrics"]["compressed_iteration_speedup"] >= 1.3
+    assert all(r["metrics"]["speedup"] > 1.0 for r in written["records"])

@@ -88,41 +88,34 @@ def test_emit_overlap_bench_artifact(timeline, worker_results, emit_artifact):
         for policy in OVERLAP_POLICIES
     }
     serialized = timings["none"].total
-    artifact = {
-        "benchmark": "overlap_speedup",
-        "dimension": DIMENSION,
-        "ratio": RATIO,
-        "num_workers": NUM_WORKERS,
-        "comm_overhead": COMM_OVERHEAD,
-        "compressor": result.metadata.get("sid", "sidco-e"),
-        "num_buckets": result.metadata["num_buckets"],
-        "compute_seconds": timeline.compute_seconds,
-        "policies": {
-            policy: {
-                "iteration_seconds": timing.total,
-                "serialized_seconds": timing.serialized,
-                "overlap_saving": timing.overlap_saving,
-                "speedup_vs_serialized": serialized / timing.total if timing.total else 1.0,
-            }
-            for policy, timing in timings.items()
-        },
+    policies = {
+        policy: {
+            "iteration_seconds": timing.total,
+            "serialized_seconds": timing.serialized,
+            "overlap_saving": timing.overlap_saving,
+            "speedup_vs_serialized": serialized / timing.total if timing.total else 1.0,
+        }
+        for policy, timing in timings.items()
     }
     written = emit_artifact(
         ARTIFACT_PATH,
         "overlap_speedup",
         params={
-            key: artifact[key]
-            for key in ("dimension", "ratio", "num_workers", "comm_overhead", "compressor")
+            "dimension": DIMENSION,
+            "ratio": RATIO,
+            "num_workers": NUM_WORKERS,
+            "comm_overhead": COMM_OVERHEAD,
+            "compressor": result.metadata.get("sid", "sidco-e"),
         },
         metrics={
-            "comm_compress_speedup_vs_serialized": artifact["policies"]["comm+compress"][
+            "comm_compress_speedup_vs_serialized": policies["comm+compress"][
                 "speedup_vs_serialized"
             ],
         },
         records=[
             {"workload": "overlap_speedup", "config": {"overlap": policy}, "metrics": metrics}
-            for policy, metrics in artifact["policies"].items()
+            for policy, metrics in policies.items()
         ],
-        legacy=artifact,
     )
-    assert written["policies"]["comm+compress"]["iteration_seconds"] <= serialized
+    by_policy = {r["config"]["overlap"]: r["metrics"] for r in written["records"]}
+    assert by_policy["comm+compress"]["iteration_seconds"] <= serialized

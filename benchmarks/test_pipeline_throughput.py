@@ -161,21 +161,15 @@ def test_vectorized_beats_scalar_bucket_loop(name, sweep_timings):
 @pytest.mark.skipif(SMOKE, reason="artifact records full-scale numbers only")
 def test_emit_registry_throughput_artifact(sweep_timings, emit_artifact):
     rows = [sweep_timings(name) for name in SWEEP_NAMES]
-    payload = {
-        "dimension": DIMENSION,
-        "ratio": RATIO,
-        "bucket_bytes": _bucket_bytes(),
-        "min_speedup_floor": MIN_SPEEDUP,
-        "floor_compressors": list(FLOOR_NAMES),
-        "compressors": rows,
-    }
     written = emit_artifact(
         ARTIFACT_PATH,
         "registry_throughput",
         params={
-            key: payload[key]
-            for key in ("dimension", "ratio", "bucket_bytes", "min_speedup_floor",
-                        "floor_compressors")
+            "dimension": DIMENSION,
+            "ratio": RATIO,
+            "bucket_bytes": _bucket_bytes(),
+            "min_speedup_floor": MIN_SPEEDUP,
+            "floor_compressors": list(FLOOR_NAMES),
         },
         records=[
             {
@@ -185,11 +179,10 @@ def test_emit_registry_throughput_artifact(sweep_timings, emit_artifact):
             }
             for row in rows
         ],
-        legacy=payload,
     )
+    by_name = {r["config"]["compressor"]: r["metrics"] for r in written["records"]}
     for name in FLOOR_NAMES:
-        row = next(r for r in written["compressors"] if r["compressor"] == name)
-        assert row["speedup_vs_unbucketed"] >= MIN_SPEEDUP
+        assert by_name[name]["speedup_vs_unbucketed"] >= MIN_SPEEDUP
 
 
 # -- the PR-1 SIDCo benchmark, unchanged bars ---------------------------------

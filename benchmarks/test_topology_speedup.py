@@ -102,80 +102,48 @@ def test_timeline_iteration_cheaper_with_hierarchical(worker_results):
     hier_timing = _timeline(HIERARCHICAL).compressed_iteration(worker_results, overlap="comm")
     assert hier_timing.communication < flat_timing.communication
     assert hier_timing.total < flat_timing.total
-    # Per-phase events ride in the schedule trace.
-    phases = {p.name for e in hier_timing.schedule.events for p in e.phases}
+    # Per-phase placements ride in the schedule trace.
+    schedule = hier_timing.schedule
+    used = schedule.present.any(axis=0)
+    phases = {name for name, seen in zip(schedule.phase_names, used) if seen}
     assert phases == {"intra-gather", "inter-allgather", "intra-broadcast"}
 
 
 def test_emit_topology_bench_artifact(worker_results, emit_artifact):
-    rows = []
+    records = []
     for ratio in RATIOS:
         payload = ratio * DIMENSION * SPARSE_ELEMENT_BYTES
-        flat = FLAT.allgather_cost(payload)
-        hier = HIERARCHICAL.allgather_cost(payload)
-        rows.append(
+        flat = FLAT.allgather_cost(payload).total
+        hier = HIERARCHICAL.allgather_cost(payload).total
+        records.append(
             {
-                "ratio": ratio,
-                "payload_bytes_per_worker": payload,
-                "flat_allgather_seconds": flat.total,
-                "hierarchical_seconds": hier.total,
-                "speedup": flat.total / hier.total,
-                "hierarchical_phases": [
-                    {
-                        "name": p.name,
-                        "link": p.link,
-                        "seconds": p.seconds,
-                        "volume_bytes": p.volume_bytes,
-                    }
-                    for p in hier.phases
-                ],
+                "workload": "topology_speedup",
+                "config": {"topology": TOPOLOGY.name, "ratio": ratio},
+                "metrics": {
+                    "flat_allgather_seconds": flat,
+                    "hierarchical_seconds": hier,
+                    "speedup": flat / hier,
+                },
             }
         )
     flat_timing = _timeline(FLAT).compressed_iteration(worker_results, overlap="comm")
     hier_timing = _timeline(HIERARCHICAL).compressed_iteration(worker_results, overlap="comm")
-    artifact = {
-        "benchmark": "topology_speedup",
-        "topology": {
-            "name": TOPOLOGY.name,
-            "num_nodes": TOPOLOGY.num_nodes,
-            "devices_per_node": TOPOLOGY.devices_per_node,
-            "inter_node": TOPOLOGY.inter_node.name,
-            "intra_node": TOPOLOGY.intra_node.name,
-            "crossover_factor": hierarchical_crossover_factor(TOPOLOGY),
-            "effective_bandwidth_ratio": TOPOLOGY.intra_node.bytes_per_second
-            / TOPOLOGY.inter_node.bytes_per_second,
-        },
-        "dimension": DIMENSION,
-        "allgather": rows,
-        "compressed_iteration": {
-            "compressor": "sidco-e",
-            "num_buckets": worker_results[0].metadata["num_buckets"],
-            "overlap": "comm",
-            "flat_iteration_seconds": flat_timing.total,
-            "hierarchical_iteration_seconds": hier_timing.total,
-            "speedup": flat_timing.total / hier_timing.total,
-        },
+    topology = {
+        "name": TOPOLOGY.name,
+        "num_nodes": TOPOLOGY.num_nodes,
+        "devices_per_node": TOPOLOGY.devices_per_node,
+        "inter_node": TOPOLOGY.inter_node.name,
+        "intra_node": TOPOLOGY.intra_node.name,
+        "crossover_factor": hierarchical_crossover_factor(TOPOLOGY),
+        "effective_bandwidth_ratio": TOPOLOGY.intra_node.bytes_per_second
+        / TOPOLOGY.inter_node.bytes_per_second,
     }
     written = emit_artifact(
         ARTIFACT_PATH,
         "topology_speedup",
-        params={"dimension": DIMENSION, "topology": artifact["topology"]},
-        metrics={
-            "compressed_iteration_speedup": artifact["compressed_iteration"]["speedup"],
-        },
-        records=[
-            {
-                "workload": "topology_speedup",
-                "config": {"topology": TOPOLOGY.name, "ratio": row["ratio"]},
-                "metrics": {
-                    "flat_allgather_seconds": row["flat_allgather_seconds"],
-                    "hierarchical_seconds": row["hierarchical_seconds"],
-                    "speedup": row["speedup"],
-                },
-            }
-            for row in rows
-        ],
-        legacy=artifact,
+        params={"dimension": DIMENSION, "topology": topology},
+        metrics={"compressed_iteration_speedup": flat_timing.total / hier_timing.total},
+        records=records,
     )
-    assert all(row["speedup"] > 1.0 for row in written["allgather"])
-    assert written["compressed_iteration"]["speedup"] > 1.0
+    assert all(r["metrics"]["speedup"] > 1.0 for r in written["records"])
+    assert written["metrics"]["compressed_iteration_speedup"] > 1.0

@@ -47,11 +47,10 @@ What may start when is governed by the overlap policy:
     Additionally, bucket *i*'s compression starts at its gradient-ready time,
     on a stream that runs concurrently with the remaining backpropagation.
 
-The simulator returns the full per-bucket event trace as
+The simulator returns the full per-bucket trace as one
 :class:`ScheduleArrays` plus the critical-path iteration time, so callers can
-report overlapped vs serialised time and the overlap efficiency, not just a
-single scalar; :meth:`ScheduleArrays.to_schedule` builds the per-event
-:class:`IterationSchedule` view for reporting.
+report overlapped vs serialised time, the overlap efficiency and per-link
+utilisation, not just a single scalar.
 """
 
 from __future__ import annotations
@@ -112,130 +111,27 @@ def validate_duration(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class PhaseEvent:
-    """Absolute start/end of one named collective phase on the network lane.
+@dataclass(frozen=True, eq=False)
+class ScheduleArrays:
+    """One simulated iteration: the scheduler's trace as NumPy arrays.
 
-    ``link`` names the fabric the phase occupies; pipelined phases on
-    different links may overlap in time, phases sharing a link never do.
-    """
-
-    name: str
-    start: float
-    end: float
-    link: str = ""
-
-
-@dataclass(frozen=True)
-class BucketEvent:
-    """Scheduled start/end times of one bucket's compress and all-gather jobs.
-
-    ``phases`` places the collective's phases inside ``[comm_start,
-    comm_end]`` (empty when the collective has none, e.g. on one worker).
-    """
-
-    index: int
-    ready: float
-    compress_start: float
-    compress_end: float
-    comm_start: float
-    comm_end: float
-    phases: tuple[PhaseEvent, ...] = ()
-
-
-@dataclass(frozen=True)
-class IterationSchedule:
-    """Per-event reporting view of one simulated iteration.
-
-    Built by :meth:`ScheduleArrays.to_schedule`; the scheduler itself works
-    on arrays.
+    Per-bucket times are ``(bucket,)`` arrays and phase placements are
+    ``(bucket, phase)`` matrices, both in bucket-index order.  The ``P``
+    phase columns share one ``phase_names``/``phase_links`` template; when
+    rows are ragged (chunk-pipelined and serial collectives in one
+    iteration) ``phase_mask`` marks the phases each row has, and
+    :attr:`present` is that mask with ``None`` spelled out.
     """
 
     policy: str
     compute_seconds: float
     update_seconds: float
-    events: tuple[BucketEvent, ...]
     #: Critical-path end-to-end time of the iteration (including the update).
     iteration_seconds: float
     #: The ``overlap="none"`` closed-form sum for the same workload.
     serialized_seconds: float
     #: True when buckets were scheduled on per-link network lanes (cross-bucket
     #: pipelining); False for the serial whole-occupancy network lane.
-    cross_bucket: bool = False
-
-    @property
-    def total_compress_seconds(self) -> float:
-        return sum(e.compress_end - e.compress_start for e in self.events)
-
-    @property
-    def total_comm_seconds(self) -> float:
-        return sum(e.comm_end - e.comm_start for e in self.events)
-
-    @property
-    def overlap_saving(self) -> float:
-        """Fraction of the serialised iteration the overlap policy saved."""
-        if self.serialized_seconds <= 0.0:
-            return 0.0
-        return 1.0 - self.iteration_seconds / self.serialized_seconds
-
-    def link_utilization(self) -> dict[str, dict[str, float]]:
-        """Per-link busy time over the network's active window, by fabric.
-
-        Phases are attributed to the link they name.  ``utilization`` is the
-        link's busy time over the window from the first to the last
-        communication event — the quantity cross-bucket pipelining raises by
-        letting one fabric work while another bucket occupies the other.
-
-        A schedule with no communication events at all (no bucket has a
-        phase) reports no lanes: the empty dict, never an ``inf``/NaN window.
-        """
-        busy: dict[str, float] = {}
-        first: float | None = None
-        last = 0.0
-        for event in self.events:
-            if not event.phases:
-                continue
-            first = event.comm_start if first is None else min(first, event.comm_start)
-            last = max(last, event.comm_end)
-            for phase in event.phases:
-                busy[phase.link] = busy.get(phase.link, 0.0) + (phase.end - phase.start)
-        if first is None:
-            # No event contributed: the window is undefined, not [inf, 0].
-            return {}
-        window = max(last - first, 0.0)
-        return {
-            link: {
-                "busy_seconds": seconds,
-                "window_seconds": window,
-                "utilization": seconds / window if window > 0.0 else 0.0,
-            }
-            for link, seconds in sorted(busy.items())
-        }
-
-
-@dataclass(frozen=True, eq=False)
-class ScheduleArrays:
-    """Array-backed iteration schedule — the scheduler's native form.
-
-    The trace is held as ``(bucket,)`` and ``(bucket, phase)`` NumPy arrays
-    in bucket-index order instead of per-bucket event objects: one
-    ``phase_names``/``phase_links`` template shared across rows replaces
-    thousands of :class:`PhaseEvent` constructions per simulated iteration.
-    When rows are ragged (chunk-pipelined and serial collectives in one
-    iteration) ``phase_mask`` marks the phases each row has.
-    :meth:`to_schedule` builds the per-event :class:`IterationSchedule` view
-    (pinned by the golden schedule tests).
-
-    The reporting surface (``policy``, ``cross_bucket``,
-    ``iteration_seconds``, ``overlap_saving``, ``link_utilization()``...)
-    matches :class:`IterationSchedule`, so harness formatters accept either.
-    """
-
-    policy: str
-    compute_seconds: float
-    update_seconds: float
-    iteration_seconds: float
-    serialized_seconds: float
     cross_bucket: bool
     #: (B,) per-bucket gradient-ready / compression / communication times.
     ready: np.ndarray
@@ -257,6 +153,13 @@ class ScheduleArrays:
         return len(self.ready)
 
     @property
+    def present(self) -> np.ndarray:
+        """(B, P) bools: True where bucket ``b`` has phase column ``p``."""
+        if self.phase_mask is None:
+            return np.ones(self.phase_start.shape, dtype=bool)
+        return self.phase_mask
+
+    @property
     def total_compress_seconds(self) -> float:
         return sum((self.compress_end - self.compress_start).tolist())
 
@@ -271,57 +174,40 @@ class ScheduleArrays:
             return 0.0
         return 1.0 - self.iteration_seconds / self.serialized_seconds
 
-    @property
-    def events(self) -> tuple[BucketEvent, ...]:
-        """The materialized per-bucket event objects (built on demand)."""
-        return self.to_schedule().events
-
     def link_utilization(self) -> dict[str, dict[str, float]]:
         """Per-link busy time over the network's active window, by fabric.
 
-        Delegates to the materialized trace — utilization is a reporting
-        call, not part of the scheduling hot path.
-        """
-        return self.to_schedule().link_utilization()
+        Phases are attributed to the link they name.  ``utilization`` is the
+        link's busy time over the window from the first to the last
+        communication of a bucket that has phases — the quantity cross-bucket
+        pipelining raises by letting one fabric work while another bucket
+        occupies the other.  Busy time is a Python-float sum over the present
+        cells in row-major order.
 
-    def to_schedule(self) -> IterationSchedule:
-        """Materialize the per-event :class:`IterationSchedule` view."""
-        all_columns = range(len(self.phase_names))
-        events = []
-        for b in range(self.num_buckets):
-            if self.phase_mask is None:
-                columns = all_columns
-            else:
-                columns = np.flatnonzero(self.phase_mask[b]).tolist()
-            phases = tuple(
-                PhaseEvent(
-                    name=self.phase_names[p],
-                    start=float(self.phase_start[b, p]),
-                    end=float(self.phase_end[b, p]),
-                    link=self.phase_links[p],
-                )
-                for p in columns
-            )
-            events.append(
-                BucketEvent(
-                    index=b,
-                    ready=float(self.ready[b]),
-                    compress_start=float(self.compress_start[b]),
-                    compress_end=float(self.compress_end[b]),
-                    comm_start=float(self.comm_start[b]),
-                    comm_end=float(self.comm_end[b]),
-                    phases=phases,
-                )
-            )
-        return IterationSchedule(
-            policy=self.policy,
-            compute_seconds=self.compute_seconds,
-            update_seconds=self.update_seconds,
-            events=tuple(events),
-            iteration_seconds=self.iteration_seconds,
-            serialized_seconds=self.serialized_seconds,
-            cross_bucket=self.cross_bucket,
-        )
+        A schedule in which no bucket has a phase reports no lanes: the empty
+        dict, never an ``inf``/NaN window.
+        """
+        present = self.present
+        active = present.any(axis=1)
+        if not active.any():
+            return {}
+        busy: dict[str, float] = {}
+        buckets, columns = np.nonzero(present)
+        durations = (self.phase_end - self.phase_start)[buckets, columns].tolist()
+        for p, seconds in zip(columns.tolist(), durations):
+            link = self.phase_links[p]
+            busy[link] = busy.get(link, 0.0) + seconds
+        first = min(self.comm_start[active].tolist())
+        last = max([0.0] + self.comm_end[active].tolist())
+        window = max(last - first, 0.0)
+        return {
+            link: {
+                "busy_seconds": seconds,
+                "window_seconds": window,
+                "utilization": seconds / window if window > 0.0 else 0.0,
+            }
+            for link, seconds in sorted(busy.items())
+        }
 
 
 def _first_conflict_end(
@@ -443,6 +329,10 @@ def simulate_iteration_arrays(
     compute_scale = validate_rate("compute_scale", compute_scale)
     comm_scale = validate_rate("comm_scale", comm_scale)
     ready = np.asarray(ready_seconds, dtype=float)
+    if ready.ndim != 1:
+        raise ValueError(
+            f"ready_seconds must be 1-D (one time per bucket), got shape {ready.shape}"
+        )
     compress = np.asarray(compress_seconds, dtype=float)
     num_buckets = ready.shape[0]
     phase_seconds = np.asarray(phase_seconds, dtype=float)

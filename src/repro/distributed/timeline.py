@@ -116,9 +116,12 @@ class IterationTiming:
     #: collectives (concatenated / deduplicated node-aggregate size); 1.0
     #: when no dedup model is configured or nothing could be deduplicated.
     dedup_ratio: float = 1.0
-    #: True when the attached schedule placed buckets on per-link network
-    #: lanes (cross-bucket pipelining) instead of one serial lane.
-    cross_bucket_pipeline: bool = False
+
+    @property
+    def cross_bucket_pipeline(self) -> bool:
+        """True when the attached schedule placed buckets on per-link network
+        lanes (cross-bucket pipelining) instead of one serial lane."""
+        return self.schedule is not None and self.schedule.cross_bucket
 
     @property
     def serialized(self) -> float:
@@ -291,7 +294,6 @@ class TimelineModel:
             overlap=policy,
             schedule=schedule,
             dedup_ratio=dedup_ratio,
-            cross_bucket_pipeline=schedule.cross_bucket if schedule is not None else False,
         )
 
     def schedule_iteration(

@@ -22,9 +22,8 @@ This module defines the one envelope they all share:
     sweep-result idiom: ``{"workload": ..., "config": {...}, "metrics": {...}}``
     or any list of flat dicts.
 
-Legacy keys ride along at the top level for one release (``legacy=`` merges
-them in, envelope keys winning), so existing consumers keep working while
-they migrate to ``metrics``/``records``.
+These six keys are the whole artifact: consumers read ``metrics`` and
+``records``, never ad-hoc top-level keys.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ BENCH_SCHEMA = "sidco.bench-artifact"
 #: Current envelope revision.  Bump when envelope keys change meaning.
 BENCH_SCHEMA_VERSION = 1
 
-#: Keys owned by the envelope; legacy payloads cannot override them.
+#: The envelope's keys: every artifact has exactly these top-level keys.
 ENVELOPE_KEYS = ("schema", "schema_version", "benchmark", "params", "metrics", "records")
 
 
@@ -47,16 +46,9 @@ def bench_artifact(
     params: dict | None = None,
     metrics: dict | None = None,
     records: list[dict] | None = None,
-    legacy: dict | None = None,
 ) -> dict:
-    """Assemble one schema-conformant artifact payload.
-
-    ``legacy`` keys are merged at the top level (the pre-schema shape, kept
-    for one release); envelope keys always win so a stale legacy dict can
-    never corrupt the schema fields.
-    """
-    payload = dict(legacy or {})
-    payload.update(
+    """Assemble one schema-conformant artifact payload."""
+    return validate_bench_artifact(
         {
             "schema": BENCH_SCHEMA,
             "schema_version": BENCH_SCHEMA_VERSION,
@@ -66,7 +58,6 @@ def bench_artifact(
             "records": list(records or []),
         }
     )
-    return validate_bench_artifact(payload)
 
 
 def validate_bench_artifact(payload: dict) -> dict:
@@ -99,16 +90,13 @@ def write_bench_artifact(
     params: dict | None = None,
     metrics: dict | None = None,
     records: list[dict] | None = None,
-    legacy: dict | None = None,
 ) -> dict:
     """Write one artifact to ``path`` and return the JSON round-trip.
 
     Returning the re-parsed payload (not the in-memory dict) lets emitters
     assert their ratchet bars against exactly what landed on disk.
     """
-    payload = bench_artifact(
-        benchmark, params=params, metrics=metrics, records=records, legacy=legacy
-    )
+    payload = bench_artifact(benchmark, params=params, metrics=metrics, records=records)
     path = Path(path)
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return load_bench_artifact(path)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import asdict, is_dataclass
 from typing import Iterable, Mapping
 
+from ..distributed.schedule import ScheduleArrays
+
 
 def _coerce_row(row) -> dict:
     if is_dataclass(row) and not isinstance(row, type):
@@ -167,18 +169,16 @@ def format_phase_breakdown(cost) -> str:
     return "\n".join(lines)
 
 
-def format_link_utilization(schedule) -> str:
+def format_link_utilization(schedule: ScheduleArrays) -> str:
     """Render a schedule's per-link network utilisation as an aligned table.
 
-    Accepts an :class:`~repro.distributed.IterationSchedule` (or any object
-    with a ``link_utilization()`` method and ``policy``/``cross_bucket``
-    attributes) and shows, for every fabric the collective phases named, how
-    busy the link was over the window from the first to the last communication
-    event.  This is the headline view of cross-bucket pipelining: the serial
+    Shows, for every fabric the collective phases named, how busy the link
+    was over the window from the first to the last communication event.
+    This is the headline view of cross-bucket pipelining: the serial
     whole-occupancy lane leaves each fabric idle while the other works, the
     per-link lanes keep both busy.
     """
-    lanes = "per-link lanes" if getattr(schedule, "cross_bucket", False) else "serial lane"
+    lanes = "per-link lanes" if schedule.cross_bucket else "serial lane"
     lines = [f"network-link utilisation (overlap={schedule.policy}, {lanes}):"]
     utilization = schedule.link_utilization()
     if not utilization:

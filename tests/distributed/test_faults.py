@@ -38,7 +38,7 @@ from repro.distributed import (
     worker_finish_times,
 )
 from repro.nn import build_model
-from tests.schedule_checks import check_schedule
+from tests.schedule_checks import assert_same_schedule, check_schedule
 
 
 def _simulate(durations, compute=1.0, **kwargs):
@@ -123,7 +123,7 @@ class TestScheduleScaling:
         scaled = _simulate(
             durations, overlap=policy, update_seconds=0.05, compute_scale=1.0, comm_scale=1.0
         )
-        assert scaled.to_schedule() == base.to_schedule()
+        assert_same_schedule(scaled, base)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -11,13 +11,12 @@ from repro.distributed import (
     OVERLAP_POLICIES,
     CollectiveCost,
     CollectivePhase,
-    PhaseEvent,
     PhaseTable,
     ready_times_from_fractions,
     simulate_iteration_arrays,
     validate_overlap,
 )
-from tests.schedule_checks import check_schedule, simulate_table
+from tests.schedule_checks import assert_same_schedule, check_schedule, phase_rows, simulate_table
 
 
 def _reverse_ready(n, compute):
@@ -91,9 +90,9 @@ class TestPolicies:
         schedule = _single_phase(
             [(0.2, 0.4), (0.2, 0.4), (0.01, 0.02)], compute=0.5, overlap="comm"
         )
-        view = check_schedule(schedule)
+        check_schedule(schedule)
         # Bucket 0 is ready last; its compression cannot start before backprop ends.
-        assert view.events[0].compress_start >= 0.5
+        assert schedule.compress_start[0] >= 0.5
 
     def test_delayed_readiness_gates_every_policy(self):
         # A ready time beyond compute_seconds (delayed readiness) must gate
@@ -107,7 +106,7 @@ class TestPolicies:
     def test_empty_tasks(self):
         schedule = _single_phase([], compute=0.7, overlap="comm", update_seconds=0.1)
         assert schedule.iteration_seconds == pytest.approx(0.8)
-        assert check_schedule(schedule).events == ()
+        assert check_schedule(schedule).num_buckets == 0
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -137,7 +136,7 @@ class TestPolicies:
         assert ready_times_from_fractions([1.0, 0.5, 0.0], 2.0) == [2.0, 1.0, 0.0]
 
 
-class TestPhaseEvents:
+class TestPhases:
     """Per-phase collective events on the network lane (multi-phase collectives)."""
 
     PHASES = (("intra-gather", 0.05), ("inter-allgather", 0.3), ("intra-broadcast", 0.1))
@@ -154,14 +153,15 @@ class TestPhaseEvents:
         )
 
     def test_phases_tile_the_comm_span(self):
-        event = check_schedule(self._phased()).events[0]
-        assert [p.name for p in event.phases] == [name for name, _ in self.PHASES]
-        assert event.phases[0].start == event.comm_start
-        assert event.phases[-1].end == pytest.approx(event.comm_end, abs=1e-15)
-        for before, after in zip(event.phases, event.phases[1:]):
-            assert before.end == pytest.approx(after.start, abs=1e-15)  # serial, gap-free
-        for phase, (_, seconds) in zip(event.phases, self.PHASES):
-            assert phase.end - phase.start == pytest.approx(seconds)
+        schedule = check_schedule(self._phased())
+        phases = phase_rows(schedule)[0]
+        assert [name for name, _, _, _ in phases] == [name for name, _ in self.PHASES]
+        assert phases[0][1] == schedule.comm_start[0]
+        assert phases[-1][2] == pytest.approx(schedule.comm_end[0], abs=1e-15)
+        for before, after in zip(phases, phases[1:]):
+            assert before[2] == pytest.approx(after[1], abs=1e-15)  # serial, gap-free
+        for (_, start, end, _), (_, seconds) in zip(phases, self.PHASES):
+            assert end - start == pytest.approx(seconds)
 
     def test_phaseless_collectives_keep_empty_trace(self):
         # A one-worker collective has no phases: no communication at all.
@@ -169,9 +169,9 @@ class TestPhaseEvents:
             ready_seconds=[0.0], compress_seconds=[0.1], phase_seconds=np.zeros((1, 0)),
             phase_names=(), phase_links=(), compute_seconds=0.5, overlap="comm",
         )
-        event = check_schedule(schedule).events[0]
-        assert event.phases == ()
-        assert event.comm_end == event.comm_start
+        check_schedule(schedule)
+        assert phase_rows(schedule) == [()]
+        assert schedule.comm_end[0] == schedule.comm_start[0]
 
     @pytest.mark.parametrize("policy", OVERLAP_POLICIES)
     def test_total_time_unchanged_by_phase_breakdown(self, policy):
@@ -203,7 +203,7 @@ class TestPhaseEvents:
     )
     def test_lane_consistency_with_random_phase_splits(self, policy, compute, splits):
         # Ragged serial rows share one padded template; the mask hides the
-        # padding, so each event shows exactly its own phases.
+        # padding, so each bucket shows exactly its own phases.
         width = max(len(durations) for durations in splits)
         seconds = np.zeros((len(splits), width))
         mask = np.zeros((len(splits), width), dtype=bool)
@@ -220,17 +220,16 @@ class TestPhaseEvents:
             compute_seconds=compute,
             overlap=policy,
         )
-        view = check_schedule(schedule)
-        for event in view.events:
-            assert len(event.phases) == len(splits[event.index])
-            assert event.phases[0].start == event.comm_start
-            for phase in event.phases:
-                assert isinstance(phase, PhaseEvent)
-        last_phase_end = max(e.phases[-1].end for e in view.events)
+        check_schedule(schedule)
+        rows = phase_rows(schedule)
+        for b, phases in enumerate(rows):
+            assert len(phases) == len(splits[b])
+            assert phases[0][1] == schedule.comm_start[b]
+        last_phase_end = max(phases[-1][2] for phases in rows)
         assert schedule.iteration_seconds >= last_phase_end - 1e-12
 
 
-class TestPlacedPhaseEvents:
+class TestPlacedPhases:
     """Explicitly placed (pipelined) phases on the network lane."""
 
     #: Two links, three phases, two chunks: gather/broadcast share link "a",
@@ -259,14 +258,15 @@ class TestPlacedPhaseEvents:
         )
 
     def test_placed_phases_ride_at_their_offsets(self):
-        event = check_schedule(self._schedule([0.0])).events[0]
-        assert len(event.phases) == len(self.PLACED)
-        for phase, (name, seconds, offset, link) in zip(event.phases, self.PLACED):
-            assert phase.name == name
-            assert phase.link == link
-            assert phase.start == pytest.approx(event.comm_start + offset)
-            assert phase.end == pytest.approx(phase.start + seconds)
-        assert max(p.end for p in event.phases) == pytest.approx(event.comm_end)
+        schedule = check_schedule(self._schedule([0.0]))
+        phases = phase_rows(schedule)[0]
+        comm_start = schedule.comm_start[0]
+        assert len(phases) == len(self.PLACED)
+        for (name, start, end, link), placed in zip(phases, self.PLACED):
+            assert (name, link) == (placed[0], placed[3])
+            assert start == pytest.approx(comm_start + placed[2])
+            assert end == pytest.approx(start + placed[1])
+        assert max(end for _, _, end, _ in phases) == pytest.approx(schedule.comm_end[0])
 
     def test_comm_time_is_the_placed_makespan(self):
         schedule = self._schedule([0.2, 0.1, 0.0])
@@ -319,10 +319,9 @@ class TestPlacedPhaseEvents:
             compute_seconds=1.0,
             overlap=policy,
         )
-        view = check_schedule(schedule)
+        check_schedule(schedule)
         assert schedule.total_comm_seconds == pytest.approx(num_buckets * cost.total, rel=1e-12)
-        for event in view.events:
-            assert len(event.phases) == len(cost.phases)
+        assert [len(phases) for phases in phase_rows(schedule)] == [len(cost.phases)] * num_buckets
 
 
 @st.composite
@@ -381,11 +380,11 @@ class TestCriticalPathBounds:
         schedule = _single_phase(
             durations, ready=ready, compute=compute, overlap=policy, update_seconds=update
         )
-        view = check_schedule(schedule)
-        assert len(view.events) == len(durations)
-        for event, (compress, comm) in zip(view.events, durations):
-            assert event.compress_end == pytest.approx(event.compress_start + compress)
-            assert event.comm_end == pytest.approx(event.comm_start + comm)
+        check_schedule(schedule)
+        assert schedule.num_buckets == len(durations)
+        compress, comm = np.array(durations).reshape(-1, 2).T
+        assert schedule.compress_end == pytest.approx(schedule.compress_start + compress)
+        assert schedule.comm_end == pytest.approx(schedule.comm_start + comm)
 
 
 class TestCrossBucketPipeline:
@@ -408,24 +407,23 @@ class TestCrossBucketPipeline:
     def test_flag_off_matches_default_bit_for_bit(self):
         base = self._schedule()
         off = self._schedule(cross=False)
-        assert off.to_schedule() == base.to_schedule()
+        assert_same_schedule(off, base)
         assert not off.cross_bucket
 
     def test_cross_bucket_overlaps_intra_under_inter(self):
         serial = self._schedule()
         cross = self._schedule(cross=True)
-        view = check_schedule(cross)
+        check_schedule(cross)
         assert cross.cross_bucket
         assert cross.iteration_seconds < serial.iteration_seconds
         # Steady state: the inter lane stays contiguous, so each later bucket
         # saves one gather + one broadcast of serial-lane time.
-        events = sorted(view.events, key=lambda e: e.comm_start)
-        for before, after in zip(events, events[1:]):
-            assert after.comm_start < before.comm_end  # whole occupancies overlap
+        spans = sorted(zip(cross.comm_start.tolist(), cross.comm_end.tolist()))
+        for before, after in zip(spans, spans[1:]):
+            assert after[0] < before[1]  # whole occupancies overlap
         # The bucket's internal placement rides rigidly at its new offset.
-        for event in view.events:
-            assert event.phases[0].start == pytest.approx(event.comm_start)
-            assert event.phases[-1].end == pytest.approx(event.comm_end)
+        assert cross.phase_start[:, 0] == pytest.approx(cross.comm_start)
+        assert cross.phase_end[:, -1] == pytest.approx(cross.comm_end)
 
     def test_single_link_buckets_degenerate_to_serial_lane(self):
         # Phases all on one fabric: nothing to overlap, the per-link lanes
@@ -525,12 +523,14 @@ class TestCrossBucketInvariants:
             sum(cost.total for cost in costs), rel=1e-12, abs=1e-12
         )
         # Rigid sliding: each bucket's internal placement is preserved.
-        for event, cost in zip(check_schedule(cross).events, costs):
-            assert event.comm_end - event.comm_start == pytest.approx(cost.total)
-            for phase, placed in zip(event.phases, cost.phases):
-                assert phase.start - event.comm_start == pytest.approx(placed.start, abs=1e-12)
-                assert phase.end - phase.start == pytest.approx(placed.seconds, abs=1e-12)
-                assert phase.link == placed.link
+        check_schedule(cross)
+        for b, (phases, cost) in enumerate(zip(phase_rows(cross), costs)):
+            comm_start = cross.comm_start[b]
+            assert cross.comm_end[b] - comm_start == pytest.approx(cost.total)
+            for (_, start, end, link), placed in zip(phases, cost.phases):
+                assert start - comm_start == pytest.approx(placed.start, abs=1e-12)
+                assert end - start == pytest.approx(placed.seconds, abs=1e-12)
+                assert link == placed.link
 
     def test_sub_resolution_phase_does_not_stall_template_fit(self):
         # Regression: the second bucket ends with a 2.7e-155 s phase on "bus",

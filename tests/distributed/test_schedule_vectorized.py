@@ -17,7 +17,6 @@ from repro.compressors import create_compressor
 from repro.distributed import (
     TOPOLOGIES,
     CollectiveModel,
-    IterationSchedule,
     NetworkModel,
     PhaseTable,
     ScheduleArrays,
@@ -29,7 +28,7 @@ from repro.distributed import (
 from repro.gradients import realistic_gradient
 from repro.perfmodel import GPU_V100
 from repro.pipeline import CompressionPipeline
-from tests.schedule_checks import check_schedule
+from tests.schedule_checks import assert_same_schedule, check_schedule, phase_rows
 
 ALL_PRESETS = sorted(TOPOLOGIES)
 
@@ -261,6 +260,22 @@ LOOP_GOLDEN = {
     },
 }
 
+#: ``link_utilization()`` of both ``LOOP_GOLDEN["chunked", *]`` schedules,
+#: captured from the former per-event view.  Both lane modes report the same
+#: values.
+CHUNKED_LINK_UTILIZATION = {
+    "ethernet-10g": {
+        "busy_seconds": 0.03827758696714288,
+        "window_seconds": 0.04045634675788852,
+        "utilization": 0.9461454143700999,
+    },
+    "infiniband-100g": {
+        "busy_seconds": 0.0027200821664885456,
+        "window_seconds": 0.04045634675788852,
+        "utilization": 0.06723499239234104,
+    },
+}
+
 
 @pytest.fixture(scope="module")
 def bucketed_results():
@@ -305,17 +320,17 @@ def _timeline(
 
 
 def _event_rows(schedule):
-    return [
-        (ev.ready, ev.compress_start, ev.compress_end, ev.comm_start, ev.comm_end)
-        for ev in schedule.events
-    ]
+    return list(zip(
+        schedule.ready.tolist(),
+        schedule.compress_start.tolist(),
+        schedule.compress_end.tolist(),
+        schedule.comm_start.tolist(),
+        schedule.comm_end.tolist(),
+    ))
 
 
 def _full_rows(schedule):
-    return [
-        (*row, tuple((p.name, p.start, p.end, p.link) for p in ev.phases))
-        for row, ev in zip(_event_rows(schedule), schedule.events)
-    ]
+    return [(*row, phases) for row, phases in zip(_event_rows(schedule), phase_rows(schedule))]
 
 
 class TestGoldenPins:
@@ -330,9 +345,9 @@ class TestGoldenPins:
         assert schedule.iteration_seconds == golden["iteration_seconds"]
         assert schedule.serialized_seconds == golden["serialized_seconds"]
         assert _event_rows(schedule) == golden["events"]
-        first = schedule.events[0]
-        assert tuple(p.name for p in first.phases) == golden["phase_names"]
-        assert tuple(p.link for p in first.phases) == golden["phase_links"]
+        first = phase_rows(schedule)[0]
+        assert tuple(name for name, _, _, _ in first) == golden["phase_names"]
+        assert tuple(link for _, _, _, link in first) == golden["phase_links"]
 
     @pytest.mark.parametrize("cross_bucket", [False, True])
     def test_ragged_chunked_schedule_matches_loop_golden(self, cross_bucket):
@@ -341,12 +356,13 @@ class TestGoldenPins:
             "ethernet-4x8", cross_bucket=cross_bucket, pipeline_chunks=4, dimension_scale=100.0
         )
         schedule = timeline.schedule_iteration(_results(36_000))
-        view = check_schedule(schedule)
+        check_schedule(schedule)
         # Ragged rows: both sides of the latency-bound serial fallback.
-        assert [len(event.phases) for event in view.events] == [12, 12, 3]
+        assert [len(phases) for phases in phase_rows(schedule)] == [12, 12, 3]
         assert schedule.iteration_seconds == golden["iteration_seconds"]
         assert schedule.serialized_seconds == golden["serialized_seconds"]
-        assert _full_rows(view) == golden["events"]
+        assert _full_rows(schedule) == golden["events"]
+        assert schedule.link_utilization() == CHUNKED_LINK_UTILIZATION
 
     @pytest.mark.parametrize("cross_bucket", [False, True])
     def test_scaled_comm_lane_matches_loop_golden(self, cross_bucket, bucketed_results):
@@ -354,11 +370,11 @@ class TestGoldenPins:
         timing = _timeline("fat-tree-128", cross_bucket=cross_bucket).compressed_iteration(
             bucketed_results, comm_scale=1.7
         )
-        view = check_schedule(timing.schedule)
+        schedule = check_schedule(timing.schedule)
         assert timing.communication == golden["communication"]
         assert timing.total == golden["iteration_seconds"]
-        assert view.serialized_seconds == golden["serialized_seconds"]
-        assert _full_rows(view) == golden["events"]
+        assert schedule.serialized_seconds == golden["serialized_seconds"]
+        assert _full_rows(schedule) == golden["events"]
 
 
 class TestInvariantsAcrossPresets:
@@ -415,25 +431,32 @@ class TestInvariantsAcrossPresets:
 
 
 class TestScheduleArraysSurface:
-    """ScheduleArrays and its IterationSchedule view report the same trace."""
+    """Summary properties and link utilisation read straight off the arrays."""
 
-    def test_to_schedule_round_trips_exactly(self, bucketed_results):
+    def test_summary_properties_match_the_priced_trace(self, bucketed_results):
+        timeline = _timeline("ethernet-4x8")
+        arrays = timeline.schedule_iteration(bucketed_results)
+        assert arrays.num_buckets == bucketed_results[0].metadata["num_buckets"]
+        assert arrays.phase_mask is None and arrays.present.all()
+        comm = timeline.bucket_communication_times(bucketed_results)
+        assert arrays.total_comm_seconds == pytest.approx(sum(comm))
+        assert arrays.total_compress_seconds > 0.0
+        assert 0.0 < arrays.overlap_saving < 1.0
+        assert arrays.iteration_seconds == pytest.approx(
+            arrays.serialized_seconds * (1.0 - arrays.overlap_saving)
+        )
+
+    def test_link_utilization_sums_present_phases_per_link(self, bucketed_results):
         arrays = _timeline("torus-2d").schedule_iteration(bucketed_results)
-        view = arrays.to_schedule()
-        assert isinstance(view, IterationSchedule)
-        assert [e.comm_start for e in view.events] == arrays.comm_start.tolist()
-        assert [e.comm_end for e in view.events] == arrays.comm_end.tolist()
-        assert [e.phases[0].start for e in view.events] == arrays.phase_start[:, 0].tolist()
-        assert view.iteration_seconds == arrays.iteration_seconds
-        assert view.link_utilization() == arrays.link_utilization()
-
-    def test_summary_properties_match_view(self, bucketed_results):
-        arrays = _timeline("ethernet-4x8").schedule_iteration(bucketed_results)
-        view = arrays.to_schedule()
-        assert arrays.num_buckets == len(view.events)
-        assert arrays.total_compress_seconds == view.total_compress_seconds
-        assert arrays.total_comm_seconds == view.total_comm_seconds
-        assert arrays.overlap_saving == view.overlap_saving
+        util = arrays.link_utilization()
+        assert sorted(util) == sorted(set(arrays.phase_links))
+        window = max(arrays.comm_end.tolist()) - min(arrays.comm_start.tolist())
+        for link, stats in util.items():
+            columns = [p for p, name in enumerate(arrays.phase_links) if name == link]
+            seconds = (arrays.phase_end - arrays.phase_start)[:, columns]
+            assert stats["busy_seconds"] == pytest.approx(seconds.sum())
+            assert stats["window_seconds"] == window
+            assert stats["utilization"] == stats["busy_seconds"] / window
 
 
 class TestChunkedAndUnbucketed:
@@ -514,6 +537,14 @@ class TestSimulateIterationArraysValidation:
         assert arrays.iteration_seconds > 0.0
         check_schedule(arrays)
 
+    @pytest.mark.parametrize("ready", [0.1, [[0.1], [0.2]]], ids=["scalar", "2-D"])
+    def test_ready_seconds_must_be_one_dimensional(self, ready):
+        # A scalar used to raise IndexError, a matrix TypeError from the
+        # gate comparison in the ready-order pass.
+        kwargs = dict(self._valid_kwargs(), ready_seconds=ready)
+        with pytest.raises(ValueError, match="ready_seconds must be 1-D"):
+            simulate_iteration_arrays(**kwargs)
+
     def test_phase_matrix_shape_enforced(self):
         kwargs = self._valid_kwargs()
         kwargs["phase_seconds"] = [[0.1, 0.2]]  # one row for two buckets
@@ -580,4 +611,4 @@ class TestSimulateIterationArraysValidation:
         offsets[:, 1:] = np.cumsum(seconds, axis=1)[:, :-1]
         implicit = simulate_iteration_arrays(**kwargs)
         explicit = simulate_iteration_arrays(**kwargs, phase_offsets=offsets)
-        assert explicit.to_schedule() == implicit.to_schedule()
+        assert_same_schedule(explicit, implicit)

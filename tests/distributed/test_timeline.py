@@ -16,6 +16,7 @@ from repro.distributed import (
 )
 from repro.gradients import realistic_gradient
 from repro.perfmodel import GPU_V100
+from tests.schedule_checks import check_schedule, phase_rows
 
 
 def _timeline(compute=0.01, workers=8, dim=1_000_000, scale=1.0, efficiency=1.0):
@@ -293,7 +294,7 @@ class TestOverlapPolicies:
         schedule = timing.schedule
         assert schedule is not None
         assert schedule.policy == "comm+compress"
-        assert len(schedule.events) == results[0].metadata["num_buckets"]
+        assert schedule.num_buckets == results[0].metadata["num_buckets"]
         assert timing.total == pytest.approx(schedule.iteration_seconds)
         assert schedule.total_comm_seconds == pytest.approx(timing.communication)
         assert schedule.total_compress_seconds == pytest.approx(timing.compression)
@@ -372,8 +373,7 @@ class TestOverlapPolicies:
         assert results[0].metadata["layer_aware"]
         timeline = _timeline(workers=2, dim=spec.total_size, compute=0.05)
         timing = timeline.compressed_iteration(results, overlap="comm+compress")
-        last_bucket = timing.schedule.events[-1]
-        assert last_bucket.compress_start < timeline.compute_seconds
+        assert timing.schedule.compress_start[-1] < timeline.compute_seconds
 
 
 class TestTopologyAwareTimeline:
@@ -432,28 +432,24 @@ class TestTopologyAwareTimeline:
         assert hier_timing.communication < flat_timing.communication
         assert hier_timing.compression == pytest.approx(flat_timing.compression)
 
-    def test_schedule_events_carry_collective_phases(self):
+    def test_schedule_carries_collective_phases(self):
         results = self._bucketed_results()
         timeline = self._timeline(self._two_level(allgather="hierarchical"))
-        timing = timeline.compressed_iteration(results, overlap="comm")
-        assert timing.schedule is not None
-        for event in timing.schedule.events:
-            assert [p.name for p in event.phases] == [
-                "intra-gather",
-                "inter-allgather",
-                "intra-broadcast",
-            ]
-            assert event.phases[0].start == event.comm_start
-            assert event.phases[-1].end == event.comm_end
-            # Serial phases carry their fabric too, not just pipelined ones.
-            assert [p.link for p in event.phases] == ["intra", "inter", "intra"]
+        schedule = timeline.compressed_iteration(results, overlap="comm").schedule
+        assert schedule is not None
+        assert schedule.present.all()
+        assert schedule.phase_names == ("intra-gather", "inter-allgather", "intra-broadcast")
+        assert schedule.phase_start[:, 0].tolist() == schedule.comm_start.tolist()
+        assert schedule.phase_end[:, -1].tolist() == schedule.comm_end.tolist()
+        # Serial phases carry their fabric too, not just pipelined ones.
+        assert schedule.phase_links == ("intra", "inter", "intra")
 
     def test_flat_allgather_single_phase_span(self):
         results = self._bucketed_results()
         timeline = self._timeline(self._two_level(allgather="flat-allgather"))
-        timing = timeline.compressed_iteration(results, overlap="comm")
-        for event in timing.schedule.events:
-            assert [p.name for p in event.phases] == ["ring-allgather"]
+        schedule = timeline.compressed_iteration(results, overlap="comm").schedule
+        assert schedule.phase_names == ("ring-allgather",)
+        assert schedule.present.all()
 
     def test_baseline_allreduce_uses_collective_topology(self):
         flat = self._timeline(self._two_level(allgather="flat-allgather"))
@@ -531,14 +527,13 @@ class TestDedupAndPipelinedTimeline:
         ).compressed_iteration(results, overlap="comm")
         assert piped.communication < serial.communication
         assert piped.total < serial.total
-        event = piped.schedule.events[0]
-        names = [p.name for p in event.phases]
-        assert any(name.endswith("[c0]") for name in names)
-        assert {p.link for p in event.phases} == {"intra", "inter"}
+        phases = phase_rows(check_schedule(piped.schedule))[0]
+        assert any(name.endswith("[c0]") for name, _, _, _ in phases)
+        assert {link for _, _, _, link in phases} == {"intra", "inter"}
         # Phases on one link never overlap inside the bucket's occupancy.
         by_link = {}
-        for phase in event.phases:
-            by_link.setdefault(phase.link, []).append((phase.start, phase.end))
+        for _, start, end, link in phases:
+            by_link.setdefault(link, []).append((start, end))
         for spans in by_link.values():
             spans.sort()
             assert all(a[1] <= b[0] + 1e-12 for a, b in zip(spans, spans[1:]))

@@ -27,9 +27,11 @@ from repro.distributed import (
     CollectiveModel,
     LinkLevel,
     NetworkModel,
+    PhaseTable,
     SparseAggregateModel,
     get_topology,
 )
+from tests.schedule_checks import check_schedule, simulate_table
 
 ALGORITHM_OPS = [
     (name, op)
@@ -284,22 +286,17 @@ class TestPipeliningInvariants:
         # Per-chunk phase-sum invariant: every chunk traverses the same
         # serial stage times.
         by_chunk: dict[int, float] = {}
-        by_link: dict[str, list[tuple[float, float]]] = {}
         for phase in piped.phases:
             assert phase.start is not None and phase.start >= 0.0
             by_chunk[phase.chunk] = by_chunk.get(phase.chunk, 0.0) + phase.seconds
-        for phase in piped.phases:
-            by_link.setdefault(phase.link, []).append(
-                (phase.start, phase.start + phase.seconds)
-            )
         sums = list(by_chunk.values())
         assert set(by_chunk) == set(range(chunks))
         assert all(s == pytest.approx(sums[0], rel=1e-9, abs=1e-15) for s in sums)
         # One link never carries two chunks' phases at once.
-        for spans in by_link.values():
-            spans.sort()
-            for (_, a_end), (b_start, _) in zip(spans, spans[1:]):
-                assert b_start >= a_end - 1e-9 * max(1.0, a_end)
+        check_schedule(simulate_table(
+            PhaseTable.from_costs([piped]),
+            ready_seconds=[0.0], compress_seconds=[0.0], compute_seconds=0.0, overlap="comm",
+        ))
 
     @settings(max_examples=150, deadline=None)
     @given(topology=topologies(), num_bytes=payloads, chunks=chunk_counts, density=densities)
@@ -466,3 +463,13 @@ class TestMultiLevelPresets:
             assert totals[b] == cost.total
             assert seconds[b] == [p.seconds for p in cost.phases]
             assert table.names == tuple(p.name for p in cost.phases)
+        num_buckets = len(payload_list)
+        for cross_bucket in (False, True):
+            check_schedule(simulate_table(
+                table,
+                ready_seconds=[0.01 * (num_buckets - b) for b in range(num_buckets)],
+                compress_seconds=[0.001] * num_buckets,
+                compute_seconds=0.01 * num_buckets,
+                overlap="comm+compress",
+                cross_bucket_pipeline=cross_bucket,
+            ))

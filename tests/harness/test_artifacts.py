@@ -2,8 +2,8 @@
 
 The six benchmark emitters and the sweep engine all serialize through one
 envelope (``sidco.bench-artifact``); these tests pin the envelope contract —
-schema/version keys, params/metrics/records shapes, legacy-key merge with
-envelope precedence — and the disk round-trip the emitters assert against.
+schema/version keys, params/metrics/records shapes, no keys outside the
+envelope — and the disk round-trip the emitters assert against.
 """
 
 import json
@@ -18,6 +18,7 @@ from repro.harness import (
     validate_bench_artifact,
     write_bench_artifact,
 )
+from repro.harness.artifacts import ENVELOPE_KEYS
 
 
 class TestEnvelope:
@@ -27,6 +28,7 @@ class TestEnvelope:
         assert payload["schema_version"] == BENCH_SCHEMA_VERSION == 1
         assert payload["benchmark"] == "demo"
         assert payload["params"] == {} and payload["metrics"] == {} and payload["records"] == []
+        assert tuple(payload) == ENVELOPE_KEYS
 
     def test_params_metrics_records_carried_verbatim(self):
         payload = bench_artifact(
@@ -38,23 +40,6 @@ class TestEnvelope:
         assert payload["params"] == {"dimension": 10}
         assert payload["metrics"] == {"speedup": 2.5}
         assert payload["records"][0]["config"] == {"ratio": 0.1}
-
-    def test_legacy_keys_ride_at_top_level(self):
-        payload = bench_artifact("demo", legacy={"old_speedup": 3.0, "scenarios": [1, 2]})
-        assert payload["old_speedup"] == 3.0
-        assert payload["scenarios"] == [1, 2]
-
-    def test_envelope_keys_win_over_legacy(self):
-        # A stale pre-schema payload reusing an envelope name cannot corrupt
-        # the schema fields.
-        payload = bench_artifact(
-            "demo",
-            metrics={"speedup": 2.0},
-            legacy={"benchmark": "stale-name", "metrics": "not-a-dict", "schema": "junk"},
-        )
-        assert payload["benchmark"] == "demo"
-        assert payload["metrics"] == {"speedup": 2.0}
-        assert payload["schema"] == BENCH_SCHEMA
 
 
 class TestValidation:
@@ -101,12 +86,10 @@ class TestDiskRoundTrip:
             params={"dimension": 10},
             metrics={"speedup": 2.5},
             records=[{"workload": "w", "config": {}, "metrics": {"t": 0.5}}],
-            legacy={"old_key": [1.0, 2.0]},
         )
         on_disk = json.loads(path.read_text())
         assert written == on_disk
         assert load_bench_artifact(path) == on_disk
-        assert on_disk["old_key"] == [1.0, 2.0]
 
     def test_round_trip_preserves_float_bits(self, tmp_path):
         # Ratchet bars compare floats exactly against what landed on disk.
@@ -132,3 +115,5 @@ def test_repo_root_artifacts_conform_to_schema():
     for path in artifacts:
         payload = load_bench_artifact(path)
         assert payload["benchmark"]
+        extra = sorted(set(payload) - set(ENVELOPE_KEYS))
+        assert not extra, f"{path.name} has keys outside the envelope: {extra}"

@@ -6,6 +6,8 @@ through :func:`check_schedule` instead of re-stating the invariants locally.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.distributed import simulate_iteration_arrays
 
 #: Relative slack for comparisons that mix differently associated float sums.
@@ -25,10 +27,9 @@ def _assert_disjoint(spans, what: str) -> None:
 
 
 def check_schedule(schedule):
-    """Assert the invariants of one simulated iteration; return its event view.
+    """Assert the invariants of one simulated iteration; return the schedule.
 
-    Accepts a :class:`~repro.distributed.ScheduleArrays` or the
-    :class:`~repro.distributed.IterationSchedule` view it builds, and checks:
+    Reads a :class:`~repro.distributed.ScheduleArrays` and checks:
 
     * causality: ``ready <= compress_start <= compress_end <= comm_start
       <= comm_end`` for every bucket, plus the overlap policy's gates
@@ -37,49 +38,83 @@ def check_schedule(schedule):
     * the compression stream runs one job at a time, and so does the
       network when buckets share one serial lane;
     * every link carries one phase at a time, across all buckets;
-    * every placed phase lies inside its bucket's ``[comm_start, comm_end]``;
+    * every present phase lies inside its bucket's ``[comm_start, comm_end]``;
     * ``iteration_seconds`` equals the latest lane end (compute, compression
       stream, network) plus the update, exactly.
     """
-    view = schedule.to_schedule() if hasattr(schedule, "to_schedule") else schedule
-    events = view.events
+    ready = schedule.ready.tolist()
+    compress_start = schedule.compress_start.tolist()
+    compress_end = schedule.compress_end.tolist()
+    comm_start = schedule.comm_start.tolist()
+    comm_end = schedule.comm_end.tolist()
+    rows = zip(ready, compress_start, compress_end, comm_start, comm_end)
+    for b, (r, cs, ce, ms, me) in enumerate(rows):
+        assert r <= cs <= ce <= ms <= me, f"bucket {b} breaks causality: {(r, cs, ce, ms, me)!r}"
+        if schedule.policy != "comm+compress":
+            assert cs >= schedule.compute_seconds
     by_link: dict[str, list[tuple[float, float]]] = {}
-    for event in events:
-        assert (
-            event.ready
-            <= event.compress_start
-            <= event.compress_end
-            <= event.comm_start
-            <= event.comm_end
-        ), f"bucket {event.index} breaks causality: {event!r}"
-        if view.policy != "comm+compress":
-            assert event.compress_start >= view.compute_seconds
-        for phase in event.phases:
-            assert event.comm_start - _slack(event.comm_start) <= phase.start, phase
-            assert phase.start <= phase.end <= event.comm_end + _slack(event.comm_end), phase
-            if phase.end > phase.start:
-                by_link.setdefault(phase.link, []).append((phase.start, phase.end))
+    buckets, columns = np.nonzero(schedule.present)
+    starts = schedule.phase_start[buckets, columns].tolist()
+    ends = schedule.phase_end[buckets, columns].tolist()
+    for b, p, start, end in zip(buckets.tolist(), columns.tolist(), starts, ends):
+        phase = (b, schedule.phase_names[p], start, end)
+        assert comm_start[b] - _slack(comm_start[b]) <= start, phase
+        assert start <= end <= comm_end[b] + _slack(comm_end[b]), phase
+        if end > start:
+            by_link.setdefault(schedule.phase_links[p], []).append((start, end))
     for link, spans in by_link.items():
         _assert_disjoint(spans, f"link {link!r}")
     _assert_disjoint(
-        [(e.compress_start, e.compress_end) for e in events if e.compress_end > e.compress_start],
-        "compression stream",
+        [(s, e) for s, e in zip(compress_start, compress_end) if e > s], "compression stream"
     )
-    if not view.cross_bucket:
+    if not schedule.cross_bucket:
         _assert_disjoint(
-            [(e.comm_start, e.comm_end) for e in events if e.comm_end > e.comm_start],
-            "serial network lane",
+            [(s, e) for s, e in zip(comm_start, comm_end) if e > s], "serial network lane"
         )
-    if view.policy == "none" and events:
-        last_compress = max(e.compress_end for e in events)
-        assert all(e.comm_start >= last_compress for e in events)
-    lane_end = max(
-        [view.compute_seconds]
-        + [e.compress_end for e in events]
-        + [e.comm_end for e in events]
-    )
-    assert view.iteration_seconds == lane_end + view.update_seconds
-    return view
+    if schedule.policy == "none" and compress_end:
+        assert min(comm_start) >= max(compress_end)
+    lane_end = max([schedule.compute_seconds] + compress_end + comm_end)
+    assert schedule.iteration_seconds == lane_end + schedule.update_seconds
+    return schedule
+
+
+def phase_rows(schedule) -> list[tuple[tuple[str, float, float, str], ...]]:
+    """Per bucket, ``(name, start, end, link)`` of each present phase in column order."""
+    starts = schedule.phase_start.tolist()
+    ends = schedule.phase_end.tolist()
+    return [
+        tuple(
+            (schedule.phase_names[p], starts[b][p], ends[b][p], schedule.phase_links[p])
+            for p in np.flatnonzero(row).tolist()
+        )
+        for b, row in enumerate(schedule.present)
+    ]
+
+
+_SCHEDULE_ARRAYS = (
+    "ready", "compress_start", "compress_end", "comm_start", "comm_end",
+    "phase_start", "phase_end",
+)
+_SCHEDULE_SCALARS = (
+    "policy", "compute_seconds", "update_seconds", "iteration_seconds",
+    "serialized_seconds", "cross_bucket", "phase_names", "phase_links",
+)
+
+
+def assert_same_schedule(a, b) -> None:
+    """Assert two :class:`~repro.distributed.ScheduleArrays` match exactly.
+
+    Scalars and the phase template compare with ``==``; every array compares
+    with :func:`numpy.array_equal` (shape and every element), and
+    ``phase_mask`` must be ``None`` on both sides or equal.
+    """
+    for name in _SCHEDULE_SCALARS:
+        assert getattr(a, name) == getattr(b, name), name
+    for name in _SCHEDULE_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.phase_mask is None) == (b.phase_mask is None), "phase_mask"
+    if a.phase_mask is not None:
+        assert np.array_equal(a.phase_mask, b.phase_mask), "phase_mask"
 
 
 def simulate_table(table, *, ready_seconds, compress_seconds, **kwargs):

@@ -47,6 +47,9 @@ class TestPublicAPI:
             "SCHEDULER_BACKENDS",
             "validate_scheduler_backend",
             "reset_bucket_fallback_warnings",
+            "IterationSchedule",
+            "BucketEvent",
+            "PhaseEvent",
         }
         assert not removed & exported
         assert not [name for name in removed if hasattr(repro.distributed, name)]

@@ -22,7 +22,9 @@ actually fast on a memory-bound CPU:
   vector from RAM once per stage and measures *slower* than the scalar loop
   at acceptance scale; blocking keeps each bucket's few-MiB working set
   cache-hot across all of its stages while still issuing one fused launch per
-  logical primitive in the op trace.
+  logical primitive in the op trace.  SIDCo's fit streams the same way, in
+  blocks of whole buckets, and selects from its carried stage-one
+  exceedances (see :mod:`repro.pipeline.vectorized`).
 
 Bit-for-bit equivalence with the per-bucket loop is part of the contract, so
 helpers here mirror the scalar helpers exactly: identical reduction orders
@@ -113,8 +115,7 @@ def full_bucket_stack(values: list[np.ndarray]) -> np.ndarray:
 def workspace_for(layout: "BucketLayout") -> np.ndarray:
     """One float64 scratch buffer sized for the largest bucket.
 
-    Allocated per ``fit_all_buckets`` call (so nothing heavy hangs off the
-    compressor and pickling for the process worker backend stays cheap) and
-    reused across every bucket block within the call.
+    Allocated per ``fit_all_buckets`` call, so nothing heavy hangs off the
+    compressor, and reused across every bucket block within the call.
     """
     return np.empty(int(layout.sizes().max()), dtype=np.float64)

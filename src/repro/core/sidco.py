@@ -87,7 +87,10 @@ class SIDCo(Compressor):
         target_k = self._target_k(d, ratio)
 
         abs_grad = np.abs(arr)
-        if d < 2 or float(abs_grad.max()) == 0.0:
+        max_abs = float(abs_grad.max())
+        if not np.isfinite(max_abs):
+            raise ValueError("gradient contains NaN or infinite values")
+        if d < 2 or max_abs == 0.0:
             # Degenerate input (single element, or no tail at all): there is
             # nothing to fit, so fall back to an exact-k selection instead of
             # handing the SID fitters an empty/ill-posed sample.
@@ -108,15 +111,11 @@ class SIDCo(Compressor):
             self.controller.num_stages,
             first_stage_ratio=self.first_stage_ratio,
         )
-        ops = list(estimate.ops)
-        # The |g| pass feeding the estimator.
-        ops.insert(0, _abs_pass(d))
-
         result = self._result_from_threshold(
             arr,
             estimate.threshold,
             ratio,
-            ops,
+            [_abs_pass(d), *estimate.ops],
             metadata={
                 "sid": self.sid,
                 "stages_used": estimate.stages_used,
@@ -129,48 +128,46 @@ class SIDCo(Compressor):
         return result
 
     def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float) -> BucketedFit | None:
-        """Batched per-bucket SID fitting (the PR-1 vectorized fast path).
+        """Batched per-bucket SID fitting, streamed block by block over the buckets.
 
         Declines (returns ``None``) on degenerate gradients with no tail to
         fit; the pipeline then falls back to the whole-vector degenerate
-        handling of :meth:`compress`.  The stage controller is *not* observed
+        handling of :meth:`compress`.  A NaN or infinite element raises
+        ``ValueError``.  The stage controller is *not* observed
         here — the pipeline observes the global achieved selection once per
         call, exactly like the unbucketed compressor.
         """
         # Deferred import: repro.pipeline imports this module at load time.
-        from ..pipeline.vectorized import _bucket_mask_and_counts, estimate_multi_stage_bucketed
+        from ..pipeline.vectorized import estimate_multi_stage_bucketed
 
         arr = np.asarray(gradient, dtype=np.float64).ravel()
         d = arr.size
-        abs_flat = np.abs(arr)
-        if d < 2 or float(abs_flat.max()) == 0.0:
+        if d < 2:
             return None
-
-        ops = [_abs_pass(d)]
         estimate = estimate_multi_stage_bucketed(
-            abs_flat,
+            arr,
             layout,
             ratio,
             self.sid,
             self.controller.num_stages,
             first_stage_ratio=self.first_stage_ratio,
         )
-        ops.extend(estimate.ops)
-        mask, bucket_nnz = _bucket_mask_and_counts(abs_flat, layout, estimate.thresholds)
-        ops.append(OpRecord("elementwise", d))
-        ops.append(OpRecord("compact", d, int(bucket_nnz.sum())))
-        indices = np.flatnonzero(mask)
+        if not estimate.has_tail:
+            return None
+        # The modelled trace keeps the whole-gradient compare and compaction.
+        nnz = int(estimate.bucket_nnz.sum())
+        ops = [_abs_pass(d), *estimate.ops, OpRecord("elementwise", d), OpRecord("compact", d, nnz)]
         return BucketedFit(
-            indices=indices,
-            values=arr[indices],
-            bucket_nnz=bucket_nnz,
+            indices=estimate.indices,
+            values=arr[estimate.indices],
+            bucket_nnz=estimate.bucket_nnz,
             bucket_thresholds=estimate.thresholds,
             target_ratio=ratio,
             ops=ops,
             metadata={
                 "sid": self.sid,
                 "num_stages_configured": self.controller.num_stages,
-                "stages_used": estimate.max_stages_used,
+                "stages_used": int(estimate.stages_used.max()),
                 "bucket_stages_used": estimate.stages_used,
             },
         )
@@ -180,7 +177,5 @@ def _sid_suffix(sid: str) -> str:
     return {"exponential": "e", "gamma": "gp", "gpareto": "p"}[sid]
 
 
-def _abs_pass(size: int):
-    from ..compressors.base import OpRecord
-
+def _abs_pass(size: int) -> OpRecord:
     return OpRecord("elementwise", size)

@@ -177,10 +177,6 @@ class WorkerRates:
         return len(self.compute)
 
     @property
-    def num_active(self) -> int:
-        return int(self.active.sum())
-
-    @property
     def active_indices(self) -> list[int]:
         return [int(w) for w in np.flatnonzero(self.active)]
 

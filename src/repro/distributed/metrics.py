@@ -74,10 +74,6 @@ class TrainingMetrics:
     def achieved_ratios(self) -> np.ndarray:
         return np.array([r.achieved_ratio for r in self.records])
 
-    @property
-    def iteration_times(self) -> np.ndarray:
-        return np.array([r.iteration_time for r in self.records])
-
     def loss_curve(self) -> tuple[np.ndarray, np.ndarray]:
         """(iteration, loss) — Figure 4a/c."""
         return np.array([r.iteration for r in self.records]), self.losses

@@ -83,7 +83,9 @@ def realistic_gradient(
     is_bulk = rng.uniform(size=size) < sparsity
     bulk = rng.laplace(0.0, bulk_scale, size=size)
     tail = rng.laplace(0.0, tail_scale, size=size)
-    return np.where(is_bulk, bulk, tail)
+    # In place: ``np.where(is_bulk, bulk, tail)`` without a fourth array.
+    np.copyto(tail, bulk, where=is_bulk)
+    return tail
 
 
 def model_sized_gradient(model: str, *, seed: int | None = None, max_elements: int | None = None) -> np.ndarray:

@@ -32,7 +32,6 @@ from ..core.threshold import estimate_multi_stage
 from ..tensor.flatten import FlatSpec
 from ..tensor.sparse import FLOAT_BYTES, INDEX_BYTES, SparseGradient
 from .bucketing import DEFAULT_BUCKET_BYTES, BucketLayout, merge_sparse_buckets, split_into_buckets
-from .vectorized import _bucket_mask_and_counts
 
 
 class CompressionPipeline(Compressor):
@@ -115,22 +114,15 @@ class CompressionPipeline(Compressor):
                 return self._result_from_fit(fit, layout)
         return self._compress_generic(arr, ratio, layout)
 
-    # -- SIDCo fast path ---------------------------------------------------
+    # -- SIDCo ------------------------------------------------------------
 
     def _compress_sidco(self, arr: np.ndarray, ratio: float, layout: BucketLayout) -> CompressionResult:
         inner: SIDCo = self.compressor
-        d = arr.size
-        target_k = self._target_k(d, ratio)
-
         if self.vectorized:
             fit = inner.fit_all_buckets(arr, layout, ratio)
-            if fit is not None:
-                result = self._result_from_fit(fit, layout)
-                inner.controller.observe(result.achieved_k, target_k)
-                return result
-
-        abs_flat = np.abs(arr)
-        if d < 2 or float(abs_flat.max()) == 0.0:
+        else:
+            fit = self._fit_sidco_loop(arr, ratio, layout)
+        if fit is None:
             # No tail to fit anywhere; let the wrapped compressor's degenerate
             # handling pick the selection, but keep the pipeline's metadata
             # contract (per-bucket payloads) intact for the timeline model.
@@ -140,6 +132,20 @@ class CompressionPipeline(Compressor):
             ).astype(np.int64)
             result.metadata.update(self._bucket_metadata(layout, bucket_nnz, degenerate=True))
             return result
+        result = self._result_from_fit(fit, layout)
+        inner.controller.observe(result.achieved_k, self._target_k(arr.size, ratio))
+        return result
+
+    def _fit_sidco_loop(self, arr: np.ndarray, ratio: float, layout: BucketLayout) -> BucketedFit | None:
+        """The scalar reference: :func:`estimate_multi_stage` bucket by bucket."""
+        inner: SIDCo = self.compressor
+        d = arr.size
+        abs_flat = np.abs(arr)
+        max_abs = float(abs_flat.max())
+        if not np.isfinite(max_abs):
+            raise ValueError("gradient contains NaN or infinite values")
+        if d < 2 or max_abs == 0.0:
+            return None
 
         ops: list[OpRecord] = [OpRecord("elementwise", d)]
         num_stages = inner.controller.num_stages
@@ -164,31 +170,23 @@ class CompressionPipeline(Compressor):
                 thresholds[i] = np.inf
                 stages_used[i] = 0
 
-        mask, bucket_nnz = _bucket_mask_and_counts(abs_flat, layout, thresholds)
+        indices = np.flatnonzero(abs_flat >= np.repeat(thresholds, layout.sizes()))
         ops.append(OpRecord("elementwise", d))
-        ops.append(OpRecord("compact", d, int(bucket_nnz.sum())))
-        indices = np.flatnonzero(mask)
-        sparse = SparseGradient(indices=indices, values=arr[indices], dense_size=d)
-
-        finite = np.isfinite(thresholds)
-        result = CompressionResult(
-            sparse=sparse,
+        ops.append(OpRecord("compact", d, indices.size))
+        return BucketedFit(
+            indices=indices,
+            values=arr[indices],
+            bucket_nnz=np.bincount(layout.bucket_of(indices), minlength=layout.num_buckets),
+            bucket_thresholds=thresholds,
             target_ratio=ratio,
-            threshold=float(thresholds[finite].mean()) if finite.any() else None,
             ops=ops,
-            metadata=self._bucket_metadata(
-                layout,
-                bucket_nnz,
-                sid=inner.sid,
-                vectorized=self.vectorized,
-                num_stages_configured=num_stages,
-                stages_used=int(stages_used.max()) if stages_used.size else 0,
-                bucket_thresholds=thresholds,
-                bucket_stages_used=stages_used,
-            ),
+            metadata={
+                "sid": inner.sid,
+                "num_stages_configured": num_stages,
+                "stages_used": int(stages_used.max()),
+                "bucket_stages_used": stages_used,
+            },
         )
-        inner.controller.observe(result.achieved_k, target_k)
-        return result
 
     # -- generic per-bucket loop -------------------------------------------
 
@@ -238,7 +236,7 @@ class CompressionPipeline(Compressor):
                 layout,
                 bucket_nnz,
                 inner=self.compressor.name,
-                vectorized=True,
+                vectorized=self.vectorized,
                 bucket_thresholds=fit.bucket_thresholds,
                 **fit.metadata,
             ),

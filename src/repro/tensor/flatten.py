@@ -55,10 +55,6 @@ class FlatSpec:
         """Start offset of every slot, in layout order."""
         return np.asarray([s.offset for s in self.slots], dtype=np.int64)
 
-    def slot_sizes(self) -> np.ndarray:
-        """Element count of every slot, in layout order."""
-        return np.asarray([s.size for s in self.slots], dtype=np.int64)
-
 
 def flatten(named_arrays: dict[str, np.ndarray], spec: FlatSpec | None = None) -> tuple[np.ndarray, FlatSpec]:
     """Concatenate named arrays into a single 1-D float64 vector."""

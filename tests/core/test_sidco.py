@@ -104,3 +104,36 @@ class TestCompression:
         sidco_result = SIDCo("exponential").compress(medium_gradient, 0.01)
         topk_result = TopK().compress(medium_gradient, 0.01)
         assert GPU_V100.trace_cost(sidco_result.ops) < GPU_V100.trace_cost(topk_result.ops)
+
+
+@pytest.mark.parametrize("variant", ["sidco-e", "sidco-gp", "sidco-p"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+class TestNonFiniteGradients:
+    """A NaN or infinite element is rejected rather than silently mis-selected."""
+
+    @staticmethod
+    def _gradient(bad):
+        gradient = realistic_gradient(20_000, seed=4)
+        gradient[12_345] = bad
+        return gradient
+
+    def test_unbucketed_compress_raises(self, variant, bad):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            SIDCo.from_variant(variant).compress(self._gradient(bad), 0.01)
+
+    def test_fit_all_buckets_raises(self, variant, bad):
+        from repro.pipeline import BucketLayout
+
+        layout = BucketLayout(total_size=20_000, bucket_size=4096)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            SIDCo.from_variant(variant).fit_all_buckets(self._gradient(bad), layout, 0.01)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_pipeline_raises(self, variant, bad, vectorized):
+        from repro.pipeline import CompressionPipeline
+
+        pipeline = CompressionPipeline(
+            SIDCo.from_variant(variant), bucket_bytes=16 * 1024, vectorized=vectorized
+        )
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            pipeline.compress(self._gradient(bad), 0.01)

@@ -64,6 +64,19 @@ class TestRealisticGradient:
         with pytest.raises(ValueError):
             realistic_gradient(100, sparsity=1.0)
 
+    @pytest.mark.parametrize("size", [1, 7, 10_000, 250_001])
+    @pytest.mark.parametrize("seed", [0, 3, 2021])
+    def test_equals_the_where_formula(self, size, seed):
+        # Built in place, but bit-for-bit the three-draw ``np.where`` mixture.
+        rng = np.random.default_rng(seed)
+        is_bulk = rng.uniform(size=size) < 0.9
+        bulk = rng.laplace(0.0, 1e-4, size=size)
+        tail = rng.laplace(0.0, 5e-3, size=size)
+        expected = np.where(is_bulk, bulk, tail)
+        actual = realistic_gradient(size, seed=seed)
+        assert actual.dtype == expected.dtype
+        assert actual.tobytes() == expected.tobytes()
+
 
 class TestModelSized:
     def test_known_dimensions(self):

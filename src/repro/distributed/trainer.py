@@ -3,7 +3,9 @@
 ``DistributedTrainer`` simulates the paper's training stack end-to-end:
 
 1. every worker draws a mini-batch from its shard and computes a local
-   gradient (forward/backward on the shared replica),
+   gradient on the shared replica; workers run in groups, one stacked
+   forward/backward per group (``worker.compute_gradients``), bit-for-bit
+   what one pass per worker gives,
 2. the gradient is error-feedback corrected and compressed by the worker's own
    compressor instance,
 3. sparse contributions are aggregated with all-gather semantics (dense
@@ -47,7 +49,7 @@ from .topology import (
     SparseAggregateModel,
     get_topology,
 )
-from .worker import Worker
+from .worker import Worker, compute_gradients
 
 
 @dataclass
@@ -194,7 +196,7 @@ class DistributedTrainer:
         self.scheduler = scheduler
         knobs = config.knobs
 
-        flat_spec = FlatSpec.from_named_shapes(
+        self.flat_spec = flat_spec = FlatSpec.from_named_shapes(
             {name: p.shape for name, p in model.named_parameters().items()}
         )
         shards = shard_dataset(dataset, config.num_workers, seed=config.seed)
@@ -215,6 +217,7 @@ class DistributedTrainer:
                     comp,
                     use_error_feedback=config.use_error_feedback,
                     clip_norm=config.clip_norm,
+                    flat_spec=flat_spec,
                 )
             )
         self.compressor_name = self.workers[0].compressor.name
@@ -230,7 +233,7 @@ class DistributedTrainer:
         if scheduler is not None:
             scheduler.optimizer = self.optimizer
 
-        dimension = self.workers[0].flat_spec.total_size
+        dimension = flat_spec.total_size
         self.collective = CollectiveModel(
             topology=config.resolve_topology(network),
             allreduce_algorithm=knobs.allreduce_algorithm,
@@ -329,19 +332,14 @@ class DistributedTrainer:
             if not workers:
                 raise RuntimeError("fault injection left no active workers this iteration")
 
-        if in_warmup and not self.is_baseline:
-            worker_steps = []
-            for worker in workers:
+        worker_steps = []
+        for worker, loss, flat in compute_gradients(workers, iteration=iteration):
+            if in_warmup and not self.is_baseline:
                 # Warm-up: train uncompressed (the paper's 5-epoch warm-up).
-                loss, flat = worker.compute_gradient()
-                result = self._warmup_compressor.compress(flat, 1.0)
-                worker_steps.append((loss, result, flat))
-        else:
-            worker_steps = []
-            for worker in workers:
-                step = worker.step(cfg.ratio)
+                worker_steps.append((loss, self._warmup_compressor.compress(flat, 1.0), flat))
+            else:
+                step = worker.compress_gradient(loss, flat, cfg.ratio)
                 worker_steps.append((step.loss, step.compression, step.corrected_gradient))
-
         losses = [s[0] for s in worker_steps]
         results = [s[1] for s in worker_steps]
 
@@ -390,7 +388,7 @@ class DistributedTrainer:
             collective = allgather_sparse([s[1].sparse for s in participating_steps])
 
         aggregated = collective.aggregated
-        named_grads = unflatten(aggregated, self.workers[0].flat_spec)
+        named_grads = unflatten(aggregated, self.flat_spec)
         self.optimizer.step(named_grads)
 
         wall_time += iteration_seconds

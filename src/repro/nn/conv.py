@@ -1,4 +1,10 @@
-"""Convolutional layers (im2col based) and the residual block used by the CNN proxies."""
+"""Convolutional layers (im2col based) and the residual block used by the CNN proxies.
+
+Each layer works over the trailing ``(channels, height, width)`` axes; every
+axis before them is a batch axis, so a stacked ``(workers, batch, C, H, W)``
+pass needs no separate code path.  Conv2d's parameter gradients are summed
+over the batch axis only, one GEMM per worker.
+"""
 
 from __future__ import annotations
 
@@ -80,27 +86,38 @@ class Conv2d(Module):
         self._input_shape: tuple[int, int, int, int] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        cols, out_h, out_w = _im2col(x, self.kernel_size, self.stride, self.padding)
+        *batch, c, h, w = x.shape
+        cols, out_h, out_w = _im2col(
+            x.reshape(-1, c, h, w), self.kernel_size, self.stride, self.padding
+        )
+        cols = cols.reshape(*batch, out_h, out_w, cols.shape[-1])
         self._cols = cols
         self._input_shape = x.shape
-        out = cols @ self.weight.data.T  # (N, out_h, out_w, out_channels)
+        out = cols @ self.weight.data.T  # (..., N, out_h, out_w, out_channels)
         if self.bias is not None:
             out = out + self.bias.data
-        return out.transpose(0, 3, 1, 2)
+        n = out.ndim  # channels last -> channels before (out_h, out_w)
+        return out.transpose(*range(n - 3), n - 1, n - 3, n - 2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cols is None or self._input_shape is None:
             raise RuntimeError("backward called before forward")
-        grad = grad_output.transpose(0, 2, 3, 1)  # (N, out_h, out_w, out_channels)
-        n, out_h, out_w, _ = grad.shape
-        grad_2d = grad.reshape(-1, self.out_channels)
-        cols_2d = self._cols.reshape(-1, self._cols.shape[-1])
-        self.weight.grad += grad_2d.T @ cols_2d
+        n = grad_output.ndim
+        grad = grad_output.transpose(*range(n - 3), n - 2, n - 1, n - 3)  # (..., N, out_h, out_w, C)
+        out_h, out_w = grad.shape[-3:-1]
+        workers = self._input_shape[:-4]
+        grad_2d = grad.reshape(*workers, -1, self.out_channels)
+        cols_2d = self._cols.reshape(*workers, -1, self._cols.shape[-1])
+        self.weight.accumulate(grad_2d.swapaxes(-1, -2) @ cols_2d)
         if self.bias is not None:
-            self.bias.grad += grad_2d.sum(axis=0)
+            self.bias.accumulate(grad_2d.sum(axis=-2))
         grad_cols = grad_2d @ self.weight.data
-        grad_cols = grad_cols.reshape(n, out_h, out_w, -1)
-        return _col2im(grad_cols, self._input_shape, self.kernel_size, self.stride, self.padding)
+        grad_cols = grad_cols.reshape(-1, out_h, out_w, grad_cols.shape[-1])
+        c, h, w = self._input_shape[-3:]
+        grad_input = _col2im(
+            grad_cols, (grad_cols.shape[0], c, h, w), self.kernel_size, self.stride, self.padding
+        )
+        return grad_input.reshape(self._input_shape)
 
 
 class MaxPool2d(Module):
@@ -113,30 +130,30 @@ class MaxPool2d(Module):
         self._input_shape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
+        *lead, h, w = x.shape
         k = self.kernel_size
         if h % k or w % k:
             raise ValueError(f"input spatial dims ({h}x{w}) must be divisible by kernel_size {k}")
         self._input_shape = x.shape
-        reshaped = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // k, w // k, k * k)
+        windows = x.reshape(*lead, h // k, k, w // k, k).swapaxes(-3, -2)
+        reshaped = windows.reshape(*lead, h // k, w // k, k * k)
         self._argmax = reshaped.argmax(axis=-1)
         return reshaped.max(axis=-1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._argmax is None or self._input_shape is None:
             raise RuntimeError("backward called before forward")
-        n, c, h, w = self._input_shape
+        *lead, h, w = self._input_shape
         k = self.kernel_size
         out_h, out_w = h // k, w // k
-        grad_windows = np.zeros((n, c, out_h, out_w, k * k), dtype=np.float64)
-        idx = np.indices((n, c, out_h, out_w))
-        grad_windows[idx[0], idx[1], idx[2], idx[3], self._argmax] = grad_output
-        grad = grad_windows.reshape(n, c, out_h, out_w, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
-        return grad
+        grad_windows = np.zeros((self._argmax.size, k * k), dtype=np.float64)
+        grad_windows[np.arange(self._argmax.size), self._argmax.ravel()] = grad_output.ravel()
+        windows = grad_windows.reshape(*lead, out_h, out_w, k, k).swapaxes(-3, -2)
+        return windows.reshape(self._input_shape)
 
 
 class GlobalAvgPool2d(Module):
-    """Average over the spatial dimensions, producing ``(N, C)``."""
+    """Average over the spatial dimensions, producing ``(..., N, C)``."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -144,13 +161,13 @@ class GlobalAvgPool2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._input_shape = x.shape
-        return x.mean(axis=(2, 3))
+        return x.mean(axis=(-2, -1))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:
             raise RuntimeError("backward called before forward")
-        n, c, h, w = self._input_shape
-        return np.broadcast_to(grad_output[:, :, None, None], (n, c, h, w)) / (h * w)
+        h, w = self._input_shape[-2:]
+        return np.broadcast_to(grad_output[..., None, None], self._input_shape) / (h * w)
 
 
 class ResidualBlock(Module):

@@ -31,9 +31,9 @@ class Linear(Module):
         if self._input is None:
             raise RuntimeError("backward called before forward")
         x = self._input
-        self.weight.grad += grad_output.T @ x
+        self.weight.accumulate(grad_output.swapaxes(-1, -2) @ x)
         if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=0)
+            self.bias.accumulate(grad_output.sum(axis=-2))
         return grad_output @ self.weight.data
 
 
@@ -83,7 +83,11 @@ class Sigmoid(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; disabled in eval mode."""
+    """Inverted dropout; disabled in eval mode.
+
+    A stacked ``(W, ...)`` mask is one draw that consumes the generator's
+    stream exactly as W unstacked draws in worker order would.
+    """
 
     def __init__(self, p: float = 0.5, *, rng: np.random.Generator | None = None) -> None:
         super().__init__()
@@ -107,7 +111,7 @@ class Dropout(Module):
 
 
 class Flatten(Module):
-    """Flatten every dimension after the batch dimension."""
+    """Flatten every dimension after the batch dimension (and the worker axis, if stacked)."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -115,7 +119,8 @@ class Flatten(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._input_shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        keep = len(self.worker_axes(x)) + 1
+        return x.reshape(*x.shape[:keep], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:

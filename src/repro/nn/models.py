@@ -6,6 +6,13 @@ that shape gradient statistics: deep conv stacks with a classifier head
 (VGG-style), residual blocks (ResNet-style), and embedding + stacked LSTM +
 projection (PTB / AN4-style).  The full-size parameter counts from Table 1 are
 used separately by the performance model when converting to wall-clock time.
+
+Every model also runs a stacked pass over several workers' batches (see
+:mod:`repro.nn.module`).  ``worker_group`` is how many workers the trainer
+stacks at most: the recurrent proxies' cost is NumPy call overhead in their
+per-timestep loop, so stacking 8 workers pays (groups of 8 measured fastest
+on ``lstm-ptb``, and keep the pass's peak memory near 5 MiB); the
+convolutional proxies are FLOP-bound and gain nothing, so they stay at 1.
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ class MLPClassifier(Module):
         self.net = Sequential(*layers)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.net(x.reshape(x.shape[0], -1))
+        keep = len(self.worker_axes(x)) + 1
+        return self.net(x.reshape(*x.shape[:keep], -1))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return self.net.backward(grad_output)
@@ -125,6 +133,8 @@ class LSTMLanguageModel(Module):
     perplexity like the paper's 2x1500 LSTM.
     """
 
+    worker_group = 8
+
     def __init__(
         self,
         vocab_size: int,
@@ -145,16 +155,17 @@ class LSTMLanguageModel(Module):
         embedded = self.embedding(token_ids)
         hidden = self.lstm(embedded)
         self._hidden_shape = hidden.shape
-        batch, time, width = hidden.shape
-        logits = self.projection(hidden.reshape(batch * time, width))
-        return logits.reshape(batch, time, -1)
+        # Project every (batch, time) position of each worker in one GEMM.
+        *lead, time, width = hidden.shape
+        logits = self.projection(hidden.reshape(*lead[:-1], -1, width))
+        return logits.reshape(*lead, time, -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._hidden_shape is None:
             raise RuntimeError("backward called before forward")
-        batch, time, width = self._hidden_shape
-        grad = self.projection.backward(grad_output.reshape(batch * time, -1))
-        grad = self.lstm.backward(grad.reshape(batch, time, width))
+        workers = self._hidden_shape[:-3]
+        grad = self.projection.backward(grad_output.reshape(*workers, -1, grad_output.shape[-1]))
+        grad = self.lstm.backward(grad.reshape(self._hidden_shape))
         return self.embedding.backward(grad)
 
 
@@ -165,6 +176,8 @@ class LSTMSequenceClassifier(Module):
     utterance label, standing in for the DeepSpeech-style model (the
     compressors only ever see its gradients).
     """
+
+    worker_group = 8
 
     def __init__(
         self,
@@ -183,15 +196,15 @@ class LSTMSequenceClassifier(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         hidden = self.lstm(x)
-        self._time = hidden.shape[1]
-        pooled = hidden.mean(axis=1)
+        self._time = hidden.shape[-2]
+        pooled = hidden.mean(axis=-2)
         return self.head(pooled)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._time is None:
             raise RuntimeError("backward called before forward")
         grad_pooled = self.head.backward(grad_output)
-        grad_hidden = np.repeat(grad_pooled[:, None, :], self._time, axis=1) / self._time
+        grad_hidden = np.repeat(grad_pooled[..., None, :], self._time, axis=-2) / self._time
         return self.lstm.backward(grad_hidden)
 
 

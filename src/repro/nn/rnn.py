@@ -35,21 +35,31 @@ class Embedding(Module):
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.min() < 0 or ids.max() >= self.num_embeddings:
             raise ValueError("token id out of range for embedding table")
+        self.worker_axes(ids)
         self._input_ids = ids
         return self.weight.data[ids]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_ids is None:
             raise RuntimeError("backward called before forward")
-        flat_ids = self._input_ids.reshape(-1)
+        axes = self.worker_axes(self._input_ids)
+        self.weight.check_grad((*axes, *self.weight.shape))
+        ids = self._input_ids.reshape(*axes, -1)
+        if axes:
+            # Worker w's rows of the (W * vocab, dim) view: its scatter-adds
+            # land in its own slice, in its own order.
+            ids = ids + self.num_embeddings * np.arange(axes[0])[:, None]
         flat_grad = grad_output.reshape(-1, self.embedding_dim)
-        np.add.at(self.weight.grad, flat_ids, flat_grad)
+        # The gradient is C-ordered (Parameter allocates it), so this reshape is a view.
+        np.add.at(self.weight.grad.reshape(-1, self.embedding_dim), ids.reshape(-1), flat_grad)
         # Token ids are not differentiable; return zeros with the id shape for API symmetry.
         return np.zeros(self._input_ids.shape, dtype=np.float64)
 
 
 class LSTM(Module):
     """Stacked LSTM over a ``(batch, time, features)`` input.
+
+    A pass over several workers' batches takes ``(workers, batch, time, features)``.
 
     Forward returns the top layer's hidden states for every timestep.
     Backward performs truncated BPTT over the full forward window (the
@@ -91,9 +101,11 @@ class LSTM(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3:
-            raise ValueError(f"LSTM expects (batch, time, features), got shape {x.shape}")
-        batch, time, _ = x.shape
+        axes = self.worker_axes(x)
+        if x.ndim != 3 + len(axes):
+            layout = "(workers, batch, time, features)" if axes else "(batch, time, features)"
+            raise ValueError(f"LSTM expects {layout}, got shape {x.shape}")
+        *batch, time, _ = x.shape
         hidden = self.hidden_size
         self._caches = []
         self._layer_inputs = []
@@ -101,18 +113,18 @@ class LSTM(Module):
         layer_input = x
         for layer in range(self.num_layers):
             w_ih, w_hh, bias = self._params(layer)
-            h = np.zeros((batch, hidden))
-            c = np.zeros((batch, hidden))
-            outputs = np.empty((batch, time, hidden))
+            h = np.zeros((*batch, hidden))
+            c = np.zeros((*batch, hidden))
+            outputs = np.empty((*batch, time, hidden))
             caches: list[dict[str, np.ndarray]] = []
             self._layer_inputs.append(layer_input)
             for t in range(time):
-                x_t = layer_input[:, t, :]
+                x_t = layer_input[..., t, :]
                 z = x_t @ w_ih.data.T + h @ w_hh.data.T + bias.data
-                i_g = _sigmoid(z[:, :hidden])
-                f_g = _sigmoid(z[:, hidden : 2 * hidden])
-                g_g = np.tanh(z[:, 2 * hidden : 3 * hidden])
-                o_g = _sigmoid(z[:, 3 * hidden :])
+                i_g = _sigmoid(z[..., :hidden])
+                f_g = _sigmoid(z[..., hidden : 2 * hidden])
+                g_g = np.tanh(z[..., 2 * hidden : 3 * hidden])
+                o_g = _sigmoid(z[..., 3 * hidden :])
                 c_new = f_g * c + i_g * g_g
                 tanh_c = np.tanh(c_new)
                 h_new = o_g * tanh_c
@@ -130,7 +142,7 @@ class LSTM(Module):
                     }
                 )
                 h, c = h_new, c_new
-                outputs[:, t, :] = h
+                outputs[..., t, :] = h
             self._caches.append(caches)
             layer_input = outputs
         return layer_input
@@ -146,14 +158,14 @@ class LSTM(Module):
             w_ih, w_hh, bias = self._params(layer)
             caches = self._caches[layer]
             layer_input = self._layer_inputs[layer]
-            batch, time, in_size = layer_input.shape
+            *batch, time, in_size = layer_input.shape
 
-            grad_input = np.zeros((batch, time, in_size))
-            grad_h_next = np.zeros((batch, hidden))
-            grad_c_next = np.zeros((batch, hidden))
+            grad_input = np.zeros((*batch, time, in_size))
+            grad_h_next = np.zeros((*batch, hidden))
+            grad_c_next = np.zeros((*batch, hidden))
             for t in reversed(range(time)):
                 cache = caches[t]
-                grad_h = grad_layer_output[:, t, :] + grad_h_next
+                grad_h = grad_layer_output[..., t, :] + grad_h_next
                 grad_o = grad_h * cache["tanh_c"]
                 grad_c = grad_h * cache["o"] * (1.0 - cache["tanh_c"] ** 2) + grad_c_next
                 grad_i = grad_c * cache["g"]
@@ -168,12 +180,18 @@ class LSTM(Module):
                         grad_g * (1.0 - cache["g"] ** 2),
                         grad_o * cache["o"] * (1.0 - cache["o"]),
                     ],
-                    axis=1,
+                    axis=-1,
                 )
-                w_ih.grad += dz.T @ cache["x"]
-                w_hh.grad += dz.T @ cache["h_prev"]
-                bias.grad += dz.sum(axis=0)
-                grad_input[:, t, :] = dz @ w_ih.data
+                # Per-timestep accumulation, one GEMM per worker: summing the
+                # timesteps inside one larger GEMM would change the bits.
+                dz_t = dz.swapaxes(-1, -2)
+                w_ih.accumulate(dz_t @ cache["x"])
+                w_hh.accumulate(dz_t @ cache["h_prev"])
+                bias.accumulate(dz.sum(axis=-2))
+                grad_input[..., t, :] = dz @ w_ih.data
                 grad_h_next = dz @ w_hh.data
             grad_layer_output = grad_input
+        # BPTT consumes the window: release the per-step caches now (a stacked
+        # pass holds every worker's) rather than at the next forward.
+        self._caches = self._layer_inputs = None
         return grad_layer_output

@@ -56,18 +56,32 @@ class FlatSpec:
         return np.asarray([s.offset for s in self.slots], dtype=np.int64)
 
 
-def flatten(named_arrays: dict[str, np.ndarray], spec: FlatSpec | None = None) -> tuple[np.ndarray, FlatSpec]:
-    """Concatenate named arrays into a single 1-D float64 vector."""
+def flatten(
+    named_arrays: dict[str, np.ndarray],
+    spec: FlatSpec | None = None,
+    *,
+    workers: int | None = None,
+) -> tuple[np.ndarray, FlatSpec]:
+    """Concatenate named arrays into a single 1-D float64 vector.
+
+    With ``workers=W`` every array carries a leading worker axis,
+    ``(W, *shape)``, and the result is a ``(W, total_size)`` matrix with one
+    flattened row per worker.
+    """
+    rows = () if workers is None else (workers,)
     if spec is None:
-        spec = FlatSpec.from_arrays(named_arrays)
-    flat = np.empty(spec.total_size, dtype=np.float64)
+        spec = FlatSpec.from_named_shapes(
+            {name: np.shape(arr)[len(rows) :] for name, arr in named_arrays.items()}
+        )
+    flat = np.empty((*rows, spec.total_size), dtype=np.float64)
     for slot in spec.slots:
         arr = np.asarray(named_arrays[slot.name], dtype=np.float64)
-        if arr.size != slot.size:
+        expected = slot.size * (workers or 1)
+        if arr.size != expected:
             raise ValueError(
-                f"tensor {slot.name!r} has {arr.size} elements but the spec expects {slot.size}"
+                f"tensor {slot.name!r} has {arr.size} elements but the spec expects {expected}"
             )
-        flat[slot.offset : slot.offset + slot.size] = arr.ravel()
+        flat[..., slot.offset : slot.offset + slot.size] = arr.reshape(*rows, slot.size)
     return flat, spec
 
 

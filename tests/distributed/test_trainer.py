@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.data import make_blobs_classification
+from repro.data import make_blobs_classification, make_language_modeling, make_sequence_classification
 from repro.distributed import (
     KNOB_FIELDS,
     DistributedTrainer,
     SimulationKnobs,
     TrainerConfig,
+    WorkerChurn,
     train_baseline_and_compressed,
 )
 from repro.gradients import GradientCapture
+from repro.harness.configs import get_benchmark
 from repro.nn import build_model
 from repro.optim import WarmupStepDecay
 
@@ -493,3 +495,57 @@ class TestCrossBucketThreading:
             serial.metrics.serialized_total_time
         )
         assert cross.config.knobs.cross_bucket_pipeline
+
+
+class TestWorkerGroups:
+    """Stacked worker groups train exactly as one pass per worker.
+
+    The recurrent proxies stack up to ``worker_group`` (8) workers per pass;
+    forcing groups of one on the same model must give identical records.
+    The shards (39 or 41 examples over 6 workers, batch 5) end their epochs
+    at different iterations, so one iteration mixes batch shapes and the
+    groups split on them.
+    """
+
+    @staticmethod
+    def _run(proxy, worker_group, **kwargs):
+        config = get_benchmark(proxy)
+        if proxy == "lstm-ptb":
+            dataset = make_language_modeling(num_sequences=39, seq_len=8, vocab_size=64, seed=0)
+        else:
+            dataset = make_sequence_classification(41, 8, seq_len=8, num_features=12, seed=0)
+        model = config.build_proxy_model(seed=1)
+        model.worker_group = worker_group
+        trainer_config = _config(
+            num_workers=6, batch_size=5, iterations=14, lr=config.proxy_lr,
+            clip_norm=config.proxy_clip_norm, **kwargs,
+        )
+        return DistributedTrainer(model, dataset, "sidco-e", trainer_config).run(evaluate_on=dataset)
+
+    @pytest.mark.parametrize("proxy", ["lstm-ptb", "lstm-an4"])
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {},
+            {"warmup_iterations": 5},
+            {"fault_injectors": (WorkerChurn(leave_probability=0.3, rejoin_probability=0.5, seed=4),)},
+        ],
+        ids=["ragged", "warmup", "churn"],
+    )
+    def test_groups_of_eight_equal_groups_of_one(self, proxy, scenario):
+        grouped = self._run(proxy, 8, **scenario)
+        single = self._run(proxy, 1, **scenario)
+        assert grouped.metrics.records == single.metrics.records
+        assert grouped.final_evaluation == single.final_evaluation
+        if "fault_injectors" in scenario:
+            active = {r.participating_workers for r in grouped.metrics.records}
+            assert len(active) > 1  # churn really changed the groups
+
+    def test_non_finite_parameter_fails_the_iteration(self):
+        model = _model()
+        trainer = DistributedTrainer(model, _dataset(), "topk", _config(iterations=3))
+        model.net[0].weight.data[0, 0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match="worker 0 produced a non-finite loss or gradient at iteration 0"
+        ):
+            trainer.run()

@@ -1,10 +1,13 @@
 """Tests for the simulated worker."""
 
+import copy
+
 import numpy as np
+import pytest
 
 from repro.compressors import create_compressor
-from repro.data import BatchIterator, make_blobs_classification, shard_dataset
-from repro.distributed.worker import Worker
+from repro.data import BatchIterator, make_blobs_classification, make_language_modeling, shard_dataset
+from repro.distributed.worker import Worker, compute_gradients
 from repro.nn import build_model
 
 
@@ -63,3 +66,94 @@ class TestWorker:
         _, g0 = w0.compute_gradient()
         _, g1 = w1.compute_gradient()
         assert not np.allclose(g0, g1)
+
+
+def _lstm_workers(num_workers=7, batch_size=4, num_sequences=45, model=None):
+    """Workers sharing one LSTM-LM whose shards end epochs at different steps (ragged batches)."""
+    dataset = make_language_modeling(num_sequences=num_sequences, seq_len=6, vocab_size=13, seed=0)
+    model = model or build_model("lstm_lm", vocab_size=13, embedding_dim=4, hidden_size=6, num_layers=2, seed=0)
+    shards = shard_dataset(dataset, num_workers, seed=0)
+    spec = None
+    workers = []
+    for i, shard in enumerate(shards):
+        worker = Worker(i, model, BatchIterator(shard, batch_size, seed=i), create_compressor("topk"), flat_spec=spec)
+        spec = worker.flat_spec
+        workers.append(worker)
+    return workers
+
+
+class TestComputeGradients:
+    def test_groups_equal_groups_of_one_bit_for_bit(self):
+        grouped = _lstm_workers()
+        single = _lstm_workers()
+        single[0].model.worker_group = 1
+        assert grouped[0].model.worker_group == 8
+        shapes = set()
+        for iteration in range(6):
+            active = grouped if iteration % 2 == 0 else grouped[1:6]
+            mirror = single if iteration % 2 == 0 else single[1:6]
+            got = list(compute_gradients(active, iteration=iteration))
+            ref = list(compute_gradients(mirror, iteration=iteration))
+            assert [w.worker_id for w, _, _ in got] == [w.worker_id for w in active]
+            assert [loss for _, loss, _ in got] == [loss for _, loss, _ in ref]
+            for (_, _, row), (_, _, ref_row) in zip(got, ref):
+                assert row.shape == ref_row.shape == (grouped[0].flat_spec.total_size,)
+                assert np.array_equal(row, ref_row)
+            shapes.update(w.batches.batch_size for w in active)
+            shapes.update(len(w.batches.dataset) % w.batches.batch_size for w in active)
+        assert len(shapes) > 1  # the shards really give ragged batches
+
+    def test_worker_step_is_a_group_of_one(self):
+        a, b = _lstm_workers()[0], _lstm_workers()[0]
+        loss, flat = a.compute_gradient()
+        [(worker, group_loss, row)] = compute_gradients([b])
+        assert worker is b and group_loss == loss
+        assert np.array_equal(row, flat)
+
+    def test_model_left_unstacked(self):
+        workers = _lstm_workers()
+        list(compute_gradients(workers))
+        model = workers[0].model
+        assert model.workers is None
+        assert all(p.grad.shape == p.shape for p in model.parameters())
+
+    def test_workers_must_share_a_model(self):
+        first = _lstm_workers()
+        second = _lstm_workers()
+        with pytest.raises(ValueError, match="share one model"):
+            list(compute_gradients([first[0], second[1]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("model_name", ["lstm_lm", "mlp"])
+    def test_non_finite_gradient_raises(self, bad, model_name):
+        if model_name == "lstm_lm":
+            workers = _lstm_workers()
+            param = workers[0].model.projection.weight
+        else:
+            workers = [_worker()]
+            param = workers[0].model.net[0].weight
+        param.data[0, 0] = bad
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+            ValueError, match=r"worker 0 .*non-finite.* at iteration 3"
+        ):
+            list(compute_gradients(workers, iteration=3))
+
+    def test_non_finite_gradient_of_a_later_worker_is_named(self):
+        # Every embedding row outside worker 0's next batch overflows, so
+        # worker 0 stays finite and the first worker that reads one is named.
+        workers = _lstm_workers()
+        upcoming = [copy.deepcopy(w.batches).next_batch()[0] for w in workers]
+        outside = np.setdiff1d(np.arange(13), upcoming[0])
+        first_bad = next(i for i, ids in enumerate(upcoming) if np.isin(ids, outside).any())
+        assert first_bad > 0
+        workers[0].model.embedding.weight.data[outside] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+            ValueError, match=f"worker {first_bad} .* at iteration 0"
+        ):
+            list(compute_gradients(workers, iteration=0))
+
+    def test_worker_step_rejects_a_nan_gradient(self):
+        worker = _worker()
+        worker.model.net[0].bias.data[0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="worker 0"):
+            worker.step(0.1)

@@ -68,3 +68,28 @@ class TestRoundTrip:
         restored = unflatten(flat, spec)
         for name, arr in arrays.items():
             assert np.allclose(restored[name], arr)
+
+
+class TestWorkerRows:
+    def test_stacked_arrays_pack_one_row_per_worker(self, rng):
+        arrays = _named_arrays(rng)
+        spec = FlatSpec.from_arrays(arrays)
+        stacked = {name: np.stack([np.asarray(a) * (w + 1) for w in range(3)]) for name, a in arrays.items()}
+        rows, _ = flatten(stacked, spec, workers=3)
+        assert rows.shape == (3, spec.total_size)
+        for w in range(3):
+            single, _ = flatten({n: np.asarray(a) * (w + 1) for n, a in arrays.items()}, spec)
+            assert np.array_equal(rows[w], single)
+
+    def test_spec_inferred_without_the_worker_axis(self, rng):
+        arrays = _named_arrays(rng)
+        stacked = {name: np.stack([a, a]) for name, a in arrays.items()}
+        _, spec = flatten(stacked, workers=2)
+        assert spec == FlatSpec.from_arrays(arrays)
+
+    def test_wrong_worker_count_rejected(self, rng):
+        arrays = _named_arrays(rng)
+        spec = FlatSpec.from_arrays(arrays)
+        stacked = {name: np.stack([a, a]) for name, a in arrays.items()}
+        with pytest.raises(ValueError):
+            flatten(stacked, spec, workers=3)

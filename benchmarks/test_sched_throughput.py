@@ -8,11 +8,13 @@ precomputed compression seconds, on the 128-node ``fat-tree-128`` preset
 (1024 workers, 7 phase columns) with a ~96-bucket top-k pipeline result.
 
 Two rows: the serial network lane and the cross-bucket per-link lanes.  The
-cross-bucket row is dominated by the scalar per-link template-fitting
-recurrence, the roadmap's remaining scheduler hot spot.  Neither row carries
-a bar yet; the former 10x bar compared against a second (loop) scheduler that
-no longer exists.  Results land in ``BENCH_sched_throughput.json`` at the repo
-root.
+cross-bucket row fits each bucket's rigid phase template to the earliest
+start that clears every link, minimal up to the conflict check's
+``1e-12 * max(1, |end|)`` tolerance: a lower bound swept over NumPy arrays
+of forbidden start intervals, then the exact scalar bump loop from there.
+Its bar does not depend on the machine: a cross-bucket call may take at most
+``CROSS_BUCKET_BAR`` serial-lane calls (best of five alternating batches).  Results
+land in ``BENCH_sched_throughput.json`` at the repo root.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_sched_throughput.py -v``.
 Setting ``SIDCO_SMOKE_DIMENSION`` (e.g. ``500000``) shrinks the gradient for
@@ -51,9 +53,13 @@ RATIO = 0.05
 COMM_OVERHEAD = 0.94
 #: 1 MiB buckets — ~96 buckets at the 25M scale, a realistic DDP sweep size.
 BUCKET_BYTES = 2**20
-#: Timed calls per batch: the serial lane runs in about a millisecond, the
-#: cross-bucket lanes in about a tenth of a second.
+#: Timed calls per batch, by ``cross_bucket``: the serial lane runs in about
+#: half a millisecond, the cross-bucket lanes in about fifteen.
 REPEATS = {False: 300, True: 10}
+#: Most serial-lane calls one cross-bucket call may cost.  Eleven runs on
+#: one x86 core measured 25-38x (136-179x before the swept lower bound, on
+#: the same core); the bar leaves 1.5x headroom over the worst.
+CROSS_BUCKET_BAR = 60.0
 
 ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_sched_throughput.json"
 
@@ -92,16 +98,23 @@ def worker_results():
     return results
 
 
-def _seconds_per_call(timeline, results, *, repeats: int, warmup: int = 3) -> float:
-    for _ in range(warmup):
-        timeline.schedule_iteration(results, compression_seconds=0.01)
-    best = float("inf")
-    # Best-of-3 batches: robust to scheduler noise on shared CI runners.
-    for _ in range(3):
-        start = time.perf_counter()
-        for _ in range(repeats):
+def _seconds_per_call(results, *, warmup: int = 3, batches: int = 5) -> dict[bool, float]:
+    """Best batch mean per lane, keyed by ``cross_bucket``.
+
+    The two lanes' batches alternate, so noise on a shared runner reaches
+    both rows alike and their ratio, the bar, stays steady.
+    """
+    timelines = {cross: _timeline(cross_bucket=cross) for cross in REPEATS}
+    for timeline in timelines.values():
+        for _ in range(warmup):
             timeline.schedule_iteration(results, compression_seconds=0.01)
-        best = min(best, (time.perf_counter() - start) / repeats)
+    best = dict.fromkeys(REPEATS, float("inf"))
+    for _ in range(batches):
+        for cross, timeline in timelines.items():
+            start = time.perf_counter()
+            for _ in range(REPEATS[cross]):
+                timeline.schedule_iteration(results, compression_seconds=0.01)
+            best[cross] = min(best[cross], (time.perf_counter() - start) / REPEATS[cross])
     return best
 
 
@@ -126,20 +139,15 @@ def test_benchmark_scenario_schedules(worker_results):
 @pytest.mark.skipif(SMOKE, reason="artifact records full-scale numbers only")
 def test_emit_sched_throughput_artifact(worker_results, emit_artifact):
     topology = get_topology(PRESET)
-    rows = []
-    for cross_bucket in (False, True):
-        seconds = _seconds_per_call(
-            _timeline(cross_bucket=cross_bucket),
-            worker_results,
-            repeats=REPEATS[cross_bucket],
-        )
-        rows.append(
-            {
-                "cross_bucket_pipeline": cross_bucket,
-                "seconds_per_call": seconds,
-                "schedules_per_second": 1.0 / seconds,
-            }
-        )
+    seconds = _seconds_per_call(worker_results)
+    rows = [
+        {
+            "cross_bucket_pipeline": cross_bucket,
+            "seconds_per_call": seconds[cross_bucket],
+            "schedules_per_second": 1.0 / seconds[cross_bucket],
+        }
+        for cross_bucket in (False, True)
+    ]
     written = emit_artifact(
         ARTIFACT_PATH,
         "sched_throughput",
@@ -149,6 +157,7 @@ def test_emit_sched_throughput_artifact(worker_results, emit_artifact):
             "bucket_bytes": BUCKET_BYTES,
             "num_buckets": worker_results[0].metadata["num_buckets"],
             "overlap": "comm+compress",
+            "cross_bucket_bar": CROSS_BUCKET_BAR,
             "topology": {
                 "name": topology.name,
                 "num_nodes": topology.num_nodes,
@@ -160,6 +169,9 @@ def test_emit_sched_throughput_artifact(worker_results, emit_artifact):
         metrics={
             "serial_lane_schedules_per_second": rows[0]["schedules_per_second"],
             "cross_bucket_schedules_per_second": rows[1]["schedules_per_second"],
+            "cross_bucket_over_serial_lane": (
+                rows[1]["seconds_per_call"] / rows[0]["seconds_per_call"]
+            ),
         },
         records=[
             {
@@ -178,3 +190,4 @@ def test_emit_sched_throughput_artifact(worker_results, emit_artifact):
     )
     assert set(written) == {"schema", "schema_version", "benchmark", "params", "metrics", "records"}
     assert all(value > 0.0 for value in written["metrics"].values())
+    assert written["metrics"]["cross_bucket_over_serial_lane"] <= CROSS_BUCKET_BAR

@@ -56,7 +56,7 @@ utilisation, not just a single scalar.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,54 +210,202 @@ class ScheduleArrays:
         }
 
 
-def _first_conflict_end(
-    spans: list[tuple[float, float]], start: float, end: float
-) -> float | None:
-    """End of the earliest committed span overlapping ``[start, end)``, if any.
+#: Bumps a template fit makes on the scalar path before it sweeps.  Fits on
+#: lightly loaded lanes end within them and never build an array.
+_SCALAR_BUMPS = 2
 
-    ``spans`` is sorted and pairwise non-overlapping (the scheduler only ever
-    commits conflict-free spans), so at most two candidates need checking: the
-    last span starting at or before ``start`` (it may straddle ``start``) and
-    the first span starting after it (it may begin before ``end``).
+
+def _bump_loop(phases, t: float, limit: int | None) -> tuple[float, bool]:
+    """Exact bump-and-recheck loop from ``t``: ``(t, True)`` once the template fits.
+
+    ``phases`` holds ``(offset, seconds, spans)`` for the template's phases
+    that last longer than zero, in column order.  The first phase (in that
+    order) whose ``[t + offset, t + offset + seconds)`` overlaps a committed
+    span on its link, by more than ``1e-12 * max(1, |end|)``, pushes the
+    template to ``conflict_end - offset`` and the scan restarts.  Each link's
+    ``spans`` is sorted, so two bisected candidates decide the check: the
+    last span starting at or before the phase (it may straddle the start) and
+    the first span starting after it (it may begin before the end).  After
+    ``limit`` bumps the loop stops early and returns ``(t, False)``.
     """
-    tolerance = 1e-12 * max(1.0, abs(end))
-    i = bisect_right(spans, (start, math.inf))
-    if i > 0 and spans[i - 1][1] > start + tolerance:
-        return spans[i - 1][1]
-    if i < len(spans) and spans[i][0] < end - tolerance:
-        return spans[i][1]
-    return None
-
-
-def _earliest_template_fit(
-    layout: list[tuple[float, float, str]],
-    gate: float,
-    link_spans: dict[str, list[tuple[float, float]]],
-) -> float:
-    """Earliest ``t >= gate`` at which the rigid template fits on every link.
-
-    A candidate start is infeasible when any template span overlaps a span
-    already committed to its link; the only way to clear a conflict while
-    moving forward in time is to push the template until the conflicting
-    phase starts at the committed span's end, so the bump-and-recheck loop
-    finds the *minimal* feasible start.  Because the serial-lane start (after
-    every earlier bucket has fully drained) is always feasible, this start is
-    never later than the serial lane's — cross-bucket pipelining cannot lose.
-    """
-    t = gate
+    bumps = 0
     while True:
-        bump = None
-        for offset, seconds, link in layout:
-            spans = link_spans.get(link)
-            if seconds <= 0.0 or spans is None:
+        for offset, seconds, spans in phases:
+            start = t + offset
+            end = start + seconds
+            tolerance = 1e-12 * max(1.0, abs(end))
+            i = bisect_right(spans, (start, math.inf))
+            if i and spans[i - 1][1] > start + tolerance:
+                conflict_end = spans[i - 1][1]
+            elif i < len(spans) and spans[i][0] < end - tolerance:
+                conflict_end = spans[i][1]
+            else:
                 continue
-            conflict_end = _first_conflict_end(spans, t + offset, t + offset + seconds)
-            if conflict_end is not None:
-                bump = conflict_end - offset
-                break
-        if bump is None:
+            t = conflict_end - offset
+            break
+        else:
+            return t, True
+        bumps += 1
+        if bumps == limit:
+            return t, False
+
+
+class _LinkLanes:
+    """Spans committed to the per-link lanes of one cross-bucket schedule.
+
+    The same spans are held twice: per link, a list of ``(start, end)``
+    sorted by start, which the exact check bisects; and a NumPy table of
+    ``(start, end, link id)`` rows, from which a fit sweeps its forbidden
+    intervals.  New rows wait in a Python list and join the table only when
+    a fit sweeps, so lanes whose fits end within a few bumps never build an
+    array.
+
+    Gates never decrease in processing order and phase offsets are ``>= 0``,
+    so a span ending at or before the current gate can never conflict again
+    and is pruned.  A list drops only its leading run of such spans, which
+    leaves the check's bisected neighbours unchanged.
+    """
+
+    def __init__(self, links: tuple[str, ...], scale: float):
+        ids = {link: i for i, link in enumerate(dict.fromkeys(links))}
+        self.link_ids = np.array([ids[link] for link in links], dtype=np.intp)
+        self.spans: list[list[tuple[float, float]]] = [[] for _ in ids]
+        # A link stays clean while every span on it is wider than ``sliver``
+        # and overlaps its neighbours by at most half that.  Then no span
+        # nests inside another, so a conflict with any span is found by the
+        # check's two bisected candidates, which the sweep assumes.  Any
+        # positive ``sliver`` gives that; four tolerances of the schedule's
+        # time scale keep honest commits (which overlap by at most one
+        # tolerance) from making a link dirty.
+        self.sliver = 4e-12 * max(1.0, scale)
+        self.clean = [True] * len(ids)
+        self.table = np.empty((0, 3))
+        self.pending: list[tuple[float, float, int]] = []
+
+    def fit(self, layout, offsets: np.ndarray, seconds: np.ndarray, gate: float) -> float:
+        """Earliest start ``>= gate`` at which the rigid template fits on every link.
+
+        ``layout`` lists ``(offset, seconds, link id)`` for the phases that
+        last longer than zero, in column order; the ``offsets``/``seconds``
+        rows hold every column as arrays.  The start is minimal up to the
+        check's ``1e-12 * max(1, |end|)`` conflict tolerance and equals the
+        plain bump-and-recheck loop from ``gate``, bit for bit.  A fit still
+        bumping after a few scalar bumps sweeps a lower bound
+        (:meth:`_sweep`) and finishes with the exact loop from there, which
+        usually stops after zero to two bumps.  Because the serial-lane start
+        (after every earlier bucket has fully drained) is always feasible,
+        the start is never later than the serial lane's, up to the rounding
+        of committed phase ends.
+        """
+        for spans in self.spans:
+            if spans and spans[0][1] <= gate:
+                drained = 1
+                while drained < len(spans) and spans[drained][1] <= gate:
+                    drained += 1
+                del spans[:drained]
+        phases = [
+            (offset, duration, self.spans[link])
+            for offset, duration, link in layout
+            if self.spans[link]
+        ]
+        t, done = _bump_loop(phases, gate, _SCALAR_BUMPS)
+        if done:
             return t
-        t = bump
+        if all(self.clean[link] for _, _, link in layout):
+            swept = self._sweep(offsets, seconds, gate, t)
+            if swept is not None:
+                lower, targets, width = swept
+                start = _bump_loop(phases, lower, None)[0]
+                if _unambiguous(targets, lower, start, width):
+                    return start
+        return _bump_loop(phases, t, None)[0]
+
+    def _sweep(self, offsets, seconds, gate: float, t: float):
+        """Lower bound ``L > t`` on the fit, its bump targets and their fuzzy width.
+
+        Each (phase, committed span on its link) pair forbids the open
+        interval ``(s - offset - seconds, e - offset)`` of template starts.
+        Shrunk at both ends by four times a bound ``tau`` on the check's
+        tolerance, every interval lies inside the starts the exact check
+        rejects, so sweeping their union once, upward from ``t`` in order of
+        lower end, gives a bound ``L`` below which no start is feasible.
+
+        From ``t`` or from ``L`` (which is infeasible: it lies inside the
+        interval that set it), the exact loop visits only bump targets
+        ``e - offset``, never skips a feasible one except within ``2 tau``
+        below a target it jumps to, and stops at the first feasible one.  So
+        the two loops agree unless a target in ``[L, result]`` lies within
+        that fuzzy width below another, which :func:`_unambiguous` rules out
+        with ``width = 3 tau``.  Both rest on the link being clean: with no
+        span nested in another, a phase overlapping any span is caught by the
+        check's two bisected candidates.  Returns ``None`` when the sweep
+        cannot move past ``t``.
+        """
+        table = self.table
+        if self.pending:
+            table = np.concatenate((table, self.pending))
+            self.pending = []
+        # Rows ended by the gate can never conflict again (see the class).
+        self.table = table = table[table[:, 1] > gate]
+        starts, ends, links = table[:, 0], table[:, 1], table[:, 2]
+        rows, cols = np.nonzero((self.link_ids[:, None] == links) & (seconds > 0.0)[:, None])
+        if not len(rows):
+            return None
+        end = ends[cols]
+        targets = end - offsets[rows]
+        phase_ends = offsets + seconds
+        tau = 1e-12 * max(1.0, float(end.max()) + float(phase_ends.max()))
+        low = starts[cols] - phase_ends[rows]
+        order = np.argsort(low, kind="stable")
+        reach = np.maximum.accumulate(targets[order]) - 4.0 * tau
+        before = np.empty_like(reach)
+        before[0] = t
+        np.maximum(reach[:-1], t, out=before[1:])
+        gaps = low[order] + 4.0 * tau >= before
+        first = int(gaps.argmax())
+        lower = float(before[first]) if gaps[first] else float(reach[-1])
+        if lower <= t:
+            return None
+        return lower, targets, 3.0 * tau
+
+    def commit(self, start: float, layout) -> None:
+        """Occupy every link the template names from ``start`` on."""
+        sliver = self.sliver
+        for offset, seconds, link in layout:
+            span_start = start + offset
+            span_end = span_start + seconds
+            # A phase shorter than the clock's resolution occupies nothing;
+            # committing its zero-width span could pin a later template fit
+            # at a bump that rounds back to the same start.
+            if span_end <= span_start:
+                continue
+            spans = self.spans[link]
+            span = (span_start, span_end)
+            i = bisect_right(spans, span)
+            spans.insert(i, span)
+            self.pending.append((span_start, span_end, link))
+            if self.clean[link] and (
+                span_end - span_start <= sliver
+                or (i and spans[i - 1][1] - span_start > 0.5 * sliver)
+                or (i + 1 < len(spans) and span_end - spans[i + 1][0] > 0.5 * sliver)
+            ):
+                self.clean[link] = False
+
+
+def _unambiguous(targets: np.ndarray, lower: float, start: float, width: float) -> bool:
+    """True if no bump target in ``[lower, start]`` has another within ``width`` above it.
+
+    Only there can the loop from ``lower`` and the loop from the fit's gate
+    part ways: one stops at a target the check's tolerance lets pass, the
+    other jumps over it to a target just above.
+    """
+    near = np.sort(targets[(targets >= lower) & (targets <= start + width)]).tolist()
+    for target, following in zip(near, near[1:]):
+        if target > start:
+            break
+        if target < following <= target + width:
+            return False
+    return True
 
 
 def _check_bucket_times(name: str, values: np.ndarray) -> None:
@@ -306,13 +454,16 @@ def simulate_iteration_arrays(
     earliest time it fits on every per-link lane, so consecutive buckets
     overlap wherever they occupy different fabrics.
 
-    The sequential recurrences (compression stream, serial network lane,
-    template fitting) are scalar Python-float loops, while everything
-    elementwise (phase offsets, absolute phase placement) runs as NumPy
-    matrix ops whose per-element operation order matches the scalar
-    expressions — so every time equals pricing the buckets one
+    The compression stream and the serial network lane are scalar
+    Python-float recurrences, and everything elementwise (phase offsets,
+    absolute phase placement) runs as NumPy matrix ops whose per-element
+    operation order matches the scalar expressions — so every time equals
+    pricing the buckets one
     :class:`~repro.distributed.topology.CollectiveCost` at a time, bit for
-    bit.
+    bit.  A template fit is minimal up to the check's
+    ``1e-12 * max(1, |end|)`` conflict tolerance: a lower bound swept over
+    NumPy forbidden-interval arrays, then the exact scalar bump loop from
+    there, which returns the start the bump loop from the gate would.
 
     ``compute_scale``/``comm_scale`` are per-worker lane rates for the fault
     layer (:mod:`repro.distributed.faults`): a straggler's schedule is this
@@ -408,21 +559,22 @@ def simulate_iteration_arrays(
     comm_start_list = [0.0] * num_buckets
     comm_end_list = [0.0] * num_buckets
     comm_free = 0.0
-    link_spans: dict[str, list[tuple[float, float]]] = {}
-    offsets_rows = offsets.tolist() if cross_bucket_pipeline else None
-    seconds_rows = phase_seconds.tolist() if cross_bucket_pipeline else None
+    if cross_bucket_pipeline:
+        lanes = _LinkLanes(tuple(phase_links), all_compressed + sum(comm_list))
+        link_ids = lanes.link_ids.tolist()
+        layouts = [
+            [
+                (offset, seconds, link)
+                for offset, seconds, link in zip(offsets_row, seconds_row, link_ids)
+                if seconds > 0.0
+            ]
+            for offsets_row, seconds_row in zip(offsets.tolist(), phase_seconds.tolist())
+        ]
     for i in order:
         gate = all_compressed if overlap == "none" else compress_end_list[i]
         if cross_bucket_pipeline:
-            layout = list(zip(offsets_rows[i], seconds_rows[i], phase_links))
-            start = _earliest_template_fit(layout, gate, link_spans)
-            for offset, seconds, link in layout:
-                span = (start + offset, start + offset + seconds)
-                # A phase shorter than the clock's resolution occupies
-                # nothing; committing its zero-width span could pin a later
-                # template fit at a bump that rounds back to the same start.
-                if span[1] > span[0]:
-                    insort(link_spans.setdefault(link, []), span)
+            start = lanes.fit(layouts[i], offsets[i], phase_seconds[i], gate)
+            lanes.commit(start, layouts[i])
         else:
             start = max(gate, comm_free)
         end = start + comm_list[i]

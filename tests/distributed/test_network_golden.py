@@ -11,12 +11,15 @@ The dedup/pipelining layer added on top must be inert at its defaults:
 ``pipeline_chunks=1`` with no dedup model reproduces every PR-3
 ``CollectiveCost`` — phase names, per-phase seconds, volumes and totals —
 bit-for-bit.  The hierarchical table below was captured from the PR-3 code
-before the knobs existed; any drift is a behaviour change.
+before the knobs existed; any drift is a behaviour change.  A second table
+pins the paths the first does not reach, phase by phase: recursive doubling,
+multi-level hierarchical all-reduce, deduplicated multi-level all-gather and
+chunk-pipelined hierarchical all-gather.
 """
 
 import pytest
 
-from repro.distributed import CollectiveModel, get_network, get_topology
+from repro.distributed import CollectiveModel, SparseAggregateModel, get_network, get_topology
 
 #: (network, num_workers, num_bytes, allreduce_seconds, allgather_seconds)
 #: computed from the seed closed forms; any drift here is a behaviour change.
@@ -196,3 +199,139 @@ def test_single_worker_collectives_are_free(network):
     assert model.allreduce_time(1e9) == 0.0
     assert model.allgather_time(1e9) == 0.0
     assert model.allreduce_cost(1e9).phases == ()
+
+
+#: (algorithm, op, preset, pipeline_chunks, dedup assumption, density,
+#:  payload_bytes, [(phase, link, seconds, volume_bytes, start, chunk)...],
+#:  total, dedup_ratio, priced pipeline_chunks) for the algorithm paths the
+#: PR-3 table above does not reach: recursive doubling, multi-level
+#: hierarchical all-reduce, deduplicated multi-level all-gather and
+#: chunk-pipelined hierarchical all-gather (one payload that pipelines, one
+#: latency-bound payload that falls back to the serial phases).
+ALGORITHM_GOLDEN = [
+    ('recursive-doubling', 'allgather', 'ethernet-4x8', 1, None, None, 4096.0,
+     [('round-0', 'ethernet-10g', 5.936228571428572e-05, 4096.0, None, None),
+      ('round-1', 'ethernet-10g', 6.872457142857143e-05, 8192.0, None, None),
+      ('round-2', 'ethernet-10g', 8.744914285714286e-05, 16384.0, None, None),
+      ('round-3', 'ethernet-10g', 0.00012489828571428572, 32768.0, None, None),
+      ('round-4', 'ethernet-10g', 0.00019979657142857142, 65536.0, None, None)],
+     0.0005402308571428572, 1.0, 1),
+    ('recursive-doubling', 'allgather', 'ethernet-4x8', 1, None, None, 2000000.0,
+     [('round-0', 'ethernet-10g', 0.0046214285714285715, 2000000.0, None, None),
+      ('round-1', 'ethernet-10g', 0.009192857142857143, 4000000.0, None, None),
+      ('round-2', 'ethernet-10g', 0.01833571428571429, 8000000.0, None, None),
+      ('round-3', 'ethernet-10g', 0.036621428571428576, 16000000.0, None, None),
+      ('round-4', 'ethernet-10g', 0.07319285714285714, 32000000.0, None, None)],
+     0.1419642857142857, 1.0, 1),
+    ('recursive-doubling', 'allreduce', 'ethernet-4x8', 1, None, None, 4096.0,
+     [('round-0', 'ethernet-10g', 5.936228571428572e-05, 4096.0, None, None),
+      ('round-1', 'ethernet-10g', 5.936228571428572e-05, 4096.0, None, None),
+      ('round-2', 'ethernet-10g', 5.936228571428572e-05, 4096.0, None, None),
+      ('round-3', 'ethernet-10g', 5.936228571428572e-05, 4096.0, None, None),
+      ('round-4', 'ethernet-10g', 5.936228571428572e-05, 4096.0, None, None)],
+     0.0002968114285714286, 1.0, 1),
+    ('recursive-doubling', 'allreduce', 'ethernet-4x8', 1, None, None, 2000000.0,
+     [('round-0', 'ethernet-10g', 0.0046214285714285715, 2000000.0, None, None),
+      ('round-1', 'ethernet-10g', 0.0046214285714285715, 2000000.0, None, None),
+      ('round-2', 'ethernet-10g', 0.0046214285714285715, 2000000.0, None, None),
+      ('round-3', 'ethernet-10g', 0.0046214285714285715, 2000000.0, None, None),
+      ('round-4', 'ethernet-10g', 0.0046214285714285715, 2000000.0, None, None)],
+     0.023107142857142857, 1.0, 1),
+    ('hierarchical', 'allreduce', 'fat-tree-128', 1, None, None, 4096.0,
+     [('node-reduce', 'infiniband-100g', 1.66384e-05, 12288.0, None, None),
+      ('rack-reduce', 'ethernet-25g', 0.00010123474285714285, 12288.0, None, None),
+      ('pod-reduce', 'ethernet-25g/os2', 7.497965714285714e-05, 8192.0, None, None),
+      ('core-allreduce', 'ethernet-10g/os4', 0.00035617371428571434, 6144.0, None, None),
+      ('pod-broadcast', 'ethernet-25g/os2', 7.497965714285714e-05, 8192.0, None, None),
+      ('rack-broadcast', 'ethernet-25g', 0.00010123474285714285, 12288.0, None, None),
+      ('node-broadcast', 'infiniband-100g', 1.66384e-05, 12288.0, None, None)],
+     0.0007418793142857142, 1.0, 1),
+    ('hierarchical', 'allreduce', 'fat-tree-128', 1, None, None, 2000000.0,
+     [('node-reduce', 'infiniband-100g', 0.0008150000000000001, 6000000.0, None, None),
+      ('rack-reduce', 'ethernet-25g', 0.005575714285714286, 6000000.0, None, None),
+      ('pod-reduce', 'ethernet-25g/os2', 0.007374285714285714, 4000000.0, None, None),
+      ('core-allreduce', 'ethernet-10g/os4', 0.02772857142857143, 3000000.0, None, None),
+      ('pod-broadcast', 'ethernet-25g/os2', 0.007374285714285714, 4000000.0, None, None),
+      ('rack-broadcast', 'ethernet-25g', 0.005575714285714286, 6000000.0, None, None),
+      ('node-broadcast', 'infiniband-100g', 0.0008150000000000001, 6000000.0, None, None)],
+     0.055258571428571435, 1.0, 1),
+    ('hierarchical', 'allgather', 'fat-tree-128', 1, 'uniform', 0.01, 4096.0,
+     [('node-gather', 'infiniband-100g', 3.882293333333334e-05, 28672.0, None, None),
+      ('rack-gather', 'ethernet-25g', 0.00041252014823887326, 221506.41213626758, None, None),
+      ('pod-gather', 'ethernet-25g/os2', 0.001155960294635135, 582947.0361285894, None, None),
+      ('core-allgather', 'ethernet-10g/os4', 0.010527363636805282, 1135024.1477755776, None, None),
+      ('pod-broadcast', 'ethernet-25g/os2', 0.000771467624042546, 405490.10689826735, None, None),
+      ('rack-broadcast', 'ethernet-25g', 0.00040073381202127304, 405490.10689826735, None, None),
+      ('node-broadcast', 'infiniband-100g', 5.9065347586435645e-05, 405490.10689826735, None, None)],
+     0.01336593379666288, 2.771507554411951, 1),
+    ('hierarchical', 'allgather', 'fat-tree-128', 1, 'uniform', 0.01, 2000000.0,
+     [('node-gather', 'infiniband-100g', 0.001901666666666667, 14000000.0, None, None),
+      ('rack-gather', 'ethernet-25g', 0.09909679113226233, 108157427.8009119, None, None),
+      ('pod-gather', 'ethernet-25g/os2', 0.520578425114812, 284642107.48466283, None, None),
+      ('core-allgather', 'ethernet-10g/os4', 5.067222088283829, 554211009.6560438, None, None),
+      ('pod-broadcast', 'ethernet-25g/os2', 0.36207473830202436, 197993216.2589196, None, None),
+      ('rack-broadcast', 'ethernet-25g', 0.1810523691510122, 197993216.2589196, None, None),
+      ('node-broadcast', 'infiniband-100g', 0.02640409550118928, 197993216.2589196, None, None)],
+     6.258330174151797, 2.771507554411951, 1),
+    ('hierarchical', 'allgather', 'dragonfly-64', 1, 'uniform', 0.01, 4096.0,
+     [('node-gather', 'infiniband-100g', 1.66384e-05, 12288.0, None, None),
+      ('group-gather', 'ethernet-25g', 0.00031329519554560017, 112979.12012800016, None, None),
+      ('global-allgather', 'ethernet-10g/os2', 0.003954737740533224, 788536.3807416427, None, None),
+      ('group-broadcast', 'ethernet-25g', 0.0003721672069411284, 374245.3825918592, None, None),
+      ('node-broadcast', 'infiniband-100g', 5.4899384345581224e-05, 374245.3825918592, None, None)],
+     0.004711737927365534, 1.1635531630602247, 1),
+    ('hierarchical', 'allgather', 'dragonfly-64', 1, 'uniform', 0.01, 2000000.0,
+     [('node-gather', 'infiniband-100g', 0.0008150000000000001, 6000000.0, None, None),
+      ('group-gather', 'ethernet-25g', 0.05064710720000007, 55165586.000000075, None, None),
+      ('global-allgather', 'ethernet-10g/os2', 1.7604758498697382, 385027529.6590052, None, None),
+      ('group-broadcast', 'ethernet-25g', 0.16710383151422287, 182737003.21868125, None, None),
+      ('node-broadcast', 'infiniband-100g', 0.024369933762490834, 182737003.21868125, None, None)],
+     2.003411722346452, 1.1635531630602247, 1),
+    ('hierarchical', 'allgather', 'ethernet-4x8', 4, None, None, 4096.0,
+     [('intra-gather', 'infiniband-100g', 3.882293333333334e-05, 28672.0, None, None),
+      ('inter-allgather', 'ethernet-10g', 0.0003746948571428572, 98304.0, None, None),
+      ('intra-broadcast', 'infiniband-100g', 2.1930133333333332e-05, 126976.0, None, None)],
+     0.0004354479238095239, 1.0, 1),
+    ('hierarchical', 'allgather', 'ethernet-4x8', 4, None, None, 2000000.0,
+     [('intra-gather', 'infiniband-100g', 0.0005016666666666666, 3500000.0, 0.0, 0),
+      ('inter-allgather', 'ethernet-10g', 0.02757857142857143, 12000000.0, 0.0005016666666666666, 0),
+      ('intra-broadcast', 'infiniband-100g', 0.0020716666666666665, 15500000.0, 0.0280802380952381, 0),
+      ('intra-gather', 'infiniband-100g', 0.0005016666666666666, 3500000.0, 0.0005016666666666666, 1),
+      ('inter-allgather', 'ethernet-10g', 0.02757857142857143, 12000000.0, 0.0280802380952381, 1),
+      ('intra-broadcast', 'infiniband-100g', 0.0020716666666666665, 15500000.0, 0.05565880952380953, 1),
+      ('intra-gather', 'infiniband-100g', 0.0005016666666666666, 3500000.0, 0.0010033333333333333, 2),
+      ('inter-allgather', 'ethernet-10g', 0.02757857142857143, 12000000.0, 0.05565880952380953, 2),
+      ('intra-broadcast', 'infiniband-100g', 0.0020716666666666665, 15500000.0, 0.08323738095238095, 2),
+      ('intra-gather', 'infiniband-100g', 0.0005016666666666666, 3500000.0, 0.0015049999999999998, 3),
+      ('inter-allgather', 'ethernet-10g', 0.02757857142857143, 12000000.0, 0.08323738095238095, 3),
+      ('intra-broadcast', 'infiniband-100g', 0.0020716666666666665, 15500000.0, 0.11081595238095238, 3)],
+     0.11288761904761904, 1.0, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "algorithm,op,preset,chunks,dedup,density,num_bytes,phases,total,dedup_ratio,priced_chunks",
+    ALGORITHM_GOLDEN,
+    ids=[f"{a}-{o}-{p}-c{c}-{int(b)}B" for a, o, p, c, _, _, b, *_ in ALGORITHM_GOLDEN],
+)
+def test_algorithm_costs_pinned(
+    algorithm, op, preset, chunks, dedup, density, num_bytes, phases, total, dedup_ratio,
+    priced_chunks,
+):
+    model = CollectiveModel(
+        get_topology(preset),
+        allreduce_algorithm=algorithm if op == "allreduce" else "ring-allreduce",
+        allgather_algorithm=algorithm if op == "allgather" else "flat-allgather",
+        pipeline_chunks=chunks,
+        allgather_dedup=None if dedup is None else SparseAggregateModel(dedup),
+    )
+    if op == "allreduce":
+        cost = model.allreduce_cost(num_bytes)
+    else:
+        cost = model.allgather_cost(num_bytes, density=density)
+    assert [
+        (p.name, p.link, p.seconds, p.volume_bytes, p.start, p.chunk) for p in cost.phases
+    ] == phases
+    assert cost.total == total
+    assert cost.dedup_ratio == dedup_ratio
+    assert cost.pipeline_chunks == priced_chunks

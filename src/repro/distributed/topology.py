@@ -19,10 +19,13 @@ This module models both dimensions:
   degenerates to the old single-level model.  :meth:`ClusterTopology.from_levels`
   builds deeper fabrics (the ``fat-tree-128`` and ``dragonfly-64`` presets).
 * Collective algorithms — ``ring-allreduce``, ``recursive-doubling``,
-  ``flat-allgather`` and ``hierarchical`` — each returning a
-  :class:`CollectiveCost` whose per-phase breakdown sums exactly to the total,
-  so the event-driven iteration schedule can place every phase on the network
-  lane.
+  ``flat-allgather`` and ``hierarchical`` — each describing an op once, as a
+  list of phases of ``steps`` messages of ``step_bytes`` over one link.  The
+  same list prices one payload (a :class:`CollectiveCost` whose per-phase
+  breakdown sums exactly to the total, so the event-driven iteration schedule
+  can place every phase on the network lane), a whole batch of bucket
+  payloads (a :class:`PhaseTable` whose rows equal those costs bit for bit)
+  and the chunk-pipelined phases.
 * :class:`CollectiveModel` — a topology plus one algorithm choice per
   operation; the single-level case with ``ring-allreduce``/``flat-allgather``
   reproduces ``NetworkModel.allreduce_time``/``allgather_time`` bit-for-bit
@@ -398,11 +401,11 @@ class PhaseTable:
     :class:`CollectiveCost` of bucket ``b``, which is what keeps the array
     scheduler's timings equal to per-bucket pricing.
 
-    Two layouts exist.  Serial tables (``offsets is None``), from the batched
-    algorithm pricing, give every bucket the same phases back-to-back in
-    column order — trivial levels contribute no phases regardless of payload,
-    and the affine per-phase pricing ``steps * (latency + payload /
-    bandwidth)`` commutes with batching.  Placed tables, from
+    Two layouts exist.  Serial tables (``offsets is None``), from
+    :meth:`CollectiveAlgorithm.allgather_table`, give every bucket the same
+    phases back-to-back in column order — trivial levels contribute no
+    phases regardless of payload, and the affine per-phase pricing ``steps *
+    (latency + payload / bandwidth)`` commutes with batching.  Placed tables, from
     :meth:`from_costs`, carry each phase's start offset and a present-phase
     mask instead, because chunk pipelining makes rows ragged: a latency-bound
     payload falls back to the serial phases while a large one pipelines into
@@ -481,9 +484,16 @@ class PhaseTable:
         )
 
 
-def _check_payload(num_bytes: float) -> None:
-    if num_bytes < 0:
-        raise ValueError("payload bytes must be non-negative")
+def _check_payload(num_bytes) -> None:
+    """Raise unless the payload (a float or an array of them) is finite and >= 0."""
+    if isinstance(num_bytes, np.ndarray):
+        valid = num_bytes.size == 0 or bool(
+            0.0 <= np.minimum.reduce(num_bytes) and np.maximum.reduce(num_bytes) < math.inf
+        )
+    else:
+        valid = 0.0 <= num_bytes < math.inf
+    if not valid:
+        raise ValueError(f"payload bytes must be finite and non-negative, got {num_bytes!r}")
 
 
 def validate_pipeline_chunks(pipeline_chunks: int) -> int:
@@ -493,28 +503,33 @@ def validate_pipeline_chunks(pipeline_chunks: int) -> int:
     return pipeline_chunks
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _PhaseSpec:
-    """Serial description of one collective phase, ready to be chunk-pipelined.
+    """One collective phase: ``steps`` messages of ``step_bytes`` each over ``link``.
 
-    ``steps`` messages of ``step_bytes`` each over ``link``; the serial
-    duration is ``steps * (latency + step_bytes / bandwidth)``, and splitting
-    the payload into ``C`` chunks makes each chunk cost
-    ``steps * (latency + (step_bytes / C) / bandwidth)`` — the latency is paid
-    per chunk, which is why pipelining only wins when the overlap across
-    links recovers more than the extra message starts.
+    The only phase description the algorithms produce.  ``step_bytes`` is a
+    float for one payload or a ``(B,)`` array for a batch of bucket payloads;
+    both evaluate through the same IEEE operations, so a table row equals
+    the scalar cost bit for bit.  Splitting the payload into ``C`` chunks
+    makes each chunk cost ``steps * (latency + (step_bytes / C) / bandwidth)``
+    — the latency is paid per chunk, which is why pipelining only wins when
+    the overlap across links recovers more than the extra message starts.
     """
 
     name: str
     link: NetworkModel
     steps: int
-    step_bytes: float
-    volume_bytes: float
+    step_bytes: float | np.ndarray
 
-    def chunk_seconds(self, pipeline_chunks: int) -> float:
-        return self.steps * (
-            self.link.latency_s + (self.step_bytes / pipeline_chunks) / self.link.bytes_per_second
-        )
+    def seconds(self, pipeline_chunks: int = 1):
+        step_bytes = self.step_bytes
+        if pipeline_chunks > 1:
+            step_bytes = step_bytes / pipeline_chunks
+        return self.steps * (self.link.latency_s + step_bytes / self.link.bytes_per_second)
+
+    def volume_bytes(self, pipeline_chunks: int = 1):
+        volume = self.steps * self.step_bytes
+        return volume / pipeline_chunks if pipeline_chunks > 1 else volume
 
 
 def _pipeline_phases(
@@ -530,12 +545,12 @@ def _pipeline_phases(
     then returns the serial phases unchanged, so the pipelined cost is never
     worse than the serial one.
     """
-    if not specs or pipeline_chunks == 1:
+    if not specs:
         return serial
     serial_total = 0.0
     for phase in serial:
         serial_total += phase.seconds
-    chunk_seconds = [spec.chunk_seconds(pipeline_chunks) for spec in specs]
+    chunk_seconds = [spec.seconds(pipeline_chunks) for spec in specs]
     # Greedy earliest-start list scheduling: an operation (chunk c, phase p)
     # becomes ready when phase p-1 has delivered chunk c, and every link
     # serves its queue work-conservingly — one transfer at a time, earliest
@@ -569,7 +584,7 @@ def _pipeline_phases(
             name=specs[p].name,
             link=specs[p].link.name,
             seconds=chunk_seconds[p],
-            volume_bytes=specs[p].volume_bytes / pipeline_chunks,
+            volume_bytes=specs[p].volume_bytes(pipeline_chunks),
             start=spans[(chunk, p)][0],
             chunk=chunk,
         )
@@ -578,21 +593,68 @@ def _pipeline_phases(
     ]
 
 
+def _aggregate_factor(
+    dedup: SparseAggregateModel | None, density: float | None, size: int
+) -> float:
+    """Size of a ``size``-worker sparse aggregate, in payloads per worker.
+
+    With a dedup model and a known density the aggregate is the expected index
+    union; otherwise it is the raw concatenation.
+    """
+    if dedup is not None and density is not None and size > 1:
+        return dedup.union_factor(density, size)
+    return float(size)
+
+
+def _bucket_factors(dedup: SparseAggregateModel | None, densities: list[float | None]):
+    """:func:`_aggregate_factor` for a bucket batch: one float when every bucket shares it.
+
+    Without a dedup model, or with one density for every bucket (sweeps
+    usually compress all buckets at one ratio), the batch shares the scalar
+    factor, and a float times a ``(B,)`` array rounds elementwise exactly
+    like the single-payload product.  Otherwise each ``(size, density)``
+    pair is evaluated once by the scalar helper into a ``(B,)`` array, cached
+    per size and built only when an algorithm asks for it.
+    """
+    distinct = {None} if dedup is None else set(densities)
+    if len(distinct) <= 1:
+        density = next(iter(distinct), None)
+        return lambda size: _aggregate_factor(dedup, density, size)
+    cache: dict[int, np.ndarray] = {}
+
+    def factor(size: int) -> np.ndarray:
+        cached = cache.get(size)
+        if cached is None:
+            by_density = {density: _aggregate_factor(dedup, density, size) for density in distinct}
+            cached = cache[size] = np.array([by_density[density] for density in densities])
+        return cached
+
+    return factor
+
+
 class CollectiveAlgorithm:
     """Base class: prices one or both collective ops over a :class:`ClusterTopology`.
 
-    ``density``, ``dedup`` and ``pipeline_chunks`` are accepted by every
-    algorithm so :class:`CollectiveModel` can thread them uniformly; only the
-    algorithms with a per-node reduce point (hierarchical) and phases on more
-    than one link can act on them — single-link collectives have nothing to
-    deduplicate or overlap, so the knobs are documented no-ops there.
+    An algorithm describes each op it supports once, as a list of
+    :class:`_PhaseSpec` entries plus the achieved dedup ratio:
+    ``_allreduce(topology, num_bytes)`` and ``_allgather(topology, payloads,
+    factor)``, where ``factor(size)`` is the sparse aggregate of ``size``
+    workers in payloads per worker.  :meth:`cost` evaluates the specs at one
+    payload and :meth:`allgather_table` over a whole bucket batch, so the
+    two can never disagree.
+
+    ``density``, ``dedup`` and ``pipeline_chunks`` are accepted for every
+    algorithm so :class:`CollectiveModel` can thread them uniformly; only an
+    algorithm with a per-node reduce point and phases on more than one link
+    (hierarchical, ``pipelines = True``) acts on them — single-link
+    collectives have nothing to deduplicate or overlap, so the knobs are
+    documented no-ops there.
     """
 
     name: str = ""
     supported_ops: tuple[str, ...] = ()
-    #: Instance-level knob defaults, overridable per :meth:`cost` call.
-    pipeline_chunks: int = 1
-    dedup: SparseAggregateModel | None = None
+    #: Whether ``pipeline_chunks > 1`` chunk-pipelines the phases.
+    pipelines: bool = False
 
     def cost(
         self,
@@ -602,7 +664,7 @@ class CollectiveAlgorithm:
         *,
         density: float | None = None,
         dedup: SparseAggregateModel | None = None,
-        pipeline_chunks: int | None = None,
+        pipeline_chunks: int = 1,
     ) -> CollectiveCost:
         if op not in COLLECTIVE_OPS:
             raise ValueError(f"unknown collective op {op!r}; known: {list(COLLECTIVE_OPS)}")
@@ -612,43 +674,62 @@ class CollectiveAlgorithm:
                 f"it supports {list(self.supported_ops)}"
             )
         _check_payload(num_bytes)
-        if pipeline_chunks is None:
-            pipeline_chunks = self.pipeline_chunks
         validate_pipeline_chunks(pipeline_chunks)
-        if dedup is None:
-            dedup = self.dedup
-        phases, dedup_ratio = getattr(self, "_" + op)(
-            topology, num_bytes, density=density, dedup=dedup, pipeline_chunks=pipeline_chunks
-        )
-        phases = tuple(phases)
-        # Report the chunk count actually priced: a latency-bound fallback to
-        # serial phases (or an algorithm with nothing to pipeline) is 1-chunk
-        # pricing no matter what the caller asked for.
-        priced_chunks = pipeline_chunks if any(p.start is not None for p in phases) else 1
+        if op == "allreduce":
+            specs, dedup_ratio = self._allreduce(topology, num_bytes)
+        else:
+            specs, dedup_ratio = self._allgather(
+                topology, num_bytes, lambda size: _aggregate_factor(dedup, density, size)
+            )
+        phases = [
+            CollectivePhase(spec.name, spec.link.name, spec.seconds(), spec.volume_bytes())
+            for spec in specs
+        ]
+        priced_chunks = 1
+        if pipeline_chunks > 1 and self.pipelines:
+            phases = _pipeline_phases(specs, phases, pipeline_chunks)
+            # Report the chunk count actually priced: a latency-bound
+            # fallback to serial phases is 1-chunk pricing no matter what
+            # the caller asked for.
+            if phases and phases[0].start is not None:
+                priced_chunks = pipeline_chunks
         return CollectiveCost(
             op=op,
             algorithm=self.name,
             num_workers=topology.num_workers,
-            phases=phases,
+            phases=tuple(phases),
             pipeline_chunks=priced_chunks,
             dedup_ratio=dedup_ratio,
         )
 
-    def batched_allgather(
+    def allgather_table(
         self,
         topology: ClusterTopology,
         payloads: np.ndarray,
         densities: list[float | None],
         dedup: SparseAggregateModel | None,
-    ) -> PhaseTable | None:
+    ) -> PhaseTable:
         """Serial all-gather pricing for a whole batch of bucket payloads.
 
-        Returns ``None`` when the algorithm has no batched form (the caller
-        packs per-bucket :meth:`cost` calls instead).  Implementations must be
-        row-for-row bit-identical to the scalar pricing — the contract the
-        array scheduler's timings build on.
+        The same specs :meth:`cost` evaluates, with ``(B,)`` payload arrays
+        in place of one float: row ``b`` is bit-identical to the scalar cost
+        of bucket ``b`` — the contract the array scheduler's timings build on.
         """
-        return None
+        payloads = np.asarray(payloads, dtype=float)
+        _check_payload(payloads)
+        specs, dedup_ratio = self._allgather(topology, payloads, _bucket_factors(dedup, densities))
+        shape = (payloads.shape[0], len(specs))
+        seconds, volumes = np.empty(shape), np.empty(shape)
+        for column, spec in enumerate(specs):
+            seconds[:, column] = spec.seconds()
+            volumes[:, column] = spec.volume_bytes()
+        return PhaseTable(
+            names=tuple(spec.name for spec in specs),
+            links=tuple(spec.link.name for spec in specs),
+            seconds=seconds,
+            volumes=volumes,
+            dedup_ratios=np.full(shape[0], dedup_ratio),
+        )
 
 
 class RingAllreduce(CollectiveAlgorithm):
@@ -662,17 +743,15 @@ class RingAllreduce(CollectiveAlgorithm):
     name = "ring-allreduce"
     supported_ops = ("allreduce",)
 
-    def _allreduce(self, topology: ClusterTopology, num_bytes: float, **_knobs):
+    def _allreduce(self, topology: ClusterTopology, num_bytes):
         n = topology.num_workers
         if n == 1:
             return [], 1.0
         link = topology.bottleneck_link
         chunk = num_bytes / n
-        seconds = (n - 1) * (link.latency_s + chunk / link.bytes_per_second)
-        volume = (n - 1) * chunk
         return [
-            CollectivePhase("reduce-scatter", link.name, seconds, volume),
-            CollectivePhase("ring-allgather", link.name, seconds, volume),
+            _PhaseSpec("reduce-scatter", link, n - 1, chunk),
+            _PhaseSpec("ring-allgather", link, n - 1, chunk),
         ], 1.0
 
 
@@ -688,62 +767,24 @@ class RecursiveDoubling(CollectiveAlgorithm):
     name = "recursive-doubling"
     supported_ops = ("allreduce", "allgather")
 
-    def _allreduce(self, topology: ClusterTopology, num_bytes: float, **_knobs):
+    def _allreduce(self, topology: ClusterTopology, num_bytes):
         n = topology.num_workers
         if n == 1:
             return [], 1.0
         link = topology.bottleneck_link
-        rounds = math.ceil(math.log2(n))
         return [
-            CollectivePhase(
-                f"round-{k}",
-                link.name,
-                link.latency_s + num_bytes / link.bytes_per_second,
-                num_bytes,
-            )
-            for k in range(rounds)
+            _PhaseSpec(f"round-{k}", link, 1, num_bytes) for k in range(math.ceil(math.log2(n)))
         ], 1.0
 
-    def _allgather(self, topology: ClusterTopology, num_bytes: float, **_knobs):
+    def _allgather(self, topology: ClusterTopology, payloads, factor):
         n = topology.num_workers
         if n == 1:
             return [], 1.0
         link = topology.bottleneck_link
-        rounds = math.ceil(math.log2(n))
-        phases = []
-        for k in range(rounds):
-            block = min(2**k, n - 2**k) * num_bytes
-            phases.append(
-                CollectivePhase(
-                    f"round-{k}",
-                    link.name,
-                    link.latency_s + block / link.bytes_per_second,
-                    block,
-                )
-            )
-        return phases, 1.0
-
-    def batched_allgather(self, topology, payloads, densities, dedup):
-        payloads = np.asarray(payloads, dtype=float)
-        num_buckets = payloads.shape[0]
-        n = topology.num_workers
-        if n == 1:
-            return PhaseTable(
-                (), (), np.zeros((num_buckets, 0)), np.zeros((num_buckets, 0)),
-                np.ones(num_buckets),
-            )
-        link = topology.bottleneck_link
-        rounds = math.ceil(math.log2(n))
-        blocks = np.stack(
-            [min(2**k, n - 2**k) * payloads for k in range(rounds)], axis=1
-        )
-        return PhaseTable(
-            names=tuple(f"round-{k}" for k in range(rounds)),
-            links=(link.name,) * rounds,
-            seconds=link.latency_s + blocks / link.bytes_per_second,
-            volumes=blocks,
-            dedup_ratios=np.ones(num_buckets),
-        )
+        return [
+            _PhaseSpec(f"round-{k}", link, 1, min(2**k, n - 2**k) * payloads)
+            for k in range(math.ceil(math.log2(n)))
+        ], 1.0
 
 
 class FlatAllgather(CollectiveAlgorithm):
@@ -758,48 +799,11 @@ class FlatAllgather(CollectiveAlgorithm):
     name = "flat-allgather"
     supported_ops = ("allgather",)
 
-    def _allgather(self, topology: ClusterTopology, num_bytes: float, **_knobs):
+    def _allgather(self, topology: ClusterTopology, payloads, factor):
         n = topology.num_workers
         if n == 1:
             return [], 1.0
-        link = topology.bottleneck_link
-        steps = n - 1
-        seconds = steps * (link.latency_s + num_bytes / link.bytes_per_second)
-        return [CollectivePhase("ring-allgather", link.name, seconds, steps * num_bytes)], 1.0
-
-    def batched_allgather(self, topology, payloads, densities, dedup):
-        payloads = np.asarray(payloads, dtype=float)
-        num_buckets = payloads.shape[0]
-        n = topology.num_workers
-        if n == 1:
-            return PhaseTable(
-                (), (), np.zeros((num_buckets, 0)), np.zeros((num_buckets, 0)),
-                np.ones(num_buckets),
-            )
-        link = topology.bottleneck_link
-        steps = n - 1
-        seconds = steps * (link.latency_s + payloads / link.bytes_per_second)
-        return PhaseTable(
-            names=("ring-allgather",),
-            links=(link.name,),
-            seconds=seconds[:, None],
-            volumes=(steps * payloads)[:, None],
-            dedup_ratios=np.ones(num_buckets),
-        )
-
-
-def _aggregate_factor(
-    dedup: SparseAggregateModel | None, density: float | None, size: int
-) -> float:
-    """Size of a ``size``-worker sparse aggregate, in payloads per worker.
-
-    With a dedup model and a known density the aggregate is the expected index
-    union; otherwise it is the raw concatenation.  Shared by the serial and
-    batched hierarchical pricing so both compute bit-identical factors.
-    """
-    if dedup is not None and density is not None and size > 1:
-        return dedup.union_factor(density, size)
-    return float(size)
+        return [_PhaseSpec("ring-allgather", topology.bottleneck_link, n - 1, payloads)], 1.0
 
 
 class Hierarchical(CollectiveAlgorithm):
@@ -843,192 +847,68 @@ class Hierarchical(CollectiveAlgorithm):
 
     name = "hierarchical"
     supported_ops = ("allreduce", "allgather")
+    pipelines = True
 
-    def __init__(
-        self,
-        pipeline_chunks: int = 1,
-        dedup: SparseAggregateModel | None = None,
-    ) -> None:
-        self.pipeline_chunks = validate_pipeline_chunks(pipeline_chunks)
-        self.dedup = dedup
-
-    def _allgather(
-        self,
-        topology: ClusterTopology,
-        num_bytes: float,
-        *,
-        density: float | None = None,
-        dedup: SparseAggregateModel | None = None,
-        pipeline_chunks: int = 1,
-    ):
+    def _allgather(self, topology: ClusterTopology, payloads, factor):
         levels = topology.levels
-        n = topology.num_workers
         # Each reduce point dedups its subtree's overlapping selections into
         # one aggregate; the final broadcasts ship the n-worker global union.
         # The no-dedup aggregates (``size`` payloads) coincide with the
         # disjoint-union bound until its dense-bucket cap bites (density >
         # 1/participants), which is why both paths share one formula pair.
-        phases = []
         specs = []
         # Upward: every non-outermost level gathers its groups' subtree
         # aggregates to a leader, f-1 ring steps of the growing aggregate.
         subtree = 1
         for level in levels[:-1]:
             if level.fanout > 1:
-                link = level.effective_link
-                payload = _aggregate_factor(dedup, density, subtree) * num_bytes
-                steps = level.fanout - 1
-                seconds = steps * (link.latency_s + payload / link.bytes_per_second)
-                phase_name = f"{level.name or 'level'}-gather"
-                phases.append(
-                    CollectivePhase(phase_name, link.name, seconds, steps * payload)
-                )
-                specs.append(_PhaseSpec(phase_name, link, steps, payload, steps * payload))
+                specs.append(_PhaseSpec(
+                    f"{level.name or 'level'}-gather", level.effective_link,
+                    level.fanout - 1, factor(subtree) * payloads,
+                ))
             subtree *= level.fanout
         # Top: the outermost level's leaders ring-all-gather the aggregates.
         top = levels[-1]
         if top.fanout > 1:
-            link = top.effective_link
-            payload = _aggregate_factor(dedup, density, subtree) * num_bytes
-            steps = top.fanout - 1
-            seconds = steps * (link.latency_s + payload / link.bytes_per_second)
-            phase_name = f"{top.name or 'top'}-allgather"
-            phases.append(CollectivePhase(phase_name, link.name, seconds, steps * payload))
-            specs.append(_PhaseSpec(phase_name, link, steps, payload, steps * payload))
+            specs.append(_PhaseSpec(
+                f"{top.name or 'top'}-allgather", top.effective_link,
+                top.fanout - 1, factor(subtree) * payloads,
+            ))
         # Downward: each lower level broadcasts the global aggregate (minus
         # the receiver's own payload) back towards the devices.
-        gathered = (_aggregate_factor(dedup, density, n) - 1.0) * num_bytes
+        gathered = (factor(topology.num_workers) - 1.0) * payloads
         for level in reversed(levels[:-1]):
             if level.fanout > 1:
-                link = level.effective_link
-                seconds = link.latency_s + gathered / link.bytes_per_second
-                phase_name = f"{level.name or 'level'}-broadcast"
-                phases.append(CollectivePhase(phase_name, link.name, seconds, gathered))
-                specs.append(_PhaseSpec(phase_name, link, 1, gathered, gathered))
+                specs.append(_PhaseSpec(
+                    f"{level.name or 'level'}-broadcast", level.effective_link, 1, gathered
+                ))
         # The dedup win is measured at the top-level exchange: how much the
         # below-top subtree aggregate shrank versus plain concatenation.
-        dedup_ratio = subtree / _aggregate_factor(dedup, density, subtree)
-        if pipeline_chunks > 1:
-            phases = _pipeline_phases(specs, phases, pipeline_chunks)
-        return phases, dedup_ratio
+        return specs, subtree / factor(subtree)
 
-    def _allreduce(
-        self,
-        topology: ClusterTopology,
-        num_bytes: float,
-        *,
-        density: float | None = None,
-        dedup: SparseAggregateModel | None = None,
-        pipeline_chunks: int = 1,
-    ):
+    def _allreduce(self, topology: ClusterTopology, num_bytes):
         levels = topology.levels
-        phases = []
-        specs = []
 
-        def tree_phase(level: LinkLevel, suffix: str) -> None:
-            link = level.effective_link
-            rounds = math.ceil(math.log2(level.fanout))
-            seconds = rounds * (link.latency_s + num_bytes / link.bytes_per_second)
-            phase_name = f"{level.name or 'level'}-{suffix}"
-            phases.append(
-                CollectivePhase(phase_name, link.name, seconds, rounds * num_bytes)
+        def tree_phase(level: LinkLevel, suffix: str) -> _PhaseSpec:
+            return _PhaseSpec(
+                f"{level.name or 'level'}-{suffix}", level.effective_link,
+                math.ceil(math.log2(level.fanout)), num_bytes,
             )
-            specs.append(_PhaseSpec(phase_name, link, rounds, num_bytes, rounds * num_bytes))
 
         # Binomial-tree reduce towards the top at every non-outermost level...
-        for level in levels[:-1]:
-            if level.fanout > 1:
-                tree_phase(level, "reduce")
+        specs = [tree_phase(level, "reduce") for level in levels[:-1] if level.fanout > 1]
         # ...ring all-reduce among the outermost leaders...
         top = levels[-1]
         if top.fanout > 1:
-            link = top.effective_link
-            chunk = num_bytes / top.fanout
-            steps = 2 * (top.fanout - 1)
-            seconds = steps * (link.latency_s + chunk / link.bytes_per_second)
-            phase_name = f"{top.name or 'top'}-allreduce"
-            phases.append(CollectivePhase(phase_name, link.name, seconds, steps * chunk))
-            specs.append(_PhaseSpec(phase_name, link, steps, chunk, steps * chunk))
+            specs.append(_PhaseSpec(
+                f"{top.name or 'top'}-allreduce", top.effective_link,
+                2 * (top.fanout - 1), num_bytes / top.fanout,
+            ))
         # ...and binomial broadcast back down.
-        for level in reversed(levels[:-1]):
-            if level.fanout > 1:
-                tree_phase(level, "broadcast")
-        if pipeline_chunks > 1:
-            phases = _pipeline_phases(specs, phases, pipeline_chunks)
-        return phases, 1.0
-
-    def batched_allgather(self, topology, payloads, densities, dedup):
-        payloads = np.asarray(payloads, dtype=float)
-        num_buckets = payloads.shape[0]
-        levels = topology.levels
-        n = topology.num_workers
-
-        distinct_densities = set(densities)
-        factor_cache: dict[int, np.ndarray] = {}
-
-        def factors(size: int) -> np.ndarray:
-            # Per-bucket union factors via the same scalar helper the serial
-            # path uses — bit-identical by construction — evaluated once per
-            # distinct (density, size) pair: sweeps usually compress every
-            # bucket at one ratio, collapsing the O(B) loop to a dict lookup.
-            cached = factor_cache.get(size)
-            if cached is None:
-                by_density = {
-                    density: _aggregate_factor(dedup, density, size)
-                    for density in distinct_densities
-                }
-                cached = factor_cache[size] = np.array(
-                    [by_density[density] for density in densities]
-                )
-            return cached
-
-        names: list[str] = []
-        links: list[str] = []
-        seconds_cols: list[np.ndarray] = []
-        volume_cols: list[np.ndarray] = []
-        subtree = 1
-        for level in levels[:-1]:
-            if level.fanout > 1:
-                link = level.effective_link
-                payload = factors(subtree) * payloads
-                steps = level.fanout - 1
-                names.append(f"{level.name or 'level'}-gather")
-                links.append(link.name)
-                seconds_cols.append(
-                    steps * (link.latency_s + payload / link.bytes_per_second)
-                )
-                volume_cols.append(steps * payload)
-            subtree *= level.fanout
-        top = levels[-1]
-        if top.fanout > 1:
-            link = top.effective_link
-            payload = factors(subtree) * payloads
-            steps = top.fanout - 1
-            names.append(f"{top.name or 'top'}-allgather")
-            links.append(link.name)
-            seconds_cols.append(steps * (link.latency_s + payload / link.bytes_per_second))
-            volume_cols.append(steps * payload)
-        gathered = (factors(n) - 1.0) * payloads
-        for level in reversed(levels[:-1]):
-            if level.fanout > 1:
-                link = level.effective_link
-                names.append(f"{level.name or 'level'}-broadcast")
-                links.append(link.name)
-                seconds_cols.append(link.latency_s + gathered / link.bytes_per_second)
-                volume_cols.append(gathered)
-        if seconds_cols:
-            seconds = np.stack(seconds_cols, axis=1)
-            volumes = np.stack(volume_cols, axis=1)
-        else:
-            seconds = np.zeros((num_buckets, 0))
-            volumes = np.zeros((num_buckets, 0))
-        return PhaseTable(
-            names=tuple(names),
-            links=tuple(links),
-            seconds=seconds,
-            volumes=volumes,
-            dedup_ratios=subtree / factors(subtree),
-        )
+        specs += [
+            tree_phase(level, "broadcast") for level in reversed(levels[:-1]) if level.fanout > 1
+        ]
+        return specs, 1.0
 
 
 #: Pluggable collective algorithms, keyed by name.
@@ -1094,9 +974,10 @@ class CollectiveModel:
     ``pipeline_chunks`` and ``allgather_dedup`` thread the hierarchical
     algorithm's chunk-pipelining and sparse-dedup knobs through every priced
     collective; both default to off (``1`` / ``None``), in which case the
-    model reproduces the serial PR-3 costs bit-for-bit.  Single-link
-    algorithms have nothing to overlap or deduplicate, so the knobs are
-    no-ops for them.
+    model reproduces the serial PR-3 costs bit-for-bit.  They are the only
+    place the knobs are set: algorithms hold no defaults of their own.
+    Single-link algorithms have nothing to overlap or deduplicate, so the
+    knobs are no-ops for them.
     """
 
     topology: ClusterTopology
@@ -1159,19 +1040,17 @@ class CollectiveModel:
         :meth:`allgather_cost`).  Row ``b`` of the table is bit-identical to
         ``allgather_cost(payloads[b], density=densities[b])``.
 
-        Unchunked collectives use the algorithm's batched serial pricing.
-        Chunk pipelining reshapes phases per payload, and a custom algorithm
-        may not implement batching; those price each distinct (payload,
-        density) pair once and pack the costs with
-        :meth:`PhaseTable.from_costs`.
+        Unchunked collectives evaluate the algorithm's one phase-spec list
+        over the whole bucket batch (:meth:`CollectiveAlgorithm.allgather_table`).
+        Chunk pipelining reshapes phases per payload, so chunked collectives
+        price each distinct (payload, density) pair once and pack the costs
+        with :meth:`PhaseTable.from_costs`.
         """
-        algorithm = get_collective_algorithm(self.allgather_algorithm, op="allgather")
         if self.pipeline_chunks == 1:
-            table = algorithm.batched_allgather(
+            algorithm = get_collective_algorithm(self.allgather_algorithm, op="allgather")
+            return algorithm.allgather_table(
                 self.topology, payloads, densities, self.allgather_dedup
             )
-            if table is not None:
-                return table
         priced: dict[tuple, CollectiveCost] = {}
         costs = []
         for key in zip(np.asarray(payloads, dtype=float).tolist(), densities):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.distributed import (
@@ -19,7 +20,6 @@ from repro.distributed import (
     hierarchical_crossover_factor,
     validate_pipeline_chunks,
 )
-from repro.distributed.topology import Hierarchical
 from repro.distributed.network import CLUSTER_ETHERNET_10G, NODE_INFINIBAND_100G
 
 ETH = NetworkModel(bandwidth_gbps=10.0, latency_s=50e-6, name="eth", efficiency=1.0)
@@ -92,6 +92,35 @@ class TestAlgorithmRegistry:
             algo.cost(ClusterTopology.flat(ETH, 4), "broadcast", 1.0)
         with pytest.raises(ValueError, match="non-negative"):
             algo.cost(ClusterTopology.flat(ETH, 4), "allreduce", -1.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "algorithm,op,entry",
+        [
+            (name, op, entry)
+            for name, algo in sorted(COLLECTIVE_ALGORITHMS.items())
+            for op in algo.supported_ops
+            for entry in (("cost", "table") if op == "allgather" else ("cost",))
+        ],
+    )
+    def test_bad_payloads_rejected_at_every_entry_point(self, algorithm, op, entry, bad):
+        # A NaN payload once priced as a free collective and a negative one
+        # as negative seconds; both entry points share one payload check,
+        # whether the table is serial or chunk-pipelined.
+        for chunks in (1, 4):
+            model = CollectiveModel(
+                two_level(4, 8),
+                allreduce_algorithm=algorithm if op == "allreduce" else "ring-allreduce",
+                allgather_algorithm=algorithm if op == "allgather" else "flat-allgather",
+                pipeline_chunks=chunks,
+            )
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                if entry == "table":
+                    model.allgather_phase_table(np.array([4096.0, bad]), [None, None])
+                elif op == "allreduce":
+                    model.allreduce_cost(bad)
+                else:
+                    model.allgather_cost(bad)
 
 
 class TestRingAllreduce:
@@ -614,22 +643,11 @@ class TestPipelinedHierarchical:
         )
         assert piped.total <= serial.total
 
-    def test_instance_level_knobs(self):
-        topo = two_level(4, 8)
-        algo = Hierarchical(pipeline_chunks=4, dedup=SparseAggregateModel("uniform"))
-        explicit = get_collective_algorithm("hierarchical").cost(
-            topo, "allgather", 4e6, density=0.1,
-            dedup=SparseAggregateModel("uniform"), pipeline_chunks=4,
-        )
-        assert algo.cost(topo, "allgather", 4e6, density=0.1).total == explicit.total
-
     def test_invalid_pipeline_chunks_rejected(self):
         with pytest.raises(ValueError, match="pipeline_chunks"):
             self._cost(0)
         with pytest.raises(ValueError, match="pipeline_chunks"):
             validate_pipeline_chunks(2.5)
-        with pytest.raises(ValueError, match="pipeline_chunks"):
-            Hierarchical(pipeline_chunks=-1)
         with pytest.raises(ValueError, match="pipeline_chunks"):
             CollectiveModel(two_level(4, 8), pipeline_chunks=0)
 

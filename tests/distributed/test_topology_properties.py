@@ -38,6 +38,7 @@ ALGORITHM_OPS = [
     for name, algo in sorted(COLLECTIVE_ALGORITHMS.items())
     for op in algo.supported_ops
 ]
+ALLGATHER_ALGORITHMS = [name for name, op in ALGORITHM_OPS if op == "allgather"]
 
 
 @st.composite
@@ -438,31 +439,42 @@ class TestMultiLevelPresets:
 
     @settings(max_examples=75, deadline=None)
     @given(
-        preset=st.sampled_from(MULTI_LEVEL_PRESETS),
-        payload_list=st.lists(payloads, min_size=1, max_size=6),
-        density=st.one_of(st.none(), densities),
+        algorithm=st.sampled_from(ALLGATHER_ALGORITHMS),
+        topology=st.one_of(
+            st.sampled_from(MULTI_LEVEL_PRESETS).map(get_topology), multi_level_topologies()
+        ),
+        buckets=st.lists(
+            st.tuples(payloads, st.one_of(st.none(), densities)), min_size=1, max_size=6
+        ),
+        shared_density=st.booleans(),
         dedup=dedup_models,
     )
-    def test_batched_table_rows_match_scalar_pricing(self, preset, payload_list, density, dedup):
-        # The tentpole's vectorized scheduler leans on this: batching must be
-        # a pure reshape of the scalar pricing, bit-for-bit, on deep fabrics.
+    def test_batched_table_rows_match_scalar_pricing(
+        self, algorithm, topology, buckets, shared_density, dedup
+    ):
+        # The vectorized scheduler leans on this: batching must be a pure
+        # reshape of the scalar pricing, bit-for-bit, on deep fabrics, whether
+        # the buckets share one density (a float factor) or not (an array).
+        payload_list = [payload for payload, _ in buckets]
+        density_list = [buckets[0][1] if shared_density else d for _, d in buckets]
         model = CollectiveModel(
-            topology=get_topology(preset),
-            allgather_algorithm="hierarchical",
+            topology=topology,
+            allgather_algorithm=algorithm,
             allgather_dedup=dedup,
         )
-        table = model.allgather_phase_table(
-            np.asarray(payload_list, dtype=float), [density] * len(payload_list)
-        )
-        assert table is not None
+        table = model.allgather_phase_table(np.asarray(payload_list, dtype=float), density_list)
         assert table.num_buckets == len(payload_list)
         totals = table.totals.tolist()
         seconds = table.seconds.tolist()
-        for b, payload in enumerate(payload_list):
+        volumes = table.volumes.tolist()
+        for b, (payload, density) in enumerate(zip(payload_list, density_list)):
             cost = model.allgather_cost(payload, density=density)
             assert totals[b] == cost.total
             assert seconds[b] == [p.seconds for p in cost.phases]
+            assert volumes[b] == [p.volume_bytes for p in cost.phases]
+            assert table.dedup_ratios[b] == cost.dedup_ratio
             assert table.names == tuple(p.name for p in cost.phases)
+            assert table.links == tuple(p.link for p in cost.phases)
         num_buckets = len(payload_list)
         for cross_bucket in (False, True):
             check_schedule(simulate_table(

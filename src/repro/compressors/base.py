@@ -18,7 +18,6 @@ and CPU-like devices, reproducing the micro-benchmarks of Figures 1, 12 and
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -79,9 +78,9 @@ class BucketedFit:
     """Per-bucket selections from one batched ``fit_all_buckets`` pass.
 
     The arrays are bucket-major: bucket 0's selection first, then bucket 1's,
-    each in the same within-bucket order the compressor's scalar ``compress``
-    would have produced on that bucket alone — which is what makes the batched
-    path bit-for-bit comparable against the per-bucket loop.
+    each in the within-bucket order a one-bucket fit of that bucket alone
+    produces.  ``Compressor.compress`` packages the one-bucket fit as a
+    :class:`CompressionResult`; the pipeline packages the many-bucket fit.
     """
 
     #: global flat indices of the kept elements, bucket-major
@@ -102,8 +101,12 @@ class BucketedFit:
     metadata: dict = field(default_factory=dict)
 
 
-class Compressor(abc.ABC):
-    """Abstract gradient compressor.
+class Compressor:
+    """Base class of every gradient compressor.
+
+    A compressor is its :meth:`fit_all_buckets`: ``compress`` is the
+    one-bucket case of it, and :class:`~repro.pipeline.CompressionPipeline`
+    calls it over a many-bucket layout.
 
     Compressors may keep internal state that evolves across training
     iterations (e.g. SIDCo's stage controller); ``reset`` clears it so one
@@ -113,38 +116,49 @@ class Compressor(abc.ABC):
     #: short identifier used by the registry, figures, and reports
     name: str = "base"
 
-    @abc.abstractmethod
-    def compress(self, gradient: np.ndarray, ratio: float) -> CompressionResult:
-        """Compress ``gradient`` targeting ``ratio = k/d`` kept elements."""
+    def compress(self, gradient: np.ndarray, ratio: float = 1.0) -> CompressionResult:
+        """Compress ``gradient`` targeting ``ratio = k/d`` kept elements.
+
+        Fits the whole gradient as one bucket and packages the fit; the
+        result carries the fit's own metadata and no per-bucket keys.
+        ``ratio`` defaults to 1.0 (keep everything), the default
+        ``NoCompression.compress`` has always had.
+        """
+        # Deferred import: repro.pipeline imports this module at load time.
+        from ..pipeline.bucketing import BucketLayout
+
+        arr = self._validate(gradient, ratio)
+        fit = self.fit_all_buckets(arr, BucketLayout(total_size=arr.size, bucket_size=arr.size), ratio)
+        threshold = fit.bucket_thresholds[0]
+        return CompressionResult(
+            sparse=SparseGradient(indices=fit.indices, values=fit.values, dense_size=arr.size),
+            target_ratio=fit.target_ratio,
+            threshold=None if threshold is None else float(threshold),
+            ops=fit.ops,
+            metadata=fit.metadata,
+        )
 
     def reset(self) -> None:
         """Clear any cross-iteration state (no-op by default)."""
 
     def fit_all_buckets(
         self, gradient: np.ndarray, layout: "BucketLayout", ratio: float
-    ) -> BucketedFit | None:
+    ) -> BucketedFit:
         """Batched bucket-axis compression: fit every bucket in one call.
 
-        The contract mirrors what :mod:`repro.pipeline.vectorized` does for
-        SIDCo: take the validated flat gradient plus the
+        Take the validated flat gradient plus the
         :class:`~repro.pipeline.bucketing.BucketLayout` that tiles it, and
         return the per-bucket thresholds/selections of *all* buckets from one
-        batched NumPy pass — per-bucket Python ``compress`` calls, their
-        repeated ``|g|`` passes and their per-bucket op-trace bookkeeping all
-        collapse into fused whole-gradient work.
+        batched NumPy pass, with one fused launch per primitive in the op
+        trace.
 
-        Implementations must be *selection-equivalent* to running ``compress``
-        on each bucket view in order: same kept indices and values bit-for-bit
-        (stateful compressors must also leave their cross-call state — RNG
-        streams, adaptive scales — exactly as the per-bucket loop would),
-        with tie-breaking tolerance only where ``argpartition`` order among
-        exactly-tied magnitudes is inherently ambiguous.
-
-        Returning ``None`` declines the batched path;
-        :class:`~repro.pipeline.CompressionPipeline` then falls back to the
-        scalar per-bucket loop.  The base implementation always declines.
+        Each bucket's selection is the one a one-bucket fit of that bucket
+        alone would make: same kept indices and values bit-for-bit, and
+        stateful compressors leave their cross-call state (RNG streams,
+        adaptive scales) exactly as fitting the buckets one by one in order
+        would.
         """
-        return None
+        raise NotImplementedError(f"{type(self).__name__} does not implement fit_all_buckets")
 
     # -- shared helpers ----------------------------------------------------
 

@@ -1,10 +1,11 @@
 """Shared helpers for batched bucket-axis compression (``fit_all_buckets``).
 
-Every registry compressor implements
+Every baseline compressor implements
 :meth:`~repro.compressors.base.Compressor.fit_all_buckets` on top of these
 helpers: one call fits all buckets of a
-:class:`~repro.pipeline.bucketing.BucketLayout`, replacing the per-bucket
-Python ``compress`` loop with a single batched pass.
+:class:`~repro.pipeline.bucketing.BucketLayout` in a single batched pass.  It
+is the compressor's only implementation: unbucketed ``compress`` is the
+one-bucket case.
 
 Two execution shapes coexist inside that pass, chosen per stage by what is
 actually fast on a memory-bound CPU:
@@ -19,19 +20,19 @@ actually fast on a memory-bound CPU:
   ``|g|`` materialisation, probe counts and the final selection run bucket by
   bucket into one persistent scratch buffer.  Running these stage-major
   instead (one whole-gradient 2-D op per probe stage) re-reads the full
-  vector from RAM once per stage and measures *slower* than the scalar loop
-  at acceptance scale; blocking keeps each bucket's few-MiB working set
+  vector from RAM once per stage and measures *slower* than a per-bucket
+  loop at acceptance scale; blocking keeps each bucket's few-MiB working set
   cache-hot across all of its stages while still issuing one fused launch per
   logical primitive in the op trace.  SIDCo's fit streams the same way, in
   blocks of whole buckets, and selects from its carried stage-one
   exceedances (see :mod:`repro.pipeline.vectorized`).
 
-Bit-for-bit equivalence with the per-bucket loop is part of the contract, so
-helpers here mirror the scalar helpers exactly: identical reduction orders
-(contiguous 1-D pairwise reductions on the same values), identical rounding
+Each bucket's selection must be bit-for-bit the one-bucket fit of that bucket
+alone, so helpers here keep per-bucket arithmetic exact: contiguous 1-D
+pairwise reductions on each bucket's values, the scalar rounding
 (:func:`bucket_target_ks` is ``Compressor._target_k`` vectorised) and
-identical selection order (ascending within each bucket, buckets
-concatenated in layout order).
+ascending selection order within each bucket, buckets concatenated in layout
+order.
 """
 
 from __future__ import annotations
@@ -78,6 +79,25 @@ def select_ge(mags: np.ndarray, threshold: float, start: int) -> np.ndarray:
     return idx
 
 
+#: Elements per sub-block of :func:`select_abs_ge`: ``|g|`` and its compare
+#: stay within a core's L2 cache.
+SELECT_BLOCK = 1 << 16
+
+
+def select_abs_ge(arr: np.ndarray, start: int, stop: int, threshold: float, scratch: np.ndarray) -> np.ndarray:
+    """Global indices of ``|arr[start:stop]| >= threshold``, ascending.
+
+    Writes ``|g|`` into the scratch prefix and compares it in sub-blocks of
+    :data:`SELECT_BLOCK` elements, while the block is still cache-hot.
+    """
+    if stop - start <= SELECT_BLOCK:
+        return select_ge(abs_block(arr, start, stop, scratch), threshold, start)
+    return np.concatenate([
+        select_ge(abs_block(arr, lo, min(lo + SELECT_BLOCK, stop), scratch), threshold, lo)
+        for lo in range(start, stop, SELECT_BLOCK)
+    ])
+
+
 def concat_indices(chunks: list[np.ndarray]) -> np.ndarray:
     """Bucket-major concatenation of per-bucket index selections."""
     if not chunks:
@@ -91,7 +111,7 @@ def probe_round_ops(sizes: np.ndarray, iterations: np.ndarray) -> list[OpRecord]
     Probe round ``r`` of the batched pass touches every bucket that is still
     searching at round ``r``; each round is one fused compare + one fused
     count across those buckets, rather than one launch pair per bucket per
-    round as in the scalar loop.
+    round as in a per-bucket loop.
     """
     ops: list[OpRecord] = []
     iterations = np.asarray(iterations, dtype=np.int64)

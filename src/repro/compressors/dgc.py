@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BucketedFit, Compressor, CompressionResult, OpRecord
-from .bucketed import abs_block, bucket_target_ks, concat_indices, full_bucket_stack, workspace_for
-from ..tensor.sparse import SparseGradient
+from .base import BucketedFit, Compressor, OpRecord
+from .bucketed import bucket_target_ks, concat_indices, full_bucket_stack, select_abs_ge, workspace_for
 
 
 class DGC(Compressor):
@@ -53,54 +52,6 @@ class DGC(Compressor):
     def reset(self) -> None:
         self._rng = np.random.default_rng(self._seed)
 
-    def compress(self, gradient: np.ndarray, ratio: float) -> CompressionResult:
-        arr = self._validate(gradient, ratio)
-        d = arr.size
-        k = self._target_k(d, ratio)
-        ops: list[OpRecord] = []
-
-        # Stage 1: random sample and Top-k on the sample to get a threshold.
-        sample_size = max(k, int(np.ceil(self.sample_ratio * d)))
-        sample_size = min(sample_size, d)
-        sample_idx = self._rng.choice(d, size=sample_size, replace=False)
-        ops.append(OpRecord("random_sample", d, sample_size))
-        sample_mags = np.abs(arr[sample_idx])
-        ops.append(OpRecord("elementwise", sample_size))
-        sample_k = max(1, int(round(ratio * sample_size)))
-        if sample_k >= sample_size:
-            threshold = float(sample_mags.min())
-        else:
-            part = np.partition(sample_mags, sample_size - sample_k)
-            threshold = float(part[sample_size - sample_k])
-        ops.append(OpRecord("topk_select", sample_size, sample_k))
-
-        # Stage 2: threshold the full vector.
-        mags = np.abs(arr)
-        ops.append(OpRecord("elementwise", d))
-        mask = mags >= threshold
-        selected = int(mask.sum())
-        ops.append(OpRecord("compact", d, selected))
-
-        if selected > self.overshoot_trim * k:
-            # Worst case: trim the selection back to exactly k with a second Top-k.
-            sel_idx = np.flatnonzero(mask)
-            sel_mags = mags[sel_idx]
-            keep = np.argpartition(sel_mags, sel_idx.size - k)[sel_idx.size - k :]
-            ops.append(OpRecord("topk_select", sel_idx.size, k))
-            final_idx = sel_idx[keep]
-            threshold = float(sel_mags[keep].min())
-        else:
-            final_idx = np.flatnonzero(mask)
-
-        sparse = SparseGradient(indices=final_idx, values=arr[final_idx], dense_size=d)
-        return CompressionResult(
-            sparse=sparse,
-            target_ratio=ratio,
-            threshold=threshold,
-            ops=ops,
-            metadata={"sample_size": sample_size, "trimmed": selected > self.overshoot_trim * k},
-        )
-
     def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float) -> BucketedFit:
         arr = np.asarray(gradient, dtype=np.float64).ravel()
         sizes = layout.sizes()
@@ -108,10 +59,10 @@ class DGC(Compressor):
         num = layout.num_buckets
         ks = bucket_target_ks(sizes, ratio)
 
-        # Stage 1: the per-bucket sample draws replay the scalar loop's calls
-        # on the shared generator (same sequence, same stream), then all
-        # buckets with equal sample shape fit their Top-k threshold in one
-        # 2-D row-wise partition.
+        # Stage 1: the per-bucket sample draws run in bucket order on the
+        # shared generator (the stream fitting the buckets one at a time
+        # would consume), then all buckets with equal sample shape fit their
+        # Top-k threshold in one 2-D row-wise partition.
         sample_sizes = np.minimum(np.maximum(ks, np.ceil(self.sample_ratio * sizes).astype(np.int64)), sizes)
         sample_ks = bucket_target_ks(sample_sizes, ratio)
         sample_mags: list[np.ndarray] = []
@@ -137,7 +88,7 @@ class DGC(Compressor):
                 thresholds[members] = part
 
         # Stage 2: bucket-blocked threshold selection (with the worst-case
-        # trim) off one cache-hot scratch buffer.
+        # trim) through one cache-hot scratch buffer.
         scratch = workspace_for(layout)
         idx_chunks: list[np.ndarray] = []
         bucket_nnz = np.empty(num, dtype=np.int64)
@@ -146,20 +97,18 @@ class DGC(Compressor):
         trim_sizes = 0
         trim_ks = 0
         for i in range(num):
-            start, stop = layout.bounds(i)
-            mags = abs_block(arr, start, stop, scratch)
             threshold = float(thresholds[i])
             k = int(ks[i])
-            sel = np.flatnonzero(mags >= threshold)
+            sel = select_abs_ge(arr, *layout.bounds(i), threshold, scratch)
             stage2_selected += sel.size
             if sel.size > self.overshoot_trim * k:
-                sel_mags = mags[sel]
+                sel_mags = np.abs(arr[sel])
                 keep = np.argpartition(sel_mags, sel.size - k)[sel.size - k :]
                 threshold = float(sel_mags[keep].min())
                 trim_sizes += sel.size
                 trim_ks += k
                 sel = sel[keep]
-            idx_chunks.append(sel + start)
+            idx_chunks.append(sel)
             bucket_nnz[i] = sel.size
             out_thresholds.append(threshold)
 

@@ -14,13 +14,12 @@ from __future__ import annotations
 import numpy as np
 from scipy import special as _sp
 
-from .base import BucketedFit, Compressor, CompressionResult, OpRecord
+from .base import BucketedFit, Compressor, OpRecord
 from .bucketed import (
-    abs_block,
     bucket_target_ks,
     concat_indices,
     probe_round_ops,
-    select_ge,
+    select_abs_ge,
     workspace_for,
 )
 
@@ -52,72 +51,42 @@ class GaussianKSGD(Compressor):
         self.tolerance = tolerance
         self.step = step
 
-    def compress(self, gradient: np.ndarray, ratio: float) -> CompressionResult:
-        arr = self._validate(gradient, ratio)
-        d = arr.size
-        k = self._target_k(d, ratio)
-        ops: list[OpRecord] = []
-
-        mean = float(arr.mean())
-        std = float(arr.std())
-        ops.append(OpRecord("reduce", d))
-        ops.append(OpRecord("reduce", d))
-        if std == 0.0:
-            return self._result_from_threshold(arr, abs(mean), ratio, ops, {"iterations": 0})
-
-        # P(|G - mu| >= eta) = delta under a Gaussian model ->
-        # eta = std * sqrt(2) * erfinv(1 - delta).
-        threshold = float(std * np.sqrt(2.0) * _sp.erfinv(1.0 - ratio))
-
-        mags = np.abs(arr - mean)
-        ops.append(OpRecord("elementwise", d))
-
-        iterations = 0
-        for iterations in range(1, self.max_adjust_iters + 1):
-            selected = int(np.count_nonzero(mags >= threshold))
-            ops.append(OpRecord("elementwise", d))
-            ops.append(OpRecord("reduce", d))
-            if selected > (1.0 + self.tolerance) * k:
-                threshold *= 1.0 + self.step
-            elif selected < (1.0 - self.tolerance) * k:
-                threshold *= 1.0 - self.step
-            else:
-                break
-
-        # Selection is done on |g| (not |g - mean|) as in the published scheme;
-        # gradients are near-zero mean so the two coincide in practice.
-        return self._result_from_threshold(arr, threshold, ratio, ops, {"iterations": iterations})
-
     def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float) -> BucketedFit:
         arr = np.asarray(gradient, dtype=np.float64).ravel()
         sizes = layout.sizes()
         num = layout.num_buckets
         ks = bucket_target_ks(sizes, ratio)
         # The Gaussian quantile factor depends only on the target ratio, so it
-        # is computed once for every bucket (the scalar path recomputes it per
-        # bucket); the multiplication order below matches the scalar formula.
+        # is computed once for every bucket; the multiplication order below
+        # matches the one-bucket formula.
         erfinv_tail = _sp.erfinv(1.0 - ratio)
         sqrt2 = np.sqrt(2.0)
 
         # |g - mean| probes and the final |g| selection run bucket-blocked off
         # one scratch buffer; the correction-loop arithmetic is per-bucket
-        # Python floats exactly like the scalar path (bit-for-bit state).
+        # Python floats, bit-for-bit a one-bucket fit of each bucket.
         scratch = workspace_for(layout)
+        squares = workspace_for(layout)
         idx_chunks: list[np.ndarray] = []
         bucket_nnz = np.empty(num, dtype=np.int64)
         thresholds: list[float] = []
         probe_iters = np.zeros(num, dtype=np.int64)
+        centred = 0
         for i in range(num):
             start, stop = layout.bounds(i)
+            size = stop - start
             view = arr[start:stop]
             mean = float(view.mean())
-            std = float(view.std())
+            # ``view.std()``'s own arithmetic, keeping its deviations
+            # ``g - mean`` for the |g - mean| probes.
+            mags = scratch[:size]
+            np.subtract(view, mean, out=mags)
+            std = float(np.sqrt(np.multiply(mags, mags, out=squares[:size]).sum() / size))
             if std == 0.0:
                 threshold = abs(mean)
             else:
                 threshold = float(std * sqrt2 * erfinv_tail)
-                mags = scratch[: stop - start]
-                np.subtract(view, mean, out=mags)
+                centred += size
                 np.abs(mags, out=mags)
                 for iterations in range(1, self.max_adjust_iters + 1):
                     probe_iters[i] = iterations
@@ -128,14 +97,16 @@ class GaussianKSGD(Compressor):
                         threshold *= 1.0 - self.step
                     else:
                         break
-            mags = abs_block(arr, start, stop, scratch)
-            idx = select_ge(mags, threshold, start)
+            idx = select_abs_ge(arr, start, stop, threshold, scratch)
             idx_chunks.append(idx)
             bucket_nnz[i] = idx.size
             thresholds.append(float(threshold))
 
         d = arr.size
-        ops = [OpRecord("reduce", d), OpRecord("reduce", d), OpRecord("elementwise", d)]
+        ops = [OpRecord("reduce", d), OpRecord("reduce", d)]
+        if centred:
+            # The |g - mean| pass runs only over buckets with spread to fit.
+            ops.append(OpRecord("elementwise", centred))
         ops.extend(probe_round_ops(sizes, probe_iters))
         ops.append(OpRecord("elementwise", d))
         ops.append(OpRecord("compact", d, int(bucket_nnz.sum())))

@@ -63,33 +63,6 @@ class SignSGD:
             metadata={"scale": scale},
         )
 
-    def quantize_all_buckets(self, gradient: np.ndarray, layout) -> QuantizationResult:
-        """Batched per-bucket sign quantization: one pass, one scale per bucket.
-
-        Bit-for-bit equivalent to quantizing each bucket view of ``layout``
-        and concatenating the dequantized outputs; the payload accounting
-        carries one fp32 scale per bucket instead of one per call.
-        """
-        grad = np.asarray(gradient, dtype=np.float64).ravel()
-        if grad.size == 0:
-            raise ValueError("cannot quantize an empty gradient")
-        # Per-bucket L1 means stay per-block 1-D reductions (pairwise, like
-        # the scalar path) rather than reduceat sums, to keep bit equality.
-        scales = np.empty(layout.num_buckets)
-        for i in range(layout.num_buckets):
-            start, stop = layout.bounds(i)
-            scales[i] = np.mean(np.abs(grad[start:stop]))
-        signs = np.sign(grad)
-        signs[signs == 0.0] = 1.0
-        dequantized = np.repeat(scales, layout.sizes()) * signs
-        ops = [OpRecord("elementwise", grad.size), OpRecord("reduce", grad.size)]
-        return QuantizationResult(
-            dequantized=dequantized,
-            bits_per_element=1.0 + FLOAT_BITS * layout.num_buckets / grad.size,
-            ops=ops,
-            metadata={"bucket_scales": scales.tolist(), "num_buckets": layout.num_buckets},
-        )
-
 
 class TernGrad:
     """Ternary quantization: each coordinate becomes {-s, 0, +s} stochastically.
@@ -129,47 +102,4 @@ class TernGrad:
             bits_per_element=np.log2(3.0) + FLOAT_BITS / grad.size,
             ops=ops,
             metadata={"scale": scale, "nonzero": int(np.count_nonzero(ternary))},
-        )
-
-    def quantize_all_buckets(self, gradient: np.ndarray, layout) -> QuantizationResult:
-        """Batched per-bucket ternary quantization with one max-scale per bucket.
-
-        Keep-draws replay the scalar loop's generator consumption: the
-        per-bucket uniform draws of a Generator stream are bit-identical
-        whether drawn bucket by bucket or in one fused draw, and all-zero
-        buckets draw nothing (exactly like the scalar path), so the output
-        matches the per-bucket loop bit-for-bit.
-        """
-        grad = np.asarray(gradient, dtype=np.float64).ravel()
-        if grad.size == 0:
-            raise ValueError("cannot quantize an empty gradient")
-        mags = np.abs(grad)
-        scales = np.empty(layout.num_buckets)
-        for i in range(layout.num_buckets):
-            start, stop = layout.bounds(i)
-            scales[i] = mags[start:stop].max()
-        ternary = np.zeros_like(grad)
-        if np.all(scales > 0.0):
-            # Fast path: one fused draw for the whole gradient (stream-equal
-            # to per-bucket draws when no bucket is skipped).
-            spread = np.repeat(scales, layout.sizes())
-            keep = self._rng.uniform(size=grad.size) < mags / spread
-            np.multiply(np.sign(grad), spread, where=keep, out=ternary)
-        else:
-            for i in range(layout.num_buckets):
-                if scales[i] == 0.0:
-                    continue  # scalar path draws nothing for all-zero buckets
-                start, stop = layout.bounds(i)
-                keep = self._rng.uniform(size=stop - start) < mags[start:stop] / scales[i]
-                np.multiply(np.sign(grad[start:stop]), scales[i], where=keep, out=ternary[start:stop])
-        ops = [
-            OpRecord("elementwise", grad.size),
-            OpRecord("reduce", grad.size),
-            OpRecord("random_sample", grad.size, int(np.count_nonzero(ternary))),
-        ]
-        return QuantizationResult(
-            dequantized=ternary,
-            bits_per_element=np.log2(3.0) + FLOAT_BITS * layout.num_buckets / grad.size,
-            ops=ops,
-            metadata={"bucket_scales": scales.tolist(), "num_buckets": layout.num_buckets},
         )

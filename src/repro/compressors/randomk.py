@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BucketedFit, Compressor, CompressionResult, OpRecord
+from .base import BucketedFit, Compressor, OpRecord
 from .bucketed import bucket_target_ks, concat_indices
-from ..tensor.sparse import SparseGradient
 
 
 class RandomK(Compressor):
@@ -28,32 +27,15 @@ class RandomK(Compressor):
     def reset(self) -> None:
         self._rng = np.random.default_rng(self._seed)
 
-    def compress(self, gradient: np.ndarray, ratio: float) -> CompressionResult:
-        arr = self._validate(gradient, ratio)
-        d = arr.size
-        k = self._target_k(d, ratio)
-        indices = self._rng.choice(d, size=k, replace=False)
-        values = arr[indices]
-        if self.rescale:
-            values = values * (d / k)
-        ops = [OpRecord("random_sample", d, k), OpRecord("compact", k, k)]
-        sparse = SparseGradient(indices=indices, values=values, dense_size=d)
-        return CompressionResult(
-            sparse=sparse,
-            target_ratio=ratio,
-            threshold=None,
-            ops=ops,
-            metadata={"rescaled": self.rescale},
-        )
-
     def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float) -> BucketedFit:
         arr = np.asarray(gradient, dtype=np.float64).ravel()
         sizes = layout.sizes()
         starts = layout.starts()
         ks = bucket_target_ks(sizes, ratio)
 
-        # Replay the scalar loop's per-bucket draws on the shared generator
-        # (same stream), then gather and rescale every bucket in one pass.
+        # Draw each bucket's sample in bucket order on the shared generator
+        # (the stream fitting the buckets one at a time would consume), then
+        # gather and rescale every bucket in one pass.
         idx_chunks = [
             starts[i] + self._rng.choice(int(sizes[i]), size=int(ks[i]), replace=False)
             for i in range(layout.num_buckets)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BucketedFit, Compressor, CompressionResult, OpRecord
+from .base import BucketedFit, Compressor, OpRecord
 from .bucketed import (
     abs_block,
     bucket_target_ks,
@@ -48,42 +48,6 @@ class RedSync(Compressor):
         self.max_search_iters = max_search_iters
         self.shrink_factor = shrink_factor
 
-    def compress(self, gradient: np.ndarray, ratio: float) -> CompressionResult:
-        arr = self._validate(gradient, ratio)
-        d = arr.size
-        k = self._target_k(d, ratio)
-        ops: list[OpRecord] = []
-
-        mags = np.abs(arr)
-        ops.append(OpRecord("elementwise", d))
-        mean = float(mags.mean())
-        maximum = float(mags.max())
-        ops.append(OpRecord("reduce", d))
-        ops.append(OpRecord("reduce", d))
-
-        if maximum <= mean or maximum == 0.0:
-            # Degenerate vector (constant magnitudes): keep everything above the mean.
-            return self._result_from_threshold(arr, mean, ratio, ops, {"iterations": 0})
-
-        # Interpolate between max and mean: threshold = mean + alpha * (max - mean),
-        # starting close to the max and lowering alpha until >= k elements pass.
-        alpha = 1.0
-        threshold = maximum
-        iterations = 0
-        selected = 1
-        for iterations in range(1, self.max_search_iters + 1):
-            alpha *= self.shrink_factor
-            threshold = mean + alpha * (maximum - mean)
-            selected = int(np.count_nonzero(mags >= threshold))
-            ops.append(OpRecord("elementwise", d))
-            ops.append(OpRecord("reduce", d))
-            if selected >= k:
-                break
-
-        return self._result_from_threshold(
-            arr, threshold, ratio, ops, {"iterations": iterations, "selected_at_stop": selected}
-        )
-
     def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float) -> BucketedFit:
         arr = np.asarray(gradient, dtype=np.float64).ravel()
         sizes = layout.sizes()
@@ -92,7 +56,7 @@ class RedSync(Compressor):
 
         # Each bucket's probe search runs off one cache-hot |g| scratch block
         # (the probes are data-dependent, so blocking — not stage-major 2-D
-        # broadcasting — is what keeps this faster than the scalar loop); the
+        # broadcasting — is what keeps this faster than a per-bucket loop); the
         # interpolation arithmetic and the fused trace batch across buckets.
         scratch = workspace_for(layout)
         idx_chunks: list[np.ndarray] = []

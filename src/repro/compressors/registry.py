@@ -29,16 +29,15 @@ def _sidco_factory(variant: str) -> Callable[..., Compressor]:
 
 
 def _bucketed_sidco_factory(variant: str) -> Callable[..., Compressor]:
-    """Bucketed-pipeline SIDCo with the vectorized batched fitting fast path."""
+    """Bucketed-pipeline SIDCo: all buckets fitted in one batched pass."""
 
-    def factory(*, bucket_bytes: int | None = None, vectorized: bool = True, **kwargs) -> Compressor:
+    def factory(*, bucket_bytes: int | None = None, **kwargs) -> Compressor:
         from ..core.sidco import SIDCo
         from ..pipeline import DEFAULT_BUCKET_BYTES, CompressionPipeline
 
         return CompressionPipeline(
             SIDCo.from_variant(variant, **kwargs),
             bucket_bytes=DEFAULT_BUCKET_BYTES if bucket_bytes is None else bucket_bytes,
-            vectorized=vectorized,
         )
 
     return factory

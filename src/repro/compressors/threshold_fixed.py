@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BucketedFit, Compressor, CompressionResult, OpRecord
+from .base import BucketedFit, Compressor, OpRecord
 from .bucketed import abs_block, concat_indices, select_ge, workspace_for
 
 
@@ -34,30 +34,6 @@ class AdaptiveHardThreshold(Compressor):
 
     def reset(self) -> None:
         self._scale = None
-
-    def compress(self, gradient: np.ndarray, ratio: float) -> CompressionResult:
-        arr = self._validate(gradient, ratio)
-        d = arr.size
-        ops: list[OpRecord] = []
-
-        mags = np.abs(arr)
-        ops.append(OpRecord("elementwise", d))
-        mean = float(mags.mean())
-        ops.append(OpRecord("reduce", d))
-
-        if self._scale is None:
-            # Bootstrap from the exponential-model quantile so the first call
-            # is already in the right ballpark.
-            self._scale = float(np.log(1.0 / ratio))
-        threshold = mean * self._scale
-
-        result = self._result_from_threshold(arr, threshold, ratio, ops, {"scale": self._scale})
-
-        # Multiplicative correction for the next call.
-        achieved = max(result.achieved_ratio, 1.0 / d)
-        corrective = self._scale * (np.log(1.0 / ratio) / max(np.log(1.0 / achieved), 1e-12))
-        self._scale = float((1.0 - self.adjustment_rate) * self._scale + self.adjustment_rate * corrective)
-        return result
 
     def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float) -> BucketedFit:
         arr = np.asarray(gradient, dtype=np.float64).ravel()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BucketedFit, Compressor, CompressionResult, OpRecord
+from .base import BucketedFit, Compressor, OpRecord
 from .bucketed import bucket_target_ks, concat_indices
 
 
@@ -18,11 +18,6 @@ class TopK(Compressor):
     """
 
     name = "topk"
-
-    def compress(self, gradient: np.ndarray, ratio: float) -> CompressionResult:
-        arr = self._validate(gradient, ratio)
-        k = self._target_k(arr.size, ratio)
-        return self._result_from_topk(arr, k, ratio, ops=[], metadata={"exact": True})
 
     def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float) -> BucketedFit:
         arr = np.asarray(gradient, dtype=np.float64).ravel()
@@ -79,21 +74,6 @@ class NoCompression(Compressor):
     """Identity compressor: ships the dense gradient unchanged (the baseline)."""
 
     name = "none"
-
-    def compress(self, gradient: np.ndarray, ratio: float = 1.0) -> CompressionResult:
-        arr = np.asarray(gradient, dtype=np.float64).ravel()
-        if arr.size == 0:
-            raise ValueError("cannot compress an empty gradient")
-        from ..tensor.sparse import SparseGradient
-
-        sparse = SparseGradient(indices=np.arange(arr.size), values=arr, dense_size=arr.size)
-        return CompressionResult(
-            sparse=sparse,
-            target_ratio=1.0,
-            threshold=None,
-            ops=[OpRecord("elementwise", 0)],
-            metadata={"dense": True},
-        )
 
     def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float = 1.0) -> BucketedFit:
         arr = np.asarray(gradient, dtype=np.float64).ravel()

@@ -25,8 +25,7 @@ specs crossed with a config grid:
   priced once.  Memoized results are bit-for-bit equal to memoization-off
   runs — every cached value is the output of a deterministic pure function.
 * :func:`run_sweep` — evaluates every point of a spec in order, returning a
-  :class:`SweepResult` whose versioned JSON rides the unified ``BENCH_*``
-  artifact schema (:mod:`repro.harness.artifacts`).
+  :class:`SweepResult` of one flat record per point.
 
 The auto-tuner (:mod:`repro.harness.tuner`) searches this grid and answers
 the production-facing query — "best config for my job on this fabric" —
@@ -62,7 +61,6 @@ from ..distributed.topology import (
     get_topology,
     validate_pipeline_chunks,
 )
-from .artifacts import bench_artifact, validate_bench_artifact
 from .configs import get_benchmark
 
 #: Every knob a sweep point carries, in canonical order: the two compression
@@ -709,49 +707,10 @@ class SweepRecord:
 
 @dataclass
 class SweepResult:
-    """All records of one sweep, serializable onto the unified artifact schema."""
+    """All records of one sweep, in expansion order."""
 
     workloads: tuple[WorkloadSpec, ...]
     records: list[SweepRecord]
-    benchmark: str = "sweep"
-
-    def to_json_dict(self) -> dict:
-        """Versioned JSON payload in the shared ``BENCH_*`` envelope."""
-        return bench_artifact(
-            self.benchmark,
-            params={
-                "workloads": [
-                    {
-                        "name": w.name,
-                        "dimension": w.dimension,
-                        "comm_overhead": w.comm_overhead,
-                        "proxy_elements": w.proxy_elements,
-                        "seed": w.seed,
-                    }
-                    for w in self.workloads
-                ],
-            },
-            records=[
-                {"workload": r.workload, "config": dict(r.config), "metrics": dict(r.metrics)}
-                for r in self.records
-            ],
-        )
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "SweepResult":
-        validate_bench_artifact(payload)
-        workloads = tuple(
-            WorkloadSpec(**entry) for entry in payload["params"].get("workloads", [])
-        )
-        records = [
-            SweepRecord(
-                workload=entry["workload"],
-                config=dict(entry["config"]),
-                metrics=dict(entry["metrics"]),
-            )
-            for entry in payload["records"]
-        ]
-        return cls(workloads=workloads, records=records, benchmark=payload["benchmark"])
 
 
 def run_sweep(

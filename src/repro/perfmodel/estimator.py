@@ -34,9 +34,9 @@ def latency_breakdown(result: CompressionResult, device: DeviceProfile) -> CostB
 def compression_throughput(result: CompressionResult, device: DeviceProfile) -> float:
     """Modelled compression throughput (dense elements/second) on ``device``.
 
-    The bucketed pipeline's batched fast path emits one fused trace for all
-    buckets while the per-bucket loop emits one trace per bucket (paying the
-    launch overhead per bucket), so this is the number that exposes the
+    The bucketed pipeline's batched fit emits one fused trace for all
+    buckets while a per-bucket loop would emit one trace per bucket (paying
+    the launch overhead per bucket), so this is the number that exposes the
     vectorisation win inside the cost model as well as on the wall clock.
     """
     seconds = device.trace_cost(result.ops)

@@ -1,8 +1,8 @@
 """Bucketed compression pipeline: DDP-style fixed-size gradient buckets.
 
-Splits the flattened gradient into fixed-size buckets, compresses each bucket
-(with a batched, vectorised fast path for SIDCo's multi-stage SID fitting),
-and merges the sparse selections — recording per-bucket payloads so the
+Splits the flattened gradient into fixed-size buckets, fits every bucket in
+one batched ``fit_all_buckets`` call (for SIDCo, a streamed multi-stage SID
+fit), and merges the sparse selections — recording per-bucket payloads so the
 timeline model can price communication bucket by bucket.
 """
 

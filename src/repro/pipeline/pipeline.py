@@ -8,30 +8,25 @@ payload sizes in its metadata so the timeline model can price communication
 bucket by bucket (the prerequisite for modelling compute/communication
 overlap).
 
-With ``vectorized=True`` (the default) the pipeline does not loop over
-buckets at all: any compressor that implements
-:meth:`~repro.compressors.base.Compressor.fit_all_buckets` — every registry
-compressor does — fits *all* buckets in one batched NumPy pass and the
-pipeline packages the returned :class:`~repro.compressors.base.BucketedFit`.
-For SIDCo that batched pass is
+The pipeline does not loop over buckets: the wrapped compressor's
+:meth:`~repro.compressors.base.Compressor.fit_all_buckets` fits *all* buckets
+in one batched NumPy pass and the pipeline packages the returned
+:class:`~repro.compressors.base.BucketedFit`.  An unbucketed ``compress`` is
+the same fit over a one-bucket layout.  For SIDCo the batched pass is
 :func:`~repro.pipeline.vectorized.estimate_multi_stage_bucketed`, sharing the
 wrapped instance's stage controller, which observes the global achieved
-selection once per call exactly like the unbucketed compressor.  Passing
-``vectorized=False`` keeps identical selection semantics but runs the scalar
-per-bucket loop — the reference every batched path is tested against
-bit-for-bit.
+selection once per call exactly like the unbucketed compressor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..compressors.base import BucketedFit, Compressor, CompressionResult, OpRecord
+from ..compressors.base import BucketedFit, Compressor, CompressionResult
 from ..core.sidco import SIDCo
-from ..core.threshold import estimate_multi_stage
 from ..tensor.flatten import FlatSpec
 from ..tensor.sparse import FLOAT_BYTES, INDEX_BYTES, SparseGradient
-from .bucketing import DEFAULT_BUCKET_BYTES, BucketLayout, merge_sparse_buckets, split_into_buckets
+from .bucketing import DEFAULT_BUCKET_BYTES, BucketLayout
 
 
 class CompressionPipeline(Compressor):
@@ -46,11 +41,6 @@ class CompressionPipeline(Compressor):
         ``bucket_bytes // element_bytes``.  Defaults to 4 MiB of fp32.
     element_bytes:
         Bytes per dense gradient element on the wire (fp32 by default).
-    vectorized:
-        Use the batched all-buckets-at-once ``fit_all_buckets`` fast path for
-        any compressor that provides one (every registry compressor does);
-        compressors without it — or declining a particular input — fall back
-        to the scalar per-bucket loop.
     flat_spec:
         Optional layer layout of the flattened gradient.  When set, gradients
         whose size matches the spec are bucketed layer-aware
@@ -65,7 +55,6 @@ class CompressionPipeline(Compressor):
         *,
         bucket_bytes: int = DEFAULT_BUCKET_BYTES,
         element_bytes: int = FLOAT_BYTES,
-        vectorized: bool = True,
         flat_spec: FlatSpec | None = None,
     ) -> None:
         if isinstance(compressor, str):
@@ -83,7 +72,6 @@ class CompressionPipeline(Compressor):
         self.compressor = compressor
         self.bucket_bytes = int(bucket_bytes)
         self.element_bytes = int(element_bytes)
-        self.vectorized = bool(vectorized)
         self.flat_spec = flat_spec
         self.name = f"{compressor.name}-bucketed"
 
@@ -108,20 +96,11 @@ class CompressionPipeline(Compressor):
         layout = self.layout_for(arr.size)
         if isinstance(self.compressor, SIDCo):
             return self._compress_sidco(arr, ratio, layout)
-        if self.vectorized:
-            fit = self.compressor.fit_all_buckets(arr, layout, ratio)
-            if fit is not None:
-                return self._result_from_fit(fit, layout)
-        return self._compress_generic(arr, ratio, layout)
-
-    # -- SIDCo ------------------------------------------------------------
+        return self._result_from_fit(self.compressor.fit_all_buckets(arr, layout, ratio), layout)
 
     def _compress_sidco(self, arr: np.ndarray, ratio: float, layout: BucketLayout) -> CompressionResult:
         inner: SIDCo = self.compressor
-        if self.vectorized:
-            fit = inner.fit_all_buckets(arr, layout, ratio)
-        else:
-            fit = self._fit_sidco_loop(arr, ratio, layout)
+        fit = inner.fit_all_buckets(arr, layout, ratio)
         if fit is None:
             # No tail to fit anywhere; let the wrapped compressor's degenerate
             # handling pick the selection, but keep the pipeline's metadata
@@ -136,93 +115,12 @@ class CompressionPipeline(Compressor):
         inner.controller.observe(result.achieved_k, self._target_k(arr.size, ratio))
         return result
 
-    def _fit_sidco_loop(self, arr: np.ndarray, ratio: float, layout: BucketLayout) -> BucketedFit | None:
-        """The scalar reference: :func:`estimate_multi_stage` bucket by bucket."""
-        inner: SIDCo = self.compressor
-        d = arr.size
-        abs_flat = np.abs(arr)
-        max_abs = float(abs_flat.max())
-        if not np.isfinite(max_abs):
-            raise ValueError("gradient contains NaN or infinite values")
-        if d < 2 or max_abs == 0.0:
-            return None
-
-        ops: list[OpRecord] = [OpRecord("elementwise", d)]
-        num_stages = inner.controller.num_stages
-        thresholds = np.empty(layout.num_buckets)
-        stages_used = np.empty(layout.num_buckets, dtype=np.int64)
-        for i in range(layout.num_buckets):
-            start, stop = layout.bounds(i)
-            try:
-                est = estimate_multi_stage(
-                    abs_flat[start:stop],
-                    ratio,
-                    inner.sid,
-                    num_stages,
-                    first_stage_ratio=inner.first_stage_ratio,
-                )
-                thresholds[i] = est.threshold
-                stages_used[i] = est.stages_used
-                ops.extend(est.ops)
-            except ValueError:
-                # Degenerate bucket (e.g. all-zero): select nothing, like
-                # the vectorized path.
-                thresholds[i] = np.inf
-                stages_used[i] = 0
-
-        indices = np.flatnonzero(abs_flat >= np.repeat(thresholds, layout.sizes()))
-        ops.append(OpRecord("elementwise", d))
-        ops.append(OpRecord("compact", d, indices.size))
-        return BucketedFit(
-            indices=indices,
-            values=arr[indices],
-            bucket_nnz=np.bincount(layout.bucket_of(indices), minlength=layout.num_buckets),
-            bucket_thresholds=thresholds,
-            target_ratio=ratio,
-            ops=ops,
-            metadata={
-                "sid": inner.sid,
-                "num_stages_configured": num_stages,
-                "stages_used": int(stages_used.max()),
-                "bucket_stages_used": stages_used,
-            },
-        )
-
-    # -- generic per-bucket loop -------------------------------------------
-
-    def _compress_generic(self, arr: np.ndarray, ratio: float, layout: BucketLayout) -> CompressionResult:
-        results = [
-            self.compressor.compress(view, ratio) for view in split_into_buckets(arr, layout)
-        ]
-        sparse = merge_sparse_buckets([r.sparse for r in results], layout)
-        ops = [op for r in results for op in r.ops]
-        bucket_nnz = np.asarray([r.sparse.nnz for r in results], dtype=np.int64)
-        bucket_thresholds = [r.threshold for r in results]
-        have_thresholds = [t for t in bucket_thresholds if t is not None]
-        return CompressionResult(
-            sparse=sparse,
-            # All buckets see the same requested ratio, so they agree on the
-            # effective target (NoCompression normalises it to 1.0).
-            target_ratio=results[0].target_ratio,
-            threshold=float(np.mean(have_thresholds)) if have_thresholds else None,
-            ops=ops,
-            metadata=self._bucket_metadata(
-                layout,
-                bucket_nnz,
-                inner=self.compressor.name,
-                bucket_thresholds=bucket_thresholds,
-            ),
-        )
-
-    # -- batched fast path --------------------------------------------------
-
     def _result_from_fit(self, fit: BucketedFit, layout: BucketLayout) -> CompressionResult:
-        """Package a batched :class:`BucketedFit` exactly like the scalar merge.
+        """Package a batched :class:`BucketedFit` with per-bucket metadata.
 
         The summary threshold is the mean of the per-bucket thresholds that
         exist (``None``/``+inf`` entries mark buckets with no threshold-based
-        selection), matching both the generic per-bucket merge and the SIDCo
-        fast path.
+        selection).
         """
         bucket_nnz = np.asarray(fit.bucket_nnz, dtype=np.int64)
         sparse = SparseGradient(indices=fit.indices, values=fit.values, dense_size=layout.total_size)
@@ -236,7 +134,6 @@ class CompressionPipeline(Compressor):
                 layout,
                 bucket_nnz,
                 inner=self.compressor.name,
-                vectorized=self.vectorized,
                 bucket_thresholds=fit.bucket_thresholds,
                 **fit.metadata,
             ),

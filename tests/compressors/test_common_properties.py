@@ -174,17 +174,18 @@ class TestPropertyBasedContract:
         assert error <= np.linalg.norm(gradient) + 1e-12
 
 
-def _bucketed_pipeline(name: str, *, vectorized: bool):
-    """A multi-bucket vectorized (or scalar-loop) pipeline around ``name``.
+def _bucketed_pipeline(name: str, *, reference: bool = False):
+    """A multi-bucket pipeline around ``name`` (or its per-bucket reference loop).
 
     128-byte buckets hold 32 float32 elements, so even the 48-element "tiny"
     case splits into several buckets and the single-element case exercises a
     one-element layout.
     """
     from repro.pipeline import CompressionPipeline
+    from tests.pipeline.compressor_reference import ReferencePipeline
 
-    inner = create_compressor(name)
-    return CompressionPipeline(inner, bucket_bytes=128, vectorized=vectorized)
+    pipeline = ReferencePipeline if reference else CompressionPipeline
+    return pipeline(create_compressor(name), bucket_bytes=128)
 
 
 @pytest.mark.parametrize("case", ["tiny", "ragged-noncontiguous", "all-zero", "single-element"])
@@ -193,15 +194,15 @@ class TestRegistryWideBucketedEdgeInputs:
     """The batched ``fit_all_buckets`` paths on the same awkward inputs.
 
     Each case runs through a many-small-buckets pipeline twice — once on the
-    vectorized fast path and once on the per-bucket scalar loop — and the two
-    must agree on the selection while staying structurally valid.
+    batched fit and once on the per-bucket scalar reference loop — and the
+    two must agree on the selection while staying structurally valid.
     """
 
     RATIO = 0.02
 
-    def test_vectorized_result_structurally_valid(self, name, case):
+    def test_batched_result_structurally_valid(self, name, case):
         arr = _degenerate_case(case)
-        result = _bucketed_pipeline(name, vectorized=True).compress(arr, self.RATIO)
+        result = _bucketed_pipeline(name).compress(arr, self.RATIO)
         idx = result.sparse.indices
         assert result.sparse.dense_size == arr.size
         assert idx.size == np.unique(idx).size
@@ -210,10 +211,10 @@ class TestRegistryWideBucketedEdgeInputs:
         assert np.all(np.isfinite(result.sparse.values))
         assert sum(result.metadata["bucket_nnz"]) == result.sparse.nnz
 
-    def test_vectorized_matches_scalar_loop(self, name, case):
+    def test_batched_matches_scalar_loop(self, name, case):
         arr = _degenerate_case(case)
-        rv = _bucketed_pipeline(name, vectorized=True).compress(arr, self.RATIO)
-        rl = _bucketed_pipeline(name, vectorized=False).compress(arr, self.RATIO)
+        rv = _bucketed_pipeline(name).compress(arr, self.RATIO)
+        rl = _bucketed_pipeline(name, reference=True).compress(arr, self.RATIO)
         np.testing.assert_array_equal(rv.sparse.indices, rl.sparse.indices)
         np.testing.assert_array_equal(rv.sparse.values, rl.sparse.values)
         assert rv.metadata["bucket_nnz"] == rl.metadata["bucket_nnz"]
@@ -222,8 +223,8 @@ class TestRegistryWideBucketedEdgeInputs:
         if name.startswith("sidco"):
             pytest.skip("SIDCo's SID fit rejects delta=1.0 by contract")
         arr = _degenerate_case(case)
-        rv = _bucketed_pipeline(name, vectorized=True).compress(arr, 1.0)
-        rl = _bucketed_pipeline(name, vectorized=False).compress(arr, 1.0)
+        rv = _bucketed_pipeline(name).compress(arr, 1.0)
+        rl = _bucketed_pipeline(name, reference=True).compress(arr, 1.0)
         np.testing.assert_array_equal(rv.sparse.indices, rl.sparse.indices)
         if name in ("none", "topk"):
             # Exact selectors must keep every coordinate at ratio 1.0.
@@ -232,4 +233,4 @@ class TestRegistryWideBucketedEdgeInputs:
     def test_empty_gradient_rejected(self, name, case):
         del case  # the empty vector is its own case; parametrisation reused for the id
         with pytest.raises(ValueError):
-            _bucketed_pipeline(name, vectorized=True).compress(np.array([]), self.RATIO)
+            _bucketed_pipeline(name).compress(np.array([]), self.RATIO)

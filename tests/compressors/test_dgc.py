@@ -24,7 +24,8 @@ class TestDGC:
         sample_ops = [op for op in result.ops if op.op == "random_sample"]
         assert len(sample_ops) == 1
         assert sample_ops[0].size == small_gradient.size
-        assert result.metadata["sample_size"] >= int(0.01 * small_gradient.size)
+        # The sample size is the k of the sampling op.
+        assert sample_ops[0].k >= int(0.01 * small_gradient.size)
 
     def test_deterministic_given_seed(self, small_gradient):
         a = DGC(seed=42).compress(small_gradient, 0.01)

@@ -39,6 +39,8 @@ class TestGaussianKSGD:
         with pytest.raises(ValueError):
             GaussianKSGD(step=1.0)
 
-    def test_metadata_reports_iterations(self, small_gradient):
+    def test_trace_reports_iterations(self, small_gradient):
         result = GaussianKSGD(max_adjust_iters=4).compress(small_gradient, 0.01)
-        assert 0 <= result.metadata["iterations"] <= 4
+        # Two reduces for mean and std, then one per correction iteration.
+        iterations = sum(op.op == "reduce" for op in result.ops) - 2
+        assert 0 <= iterations <= 4

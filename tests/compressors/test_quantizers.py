@@ -77,57 +77,3 @@ class TestTernGrad:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             TernGrad().quantize(np.array([]))
-
-
-class TestBucketedQuantization:
-    """``quantize_all_buckets`` against per-bucket ``quantize`` concatenation."""
-
-    def _layout(self, size, bucket_bytes=4000):
-        from repro.pipeline import BucketLayout
-
-        return BucketLayout.from_bytes(size, bucket_bytes)
-
-    def test_signsgd_matches_per_bucket_concat(self, small_gradient):
-        layout = self._layout(small_gradient.size)
-        batched = SignSGD().quantize_all_buckets(small_gradient, layout)
-        chunks, scales = [], []
-        for i in range(layout.num_buckets):
-            start, stop = layout.bounds(i)
-            r = SignSGD().quantize(small_gradient[start:stop])
-            chunks.append(r.dequantized)
-            scales.append(r.metadata["scale"])
-        np.testing.assert_array_equal(batched.dequantized, np.concatenate(chunks))
-        np.testing.assert_array_equal(batched.metadata["bucket_scales"], scales)
-        # One fp32 scale per bucket instead of one per call.
-        expected_bits = 1.0 + FLOAT_BITS * layout.num_buckets / small_gradient.size
-        assert batched.bits_per_element == expected_bits
-
-    def test_terngrad_matches_per_bucket_concat(self, small_gradient):
-        layout = self._layout(small_gradient.size)
-        batched = TernGrad(seed=42).quantize_all_buckets(small_gradient, layout)
-        twin = TernGrad(seed=42)
-        chunks = []
-        for i in range(layout.num_buckets):
-            start, stop = layout.bounds(i)
-            chunks.append(twin.quantize(small_gradient[start:stop]).dequantized)
-        # Bit-for-bit: the fused keep-draw replays the per-bucket stream.
-        np.testing.assert_array_equal(batched.dequantized, np.concatenate(chunks))
-
-    def test_terngrad_all_zero_bucket_skips_draws(self):
-        # An all-zero bucket consumes no uniforms on either path, so the
-        # streams stay aligned across it.
-        grad = np.concatenate([np.full(500, 0.0), np.linspace(-1.0, 1.0, 500)])
-        layout = self._layout(grad.size, bucket_bytes=2000)
-        assert layout.num_buckets == 2
-        batched = TernGrad(seed=7).quantize_all_buckets(grad, layout)
-        twin = TernGrad(seed=7)
-        chunks = [twin.quantize(grad[s:e]).dequantized for s, e in (layout.bounds(i) for i in range(2))]
-        np.testing.assert_array_equal(batched.dequantized, np.concatenate(chunks))
-        assert batched.metadata["bucket_scales"][0] == 0.0
-
-    def test_empty_rejected(self):
-        layout = self._layout(100)
-        with pytest.raises(ValueError):
-            SignSGD().quantize_all_buckets(np.array([]), layout)
-        with pytest.raises(ValueError):
-            TernGrad().quantize_all_buckets(np.array([]), layout)

@@ -55,10 +55,10 @@ class TestRegistry:
         class Dummy(Compressor):
             name = "dummy"
 
-            def compress(self, gradient, ratio):
+            def fit_all_buckets(self, gradient, layout, ratio):
                 from repro.compressors import TopK
 
-                return TopK().compress(gradient, ratio)
+                return TopK().fit_all_buckets(gradient, layout, ratio)
 
         register_compressor("dummy-test", Dummy, overwrite=True)
         assert "dummy-test" in available_compressors()

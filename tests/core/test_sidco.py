@@ -128,12 +128,9 @@ class TestNonFiniteGradients:
         with pytest.raises(ValueError, match="NaN or infinite"):
             SIDCo.from_variant(variant).fit_all_buckets(self._gradient(bad), layout, 0.01)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_pipeline_raises(self, variant, bad, vectorized):
+    def test_pipeline_raises(self, variant, bad):
         from repro.pipeline import CompressionPipeline
 
-        pipeline = CompressionPipeline(
-            SIDCo.from_variant(variant), bucket_bytes=16 * 1024, vectorized=vectorized
-        )
+        pipeline = CompressionPipeline(SIDCo.from_variant(variant), bucket_bytes=16 * 1024)
         with pytest.raises(ValueError, match="NaN or infinite"):
             pipeline.compress(self._gradient(bad), 0.01)

@@ -23,7 +23,6 @@ from repro.harness import (
     KnobConstraint,
     SweepCache,
     SweepPoint,
-    SweepResult,
     SweepSpec,
     WorkloadSpec,
     evaluate_point,
@@ -210,18 +209,6 @@ class TestExecutionEquivalence:
 
 
 class TestSerialization:
-    def test_json_round_trip_is_lossless(self):
-        spec = SweepSpec(
-            workloads=(_workload(),),
-            axes={"ratio": (0.1, 0.01), "bucket_bytes": (2**20, None)},
-        )
-        result = run_sweep(spec, memoize=False)
-        payload = result.to_json_dict()
-        assert payload["schema"] == "sidco.bench-artifact"
-        back = SweepResult.from_json_dict(payload)
-        assert back.workloads == result.workloads
-        assert back.records == result.records
-
     def test_point_key_is_stable_and_unique(self):
         spec = SweepSpec(
             workloads=(_workload(),),

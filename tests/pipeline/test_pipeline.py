@@ -8,6 +8,8 @@ from repro.compressors.topk import NoCompression, TopK
 from repro.pipeline import CompressionPipeline
 from repro.tensor.sparse import FLOAT_BYTES, INDEX_BYTES
 
+from .compressor_reference import ReferencePipeline
+
 
 class TestConstruction:
     def test_accepts_registry_name(self):
@@ -67,9 +69,7 @@ class TestGenericBucketing:
 
     def test_scalar_loop_ops_concatenate_per_bucket_traces(self, small_gradient):
         single = TopK().compress(small_gradient, 0.05)
-        bucketed = CompressionPipeline(TopK(), bucket_bytes=4000, vectorized=False).compress(
-            small_gradient, 0.05
-        )
+        bucketed = ReferencePipeline(TopK(), bucket_bytes=4000).compress(small_gradient, 0.05)
         num_buckets = bucketed.metadata["num_buckets"]
         assert len(bucketed.ops) == num_buckets * len(single.ops)
 

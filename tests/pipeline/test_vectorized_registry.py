@@ -1,11 +1,12 @@
 """Registry-wide batched fitting (``fit_all_buckets``) against the scalar loop.
 
-Every registry compressor's vectorized bucket-axis path must reproduce the
-per-bucket scalar loop bit-for-bit: same indices, same values, same per-bucket
-thresholds and counts, and the same evolution of cross-call adaptive state
-(RNG streams, adaptive threshold scales, SIDCo stage controllers).  The only
-tolerated divergence is argpartition tie-breaking on exactly-equal magnitudes,
-which the realistic float gradients used here make measure-zero.
+Every registry compressor's bucketed pipeline must reproduce the per-bucket
+scalar reference loop (``compressor_reference.py``) bit-for-bit: same indices,
+same values, same per-bucket thresholds and counts, and the same evolution of
+cross-call adaptive state (RNG streams, adaptive threshold scales, SIDCo stage
+controllers).  The only tolerated divergence is argpartition tie-breaking on
+exactly-equal magnitudes, which the realistic float gradients used here make
+measure-zero.
 """
 
 import numpy as np
@@ -17,17 +18,19 @@ from repro.compressors import BucketedFit, Compressor, available_compressors, cr
 from repro.gradients import realistic_gradient
 from repro.pipeline import CompressionPipeline
 
+from .compressor_reference import ReferencePipeline
+
 #: Every registry name that is a raw compressor (the ``sidco-*-bucketed``
-#: entries are already pipelines; they are exercised via the vectorized flag
-#: in :class:`TestBucketedRegistryVariants`).
+#: entries are already pipelines; they are exercised in
+#: :class:`TestBucketedRegistryVariants`).
 PLAIN_NAMES = [n for n in available_compressors() if not n.endswith("-bucketed")]
 
 
-def _twin_pipelines(name: str, bucket_bytes: int = 4000) -> tuple[CompressionPipeline, CompressionPipeline]:
-    """Two pipelines over independently built (seed-twin) compressors."""
+def _twin_pipelines(name: str, bucket_bytes: int = 4000) -> tuple[CompressionPipeline, ReferencePipeline]:
+    """The batched pipeline and the reference loop over seed-twin compressors."""
     return (
-        CompressionPipeline(create_compressor(name), bucket_bytes=bucket_bytes, vectorized=True),
-        CompressionPipeline(create_compressor(name), bucket_bytes=bucket_bytes, vectorized=False),
+        CompressionPipeline(create_compressor(name), bucket_bytes=bucket_bytes),
+        ReferencePipeline(create_compressor(name), bucket_bytes=bucket_bytes),
     )
 
 
@@ -69,8 +72,8 @@ def _rtol_for(name: str) -> float:
 @pytest.mark.parametrize("name", PLAIN_NAMES)
 class TestMatchesScalarLoopRegistryWide:
     def test_single_call_matches_bit_for_bit(self, name, small_gradient):
-        vectorized, loop = _twin_pipelines(name)
-        rv = vectorized.compress(small_gradient, 0.02)
+        batched, loop = _twin_pipelines(name)
+        rv = batched.compress(small_gradient, 0.02)
         rl = loop.compress(small_gradient, 0.02)
         assert rv.metadata["num_buckets"] > 1
         _assert_results_match(rv, rl, threshold_rtol=_rtol_for(name))
@@ -79,18 +82,18 @@ class TestMatchesScalarLoopRegistryWide:
         # Stateful compressors (RNG streams, adaptive scales, stage
         # controllers) must evolve identically under both paths, so every
         # call in a sequence of distinct gradients keeps matching.
-        vectorized, loop = _twin_pipelines(name)
+        batched, loop = _twin_pipelines(name)
         for call in range(4):
             gradient = realistic_gradient(12_288, seed=100 + call)
-            rv = vectorized.compress(gradient, 0.01)
+            rv = batched.compress(gradient, 0.01)
             rl = loop.compress(gradient, 0.01)
             _assert_results_match(rv, rl, threshold_rtol=_rtol_for(name))
 
     def test_ragged_tail_bucket_matches(self, name):
         # 20 full buckets of 1000 plus a 37-element tail.
         gradient = realistic_gradient(20_037, seed=17)
-        vectorized, loop = _twin_pipelines(name)
-        rv = vectorized.compress(gradient, 0.02)
+        batched, loop = _twin_pipelines(name)
+        rv = batched.compress(gradient, 0.02)
         rl = loop.compress(gradient, 0.02)
         assert rv.metadata["bucket_sizes"][-1] == 37
         _assert_results_match(rv, rl, threshold_rtol=_rtol_for(name))
@@ -98,9 +101,9 @@ class TestMatchesScalarLoopRegistryWide:
     def test_full_ratio_matches(self, name, small_gradient):
         if name.startswith("sidco"):
             pytest.skip("SIDCo's SID fit rejects delta=1.0 by contract")
-        vectorized, loop = _twin_pipelines(name)
+        batched, loop = _twin_pipelines(name)
         _assert_results_match(
-            vectorized.compress(small_gradient, 1.0),
+            batched.compress(small_gradient, 1.0),
             loop.compress(small_gradient, 1.0),
             threshold_rtol=_rtol_for(name),
         )
@@ -108,23 +111,23 @@ class TestMatchesScalarLoopRegistryWide:
 
 class TestAdaptiveStateEquality:
     def test_hard_threshold_scale_identical_after_calls(self, small_gradient):
-        vectorized, loop = _twin_pipelines("hard_threshold")
+        batched, loop = _twin_pipelines("hard_threshold")
         for _ in range(5):
-            vectorized.compress(small_gradient, 0.01)
+            batched.compress(small_gradient, 0.01)
             loop.compress(small_gradient, 0.01)
         # The batched path replays the sequential per-bucket scale recurrence
         # exactly, so the internal state is bit-identical, not just close.
-        assert vectorized.compressor._scale == loop.compressor._scale
+        assert batched.compressor._scale == loop.compressor._scale
 
     @pytest.mark.parametrize("name", ["dgc", "randomk"])
     def test_rng_stream_identical_after_calls(self, name, small_gradient):
-        vectorized, loop = _twin_pipelines(name)
+        batched, loop = _twin_pipelines(name)
         for _ in range(3):
-            vectorized.compress(small_gradient, 0.02)
+            batched.compress(small_gradient, 0.02)
             loop.compress(small_gradient, 0.02)
         # Both generators must sit at the same point of the same stream.
         assert (
-            vectorized.compressor._rng.bit_generator.state
+            batched.compressor._rng.bit_generator.state
             == loop.compressor._rng.bit_generator.state
         )
 
@@ -132,32 +135,30 @@ class TestAdaptiveStateEquality:
 class TestBucketedRegistryVariants:
     @pytest.mark.parametrize("name", [n for n in available_compressors() if n.endswith("-bucketed")])
     def test_bucketed_registry_names_match_their_scalar_loop(self, name, medium_gradient):
-        rv = create_compressor(name, bucket_bytes=32 * 1024, vectorized=True).compress(
-            medium_gradient, 0.01
-        )
-        rl = create_compressor(name, bucket_bytes=32 * 1024, vectorized=False).compress(
-            medium_gradient, 0.01
-        )
+        rv = create_compressor(name, bucket_bytes=32 * 1024).compress(medium_gradient, 0.01)
+        inner = create_compressor(name.removesuffix("-bucketed"))
+        rl = ReferencePipeline(inner, bucket_bytes=32 * 1024).compress(medium_gradient, 0.01)
         np.testing.assert_array_equal(rv.sparse.indices, rl.sparse.indices)
         np.testing.assert_array_equal(rv.sparse.values, rl.sparse.values)
         assert rv.metadata["bucket_nnz"] == rl.metadata["bucket_nnz"]
 
 
 class TestFitContract:
-    def test_base_compressor_declines_by_default(self, small_gradient):
+    def test_compressor_without_a_fit_cannot_compress(self, small_gradient):
         class Opaque(Compressor):
             name = "opaque"
 
-            def compress(self, gradient, ratio):
-                return create_compressor("topk").compress(gradient, ratio)
+        # compress is the one-bucket fit, and the pipeline has no other path.
+        with pytest.raises(NotImplementedError, match="Opaque"):
+            Opaque().compress(small_gradient, 0.02)
+        with pytest.raises(NotImplementedError, match="Opaque"):
+            CompressionPipeline(Opaque(), bucket_bytes=4000).compress(small_gradient, 0.02)
 
-        pipeline = CompressionPipeline(Opaque(), bucket_bytes=4000, vectorized=True)
-        layout = pipeline.layout_for(small_gradient.size)
-        assert Opaque().fit_all_buckets(small_gradient, layout, 0.02) is None
-        # The pipeline silently falls back to the per-bucket scalar loop.
-        result = pipeline.compress(small_gradient, 0.02)
-        assert result.metadata["num_buckets"] == layout.num_buckets
-        assert "vectorized" not in result.metadata
+    @pytest.mark.parametrize("name", [n for n in PLAIN_NAMES if not n.startswith("sidco")])
+    def test_compress_carries_no_bucket_metadata(self, name, small_gradient):
+        # TimelineModel prices per bucket when bucket_payload_bytes is present.
+        result = create_compressor(name).compress(small_gradient, 0.02)
+        assert not any(key.startswith("bucket_") for key in result.metadata)
 
     @pytest.mark.parametrize("name", [n for n in PLAIN_NAMES if not n.startswith("sidco")])
     def test_fit_is_bucket_major_and_consistent(self, name, small_gradient):
@@ -191,7 +192,7 @@ class TestPropertyBasedEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_random_shapes_and_ratios_match(self, name, size, ratio, seed, bucket_bytes):
         gradient = realistic_gradient(size, seed=seed)
-        vectorized, loop = _twin_pipelines(name, bucket_bytes=bucket_bytes)
-        rv = vectorized.compress(gradient, ratio)
+        batched, loop = _twin_pipelines(name, bucket_bytes=bucket_bytes)
+        rv = batched.compress(gradient, ratio)
         rl = loop.compress(gradient, ratio)
         _assert_results_match(rv, rl, threshold_rtol=_rtol_for(name))

@@ -1,4 +1,4 @@
-"""The vectorized batched SIDCo fast path against the per-bucket scalar loop."""
+"""The batched SIDCo pipeline against the per-bucket scalar reference loop."""
 
 import numpy as np
 import pytest
@@ -8,21 +8,23 @@ from repro.core.threshold import estimate_multi_stage
 from repro.gradients import realistic_gradient
 from repro.pipeline import BucketLayout, CompressionPipeline, estimate_multi_stage_bucketed
 
+from .compressor_reference import ReferencePipeline
+
 VARIANTS = ["exponential", "gamma", "gpareto"]
 
 
 def _pipelines(sid, bucket_bytes):
     return (
-        CompressionPipeline(SIDCo(sid), bucket_bytes=bucket_bytes, vectorized=True),
-        CompressionPipeline(SIDCo(sid), bucket_bytes=bucket_bytes, vectorized=False),
+        CompressionPipeline(SIDCo(sid), bucket_bytes=bucket_bytes),
+        ReferencePipeline(SIDCo(sid), bucket_bytes=bucket_bytes),
     )
 
 
 @pytest.mark.parametrize("sid", VARIANTS)
 class TestMatchesScalarLoop:
     def test_single_call_thresholds_and_selection_match(self, sid, medium_gradient):
-        vectorized, loop = _pipelines(sid, 32 * 1024)
-        rv = vectorized.compress(medium_gradient, 0.01)
+        batched, loop = _pipelines(sid, 32 * 1024)
+        rv = batched.compress(medium_gradient, 0.01)
         rl = loop.compress(medium_gradient, 0.01)
         tv = np.asarray(rv.metadata["bucket_thresholds"])
         tl = np.asarray(rl.metadata["bucket_thresholds"])
@@ -33,11 +35,11 @@ class TestMatchesScalarLoop:
     def test_steady_state_with_adaptive_stages_matches(self, sid, medium_gradient):
         # Both controllers see identical global observations, so they escalate
         # stages in lockstep and the batched fits must keep matching.
-        vectorized, loop = _pipelines(sid, 32 * 1024)
+        batched, loop = _pipelines(sid, 32 * 1024)
         for _ in range(12):
-            rv = vectorized.compress(medium_gradient, 0.001)
+            rv = batched.compress(medium_gradient, 0.001)
             rl = loop.compress(medium_gradient, 0.001)
-        assert vectorized.compressor.num_stages == loop.compressor.num_stages
+        assert batched.compressor.num_stages == loop.compressor.num_stages
         np.testing.assert_allclose(
             np.asarray(rv.metadata["bucket_thresholds"]),
             np.asarray(rl.metadata["bucket_thresholds"]),
@@ -47,8 +49,8 @@ class TestMatchesScalarLoop:
 
     def test_ragged_last_bucket_matches(self, sid):
         gradient = realistic_gradient(100_003, seed=23)
-        vectorized, loop = _pipelines(sid, 24_000)
-        rv = vectorized.compress(gradient, 0.01)
+        batched, loop = _pipelines(sid, 24_000)
+        rv = batched.compress(gradient, 0.01)
         rl = loop.compress(gradient, 0.01)
         assert rv.metadata["num_buckets"] == rl.metadata["num_buckets"]
         np.testing.assert_allclose(
@@ -62,8 +64,8 @@ class TestMatchesScalarLoop:
         # Last bucket has 7 (< MIN_STAGE_SAMPLE) elements: both paths fall back
         # to a single-stage fit on the raw target ratio for it.
         gradient = realistic_gradient(1024 * 3 + 7, seed=29)
-        vectorized, loop = _pipelines(sid, 4096)
-        rv = vectorized.compress(gradient, 0.05)
+        batched, loop = _pipelines(sid, 4096)
+        rv = batched.compress(gradient, 0.05)
         rl = loop.compress(gradient, 0.05)
         np.testing.assert_allclose(
             np.asarray(rv.metadata["bucket_thresholds"]),

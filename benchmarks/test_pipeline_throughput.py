@@ -11,10 +11,9 @@ estimators — DGC, RedSync, GaussianK — must each clear the same ratcheted
 The unbucketed baseline and the per-bucket loop are the scalar reference
 implementations (``tests/pipeline/compressor_reference.py``): the library's
 own unbucketed ``compress`` is now the one-bucket batched fit, so timing it
-would move the floor's denominator.  That one-bucket timing is recorded
-(``one_bucket_ms``) but not gated.  The sweep emits
+would move the floor's denominator.  The sweep emits
 ``BENCH_registry_throughput.json`` at the repo root with per-compressor
-unbucketed / per-bucket-loop / batched / one-bucket timings.
+unbucketed / per-bucket-loop / batched timings.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_pipeline_throughput.py -v``.
 Setting ``SIDCO_SMOKE_DIMENSION`` (e.g. ``500000``) shrinks the gradient for a
@@ -88,7 +87,7 @@ def _bucket_bytes() -> int:
 
 @pytest.fixture(scope="module")
 def sweep_timings(gradient):
-    """Unbucketed / scalar-loop / batched / one-bucket call timings per registry name.
+    """Unbucketed / scalar-loop / batched call timings per registry name.
 
     Computed lazily and shared by the floor tests and the artifact emitter so
     each (compressor, path) pair is timed exactly once per session.
@@ -109,7 +108,6 @@ def sweep_timings(gradient):
         vec_s, vec_result = best(
             CompressionPipeline(create_compressor(name), bucket_bytes=_bucket_bytes()).compress
         )
-        one_bucket_s, _ = best(create_compressor(name).compress)
         # The two bucketed paths must agree on the selection before any
         # timing is trusted (seed-twin instances make the RNG compressors
         # comparable).
@@ -120,7 +118,6 @@ def sweep_timings(gradient):
             "unbucketed_ms": unbucketed_s * 1e3,
             "bucketed_loop_ms": loop_s * 1e3,
             "vectorized_ms": vec_s * 1e3,
-            "one_bucket_ms": one_bucket_s * 1e3,
             "speedup_vs_unbucketed": unbucketed_s / vec_s,
             "speedup_vs_loop": loop_s / vec_s,
             "achieved_ratio": vec_result.achieved_ratio,

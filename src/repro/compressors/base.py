@@ -116,13 +116,11 @@ class Compressor:
     #: short identifier used by the registry, figures, and reports
     name: str = "base"
 
-    def compress(self, gradient: np.ndarray, ratio: float = 1.0) -> CompressionResult:
+    def compress(self, gradient: np.ndarray, ratio: float) -> CompressionResult:
         """Compress ``gradient`` targeting ``ratio = k/d`` kept elements.
 
         Fits the whole gradient as one bucket and packages the fit; the
         result carries the fit's own metadata and no per-bucket keys.
-        ``ratio`` defaults to 1.0 (keep everything), the default
-        ``NoCompression.compress`` has always had.
         """
         # Deferred import: repro.pipeline imports this module at load time.
         from ..pipeline.bucketing import BucketLayout

@@ -79,25 +79,6 @@ def select_ge(mags: np.ndarray, threshold: float, start: int) -> np.ndarray:
     return idx
 
 
-#: Elements per sub-block of :func:`select_abs_ge`: ``|g|`` and its compare
-#: stay within a core's L2 cache.
-SELECT_BLOCK = 1 << 16
-
-
-def select_abs_ge(arr: np.ndarray, start: int, stop: int, threshold: float, scratch: np.ndarray) -> np.ndarray:
-    """Global indices of ``|arr[start:stop]| >= threshold``, ascending.
-
-    Writes ``|g|`` into the scratch prefix and compares it in sub-blocks of
-    :data:`SELECT_BLOCK` elements, while the block is still cache-hot.
-    """
-    if stop - start <= SELECT_BLOCK:
-        return select_ge(abs_block(arr, start, stop, scratch), threshold, start)
-    return np.concatenate([
-        select_ge(abs_block(arr, lo, min(lo + SELECT_BLOCK, stop), scratch), threshold, lo)
-        for lo in range(start, stop, SELECT_BLOCK)
-    ])
-
-
 def concat_indices(chunks: list[np.ndarray]) -> np.ndarray:
     """Bucket-major concatenation of per-bucket index selections."""
     if not chunks:

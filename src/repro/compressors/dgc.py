@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BucketedFit, Compressor, OpRecord
-from .bucketed import bucket_target_ks, concat_indices, full_bucket_stack, select_abs_ge, workspace_for
+from .bucketed import abs_block, bucket_target_ks, concat_indices, full_bucket_stack, workspace_for
 
 
 class DGC(Compressor):
@@ -97,18 +97,20 @@ class DGC(Compressor):
         trim_sizes = 0
         trim_ks = 0
         for i in range(num):
+            start, stop = layout.bounds(i)
+            mags = abs_block(arr, start, stop, scratch)
             threshold = float(thresholds[i])
             k = int(ks[i])
-            sel = select_abs_ge(arr, *layout.bounds(i), threshold, scratch)
+            sel = np.flatnonzero(mags >= threshold)
             stage2_selected += sel.size
             if sel.size > self.overshoot_trim * k:
-                sel_mags = np.abs(arr[sel])
+                sel_mags = mags[sel]
                 keep = np.argpartition(sel_mags, sel.size - k)[sel.size - k :]
                 threshold = float(sel_mags[keep].min())
                 trim_sizes += sel.size
                 trim_ks += k
                 sel = sel[keep]
-            idx_chunks.append(sel)
+            idx_chunks.append(sel + start)
             bucket_nnz[i] = sel.size
             out_thresholds.append(threshold)
 

@@ -16,10 +16,11 @@ from scipy import special as _sp
 
 from .base import BucketedFit, Compressor, OpRecord
 from .bucketed import (
+    abs_block,
     bucket_target_ks,
     concat_indices,
     probe_round_ops,
-    select_abs_ge,
+    select_ge,
     workspace_for,
 )
 
@@ -66,7 +67,6 @@ class GaussianKSGD(Compressor):
         # one scratch buffer; the correction-loop arithmetic is per-bucket
         # Python floats, bit-for-bit a one-bucket fit of each bucket.
         scratch = workspace_for(layout)
-        squares = workspace_for(layout)
         idx_chunks: list[np.ndarray] = []
         bucket_nnz = np.empty(num, dtype=np.int64)
         thresholds: list[float] = []
@@ -74,19 +74,16 @@ class GaussianKSGD(Compressor):
         centred = 0
         for i in range(num):
             start, stop = layout.bounds(i)
-            size = stop - start
             view = arr[start:stop]
             mean = float(view.mean())
-            # ``view.std()``'s own arithmetic, keeping its deviations
-            # ``g - mean`` for the |g - mean| probes.
-            mags = scratch[:size]
-            np.subtract(view, mean, out=mags)
-            std = float(np.sqrt(np.multiply(mags, mags, out=squares[:size]).sum() / size))
+            std = float(view.std())
             if std == 0.0:
                 threshold = abs(mean)
             else:
                 threshold = float(std * sqrt2 * erfinv_tail)
-                centred += size
+                mags = scratch[: stop - start]
+                np.subtract(view, mean, out=mags)
+                centred += stop - start
                 np.abs(mags, out=mags)
                 for iterations in range(1, self.max_adjust_iters + 1):
                     probe_iters[i] = iterations
@@ -97,7 +94,8 @@ class GaussianKSGD(Compressor):
                         threshold *= 1.0 - self.step
                     else:
                         break
-            idx = select_abs_ge(arr, start, stop, threshold, scratch)
+            mags = abs_block(arr, start, stop, scratch)
+            idx = select_ge(mags, threshold, start)
             idx_chunks.append(idx)
             bucket_nnz[i] = idx.size
             thresholds.append(float(threshold))

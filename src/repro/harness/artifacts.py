@@ -3,8 +3,7 @@
 Every benchmark under ``benchmarks/`` persists its headline numbers as a JSON
 artifact at the repository root.  Historically each module invented its own
 top-level shape, which made the artifacts easy to write and impossible to
-consume uniformly — a dashboard (or the sweep engine's own results) had to
-know six ad-hoc layouts.
+consume uniformly — a dashboard had to know six ad-hoc layouts.
 
 This module defines the one envelope they all share:
 
@@ -12,7 +11,7 @@ This module defines the one envelope they all share:
     Identifies the envelope (``"sidco.bench-artifact"``) and its revision, so
     consumers can dispatch without guessing.
 ``benchmark``
-    The emitting benchmark's name (``"overlap_speedup"``, ``"sweep"``, ...).
+    The emitting benchmark's name (``"overlap_speedup"``, ``"registry_throughput"``, ...).
 ``params``
     The knobs the benchmark ran with (dimension, ratios, topology, ...).
 ``metrics``

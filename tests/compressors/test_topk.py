@@ -42,11 +42,11 @@ class TestTopK:
 
 class TestNoCompression:
     def test_identity(self, small_gradient):
-        result = NoCompression().compress(small_gradient)
+        result = NoCompression().compress(small_gradient, 1.0)
         assert result.achieved_k == small_gradient.size
         assert np.allclose(result.sparse.to_dense(), small_gradient)
         assert result.metadata["dense"] is True
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            NoCompression().compress(np.array([]))
+            NoCompression().compress(np.array([]), 1.0)

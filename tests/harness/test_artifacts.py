@@ -1,7 +1,7 @@
 """Regression tests for the unified ``BENCH_*`` artifact schema.
 
-The six benchmark emitters and the sweep engine all serialize through one
-envelope (``sidco.bench-artifact``); these tests pin the envelope contract —
+The six benchmark emitters all serialize through one envelope
+(``sidco.bench-artifact``); these tests pin the envelope contract —
 schema/version keys, params/metrics/records shapes, no keys outside the
 envelope — and the disk round-trip the emitters assert against.
 """

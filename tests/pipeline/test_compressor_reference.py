@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compressors import create_compressor
-from repro.compressors.bucketed import SELECT_BLOCK
 from repro.gradients import realistic_gradient
 from repro.pipeline import CompressionPipeline
 
@@ -76,9 +75,8 @@ def test_compress_equals_scalar_reference(name, kind, size, seed, ratio):
 @pytest.mark.parametrize("ratio", [0.01, 0.3])
 @pytest.mark.parametrize("kind", ["realistic", "tied"])
 @pytest.mark.parametrize("name", NAMES)
-def test_multi_block_selection_matches_reference(name, kind, ratio):
-    # Larger than one select_abs_ge sub-block, with a ragged last block.
-    size = 2 * SELECT_BLOCK + 17
+def test_large_gradient_matches_reference(name, kind, ratio):
+    size = 2**17 + 17
     new, ref = create_compressor(name), create_compressor(name)
     for call in range(2):
         gradient = _gradient(kind, size, seed=call)

@@ -11,7 +11,7 @@ axes — should be answered almost entirely from the
 
 Acceptance bars:
 
-* a warm tuner answers >= 5x more queries per second than a cold one (the
+* a warm tuner answers >= 10x more queries per second than a cold one (the
   cache floor; enforced at smoke scale too — the ratio is scale-free
   because both sides shrink together), and
 * warm queries replay the cold decision exactly (same best config, same
@@ -42,8 +42,9 @@ SMOKE = "SIDCO_SMOKE_DIMENSION" in os.environ
 
 PRESET = "ethernet-4x8"
 #: The warm cache must answer at least this many times more tuner queries per
-#: second than a cold one (measured ~8-9x at full scale).
-MIN_WARM_SPEEDUP = 5.0
+#: second than a cold one.  Five full-scale runs on a 2-vCPU VM read 39-49x,
+#: against 11-14x before warm queries stopped rebuilding their points.
+MIN_WARM_SPEEDUP = 10.0
 #: Cold/warm query batches timed for the artifact (cold rebuilds the cache).
 TIMED_QUERIES = 3
 

@@ -94,8 +94,8 @@ class SimulationKnobs:
     link_degradation: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.bucket_bytes is not None and self.bucket_bytes < 1:
-            raise ValueError("bucket_bytes must be positive when set")
+        if self.bucket_bytes is not None and (isinstance(self.bucket_bytes, bool) or self.bucket_bytes < 1):
+            raise ValueError(f"bucket_bytes must be a positive int when set, got {self.bucket_bytes!r}")
         validate_overlap(self.overlap)
         if isinstance(self.topology, str):
             get_topology(self.topology)  # fail fast on unknown preset names
@@ -107,8 +107,8 @@ class SimulationKnobs:
         validate_cross_bucket(self.cross_bucket_pipeline)
         validate_scheduler_backend(self.scheduler_backend)
         validate_sync_policy(self.sync_policy)
-        if self.backup_workers < 0:
-            raise ValueError(f"backup_workers must be >= 0, got {self.backup_workers}")
+        if isinstance(self.backup_workers, bool) or self.backup_workers < 0:
+            raise ValueError(f"backup_workers must be an int >= 0, got {self.backup_workers!r}")
         if self.backup_workers > 0 and self.sync_policy != "backup-workers":
             raise ValueError(
                 "backup_workers > 0 requires sync_policy='backup-workers', "

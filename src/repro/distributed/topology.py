@@ -498,7 +498,7 @@ def _check_payload(num_bytes) -> None:
 
 def validate_pipeline_chunks(pipeline_chunks: int) -> int:
     """Return ``pipeline_chunks`` if it is a valid chunk count, else raise."""
-    if not isinstance(pipeline_chunks, int) or pipeline_chunks < 1:
+    if not isinstance(pipeline_chunks, int) or isinstance(pipeline_chunks, bool) or pipeline_chunks < 1:
         raise ValueError(f"pipeline_chunks must be a positive integer, got {pipeline_chunks!r}")
     return pipeline_chunks
 

@@ -1,11 +1,8 @@
 """Declarative what-if sweep engine over the simulator's knob space.
 
-The repo exposes ~10 orthogonal knobs (compressor, ratio, bucket bytes,
-overlap policy, topology, collective algorithms, chunk pipelining, sparse
-dedup, cross-bucket lanes, scheduler backend); answering "which knobs for my
-job?" used to mean hand-writing a script per question.  This module composes
-those questions declaratively, in the ``mlmd_bench`` idiom of named workload
-specs crossed with a config grid:
+"Which knobs for my job?" is composed declaratively over the
+:data:`SWEEP_KNOBS`, in the ``mlmd_bench`` idiom of named workload specs
+crossed with a config grid:
 
 * :class:`WorkloadSpec` — the job being planned for: full-size gradient
   dimension and communication-overhead fraction, plus the proxy gradient the
@@ -25,7 +22,8 @@ specs crossed with a config grid:
   priced once.  Memoized results are bit-for-bit equal to memoization-off
   runs — every cached value is the output of a deterministic pure function.
 * :func:`run_sweep` — evaluates every point of a spec in order, returning a
-  :class:`SweepResult` of one flat record per point.
+  :class:`SweepResult` of one flat record per point.  Each record carries
+  the point it prices, so nothing downstream rebuilds it from the config.
 
 The auto-tuner (:mod:`repro.harness.tuner`) searches this grid and answers
 the production-facing query — "best config for my job on this fabric" —
@@ -37,6 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Mapping
 
 import numpy as np
@@ -159,9 +159,14 @@ class KnobConstraint:
     allowed: tuple
 
     def __post_init__(self) -> None:
-        for knob in (self.knob, self.target):
+        for knob in self.reads:
             if knob not in SWEEP_KNOBS:
                 raise ValueError(f"unknown knob {knob!r}; known: {list(SWEEP_KNOBS)}")
+
+    @property
+    def reads(self) -> tuple[str, str]:
+        """The knobs :meth:`admits` looks at (see :meth:`SweepSpec.expand`)."""
+        return (self.knob, self.target)
 
     def admits(self, config: Mapping) -> bool:
         if config[self.knob] in self.inactive:
@@ -174,14 +179,13 @@ class WorkerCountConstraint:
     """``backup_workers`` must leave at least one participant on the fabric.
 
     Cutting the ``k`` slowest workers only makes sense when the resolved
-    topology has more than ``k`` workers — a single-worker "cluster" with
-    ``backup_workers=1`` would drop its only gradient.  Ships the ISSUE's
-    "``backup_workers`` requires ``num_workers > 1``" implication in the same
-    ``admits(config)`` shape as :class:`KnobConstraint`, for constraints that
-    need a resolved-topology fact rather than a knob-to-knob implication.
+    topology has more than ``k`` workers: a single-worker "cluster" with
+    ``backup_workers=1`` would drop its only gradient.  It ``reads`` two
+    knobs, like :class:`KnobConstraint`, but checks a resolved-topology fact.
     """
 
     name: str = "backup-workers-fit-cluster"
+    reads = ("backup_workers", "topology")
 
     def admits(self, config: Mapping) -> bool:
         backups = config["backup_workers"]
@@ -242,11 +246,20 @@ class SweepPoint:
     workload: str
     knobs: tuple[tuple[str, object], ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.workload, self.knobs)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # re-hash on load: str hashes differ per process
+        return (type(self), (self.workload, self.knobs))
+
     @property
     def config(self) -> dict:
         return dict(self.knobs)
 
-    @property
+    @cached_property
     def key(self) -> str:
         """Stable human-readable identity, e.g. for provenance traces."""
         settings = ",".join(f"{name}={value}" for name, value in self.knobs)
@@ -291,7 +304,7 @@ def _validate_knob_value(knob: str, value) -> None:
         if not 0.0 < float(value) <= 1.0:
             raise ValueError(f"ratio must be in (0, 1], got {value}")
     elif knob == "bucket_bytes":
-        if value is not None and (not isinstance(value, int) or value < 1):
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 1):
             raise ValueError(f"bucket_bytes must be a positive int or None, got {value!r}")
     elif knob == "dedup_assumption":
         if value is not None:
@@ -316,7 +329,8 @@ class SweepSpec:
     ``axes`` maps knob names to the values to sweep; unswept knobs ride at
     their :data:`DEFAULT_KNOBS` value.  ``constraints`` is any iterable of
     objects with an ``admits(config) -> bool`` method (plain callables are
-    also accepted); points any constraint rejects are dropped.
+    also accepted); points any constraint rejects are dropped.  A constraint
+    with a ``reads`` tuple of knob names is shown only those knobs.
     """
 
     workloads: tuple[WorkloadSpec, ...]
@@ -343,33 +357,35 @@ class SweepSpec:
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
-    def _admitted(self, config: Mapping) -> bool:
-        for constraint in self.constraints:
-            admits = getattr(constraint, "admits", constraint)
-            if not admits(config):
-                return False
-        return True
+    def admits(self, config: Mapping) -> bool:
+        """True when every constraint admits the full ``config``."""
+        return all(getattr(c, "admits", c)(config) for c in self.constraints)
 
     def expand(self) -> list[SweepPoint]:
         """The constrained cross-product, deduplicated, in deterministic order.
 
         Workloads vary slowest, then knobs in :data:`SWEEP_KNOBS` order with
         each axis traversed as given.  Duplicate points (an axis listing a
-        value twice) collapse to their first occurrence.
+        value twice) collapse to their first occurrence, as each axis is
+        deduplicated before the product.  Each constraint runs once per
+        distinct tuple of the knobs it ``reads``; the product drops those it rejects.
         """
-        grid = [self.axes.get(knob, (DEFAULT_KNOBS[knob],)) for knob in SWEEP_KNOBS]
-        points: list[SweepPoint] = []
-        seen: set[SweepPoint] = set()
-        for workload in self.workloads:
-            for combo in itertools.product(*grid):
-                config = dict(zip(SWEEP_KNOBS, combo))
-                if not self._admitted(config):
-                    continue
-                point = SweepPoint(workload=workload.name, knobs=tuple(zip(SWEEP_KNOBS, combo)))
-                if point not in seen:
-                    seen.add(point)
-                    points.append(point)
-        return points
+        axes = [self.axes.get(knob, (DEFAULT_KNOBS[knob],)) for knob in SWEEP_KNOBS]
+        grid = [tuple((k, v) for v in dict.fromkeys(axis)) for k, axis in zip(SWEEP_KNOBS, axes)]
+        combos = list(itertools.product(*grid))
+        for constraint in self.constraints:
+            admits = getattr(constraint, "admits", constraint)
+            positions = [SWEEP_KNOBS.index(k) for k in getattr(constraint, "reads", SWEEP_KNOBS)]
+            # ``itemgetter`` of one position returns the item, not a 1-tuple.
+            rejected = {
+                pairs if len(pairs) > 1 else pairs[0]
+                for pairs in itertools.product(*(grid[p] for p in positions))
+                if not admits(dict(pairs))
+            }
+            if rejected:
+                project = itemgetter(*positions)
+                combos = [combo for combo in combos if project(combo) not in rejected]
+        return [SweepPoint(workload.name, combo) for workload in self.workloads for combo in combos]
 
 
 # -- memoization ---------------------------------------------------------------
@@ -461,10 +477,6 @@ class _MemoizedCollective:
         )
 
     @property
-    def topology(self):
-        return self._inner.topology
-
-    @property
     def num_workers(self) -> int:
         return self._inner.num_workers
 
@@ -493,9 +505,6 @@ class _MemoizedCollective:
 
     def allreduce_time(self, num_bytes: float) -> float:
         return self.allreduce_cost(num_bytes).total
-
-    def allgather_time(self, payload_bytes_per_worker: float) -> float:
-        return self.allgather_cost(payload_bytes_per_worker).total
 
 
 # -- point evaluation ----------------------------------------------------------
@@ -579,15 +588,10 @@ def _dense_baseline_seconds(
     return cache.fetch(cache.baselines, key, build)
 
 
-def _faults_active(config: Mapping) -> bool:
-    """True when any fault knob left its default — the fault layer prices only then."""
-    return (
-        config["sync_policy"] != "full-sync"
-        or config["backup_workers"] != 0
-        or config["time_window_factor"] is not None
-        or config["straggler_severity"] != 1.0
-        or config["link_degradation"] != 1.0
-    )
+#: The fault knobs; the fault layer prices a point only when one leaves its default.
+_FAULT_KNOBS = (
+    "sync_policy", "backup_workers", "time_window_factor", "straggler_severity", "link_degradation"
+)
 
 
 def evaluate_point(
@@ -644,7 +648,7 @@ def evaluate_point(
         "participating_workers": timeline.num_workers,
         "stragglers_cut": 0,
     }
-    if _faults_active(config):
+    if any(config[knob] != DEFAULT_KNOBS[knob] for knob in _FAULT_KNOBS):
         policy = get_sync_policy(
             config["sync_policy"],
             backup_workers=config["backup_workers"],
@@ -694,15 +698,20 @@ def evaluate_point(
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One evaluated point: workload name, full config, flat metrics."""
+    """One evaluated point: workload name, full config, flat metrics.
+
+    ``point`` is the evaluated :class:`SweepPoint`, built from ``config`` when
+    not passed; it takes no part in equality, which ``config`` already covers.
+    """
 
     workload: str
     config: dict
     metrics: dict
+    point: SweepPoint | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def point(self) -> SweepPoint:
-        return SweepPoint.from_config(self.workload, self.config)
+    def __post_init__(self) -> None:
+        if self.point is None:
+            object.__setattr__(self, "point", SweepPoint.from_config(self.workload, self.config))
 
 
 @dataclass
@@ -725,12 +734,10 @@ def run_sweep(
     ``memoize=False`` bypasses all caching.  Results are bit-for-bit
     identical either way.
     """
-    points = spec.expand()
     by_name = {workload.name: workload for workload in spec.workloads}
     active = cache if cache is not None else (_GLOBAL_CACHE if memoize else None)
-    metrics = [evaluate_point(by_name[p.workload], p, cache=active) for p in points]
     records = [
-        SweepRecord(workload=p.workload, config=p.config, metrics=m)
-        for p, m in zip(points, metrics)
+        SweepRecord(p.workload, p.config, evaluate_point(by_name[p.workload], p, cache=active), p)
+        for p in spec.expand()
     ]
     return SweepResult(workloads=spec.workloads, records=records)

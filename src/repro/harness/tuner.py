@@ -18,9 +18,10 @@ fully auditable:
 Every evaluated point lands in the provenance ``trace`` (a
 :class:`~repro.harness.sweep.SweepRecord` per unique config, in evaluation
 order), so a tuning decision can always be replayed and audited.  Ties break
-deterministically on the point's stable key.  Repeated queries share a
-:class:`~repro.harness.sweep.SweepCache`, which is what makes a warm tuner
-orders of magnitude faster than a cold one (ratcheted in
+deterministically on the point's stable key, formatted only for records
+tied on the metric.  Repeated queries share a
+:class:`~repro.harness.sweep.SweepCache`: a warm query prices nothing, and
+its cost is one cache lookup per point (the warm/cold floor is ratcheted in
 ``benchmarks/test_sweep_throughput.py``).
 """
 
@@ -101,20 +102,12 @@ class TuneResult:
         return len(self.trace)
 
 
-def _rank_key(record: SweepRecord, target: str, mode: str):
-    """Deterministic ordering: metric first, stable point key breaks ties."""
-    value = record.metrics[target]
-    return (-value if mode == "max" else value, record.point.key)
-
-
 def _argbest(records: Sequence[SweepRecord], target: str, mode: str) -> SweepRecord:
+    """Best metric first; among ties only, the smallest stable point key."""
     if not records:
         raise ValueError("no points satisfied the axes/constraints")
-    return min(records, key=lambda r: _rank_key(r, target, mode))
-
-
-def _admitted(config: Mapping, constraints) -> bool:
-    return all(getattr(c, "admits", c)(config) for c in constraints)
+    best = (max if mode == "max" else min)(r.metrics[target] for r in records)
+    return min((r for r in records if r.metrics[target] == best), key=lambda r: r.point.key)
 
 
 def _refinement_candidates(config: Mapping, ratio_step: float, bucket_step: float) -> list[dict]:
@@ -178,16 +171,16 @@ def autotune(
     for _ in range(refine_rounds):
         improved = False
         for config in _refinement_candidates(best.config, ratio_step, bucket_step):
-            if not _admitted(config, spec.constraints):
+            if not spec.admits(config):
                 continue
             point = SweepPoint.from_config(workload.name, config)
             if point in seen:
                 continue
             seen.add(point)
             metrics = evaluate_point(workload, point, cache=active_cache)
-            record = SweepRecord(workload=workload.name, config=point.config, metrics=metrics)
+            record = SweepRecord(workload.name, point.config, metrics, point)
             trace.append(record)
-            if _rank_key(record, target, mode) < _rank_key(best, target, mode):
+            if _argbest((best, record), target, mode) is record:
                 best = record
                 improved = True
         if not improved:

@@ -69,6 +69,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimulationKnobs(topology="no-such-fabric")
 
+    @pytest.mark.parametrize("knob", ["bucket_bytes", "backup_workers", "pipeline_chunks"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_integer_knobs_reject_bool(self, knob, value):
+        # bool is an int subclass: bucket_bytes=True would price 1-byte buckets.
+        overrides = {knob: value}
+        if knob == "backup_workers":
+            overrides["sync_policy"] = "backup-workers"
+        with pytest.raises(ValueError, match=knob):
+            SimulationKnobs(**overrides)
+
     def test_replace_revalidates(self):
         knobs = SimulationKnobs()
         assert knobs.replace(overlap="comm").overlap == "comm"

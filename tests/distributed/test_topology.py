@@ -646,8 +646,9 @@ class TestPipelinedHierarchical:
     def test_invalid_pipeline_chunks_rejected(self):
         with pytest.raises(ValueError, match="pipeline_chunks"):
             self._cost(0)
-        with pytest.raises(ValueError, match="pipeline_chunks"):
-            validate_pipeline_chunks(2.5)
+        for bad in (2.5, True, False):  # bool is an int subclass, not a chunk count
+            with pytest.raises(ValueError, match="pipeline_chunks"):
+                validate_pipeline_chunks(bad)
         with pytest.raises(ValueError, match="pipeline_chunks"):
             CollectiveModel(two_level(4, 8), pipeline_chunks=0)
 

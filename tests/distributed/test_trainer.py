@@ -10,6 +10,7 @@ from repro.distributed import (
     SimulationKnobs,
     TrainerConfig,
     WorkerChurn,
+    price_iteration,
     train_baseline_and_compressed,
 )
 from repro.gradients import GradientCapture
@@ -57,6 +58,30 @@ class TestTrainingLoop:
         ratios = result.metrics.achieved_ratios
         assert np.allclose(ratios[:4], 1.0)
         assert np.all(ratios[4:] < 0.01)
+
+    @pytest.mark.parametrize(
+        "compressor, warmup", [("none", 0), ("topk", 3)], ids=["baseline", "warmup"]
+    )
+    def test_faulted_dense_iterations_price_the_straggler(self, compressor, warmup):
+        # Baseline and warm-up iterations price the dense all-reduce; under a
+        # straggler each record must be the sync policy over the scaled
+        # baseline timings, not the nominal one.
+        config = _config(iterations=3, warmup_iterations=warmup, straggler_severity=2.0)
+        trainer = DistributedTrainer(_model(), _dataset(), compressor, config)
+        records = trainer.run().metrics.records
+        timeline = trainer.timeline
+
+        def price(compute_scale, comm_scale):
+            return timeline.baseline_iteration(
+                compute_scale=compute_scale, comm_scale=comm_scale
+            ).total
+
+        for record in records:
+            rates = trainer.fault_model.rates_for_iteration(record.iteration)
+            expected = price_iteration(price, rates, trainer.sync_policy).iteration_seconds
+            assert record.iteration_time == expected
+            assert record.iteration_time > timeline.baseline_iteration().total
+            assert record.achieved_ratio == 1.0
 
     def test_capture_hook_receives_gradients(self):
         capture = GradientCapture(iterations={2, 5}, normalize=False)

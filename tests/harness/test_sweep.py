@@ -11,11 +11,16 @@ Two contracts, hypothesis-driven:
 """
 
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.harness import (
     DEFAULT_CONSTRAINTS,
     DEFAULT_KNOBS,
@@ -42,6 +47,12 @@ AXIS_POOLS = {
     "dedup_assumption": (None, "uniform", "identical"),
     "cross_bucket_pipeline": (False, True),
     "scheduler_backend": ("loop", "vectorized"),
+    "sync_policy": ("full-sync", "backup-workers", "time-window"),
+    # 8 backups fit ethernet-4x8 (32 workers) and torus-2d (16), not cluster1 (8).
+    "backup_workers": (0, 2, 8),
+    "time_window_factor": (None, 1.5),
+    "straggler_severity": (1.0, 2.0),
+    "link_degradation": (1.0, 3.0),
 }
 
 
@@ -65,7 +76,15 @@ def axes_strategy(draw):
     return axes
 
 
+def _reject_faulted_dgc(config):
+    """A plain-callable constraint: no DGC point on a cluster with a straggler."""
+    return config["compressor"] != "dgc" or config["straggler_severity"] == 1.0
+
+
 class TestExpansion:
+    def test_axis_pools_cover_every_sweep_knob(self):
+        assert set(AXIS_POOLS) == set(SWEEP_KNOBS)
+
     @settings(max_examples=150, deadline=None)
     @given(axes=axes_strategy())
     def test_expand_is_exactly_the_constrained_cross_product(self, axes):
@@ -79,6 +98,19 @@ class TestExpansion:
             if all(c.admits(config) for c in DEFAULT_CONSTRAINTS):
                 expected.append(SweepPoint(workload="wl", knobs=tuple(zip(SWEEP_KNOBS, combo))))
         assert points == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(axes=axes_strategy())
+    def test_plain_callable_mixed_with_default_constraints(self, axes):
+        constraints = (*DEFAULT_CONSTRAINTS, _reject_faulted_dgc)
+        spec = SweepSpec(workloads=(_workload(),), axes=axes, constraints=constraints)
+        grid = [axes.get(knob, (DEFAULT_KNOBS[knob],)) for knob in SWEEP_KNOBS]
+        expected = []
+        for combo in itertools.product(*grid):
+            config = dict(zip(SWEEP_KNOBS, combo))
+            if all(getattr(c, "admits", c)(config) for c in constraints):
+                expected.append(SweepPoint(workload="wl", knobs=tuple(zip(SWEEP_KNOBS, combo))))
+        assert spec.expand() == expected
 
     @settings(max_examples=150, deadline=None)
     @given(axes=axes_strategy())
@@ -113,6 +145,22 @@ class TestExpansion:
             if config["dedup_assumption"] is not None:
                 assert config["allgather_algorithm"] == "hierarchical"
 
+    def test_worker_count_constraint_drops_backups_the_fabric_cannot_spare(self):
+        spec = SweepSpec(
+            workloads=(_workload(),),
+            axes={
+                "sync_policy": ("backup-workers",),
+                "backup_workers": (0, 8),
+                "topology": ("ethernet-4x8", "cluster1"),
+            },
+        )
+        # cluster1 has 8 workers: cutting 8 would leave no participant.
+        assert [(p.config["topology"], p.config["backup_workers"]) for p in spec.expand()] == [
+            ("ethernet-4x8", 0),
+            ("ethernet-4x8", 8),
+            ("cluster1", 0),
+        ]
+
     def test_workloads_vary_slowest_and_order_is_deterministic(self):
         spec = SweepSpec(
             workloads=(_workload("a"), _workload("b", seed=1)),
@@ -133,6 +181,28 @@ class TestExpansion:
         )
         assert [p.config["ratio"] for p in spec.expand()] == [0.01]
 
+    def test_constraint_runs_once_per_distinct_value_of_what_it_reads(self):
+        seen = []
+
+        class SmallRatios:
+            reads = ("ratio",)
+
+            def admits(self, config):
+                seen.append(dict(config))
+                return config["ratio"] < 0.05
+
+        spec = SweepSpec(
+            workloads=(_workload("a"), _workload("b", seed=1)),
+            axes={"ratio": (0.1, 0.01, 0.1), "compressor": ("topk", "dgc", "randomk")},
+            constraints=(SmallRatios(),),
+        )
+        points = spec.expand()
+        assert seen == [{"ratio": 0.1}, {"ratio": 0.01}]
+        assert [(p.workload, p.config["compressor"]) for p in points] == [
+            (w, c) for w in "ab" for c in ("topk", "dgc", "randomk")
+        ]
+        assert all(p.config["ratio"] == 0.01 for p in points)
+
 
 class TestSpecValidation:
     def test_unknown_axis_rejected(self):
@@ -150,6 +220,12 @@ class TestSpecValidation:
         ):
             with pytest.raises(ValueError):
                 SweepSpec(workloads=(_workload(),), axes=axes)
+
+    @pytest.mark.parametrize("knob", ["bucket_bytes", "backup_workers", "pipeline_chunks"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_integer_axes_reject_bool(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            SweepSpec(workloads=(_workload(),), axes={knob: (value,)})
 
     def test_duplicate_workload_names_rejected(self):
         with pytest.raises(ValueError, match="unique"):
@@ -217,3 +293,29 @@ class TestSerialization:
         keys = [p.key for p in spec.expand()]
         assert len(set(keys)) == len(keys)
         assert all(key.startswith("wl|") for key in keys)
+
+    def test_point_hash_agrees_with_equality(self):
+        whole = SweepPoint.from_config("wl", {"pipeline_chunks": 1})
+        same = SweepPoint.from_config("wl", {"pipeline_chunks": 1.0})
+        assert whole == same and hash(whole) == hash(same)
+        assert whole != SweepPoint.from_config("wl", {"pipeline_chunks": 4})
+
+    def test_unpickled_point_rehashes_in_the_loading_process(self):
+        # The hash is cached per point; a pickle must not carry it into a
+        # process whose str hashes differ.
+        point = SweepPoint.from_config("wl", {"ratio": 0.01})
+        code = (
+            "import pickle, sys; p = pickle.loads(sys.stdin.buffer.read()); "
+            "print(hash(p) == hash((p.workload, p.knobs)))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            input=pickle.dumps(point),
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": "123", "PYTHONPATH": path},
+            check=True,
+        )
+        assert out.stdout.strip() == b"True"
+        assert pickle.loads(pickle.dumps(point)) == point

@@ -6,15 +6,21 @@ answer is *exactly* the exhaustive-enumeration argbest of the coarse grid
 point, and refinement can only improve the incumbent.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.harness import (
     SweepCache,
+    SweepRecord,
     SweepSpec,
     WorkloadSpec,
     autotune,
     run_sweep,
 )
+from repro.harness.tuner import _argbest
 
 SMALL_AXES = {
     "compressor": ("topk", "dgc"),
@@ -78,6 +84,35 @@ class TestExhaustiveOracle:
         first = autotune(workload, PRESET, axes=SMALL_AXES, refine_rounds=0, cache=cache)
         second = autotune(workload, PRESET, axes=SMALL_AXES, refine_rounds=0)
         assert first.best == second.best
+
+
+#: Few distinct values, so draws tie often; signed zeros and infinities included.
+TIED_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, -math.inf])
+#: Few distinct configs, so some records share a point (and its key).
+TIED_CONFIGS = st.fixed_dictionaries(
+    {"compressor": st.sampled_from(["topk", "dgc"]), "ratio": st.sampled_from([0.1, 0.01])}
+)
+
+
+class TestRankingOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        draws=st.lists(st.tuples(TIED_CONFIGS, TIED_VALUES), min_size=1, max_size=12),
+        target=st.sampled_from(["iteration_seconds", "speedup_vs_dense"]),
+    )
+    def test_argbest_is_the_metric_then_key_minimum(self, draws, target):
+        mode = "max" if target == "speedup_vs_dense" else "min"
+        records = [
+            SweepRecord(workload="oracle", config=config, metrics={target: value})
+            for config, value in draws
+        ]
+        signed = (lambda v: -v) if mode == "max" else (lambda v: v)
+        expected = min(records, key=lambda r: (signed(r.metrics[target]), r.point.key))
+        assert _argbest(records, target, mode) is expected
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="no points"):
+            _argbest([], "iteration_seconds", "min")
 
 
 class TestRefinement:

@@ -469,8 +469,9 @@ def worker_finish_times(price, rates: WorkerRates) -> np.ndarray:
     """Per-worker iteration finish times under ``rates`` (NaN when inactive).
 
     ``price(compute_scale, comm_scale)`` prices one worker's iteration at the
-    given lane rates — typically a closure over
-    :meth:`TimelineModel.compressed_iteration`.  Distinct ``(compute, link)``
+    given lane rates; :meth:`TimelineModel.price
+    <repro.distributed.timeline.TimelineModel.price>` passes one over its
+    compressed or dense iteration.  Distinct ``(compute, link)``
     pairs are memoized, so the common "one straggler" case costs two pricing
     calls no matter how many workers the cluster has, and the nominal pair is
     priced by the unscaled scheduler path (bit-for-bit today's number).

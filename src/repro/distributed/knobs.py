@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .faults import validate_sync_policy
+from .faults import ClusterProfile, SyncPolicy, get_sync_policy, validate_sync_policy
 from .schedule import validate_cross_bucket, validate_overlap
 from .topology import (
     SparseAggregateModel,
@@ -138,6 +138,22 @@ class SimulationKnobs:
             or self.time_window_factor is not None
             or self.straggler_severity != 1.0
             or self.link_degradation != 1.0
+        )
+
+    def build_sync_policy(self) -> SyncPolicy:
+        """The sync policy the ``sync_policy`` knob and its parameters name."""
+        return get_sync_policy(
+            self.sync_policy,
+            backup_workers=self.backup_workers,
+            time_window_factor=self.time_window_factor,
+        )
+
+    def straggler_profile(self, num_workers: int) -> ClusterProfile:
+        """The single-straggler cluster: worker 0 at ``straggler_severity`` x
+        compute and ``link_degradation`` x link time, everyone else nominal
+        (the homogeneous cluster at the default knobs)."""
+        return ClusterProfile.degraded(
+            num_workers, compute=self.straggler_severity, link=self.link_degradation
         )
 
     def replace(self, **overrides) -> "SimulationKnobs":

@@ -28,13 +28,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from ..compressors.base import CompressionResult
 from ..perfmodel.costs import DeviceProfile, distribute_cost
+from ..perfmodel.device import GPU_V100
 from ..tensor.sparse import FLOAT_BYTES, INDEX_BYTES
+from .faults import FaultedIteration, FullSync, SyncPolicy, WorkerRates, price_iteration
+from .knobs import SimulationKnobs
 from .network import NetworkModel
 from .schedule import (
     ScheduleArrays,
@@ -45,7 +50,7 @@ from .schedule import (
     validate_overlap,
     validate_rate,
 )
-from .topology import CollectiveModel, PhaseTable
+from .topology import ClusterTopology, CollectiveModel, PhaseTable, SparseAggregateModel
 
 
 def _payload_density(payload_bytes: float, dense_elements: float) -> float | None:
@@ -150,6 +155,10 @@ class TimelineModel:
     (:class:`~repro.distributed.topology.CollectiveModel`).  When no explicit
     ``collective`` is given, a degenerate single-level model over ``network``
     is built — which reproduces the pre-topology closed forms exactly.
+
+    The trainer and the sweep planner both build their timeline with
+    :meth:`from_knobs` and price iterations with :meth:`price`, so the two
+    cannot drift apart.
     """
 
     network: NetworkModel
@@ -168,17 +177,20 @@ class TimelineModel:
     #: overlaps backprop at per-bucket gradient-ready times).
     overlap: str = "none"
     #: Topology + collective algorithms pricing every collective.  ``None``
-    #: builds the degenerate single-level model over ``network``.  When an
-    #: explicit model is given it is the sole source of communication prices:
-    #: ``network`` then only seeds helpers that predate the topology layer
-    #: (e.g. :func:`compute_time_for_overhead`) and its links need not match
-    #: the topology's.
+    #: builds the degenerate single-level model over ``network``; an explicit
+    #: model is the sole source of communication prices (``network`` is then
+    #: not read).
     collective: CollectiveModel | None = None
     #: Schedule buckets on per-link network lanes so bucket *i+1*'s intra-node
     #: phase overlaps bucket *i*'s inter-node phase (see
     #: :func:`~repro.distributed.schedule.simulate_iteration_arrays`).
     #: ``False`` keeps the serial whole-occupancy network lane.
     cross_bucket_pipeline: bool = False
+    #: Optional collective-pricing memo, a ``fetch(key, build)`` callable.
+    #: Keys are ``(collective, kind, *payload)`` on the frozen
+    #: :class:`CollectiveModel`, so one memo serves every timeline sharing a
+    #: fabric.  Memoized prices are bit-for-bit the unmemoized ones.
+    memo: Callable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         validate_duration("compute_seconds", self.compute_seconds)
@@ -203,6 +215,75 @@ class TimelineModel:
                 f"but the timeline models {self.num_workers}"
             )
 
+    @classmethod
+    def from_knobs(
+        cls,
+        knobs: SimulationKnobs,
+        topology: ClusterTopology,
+        *,
+        compute_seconds: float,
+        model_dimension: int,
+        dimension_scale: float,
+        device: DeviceProfile = GPU_V100,
+        memo: Callable | None = None,
+    ) -> "TimelineModel":
+        """The timeline ``knobs`` describe over the resolved ``topology``.
+
+        The collective model takes the bundle's algorithm, chunking and dedup
+        knobs; the timeline takes its overlap and cross-bucket policies.
+        ``memo`` is passed through to the :attr:`memo` field.
+        """
+        dedup = knobs.dedup_assumption
+        collective = CollectiveModel(
+            topology=topology,
+            allreduce_algorithm=knobs.allreduce_algorithm,
+            allgather_algorithm=knobs.allgather_algorithm,
+            pipeline_chunks=knobs.pipeline_chunks,
+            allgather_dedup=None if dedup is None else SparseAggregateModel(dedup),
+        )
+        return cls(
+            network=topology.inter_node,
+            device=device,
+            compute_seconds=compute_seconds,
+            num_workers=topology.num_workers,
+            model_dimension=model_dimension,
+            dimension_scale=dimension_scale,
+            overlap=knobs.overlap,
+            collective=collective,
+            cross_bucket_pipeline=knobs.cross_bucket_pipeline,
+            memo=memo,
+        )
+
+    def price(
+        self,
+        worker_results: list[CompressionResult] | None,
+        rates: WorkerRates | None = None,
+        policy: SyncPolicy | None = None,
+    ) -> tuple[IterationTiming, FaultedIteration | None]:
+        """Price one iteration: the nominal timing and, under faults, the verdict.
+
+        ``worker_results`` prices the compressed iteration; ``None`` prices
+        the dense baseline.  Without ``rates`` the second item is ``None``.
+        With ``rates``, every active worker's iteration is priced at its lane
+        rates and ``policy`` (default: full sync) prices the barrier; the
+        nominal (1.0, 1.0) pair reuses the nominal timing, so those workers
+        finish bit-for-bit at ``timing.total``.
+        """
+        if worker_results is None:
+            iteration = self.baseline_iteration
+        else:
+            iteration = partial(self.compressed_iteration, worker_results)
+        timing = iteration()
+        if rates is None:
+            return timing, None
+
+        def finish(compute_scale: float, comm_scale: float) -> float:
+            if compute_scale == 1.0 and comm_scale == 1.0:
+                return timing.total
+            return iteration(compute_scale=compute_scale, comm_scale=comm_scale).total
+
+        return timing, price_iteration(finish, rates, FullSync() if policy is None else policy)
+
     def baseline_iteration(
         self, *, compute_scale: float = 1.0, comm_scale: float = 1.0
     ) -> IterationTiming:
@@ -219,7 +300,9 @@ class TimelineModel:
         compute_scale = validate_rate("compute_scale", compute_scale)
         comm_scale = validate_rate("comm_scale", comm_scale)
         dense_bytes = self.model_dimension * self.dimension_scale * FLOAT_BYTES
-        comm = self.collective.allreduce_time(dense_bytes)
+        comm = self._memoized(
+            lambda: self.collective.allreduce_cost(dense_bytes), "allreduce", dense_bytes
+        ).total
         return IterationTiming(
             compute=self.compute_seconds * compute_scale,
             compression=0.0,
@@ -273,8 +356,10 @@ class TimelineModel:
         if table is None:
             slowest = max(worker_results, key=lambda r: r.sparse.payload_bytes())
             payload = slowest.sparse.payload_bytes() * self.dimension_scale
-            cost = self.collective.allgather_cost(
-                payload, density=slowest.sparse.density or None
+            density = slowest.sparse.density or None
+            cost = self._memoized(
+                lambda: self.collective.allgather_cost(payload, density=density),
+                "allgather", payload, density,
             )
             comm = cost.total
             dedup_ratio = cost.dedup_ratio
@@ -386,7 +471,16 @@ class TimelineModel:
             sizes = [0] * len(per_bucket)  # unknown layout: density (and dedup) unavailable
         densities = [_payload_density(payload, size) for payload, size in zip(per_bucket, sizes)]
         payloads = np.asarray(per_bucket, dtype=float) * self.dimension_scale
-        return self.collective.allgather_phase_table(payloads, densities)
+        return self._memoized(
+            lambda: self.collective.allgather_phase_table(payloads, densities),
+            "table", tuple(payloads.tolist()), tuple(densities),
+        )
+
+    def _memoized(self, build: Callable, kind: str, *payload):
+        """``build()``, through :attr:`memo` when one is set."""
+        if self.memo is None:
+            return build()
+        return self.memo((self.collective, kind, *payload), build)
 
     def _schedule(
         self,

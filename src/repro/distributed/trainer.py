@@ -38,17 +38,12 @@ from ..perfmodel.device import GPU_V100
 from ..pipeline import CompressionPipeline
 from ..tensor.flatten import FlatSpec, unflatten
 from .collectives import allgather_sparse, allreduce_dense
-from .faults import ClusterProfile, FaultModel, get_sync_policy, price_iteration
+from .faults import ClusterProfile, FaultModel
 from .knobs import SimulationKnobs
 from .metrics import IterationRecord, TrainingMetrics
 from .network import CLUSTER_ETHERNET_10G, NetworkModel
 from .timeline import TimelineModel
-from .topology import (
-    ClusterTopology,
-    CollectiveModel,
-    SparseAggregateModel,
-    get_topology,
-)
+from .topology import ClusterTopology, get_topology
 from .worker import Worker, compute_gradients
 
 
@@ -140,17 +135,9 @@ class TrainerConfig:
 
     def build_fault_model(self) -> FaultModel:
         """The fault model this config describes (homogeneous profile when clean)."""
-        knobs = self.knobs
-        if self.cluster_profile is not None:
-            profile = self.cluster_profile
-        elif knobs.straggler_severity != 1.0 or knobs.link_degradation != 1.0:
-            profile = ClusterProfile.degraded(
-                self.num_workers,
-                compute=knobs.straggler_severity,
-                link=knobs.link_degradation,
-            )
-        else:
-            profile = ClusterProfile.homogeneous(self.num_workers)
+        profile = self.cluster_profile
+        if profile is None:
+            profile = self.knobs.straggler_profile(self.num_workers)
         return FaultModel(profile=profile, injectors=self.fault_injectors)
 
     def resolve_topology(self, network: NetworkModel) -> ClusterTopology:
@@ -233,38 +220,20 @@ class DistributedTrainer:
         if scheduler is not None:
             scheduler.optimizer = self.optimizer
 
-        dimension = flat_spec.total_size
-        self.collective = CollectiveModel(
-            topology=config.resolve_topology(network),
-            allreduce_algorithm=knobs.allreduce_algorithm,
-            allgather_algorithm=knobs.allgather_algorithm,
-            pipeline_chunks=knobs.pipeline_chunks,
-            allgather_dedup=(
-                SparseAggregateModel(knobs.dedup_assumption)
-                if knobs.dedup_assumption is not None
-                else None
-            ),
-        )
-        self.timeline = TimelineModel(
-            network=network,
-            device=device,
+        self.timeline = TimelineModel.from_knobs(
+            knobs,
+            config.resolve_topology(network),
             compute_seconds=config.compute_seconds,
-            num_workers=config.num_workers,
-            model_dimension=dimension,
+            model_dimension=flat_spec.total_size,
             dimension_scale=config.dimension_scale,
-            overlap=knobs.overlap,
-            collective=self.collective,
-            cross_bucket_pipeline=knobs.cross_bucket_pipeline,
+            device=device,
         )
+        self.collective = self.timeline.collective
         self._warmup_compressor = NoCompression()
         # Fault layer: None on the clean path so the nominal iteration code is
         # exactly the pre-fault code (bit-for-bit schedules and timings).
         self.fault_model = config.build_fault_model() if config.faulted else None
-        self.sync_policy = get_sync_policy(
-            knobs.sync_policy,
-            backup_workers=knobs.backup_workers,
-            time_window_factor=knobs.time_window_factor,
-        )
+        self.sync_policy = knobs.build_sync_policy()
 
     @staticmethod
     def _make_compressor(
@@ -346,43 +315,24 @@ class DistributedTrainer:
         if self.capture is not None:
             self.capture.record(iteration, worker_steps[0][2])
 
-        # Nominal-rate timing: the components every record reports.  Under
-        # faults it also seeds the per-worker pricing memo so the nominal
-        # workers' finish time is bit-for-bit this number.
-        if self.is_baseline or in_warmup:
-            timing = self.timeline.baseline_iteration()
-
-            def price(compute_scale: float, comm_scale: float) -> float:
-                if compute_scale == 1.0 and comm_scale == 1.0:
-                    return timing.total
-                return self.timeline.baseline_iteration(
-                    compute_scale=compute_scale, comm_scale=comm_scale
-                ).total
-        else:
-            timing = self.timeline.compressed_iteration(results)
-
-            def price(compute_scale: float, comm_scale: float) -> float:
-                if compute_scale == 1.0 and comm_scale == 1.0:
-                    return timing.total
-                return self.timeline.compressed_iteration(
-                    results, compute_scale=compute_scale, comm_scale=comm_scale
-                ).total
-
-        # Sync policy: which of the active workers' gradients aggregate, and
-        # what the cluster-level iteration time is.
-        if rates is None:
-            faulted = None
+        # Nominal-rate timing (the components every record reports) and, under
+        # faults, the sync policy's verdict: which of the active workers'
+        # gradients aggregate, and what the cluster-level iteration time is.
+        dense = self.is_baseline or in_warmup
+        timing, faulted = self.timeline.price(
+            None if dense else results, rates, self.sync_policy
+        )
+        if faulted is None:
             participating_steps = worker_steps
             iteration_seconds = timing.total
         else:
-            faulted = price_iteration(price, rates, self.sync_policy)
             keep = faulted.outcome.participating
             participating_steps = [
                 step for w, step in zip(rates.active_indices, worker_steps) if keep[w]
             ]
             iteration_seconds = faulted.iteration_seconds
 
-        if self.is_baseline or in_warmup:
+        if dense:
             collective = allreduce_dense([s[2] for s in participating_steps])
         else:
             collective = allgather_sparse([s[1].sparse for s in participating_steps])
@@ -399,7 +349,7 @@ class DistributedTrainer:
                 iteration=iteration,
                 loss=float(np.mean(losses)),
                 achieved_ratio=achieved_ratio,
-                target_ratio=1.0 if (self.is_baseline or in_warmup) else cfg.ratio,
+                target_ratio=1.0 if dense else cfg.ratio,
                 threshold=float(np.mean(thresholds)) if thresholds else None,
                 compute_time=timing.compute,
                 compression_time=timing.compression,

@@ -92,7 +92,17 @@ class BenchmarkConfig:
         """
         if full_scale_bytes is None:
             return None
-        return max(int(round(full_scale_bytes / self.dimension_scale())), 4)
+        return scale_bucket_bytes(full_scale_bytes, self.dimension_scale())
+
+
+def scale_bucket_bytes(full_scale_bytes: int, dimension_scale: float) -> int:
+    """A full-size bucket budget rescaled to a proxy gradient (>= 4 bytes).
+
+    The one proxy-bucket formula: :meth:`BenchmarkConfig.proxy_bucket_bytes`
+    (training runs) and ``WorkloadSpec.proxy_bucket_bytes`` (sweeps) both
+    call it.
+    """
+    return max(int(round(full_scale_bytes / dimension_scale)), 4)
 
 
 def _lm_config() -> BenchmarkConfig:

@@ -12,22 +12,25 @@ crossed with a config grid:
   requires the hierarchical all-gather).  :meth:`SweepSpec.expand` is exactly
   the constrained cross-product, deduplicated, in deterministic order.
 * :func:`evaluate_point` — prices one :class:`SweepPoint` through the real
-  pipeline/timeline stack (compress a seeded proxy gradient, price the
-  collectives, simulate the iteration schedule) and returns a flat metrics
-  dict.
+  pipeline/timeline stack (compress a seeded proxy gradient, then
+  :meth:`TimelineModel.from_knobs
+  <repro.distributed.timeline.TimelineModel.from_knobs>` and
+  :meth:`~repro.distributed.timeline.TimelineModel.price`, the trainer's own
+  pricer) and returns a flat metrics dict.
 * :class:`SweepCache` — memoizes the expensive layers (gradients,
-  compression results, :class:`~repro.distributed.CollectiveCost`s, batched
-  phase tables, dense baselines, whole point evaluations) keyed on
-  (topology, algorithm, payload, density, ...), so repeated points are
-  priced once.  Memoized results are bit-for-bit equal to memoization-off
-  runs — every cached value is the output of a deterministic pure function.
+  compression results, dense baselines, whole point evaluations, and the
+  timeline's :class:`~repro.distributed.CollectiveCost`s and batched phase
+  tables keyed on the collective model plus payload and density), so
+  repeated points are priced once.  Memoized results are bit-for-bit equal
+  to memoization-off runs — every cached value is the output of a
+  deterministic pure function.
 * :func:`run_sweep` — evaluates every point of a spec in order, returning a
   :class:`SweepResult` of one flat record per point.  Each record carries
   the point it prices, so nothing downstream rebuilds it from the config.
 
 The auto-tuner (:mod:`repro.harness.tuner`) searches this grid and answers
-the production-facing query — "best config for my job on this fabric" —
-millions of times against a warm cache.
+the production-facing query — "best config for my job on this fabric";
+against a warm cache a query costs its cache lookups.
 """
 
 from __future__ import annotations
@@ -43,25 +46,18 @@ import numpy as np
 
 from ..compressors.registry import available_compressors, create_compressor
 from ..gradients.synthetic import realistic_gradient
-from ..perfmodel.device import GPU_V100
 from ..pipeline import CompressionPipeline
-from ..distributed.faults import (
-    ClusterProfile,
-    get_sync_policy,
-    price_iteration,
-    validate_sync_policy,
-)
+from ..distributed.faults import validate_sync_policy
 from ..distributed.knobs import KNOB_FIELDS, SimulationKnobs, validate_scheduler_backend
 from ..distributed.schedule import validate_cross_bucket, validate_overlap
 from ..distributed.timeline import TimelineModel, compute_time_for_overhead
 from ..distributed.topology import (
-    CollectiveModel,
     SparseAggregateModel,
     get_collective_algorithm,
     get_topology,
     validate_pipeline_chunks,
 )
-from .configs import get_benchmark
+from .configs import get_benchmark, scale_bucket_bytes
 
 #: Every knob a sweep point carries, in canonical order: the two compression
 #: knobs, then the consolidated simulation knobs in
@@ -139,7 +135,7 @@ class WorkloadSpec:
         """A full-size bucket budget rescaled to the proxy gradient (>= 4 bytes)."""
         if bucket_bytes is None:
             return None
-        return max(int(round(bucket_bytes / self.dimension_scale)), 4)
+        return scale_bucket_bytes(bucket_bytes, self.dimension_scale)
 
 
 @dataclass(frozen=True)
@@ -417,6 +413,13 @@ class SweepCache:
         value = store[key] = build()
         return value
 
+    def fetch_collective(self, key, build: Callable):
+        """The collective-pricing memo sweep timelines consult
+        (:attr:`TimelineModel.memo`): phase tables in their own store,
+        single collective costs in another."""
+        store = self.phase_tables if key[1] == "table" else self.collective_costs
+        return self.fetch(store, key, build)
+
     def stats(self) -> dict:
         return {
             "hits": self.hits,
@@ -455,58 +458,6 @@ def clear_sweep_caches() -> None:
     _GLOBAL_CACHE.clear()
 
 
-class _MemoizedCollective:
-    """Duck-typed :class:`CollectiveModel` pricing through a :class:`SweepCache`.
-
-    ``CollectiveCost``/``PhaseTable`` construction is keyed on (topology,
-    algorithm, knobs, payload, density) — exactly the signature of the
-    underlying pure pricing functions — so one cache serves every timeline,
-    workload and sweep sharing a fabric.
-    """
-
-    def __init__(self, inner: CollectiveModel, cache: SweepCache) -> None:
-        self._inner = inner
-        self._cache = cache
-        dedup = inner.allgather_dedup.assumption if inner.allgather_dedup else None
-        self._key = (
-            inner.topology.name or id(inner.topology),
-            inner.allreduce_algorithm,
-            inner.allgather_algorithm,
-            inner.pipeline_chunks,
-            dedup,
-        )
-
-    @property
-    def num_workers(self) -> int:
-        return self._inner.num_workers
-
-    def allreduce_cost(self, num_bytes: float):
-        key = (*self._key, "allreduce", num_bytes)
-        return self._cache.fetch(
-            self._cache.collective_costs, key, lambda: self._inner.allreduce_cost(num_bytes)
-        )
-
-    def allgather_cost(self, payload_bytes_per_worker: float, *, density: float | None = None):
-        key = (*self._key, "allgather", payload_bytes_per_worker, density)
-        return self._cache.fetch(
-            self._cache.collective_costs,
-            key,
-            lambda: self._inner.allgather_cost(payload_bytes_per_worker, density=density),
-        )
-
-    def allgather_phase_table(self, payloads, densities):
-        key = (*self._key, "table", tuple(np.asarray(payloads, dtype=float).tolist()),
-               tuple(densities))
-        return self._cache.fetch(
-            self._cache.phase_tables,
-            key,
-            lambda: self._inner.allgather_phase_table(payloads, densities),
-        )
-
-    def allreduce_time(self, num_bytes: float) -> float:
-        return self.allreduce_cost(num_bytes).total
-
-
 # -- point evaluation ----------------------------------------------------------
 
 
@@ -540,37 +491,6 @@ def _compress_proxy(workload: WorkloadSpec, config: Mapping, cache: SweepCache |
     return cache.fetch(cache.compressions, key, build)
 
 
-def _build_timeline(workload: WorkloadSpec, config: Mapping, cache: SweepCache | None):
-    topology = get_topology(config["topology"])
-    collective = CollectiveModel(
-        topology=topology,
-        allreduce_algorithm=config["allreduce_algorithm"],
-        allgather_algorithm=config["allgather_algorithm"],
-        pipeline_chunks=config["pipeline_chunks"],
-        allgather_dedup=(
-            SparseAggregateModel(config["dedup_assumption"])
-            if config["dedup_assumption"] is not None
-            else None
-        ),
-    )
-    if cache is not None:
-        collective = _MemoizedCollective(collective, cache)
-    compute = compute_time_for_overhead(
-        topology.inter_node, topology.num_workers, workload.dimension, workload.comm_overhead
-    )
-    return TimelineModel(
-        network=topology.inter_node,
-        device=GPU_V100,
-        compute_seconds=compute,
-        num_workers=topology.num_workers,
-        model_dimension=workload.proxy_elements,
-        dimension_scale=workload.dimension_scale,
-        overlap=config["overlap"],
-        collective=collective,
-        cross_bucket_pipeline=config["cross_bucket_pipeline"],
-    )
-
-
 def _dense_baseline_seconds(
     workload: WorkloadSpec, config: Mapping, timeline: TimelineModel, cache: SweepCache | None
 ) -> float:
@@ -588,12 +508,6 @@ def _dense_baseline_seconds(
     return cache.fetch(cache.baselines, key, build)
 
 
-#: The fault knobs; the fault layer prices a point only when one leaves its default.
-_FAULT_KNOBS = (
-    "sync_policy", "backup_workers", "time_window_factor", "straggler_severity", "link_degradation"
-)
-
-
 def evaluate_point(
     workload: WorkloadSpec, point: SweepPoint, *, cache: SweepCache | None = None
 ) -> dict:
@@ -604,17 +518,27 @@ def evaluate_point(
     event-driven — which is what makes the memoized path bit-for-bit equal
     to a memoization-off run.
 
-    When any fault knob is off its default, the point is additionally priced
-    through the :mod:`~repro.distributed.faults` layer: worker 0 becomes the
-    straggler (``straggler_severity`` x compute, ``link_degradation`` x link
-    time), the remaining workers run at nominal rates, and the configured
-    sync policy prices the barrier.  ``iteration_seconds``,
-    ``dense_baseline_seconds`` and ``speedup_vs_dense`` then reflect the
-    policy-priced times (the dense baseline suffers the same cluster, so the
-    speedup compares like with like), while the component metrics and
-    ``clean_iteration_seconds`` keep the nominal schedule.  With every fault
-    knob at its default this block is skipped entirely and the metrics are
-    bit-for-bit the fault-free ones, with ``straggler_overhead == 1.0``.
+    The point's knobs are validated as one
+    :class:`~repro.distributed.knobs.SimulationKnobs` bundle, so a point the
+    trainer would reject (e.g. ``backup_workers=1`` under ``full-sync``, which
+    only a spec without :data:`DEFAULT_CONSTRAINTS` can produce) raises
+    :class:`ValueError` rather than being priced as something else.  The
+    iteration is priced by :meth:`TimelineModel.price
+    <repro.distributed.timeline.TimelineModel.price>`, exactly as the trainer
+    prices one.
+
+    When the knobs are :attr:`~repro.distributed.knobs.SimulationKnobs.faulted`,
+    the point is additionally priced through the
+    :mod:`~repro.distributed.faults` layer: worker 0 becomes the straggler
+    (``straggler_severity`` x compute, ``link_degradation`` x link time), the
+    remaining workers run at nominal rates, and the configured sync policy
+    prices the barrier.  ``iteration_seconds``, ``dense_baseline_seconds`` and
+    ``speedup_vs_dense`` then reflect the policy-priced times (the dense
+    baseline suffers the same cluster, so the speedup compares like with
+    like), while the component metrics and ``clean_iteration_seconds`` keep
+    the nominal schedule.  Clean points skip this block entirely and their
+    metrics are bit-for-bit the fault-free ones, with
+    ``straggler_overhead == 1.0``.
     """
     if point.workload != workload.name:
         raise ValueError(
@@ -626,9 +550,22 @@ def evaluate_point(
             cache.hits += 1
             return dict(cached)
     config = point.config
+    knobs = SimulationKnobs(**{name: config[name] for name in KNOB_FIELDS})
     result = _compress_proxy(workload, config, cache)
-    timeline = _build_timeline(workload, config, cache)
-    timing = timeline.compressed_iteration([result])
+    topology = get_topology(knobs.topology)
+    timeline = TimelineModel.from_knobs(
+        knobs,
+        topology,
+        compute_seconds=compute_time_for_overhead(
+            topology.inter_node, topology.num_workers, workload.dimension, workload.comm_overhead
+        ),
+        model_dimension=workload.proxy_elements,
+        dimension_scale=workload.dimension_scale,
+        memo=None if cache is None else cache.fetch_collective,
+    )
+    rates = knobs.straggler_profile(timeline.num_workers).rates() if knobs.faulted else None
+    policy = knobs.build_sync_policy()
+    timing, faulted = timeline.price([result], rates, policy)
     baseline = _dense_baseline_seconds(workload, config, timeline, cache)
     metrics = {
         "iteration_seconds": timing.total,
@@ -648,34 +585,8 @@ def evaluate_point(
         "participating_workers": timeline.num_workers,
         "stragglers_cut": 0,
     }
-    if any(config[knob] != DEFAULT_KNOBS[knob] for knob in _FAULT_KNOBS):
-        policy = get_sync_policy(
-            config["sync_policy"],
-            backup_workers=config["backup_workers"],
-            time_window_factor=config["time_window_factor"],
-        )
-        rates = ClusterProfile.degraded(
-            timeline.num_workers,
-            compute=config["straggler_severity"],
-            link=config["link_degradation"],
-        ).rates()
-
-        def price_compressed(compute_scale: float, comm_scale: float) -> float:
-            if compute_scale == 1.0 and comm_scale == 1.0:
-                return timing.total
-            return timeline.compressed_iteration(
-                [result], compute_scale=compute_scale, comm_scale=comm_scale
-            ).total
-
-        def price_dense(compute_scale: float, comm_scale: float) -> float:
-            if compute_scale == 1.0 and comm_scale == 1.0:
-                return baseline
-            return timeline.baseline_iteration(
-                compute_scale=compute_scale, comm_scale=comm_scale
-            ).total
-
-        faulted = price_iteration(price_compressed, rates, policy)
-        dense_faulted = price_iteration(price_dense, rates, policy)
+    if faulted is not None:
+        _, dense_faulted = timeline.price(None, rates, policy)
         seconds = faulted.iteration_seconds
         metrics["iteration_seconds"] = seconds
         metrics["dense_baseline_seconds"] = dense_faulted.iteration_seconds

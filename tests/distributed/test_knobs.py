@@ -84,3 +84,40 @@ class TestValidation:
         assert knobs.replace(overlap="comm").overlap == "comm"
         with pytest.raises(ValueError):
             knobs.replace(backup_workers=1)
+
+
+#: One off-default value per knob; a knob missing here fails the test below,
+#: so every new knob must be classified as a fault knob or not.
+OFF_DEFAULT = {
+    "bucket_bytes": 4096,
+    "overlap": "comm",
+    "topology": "ethernet-4x8",
+    "allreduce_algorithm": "recursive-doubling",
+    "allgather_algorithm": "hierarchical",
+    "pipeline_chunks": 4,
+    "dedup_assumption": "uniform",
+    "cross_bucket_pipeline": True,
+    "scheduler_backend": "vectorized",
+    "sync_policy": "time-window",
+    "backup_workers": 1,
+    "time_window_factor": 1.5,
+    "straggler_severity": 2.0,
+    "link_degradation": 2.0,
+}
+FAULT_FIELDS = {
+    "sync_policy", "backup_workers", "time_window_factor", "straggler_severity", "link_degradation"
+}
+
+
+@pytest.mark.parametrize("name", KNOB_FIELDS)
+def test_faulted_is_exactly_the_fault_fields(name):
+    # ``faulted`` is the sweep's only fault predicate.  Each field is set
+    # alone on a default bundle, past the cross-knob checks (backup_workers
+    # and time_window_factor need their policy to construct), so the
+    # property is seen reading that one field.
+    assert FAULT_FIELDS < set(OFF_DEFAULT) == set(KNOB_FIELDS)
+    knobs = SimulationKnobs()
+    value = OFF_DEFAULT[name]
+    assert value != getattr(knobs, name)
+    object.__setattr__(knobs, name, value)
+    assert knobs.faulted == (name in FAULT_FIELDS)

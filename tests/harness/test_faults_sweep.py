@@ -123,6 +123,24 @@ class TestFaultPricing:
             slow["dense_baseline_seconds"] / slow["iteration_seconds"]
         )
 
+    def test_contradictory_points_raise_instead_of_pricing_clean(self):
+        # Only a spec that drops DEFAULT_CONSTRAINTS can produce these; the
+        # trainer rejects the same knobs, so the planner must not price
+        # ``backup_workers=1`` under full-sync as a clean cluster.
+        spec = SweepSpec(
+            workloads=(WORKLOAD,),
+            axes={"backup_workers": (0, 1), "straggler_severity": (2.0,)},
+            constraints=(),
+        )
+        consistent, contradictory = spec.expand()
+        assert evaluate_point(WORKLOAD, consistent)["stragglers_cut"] == 0
+        with pytest.raises(ValueError, match="backup_workers > 0 requires"):
+            evaluate_point(WORKLOAD, contradictory)
+        with pytest.raises(ValueError, match="backup_workers > 0 requires"):
+            run_sweep(spec, memoize=False)
+        with pytest.raises(ValueError, match="time_window_factor requires"):
+            evaluate_point(WORKLOAD, _point(time_window_factor=1.5))
+
     def test_fault_points_cache_cleanly(self):
         from repro.harness import SweepCache
 

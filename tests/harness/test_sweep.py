@@ -251,6 +251,11 @@ EQUIVALENCE_SPEC_AXES = {
     "allgather_algorithm": ("flat-allgather", "hierarchical"),
     "dedup_assumption": (None, "uniform"),
     "cross_bucket_pipeline": (False, True),
+    # Chunked tables (PhaseTable.from_costs), the unbucketed all-gather and the
+    # faulted dense all-reduce all price through the timeline's memo.
+    "pipeline_chunks": (1, 4),
+    "bucket_bytes": (None, 4 * 2**20),
+    "straggler_severity": (1.0, 2.0),
 }
 
 

@@ -1,13 +1,15 @@
 """Tuner query throughput: cache-warm vs cache-cold what-if sweeps.
 
 The auto-tuner (:func:`repro.harness.autotune`) is the planning front-end of
-the sweep engine: one query expands the coarse knob grid, prices every
-admitted point through the compression/collective/schedule stack, and
-locally refines ratio/bucket-bytes around the incumbent.  A cold query pays
-the full evaluation cost; a warm query — same workload, same fabric, same
-axes — should be answered almost entirely from the
+the sweep engine: one query expands the coarse knob grid, bounds every
+admitted point, prices those that can win through the
+compression/collective/schedule stack, and locally refines
+ratio/bucket-bytes around the incumbent.  A cold query pays the full
+evaluation cost; a warm query — same workload, same fabric, same axes —
+should be answered almost entirely from the
 :class:`~repro.harness.SweepCache` (memoized compression results,
-``CollectiveCost``/``PhaseTable`` pricing, whole point evaluations).
+``CollectiveCost``/``PhaseTable`` pricing, whole point evaluations and
+their bounds).
 
 Acceptance bars:
 

@@ -9,7 +9,8 @@ Two demonstrations of the sweep engine:
 2. **Auto-tune** — ``autotune`` searches the full default grid (compressor,
    ratio, bucket bytes, overlap, collective algorithm, dedup) plus local
    ratio/bucket refinement, and reports the best config with its provenance:
-   every evaluated point is in the trace.
+   every point, priced or bounded, is in the trace.  A point whose lower
+   bound already exceeds the incumbent is bounded, not priced.
 
 Run with:  PYTHONPATH=src python examples/whatif_sweep.py
 """
@@ -64,7 +65,9 @@ def main(*, dimension: int = DIMENSION, proxy_elements: int = PROXY_ELEMENTS) ->
     # 2. Auto-tune over the full default grid with local refinement.
     tuned = autotune(workload, PRESET, cache=cache)
     print()
-    print(f"autotune best config ({tuned.queries} points evaluated):")
+    bounded = sum("lower_bound_seconds" in record.metrics for record in tuned.trace)
+    print(f"autotune best config ({tuned.queries - bounded} points priced, "
+          f"{bounded} bounded out of the running):")
     defaults_hidden = ("topology", "scheduler_backend", "cross_bucket_pipeline")
     for knob, value in tuned.best_config.items():
         if knob not in defaults_hidden:

@@ -50,7 +50,8 @@ What may start when is governed by the overlap policy:
 The simulator returns the full per-bucket trace as one
 :class:`ScheduleArrays` plus the critical-path iteration time, so callers can
 report overlapped vs serialised time, the overlap efficiency and per-link
-utilisation, not just a single scalar.
+utilisation, not just a single scalar.  :func:`iteration_lower_bound` bounds
+the same iteration from the same inputs without scheduling it.
 """
 
 from __future__ import annotations
@@ -607,6 +608,90 @@ def simulate_iteration_arrays(
         phase_end=phase_start + phase_seconds,
         phase_mask=phase_mask,
     )
+
+
+#: Relative deflation of :func:`iteration_lower_bound`.  The bound sums the
+#: scheduler's durations in its own order, which may round differently from
+#: the scheduler's, by far less than this.
+LOWER_BOUND_SLACK = 1e-9
+
+#: A cross-bucket template fit lets a phase overlap a committed span on its
+#: link by up to this much relative time (see :func:`_bump_loop`).
+_FIT_TOLERANCE = 1e-12
+
+
+def iteration_lower_bound(
+    *,
+    ready_seconds,
+    compress_seconds,
+    phase_seconds,
+    phase_links: tuple[str, ...],
+    compute_seconds: float,
+    overlap: str = "none",
+    update_seconds: float = 0.0,
+    cross_bucket_pipeline: bool = False,
+    phase_offsets=None,
+    phase_mask=None,
+) -> float:
+    """A lower bound on :func:`simulate_iteration_arrays`'s ``iteration_seconds``.
+
+    Takes the scheduler's own inputs (nominal lane rates) and places no
+    template, so it costs a few array reductions.  The iteration ends after
+    the update, which follows the latest of the backward pass, the
+    compression stream and the last communication, and each of those is
+    bounded from below:
+
+    * the backward pass is ``compute_seconds``;
+    * the compression stream runs its jobs one at a time from the earliest
+      compression gate (the ready time, or the end of the backward pass
+      unless compression overlaps it);
+    * a bucket's communication starts no earlier than its compression ends
+      (with ``overlap="none"``, than the whole stream ends), so each bucket
+      ends no earlier than its chain of gate, compression and collective;
+    * every link carries one phase at a time from the earliest
+      communication start on, so the busiest link's phase seconds follow
+      it (less the overlap a template fit tolerates, per phase);
+    * without ``cross_bucket_pipeline`` the one network lane carries whole
+      collectives one at a time, so all bucket totals follow it.
+
+    With ``overlap="none"`` on the serial lane the bound is the exact flat
+    sum ``compute + sum(compress) + sum(comm) + update``.  The result is
+    deflated by :data:`LOWER_BOUND_SLACK`, which makes it sound in floating
+    point.  Absent phases (``phase_mask`` False) count for nothing.
+    """
+    validate_overlap(overlap)
+    ready = np.asarray(ready_seconds, dtype=float)
+    compress = np.asarray(compress_seconds, dtype=float)
+    seconds = np.asarray(phase_seconds, dtype=float)
+    present = True if phase_mask is None else np.asarray(phase_mask, dtype=bool)
+    seconds = np.where(present, seconds, 0.0)
+    if phase_offsets is None:
+        comm = seconds.sum(axis=1)
+    else:
+        comm = np.where(present, np.asarray(phase_offsets, dtype=float) + seconds, 0.0)
+        comm = comm.max(axis=1, initial=0.0)
+    lanes = [compute_seconds]
+    if len(ready):
+        gate = ready if overlap == "comm+compress" else np.maximum(ready, compute_seconds)
+        stream = float(gate.min()) + float(compress.sum())
+        comm_gate = stream if overlap == "none" else gate + compress
+        earliest = float(np.min(comm_gate))
+        lanes += [stream, float((comm_gate + comm).max())]
+        if not cross_bucket_pipeline:
+            lanes.append(earliest + float(comm.sum()))
+        busy: dict[str, float] = {}
+        phases: dict[str, int] = {}
+        columns = zip(
+            phase_links, seconds.sum(axis=0).tolist(), np.count_nonzero(seconds, axis=0).tolist()
+        )
+        for link, column_seconds, column_phases in columns:
+            busy[link] = busy.get(link, 0.0) + column_seconds
+            phases[link] = phases.get(link, 0) + column_phases
+        for link, link_seconds in busy.items():
+            end = earliest + link_seconds
+            # Each phase may overlap a neighbour on either side by the tolerance.
+            lanes.append(end - 2 * phases[link] * _FIT_TOLERANCE * max(1.0, end))
+    return (max(lanes) + update_seconds) * (1.0 - LOWER_BOUND_SLACK)
 
 
 def ready_times_from_fractions(fractions, compute_seconds: float) -> list[float]:

@@ -43,6 +43,7 @@ from .knobs import SimulationKnobs
 from .network import NetworkModel
 from .schedule import (
     ScheduleArrays,
+    iteration_lower_bound,
     ready_times_from_fractions,
     simulate_iteration_arrays,
     validate_cross_bucket,
@@ -284,6 +285,28 @@ class TimelineModel:
 
         return timing, price_iteration(finish, rates, FullSync() if policy is None else policy)
 
+    def lower_bound(self, worker_results: list[CompressionResult]) -> float | None:
+        """A sound lower bound on the nominal ``compressed_iteration(...).total``.
+
+        Reads the (memoized) phase table and the compression cost, and
+        simulates nothing: :func:`~repro.distributed.schedule.iteration_lower_bound`
+        over the scheduler's own inputs.  ``overlap="none"`` prices the flat
+        sum, which is the serial-lane schedule, so its bound is the flat sum
+        (deflated).  Unbucketed results have no phase table and return
+        ``None``.
+        """
+        table = self._phase_table(worker_results)
+        if table is None:
+            return None
+        inputs = self._schedule_inputs(
+            worker_results[0].metadata, table, self._compression_seconds(worker_results)
+        )
+        return iteration_lower_bound(
+            **inputs,
+            overlap=self.overlap,
+            cross_bucket_pipeline=self.cross_bucket_pipeline and self.overlap != "none",
+        )
+
     def baseline_iteration(
         self, *, compute_scale: float = 1.0, comm_scale: float = 1.0
     ) -> IterationTiming:
@@ -350,7 +373,7 @@ class TimelineModel:
         )
         compute_scale = validate_rate("compute_scale", compute_scale)
         comm_scale = validate_rate("comm_scale", comm_scale)
-        compression = max(self.device.trace_cost(self._scaled_ops(r)) for r in worker_results)
+        compression = self._compression_seconds(worker_results)
         table = self._phase_table(worker_results)
         schedule = None
         if table is None:
@@ -409,9 +432,7 @@ class TimelineModel:
             self.cross_bucket_pipeline if cross_bucket_pipeline is None else cross_bucket_pipeline
         )
         if compression_seconds is None:
-            compression_seconds = max(
-                self.device.trace_cost(self._scaled_ops(r)) for r in worker_results
-            )
+            compression_seconds = self._compression_seconds(worker_results)
         table = self._phase_table(worker_results)
         if table is None:
             raise ValueError("worker results carry no per-bucket payloads; nothing to schedule")
@@ -482,6 +503,26 @@ class TimelineModel:
             return build()
         return self.memo((self.collective, kind, *payload), build)
 
+    def _compression_seconds(self, worker_results: list[CompressionResult]) -> float:
+        """The slowest worker's compression cost: the ring waits for the last."""
+        return max(self.device.trace_cost(self._scaled_ops(r)) for r in worker_results)
+
+    def _schedule_inputs(
+        self, metadata: dict, table: PhaseTable, compression_seconds: float
+    ) -> dict:
+        """The per-bucket jobs the scheduler and its lower bound both read."""
+        sizes, fractions = _bucket_layout(metadata, table.num_buckets)
+        return dict(
+            ready_seconds=ready_times_from_fractions(fractions, self.compute_seconds),
+            compress_seconds=distribute_cost(compression_seconds, sizes),
+            phase_seconds=table.seconds,
+            phase_links=table.links,
+            phase_offsets=table.offsets,
+            phase_mask=table.mask,
+            compute_seconds=self.compute_seconds,
+            update_seconds=self.update_seconds,
+        )
+
     def _schedule(
         self,
         metadata: dict,
@@ -493,18 +534,10 @@ class TimelineModel:
         comm_scale: float = 1.0,
     ) -> ScheduleArrays:
         """Place per-bucket compress/all-gather jobs on the event timeline."""
-        sizes, fractions = _bucket_layout(metadata, table.num_buckets)
         return simulate_iteration_arrays(
-            ready_seconds=ready_times_from_fractions(fractions, self.compute_seconds),
-            compress_seconds=distribute_cost(compression_seconds, sizes),
-            phase_seconds=table.seconds,
+            **self._schedule_inputs(metadata, table, compression_seconds),
             phase_names=table.names,
-            phase_links=table.links,
-            phase_offsets=table.offsets,
-            phase_mask=table.mask,
-            compute_seconds=self.compute_seconds,
             overlap=policy,
-            update_seconds=self.update_seconds,
             cross_bucket_pipeline=cross_bucket_pipeline,
             compute_scale=compute_scale,
             comm_scale=comm_scale,

@@ -16,10 +16,12 @@ crossed with a config grid:
   :meth:`TimelineModel.from_knobs
   <repro.distributed.timeline.TimelineModel.from_knobs>` and
   :meth:`~repro.distributed.timeline.TimelineModel.price`, the trainer's own
-  pricer) and returns a flat metrics dict.
+  pricer) and returns a flat metrics dict.  :func:`bound_point` shares its
+  set-up but bounds the iteration time from the phase table instead of
+  scheduling it, which is what the tuner prunes with.
 * :class:`SweepCache` — memoizes the expensive layers (gradients,
-  compression results, dense baselines, whole point evaluations, and the
-  timeline's :class:`~repro.distributed.CollectiveCost`s and batched phase
+  compression results, dense baselines, whole point evaluations and their
+  lower bounds, and the timeline's :class:`~repro.distributed.CollectiveCost`s and batched phase
   tables keyed on the collective model plus payload and density), so
   repeated points are priced once.  Memoized results are bit-for-bit equal
   to memoization-off runs — every cached value is the output of a
@@ -402,6 +404,9 @@ class SweepCache:
     phase_tables: dict = field(default_factory=dict)
     baselines: dict = field(default_factory=dict)
     points: dict = field(default_factory=dict)
+    #: Per point, its :func:`bound_point`, next to the evaluation in
+    #: :attr:`points`.
+    bounds: dict = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
 
@@ -425,6 +430,7 @@ class SweepCache:
             "hits": self.hits,
             "misses": self.misses,
             "points": len(self.points),
+            "bounds": len(self.bounds),
             "compressions": len(self.compressions),
             "collective_costs": len(self.collective_costs),
             "phase_tables": len(self.phase_tables),
@@ -438,6 +444,7 @@ class SweepCache:
             self.phase_tables,
             self.baselines,
             self.points,
+            self.bounds,
         ):
             store.clear()
         self.hits = 0
@@ -456,6 +463,19 @@ def global_sweep_cache() -> SweepCache:
 def clear_sweep_caches() -> None:
     """Reset the process-wide cache (e.g. to measure cache-cold throughput)."""
     _GLOBAL_CACHE.clear()
+
+
+def _active_cache(cache: SweepCache | None, memoize: bool) -> SweepCache | None:
+    """The cache a query memoizes into: ``cache``, else the process-wide one, or none.
+
+    ``memoize=False`` with a ``cache`` asks for two contradictory things and
+    raises :class:`ValueError`.
+    """
+    if not memoize:
+        if cache is not None:
+            raise ValueError("memoize=False bypasses all caching; do not also pass a cache")
+        return None
+    return _GLOBAL_CACHE if cache is None else cache
 
 
 # -- point evaluation ----------------------------------------------------------
@@ -508,6 +528,59 @@ def _dense_baseline_seconds(
     return cache.fetch(cache.baselines, key, build)
 
 
+def _point_timeline(workload: WorkloadSpec, point: SweepPoint, cache: SweepCache | None):
+    """``(knobs, result, timeline)``: what pricing and bounding a point share.
+
+    The point's knobs validated as one
+    :class:`~repro.distributed.knobs.SimulationKnobs` bundle, its compressed
+    proxy gradient, and the timeline :meth:`TimelineModel.from_knobs
+    <repro.distributed.timeline.TimelineModel.from_knobs>` builds for them.
+    """
+    config = point.config
+    knobs = SimulationKnobs(**{name: config[name] for name in KNOB_FIELDS})
+    result = _compress_proxy(workload, config, cache)
+    topology = get_topology(knobs.topology)
+    timeline = TimelineModel.from_knobs(
+        knobs,
+        topology,
+        compute_seconds=compute_time_for_overhead(
+            topology.inter_node, topology.num_workers, workload.dimension, workload.comm_overhead
+        ),
+        model_dimension=workload.proxy_elements,
+        dimension_scale=workload.dimension_scale,
+        memo=None if cache is None else cache.fetch_collective,
+    )
+    return knobs, result, timeline
+
+
+def bound_point(
+    workload: WorkloadSpec, point: SweepPoint, *, cache: SweepCache | None = None
+) -> float:
+    """A sound lower bound on ``evaluate_point(...)["iteration_seconds"]``.
+
+    Compresses the proxy and prices the phase table exactly as
+    :func:`evaluate_point` would, then bounds the iteration with
+    :meth:`TimelineModel.lower_bound
+    <repro.distributed.timeline.TimelineModel.lower_bound>` instead of
+    scheduling it.  Unbucketed points have no phase table and faulted points
+    are priced by their sync policy, so neither has a bound: they get the
+    trivial ``-inf``.  Memoized in :attr:`SweepCache.bounds`.
+    """
+    if cache is not None:
+        bound = cache.bounds.get((workload, point))
+        if bound is not None:
+            cache.hits += 1
+            return bound
+    knobs, result, timeline = _point_timeline(workload, point, cache)
+    bound = None if knobs.faulted else timeline.lower_bound([result])
+    if bound is None:
+        bound = -math.inf
+    if cache is not None:
+        cache.misses += 1
+        cache.bounds[(workload, point)] = bound
+    return bound
+
+
 def evaluate_point(
     workload: WorkloadSpec, point: SweepPoint, *, cache: SweepCache | None = None
 ) -> dict:
@@ -549,24 +622,11 @@ def evaluate_point(
         if cached is not None:
             cache.hits += 1
             return dict(cached)
-    config = point.config
-    knobs = SimulationKnobs(**{name: config[name] for name in KNOB_FIELDS})
-    result = _compress_proxy(workload, config, cache)
-    topology = get_topology(knobs.topology)
-    timeline = TimelineModel.from_knobs(
-        knobs,
-        topology,
-        compute_seconds=compute_time_for_overhead(
-            topology.inter_node, topology.num_workers, workload.dimension, workload.comm_overhead
-        ),
-        model_dimension=workload.proxy_elements,
-        dimension_scale=workload.dimension_scale,
-        memo=None if cache is None else cache.fetch_collective,
-    )
+    knobs, result, timeline = _point_timeline(workload, point, cache)
     rates = knobs.straggler_profile(timeline.num_workers).rates() if knobs.faulted else None
     policy = knobs.build_sync_policy()
     timing, faulted = timeline.price([result], rates, policy)
-    baseline = _dense_baseline_seconds(workload, config, timeline, cache)
+    baseline = _dense_baseline_seconds(workload, point.config, timeline, cache)
     metrics = {
         "iteration_seconds": timing.total,
         "serialized_seconds": timing.serialized,
@@ -642,11 +702,11 @@ def run_sweep(
     """Expand ``spec`` and evaluate every point, in order.
 
     Points memoize into ``cache`` (default: the process-wide cache);
-    ``memoize=False`` bypasses all caching.  Results are bit-for-bit
-    identical either way.
+    ``memoize=False`` bypasses all caching, so passing a ``cache`` with it
+    raises :class:`ValueError`.  Results are bit-for-bit identical either way.
     """
     by_name = {workload.name: workload for workload in spec.workloads}
-    active = cache if cache is not None else (_GLOBAL_CACHE if memoize else None)
+    active = _active_cache(cache, memoize)
     records = [
         SweepRecord(p.workload, p.config, evaluate_point(by_name[p.workload], p, cache=active), p)
         for p in spec.expand()

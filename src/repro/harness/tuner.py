@@ -7,26 +7,41 @@ fully auditable:
 
 1. **Coarse grid** — a declarative :class:`~repro.harness.sweep.SweepSpec`
    over the tuning axes (compressor, ratio, bucket bytes, overlap,
-   collectives, dedup) is expanded and evaluated through
-   :func:`~repro.harness.sweep.run_sweep`.  With ``refine_rounds=0`` the
-   result is exactly the exhaustive-enumeration argbest of the grid — the
-   property the oracle tests pin.
+   collectives, dedup) is expanded, and every point is first *bounded*:
+   :func:`~repro.harness.sweep.bound_point` compresses its proxy and prices
+   its phase table, but schedules nothing.  Points are then *priced*
+   (:func:`~repro.harness.sweep.evaluate_point`) in bound order, and a point
+   whose bound is strictly above the incumbent's iteration time is skipped:
+   it cannot win.  The bound is sound, so the skipped points are exactly
+   those whose bound exceeds the grid's best, whatever the visit order or
+   the cache holds.  With ``refine_rounds=0`` the result is exactly the
+   exhaustive-enumeration argbest of the grid — the property the oracle
+   tests pin.
 2. **Local refinement** — the two continuous knobs (``ratio``,
    ``bucket_bytes``) are refined around the incumbent by multiplicative
-   steps, shrinking the step factor whenever a round fails to improve.
+   steps, shrinking the step factor whenever a round fails to improve.  A
+   candidate is skipped by the same test against the current incumbent.
 
-Every evaluated point lands in the provenance ``trace`` (a
-:class:`~repro.harness.sweep.SweepRecord` per unique config, in evaluation
-order), so a tuning decision can always be replayed and audited.  Ties break
-deterministically on the point's stable key, formatted only for records
-tied on the metric.  Repeated queries share a
-:class:`~repro.harness.sweep.SweepCache`: a warm query prices nothing, and
-its cost is one cache lookup per point (the warm/cold floor is ratcheted in
-``benchmarks/test_sweep_throughput.py``).
+Only the ``iteration_seconds`` target is bounded; other targets price every
+point, as do points without a bound (unbucketed or faulted ones).
+
+Every point, priced or bounded, lands in the provenance ``trace`` (a
+:class:`~repro.harness.sweep.SweepRecord` per unique config: the coarse grid
+in expansion order, then refinement candidates in visit order), and
+``queries`` counts them all.  A priced record's ``metrics`` is
+:func:`~repro.harness.sweep.evaluate_point`'s dict; a skipped record's is
+``{"lower_bound_seconds": bound}``, which says why it lost.  So a tuning
+decision can always be replayed and audited.  Ties break deterministically
+on the point's stable key, formatted only for records tied on the metric.
+Repeated queries share a :class:`~repro.harness.sweep.SweepCache`, which
+holds each point's bound next to its evaluation: a warm query prices and
+bounds nothing, and its cost is its cache lookups (the warm/cold floor is
+ratcheted in ``benchmarks/test_sweep_throughput.py``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -37,9 +52,9 @@ from .sweep import (
     SweepRecord,
     SweepSpec,
     WorkloadSpec,
+    _active_cache,
+    bound_point,
     evaluate_point,
-    global_sweep_cache,
-    run_sweep,
 )
 
 #: Metrics ``autotune`` knows how to rank, and the direction that is "better".
@@ -77,9 +92,10 @@ _MIN_BUCKET_BYTES = 2**16
 class TuneResult:
     """Outcome of one :func:`autotune` query, with full provenance.
 
-    ``trace`` holds every unique point evaluated (coarse grid first, then
-    refinement candidates, in evaluation order); ``queries`` is its length.
-    ``best`` is the argbest of the whole trace under (``target``, ``mode``).
+    ``trace`` holds every unique point, priced or bounded (coarse grid first,
+    in expansion order, then refinement candidates, in visit order);
+    ``queries`` is its length.  ``best`` is the argbest of the priced records
+    under (``target``, ``mode``).
     """
 
     workload: WorkloadSpec
@@ -108,6 +124,47 @@ def _argbest(records: Sequence[SweepRecord], target: str, mode: str) -> SweepRec
         raise ValueError("no points satisfied the axes/constraints")
     best = (max if mode == "max" else min)(r.metrics[target] for r in records)
     return min((r for r in records if r.metrics[target] == best), key=lambda r: r.point.key)
+
+
+def _bounded(workload: WorkloadSpec, point: SweepPoint, bound: float) -> SweepRecord:
+    """The trace record of a point skipped because ``bound`` cannot win."""
+    return SweepRecord(workload.name, point.config, {"lower_bound_seconds": bound}, point)
+
+
+def _coarse_grid(
+    workload: WorkloadSpec,
+    points: list[SweepPoint],
+    target: str,
+    prune: bool,
+    cache: SweepCache | None,
+) -> tuple[list[SweepRecord], list[SweepRecord]]:
+    """``(trace, priced)``: one record per point in expansion order, and the priced ones.
+
+    With ``prune``, every point is bounded first, then points are priced in
+    bound order until the next bound is strictly above the incumbent; bounds
+    only grow and the incumbent only falls, so every later point is skipped
+    too.  The visit order decides how many points are priced, never which
+    ones: a point is priced exactly when its bound does not exceed the
+    grid's best.  Without ``prune`` every bound is ``-inf``.
+    """
+    if prune:
+        bounds = [bound_point(workload, point, cache=cache) for point in points]
+    else:
+        bounds = [-math.inf] * len(points)
+    metrics: list[dict | None] = [None] * len(points)
+    incumbent = math.inf
+    for i in sorted(range(len(points)), key=bounds.__getitem__):
+        if bounds[i] > incumbent:
+            break
+        metrics[i] = evaluate_point(workload, points[i], cache=cache)
+        incumbent = min(incumbent, metrics[i][target])
+    trace = [
+        _bounded(workload, point, bound)
+        if priced is None
+        else SweepRecord(workload.name, point.config, priced, point)
+        for point, priced, bound in zip(points, metrics, bounds)
+    ]
+    return trace, [record for record, priced in zip(trace, metrics) if priced is not None]
 
 
 def _refinement_candidates(config: Mapping, ratio_step: float, bucket_step: float) -> list[dict]:
@@ -146,7 +203,10 @@ def autotune(
     ``refine_rounds=0`` the answer is exactly the exhaustive argbest of the
     coarse grid; each refinement round then probes multiplicative
     ratio/bucket neighbours of the incumbent, halving the step whenever a
-    round yields no improvement.
+    round yields no improvement.  Under ``target="iteration_seconds"`` a
+    point whose lower bound is strictly above the incumbent is bounded
+    instead of priced (see the module docstring).  ``cache`` and ``memoize``
+    behave as in :func:`~repro.harness.sweep.run_sweep`.
     """
     if isinstance(workload, str):
         workload = WorkloadSpec.from_benchmark(workload)
@@ -162,11 +222,12 @@ def autotune(
     grid_axes["topology"] = (topology,) if isinstance(topology, str) else tuple(topology)
     spec = SweepSpec(workloads=(workload,), axes=grid_axes, constraints=constraints)
 
-    active_cache = cache if cache is not None else (global_sweep_cache() if memoize else None)
-    coarse = run_sweep(spec, cache=active_cache, memoize=memoize)
-    trace: list[SweepRecord] = list(coarse.records)
-    seen: set[SweepPoint] = {record.point for record in trace}
-    best = _argbest(trace, target, mode)
+    active = _active_cache(cache, memoize)
+    prune = target == "iteration_seconds"
+    points = spec.expand()
+    trace, priced = _coarse_grid(workload, points, target, prune, active)
+    seen: set[SweepPoint] = set(points)
+    best = _argbest(priced, target, mode)
 
     for _ in range(refine_rounds):
         improved = False
@@ -177,7 +238,11 @@ def autotune(
             if point in seen:
                 continue
             seen.add(point)
-            metrics = evaluate_point(workload, point, cache=active_cache)
+            bound = bound_point(workload, point, cache=active) if prune else -math.inf
+            if bound > best.metrics[target]:
+                trace.append(_bounded(workload, point, bound))
+                continue
+            metrics = evaluate_point(workload, point, cache=active)
             record = SweepRecord(workload.name, point.config, metrics, point)
             trace.append(record)
             if _argbest((best, record), target, mode) is record:

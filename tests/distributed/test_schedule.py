@@ -12,10 +12,12 @@ from repro.distributed import (
     CollectiveCost,
     CollectivePhase,
     PhaseTable,
+    iteration_lower_bound,
     ready_times_from_fractions,
     simulate_iteration_arrays,
     validate_overlap,
 )
+from repro.distributed.schedule import LOWER_BOUND_SLACK
 from tests.schedule_checks import assert_same_schedule, check_schedule, phase_rows, simulate_table
 
 
@@ -385,6 +387,63 @@ class TestCriticalPathBounds:
         compress, comm = np.array(durations).reshape(-1, 2).T
         assert schedule.compress_end == pytest.approx(schedule.compress_start + compress)
         assert schedule.comm_end == pytest.approx(schedule.comm_start + comm)
+
+
+class TestLowerBound:
+    """``iteration_lower_bound``; ``check_schedule`` asserts its soundness everywhere."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(workload=_workloads())
+    def test_flat_sum_without_overlap(self, workload):
+        durations, ready, compute, update = workload
+        inputs = dict(
+            ready_seconds=ready,
+            compress_seconds=[c for c, _ in durations],
+            phase_seconds=[[m, m / 3.0] for _, m in durations],
+            phase_links=("intra", "inter"),
+            compute_seconds=compute,
+            update_seconds=update,
+        )
+        schedule = simulate_iteration_arrays(**inputs, phase_names=("gather", "exchange"))
+        bound = iteration_lower_bound(**inputs)
+        assert bound <= schedule.iteration_seconds
+        assert bound == pytest.approx(schedule.iteration_seconds, rel=2 * LOWER_BOUND_SLACK)
+
+    def test_leaves_room_for_the_overlap_a_template_fit_tolerates(self):
+        # A cross-bucket fit accepts a phase that overlaps a committed span on
+        # its link by up to 1e-12 of its end.  Packed that tightly, 4000
+        # one-second phases end ~8e-6 s early: more than the slack alone.
+        phases = 4000
+        end = 0.0
+        for _ in range(phases):
+            end = end + 1.0 - 0.99e-12 * max(1.0, end + 1.0)
+        bound = iteration_lower_bound(
+            ready_seconds=np.zeros(phases),
+            compress_seconds=np.zeros(phases),
+            phase_seconds=np.ones((phases, 1)),
+            phase_links=("net",),
+            compute_seconds=0.0,
+            overlap="comm+compress",
+            cross_bucket_pipeline=True,
+        )
+        assert phases * (1.0 - LOWER_BOUND_SLACK) > end
+        assert bound <= end
+
+    def test_absent_phases_count_for_nothing(self):
+        kwargs = dict(
+            ready_seconds=[0.0, 0.0],
+            compress_seconds=[0.0, 0.0],
+            phase_links=("a", "b"),
+            compute_seconds=0.0,
+            overlap="comm",
+        )
+        masked = iteration_lower_bound(
+            phase_seconds=[[1.0, 5.0], [1.0, 0.0]],
+            phase_offsets=[[0.0, 9.0], [0.0, 0.0]],
+            phase_mask=[[True, False], [True, True]],
+            **kwargs,
+        )
+        assert masked == iteration_lower_bound(phase_seconds=[[1.0, 0.0], [1.0, 0.0]], **kwargs)
 
 
 class TestCrossBucketPipeline:

@@ -25,8 +25,7 @@ from repro.distributed import (
     PhaseTable,
     schedule,
 )
-from repro.harness import tuner
-from repro.harness.sweep import SweepCache, WorkloadSpec
+from repro.harness.sweep import SweepCache, SweepSpec, WorkloadSpec, run_sweep
 from tests.distributed.template_fit_reference import _earliest_template_fit as reference_fit
 from tests.schedule_checks import check_schedule, simulate_table
 
@@ -292,13 +291,16 @@ COLD_AXES = {
 
 
 def test_cold_tuner_grid_fits_match_reference(monkeypatch):
-    # Every template fit of one seed-0 cache-cold autotune query on
-    # fat-tree-128, replayed against the reference on the same span lists.
+    # Every template fit of the seed-0 cache-cold tuner grid on fat-tree-128,
+    # replayed against the reference on the same span lists.  The grid is
+    # priced exhaustively: the tuner itself schedules only the points that
+    # can win.
     fits: list[tuple[float, float]] = []
     monkeypatch.setattr(_Shadowed, "fits", fits)
     monkeypatch.setattr(schedule, "_LinkLanes", _Shadowed)
     workload = WorkloadSpec.from_benchmark("vgg16-cifar10", seed=0)
-    tuner.autotune(workload, "fat-tree-128", axes=COLD_AXES, cache=SweepCache())
+    grid = SweepSpec(workloads=(workload,), axes={**COLD_AXES, "topology": ("fat-tree-128",)})
+    run_sweep(grid, cache=SweepCache())
     assert len(fits) > 1000
     assert [fast for fast, _ in fits] == [expected for _, expected in fits]
 

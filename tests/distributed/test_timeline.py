@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -269,6 +270,21 @@ class TestOverlapPolicies:
         assert timing.schedule is None
         assert timing.total == pytest.approx(timeline.compute_seconds + compression + comm)
         assert timing.total == pytest.approx(timing.serialized)
+
+    def test_lower_bound_from_the_phase_table(self):
+        timeline = _timeline(workers=2, dim=20_000, compute=0.02)
+        results = self._bucketed_results()
+        for policy in ("none", "comm", "comm+compress"):
+            for cross in (False, True):
+                model = replace(timeline, overlap=policy, cross_bucket_pipeline=cross)
+                total = model.compressed_iteration(results).total
+                bound = model.lower_bound(results)
+                assert bound <= total
+                if policy == "none":
+                    # The flat sum, whatever the lanes: nothing is scheduled.
+                    assert bound == pytest.approx(total, rel=2e-9)
+        unbucketed = create_compressor("topk").compress(realistic_gradient(20_000, seed=13), 0.05)
+        assert timeline.lower_bound([unbucketed]) is None
 
     def test_overlap_policies_strictly_faster_on_multi_bucket(self):
         timeline = _timeline(workers=2, dim=20_000, compute=0.02)

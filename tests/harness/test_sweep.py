@@ -30,6 +30,7 @@ from repro.harness import (
     SweepPoint,
     SweepSpec,
     WorkloadSpec,
+    autotune,
     evaluate_point,
     run_sweep,
 )
@@ -273,6 +274,18 @@ class TestExecutionEquivalence:
         memoized = run_sweep(spec, cache=cache)
         assert memoized.records == uncached.records
         assert cache.misses > 0
+        # The tuner over the same grid, bounds and refinement included.
+        query = {"axes": EQUIVALENCE_SPEC_AXES}
+        tuned = autotune(_workload(), "ethernet-4x8", cache=cache, **query)
+        assert tuned.trace == autotune(_workload(), "ethernet-4x8", memoize=False, **query).trace
+        assert any("lower_bound_seconds" in r.metrics for r in tuned.trace)
+        assert cache.stats()["bounds"] == len(cache.bounds) > 0
+        cache.clear()
+        assert cache.stats() == dict.fromkeys(cache.stats(), 0)
+
+    def test_memoize_off_with_a_cache_rejected(self, spec):
+        with pytest.raises(ValueError, match="memoize=False"):
+            run_sweep(spec, cache=SweepCache(), memoize=False)
 
     def test_warm_cache_replays_bit_for_bit(self, spec, uncached):
         cache = SweepCache()

@@ -2,8 +2,10 @@
 
 The tuner's contract is auditable simplicity: with ``refine_rounds=0`` its
 answer is *exactly* the exhaustive-enumeration argbest of the coarse grid
-(no stochastic search to trust), its provenance trace covers every evaluated
-point, and refinement can only improve the incumbent.
+(no stochastic search to trust), its provenance trace covers every point,
+priced or bounded, and refinement can only improve the incumbent.  Branch
+and bound skips exactly the points whose lower bound exceeds the best,
+whatever the cache holds.
 """
 
 import math
@@ -12,12 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.distributed import timeline
 from repro.harness import (
+    TUNE_TARGETS,
     SweepCache,
     SweepRecord,
     SweepSpec,
     WorkloadSpec,
     autotune,
+    bound_point,
     run_sweep,
 )
 from repro.harness.tuner import _argbest
@@ -145,6 +150,72 @@ class TestRefinement:
         assert warm.best == cold.best
 
 
+def _bounded(record) -> bool:
+    return "lower_bound_seconds" in record.metrics
+
+
+def _small_grid(workload):
+    return SweepSpec(workloads=(workload,), axes={**SMALL_AXES, "topology": (PRESET,)})
+
+
+class TestBranchAndBound:
+    @pytest.mark.parametrize("refine_rounds", [0, 2])
+    def test_trace_does_not_depend_on_the_cache(self, workload, refine_rounds):
+        query = {"axes": SMALL_AXES, "refine_rounds": refine_rounds}
+        uncached = autotune(workload, PRESET, memoize=False, **query)
+        cache = SweepCache()
+        cold = autotune(workload, PRESET, cache=cache, **query)
+        warm = autotune(workload, PRESET, cache=cache, **query)
+        prefilled = SweepCache()
+        run_sweep(_small_grid(workload), cache=prefilled)
+        after_sweep = autotune(workload, PRESET, cache=prefilled, **query)
+        assert cold.trace == uncached.trace
+        assert warm.trace == uncached.trace
+        assert after_sweep.trace == uncached.trace
+        bounded = [r for r in uncached.trace if _bounded(r)]
+        assert bounded
+        for record in bounded:
+            assert record.metrics["lower_bound_seconds"] > uncached.best_metric
+
+    def test_grid_points_are_priced_exactly_where_their_bound_can_win(self, workload):
+        result = autotune(workload, PRESET, axes=SMALL_AXES, refine_rounds=0, cache=SweepCache())
+        exhaustive = run_sweep(_small_grid(workload), memoize=False)
+        assert [r.point for r in result.trace] == [r.point for r in exhaustive.records]
+        for record, priced in zip(result.trace, exhaustive.records):
+            bound = bound_point(workload, record.point)
+            assert bound <= priced.metrics["iteration_seconds"]
+            if bound > result.best_metric:
+                assert record.metrics == {"lower_bound_seconds": bound}
+            else:
+                assert record.metrics == priced.metrics
+
+    @pytest.mark.parametrize("target", sorted(set(TUNE_TARGETS) - {"iteration_seconds"}))
+    def test_other_targets_price_every_point(self, workload, cache, target):
+        result = autotune(
+            workload, PRESET, target=target, axes=SMALL_AXES, refine_rounds=2, cache=cache
+        )
+        assert not any(_bounded(r) for r in result.trace)
+
+    @pytest.mark.parametrize("refine_rounds, schedules", [(0, 1), (2, 3)])
+    def test_scheduler_runs_only_for_points_that_can_win(
+        self, workload, monkeypatch, refine_rounds, schedules
+    ):
+        # Exhaustive pricing schedules the grid's 12 overlapped points; a
+        # weaker bound would schedule more of them.
+        calls = []
+        simulate = timeline.simulate_iteration_arrays
+
+        def counted(**kwargs):
+            calls.append(kwargs)
+            return simulate(**kwargs)
+
+        monkeypatch.setattr(timeline, "simulate_iteration_arrays", counted)
+        autotune(
+            workload, PRESET, axes=SMALL_AXES, refine_rounds=refine_rounds, cache=SweepCache()
+        )
+        assert len(calls) == schedules
+
+
 class TestTunerInterface:
     def test_benchmark_name_resolves_to_table1_workload(self, cache):
         result = autotune(
@@ -171,6 +242,10 @@ class TestTunerInterface:
     def test_unknown_target_rejected(self, workload):
         with pytest.raises(ValueError, match="unknown tuning target"):
             autotune(workload, PRESET, target="accuracy")
+
+    def test_memoize_off_with_a_cache_rejected(self, workload):
+        with pytest.raises(ValueError, match="memoize=False"):
+            autotune(workload, PRESET, axes=SMALL_AXES, cache=SweepCache(), memoize=False)
 
     def test_invalid_refinement_parameters_rejected(self, workload):
         with pytest.raises(ValueError, match="refine_rounds"):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributed import simulate_iteration_arrays
+from repro.distributed import iteration_lower_bound, simulate_iteration_arrays
 
 #: Relative slack for comparisons that mix differently associated float sums.
 TOLERANCE = 1e-9
@@ -40,7 +40,10 @@ def check_schedule(schedule):
     * every link carries one phase at a time, across all buckets;
     * every present phase lies inside its bucket's ``[comm_start, comm_end]``;
     * ``iteration_seconds`` equals the latest lane end (compute, compression
-      stream, network) plus the update, exactly.
+      stream, network) plus the update, exactly;
+    * :func:`~repro.distributed.iteration_lower_bound`, fed the schedule's
+      own durations, does not exceed ``iteration_seconds`` (the bound the
+      tuner prunes with is sound).
     """
     ready = schedule.ready.tolist()
     compress_start = schedule.compress_start.tolist()
@@ -75,6 +78,20 @@ def check_schedule(schedule):
         assert min(comm_start) >= max(compress_end)
     lane_end = max([schedule.compute_seconds] + compress_end + comm_end)
     assert schedule.iteration_seconds == lane_end + schedule.update_seconds
+    present = schedule.present
+    bound = iteration_lower_bound(
+        ready_seconds=schedule.ready,
+        compress_seconds=schedule.compress_end - schedule.compress_start,
+        phase_seconds=np.where(present, schedule.phase_end - schedule.phase_start, 0.0),
+        phase_links=schedule.phase_links,
+        phase_offsets=np.where(present, schedule.phase_start - schedule.comm_start[:, None], 0.0),
+        phase_mask=schedule.phase_mask,
+        compute_seconds=schedule.compute_seconds,
+        overlap=schedule.policy,
+        update_seconds=schedule.update_seconds,
+        cross_bucket_pipeline=schedule.cross_bucket,
+    )
+    assert bound <= schedule.iteration_seconds, (bound, schedule.iteration_seconds)
     return schedule
 
 

@@ -105,8 +105,9 @@ class Compressor:
     """Base class of every gradient compressor.
 
     A compressor is its :meth:`fit_all_buckets`: ``compress`` is the
-    one-bucket case of it, and :class:`~repro.pipeline.CompressionPipeline`
-    calls it over a many-bucket layout.
+    one-bucket case of it (:meth:`compress_group` over a group of workers),
+    and :class:`~repro.pipeline.CompressionPipeline` calls it over a
+    many-bucket layout.
 
     Compressors may keep internal state that evolves across training
     iterations (e.g. SIDCo's stage controller); ``reset`` clears it so one
@@ -122,33 +123,48 @@ class Compressor:
         Fits the whole gradient as one bucket and packages the fit; the
         result carries the fit's own metadata and no per-bucket keys.
         """
+        [result] = self.compress_group(self._validate(gradient, ratio)[None], ratio)
+        return result
+
+    def compress_group(self, gradients: np.ndarray, ratio: float, group=None) -> list[CompressionResult]:
+        """Compress row g of the ``(G, D)`` matrix ``gradients`` with ``group[g]`` (default ``[self]``).
+
+        One call fits every row; each result, and each member's state
+        afterwards, is exactly what ``group[g].compress(gradients[g], ratio)``
+        gives.  The members share ``self``'s configuration.
+        """
         # Deferred import: repro.pipeline imports this module at load time.
         from ..pipeline.bucketing import BucketLayout
+        from .bucketed import fit_group
 
-        arr = self._validate(gradient, ratio)
-        fit = self.fit_all_buckets(arr, BucketLayout(total_size=arr.size, bucket_size=arr.size), ratio)
-        threshold = fit.bucket_thresholds[0]
-        return CompressionResult(
-            sparse=SparseGradient(indices=fit.indices, values=fit.values, dense_size=arr.size),
-            target_ratio=fit.target_ratio,
-            threshold=None if threshold is None else float(threshold),
-            ops=fit.ops,
-            metadata=fit.metadata,
-        )
+        rows = np.asarray(gradients, dtype=np.float64)
+        d = self._validate(rows[0], ratio).size
+        return [
+            CompressionResult(
+                sparse=SparseGradient(indices=fit.indices, values=fit.values, dense_size=d),
+                target_ratio=fit.target_ratio,
+                threshold=None if fit.bucket_thresholds[0] is None else float(fit.bucket_thresholds[0]),
+                ops=fit.ops,
+                metadata=fit.metadata,
+            )
+            for fit in fit_group(self, rows, BucketLayout(total_size=d, bucket_size=d), ratio, group or [self])
+        ]
 
     def reset(self) -> None:
         """Clear any cross-iteration state (no-op by default)."""
 
     def fit_all_buckets(
-        self, gradient: np.ndarray, layout: "BucketLayout", ratio: float
-    ) -> BucketedFit:
+        self, gradient: np.ndarray, layout: "BucketLayout", ratio: float, group=None
+    ) -> "BucketedFit | list[BucketedFit]":
         """Batched bucket-axis compression: fit every bucket in one call.
 
         Take the validated flat gradient plus the
         :class:`~repro.pipeline.bucketing.BucketLayout` that tiles it, and
         return the per-bucket thresholds/selections of *all* buckets from one
         batched NumPy pass, with one fused launch per primitive in the op
-        trace.
+        trace.  With a ``group`` of G compressors, ``gradient`` is ``(G, D)``
+        and one fit per row comes back, row g fitted with ``group[g]``'s
+        state exactly as its own call would (:func:`~.bucketed.grouped`).
 
         Each bucket's selection is the one a one-bucket fit of that bucket
         alone would make: same kept indices and values bit-for-bit, and

@@ -18,7 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BucketedFit, Compressor, OpRecord
-from .bucketed import abs_block, bucket_target_ks, concat_indices, full_bucket_stack, workspace_for
+from .bucketed import (
+    abs_block, bucket_target_ks, draw_per_state, grouped, segments, shape_groups, stack_segments,
+)
 
 
 class DGC(Compressor):
@@ -52,85 +54,89 @@ class DGC(Compressor):
     def reset(self) -> None:
         self._rng = np.random.default_rng(self._seed)
 
-    def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float) -> BucketedFit:
-        arr = np.asarray(gradient, dtype=np.float64).ravel()
-        sizes = layout.sizes()
-        starts = layout.starts()
-        num = layout.num_buckets
+    @grouped
+    def fit_all_buckets(self, rows: np.ndarray, layout, ratio: float, group) -> list[BucketedFit]:
+        segs = segments(layout, len(rows))
+        flat = rows.ravel()
+        sizes, starts = layout.sizes(), layout.starts()
         ks = bucket_target_ks(sizes, ratio)
 
-        # Stage 1: the per-bucket sample draws run in bucket order on the
-        # shared generator (the stream fitting the buckets one at a time
-        # would consume), then all buckets with equal sample shape fit their
-        # Top-k threshold in one 2-D row-wise partition.
+        # Stage 1: each worker's sample draws run in bucket order on its own
+        # generator (the stream fitting its buckets one at a time would
+        # consume; workers in one generator state draw once), then every
+        # (worker, bucket) segment with one sample shape fits its Top-k
+        # threshold in one 2-D row-wise partition.
         sample_sizes = np.minimum(np.maximum(ks, np.ceil(self.sample_ratio * sizes).astype(np.int64)), sizes)
         sample_ks = bucket_target_ks(sample_sizes, ratio)
-        sample_mags: list[np.ndarray] = []
-        for i in range(num):
-            sample_idx = self._rng.choice(int(sizes[i]), size=int(sample_sizes[i]), replace=False)
-            sample_mags.append(np.abs(arr[starts[i] + sample_idx]))
-
-        thresholds = np.empty(num)
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i in range(num):
-            ss, sk = int(sample_sizes[i]), int(sample_ks[i])
-            if sk >= ss:
-                thresholds[i] = float(sample_mags[i].min())
-            else:
-                groups.setdefault((ss, sk), []).append(i)
-        for (ss, sk), members in groups.items():
-            if len(members) == 1:
-                i = members[0]
-                thresholds[i] = float(np.partition(sample_mags[i], ss - sk)[ss - sk])
-            else:
-                stack = full_bucket_stack([sample_mags[i] for i in members])
-                part = np.partition(stack, ss - sk, axis=1)[:, ss - sk]
-                thresholds[members] = part
-
-        # Stage 2: bucket-blocked threshold selection (with the worst-case
-        # trim) through one cache-hot scratch buffer.
-        scratch = workspace_for(layout)
-        idx_chunks: list[np.ndarray] = []
-        bucket_nnz = np.empty(num, dtype=np.int64)
-        out_thresholds: list[float] = []
-        stage2_selected = 0
-        trim_sizes = 0
-        trim_ks = 0
-        for i in range(num):
-            start, stop = layout.bounds(i)
-            mags = abs_block(arr, start, stop, scratch)
-            threshold = float(thresholds[i])
-            k = int(ks[i])
-            sel = np.flatnonzero(mags >= threshold)
-            stage2_selected += sel.size
-            if sel.size > self.overshoot_trim * k:
-                sel_mags = mags[sel]
-                keep = np.argpartition(sel_mags, sel.size - k)[sel.size - k :]
-                threshold = float(sel_mags[keep].min())
-                trim_sizes += sel.size
-                trim_ks += k
-                sel = sel[keep]
-            idx_chunks.append(sel + start)
-            bucket_nnz[i] = sel.size
-            out_thresholds.append(threshold)
-
-        total_sample = int(sample_sizes.sum())
-        ops = [
-            OpRecord("random_sample", arr.size, total_sample),
-            OpRecord("elementwise", total_sample),
-            OpRecord("topk_select", total_sample, int(sample_ks.sum())),
-            OpRecord("elementwise", arr.size),
-            OpRecord("compact", arr.size, stage2_selected),
-        ]
-        if trim_sizes:
-            ops.append(OpRecord("topk_select", trim_sizes, trim_ks))
-
-        indices = concat_indices(idx_chunks)
-        return BucketedFit(
-            indices=indices,
-            values=arr[indices],
-            bucket_nnz=bucket_nnz,
-            bucket_thresholds=out_thresholds,
-            target_ratio=ratio,
-            ops=ops,
+        columns = draw_per_state(
+            group,
+            lambda rng: np.concatenate(
+                [start + rng.choice(size, size=sample, replace=False)
+                 for start, size, sample in zip(starts.tolist(), sizes.tolist(), sample_sizes.tolist())]
+            ),
         )
+        row_starts = np.arange(len(rows))[:, None] * layout.total_size
+        sample_mags = np.abs(flat[np.stack(columns) + row_starts])
+        offsets = np.cumsum(sample_sizes) - sample_sizes
+        thresholds = np.empty((len(rows), layout.num_buckets))
+        for members in shape_groups(sample_sizes, sample_ks):
+            sample, k = int(sample_sizes[members[0]]), int(sample_ks[members[0]])
+            stack = stack_segments(sample_mags, offsets[members], sample)
+            if k >= sample:
+                kth_mags = stack.min(axis=1)
+            else:
+                kth_mags = np.partition(stack, sample - k, axis=1)[:, sample - k]
+            thresholds[:, members] = kth_mags.reshape(len(rows), -1)
+        thresholds = thresholds.ravel()
+        ks = np.tile(ks, len(rows))
+
+        # Stage 2: threshold selection in blocks of whole segments through
+        # one cache-hot scratch buffer, then the worst-case trims, batched
+        # by (selected, k) shape; a trimmed segment keeps its Top-k in
+        # argpartition order.
+        scratch = segs.scratch()
+        hits, hit_mags, counts = [], [], np.empty(ks.size, dtype=np.int64)
+        for start, stop, s0, s1, edges in segs.blocks:
+            mags = abs_block(flat, start, stop, scratch)
+            spread = thresholds[s0] if s1 - s0 == 1 else np.repeat(thresholds[s0:s1], segs.sizes[s0:s1])
+            hit = np.flatnonzero(mags >= spread)
+            counts[s0:s1] = np.diff(np.searchsorted(hit, edges))
+            hit_mags.append(mags[hit])
+            hit += start
+            hits.append(hit)
+        selected, selected_mags = np.concatenate(hits), np.concatenate(hit_mags)
+        trim = counts > self.overshoot_trim * ks
+        nnz = np.where(trim, ks, counts)
+        first = np.cumsum(counts) - counts
+        at = np.cumsum(nnz) - nnz
+        source = np.arange(int(nnz.sum())) + np.repeat(first - at, nnz)
+        trimmed = np.flatnonzero(trim)
+        for members in shape_groups(counts[trimmed], ks[trimmed]):
+            members = trimmed[members]
+            seg = members[0]
+            count, k, lo, out = int(counts[seg]), int(ks[seg]), int(first[seg]), int(at[seg])
+            # argpartition leaves the k-th largest, the kept minimum, first.
+            if members.size == 1:
+                keep = np.argpartition(selected_mags[lo : lo + count], count - k)[count - k :]
+                thresholds[seg] = selected_mags[lo + keep[0]]
+                source[out : out + k] = keep + lo
+                continue
+            stack = selected_mags[first[members][:, None] + np.arange(count)]
+            keep = np.argpartition(stack, count - k, axis=1)[:, count - k :]
+            thresholds[members] = stack[np.arange(members.size), keep[:, 0]]
+            source[at[members][:, None] + np.arange(k)] = first[members][:, None] + keep
+
+        d, sampled = layout.total_size, int(sample_sizes.sum())
+        ops = []
+        for kept, trims, trim_k in zip(
+            segs.per_worker(counts), segs.per_worker(counts * trim), segs.per_worker(ks * trim)
+        ):
+            ops.append([
+                OpRecord("random_sample", d, sampled),
+                OpRecord("elementwise", sampled),
+                OpRecord("topk_select", sampled, int(sample_ks.sum())),
+                OpRecord("elementwise", d),
+                OpRecord("compact", d, kept),
+                *([OpRecord("topk_select", trims, trim_k)] if trims else []),
+            ])
+        return segs.split(flat, selected[source], nnz, thresholds.tolist(), ratio, ops)

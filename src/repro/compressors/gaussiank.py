@@ -18,10 +18,10 @@ from .base import BucketedFit, Compressor, OpRecord
 from .bucketed import (
     abs_block,
     bucket_target_ks,
-    concat_indices,
+    grouped,
     probe_round_ops,
+    segments,
     select_ge,
-    workspace_for,
 )
 
 
@@ -52,29 +52,30 @@ class GaussianKSGD(Compressor):
         self.tolerance = tolerance
         self.step = step
 
-    def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float) -> BucketedFit:
-        arr = np.asarray(gradient, dtype=np.float64).ravel()
-        sizes = layout.sizes()
-        num = layout.num_buckets
-        ks = bucket_target_ks(sizes, ratio)
+    @grouped
+    def fit_all_buckets(self, rows: np.ndarray, layout, ratio: float, group) -> list[BucketedFit]:
+        segs = segments(layout, len(rows))
+        flat = rows.ravel()
+        num = segs.sizes.size
+        ks = np.tile(bucket_target_ks(layout.sizes(), ratio), len(rows))
         # The Gaussian quantile factor depends only on the target ratio, so it
         # is computed once for every bucket; the multiplication order below
         # matches the one-bucket formula.
         erfinv_tail = _sp.erfinv(1.0 - ratio)
         sqrt2 = np.sqrt(2.0)
 
-        # |g - mean| probes and the final |g| selection run bucket-blocked off
-        # one scratch buffer; the correction-loop arithmetic is per-bucket
-        # Python floats, bit-for-bit a one-bucket fit of each bucket.
-        scratch = workspace_for(layout)
+        # |g - mean| probes and the final |g| selection run segment by segment
+        # off one scratch buffer; the correction-loop arithmetic is
+        # per-segment Python floats, bit-for-bit a one-bucket fit of each.
+        scratch = segs.scratch()
         idx_chunks: list[np.ndarray] = []
         bucket_nnz = np.empty(num, dtype=np.int64)
         thresholds: list[float] = []
         probe_iters = np.zeros(num, dtype=np.int64)
-        centred = 0
+        centred = np.zeros(num, dtype=np.int64)
         for i in range(num):
-            start, stop = layout.bounds(i)
-            view = arr[start:stop]
+            start, stop = segs.bounds[i], segs.bounds[i + 1]
+            view = flat[start:stop]
             mean = float(view.mean())
             std = float(view.std())
             if std == 0.0:
@@ -83,7 +84,7 @@ class GaussianKSGD(Compressor):
                 threshold = float(std * sqrt2 * erfinv_tail)
                 mags = scratch[: stop - start]
                 np.subtract(view, mean, out=mags)
-                centred += stop - start
+                centred[i] = stop - start
                 np.abs(mags, out=mags)
                 for iterations in range(1, self.max_adjust_iters + 1):
                     probe_iters[i] = iterations
@@ -94,27 +95,22 @@ class GaussianKSGD(Compressor):
                         threshold *= 1.0 - self.step
                     else:
                         break
-            mags = abs_block(arr, start, stop, scratch)
+            mags = abs_block(flat, start, stop, scratch)
             idx = select_ge(mags, threshold, start)
             idx_chunks.append(idx)
             bucket_nnz[i] = idx.size
             thresholds.append(float(threshold))
 
-        d = arr.size
-        ops = [OpRecord("reduce", d), OpRecord("reduce", d)]
-        if centred:
+        d, sizes = layout.total_size, layout.sizes()
+        ops = []
+        for nnz, spread, iters in zip(
+            segs.per_worker(bucket_nnz), segs.per_worker(centred), probe_iters.reshape(len(rows), -1)
+        ):
             # The |g - mean| pass runs only over buckets with spread to fit.
-            ops.append(OpRecord("elementwise", centred))
-        ops.extend(probe_round_ops(sizes, probe_iters))
-        ops.append(OpRecord("elementwise", d))
-        ops.append(OpRecord("compact", d, int(bucket_nnz.sum())))
-
-        indices = concat_indices(idx_chunks)
-        return BucketedFit(
-            indices=indices,
-            values=arr[indices],
-            bucket_nnz=bucket_nnz,
-            bucket_thresholds=thresholds,
-            target_ratio=ratio,
-            ops=ops,
-        )
+            ops.append([
+                OpRecord("reduce", d), OpRecord("reduce", d),
+                *([OpRecord("elementwise", spread)] if spread else []),
+                *probe_round_ops(sizes, iters),
+                OpRecord("elementwise", d), OpRecord("compact", d, nnz),
+            ])
+        return segs.split(flat, np.concatenate(idx_chunks), bucket_nnz, thresholds, ratio, ops)

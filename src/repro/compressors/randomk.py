@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BucketedFit, Compressor, OpRecord
-from .bucketed import bucket_target_ks, concat_indices
+from .bucketed import bucket_target_ks, draw_per_state, grouped
 
 
 class RandomK(Compressor):
@@ -27,31 +27,33 @@ class RandomK(Compressor):
     def reset(self) -> None:
         self._rng = np.random.default_rng(self._seed)
 
-    def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float) -> BucketedFit:
-        arr = np.asarray(gradient, dtype=np.float64).ravel()
-        sizes = layout.sizes()
-        starts = layout.starts()
+    @grouped
+    def fit_all_buckets(self, rows: np.ndarray, layout, ratio: float, group) -> list[BucketedFit]:
+        sizes, starts = layout.sizes(), layout.starts()
         ks = bucket_target_ks(sizes, ratio)
 
-        # Draw each bucket's sample in bucket order on the shared generator
-        # (the stream fitting the buckets one at a time would consume), then
-        # gather and rescale every bucket in one pass.
-        idx_chunks = [
-            starts[i] + self._rng.choice(int(sizes[i]), size=int(ks[i]), replace=False)
-            for i in range(layout.num_buckets)
-        ]
-        indices = concat_indices(idx_chunks)
-        values = arr[indices]
-        if self.rescale:
-            values = values * np.repeat(sizes / ks, ks)
-
-        total_k = int(ks.sum())
-        return BucketedFit(
-            indices=indices,
-            values=values,
-            bucket_nnz=ks,
-            bucket_thresholds=[None] * layout.num_buckets,
-            target_ratio=ratio,
-            ops=[OpRecord("random_sample", arr.size, total_k), OpRecord("compact", total_k, total_k)],
-            metadata={"rescaled": self.rescale},
+        # Draw each worker's samples in bucket order on its own generator (the
+        # stream fitting the buckets one at a time would consume; workers in
+        # one generator state draw once), then gather and rescale every
+        # bucket in one pass.
+        chosen = draw_per_state(
+            group,
+            lambda rng: np.concatenate(
+                [start + rng.choice(size, size=k, replace=False)
+                 for start, size, k in zip(starts.tolist(), sizes.tolist(), ks.tolist())]
+            ),
         )
+        scale = np.repeat(sizes / ks, ks) if self.rescale else None
+        total_k = int(ks.sum())
+        return [
+            BucketedFit(
+                indices=indices,
+                values=row[indices] * scale if self.rescale else row[indices],
+                bucket_nnz=ks,
+                bucket_thresholds=[None] * layout.num_buckets,
+                target_ratio=ratio,
+                ops=[OpRecord("random_sample", row.size, total_k), OpRecord("compact", total_k, total_k)],
+                metadata={"rescaled": self.rescale},
+            )
+            for row, indices in zip(rows, chosen)
+        ]

@@ -17,10 +17,10 @@ from .base import BucketedFit, Compressor, OpRecord
 from .bucketed import (
     abs_block,
     bucket_target_ks,
-    concat_indices,
+    grouped,
     probe_round_ops,
+    segments,
     select_ge,
-    workspace_for,
 )
 
 
@@ -48,24 +48,25 @@ class RedSync(Compressor):
         self.max_search_iters = max_search_iters
         self.shrink_factor = shrink_factor
 
-    def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float) -> BucketedFit:
-        arr = np.asarray(gradient, dtype=np.float64).ravel()
-        sizes = layout.sizes()
-        num = layout.num_buckets
-        ks = bucket_target_ks(sizes, ratio)
+    @grouped
+    def fit_all_buckets(self, rows: np.ndarray, layout, ratio: float, group) -> list[BucketedFit]:
+        segs = segments(layout, len(rows))
+        flat = rows.ravel()
+        num = segs.sizes.size
+        ks = np.tile(bucket_target_ks(layout.sizes(), ratio), len(rows))
 
-        # Each bucket's probe search runs off one cache-hot |g| scratch block
+        # Each segment's probe search runs off one cache-hot |g| scratch block
         # (the probes are data-dependent, so blocking — not stage-major 2-D
         # broadcasting — is what keeps this faster than a per-bucket loop); the
         # interpolation arithmetic and the fused trace batch across buckets.
-        scratch = workspace_for(layout)
+        scratch = segs.scratch()
         idx_chunks: list[np.ndarray] = []
         bucket_nnz = np.empty(num, dtype=np.int64)
         thresholds: list[float] = []
         probe_iters = np.zeros(num, dtype=np.int64)
         for i in range(num):
-            start, stop = layout.bounds(i)
-            mags = abs_block(arr, start, stop, scratch)
+            start, stop = segs.bounds[i], segs.bounds[i + 1]
+            mags = abs_block(flat, start, stop, scratch)
             mean = float(mags.mean())
             maximum = float(mags.max())
             if maximum <= mean or maximum == 0.0:
@@ -84,18 +85,12 @@ class RedSync(Compressor):
             bucket_nnz[i] = idx.size
             thresholds.append(float(threshold))
 
-        d = arr.size
-        ops = [OpRecord("elementwise", d), OpRecord("reduce", d), OpRecord("reduce", d)]
-        ops.extend(probe_round_ops(sizes, probe_iters))
-        ops.append(OpRecord("elementwise", d))
-        ops.append(OpRecord("compact", d, int(bucket_nnz.sum())))
-
-        indices = concat_indices(idx_chunks)
-        return BucketedFit(
-            indices=indices,
-            values=arr[indices],
-            bucket_nnz=bucket_nnz,
-            bucket_thresholds=thresholds,
-            target_ratio=ratio,
-            ops=ops,
-        )
+        d, sizes = layout.total_size, layout.sizes()
+        ops = []
+        for nnz, iters in zip(segs.per_worker(bucket_nnz), probe_iters.reshape(len(rows), -1)):
+            ops.append([
+                OpRecord("elementwise", d), OpRecord("reduce", d), OpRecord("reduce", d),
+                *probe_round_ops(sizes, iters),
+                OpRecord("elementwise", d), OpRecord("compact", d, nnz),
+            ])
+        return segs.split(flat, np.concatenate(idx_chunks), bucket_nnz, thresholds, ratio, ops)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BucketedFit, Compressor, OpRecord
-from .bucketed import abs_block, concat_indices, select_ge, workspace_for
+from .bucketed import abs_block, grouped, segments, select_ge
 
 
 class AdaptiveHardThreshold(Compressor):
@@ -35,49 +35,45 @@ class AdaptiveHardThreshold(Compressor):
     def reset(self) -> None:
         self._scale = None
 
-    def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float) -> BucketedFit:
-        arr = np.asarray(gradient, dtype=np.float64).ravel()
-        num = layout.num_buckets
+    @grouped
+    def fit_all_buckets(self, rows: np.ndarray, layout, ratio: float, group) -> list[BucketedFit]:
+        segs = segments(layout, len(rows))
+        flat = rows.ravel()
+        num = segs.sizes.size
 
-        # The adaptive scale couples buckets sequentially (bucket i sees the
-        # correction from bucket i-1), so the walk itself stays a per-bucket
-        # scalar recurrence — replayed exactly — while the element passes run
-        # blocked off one scratch buffer and the trace is fused.
-        scratch = workspace_for(layout)
+        # The adaptive scale couples a worker's buckets sequentially (bucket
+        # i sees the correction from bucket i-1), so the walk itself stays a
+        # per-segment scalar recurrence on each worker's own scale — replayed
+        # exactly — while the element passes run off one scratch buffer and
+        # the trace is fused.
+        scratch = segs.scratch()
         idx_chunks: list[np.ndarray] = []
         bucket_nnz = np.empty(num, dtype=np.int64)
         thresholds: list[float] = []
         for i in range(num):
-            start, stop = layout.bounds(i)
+            worker = group[i // segs.buckets]
+            start, stop = segs.bounds[i], segs.bounds[i + 1]
             size = stop - start
-            mags = abs_block(arr, start, stop, scratch)
+            mags = abs_block(flat, start, stop, scratch)
             mean = float(mags.mean())
-            if self._scale is None:
-                self._scale = float(np.log(1.0 / ratio))
-            threshold = mean * self._scale
+            if worker._scale is None:
+                worker._scale = float(np.log(1.0 / ratio))
+            threshold = mean * worker._scale
             idx = select_ge(mags, threshold, start)
             idx_chunks.append(idx)
             bucket_nnz[i] = idx.size
             thresholds.append(float(threshold))
 
             achieved = max(idx.size / size, 1.0 / size)
-            corrective = self._scale * (np.log(1.0 / ratio) / max(np.log(1.0 / achieved), 1e-12))
-            self._scale = float(
-                (1.0 - self.adjustment_rate) * self._scale + self.adjustment_rate * corrective
+            corrective = worker._scale * (np.log(1.0 / ratio) / max(np.log(1.0 / achieved), 1e-12))
+            worker._scale = float(
+                (1.0 - self.adjustment_rate) * worker._scale + self.adjustment_rate * corrective
             )
 
-        d = arr.size
-        indices = concat_indices(idx_chunks)
-        return BucketedFit(
-            indices=indices,
-            values=arr[indices],
-            bucket_nnz=bucket_nnz,
-            bucket_thresholds=thresholds,
-            target_ratio=ratio,
-            ops=[
-                OpRecord("elementwise", d),
-                OpRecord("reduce", d),
-                OpRecord("elementwise", d),
-                OpRecord("compact", d, int(bucket_nnz.sum())),
-            ],
-        )
+        d = layout.total_size
+        ops = [
+            [OpRecord("elementwise", d), OpRecord("reduce", d), OpRecord("elementwise", d),
+             OpRecord("compact", d, nnz)]
+            for nnz in segs.per_worker(bucket_nnz)
+        ]
+        return segs.split(flat, np.concatenate(idx_chunks), bucket_nnz, thresholds, ratio, ops)

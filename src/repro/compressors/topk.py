@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BucketedFit, Compressor, OpRecord
-from .bucketed import bucket_target_ks, concat_indices
+from .bucketed import bucket_target_ks, grouped, segments, shape_groups, stack_segments
 
 
 class TopK(Compressor):
@@ -19,55 +19,32 @@ class TopK(Compressor):
 
     name = "topk"
 
-    def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float) -> BucketedFit:
-        arr = np.asarray(gradient, dtype=np.float64).ravel()
-        sizes = layout.sizes()
-        ks = bucket_target_ks(sizes, ratio)
+    @grouped
+    def fit_all_buckets(self, rows: np.ndarray, layout, ratio: float, group) -> list[BucketedFit]:
+        segs = segments(layout, len(rows))
+        flat = rows.ravel()
+        starts = segs.starts
+        ks = np.tile(bucket_target_ks(layout.sizes(), ratio), len(rows))
 
-        # Full uniform buckets share one (size, k), so their argpartitions run
-        # as a single 2-D row-wise selection; the ragged tail (and non-uniform
-        # layouts) fall through to per-bucket views of the same computation.
-        idx_chunks: list[np.ndarray] = []
-        thresholds: list[float] = []
-        nfull = 0
-        if layout.is_uniform:
-            nfull = layout.total_size // layout.bucket_size
-        if nfull:
-            size = layout.bucket_size
-            k = int(ks[0])
-            mags = np.abs(arr[: nfull * size].reshape(nfull, size))
+        # Segments of one size share one k, so each size's argpartitions run
+        # as one 2-D row-wise selection over their stack.  Each kept row lands
+        # at its segment's place in the output.
+        at = np.cumsum(ks) - ks
+        indices = np.empty(int(ks.sum()), dtype=np.int64)
+        thresholds = np.empty(ks.size)
+        for members in shape_groups(segs.sizes):
+            size, k = int(segs.sizes[members[0]]), int(ks[members[0]])
+            mags = np.abs(stack_segments(flat, starts[members], size))
             if k >= size:
-                rows = np.broadcast_to(np.arange(size), (nfull, size))
+                kept = np.broadcast_to(np.arange(size), mags.shape)
             else:
-                rows = np.argpartition(mags, size - k, axis=1)[:, size - k :]
-            offsets = np.arange(nfull, dtype=np.int64)[:, None] * size
-            idx_chunks.append((rows + offsets).ravel())
-            kept_mags = np.take_along_axis(mags, rows, axis=1)
-            thresholds.extend(float(t) for t in kept_mags.min(axis=1))
-        for i in range(nfull, layout.num_buckets):
-            start, stop = layout.bounds(i)
-            view = arr[start:stop]
-            size, k = stop - start, int(ks[i])
-            mags = np.abs(view)
-            if k >= size:
-                local = np.arange(size)
-            else:
-                local = np.argpartition(mags, size - k)[size - k :]
-            idx_chunks.append(local + start)
-            thresholds.append(float(mags[local].min()))
+                kept = np.argpartition(mags, size - k, axis=1)[:, size - k :]
+            indices[at[members][:, None] + np.arange(k)] = kept + starts[members][:, None]
+            thresholds[members] = mags[np.arange(members.size)[:, None], kept].min(axis=1)
 
-        indices = concat_indices(idx_chunks)
-        return BucketedFit(
-            indices=indices,
-            values=arr[indices],
-            bucket_nnz=ks,
-            bucket_thresholds=thresholds,
-            target_ratio=ratio,
-            ops=[
-                OpRecord("elementwise", arr.size),
-                OpRecord("topk_select", arr.size, int(ks.sum())),
-            ],
-        )
+        d, total = layout.total_size, segs.per_worker(ks)
+        ops = [[OpRecord("elementwise", d), OpRecord("topk_select", d, k)] for k in total]
+        return segs.split(flat, indices, ks, thresholds.tolist(), ratio, ops)
 
 
 class NoCompression(Compressor):
@@ -75,14 +52,17 @@ class NoCompression(Compressor):
 
     name = "none"
 
-    def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float = 1.0) -> BucketedFit:
-        arr = np.asarray(gradient, dtype=np.float64).ravel()
-        return BucketedFit(
-            indices=np.arange(arr.size),
-            values=arr,
-            bucket_nnz=layout.sizes(),
-            bucket_thresholds=[None] * layout.num_buckets,
-            target_ratio=1.0,
-            ops=[OpRecord("elementwise", 0)],
-            metadata={"dense": True},
-        )
+    @grouped
+    def fit_all_buckets(self, rows: np.ndarray, layout, ratio: float, group) -> list[BucketedFit]:
+        return [
+            BucketedFit(
+                indices=np.arange(row.size),
+                values=row,
+                bucket_nnz=layout.sizes(),
+                bucket_thresholds=[None] * layout.num_buckets,
+                target_ratio=1.0,
+                ops=[OpRecord("elementwise", 0)],
+                metadata={"dense": True},
+            )
+            for row in rows
+        ]

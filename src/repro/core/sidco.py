@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..compressors.base import BucketedFit, Compressor, CompressionResult, OpRecord
+from ..compressors.bucketed import grouped, segments
 from ..stats.fitting import SIDName, validate_sid
 from .stages import StageController, StageControllerConfig
 from .threshold import DEFAULT_FIRST_STAGE_RATIO, estimate_multi_stage
@@ -127,50 +128,53 @@ class SIDCo(Compressor):
         self.controller.observe(result.achieved_k, target_k)
         return result
 
-    def fit_all_buckets(self, gradient: np.ndarray, layout, ratio: float) -> BucketedFit | None:
+    def compress_group(self, gradients: np.ndarray, ratio: float, group=None) -> list[CompressionResult]:
+        """Each member's scalar :meth:`compress` of its row: unbucketed SIDCo fits one worker at a time."""
+        return [member.compress(row, ratio) for member, row in zip(group or [self], gradients, strict=True)]
+
+    @grouped
+    def fit_all_buckets(self, rows: np.ndarray, layout, ratio: float, group) -> list[BucketedFit | None]:
         """Batched per-bucket SID fitting, streamed block by block over the buckets.
 
-        Declines (returns ``None``) on degenerate gradients with no tail to
-        fit; the pipeline then falls back to the whole-vector degenerate
-        handling of :meth:`compress`.  A NaN or infinite element raises
-        ``ValueError``.  The stage controller is *not* observed
-        here — the pipeline observes the global achieved selection once per
-        call, exactly like the unbucketed compressor.
+        One estimator pass runs per distinct stage count in the group.
+        Declines a row (``None``) with no tail to fit; the pipeline then falls
+        back to the whole-vector degenerate handling of :meth:`compress`.  A
+        NaN or infinite element raises ``ValueError``.  The stage controllers
+        are *not* observed here — the pipeline observes each worker's global
+        achieved selection once per call, exactly like the unbucketed
+        compressor.
         """
         # Deferred import: repro.pipeline imports this module at load time.
         from ..pipeline.vectorized import estimate_multi_stage_bucketed
 
-        arr = np.asarray(gradient, dtype=np.float64).ravel()
-        d = arr.size
+        d = layout.total_size
+        fits: list[BucketedFit | None] = [None] * len(rows)
         if d < 2:
-            return None
-        estimate = estimate_multi_stage_bucketed(
-            arr,
-            layout,
-            ratio,
-            self.sid,
-            self.controller.num_stages,
-            first_stage_ratio=self.first_stage_ratio,
-        )
-        if not estimate.has_tail:
-            return None
-        # The modelled trace keeps the whole-gradient compare and compaction.
-        nnz = int(estimate.bucket_nnz.sum())
-        ops = [_abs_pass(d), *estimate.ops, OpRecord("elementwise", d), OpRecord("compact", d, nnz)]
-        return BucketedFit(
-            indices=estimate.indices,
-            values=arr[estimate.indices],
-            bucket_nnz=estimate.bucket_nnz,
-            bucket_thresholds=estimate.thresholds,
-            target_ratio=ratio,
-            ops=ops,
-            metadata={
-                "sid": self.sid,
-                "num_stages_configured": self.controller.num_stages,
-                "stages_used": int(estimate.stages_used.max()),
-                "bucket_stages_used": estimate.stages_used,
-            },
-        )
+            return fits
+        stages = np.array([member.controller.num_stages for member in group])
+        for num_stages in np.unique(stages).tolist():
+            members = np.flatnonzero(stages == num_stages)
+            part = rows if members.size == len(rows) else rows[members]
+            estimate = estimate_multi_stage_bucketed(
+                part, layout, ratio, self.sid, num_stages, first_stage_ratio=self.first_stage_ratio
+            )
+            segs = segments(layout, members.size)
+            stages_used = estimate.stages_used.reshape(members.size, -1)
+            metadata, ops = [], []
+            for trace, nnz, used in zip(estimate.ops, segs.per_worker(estimate.bucket_nnz), stages_used):
+                # The modelled trace keeps the whole-gradient compare and compaction.
+                ops.append([_abs_pass(d), *trace, OpRecord("elementwise", d), OpRecord("compact", d, nnz)])
+                metadata.append({
+                    "sid": self.sid,
+                    "num_stages_configured": num_stages,
+                    "stages_used": int(used.max()),
+                    "bucket_stages_used": used,
+                })
+            split = segs.split(part.ravel(), estimate.indices, estimate.bucket_nnz,
+                               estimate.thresholds, ratio, ops, metadata)
+            for g, fit, tail in zip(members.tolist(), split, estimate.has_tail.tolist()):
+                fits[g] = fit if tail else None
+        return fits
 
 
 def _sid_suffix(sid: str) -> str:

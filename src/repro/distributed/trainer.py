@@ -6,8 +6,10 @@
    gradient on the shared replica; workers run in groups, one stacked
    forward/backward per group (``worker.compute_gradients``), bit-for-bit
    what one pass per worker gives,
-2. the gradient is error-feedback corrected and compressed by the worker's own
-   compressor instance,
+2. the gradients are clipped, error-feedback corrected and compressed in one
+   call over their ``(G, D)`` matrix (``worker.compress_gradients``): one
+   ``fit_all_buckets`` fits every worker's buckets, each worker with its own
+   compressor instance's state, bit-for-bit what one call per worker gives,
 3. sparse contributions are aggregated with all-gather semantics (dense
    all-reduce for the no-compression baseline),
 4. every replica applies the same averaged update (so one shared model object
@@ -44,7 +46,7 @@ from .metrics import IterationRecord, TrainingMetrics
 from .network import CLUSTER_ETHERNET_10G, NetworkModel
 from .timeline import TimelineModel
 from .topology import ClusterTopology, get_topology
-from .worker import Worker, compute_gradients
+from .worker import Worker, compress_gradients, compute_gradients
 
 
 @dataclass
@@ -301,19 +303,22 @@ class DistributedTrainer:
             if not workers:
                 raise RuntimeError("fault injection left no active workers this iteration")
 
-        worker_steps = []
-        for worker, loss, flat in compute_gradients(workers, iteration=iteration):
-            if in_warmup and not self.is_baseline:
-                # Warm-up: train uncompressed (the paper's 5-epoch warm-up).
-                worker_steps.append((loss, self._warmup_compressor.compress(flat, 1.0), flat))
-            else:
-                step = worker.compress_gradient(loss, flat, cfg.ratio)
-                worker_steps.append((step.loss, step.compression, step.corrected_gradient))
-        losses = [s[0] for s in worker_steps]
-        results = [s[1] for s in worker_steps]
+        # Gradients land in one (G, D) matrix, group by group, which
+        # compression then clips and error-corrects in place.
+        rows = np.empty((len(workers), self.flat_spec.total_size))
+        losses = []
+        for row, (_, loss, flat) in zip(rows, compute_gradients(workers, iteration=iteration)):
+            row[:] = flat
+            losses.append(loss)
+        if in_warmup and not self.is_baseline:
+            # Warm-up: train uncompressed (the paper's 5-epoch warm-up).
+            warmup = self._warmup_compressor
+            results = warmup.compress_group(rows, 1.0, [warmup] * len(rows))
+        else:
+            results, _ = compress_gradients(workers, rows, cfg.ratio)
 
         if self.capture is not None:
-            self.capture.record(iteration, worker_steps[0][2])
+            self.capture.record(iteration, rows[0])
 
         # Nominal-rate timing (the components every record reports) and, under
         # faults, the sync policy's verdict: which of the active workers'
@@ -323,19 +328,17 @@ class DistributedTrainer:
             None if dense else results, rates, self.sync_policy
         )
         if faulted is None:
-            participating_steps = worker_steps
+            participating = range(len(workers))
             iteration_seconds = timing.total
         else:
             keep = faulted.outcome.participating
-            participating_steps = [
-                step for w, step in zip(rates.active_indices, worker_steps) if keep[w]
-            ]
+            participating = [i for i, w in enumerate(rates.active_indices) if keep[w]]
             iteration_seconds = faulted.iteration_seconds
 
         if dense:
-            collective = allreduce_dense([s[2] for s in participating_steps])
+            collective = allreduce_dense([rows[i] for i in participating])
         else:
-            collective = allgather_sparse([s[1].sparse for s in participating_steps])
+            collective = allgather_sparse([results[i].sparse for i in participating])
 
         aggregated = collective.aggregated
         named_grads = unflatten(aggregated, self.flat_spec)
@@ -357,7 +360,7 @@ class DistributedTrainer:
                 iteration_time=iteration_seconds,
                 serialized_time=timing.serialized,
                 wall_time=wall_time,
-                samples=cfg.batch_size * len(participating_steps),
+                samples=cfg.batch_size * len(participating),
                 learning_rate=lr,
                 dedup_ratio=timing.dedup_ratio,
                 participating_workers=(

@@ -12,6 +12,9 @@ stacks the batches of up to ``model.worker_group`` workers into one forward
 and one backward, so a group of G workers costs one pass's NumPy call overhead
 instead of G.  Every worker's loss and gradient stay bit-for-bit what its own
 pass gives.
+
+:func:`compress_gradients` then clips, error-corrects and compresses the
+``(G, D)`` matrix in one call, bit-for-bit what each worker's own call gives.
 """
 
 from __future__ import annotations
@@ -81,27 +84,8 @@ class Worker:
     def step(self, ratio: float) -> WorkerStep:
         """Compute, (optionally) clip + error-correct, and compress this worker's gradient."""
         loss, flat = self.compute_gradient()
-        return self.compress_gradient(loss, flat, ratio)
-
-    def compress_gradient(self, loss: float, flat: np.ndarray, ratio: float) -> WorkerStep:
-        """(Optionally) clip + error-correct, and compress one computed gradient."""
-        if self.clip_norm is not None:
-            flat, _ = clip_flat_by_norm(flat, self.clip_norm)
-        gradient_norm = float(np.linalg.norm(flat))
-
-        if self.error_feedback is not None:
-            corrected = self.error_feedback.correct(flat)
-        else:
-            corrected = flat
-        result = self.compressor.compress(corrected, ratio)
-        if self.error_feedback is not None:
-            self.error_feedback.update(corrected, result.sparse)
-        return WorkerStep(
-            loss=loss,
-            compression=result,
-            gradient_norm=gradient_norm,
-            corrected_gradient=corrected,
-        )
+        [result], [norm] = compress_gradients([self], flat[None], ratio)
+        return WorkerStep(loss=loss, compression=result, gradient_norm=norm, corrected_gradient=flat)
 
     def reset(self) -> None:
         """Clear per-run state (compressor adaptation and residual memory)."""
@@ -150,6 +134,29 @@ def compute_gradients(
         if model.workers is not None:
             # Leave the shared model set up for ordinary unstacked calls.
             model.zero_grad()
+
+
+def compress_gradients(
+    workers: Sequence[Worker], rows: np.ndarray, ratio: float
+) -> tuple[list[CompressionResult], list[float]]:
+    """(Optionally) clip + error-correct, and compress every worker's row of the ``(G, D)`` ``rows``.
+
+    Clipping and correction overwrite ``rows``, which ends up holding the
+    compressed gradients.  Returns the compression results and each clipped
+    gradient's L2 norm.
+    """
+    first = workers[0]
+    if first.clip_norm is not None:
+        for row in rows:
+            row[:] = clip_flat_by_norm(row, first.clip_norm)[0]
+    norms = [float(np.linalg.norm(row)) for row in rows]
+    memories = [] if first.error_feedback is None else [worker.error_feedback for worker in workers]
+    for memory, row in zip(memories, rows):
+        memory.correct(row, out=row)
+    results = first.compressor.compress_group(rows, ratio, [worker.compressor for worker in workers])
+    for memory, row, result in zip(memories, rows, results):
+        memory.update(row, result.sparse)
+    return results, norms
 
 
 def _group_pass(

@@ -14,7 +14,7 @@ and returns the rows a figure panel plots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..distributed.knobs import SimulationKnobs
 from ..distributed.network import CLUSTER_ETHERNET_10G, NetworkModel
@@ -105,6 +105,15 @@ def _resolve_topology(
     return resolved, resolved.num_workers
 
 
+def _grown_to_one_batch_per_worker(config: BenchmarkConfig, num_workers: int) -> BenchmarkConfig:
+    """``config``, its proxy dataset grown to one batch per worker if it has fewer examples than workers."""
+    key = "num_sequences" if config.proxy_dataset == "language" else "num_examples"
+    if config.proxy_dataset_kwargs.get(key, num_workers) >= num_workers:
+        return config
+    grown = {**config.proxy_dataset_kwargs, key: num_workers * config.proxy_batch_size}
+    return replace(config, proxy_dataset_kwargs=grown)
+
+
 def _trainer_config(
     config: BenchmarkConfig,
     ratio: float,
@@ -161,7 +170,7 @@ def run_benchmark(
     config = benchmark if isinstance(benchmark, BenchmarkConfig) else get_benchmark(benchmark)
     knobs = knobs if knobs is not None else SimulationKnobs()
     resolved_topology, num_workers = _resolve_topology(knobs.topology, num_workers)
-    dataset = config.build_proxy_dataset(seed=seed)
+    dataset = _grown_to_one_batch_per_worker(config, num_workers).build_proxy_dataset(seed=seed)
     model = config.build_proxy_model(seed=seed + 1)
     trainer_cfg = _trainer_config(
         config, ratio, num_workers=num_workers, iterations=iterations, seed=seed, network=network,

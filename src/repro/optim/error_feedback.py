@@ -32,12 +32,12 @@ class ErrorFeedback:
     def reset(self) -> None:
         self._memory.fill(0.0)
 
-    def correct(self, gradient: np.ndarray) -> np.ndarray:
-        """Return ``gradient + residual`` — the vector that should be compressed."""
+    def correct(self, gradient: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Return ``gradient + residual`` — the vector that should be compressed — into ``out`` if given."""
         grad = np.asarray(gradient, dtype=np.float64).ravel()
         if grad.size != self.dimension:
             raise ValueError(f"gradient has {grad.size} elements, expected {self.dimension}")
-        return grad + self._memory
+        return np.add(grad, self._memory, out=out)
 
     def update(self, corrected_gradient: np.ndarray, transmitted: SparseGradient) -> None:
         """Store the part of ``corrected_gradient`` that was *not* transmitted."""

@@ -29,6 +29,7 @@ timeline model (per-bucket communication pricing) and tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,7 @@ class BucketLayout:
         return cls(total_size=total_size, bucket_size=bucket_bytes // element_bytes)
 
     @classmethod
+    @functools.lru_cache(maxsize=64)
     def from_flat_spec(
         cls,
         spec: FlatSpec,

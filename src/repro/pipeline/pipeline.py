@@ -10,8 +10,9 @@ overlap).
 
 The pipeline does not loop over buckets: the wrapped compressor's
 :meth:`~repro.compressors.base.Compressor.fit_all_buckets` fits *all* buckets
-in one batched NumPy pass and the pipeline packages the returned
-:class:`~repro.compressors.base.BucketedFit`.  An unbucketed ``compress`` is
+in one batched NumPy pass (of every worker's buckets, for
+:meth:`CompressionPipeline.compress_group`) and the pipeline packages the
+returned :class:`~repro.compressors.base.BucketedFit`.  An unbucketed ``compress`` is
 the same fit over a one-bucket layout.  For SIDCo the batched pass is
 :func:`~repro.pipeline.vectorized.estimate_multi_stage_bucketed`, sharing the
 wrapped instance's stage controller, which observes the global achieved
@@ -20,9 +21,12 @@ selection once per call exactly like the unbucketed compressor.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..compressors.base import BucketedFit, Compressor, CompressionResult
+from ..compressors.bucketed import fit_group
 from ..core.sidco import SIDCo
 from ..tensor.flatten import FlatSpec
 from ..tensor.sparse import FLOAT_BYTES, INDEX_BYTES, SparseGradient
@@ -92,28 +96,31 @@ class CompressionPipeline(Compressor):
         return BucketLayout.from_bytes(size, self.bucket_bytes, element_bytes=self.element_bytes)
 
     def compress(self, gradient: np.ndarray, ratio: float) -> CompressionResult:
-        arr = self._validate(gradient, ratio)
-        layout = self.layout_for(arr.size)
-        if isinstance(self.compressor, SIDCo):
-            return self._compress_sidco(arr, ratio, layout)
-        return self._result_from_fit(self.compressor.fit_all_buckets(arr, layout, ratio), layout)
-
-    def _compress_sidco(self, arr: np.ndarray, ratio: float, layout: BucketLayout) -> CompressionResult:
-        inner: SIDCo = self.compressor
-        fit = inner.fit_all_buckets(arr, layout, ratio)
-        if fit is None:
-            # No tail to fit anywhere; let the wrapped compressor's degenerate
-            # handling pick the selection, but keep the pipeline's metadata
-            # contract (per-bucket payloads) intact for the timeline model.
-            result = inner.compress(arr, ratio)
-            bucket_nnz = np.bincount(
-                layout.bucket_of(result.sparse.indices), minlength=layout.num_buckets
-            ).astype(np.int64)
-            result.metadata.update(self._bucket_metadata(layout, bucket_nnz, degenerate=True))
-            return result
-        result = self._result_from_fit(fit, layout)
-        inner.controller.observe(result.achieved_k, self._target_k(arr.size, ratio))
+        [result] = self.compress_group(self._validate(gradient, ratio)[None], ratio)
         return result
+
+    def compress_group(self, gradients: np.ndarray, ratio: float, group=None) -> list[CompressionResult]:
+        """:meth:`Compressor.compress_group` of pipelines: one ``fit_all_buckets`` fits all rows' buckets."""
+        rows = np.asarray(gradients, dtype=np.float64)
+        layout = self.layout_for(self._validate(rows[0], ratio).size)
+        inners = [pipeline.compressor for pipeline in group or [self]]
+        results = []
+        for row, inner, fit in zip(rows, inners, fit_group(self.compressor, rows, layout, ratio, inners)):
+            if fit is None:
+                # No tail to fit anywhere; let the wrapped compressor's degenerate
+                # handling pick the selection, but keep the pipeline's metadata
+                # contract (per-bucket payloads) intact for the timeline model.
+                result = inner.compress(row, ratio)
+                bucket_nnz = np.bincount(
+                    layout.bucket_of(result.sparse.indices), minlength=layout.num_buckets
+                ).astype(np.int64)
+                result.metadata.update(self._bucket_metadata(layout, bucket_nnz, degenerate=True))
+            else:
+                result = self._result_from_fit(fit, layout)
+                if isinstance(inner, SIDCo):
+                    inner.controller.observe(result.achieved_k, self._target_k(row.size, ratio))
+            results.append(result)
+        return results
 
     def _result_from_fit(self, fit: BucketedFit, layout: BucketLayout) -> CompressionResult:
         """Package a batched :class:`BucketedFit` with per-bucket metadata.
@@ -124,11 +131,12 @@ class CompressionPipeline(Compressor):
         """
         bucket_nnz = np.asarray(fit.bucket_nnz, dtype=np.int64)
         sparse = SparseGradient(indices=fit.indices, values=fit.values, dense_size=layout.total_size)
-        have = [t for t in fit.bucket_thresholds if t is not None and np.isfinite(t)]
+        thresholds = np.asarray(fit.bucket_thresholds, dtype=np.float64)  # None reads as NaN
+        have = thresholds[np.isfinite(thresholds)]
         return CompressionResult(
             sparse=sparse,
             target_ratio=fit.target_ratio,
-            threshold=float(np.mean(have)) if have else None,
+            threshold=float(have.mean()) if have.size else None,
             ops=list(fit.ops),
             metadata=self._bucket_metadata(
                 layout,
@@ -143,15 +151,21 @@ class CompressionPipeline(Compressor):
 
     @staticmethod
     def _bucket_metadata(layout: BucketLayout, bucket_nnz: np.ndarray, **extra) -> dict:
-        payload = (bucket_nnz * (FLOAT_BYTES + INDEX_BYTES)).tolist()
+        sizes, ready = _layout_lists(layout)
         meta = {
             "num_buckets": layout.num_buckets,
             "bucket_size": layout.bucket_size,
-            "bucket_sizes": layout.sizes().tolist(),
-            "bucket_ready_fractions": layout.ready_fractions().tolist(),
+            "bucket_sizes": list(sizes),
+            "bucket_ready_fractions": list(ready),
             "layer_aware": not layout.is_uniform,
             "bucket_nnz": bucket_nnz.tolist(),
-            "bucket_payload_bytes": payload,
+            "bucket_payload_bytes": (bucket_nnz * (FLOAT_BYTES + INDEX_BYTES)).tolist(),
         }
         meta.update(extra)
         return meta
+
+
+@functools.lru_cache(maxsize=64)
+def _layout_lists(layout: BucketLayout) -> tuple[list[int], list[float]]:
+    """A layout's bucket sizes and ready fractions as lists (copied into each result)."""
+    return layout.sizes().tolist(), layout.ready_fractions().tolist()

@@ -6,7 +6,9 @@ bucket of a :class:`~repro.pipeline.bucketing.BucketLayout`, runs all buckets
 through each fitting stage together, and selects each bucket's elements at or
 above its final threshold.  It streams the gradient in blocks of whole
 buckets through one reused scratch buffer, so it allocates no array the size
-of the gradient (unless one bucket is the whole gradient):
+of the gradient (unless one bucket is the whole gradient).  A ``(G, D)``
+matrix of G workers' gradients is fitted in the same pass over its
+(worker, bucket) segments, and each worker gets the fit its own call makes:
 
 * pass 1 takes each bucket's stage-one moments of ``|g|`` as
   ``np.add.reduceat`` segments of its block;
@@ -30,10 +32,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..compressors import bucketed
 from ..compressors.base import OpRecord
 from ..compressors.bucketed import abs_block
 from ..core.threshold import MIN_STAGE_SAMPLE, stage_sid
@@ -45,61 +48,40 @@ from .bucketing import BucketLayout
 #: its exponential limit.
 _GP_SHAPE_EPS = 1e-8
 
-#: Most elements in a block of consecutive whole buckets (a larger bucket is a
-#: block of its own).  Many tiny buckets share one block, so the NumPy call
-#: count of a fit does not grow with the bucket count.
-_BLOCK_ELEMENTS = 1 << 18
-
-
 @dataclass
 class BucketedThresholdEstimate:
-    """Per-bucket thresholds and selections from one batched multi-stage estimation."""
+    """Per-segment ((worker, bucket), worker-major) results of one batched multi-stage estimation."""
 
-    thresholds: np.ndarray  # (num_buckets,) final per-bucket thresholds
-    stages_used: np.ndarray  # (num_buckets,) stages actually fitted per bucket
-    indices: np.ndarray  # ascending flat indices of |g| >= their bucket's threshold
-    bucket_nnz: np.ndarray  # (num_buckets,) selected elements per bucket
-    has_tail: bool  # False when every |g| is 0.0: there is nothing to fit
-    ops: list[OpRecord] = field(default_factory=list)
-
-
-@functools.lru_cache(maxsize=64)
-def _plan(layout: BucketLayout) -> tuple[np.ndarray, tuple[tuple, ...]]:
-    """Bucket sizes and the greedily filled blocks ``(start, stop, b0, b1, edges)``.
-
-    ``edges`` are the block's bucket starts and its stop, relative to
-    ``start``.  The arrays are shared between calls, so they are read-only.
-    """
-    sizes = layout.sizes()
-    sizes.flags.writeable = False
-    bounds = layout.starts().tolist() + [layout.total_size]
-    blocks, b0 = [], 0
-    for b in range(1, len(sizes) + 1):
-        if b == len(sizes) or bounds[b + 1] - bounds[b0] > _BLOCK_ELEMENTS:
-            edges = np.asarray(bounds[b0 : b + 1]) - bounds[b0]
-            edges.flags.writeable = False
-            blocks.append((bounds[b0], bounds[b], b0, b, edges))
-            b0 = b
-    return sizes, tuple(blocks)
+    thresholds: np.ndarray  # (segments,) final per-segment thresholds
+    stages_used: np.ndarray  # (segments,) stages actually fitted per segment
+    indices: np.ndarray  # ascending flat indices of |g| >= their segment's threshold
+    bucket_nnz: np.ndarray  # (segments,) selected elements per segment
+    has_tail: np.ndarray  # (workers,) False where every |g| of the row is 0.0
+    ops: list[list[OpRecord]]  # one trace per worker
 
 
-def _stage_one_moments(arr: np.ndarray, blocks: tuple, num: int, sid: str, scratch: np.ndarray):
-    """Pass 1: ``(sums, sumsq, pos_counts, pos_logsums)`` of each bucket's ``|g|``.
+def _stage_one_moments(arr: np.ndarray, segs, sid: str, scratch: np.ndarray):
+    """Pass 1: ``(sums, sumsq, pos_counts, pos_logsums)`` of each segment's ``|g|``.
 
     ``sumsq`` is only taken for the GP SID, the positive count and log-sum
-    only for gamma.  A bucket's sum is non-finite when it holds a NaN or an
+    only for gamma.  A segment's sum is non-finite when it holds a NaN or an
     infinity, or when finite magnitudes overflow; only then is the max read.
     """
+    num = segs.sizes.size
     sums, sumsq, pos_counts, pos_logsums = np.empty(num), None, None, None
     if sid == "gpareto":
         sumsq, work = np.empty(num), np.empty_like(scratch)
     elif sid == "gamma":
         pos_counts, pos_logsums = np.empty(num), np.empty(num)
     # Block 0 last: pass 2 starts with it and finds its |g| still in the scratch buffer.
-    for start, stop, b0, b1, edges in reversed(blocks):
+    for start, stop, b0, b1, edges in reversed(segs.blocks):
         mags = abs_block(arr, start, stop, scratch)
         # ``.sum()`` and segments round differently; one-bucket pins use ``.sum()``.
-        segment_sums = np.sum if num == 1 else functools.partial(np.add.reduceat, indices=edges[:-1])
+        if segs.buckets == 1:
+            def segment_sums(values, edges=edges):
+                return [values[a:b].sum() for a, b in zip(edges[:-1], edges[1:])]
+        else:
+            segment_sums = functools.partial(np.add.reduceat, indices=edges[:-1])
         sums[b0:b1] = segment_sums(mags)
         if not np.isfinite(sums[b0:b1]).all() and not math.isfinite(mags.max()):
             raise ValueError("gradient contains NaN or infinite values")
@@ -127,12 +109,12 @@ class _Exceedances:
         for i, (start, stop, b0, b1, _) in enumerate(blocks):
             spread = cutoff[b0] if b1 - b0 == 1 else np.repeat(cutoff[b0:b1], sizes[b0:b1])
             # Pass 1 ends on block 0: a one-piece block 0 is still in scratch.
-            reuse = i == 0 and stop - start <= _BLOCK_ELEMENTS
+            reuse = i == 0 and stop - start <= bucketed.BLOCK_ELEMENTS
             # Elements are independent here, so a bucket larger than a block
             # is compared in block-sized pieces that stay cache-resident.
             hits, values = [], []
-            for lo in range(start, stop, _BLOCK_ELEMENTS):
-                hi = min(lo + _BLOCK_ELEMENTS, stop)
+            for lo in range(start, stop, bucketed.BLOCK_ELEMENTS):
+                hi = min(lo + bucketed.BLOCK_ELEMENTS, stop)
                 mags = scratch[: hi - lo] if reuse else abs_block(arr, lo, hi, scratch)
                 hit = np.flatnonzero(mags >= spread)
                 values.append(mags[hit])
@@ -247,28 +229,35 @@ def estimate_multi_stage_bucketed(
     """Batched per-bucket :func:`~repro.core.threshold.estimate_multi_stage`, plus each bucket's selection.
 
     ``gradient`` may be signed or already ``|g|``; a NaN or infinite element
-    raises ``ValueError``.
+    raises ``ValueError``.  A ``(G, D)`` gradient fits G rows in one pass: the
+    estimate then covers their (worker, bucket) segments and the flattened
+    matrix, and each row's part, trace included, equals a call on that row.
     """
     validate_sid(sid)
-    arr = np.asarray(gradient, dtype=np.float64).ravel()
-    if arr.size != layout.total_size:
-        raise ValueError(f"gradient has {arr.size} elements, layout expects {layout.total_size}")
+    rows = np.asarray(gradient, dtype=np.float64)
+    rows = rows.reshape(-1, rows.shape[-1]) if rows.ndim > 1 else rows.reshape(1, -1)
+    if rows.shape[1] != layout.total_size:
+        raise ValueError(f"gradient has {rows.shape[1]} elements, layout expects {layout.total_size}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if num_stages < 1:
         raise ValueError(f"num_stages must be >= 1, got {num_stages}")
 
-    num = layout.num_buckets
-    sizes, blocks = _plan(layout)
+    workers, arr = len(rows), rows.ravel()
+    segs = bucketed.segments(layout, workers)
+    sizes, num = segs.sizes, segs.sizes.size
     target_k = delta * sizes.astype(np.float64)
-    scratch = np.empty(max(block[1] - block[0] for block in blocks))
-    stage_one = _stage_one_moments(arr, blocks, num, stage_sid(sid, 0), scratch)
+    scratch = segs.scratch()
+    stage_one = _stage_one_moments(arr, segs, stage_sid(sid, 0), scratch)
 
     thresholds = np.full(num, np.inf)
     eta_prev = np.zeros(num)
     active = np.ones(num, dtype=bool)
     stages_used = np.zeros(num, dtype=np.int64)
-    ops: list[OpRecord] = []
+    ops: list[list[OpRecord]] = [[] for _ in range(workers)]
+    # Workers still in the stage loop: a worker's own call leaves the loop
+    # once none of its buckets is active, so its trace stops there too.
+    live = np.ones(workers, dtype=bool)
 
     # Stage one reduces in pass 1; later stages over the carried exceedances.
     carried: _Exceedances | None = None
@@ -287,7 +276,8 @@ def estimate_multi_stage_bucketed(
             shrunk = active & (counts < min_stage_sample)
             thresholds[shrunk] = eta_prev[shrunk]
             active = active & ~shrunk
-        if not active.any():
+        live &= active.reshape(workers, -1).any(axis=1)
+        if not live.any():
             break
 
         needed = np.where(counts > 0, target_k / np.maximum(counts, 1), np.inf)
@@ -306,7 +296,7 @@ def estimate_multi_stage_bucketed(
             delta_m = np.where(is_last, needed, np.maximum(geometric, needed))
 
         this_sid = stage_sid(sid, m)
-        active_elems = int(counts[active].sum())
+        active_elems = segs.per_worker(np.where(active, counts, 0))
         if m == 0:
             sums, sumsq, pos_counts, pos_logsums = stage_one
             loc = np.zeros(num)
@@ -314,7 +304,8 @@ def estimate_multi_stage_bucketed(
             sums, sumsq = carried.moments(active, this_sid == "gpareto")
             pos_counts = pos_logsums = None
             loc = eta_prev
-        ops.extend(_batched_fit_ops(this_sid, active_elems))
+        for g in np.flatnonzero(live).tolist():
+            ops[g].extend(_batched_fit_ops(this_sid, active_elems[g]))
 
         eta = _fit_stage_thresholds(
             this_sid, delta_m, counts, sums, sumsq, pos_counts, pos_logsums, loc, active
@@ -330,13 +321,16 @@ def estimate_multi_stage_bucketed(
         # into the next; finished ones carry their final selection.
         cutoff = np.where(active, eta_prev, thresholds)
         if m == 0:
-            carried = _Exceedances(arr, blocks, sizes, cutoff, scratch)
-        if not active.any():
+            carried = _Exceedances(arr, segs.blocks, sizes, cutoff, scratch)
+        live &= active.reshape(workers, -1).any(axis=1)
+        if not live.any():
             break
         if m > 0:
             carried.compact(cutoff)
-        ops.append(OpRecord("elementwise", int(counts.sum())))
-        ops.append(OpRecord("compact", int(counts.sum()), int(carried.counts[active].sum())))
+        streamed = segs.per_worker(counts)
+        kept = segs.per_worker(np.where(active, carried.counts, 0))
+        for g in np.flatnonzero(live).tolist():
+            ops[g] += [OpRecord("elementwise", streamed[g]), OpRecord("compact", streamed[g], kept[g])]
 
     # Any bucket never finalised (loop exhausted while shrinking) keeps its
     # last stage threshold.
@@ -348,7 +342,7 @@ def estimate_multi_stage_bucketed(
         stages_used=stages_used,
         indices=carried.selection(),
         bucket_nnz=carried.counts,
-        has_tail=bool(stage_one[0].any()),
+        has_tail=stage_one[0].reshape(workers, -1).any(axis=1),
         ops=ops,
     )
 

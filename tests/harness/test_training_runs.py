@@ -4,6 +4,8 @@ import pytest
 
 from repro.distributed import SimulationKnobs
 from repro.harness import compare_compressors, run_benchmark
+from repro.harness.configs import TABLE1, get_benchmark
+from repro.harness.training_runs import _grown_to_one_batch_per_worker
 
 
 class TestRunBenchmark:
@@ -47,6 +49,24 @@ class TestRunBenchmark:
             run_benchmark("resnet20-cifar10", "topk", 0.01, **{knob: value})
         with pytest.raises(TypeError, match=knob):
             compare_compressors("resnet20-cifar10", ("topk",), (0.01,), **{knob: value})
+
+
+class TestProxyDatasetSize:
+    """A dataset with fewer examples than workers grows to one batch per worker; others stay."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE1))
+    def test_grows_only_when_it_cannot_be_sharded(self, name):
+        config = get_benchmark(name)
+        key = "num_sequences" if config.proxy_dataset == "language" else "num_examples"
+        size = config.proxy_dataset_kwargs[key]
+        assert _grown_to_one_batch_per_worker(config, 32) is config
+        assert _grown_to_one_batch_per_worker(config, size) is config
+        assert _grown_to_one_batch_per_worker(config, size + 1) is not config
+        grown = _grown_to_one_batch_per_worker(config, 1024)
+        assert grown.proxy_dataset_kwargs == {
+            **config.proxy_dataset_kwargs, key: 1024 * config.proxy_batch_size
+        }
+        assert len(grown.build_proxy_dataset(seed=0)) == 1024 * config.proxy_batch_size
 
 
 class TestCompareCompressors:

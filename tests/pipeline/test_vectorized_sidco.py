@@ -128,6 +128,6 @@ class TestEstimatorDirect:
         batched = estimate_multi_stage_bucketed(
             abs_flat, layout, 0.1, "exponential", 1, first_stage_ratio=0.25
         )
-        reduces = [op for op in batched.ops if op.op == "reduce"]
+        reduces = [op for op in batched.ops[0] if op.op == "reduce"]
         assert len(reduces) == 1
         assert reduces[0].size == abs_flat.size

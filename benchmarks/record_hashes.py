@@ -1,4 +1,4 @@
-"""Fingerprint nine trainer runs, so two trees can be checked bit for bit.
+"""Fingerprint ten trainer runs, so two trees can be checked bit for bit.
 
 Each run trains one proxy through ``DistributedTrainer`` and is reduced to the
 sha256 of ``repr(metrics.records) + repr(final_evaluation)``.  Running this
@@ -7,12 +7,12 @@ every record and final evaluation exactly.  The hashes are not pinned
 anywhere: GEMM bits differ across CPUs, so only two trees run on the same
 machine can be compared.
 
-The nine runs cover SIDCo, DGC, Top-k and the dense baseline; both LSTM
-proxies and the CNN proxy; the clean path, a straggler with backup workers,
-warm-up iterations, ragged shards (every group size from 1 to 8) and worker
-churn::
+The ten runs cover SIDCo (bucketed and unbucketed, exponential and
+generalized Pareto), DGC, Top-k and the dense baseline; both LSTM proxies and
+the CNN proxy; the clean path, a straggler with backup workers, warm-up
+iterations, ragged shards (every group size from 1 to 8) and worker churn::
 
-    PYTHONPATH=src python benchmarks/record_hashes.py            # all nine
+    PYTHONPATH=src python benchmarks/record_hashes.py            # all ten
     PYTHONPATH=src python benchmarks/record_hashes.py --only lstm-ptb-dgc
 """
 
@@ -79,6 +79,8 @@ RUNS = {
     "lstm-ptb-sidco-churn": _ragged_run("lstm-ptb", "sidco-e", churn=True),
     "lstm-an4-topk-churn": _ragged_run("lstm-an4", "topk", churn=True),
     "lstm-ptb-none-ragged": _ragged_run("lstm-ptb", "none", churn=False, warmup_iterations=0),
+    # Unbucketed SIDCo-p over 8 workers: one grouped one-bucket fit per iteration.
+    "lstm-ptb-sidco-p": _benchmark_run("lstm-ptb", "sidco-p", 0.01, seed=4),
 }
 
 

@@ -8,12 +8,22 @@ land within the paper's tolerance band — the design choice SIDCo is built on.
 import numpy as np
 import pytest
 
-from repro.core.threshold import estimate_multi_stage
+from repro.core.threshold import DEFAULT_FIRST_STAGE_RATIO
 from repro.gradients import realistic_gradient
 from repro.harness import format_table
+from repro.pipeline import BucketLayout, estimate_multi_stage_bucketed
 
 STAGES = (1, 2, 3, 4)
 RATIOS = (0.01, 0.001, 0.0001)
+
+
+def threshold(abs_grad, ratio, stages):
+    """SIDCo-e's threshold for the whole vector: the one-bucket fit."""
+    layout = BucketLayout(total_size=abs_grad.size, bucket_size=abs_grad.size)
+    estimate = estimate_multi_stage_bucketed(
+        abs_grad, layout, ratio, "exponential", stages, first_stage_ratio=DEFAULT_FIRST_STAGE_RATIO
+    )
+    return estimate.thresholds[0]
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +34,7 @@ def quality_by_stage():
             qualities = []
             for seed in range(8):
                 abs_grad = np.abs(realistic_gradient(150_000, seed=seed))
-                estimate = estimate_multi_stage(abs_grad, ratio, "exponential", stages)
-                achieved = float(np.mean(abs_grad >= estimate.threshold))
+                achieved = float(np.mean(abs_grad >= threshold(abs_grad, ratio, stages)))
                 qualities.append(achieved / ratio)
             out[(ratio, stages)] = float(np.mean(qualities))
     return out
@@ -33,7 +42,7 @@ def quality_by_stage():
 
 def test_ablation_stage_count(benchmark, quality_by_stage):
     benchmark(
-        lambda: estimate_multi_stage(np.abs(realistic_gradient(150_000, seed=0)), 0.001, "exponential", 2)
+        lambda: threshold(np.abs(realistic_gradient(150_000, seed=0)), 0.001, 2)
     )
     rows = [
         {"ratio": ratio, "stages": stages, "khat_over_k": quality_by_stage[(ratio, stages)]}

@@ -131,7 +131,8 @@ class Compressor:
 
         One call fits every row; each result, and each member's state
         afterwards, is exactly what ``group[g].compress(gradients[g], ratio)``
-        gives.  The members share ``self``'s configuration.
+        gives.  The members share ``self``'s configuration; a group whose
+        length is not G raises ``ValueError``.
         """
         # Deferred import: repro.pipeline imports this module at load time.
         from ..pipeline.bucketing import BucketLayout
@@ -189,50 +190,3 @@ class Compressor:
     def _target_k(size: int, ratio: float) -> int:
         """Number of elements to keep: ``max(1, round(ratio * d))``."""
         return max(1, int(round(ratio * size)))
-
-    @staticmethod
-    def _result_from_threshold(
-        gradient: np.ndarray,
-        threshold: float,
-        ratio: float,
-        ops: list[OpRecord],
-        metadata: dict | None = None,
-    ) -> CompressionResult:
-        """Select all elements with ``|g| >= threshold`` and package the result."""
-        mask = np.abs(gradient) >= threshold
-        ops.append(OpRecord("elementwise", gradient.size))
-        ops.append(OpRecord("compact", gradient.size, int(mask.sum())))
-        sparse = SparseGradient.from_mask(gradient, mask)
-        return CompressionResult(
-            sparse=sparse,
-            target_ratio=ratio,
-            threshold=float(threshold),
-            ops=ops,
-            metadata=metadata or {},
-        )
-
-    @staticmethod
-    def _result_from_topk(
-        gradient: np.ndarray,
-        k: int,
-        ratio: float,
-        ops: list[OpRecord],
-        metadata: dict | None = None,
-    ) -> CompressionResult:
-        """Keep exactly the ``k`` largest-magnitude elements."""
-        magnitudes = np.abs(gradient)
-        ops.append(OpRecord("elementwise", gradient.size))
-        if k >= gradient.size:
-            indices = np.arange(gradient.size)
-        else:
-            indices = np.argpartition(magnitudes, gradient.size - k)[gradient.size - k :]
-        ops.append(OpRecord("topk_select", gradient.size, k))
-        sparse = SparseGradient(indices=indices, values=gradient[indices], dense_size=gradient.size)
-        threshold = float(np.abs(gradient[indices]).min()) if indices.size else 0.0
-        return CompressionResult(
-            sparse=sparse,
-            target_ratio=ratio,
-            threshold=threshold,
-            ops=ops,
-            metadata=metadata or {},
-        )

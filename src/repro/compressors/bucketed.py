@@ -125,7 +125,12 @@ def grouped(fit):
 
 
 def fit_group(compressor, rows: np.ndarray, layout, ratio: float, group: Sequence) -> list:
-    """``fit_all_buckets`` over a group; one call per row if it was written for one gradient."""
+    """``fit_all_buckets`` over a group, one member per row.
+
+    A ``fit_all_buckets`` written for one gradient is called once per row.
+    """
+    if len(group) != len(rows):
+        raise ValueError(f"{len(rows)} gradients for a group of {len(group)} compressors")
     if getattr(compressor.fit_all_buckets, "grouped", False):
         return compressor.fit_all_buckets(rows, layout, ratio, group=group)
     return [member.fit_all_buckets(row, layout, ratio) for member, row in zip(group, rows, strict=True)]

@@ -9,15 +9,7 @@ from .convergence import (
 )
 from .sidco import SIDCo, VARIANT_TO_SID
 from .stages import StageController, StageControllerConfig
-from .threshold import (
-    DEFAULT_FIRST_STAGE_RATIO,
-    MIN_STAGE_SAMPLE,
-    ThresholdEstimate,
-    estimate_multi_stage,
-    estimate_single_stage,
-    stage_ratios,
-    stage_sid,
-)
+from .threshold import DEFAULT_FIRST_STAGE_RATIO, MIN_STAGE_SAMPLE, stage_sid
 
 __all__ = [
     "DEFAULT_FIRST_STAGE_RATIO",
@@ -27,13 +19,9 @@ __all__ = [
     "SIDCo",
     "StageController",
     "StageControllerConfig",
-    "ThresholdEstimate",
     "contraction_factor",
     "error_feedback_residual_bound",
-    "estimate_multi_stage",
-    "estimate_single_stage",
     "extra_iterations_fraction",
     "iterations_to_sgd_rate",
-    "stage_ratios",
     "stage_sid",
 ]

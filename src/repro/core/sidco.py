@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..compressors.base import BucketedFit, Compressor, CompressionResult, OpRecord
+from ..compressors.base import BucketedFit, Compressor, OpRecord
 from ..compressors.bucketed import grouped, segments
 from ..stats.fitting import SIDName, validate_sid
 from .stages import StageController, StageControllerConfig
-from .threshold import DEFAULT_FIRST_STAGE_RATIO, estimate_multi_stage
+from .threshold import DEFAULT_FIRST_STAGE_RATIO
 
 #: Map from the paper's variant names to the first-stage SID they use.
 VARIANT_TO_SID: dict[str, SIDName] = {
@@ -82,75 +82,21 @@ class SIDCo(Compressor):
         """Current number of fitting stages chosen by the controller."""
         return self.controller.num_stages
 
-    def compress(self, gradient: np.ndarray, ratio: float) -> CompressionResult:
-        arr = self._validate(gradient, ratio)
-        d = arr.size
-        target_k = self._target_k(d, ratio)
-
-        abs_grad = np.abs(arr)
-        max_abs = float(abs_grad.max())
-        if not np.isfinite(max_abs):
-            raise ValueError("gradient contains NaN or infinite values")
-        if d < 2 or max_abs == 0.0:
-            # Degenerate input (single element, or no tail at all): there is
-            # nothing to fit, so fall back to an exact-k selection instead of
-            # handing the SID fitters an empty/ill-posed sample.
-            result = self._result_from_topk(
-                arr,
-                target_k,
-                ratio,
-                ops=[_abs_pass(d)],
-                metadata={"sid": self.sid, "degenerate": True},
-            )
-            self.controller.observe(result.achieved_k, target_k)
-            return result
-
-        estimate = estimate_multi_stage(
-            abs_grad,
-            ratio,
-            self.sid,
-            self.controller.num_stages,
-            first_stage_ratio=self.first_stage_ratio,
-        )
-        result = self._result_from_threshold(
-            arr,
-            estimate.threshold,
-            ratio,
-            [_abs_pass(d), *estimate.ops],
-            metadata={
-                "sid": self.sid,
-                "stages_used": estimate.stages_used,
-                "stage_thresholds": estimate.stage_thresholds,
-                "stage_ratios": estimate.stage_ratios,
-                "num_stages_configured": self.controller.num_stages,
-            },
-        )
-        self.controller.observe(result.achieved_k, target_k)
-        return result
-
-    def compress_group(self, gradients: np.ndarray, ratio: float, group=None) -> list[CompressionResult]:
-        """Each member's scalar :meth:`compress` of its row: unbucketed SIDCo fits one worker at a time."""
-        return [member.compress(row, ratio) for member, row in zip(group or [self], gradients, strict=True)]
-
     @grouped
-    def fit_all_buckets(self, rows: np.ndarray, layout, ratio: float, group) -> list[BucketedFit | None]:
+    def fit_all_buckets(self, rows: np.ndarray, layout, ratio: float, group) -> list[BucketedFit]:
         """Batched per-bucket SID fitting, streamed block by block over the buckets.
 
-        One estimator pass runs per distinct stage count in the group.
-        Declines a row (``None``) with no tail to fit; the pipeline then falls
-        back to the whole-vector degenerate handling of :meth:`compress`.  A
-        NaN or infinite element raises ``ValueError``.  The stage controllers
-        are *not* observed here — the pipeline observes each worker's global
-        achieved selection once per call, exactly like the unbucketed
-        compressor.
+        One estimator pass runs per distinct stage count in the group.  A row
+        with no tail to fit (one element, or no nonzero magnitude) keeps the
+        ``k`` largest magnitudes instead, marked ``degenerate``.  A NaN or
+        infinite element raises ``ValueError``.  Each member's stage
+        controller then observes its row's achieved selection once.
         """
         # Deferred import: repro.pipeline imports this module at load time.
         from ..pipeline.vectorized import estimate_multi_stage_bucketed
 
         d = layout.total_size
         fits: list[BucketedFit | None] = [None] * len(rows)
-        if d < 2:
-            return fits
         stages = np.array([member.controller.num_stages for member in group])
         for num_stages in np.unique(stages).tolist():
             members = np.flatnonzero(stages == num_stages)
@@ -173,8 +119,29 @@ class SIDCo(Compressor):
             split = segs.split(part.ravel(), estimate.indices, estimate.bucket_nnz,
                                estimate.thresholds, ratio, ops, metadata)
             for g, fit, tail in zip(members.tolist(), split, estimate.has_tail.tolist()):
-                fits[g] = fit if tail else None
+                fits[g] = fit if tail and d >= 2 else None
+        target_k = self._target_k(d, ratio)
+        for g, (member, row) in enumerate(zip(group, rows)):
+            if fits[g] is None:
+                fits[g] = self._fit_top_k(row, layout, ratio, target_k)
+            member.controller.observe(int(fits[g].bucket_nnz.sum()), target_k)
         return fits
+
+    def _fit_top_k(self, row: np.ndarray, layout, ratio: float, k: int) -> BucketedFit:
+        """The ``k`` largest magnitudes of a row with no tail to fit, in ``argpartition`` order."""
+        d = row.size
+        magnitudes = np.abs(row)
+        indices = np.arange(d) if k >= d else np.argpartition(magnitudes, d - k)[d - k :]
+        threshold = float(magnitudes[indices].min())
+        return BucketedFit(
+            indices=indices,
+            values=row[indices],
+            bucket_nnz=np.bincount(layout.bucket_of(indices), minlength=layout.num_buckets),
+            bucket_thresholds=np.full(layout.num_buckets, threshold),
+            target_ratio=ratio,
+            ops=[_abs_pass(d), OpRecord("elementwise", d), OpRecord("topk_select", d, k)],
+            metadata={"sid": self.sid, "degenerate": True},
+        )
 
 
 def _sid_suffix(sid: str) -> str:

@@ -20,7 +20,7 @@ The default controller therefore *adds* a stage whenever the windowed average
 falls outside the tolerance band and otherwise keeps the current count.
 Extra configured stages are free when they are not needed: the estimator
 collapses to fewer stages automatically once the remaining ratio is moderate
-(see :func:`repro.core.threshold.estimate_multi_stage`).  The pseudocode
+(see :func:`repro.pipeline.vectorized.estimate_multi_stage_bucketed`).  The pseudocode
 printed in the paper's Algorithm 1 instead decrements on over-selection and
 increments on under-selection; that variant is available via
 ``paper_pseudocode_direction=True`` and is compared in the adaptation

@@ -14,9 +14,9 @@ in one batched NumPy pass (of every worker's buckets, for
 :meth:`CompressionPipeline.compress_group`) and the pipeline packages the
 returned :class:`~repro.compressors.base.BucketedFit`.  An unbucketed ``compress`` is
 the same fit over a one-bucket layout.  For SIDCo the batched pass is
-:func:`~repro.pipeline.vectorized.estimate_multi_stage_bucketed`, sharing the
-wrapped instance's stage controller, which observes the global achieved
-selection once per call exactly like the unbucketed compressor.
+:func:`~repro.pipeline.vectorized.estimate_multi_stage_bucketed`, and the
+wrapped instance's stage controller observes the global achieved selection
+once per call inside the fit, exactly like the unbucketed compressor.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 
 from ..compressors.base import BucketedFit, Compressor, CompressionResult
 from ..compressors.bucketed import fit_group
-from ..core.sidco import SIDCo
 from ..tensor.flatten import FlatSpec
 from ..tensor.sparse import FLOAT_BYTES, INDEX_BYTES, SparseGradient
 from .bucketing import DEFAULT_BUCKET_BYTES, BucketLayout
@@ -104,23 +103,8 @@ class CompressionPipeline(Compressor):
         rows = np.asarray(gradients, dtype=np.float64)
         layout = self.layout_for(self._validate(rows[0], ratio).size)
         inners = [pipeline.compressor for pipeline in group or [self]]
-        results = []
-        for row, inner, fit in zip(rows, inners, fit_group(self.compressor, rows, layout, ratio, inners)):
-            if fit is None:
-                # No tail to fit anywhere; let the wrapped compressor's degenerate
-                # handling pick the selection, but keep the pipeline's metadata
-                # contract (per-bucket payloads) intact for the timeline model.
-                result = inner.compress(row, ratio)
-                bucket_nnz = np.bincount(
-                    layout.bucket_of(result.sparse.indices), minlength=layout.num_buckets
-                ).astype(np.int64)
-                result.metadata.update(self._bucket_metadata(layout, bucket_nnz, degenerate=True))
-            else:
-                result = self._result_from_fit(fit, layout)
-                if isinstance(inner, SIDCo):
-                    inner.controller.observe(result.achieved_k, self._target_k(row.size, ratio))
-            results.append(result)
-        return results
+        fits = fit_group(self.compressor, rows, layout, ratio, inners)
+        return [self._result_from_fit(fit, layout) for fit in fits]
 
     def _result_from_fit(self, fit: BucketedFit, layout: BucketLayout) -> CompressionResult:
         """Package a batched :class:`BucketedFit` with per-bucket metadata.

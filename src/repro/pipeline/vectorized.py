@@ -1,36 +1,40 @@
 """Batched multi-stage SID threshold estimation over gradient buckets.
 
-:func:`estimate_multi_stage_bucketed` reproduces
-:func:`repro.core.threshold.estimate_multi_stage` independently for every
-bucket of a :class:`~repro.pipeline.bucketing.BucketLayout`, runs all buckets
-through each fitting stage together, and selects each bucket's elements at or
-above its final threshold.  It streams the gradient in blocks of whole
-buckets through one reused scratch buffer, so it allocates no array the size
-of the gradient (unless one bucket is the whole gradient).  A ``(G, D)``
-matrix of G workers' gradients is fitted in the same pass over its
-(worker, bucket) segments, and each worker gets the fit its own call makes:
+:func:`estimate_multi_stage_bucketed` is SIDCo's only threshold estimator
+(the multi-stage loop of Algorithm 1, Sections 2.3-2.4).  It fits every bucket
+of a :class:`~repro.pipeline.bucketing.BucketLayout` on its own, runs all
+buckets through each fitting stage together, and selects each bucket's
+elements at or above its final threshold; unbucketed SIDCo is its one-bucket
+case.  It streams the gradient in blocks of whole buckets through one reused
+scratch buffer, so it allocates no array the size of the gradient (unless one
+bucket is the whole gradient).  A ``(G, D)`` matrix of G workers' gradients
+is fitted in the same pass over its (worker, bucket) segments, and each worker
+gets the fit its own call makes:
 
-* pass 1 takes each bucket's stage-one moments of ``|g|`` as
-  ``np.add.reduceat`` segments of its block;
+* pass 1 takes each bucket's stage-one moments of ``|g|``;
 * pass 2 keeps each bucket's elements at or above its stage-one cutoff;
-* later stages are per-block ``np.bincount`` reductions over those carried
-  exceedances.  Stage thresholds never decrease, so the final selection
-  filters the carried set too;
+* later stages reduce those carried exceedances, which lie contiguous by
+  bucket.  Stage thresholds never decrease, so the final selection filters
+  the carried set too;
 * the closed-form thresholds (Corollaries 1.1-1.3, Lemma 2) are evaluated
   element-wise across the bucket axis.
 
+Every moment follows the formula order of :mod:`repro.stats.fitting`: the
+mean is ``sum(x - loc) / n``, the GP variance the two-pass ``sum((x - mu)**2)
+/ n`` and gamma fits the positive magnitudes only.  Segment sums are
+``.sum()`` per segment on one-bucket layouts and ``np.add.reduceat`` segments
+otherwise, so a one-bucket fit equals the scalar fit of the whole gradient
+bit for bit.
+
 Per-bucket control flow (per-stage ratios, the ``is_last`` collapse, the
-minimum-sample stopping rule, the single-stage fallback for tiny buckets)
-follows the scalar estimator exactly, tracked with boolean bucket masks, so
-the thresholds agree with a per-bucket scalar loop up to floating-point
-reduction order.  Buckets whose fit would be degenerate (all-zero, or too few
-exceedances for a GP moment match) — cases where the scalar estimator raises
-— get a ``+inf`` threshold instead, i.e. they simply select nothing.
+minimum-sample stopping rule, the single-stage fit of tiny buckets) is
+tracked with boolean bucket masks.  A bucket whose fit is degenerate
+(all-zero, a non-positive mean excess, or too few exceedances or no variance
+for a GP moment match) gets a ``+inf`` threshold: it selects nothing.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -60,54 +64,77 @@ class BucketedThresholdEstimate:
     ops: list[list[OpRecord]]  # one trace per worker
 
 
-def _stage_one_moments(arr: np.ndarray, segs, sid: str, scratch: np.ndarray):
-    """Pass 1: ``(sums, sumsq, pos_counts, pos_logsums)`` of each segment's ``|g|``.
+def _segment_sums(values: np.ndarray, edges: np.ndarray, one_bucket: bool) -> np.ndarray:
+    """Sums of ``values`` between consecutive ``edges`` (``edges[-1] == values.size``); 0.0 where empty.
 
-    ``sumsq`` is only taken for the GP SID, the positive count and log-sum
-    only for gamma.  A segment's sum is non-finite when it holds a NaN or an
-    infinity, or when finite magnitudes overflow; only then is the max read.
+    ``.sum()`` and ``reduceat`` segments round differently: one-bucket layouts
+    take ``.sum()`` per segment, as the scalar fit's ``mean`` does.
     """
-    num = segs.sizes.size
-    sums, sumsq, pos_counts, pos_logsums = np.empty(num), None, None, None
+    if one_bucket:
+        return np.array([values[a:b].sum() for a, b in zip(edges[:-1], edges[1:])])
+    sums = np.zeros(edges.size - 1)
+    nonempty = edges[1:] > edges[:-1]
+    if nonempty.any():
+        sums[nonempty] = np.add.reduceat(values, edges[:-1][nonempty])
+    return sums
+
+
+def _spread(per_bucket: np.ndarray, sizes: np.ndarray):
+    """Each bucket's entry of ``per_bucket`` repeated over its ``sizes`` elements; a scalar for one bucket."""
+    return per_bucket[0] if per_bucket.size == 1 else np.repeat(per_bucket, sizes)
+
+
+def _stage_one_moments(arr: np.ndarray, segs, sid: str, scratch: np.ndarray):
+    """Pass 1: ``(sums, sqdev, pos_counts, pos_logsums)`` of each segment's ``|g|``.
+
+    Gamma fits the positive magnitudes only: its ``sums`` are theirs, with
+    their count and log-sum.  The GP SID also gets ``sqdev``, each segment's
+    sum of squared deviations from its mean.  A segment's sum is non-finite
+    when it holds a NaN or an infinity, or when finite magnitudes overflow;
+    only then is the max read.
+    """
+    num, one_bucket = segs.sizes.size, segs.buckets == 1
+    sums, sqdev, pos_counts, pos_logsums = np.empty(num), None, None, None
     if sid == "gpareto":
-        sumsq, work = np.empty(num), np.empty_like(scratch)
+        sqdev, work = np.empty(num), np.empty_like(scratch)
     elif sid == "gamma":
-        pos_counts, pos_logsums = np.empty(num), np.empty(num)
+        pos_counts, pos_logsums = np.empty(num, dtype=np.int64), np.empty(num)
     # Block 0 last: pass 2 starts with it and finds its |g| still in the scratch buffer.
     for start, stop, b0, b1, edges in reversed(segs.blocks):
         mags = abs_block(arr, start, stop, scratch)
-        # ``.sum()`` and segments round differently; one-bucket pins use ``.sum()``.
-        if segs.buckets == 1:
-            def segment_sums(values, edges=edges):
-                return [values[a:b].sum() for a, b in zip(edges[:-1], edges[1:])]
-        else:
-            segment_sums = functools.partial(np.add.reduceat, indices=edges[:-1])
-        sums[b0:b1] = segment_sums(mags)
+        values, at = mags, edges
+        if pos_counts is not None:
+            # ``~(<= 0)`` keeps NaNs, which must reach the finiteness check.
+            kept = np.flatnonzero(~(mags <= 0.0))
+            values, at = mags[kept], np.searchsorted(kept, edges)
+            pos_counts[b0:b1] = np.diff(at)
+        sums[b0:b1] = _segment_sums(values, at, one_bucket)
         if not np.isfinite(sums[b0:b1]).all() and not math.isfinite(mags.max()):
             raise ValueError("gradient contains NaN or infinite values")
-        if sumsq is not None:
-            sumsq[b0:b1] = segment_sums(np.multiply(mags, mags, out=work[: stop - start]))
+        if sqdev is not None:
+            sizes = segs.sizes[b0:b1]
+            dev = np.subtract(mags, _spread(sums[b0:b1] / sizes, sizes), out=work[: stop - start])
+            sqdev[b0:b1] = _segment_sums(np.multiply(dev, dev, out=dev), edges, one_bucket)
         elif pos_counts is not None:
-            positive = mags > 0.0
-            pos_counts[b0:b1] = segment_sums(positive.astype(np.float64))
-            pos_logsums[b0:b1] = segment_sums(np.log(np.where(positive, mags, 1.0)))
-    return sums, sumsq, None if pos_counts is None else pos_counts.astype(np.int64), pos_logsums
+            pos_logsums[b0:b1] = _segment_sums(np.log(values), at, one_bucket)
+    return sums, sqdev, pos_counts, pos_logsums
 
 
 class _Exceedances:
     """Per block, the elements at or above their bucket's cutoff (pass 2 onwards).
 
-    A block carries ``(indices, values, ids)``: ascending block-relative
-    indices, their ``|g|`` and their block-local bucket ids.  ``counts`` holds
-    the carried elements per bucket, ``cutoff`` the cutoffs last applied.
+    A block carries ``(indices, values, at)``: ascending block-relative
+    indices, their ``|g|`` and each bucket's first position among them (plus
+    their count).  ``counts`` holds the carried elements per bucket,
+    ``cutoff`` the cutoffs last applied.
     """
 
-    def __init__(self, arr, blocks: tuple, sizes: np.ndarray, cutoff: np.ndarray, scratch: np.ndarray):
-        self.blocks, self.cutoff = blocks, cutoff
-        self.counts = np.empty(sizes.size, dtype=np.int64)
-        self.carried: list = [None] * len(blocks)
-        for i, (start, stop, b0, b1, _) in enumerate(blocks):
-            spread = cutoff[b0] if b1 - b0 == 1 else np.repeat(cutoff[b0:b1], sizes[b0:b1])
+    def __init__(self, arr, segs, cutoff: np.ndarray, scratch: np.ndarray):
+        self.blocks, self.cutoff, self.one_bucket = segs.blocks, cutoff, segs.buckets == 1
+        self.counts = np.empty(segs.sizes.size, dtype=np.int64)
+        self.carried: list = [None] * len(self.blocks)
+        for i, (start, stop, b0, b1, _) in enumerate(self.blocks):
+            spread = _spread(cutoff[b0:b1], segs.sizes[b0:b1])
             # Pass 1 ends on block 0: a one-piece block 0 is still in scratch.
             reuse = i == 0 and stop - start <= bucketed.BLOCK_ELEMENTS
             # Elements are independent here, so a bucket larger than a block
@@ -128,29 +155,32 @@ class _Exceedances:
         _, _, b0, b1, edges = self.blocks[i]
         at = np.searchsorted(indices, edges)
         self.counts[b0:b1] = at[1:] - at[:-1]
-        self.carried[i] = (indices, values, np.repeat(np.arange(b1 - b0), self.counts[b0:b1]))
+        self.carried[i] = (indices, values, at)
 
-    def moments(self, active: np.ndarray, squares: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """Per-bucket sums (and sums of squares) of the values carried for active buckets.
+    def moments(self, active: np.ndarray, loc: np.ndarray, squares: bool) -> tuple[np.ndarray, ...]:
+        """Per-bucket sums of the carried values' excess over ``loc`` (and of its squared deviations).
 
-        ``bincount`` adds each bin's weights one by one in element order, so
-        a bucket's sum is the whole-gradient ``bincount``'s bit for bit.
+        Taken for the blocks holding an active bucket; each bucket's carried
+        values lie contiguous, so they reduce as segments like pass 1.
         """
-        sums, sumsq = np.zeros(active.size), np.zeros(active.size) if squares else None
-        for (_, _, b0, b1, _), (_, values, ids) in zip(self.blocks, self.carried):
+        sums, sqdev = np.zeros(active.size), np.zeros(active.size) if squares else None
+        for (_, _, b0, b1, _), (_, values, at) in zip(self.blocks, self.carried):
             if active[b0:b1].any():
-                sums[b0:b1] = np.bincount(ids, weights=values, minlength=b1 - b0)
+                counts = self.counts[b0:b1]
+                excess = values - _spread(loc[b0:b1], counts)
+                sums[b0:b1] = _segment_sums(excess, at, self.one_bucket)
                 if squares:
-                    sumsq[b0:b1] = np.bincount(ids, weights=values * values, minlength=b1 - b0)
-        return sums, sumsq
+                    excess -= _spread(sums[b0:b1] / np.maximum(counts, 1), counts)
+                    sqdev[b0:b1] = _segment_sums(np.multiply(excess, excess, out=excess), at, self.one_bucket)
+        return sums, sqdev
 
     def compact(self, cutoff: np.ndarray) -> None:
         """Keep the carried elements at or above ``cutoff`` where it rose (it never falls)."""
         changed, self.cutoff = cutoff != self.cutoff, cutoff
         for i, (_, _, b0, b1, _) in enumerate(self.blocks):
             if changed[b0:b1].any():
-                indices, values, ids = self.carried[i]
-                keep = np.flatnonzero(values >= (cutoff[b0] if b1 - b0 == 1 else cutoff[b0:b1][ids]))
+                indices, values, _ = self.carried[i]
+                keep = np.flatnonzero(values >= _spread(cutoff[b0:b1], self.counts[b0:b1]))
                 self._carry(i, indices[keep], values[keep])
 
     def selection(self) -> np.ndarray:
@@ -163,7 +193,7 @@ def _fit_stage_thresholds(
     delta_m: np.ndarray,
     counts: np.ndarray,
     sums: np.ndarray,
-    sumsq: np.ndarray | None,
+    sqdev: np.ndarray | None,
     pos_counts: np.ndarray | None,
     pos_logsums: np.ndarray | None,
     loc: np.ndarray,
@@ -171,37 +201,34 @@ def _fit_stage_thresholds(
 ) -> np.ndarray:
     """Vectorised ``Thresh_Estimation`` across the bucket axis.
 
-    Mirrors :func:`repro.stats.fitting.estimate_threshold` bucket-wise;
-    buckets outside ``mask`` or with degenerate moments get ``+inf``.
+    Mirrors :func:`repro.stats.fitting.estimate_threshold` bucket-wise, from
+    the sums of each bucket's excess over ``loc`` (gamma: of its positive
+    magnitudes) and, for GP, of its squared deviations.  Buckets outside
+    ``mask`` or with degenerate moments get ``+inf``.
     """
     num = delta_m.size
     eta = np.full(num, np.inf)
     cnt = np.maximum(counts, 1).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if sid == "exponential":
-            mean = sums / cnt - loc
+            mean = sums / cnt
             ok = mask & (counts > 0) & (mean > 0.0)
             eta[ok] = mean[ok] * np.log(1.0 / delta_m[ok]) + loc[ok]
         elif sid == "gamma":
             # Gamma fitting only ever happens at stage one (loc == 0) and, like
-            # the scalar Gamma.fit, uses the strictly-positive sample only.
+            # Gamma.fit, uses the strictly-positive sample only.
             pcnt = np.maximum(pos_counts, 1).astype(np.float64)
             mean = sums / pcnt
-            s = np.log(np.maximum(mean, 1e-300)) - pos_logsums / pcnt
-            shape = np.where(
-                s <= 0.0,
-                1e6,
-                (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / np.maximum(12.0 * s, 1e-300),
-            )
-            shape = np.clip(shape, 1e-6, 1e6)
-            scale = mean / shape
             ok = mask & (pos_counts > 0) & (mean > 0.0)
-            raw = -scale * (np.log(delta_m) + special.log_gamma(shape))
-            eta[ok] = np.maximum(raw, 0.0)[ok] + loc[ok]
+            s = np.log(mean[ok]) - pos_logsums[ok] / pcnt[ok]
+            # Minka's shape bucket by bucket, as Gamma.fit evaluates it: its
+            # ``** 2`` (libm ``pow``) and an array square round differently.
+            shape = np.clip([special.minka_gamma_shape(x) for x in s.tolist()], 1e-6, 1e6)
+            raw = -(mean[ok] / shape) * (np.log(delta_m[ok]) + special.log_gamma(shape))
+            eta[ok] = np.maximum(raw, 0.0) + loc[ok]
         else:  # gpareto
-            mu = sums / cnt - loc
-            ex2 = (sumsq - 2.0 * loc * sums) / cnt + loc * loc
-            var = ex2 - mu * mu
+            mu = sums / cnt
+            var = sqdev / cnt
             ok = mask & (counts >= 2) & (mu > 0.0) & (var > 0.0)
             ratio2 = np.where(ok, mu * mu / np.where(var > 0.0, var, 1.0), 1.0)
             shape = np.clip(0.5 * (1.0 - ratio2), -0.499, 0.499)
@@ -226,7 +253,17 @@ def estimate_multi_stage_bucketed(
     first_stage_ratio: float,
     min_stage_sample: int = MIN_STAGE_SAMPLE,
 ) -> BucketedThresholdEstimate:
-    """Batched per-bucket :func:`~repro.core.threshold.estimate_multi_stage`, plus each bucket's selection.
+    """SIDCo's multi-stage peak-over-threshold fit of every bucket, plus each bucket's selection.
+
+    Each stage fits the SID of :func:`~repro.core.threshold.stage_sid` to the
+    bucket's current exceedances, takes the threshold for its per-stage ratio
+    and filters.  Stage one uses ``first_stage_ratio``, intermediate stages
+    split the remaining gap geometrically and the last one targets exactly
+    ``k`` out of the exceedances the previous stage actually kept (Section
+    2.4's ``delta_2 = k_2 / k_1``), so each stage corrects the fitting error of
+    the one before it.  A bucket smaller than ``min_stage_sample`` gets one
+    stage at ``delta``; one whose exceedances shrink below it keeps its last
+    threshold.
 
     ``gradient`` may be signed or already ``|g|``; a NaN or infinite element
     raises ``ValueError``.  A ``(G, D)`` gradient fits G rows in one pass: the
@@ -268,7 +305,7 @@ def estimate_multi_stage_bucketed(
         fallback = np.zeros(num, dtype=bool)
         if m == 0:
             # Tiny buckets: single-stage fit on the whole bucket at the raw
-            # target ratio (the scalar estimator's fallback path).
+            # target ratio.
             fallback = active & (counts < min_stage_sample)
         else:
             # Exceedance set too small to fit another stage: stop refining and
@@ -292,23 +329,26 @@ def estimate_multi_stage_bucketed(
             delta_m = np.where(fallback, delta, delta_m)
             is_last = is_last | fallback
         else:
-            geometric = np.power(needed, 1.0 / remaining)
+            # Python's ``**`` (libm ``pow``), as the scalar fit: ``np.power``
+            # over an array rounds differently.
+            geometric, refine = needed.copy(), active & ~is_last
+            geometric[refine] = [x ** (1.0 / remaining) for x in needed[refine].tolist()]
             delta_m = np.where(is_last, needed, np.maximum(geometric, needed))
 
         this_sid = stage_sid(sid, m)
         active_elems = segs.per_worker(np.where(active, counts, 0))
         if m == 0:
-            sums, sumsq, pos_counts, pos_logsums = stage_one
+            sums, sqdev, pos_counts, pos_logsums = stage_one
             loc = np.zeros(num)
         else:
-            sums, sumsq = carried.moments(active, this_sid == "gpareto")
-            pos_counts = pos_logsums = None
             loc = eta_prev
+            sums, sqdev = carried.moments(active, loc, this_sid == "gpareto")
+            pos_counts = pos_logsums = None
         for g in np.flatnonzero(live).tolist():
             ops[g].extend(_batched_fit_ops(this_sid, active_elems[g]))
 
         eta = _fit_stage_thresholds(
-            this_sid, delta_m, counts, sums, sumsq, pos_counts, pos_logsums, loc, active
+            this_sid, delta_m, counts, sums, sqdev, pos_counts, pos_logsums, loc, active
         )
         eta = np.maximum(eta, eta_prev)
         stages_used[active] += 1
@@ -321,7 +361,7 @@ def estimate_multi_stage_bucketed(
         # into the next; finished ones carry their final selection.
         cutoff = np.where(active, eta_prev, thresholds)
         if m == 0:
-            carried = _Exceedances(arr, segs.blocks, sizes, cutoff, scratch)
+            carried = _Exceedances(arr, segs, cutoff, scratch)
         live &= active.reshape(workers, -1).any(axis=1)
         if not live.any():
             break
@@ -348,11 +388,11 @@ def estimate_multi_stage_bucketed(
 
 
 def _batched_fit_ops(sid: str, size: int) -> list[OpRecord]:
-    """Primitive trace of one batched (all-buckets-at-once) SID fit.
+    """Primitive trace of one batched (all-buckets-at-once) SID fit over ``size`` elements.
 
-    Sizes mirror :func:`repro.core.threshold._fit_ops` but cover every active
-    bucket in a single fused pass, so there is one launch per primitive rather
-    than one per bucket — the modelling counterpart of the vectorisation.
+    Exponential: one mean reduction; gamma: a log pass with its reduction plus
+    the mean; generalized Pareto: mean + variance.  One launch per primitive
+    covers every active bucket, the modelling counterpart of the batching.
     """
     if sid == "exponential":
         return [OpRecord("reduce", size)]

@@ -65,7 +65,7 @@ class TestCompression:
         result = SIDCo("exponential").compress(medium_gradient, 0.01)
         assert result.metadata["sid"] == "exponential"
         assert result.metadata["stages_used"] >= 1
-        assert len(result.metadata["stage_thresholds"]) == result.metadata["stages_used"]
+        assert result.metadata["stages_used"] <= result.metadata["num_stages_configured"]
 
     def test_reset_restores_single_stage(self):
         compressor = SIDCo("exponential")
@@ -134,3 +134,27 @@ class TestNonFiniteGradients:
         pipeline = CompressionPipeline(SIDCo.from_variant(variant), bucket_bytes=16 * 1024)
         with pytest.raises(ValueError, match="NaN or infinite"):
             pipeline.compress(self._gradient(bad), 0.01)
+
+
+@pytest.mark.parametrize("bucketed", [False, True], ids=["whole", "bucketed"])
+@pytest.mark.parametrize(
+    "variant, stages", [("sidco-p", 1), ("sidco-gp", 2), ("sidco-gp", 3)]
+)
+@pytest.mark.parametrize("size", [4096, 12_345])
+def test_degenerate_stage_fit_selects_nothing(variant, stages, bucketed, size):
+    """A constant magnitude leaves the GP fit no variance: the bucket's threshold is +inf.
+
+    The rule is one for both layouts: the call returns a valid, empty
+    selection and never raises.
+    """
+    gradient = np.where(realistic_gradient(size, seed=6) < 0.0, -0.01, 0.01)
+    compressor = SIDCo.from_variant(variant, controller=StageControllerConfig(initial_stages=stages))
+    if bucketed:
+        from repro.pipeline import CompressionPipeline
+
+        compressor = CompressionPipeline(compressor, bucket_bytes=4 * 1024)
+    for _ in range(2):
+        result = compressor.compress(gradient, 0.01)
+        assert result.sparse.dense_size == size
+        assert result.sparse.nnz == 0
+        assert np.all(np.isfinite(result.sparse.values))

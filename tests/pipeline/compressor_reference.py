@@ -6,17 +6,18 @@ fits all buckets in one call.  The functions below are the scalar
 implementations those replaced, kept statement for statement so the batched
 fits can be held bit-for-bit equal to them:
 
-* one ``*_compress`` body per baseline compressor, taking the compressor
-  instance as ``self`` (:func:`reference_compress` picks the right one);
+* one ``*_compress`` body per compressor, SIDCo's included, taking the
+  compressor instance as ``self`` (:func:`reference_compress` picks the right
+  one), with the threshold/top-k result helpers they shared;
 * the pipeline's per-bucket loop (:func:`reference_pipeline_compress`): the
   generic loop calls :func:`reference_compress` on every bucket view, and
-  SIDCo runs :func:`repro.core.threshold.estimate_multi_stage` bucket by
-  bucket (``_fit_sidco_loop``).  Both take the pipeline as ``self``;
-  :class:`ReferencePipeline` is a pipeline whose ``compress`` is that loop.
+  SIDCo runs the scalar :func:`~.threshold_reference.estimate_multi_stage`
+  bucket by bucket (``_fit_sidco_loop``).  Both take the pipeline as
+  ``self``; :class:`ReferencePipeline` is a pipeline whose ``compress`` is
+  that loop.
 
-The threshold/top-k result helpers of :class:`~repro.compressors.base.Compressor`
-and the pipeline's bucket-metadata helper are shared with the library, which
-keeps them unchanged.
+The pipeline's bucket-metadata helper is shared with the library, which keeps
+it unchanged.
 """
 
 from __future__ import annotations
@@ -32,18 +33,116 @@ from repro.compressors.redsync import RedSync
 from repro.compressors.threshold_fixed import AdaptiveHardThreshold
 from repro.compressors.topk import NoCompression, TopK
 from repro.core.sidco import SIDCo
-from repro.core.threshold import estimate_multi_stage
 from repro.pipeline import CompressionPipeline
 from repro.pipeline.bucketing import BucketLayout, merge_sparse_buckets, split_into_buckets
 from repro.tensor.sparse import SparseGradient
 
+from .threshold_reference import estimate_multi_stage
+
+# -- the result helpers --------------------------------------------------------
+
+
+def _result_from_threshold(
+    gradient: np.ndarray,
+    threshold: float,
+    ratio: float,
+    ops: list[OpRecord],
+    metadata: dict | None = None,
+) -> CompressionResult:
+    """Select all elements with ``|g| >= threshold`` and package the result."""
+    mask = np.abs(gradient) >= threshold
+    ops.append(OpRecord("elementwise", gradient.size))
+    ops.append(OpRecord("compact", gradient.size, int(mask.sum())))
+    sparse = SparseGradient.from_mask(gradient, mask)
+    return CompressionResult(
+        sparse=sparse,
+        target_ratio=ratio,
+        threshold=float(threshold),
+        ops=ops,
+        metadata=metadata or {},
+    )
+
+
+def _result_from_topk(
+    gradient: np.ndarray,
+    k: int,
+    ratio: float,
+    ops: list[OpRecord],
+    metadata: dict | None = None,
+) -> CompressionResult:
+    """Keep exactly the ``k`` largest-magnitude elements."""
+    magnitudes = np.abs(gradient)
+    ops.append(OpRecord("elementwise", gradient.size))
+    if k >= gradient.size:
+        indices = np.arange(gradient.size)
+    else:
+        indices = np.argpartition(magnitudes, gradient.size - k)[gradient.size - k :]
+    ops.append(OpRecord("topk_select", gradient.size, k))
+    sparse = SparseGradient(indices=indices, values=gradient[indices], dense_size=gradient.size)
+    threshold = float(np.abs(gradient[indices]).min()) if indices.size else 0.0
+    return CompressionResult(
+        sparse=sparse,
+        target_ratio=ratio,
+        threshold=threshold,
+        ops=ops,
+        metadata=metadata or {},
+    )
+
+
 # -- the scalar compressors ----------------------------------------------------
+
+
+def _sidco_compress(self, gradient: np.ndarray, ratio: float) -> CompressionResult:
+    arr = self._validate(gradient, ratio)
+    d = arr.size
+    target_k = self._target_k(d, ratio)
+
+    abs_grad = np.abs(arr)
+    max_abs = float(abs_grad.max())
+    if not np.isfinite(max_abs):
+        raise ValueError("gradient contains NaN or infinite values")
+    if d < 2 or max_abs == 0.0:
+        # Degenerate input (single element, or no tail at all): there is
+        # nothing to fit, so fall back to an exact-k selection instead of
+        # handing the SID fitters an empty/ill-posed sample.
+        result = _result_from_topk(
+            arr,
+            target_k,
+            ratio,
+            ops=[OpRecord("elementwise", d)],
+            metadata={"sid": self.sid, "degenerate": True},
+        )
+        self.controller.observe(result.achieved_k, target_k)
+        return result
+
+    estimate = estimate_multi_stage(
+        abs_grad,
+        ratio,
+        self.sid,
+        self.controller.num_stages,
+        first_stage_ratio=self.first_stage_ratio,
+    )
+    result = _result_from_threshold(
+        arr,
+        estimate.threshold,
+        ratio,
+        [OpRecord("elementwise", d), *estimate.ops],
+        metadata={
+            "sid": self.sid,
+            "stages_used": estimate.stages_used,
+            "stage_thresholds": estimate.stage_thresholds,
+            "stage_ratios": estimate.stage_ratios,
+            "num_stages_configured": self.controller.num_stages,
+        },
+    )
+    self.controller.observe(result.achieved_k, target_k)
+    return result
 
 
 def _topk_compress(self, gradient: np.ndarray, ratio: float) -> CompressionResult:
     arr = self._validate(gradient, ratio)
     k = self._target_k(arr.size, ratio)
-    return self._result_from_topk(arr, k, ratio, ops=[], metadata={"exact": True})
+    return _result_from_topk(arr, k, ratio, ops=[], metadata={"exact": True})
 
 
 def _none_compress(self, gradient: np.ndarray, ratio: float = 1.0) -> CompressionResult:
@@ -144,7 +243,7 @@ def _redsync_compress(self, gradient: np.ndarray, ratio: float) -> CompressionRe
 
     if maximum <= mean or maximum == 0.0:
         # Degenerate vector (constant magnitudes): keep everything above the mean.
-        return self._result_from_threshold(arr, mean, ratio, ops, {"iterations": 0})
+        return _result_from_threshold(arr, mean, ratio, ops, {"iterations": 0})
 
     # Interpolate between max and mean: threshold = mean + alpha * (max - mean),
     # starting close to the max and lowering alpha until >= k elements pass.
@@ -161,7 +260,7 @@ def _redsync_compress(self, gradient: np.ndarray, ratio: float) -> CompressionRe
         if selected >= k:
             break
 
-    return self._result_from_threshold(
+    return _result_from_threshold(
         arr, threshold, ratio, ops, {"iterations": iterations, "selected_at_stop": selected}
     )
 
@@ -177,7 +276,7 @@ def _gaussiank_compress(self, gradient: np.ndarray, ratio: float) -> Compression
     ops.append(OpRecord("reduce", d))
     ops.append(OpRecord("reduce", d))
     if std == 0.0:
-        return self._result_from_threshold(arr, abs(mean), ratio, ops, {"iterations": 0})
+        return _result_from_threshold(arr, abs(mean), ratio, ops, {"iterations": 0})
 
     # P(|G - mu| >= eta) = delta under a Gaussian model ->
     # eta = std * sqrt(2) * erfinv(1 - delta).
@@ -200,7 +299,7 @@ def _gaussiank_compress(self, gradient: np.ndarray, ratio: float) -> Compression
 
     # Selection is done on |g| (not |g - mean|) as in the published scheme;
     # gradients are near-zero mean so the two coincide in practice.
-    return self._result_from_threshold(arr, threshold, ratio, ops, {"iterations": iterations})
+    return _result_from_threshold(arr, threshold, ratio, ops, {"iterations": iterations})
 
 
 def _hard_threshold_compress(self, gradient: np.ndarray, ratio: float) -> CompressionResult:
@@ -219,7 +318,7 @@ def _hard_threshold_compress(self, gradient: np.ndarray, ratio: float) -> Compre
         self._scale = float(np.log(1.0 / ratio))
     threshold = mean * self._scale
 
-    result = self._result_from_threshold(arr, threshold, ratio, ops, {"scale": self._scale})
+    result = _result_from_threshold(arr, threshold, ratio, ops, {"scale": self._scale})
 
     # Multiplicative correction for the next call.
     achieved = max(result.achieved_ratio, 1.0 / d)
@@ -243,9 +342,9 @@ SCALAR_CLASSES = tuple(_SCALAR_COMPRESS)
 
 
 def reference_compress(compressor, gradient: np.ndarray, ratio: float) -> CompressionResult:
-    """The scalar ``compress`` of ``compressor``'s class (SIDCo keeps its own)."""
+    """The scalar ``compress`` of ``compressor``'s class."""
     if isinstance(compressor, SIDCo):
-        return compressor.compress(gradient, ratio)
+        return _sidco_compress(compressor, gradient, ratio)
     return _SCALAR_COMPRESS[type(compressor)](compressor, gradient, ratio)
 
 
@@ -274,7 +373,7 @@ def _compress_sidco(self, arr: np.ndarray, ratio: float, layout: BucketLayout) -
         # No tail to fit anywhere; let the wrapped compressor's degenerate
         # handling pick the selection, but keep the pipeline's metadata
         # contract (per-bucket payloads) intact for the timeline model.
-        result = inner.compress(arr, ratio)
+        result = _sidco_compress(inner, arr, ratio)
         bucket_nnz = np.bincount(
             layout.bucket_of(result.sparse.indices), minlength=layout.num_buckets
         ).astype(np.int64)

@@ -1,13 +1,15 @@
 """The bucketed SIDCo fit as it stood before block-wise streaming: a test oracle.
 
 ``estimate_multi_stage_bucketed`` and ``fit_all_buckets`` below are the
-whole-gradient implementations (one ``|g|`` array, global ``reduceat`` /
-``bincount`` passes, a full-vector keep-mask), kept statement for statement
-so the streaming implementation in :mod:`repro.pipeline.vectorized` can be
-held bit-for-bit equal to them.  ``fit_all_buckets`` takes the SIDCo
-instance as ``self``.
+whole-gradient implementations (one ``|g|`` array, global ``reduceat``
+passes, a full-vector keep-mask), kept statement for statement so the
+streaming implementation in :mod:`repro.pipeline.vectorized` can be held
+bit-for-bit equal to them.  Their moments follow the scalar fit's formula
+order (``sum(x - loc) / n``, the two-pass GP variance, gamma over the
+positive magnitudes), as the library's do.  ``fit_all_buckets`` takes the
+SIDCo instance as ``self`` and declines (``None``) a gradient with no tail.
 The threshold formulas (``_fit_stage_thresholds``) and the op-trace helper
-are shared with the library, which keeps them unchanged.
+are shared with the library.
 """
 
 from __future__ import annotations
@@ -42,6 +44,17 @@ def _per_bucket_reduce(flat: np.ndarray, layout: BucketLayout) -> np.ndarray:
     if layout.num_buckets == 1:
         return np.asarray([flat.sum()], dtype=np.float64)
     return np.add.reduceat(flat, layout.starts())
+
+
+def _segment_reduce(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-bucket sums of bucket-contiguous ``values``, ``counts`` per bucket; 0.0 where empty."""
+    if counts.size == 1:
+        return np.asarray([values.sum()], dtype=np.float64)
+    sums = np.zeros(counts.size)
+    nonempty = counts > 0
+    if nonempty.any():
+        sums[nonempty] = np.add.reduceat(values, (np.cumsum(counts) - counts)[nonempty])
+    return sums
 
 
 def _bucket_mask_and_counts(
@@ -140,32 +153,35 @@ def estimate_multi_stage_bucketed(
             delta_m = np.where(fallback, delta, delta_m)
             is_last = is_last | fallback
         else:
-            geometric = np.power(needed, 1.0 / remaining)
+            geometric = np.array([x ** (1.0 / remaining) for x in needed.tolist()])
             delta_m = np.where(is_last, needed, np.maximum(geometric, needed))
 
         this_sid = stage_sid(sid, m)
         active_elems = int(counts[active].sum())
         if m == 0:
             sums = _per_bucket_reduce(abs_flat, layout)
-            sumsq = pos_counts = pos_logsums = None
+            sqdev = pos_counts = pos_logsums = None
             if this_sid == "gpareto":
-                sumsq = _per_bucket_reduce(abs_flat * abs_flat, layout)
+                dev = abs_flat - np.repeat(sums / sizes, sizes)
+                sqdev = _per_bucket_reduce(dev * dev, layout)
             elif this_sid == "gamma":
                 positive = abs_flat > 0.0
-                pos_counts = _per_bucket_reduce(positive.astype(np.float64), layout).astype(np.int64)
-                safe_log = np.log(np.where(positive, abs_flat, 1.0))
-                pos_logsums = _per_bucket_reduce(safe_log, layout)
+                pos_counts = np.bincount(layout.bucket_of(np.flatnonzero(positive)), minlength=num)
+                sums = _segment_reduce(abs_flat[positive], pos_counts)
+                pos_logsums = _segment_reduce(np.log(abs_flat[positive]), pos_counts)
             loc = np.zeros(num)
         else:
-            sums = np.bincount(ids, weights=vals, minlength=num)
-            sumsq = pos_counts = pos_logsums = None
+            excess = vals - eta_prev[ids]
+            sums = _segment_reduce(excess, counts)
+            sqdev = pos_counts = pos_logsums = None
             if this_sid == "gpareto":
-                sumsq = np.bincount(ids, weights=vals * vals, minlength=num)
+                dev = excess - (sums / np.maximum(counts, 1))[ids]
+                sqdev = _segment_reduce(dev * dev, counts)
             loc = eta_prev
         ops.extend(_batched_fit_ops(this_sid, active_elems))
 
         eta = _fit_stage_thresholds(
-            this_sid, delta_m, counts, sums, sumsq, pos_counts, pos_logsums, loc, active
+            this_sid, delta_m, counts, sums, sqdev, pos_counts, pos_logsums, loc, active
         )
         eta = np.maximum(eta, eta_prev)
         stages_used[active] += 1

@@ -148,6 +148,18 @@ def test_grouped_call_equals_one_call_per_worker(case):
     assert_same_workers(workers, twins)
 
 
+@pytest.mark.parametrize("members", [None, 1, 2, 4], ids=["default", "one", "two", "four"])
+@pytest.mark.parametrize("bucketed", [False, True], ids=["whole", "bucketed"])
+@pytest.mark.parametrize("name", NAMES)
+def test_group_must_hold_one_compressor_per_row(name, bucketed, members):
+    """Three rows with a group too short (the default ``[self]`` too) or too long raise."""
+    compressor = build(name, bucketed=bucketed, capacity=16, spec=None, stages=1)
+    group = None if members is None else [copy.deepcopy(compressor) for _ in range(members)]
+    rows = np.random.default_rng(0).standard_normal((3, 64))
+    with pytest.raises(ValueError, match="3 gradients for a group of"):
+        compressor.compress_group(rows, 0.1, group)
+
+
 def _group(name, histories, stages=None, d=3962):
     """Workers on ``train-cnn-faults``' gradient size and bucket count (59 buckets of 67).
 

@@ -28,6 +28,14 @@ class TestPublicAPI:
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
 
+    def test_core_surface_has_one_sidco_estimator(self):
+        import repro.core
+
+        # Unbucketed SIDCo is the one-bucket batched fit; the scalar estimator is gone.
+        removed = {"estimate_multi_stage", "estimate_single_stage", "ThresholdEstimate", "stage_ratios"}
+        assert not removed & set(repro.core.__all__)
+        assert not [name for name in removed if hasattr(repro.core, name)]
+
     def test_distributed_surface_has_one_knob_bundle_and_no_pools(self):
         import repro.distributed
 

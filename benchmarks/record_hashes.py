@@ -1,4 +1,4 @@
-"""Fingerprint ten trainer runs, so two trees can be checked bit for bit.
+"""Fingerprint eleven trainer runs, so two trees can be checked bit for bit.
 
 Each run trains one proxy through ``DistributedTrainer`` and is reduced to the
 sha256 of ``repr(metrics.records) + repr(final_evaluation)``.  Running this
@@ -7,12 +7,13 @@ every record and final evaluation exactly.  The hashes are not pinned
 anywhere: GEMM bits differ across CPUs, so only two trees run on the same
 machine can be compared.
 
-The ten runs cover SIDCo (bucketed and unbucketed, exponential and
-generalized Pareto), DGC, Top-k and the dense baseline; both LSTM proxies and
-the CNN proxy; the clean path, a straggler with backup workers, warm-up
+The eleven runs cover SIDCo (bucketed and unbucketed, exponential and
+generalized Pareto), DGC, Top-k and the dense baseline; both LSTM proxies, the
+VGG proxy (conv and max pool) and the ResNet proxy (residual blocks and
+global average pooling); the clean path, a straggler with backup workers, warm-up
 iterations, ragged shards (every group size from 1 to 8) and worker churn::
 
-    PYTHONPATH=src python benchmarks/record_hashes.py            # all ten
+    PYTHONPATH=src python benchmarks/record_hashes.py            # all eleven
     PYTHONPATH=src python benchmarks/record_hashes.py --only lstm-ptb-dgc
 """
 
@@ -40,6 +41,8 @@ CNN_KNOBS = SimulationKnobs(
     allgather_algorithm="hierarchical", cross_bucket_pipeline=True,
     straggler_severity=2.0, sync_policy="backup-workers", backup_workers=1,
 )
+#: The ``train-cnn-faults`` bucketing and overlap, on the clean path.
+RESNET_KNOBS = SimulationKnobs(bucket_bytes=MiB, overlap="comm+compress")
 STRAGGLER_KNOBS = SimulationKnobs(
     topology="torus-2d", straggler_severity=2.0, sync_policy="backup-workers", backup_workers=1,
 )
@@ -76,6 +79,7 @@ RUNS = {
     "lstm-ptb-dgc": _benchmark_run("lstm-ptb", "dgc", 0.01, seed=3),
     "lstm-an4-sidco": _benchmark_run("lstm-an4", "sidco-e", 0.01, seed=0, knobs=LSTM_KNOBS),
     "vgg16-dgc-faults": _benchmark_run("vgg16-cifar10", "dgc", 0.001, seed=0, knobs=CNN_KNOBS, iterations=10),
+    "resnet20-topk": _benchmark_run("resnet20-cifar10", "topk", 0.01, seed=0, knobs=RESNET_KNOBS, iterations=10),
     "lstm-ptb-sidco-churn": _ragged_run("lstm-ptb", "sidco-e", churn=True),
     "lstm-an4-topk-churn": _ragged_run("lstm-an4", "topk", churn=True),
     "lstm-ptb-none-ragged": _ragged_run("lstm-ptb", "none", churn=False, warmup_iterations=0),

@@ -12,7 +12,8 @@ Every model also runs a stacked pass over several workers' batches (see
 stacks at most: the recurrent proxies' cost is NumPy call overhead in their
 per-timestep loop, so stacking 8 workers pays (groups of 8 measured fastest
 on ``lstm-ptb``, and keep the pass's peak memory near 5 MiB); the
-convolutional proxies are FLOP-bound and gain nothing, so they stay at 1.
+convolutional proxies stay at 1, since stacking them was measured not to pay.
+Their cost is memory layout, not FLOPs (see :mod:`repro.nn.conv`).
 """
 
 from __future__ import annotations

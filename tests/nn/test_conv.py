@@ -68,6 +68,45 @@ class TestMaxPool2d:
             MaxPool2d(2)(rng.normal(size=(1, 1, 5, 5)))
 
 
+class TestBadGeometry:
+    """Bad conv and pool geometry raises ``ValueError``, at construction or in ``forward``."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"stride": 0},
+            {"kernel_size": 0},
+            {"padding": -1},
+            {"in_channels": 0},
+            {"out_channels": 0},
+        ],
+        ids=lambda kwargs: next(iter(kwargs)),
+    )
+    def test_conv2d_constructor_rejects(self, kwargs):
+        args = {"in_channels": 2, "out_channels": 3, **kwargs}
+        with pytest.raises(ValueError):
+            Conv2d(**args)
+
+    @pytest.mark.parametrize("kernel_size", [0, -2])
+    def test_maxpool2d_constructor_rejects(self, kernel_size):
+        with pytest.raises(ValueError):
+            MaxPool2d(kernel_size)
+
+    def test_conv2d_channel_mismatch_rejected(self, rng):
+        with pytest.raises(ValueError, match="input channels"):
+            Conv2d(3, 4, rng=rng)(rng.normal(size=(2, 2, 5, 5)))
+
+    def test_conv2d_input_smaller_than_kernel_rejected(self, rng):
+        layer = Conv2d(1, 1, kernel_size=5, padding=1, rng=rng)
+        with pytest.raises(ValueError, match="smaller than kernel_size"):
+            layer(rng.normal(size=(1, 1, 2, 6)))
+        assert layer(rng.normal(size=(1, 1, 3, 3))).shape == (1, 1, 1, 1)
+
+    def test_maxpool2d_rank_below_three_rejected(self, rng):
+        with pytest.raises(ValueError, match=r"\(\.\.\., C, H, W\)"):
+            MaxPool2d(2)(rng.normal(size=(4, 4)))
+
+
 class TestGlobalAvgPool2d:
     def test_forward_is_spatial_mean(self, rng):
         x = rng.normal(size=(2, 3, 4, 4))

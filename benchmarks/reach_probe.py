@@ -1,0 +1,228 @@
+"""Reach probe: which functions in ``src/repro`` any caller that matters enters.
+
+Every function defined under ``src/repro`` falls in one of three classes:
+
+* **product** -- entered by a product path: the five end-to-end workloads
+  (``benchmarks/e2e/run.py --workload W --smoke``), the examples,
+  ``benchmarks/record_hashes.py`` and the ``benchmarks/test_*.py`` modules
+  (at smoke scale where a module reads ``SIDCO_SMOKE_DIMENSION``, as CI runs
+  the slow ones);
+* **tier-1 only** -- entered only by the tier-1 suite (``pytest tests``);
+* **nothing** -- entered by neither.
+
+A function whose body is only ``raise NotImplementedError`` (after an
+optional docstring) is an abstract stub: it is meant never to run, so an
+unreached stub is counted apart and never listed under "nothing".
+
+Each run is a fresh subprocess of this script that records, with
+``sys.setprofile``, every code object it enters and maps it back to its
+``def`` by file, first line and name::
+
+    PYTHONPATH=src python benchmarks/reach_probe.py            # report
+    PYTHONPATH=src python benchmarks/reach_probe.py --check    # exit 1 on dead code
+
+``--check`` fails when any non-stub function is reached by nothing, or when a
+run fails (its reach would be incomplete).
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import json
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "repro"
+WORKLOADS = ("train-lstm", "train-cnn-faults", "compress-sidco", "tune-cold", "tune-warm")
+#: Gradient size for the benchmark modules that can shrink (as in CI's smoke steps).
+SMOKE_DIMENSION = "500000"
+
+
+def product_runs(out_dir: Path) -> list[tuple[str, list[str]]]:
+    """(label, argv after ``python``) for every product path."""
+    runs = [
+        (f"e2e {name}", ["benchmarks/e2e/run.py", "--workload", name, "--smoke",
+                         "--out", str(out_dir / "e2e")])
+        for name in WORKLOADS
+    ]
+    runs += [(f"example {path.stem}", [str(path.relative_to(REPO))])
+             for path in sorted((REPO / "examples").glob("*.py"))]
+    runs.append(("record_hashes", ["benchmarks/record_hashes.py"]))
+    runs.append(("benchmarks", ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                                *sorted(str(p.relative_to(REPO))
+                                        for p in (REPO / "benchmarks").glob("test_*.py"))]))
+    return runs
+
+
+TIER1_RUNS = [("tier-1", ["-m", "pytest", "-q", "-p", "no:cacheprovider", "tests"])]
+
+
+# -- the functions ------------------------------------------------------------
+
+
+def _is_stub(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    body = node.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
+            and isinstance(body[0].value.value, str):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise) or body[0].exc is None:
+        return False
+    exc = body[0].exc
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def functions() -> dict[tuple[str, int, str], dict]:
+    """Every ``def`` under the package, keyed like a code object (file, first line, name)."""
+    found = {}
+
+    def visit(node, path: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                qualname = f"{prefix}{child.name}"
+                found[(path, first, child.name)] = {
+                    "name": f"{path}::{qualname}",
+                    "lines": child.end_lineno - first + 1,
+                    "stub": _is_stub(child),
+                }
+                visit(child, path, f"{qualname}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for file in sorted(PACKAGE.rglob("*.py")):
+        path = str(file.relative_to(REPO))
+        visit(ast.parse(file.read_text(), filename=str(file)), path, "")
+    return found
+
+
+# -- one recorded run ---------------------------------------------------------
+
+
+def record(out: Path, argv: list[str]) -> int:
+    """Run ``python argv`` in this process, then write the package code it entered."""
+    entered: dict[int, object] = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if id(code) not in entered:
+                entered[id(code)] = code
+
+    # Lay out argv and sys.path[0] as ``python argv`` would.
+    if argv[0] == "-m":
+        sys.argv = [argv[1], *argv[2:]]
+        target, run = argv[1], runpy.run_module
+        sys.path[0] = os.getcwd()
+    else:
+        sys.argv = list(argv)
+        target, run = argv[0], runpy.run_path
+        sys.path[0] = str(Path(target).resolve().parent)
+    status = 0
+    sys.setprofile(profile)
+    try:
+        run(target, run_name="__main__")
+    except SystemExit as stop:
+        status = stop.code if isinstance(stop.code, int) else int(stop.code is not None)
+    finally:
+        sys.setprofile(None)
+        prefix = str(PACKAGE) + os.sep
+        reached = sorted({
+            (str(Path(code.co_filename).relative_to(REPO)), code.co_firstlineno, code.co_name)
+            for code in entered.values() if code.co_filename.startswith(prefix)
+        })
+        out.write_text(json.dumps(reached))
+    return status
+
+
+def reach(runs, scratch: Path) -> tuple[set, list[str]]:
+    """Union of what ``runs`` enter, and the labels of the runs that failed."""
+    env = {**os.environ, "SIDCO_SMOKE_DIMENSION": SMOKE_DIMENSION,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    reached, failed = set(), []
+    for index, (label, argv) in enumerate(runs):
+        out = scratch / f"reach-{label.replace(' ', '-')}-{index}.json"
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, __file__, "--record", str(out), "--", *argv],
+            cwd=REPO, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        print(f"  {label}: {time.perf_counter() - start:.0f} s"
+              + ("" if proc.returncode == 0 else f"  FAILED ({proc.returncode})"), flush=True)
+        if proc.returncode != 0:
+            failed.append(label)
+            print(proc.stdout[-3000:], file=sys.stderr)
+        if out.exists():
+            reached |= {tuple(key) for key in json.loads(out.read_text())}
+    return reached, failed
+
+
+# -- report -------------------------------------------------------------------
+
+
+def classify(found: dict, product: set, tier1: set) -> dict[str, list[tuple]]:
+    """Each function key in its class: product, tier-1 only, nothing, or an unreached stub."""
+    classes = {"product": [], "tier-1 only": [], "nothing": [], "unreached stubs": []}
+    for key, info in found.items():
+        if key in product:
+            classes["product"].append(key)
+        elif key in tier1:
+            classes["tier-1 only"].append(key)
+        elif info["stub"]:
+            classes["unreached stubs"].append(key)
+        else:
+            classes["nothing"].append(key)
+    return classes
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 if a non-stub function is reached by nothing or a run fails")
+    parser.add_argument("--record", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("command", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.record is not None:
+        command = args.command[1:] if args.command[:1] == ["--"] else args.command
+        return record(args.record, command)
+
+    found = functions()
+    with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
+        scratch = Path(tmp)
+        print("product paths:", flush=True)
+        product, failed = reach(product_runs(scratch), scratch)
+        print("tier-1:", flush=True)
+        tier1, tier1_failed = reach(TIER1_RUNS, scratch)
+    failed += tier1_failed
+
+    classes = classify(found, product, tier1)
+    print(f"\n{len(found)} functions, {sum(f['lines'] for f in found.values())} lines "
+          f"in {PACKAGE.relative_to(REPO)}")
+    for name, keys in classes.items():
+        lines = sum(found[key]["lines"] for key in keys)
+        print(f"  {name:16s} {len(keys):5d} functions {lines:6d} lines")
+    for name in ("tier-1 only", "nothing", "unreached stubs"):
+        if classes[name]:
+            print(f"\n{name}:")
+            for key in sorted(classes[name]):
+                print(f"  {found[key]['name']} ({found[key]['lines']} lines)")
+    if failed:
+        print(f"\nfailed runs (reach incomplete): {', '.join(failed)}")
+    if args.check and (classes["nothing"] or failed):
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

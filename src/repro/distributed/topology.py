@@ -276,32 +276,6 @@ class ClusterTopology:
                 return level.effective_link
         return self.levels[0].effective_link
 
-    def degraded(self, factor: float) -> "ClusterTopology":
-        """This topology with every link's effective bandwidth cut by ``factor``.
-
-        Models a uniformly degraded fabric (congestion, a failed parallel
-        link): each level keeps its structure but delivers ``1/factor`` of
-        its bandwidth, i.e. the level's oversubscription grows by ``factor``.
-        ``factor == 1`` returns ``self`` unchanged, preserving bit-for-bit
-        identity with the clean fabric.
-        """
-        factor = float(factor)
-        if not math.isfinite(factor) or factor < 1.0:
-            raise ValueError(f"degradation factor must be finite and >= 1, got {factor!r}")
-        if factor == 1.0:
-            return self
-        levels = tuple(
-            LinkLevel(
-                fanout=level.fanout,
-                link=level.link,
-                oversubscription=level.oversubscription * factor,
-                name=level.name,
-            )
-            for level in self.levels
-        )
-        name = f"{self.name}/deg{factor:g}" if self.name else f"deg{factor:g}"
-        return ClusterTopology.from_levels(levels, name=name)
-
     @classmethod
     def flat(cls, network: NetworkModel, num_workers: int, *, name: str = "") -> "ClusterTopology":
         """The degenerate single-level topology: every worker on one shared link."""

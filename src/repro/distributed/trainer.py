@@ -33,7 +33,6 @@ from ..data.loader import BatchIterator, shard_dataset
 from ..gradients.capture import GradientCapture
 from ..nn.losses import accuracy, cross_entropy, perplexity
 from ..nn.module import Module
-from ..optim.lr_scheduler import LRScheduler
 from ..optim.sgd import SGD
 from ..perfmodel.costs import DeviceProfile
 from ..perfmodel.device import GPU_V100
@@ -176,13 +175,11 @@ class DistributedTrainer:
         network: NetworkModel = CLUSTER_ETHERNET_10G,
         device: DeviceProfile = GPU_V100,
         compressor_kwargs: dict | None = None,
-        scheduler: LRScheduler | None = None,
         capture: GradientCapture | None = None,
     ) -> None:
         self.model = model
         self.config = config
         self.capture = capture
-        self.scheduler = scheduler
         knobs = config.knobs
 
         self.flat_spec = flat_spec = FlatSpec.from_named_shapes(
@@ -219,8 +216,6 @@ class DistributedTrainer:
             nesterov=config.nesterov,
             weight_decay=config.weight_decay,
         )
-        if scheduler is not None:
-            scheduler.optimizer = self.optimizer
 
         self.timeline = TimelineModel.from_knobs(
             knobs,
@@ -285,7 +280,6 @@ class DistributedTrainer:
     def _run_iteration(self, iteration: int, metrics: TrainingMetrics, wall_time: float) -> float:
         cfg = self.config
         in_warmup = iteration < cfg.warmup_iterations
-        lr = self.scheduler.step() if self.scheduler is not None else self.optimizer.lr
 
         # Fault layer: resolve this iteration's membership.  Inactive workers
         # (churn) skip the step entirely — their batch stream does not advance
@@ -361,7 +355,7 @@ class DistributedTrainer:
                 serialized_time=timing.serialized,
                 wall_time=wall_time,
                 samples=cfg.batch_size * len(participating),
-                learning_rate=lr,
+                learning_rate=self.optimizer.lr,
                 dedup_ratio=timing.dedup_ratio,
                 participating_workers=(
                     None if faulted is None else faulted.outcome.num_participating

@@ -436,33 +436,9 @@ class SweepCache:
             "phase_tables": len(self.phase_tables),
         }
 
-    def clear(self) -> None:
-        for store in (
-            self.gradients,
-            self.compressions,
-            self.collective_costs,
-            self.phase_tables,
-            self.baselines,
-            self.points,
-            self.bounds,
-        ):
-            store.clear()
-        self.hits = 0
-        self.misses = 0
-
 
 #: Process-wide default cache.
 _GLOBAL_CACHE = SweepCache()
-
-
-def global_sweep_cache() -> SweepCache:
-    """The process-wide cache :func:`run_sweep` uses when none is passed."""
-    return _GLOBAL_CACHE
-
-
-def clear_sweep_caches() -> None:
-    """Reset the process-wide cache (e.g. to measure cache-cold throughput)."""
-    _GLOBAL_CACHE.clear()
 
 
 def _active_cache(cache: SweepCache | None, memoize: bool) -> SweepCache | None:

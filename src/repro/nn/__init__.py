@@ -1,7 +1,7 @@
 """NumPy DNN substrate: modules, layers, losses and proxy models."""
 
 from .conv import Conv2d, GlobalAvgPool2d, MaxPool2d, ResidualBlock
-from .layers import Dropout, Flatten, Linear, ReLU, Sequential, Sigmoid, Tanh
+from .layers import Flatten, Linear, ReLU, Sequential
 from .losses import accuracy, cross_entropy, mse, perplexity, softmax
 from .models import (
     CNNClassifier,
@@ -17,7 +17,6 @@ from .rnn import LSTM, Embedding
 __all__ = [
     "CNNClassifier",
     "Conv2d",
-    "Dropout",
     "Embedding",
     "Flatten",
     "GlobalAvgPool2d",
@@ -33,8 +32,6 @@ __all__ = [
     "ResNetProxy",
     "ResidualBlock",
     "Sequential",
-    "Sigmoid",
-    "Tanh",
     "accuracy",
     "build_model",
     "cross_entropy",

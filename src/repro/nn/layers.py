@@ -1,4 +1,4 @@
-"""Dense layers, activations and containers with explicit forward/backward."""
+"""Dense layers, the ReLU activation and containers with explicit forward/backward."""
 
 from __future__ import annotations
 
@@ -52,64 +52,6 @@ class ReLU(Module):
         return grad_output * self._mask
 
 
-class Tanh(Module):
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(x)
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * (1.0 - self._output**2)
-
-
-class Sigmoid(Module):
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = 1.0 / (1.0 + np.exp(-x))
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * self._output * (1.0 - self._output)
-
-
-class Dropout(Module):
-    """Inverted dropout; disabled in eval mode.
-
-    A stacked ``(W, ...)`` mask is one draw that consumes the generator's
-    stream exactly as W unstacked draws in worker order would.
-    """
-
-    def __init__(self, p: float = 0.5, *, rng: np.random.Generator | None = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng or np.random.default_rng(0)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0.0:
-            self._mask = None
-            return x
-        self._mask = (self._rng.uniform(size=x.shape) >= self.p) / (1.0 - self.p)
-        return x * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
-
-
 class Flatten(Module):
     """Flatten every dimension after the batch dimension (and the worker axis, if stacked)."""
 
@@ -137,17 +79,6 @@ class Sequential(Module):
         for idx, module in enumerate(modules):
             self.register_module(str(idx), module)
             self._ordered.append(module)
-
-    def append(self, module: Module) -> "Sequential":
-        self.register_module(str(len(self._ordered)), module)
-        self._ordered.append(module)
-        return self
-
-    def __len__(self) -> int:
-        return len(self._ordered)
-
-    def __getitem__(self, idx: int) -> Module:
-        return self._ordered[idx]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for module in self._ordered:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .conv import Conv2d, GlobalAvgPool2d, MaxPool2d, ResidualBlock
-from .layers import Dropout, Flatten, Linear, ReLU, Sequential
+from .layers import Flatten, Linear, ReLU, Sequential
 from .module import Module
 from .rnn import LSTM, Embedding
 
@@ -66,7 +66,6 @@ class CNNClassifier(Module):
         channels: tuple[int, ...] = (16, 32),
         num_classes: int = 10,
         *,
-        dropout: float = 0.0,
         seed: int = 0,
     ) -> None:
         super().__init__()
@@ -81,8 +80,6 @@ class CNNClassifier(Module):
             prev = ch
             size //= 2
         blocks.append(Flatten())
-        if dropout > 0.0:
-            blocks.append(Dropout(dropout, rng=rng))
         blocks.append(Linear(prev * size * size, num_classes, rng=rng))
         self.net = Sequential(*blocks)
 

@@ -65,9 +65,6 @@ class Parameter:
                 f"{self.grad.shape}; call zero_grad(workers=...) for the pass's stack"
             )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Parameter(shape={self.data.shape})"
-
 
 class Module:
     """Base class for layers and models.

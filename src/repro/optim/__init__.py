@@ -1,17 +1,12 @@
-"""Optimisers, LR schedules, gradient clipping and error feedback."""
+"""Optimisers, gradient clipping and error feedback."""
 
 from .clip import clip_by_global_norm, clip_flat_by_norm
 from .error_feedback import ErrorFeedback
-from .lr_scheduler import ConstantLR, CosineAnnealing, LRScheduler, WarmupStepDecay
 from .sgd import SGD
 
 __all__ = [
     "SGD",
-    "ConstantLR",
-    "CosineAnnealing",
     "ErrorFeedback",
-    "LRScheduler",
-    "WarmupStepDecay",
     "clip_by_global_norm",
     "clip_flat_by_norm",
 ]

@@ -85,8 +85,5 @@ class SGD:
                 update = grad
             param.data -= self.lr * update
 
-    def zero_grad(self) -> None:
-        self.model.zero_grad()
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: v.copy() for name, v in self._velocity.items()}

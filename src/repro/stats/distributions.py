@@ -8,8 +8,8 @@ zero-located random variable following one of three SIDs:
 * double generalized Pareto (GP).
 
 Threshold estimation only ever needs the distribution of the *absolute*
-gradient (Lemma 1), so each symmetric distribution exposes its one-sided
-counterpart (`Exponential`, `Gamma`, `GeneralizedPareto`).  All fitting uses
+gradient (Lemma 1), so fitting works on the one-sided counterparts
+(`Exponential`, `Gamma`, `GeneralizedPareto`).  All fitting uses
 the closed-form estimators from Corollaries 1.1-1.3 so the cost of a fit is a
 handful of vectorised reductions over the gradient vector — the property that
 makes SIDCo cheaper than Top-k / DGC.
@@ -67,12 +67,6 @@ class Exponential:
         _validate_probability(p)
         return float(-self.scale * np.log1p(-p))
 
-    def mean(self) -> float:
-        return self.scale
-
-    def var(self) -> float:
-        return self.scale**2
-
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(self.scale, size=size)
 
@@ -126,9 +120,6 @@ class Gamma:
 
     def mean(self) -> float:
         return self.shape * self.scale
-
-    def var(self) -> float:
-        return self.shape * self.scale**2
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return rng.gamma(self.shape, self.scale, size=size)
@@ -217,16 +208,6 @@ class GeneralizedPareto:
             return float(self.loc - self.scale * np.log1p(-p))
         return float(self.loc + self.scale / self.shape * (np.exp(-self.shape * np.log1p(-p)) - 1.0))
 
-    def mean(self) -> float:
-        if self.shape >= 1.0:
-            return float("inf")
-        return self.loc + self.scale / (1.0 - self.shape)
-
-    def var(self) -> float:
-        if self.shape >= 0.5:
-            return float("inf")
-        return self.scale**2 / ((1.0 - self.shape) ** 2 * (1.0 - 2.0 * self.shape))
-
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.uniform(0.0, 1.0, size=size)
         if abs(self.shape) < self._SHAPE_EPS:
@@ -280,10 +261,6 @@ class Laplace:
     def __post_init__(self) -> None:
         if self.scale <= 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def absolute(self) -> Exponential:
-        return Exponential(scale=self.scale)
 
     def pdf(self, x: np.ndarray | float) -> np.ndarray | float:
         x = np.asarray(x, dtype=np.float64)
@@ -353,11 +330,6 @@ class DoubleGamma:
         magnitude = self.absolute.sample(size, rng)
         signs = rng.choice(np.array([-1.0, 1.0]), size=size)
         return magnitude * signs
-
-    @classmethod
-    def fit(cls, values: np.ndarray, **kwargs) -> "DoubleGamma":
-        fitted = Gamma.fit(np.abs(np.asarray(values, dtype=np.float64)).ravel(), **kwargs)
-        return cls(shape=fitted.shape, scale=fitted.scale)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from repro.distributed import (
     TrainerConfig,
     WorkerChurn,
     WorkerProfile,
+    WorkerRates,
     get_sync_policy,
     price_iteration,
     simulate_iteration_arrays,
@@ -102,6 +103,15 @@ class TestProfiles:
         b = ClusterProfile.lognormal(8, compute_sigma=0.3, link_sigma=0.1, seed=7)
         assert a == b
         assert all(p.compute > 0.0 and p.link > 0.0 for p in a.workers)
+
+    def test_lognormal_rejects_negative_sigma(self):
+        for sigmas in ({"compute_sigma": -0.1}, {"link_sigma": -0.1}):
+            with pytest.raises(ValueError, match="non-negative"):
+                ClusterProfile.lognormal(4, **sigmas)
+
+    def test_rates_require_equal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            WorkerRates(compute=np.ones(3), link=np.ones(3), active=np.ones(2, dtype=bool))
 
     def test_profile_rejects_nonpositive_rates(self):
         with pytest.raises(ValueError):
@@ -219,6 +229,19 @@ class TestSyncPolicies:
         assert outcome.iteration_seconds == 3.0
         assert outcome.participating.tolist() == [False, True, True]
 
+    @pytest.mark.parametrize(
+        "policy", [FullSync(), BackupWorkers(1), TimeWindowSync(1.5)], ids=lambda p: p.name
+    )
+    def test_mismatched_finish_and_mask_rejected(self, policy):
+        with pytest.raises(ValueError, match="equal length"):
+            policy.price(np.array([1.0, 2.0]), np.array([True]))
+
+    def test_policy_parameters_validated(self):
+        with pytest.raises(ValueError, match="backup_workers must be >= 0"):
+            BackupWorkers(-1)
+        with pytest.raises(ValueError, match="window_factor must be >= 1"):
+            TimeWindowSync(0.5)
+
     def test_no_active_workers_rejected(self):
         with pytest.raises(ValueError, match="no active workers"):
             FullSync().price(np.array([1.0]), np.array([False]))
@@ -263,6 +286,22 @@ class TestInjectors:
         churn = WorkerChurn(leave_probability=1.0, rejoin_probability=0.0, seed=0, min_active=2)
         for t in range(10):
             assert churn.membership(t, 5).sum() >= 2
+
+    def test_churn_membership_rejects_bad_queries(self):
+        churn = WorkerChurn(min_active=3)
+        with pytest.raises(ValueError, match="non-negative"):
+            churn.membership(-1, 4)
+        with pytest.raises(ValueError, match="below min_active"):
+            churn.membership(0, 2)
+
+    def test_churn_floor_holds_against_workers_already_removed(self):
+        # The caller's mask already drops workers 0-3; churn must still keep
+        # min_active of the cluster, restoring the lowest-indexed ones.
+        churn = WorkerChurn(leave_probability=0.0, rejoin_probability=1.0, seed=0, min_active=2)
+        rates = ClusterProfile.homogeneous(5).rates()
+        mask = np.array([False, False, False, False, True])
+        removed = WorkerRates(compute=rates.compute, link=rates.link, active=mask)
+        assert churn.apply(3, removed).active.tolist() == [True, False, False, False, True]
 
     def test_straggler_only_touches_compute(self):
         rates = ClusterProfile.homogeneous(16).rates()

@@ -53,6 +53,15 @@ class TestValidation:
         assert SimulationKnobs(sync_policy="backup-workers", backup_workers=2).faulted
         assert SimulationKnobs(sync_policy="time-window", time_window_factor=1.5).faulted
 
+    def test_time_window_factor_must_be_finite_and_at_least_one(self):
+        for bad in (0.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="time_window_factor must be >= 1"):
+                SimulationKnobs(sync_policy="time-window", time_window_factor=bad)
+
+    def test_unknown_scheduler_backend_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheduler backend 'gpu'"):
+            SimulationKnobs(scheduler_backend="gpu")
+
     def test_rate_knobs_must_be_finite_and_at_least_one(self):
         for name in ("straggler_severity", "link_degradation"):
             for bad in (0.5, 0.0, float("inf"), float("nan")):

@@ -131,7 +131,7 @@ class TestComputeGradients:
             param = workers[0].model.projection.weight
         else:
             workers = [_worker()]
-            param = workers[0].model.net[0].weight
+            param = workers[0].model.named_parameters()["net.0.weight"]
         param.data[0, 0] = bad
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
             ValueError, match=r"worker 0 .*non-finite.* at iteration 3"
@@ -154,6 +154,6 @@ class TestComputeGradients:
 
     def test_worker_step_rejects_a_nan_gradient(self):
         worker = _worker()
-        worker.model.net[0].bias.data[0] = np.nan
+        worker.model.named_parameters()["net.0.bias"].data[0] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="worker 0"):
             worker.step(0.1)

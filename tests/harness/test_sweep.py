@@ -280,8 +280,6 @@ class TestExecutionEquivalence:
         assert tuned.trace == autotune(_workload(), "ethernet-4x8", memoize=False, **query).trace
         assert any("lower_bound_seconds" in r.metrics for r in tuned.trace)
         assert cache.stats()["bounds"] == len(cache.bounds) > 0
-        cache.clear()
-        assert cache.stats() == dict.fromkeys(cache.stats(), 0)
 
     def test_memoize_off_with_a_cache_rejected(self, spec):
         with pytest.raises(ValueError, match="memoize=False"):

@@ -1,9 +1,19 @@
-"""Tests for dense layers and activations."""
+"""Tests for dense layers, ReLU and containers."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Dropout, Flatten, Linear, ReLU, Sequential, Sigmoid, Tanh
+from repro.nn import (
+    Flatten,
+    GlobalAvgPool2d,
+    Linear,
+    LSTMLanguageModel,
+    LSTMSequenceClassifier,
+    MaxPool2d,
+    ReLU,
+    ResidualBlock,
+    Sequential,
+)
 
 from .helpers import layer_input_gradient_check
 
@@ -39,49 +49,18 @@ class TestLinear:
             Linear(2, 2).backward(np.ones((1, 2)))
 
 
-@pytest.mark.parametrize("activation_cls", [ReLU, Tanh, Sigmoid])
-class TestActivations:
-    def test_input_gradient(self, activation_cls, rng):
-        layer = activation_cls()
-        err = layer_input_gradient_check(layer, rng.normal(size=(4, 5)))
+class TestReLU:
+    def test_input_gradient(self, rng):
+        err = layer_input_gradient_check(ReLU(), rng.normal(size=(4, 5)))
         assert err < 1e-5
 
-    def test_backward_before_forward_rejected(self, activation_cls):
+    def test_backward_before_forward_rejected(self):
         with pytest.raises(RuntimeError):
-            activation_cls().backward(np.ones((1, 2)))
+            ReLU().backward(np.ones((1, 2)))
 
-
-class TestReLU:
     def test_zeroes_negatives(self):
         out = ReLU()(np.array([[-1.0, 2.0, 0.0]]))
         assert np.allclose(out, [[0.0, 2.0, 0.0]])
-
-
-class TestDropout:
-    def test_eval_mode_is_identity(self, rng):
-        layer = Dropout(0.5, rng=rng)
-        layer.eval()
-        x = rng.normal(size=(4, 4))
-        assert np.allclose(layer(x), x)
-
-    def test_training_mode_scales_survivors(self, rng):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        x = np.ones((2000,))
-        out = layer(x)
-        survivors = out[out != 0.0]
-        assert np.allclose(survivors, 2.0)  # inverted dropout scaling
-        assert 0.3 < survivors.size / x.size < 0.7
-
-    def test_invalid_probability_rejected(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-    def test_backward_masks_gradient(self, rng):
-        layer = Dropout(0.5, rng=np.random.default_rng(1))
-        x = rng.normal(size=(10, 10))
-        out = layer(x)
-        grad = layer.backward(np.ones_like(out))
-        assert np.allclose(grad[out == 0.0], 0.0)
 
 
 class TestFlattenAndSequential:
@@ -93,15 +72,26 @@ class TestFlattenAndSequential:
         back = layer.backward(out)
         assert back.shape == x.shape
 
-    def test_sequential_indexing_and_append(self, rng):
-        model = Sequential(Linear(4, 3, rng=rng))
-        model.append(ReLU())
-        assert len(model) == 2
-        assert isinstance(model[1], ReLU)
-
     def test_sequential_forward_backward_chain(self, rng):
         model = Sequential(Linear(4, 8, rng=rng), ReLU(), Linear(8, 2, rng=rng))
         x = rng.normal(size=(5, 4))
         out = model(x)
         grad_in = model.backward(np.ones_like(out))
         assert grad_in.shape == x.shape
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        Flatten,
+        lambda: MaxPool2d(2),
+        GlobalAvgPool2d,
+        lambda: ResidualBlock(2),
+        lambda: LSTMLanguageModel(5, embedding_dim=3, hidden_size=4),
+        lambda: LSTMSequenceClassifier(3, hidden_size=4, num_classes=2),
+    ],
+    ids=["Flatten", "MaxPool2d", "GlobalAvgPool2d", "ResidualBlock", "LSTMLanguageModel", "LSTMSequenceClassifier"],
+)
+def test_backward_before_forward_rejected(factory):
+    with pytest.raises(RuntimeError, match="backward called before forward"):
+        factory().backward(np.ones((1, 2)))

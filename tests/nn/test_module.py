@@ -38,11 +38,12 @@ class TestModuleTraversal:
         assert np.all(model.parameters()[0].grad == 0.0)
 
     def test_train_eval_propagates(self):
-        model = Sequential(Linear(2, 2), ReLU())
+        relu = ReLU()
+        model = Sequential(Linear(2, 2), relu)
         model.eval()
-        assert not model.training and not model[1].training
+        assert not model.training and not relu.training
         model.train()
-        assert model.training and model[1].training
+        assert model.training and relu.training
 
 
 class TestStateDict:

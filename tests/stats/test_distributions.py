@@ -62,6 +62,33 @@ class TestDistributionContracts:
             with pytest.raises(ValueError):
                 dist.ppf(p)
 
+    def test_pdf_and_cdf_keep_array_shape_and_return_floats_for_scalars(self, dist):
+        xs = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        for fn in (dist.pdf, dist.cdf):
+            out = fn(xs)
+            assert out.shape == (3, 4)
+            assert np.array_equal(out.ravel(), fn(xs.ravel()))
+            assert isinstance(fn(0.7), float)
+            assert fn(0.7) == fn(np.array([0.7]))[0]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Exponential(scale=-1.0),
+        lambda: Gamma(shape=0.0, scale=1.0),
+        lambda: Gamma(shape=1.0, scale=-2.0),
+        lambda: GeneralizedPareto(shape=0.1, scale=0.0),
+        lambda: Laplace(scale=0.0),
+        lambda: DoubleGamma(shape=-0.5, scale=1.0),
+        lambda: DoubleGeneralizedPareto(shape=0.1, scale=-1.0),
+    ],
+    ids=["Exponential", "Gamma-shape", "Gamma-scale", "GeneralizedPareto", "Laplace", "DoubleGamma", "DoubleGeneralizedPareto"],
+)
+def test_nonpositive_parameters_rejected(build):
+    with pytest.raises(ValueError, match="positive"):
+        build()
+
 
 class TestExponential:
     def test_fit_recovers_scale(self):
@@ -131,6 +158,17 @@ class TestGeneralizedPareto:
         assert float(gp.pdf(1.9)) == 0.0
         assert gp.ppf(0.5) > 2.0
 
+    def test_shape_zero_density_and_samples_follow_exponential(self):
+        gp = GeneralizedPareto(shape=0.0, scale=0.7, loc=0.2)
+        exp = Exponential(scale=0.7)
+        xs = np.linspace(0.0, 5.0, 101)
+        assert np.allclose(gp.pdf(xs + 0.2), exp.pdf(xs), atol=1e-12)
+        assert float(gp.pdf(0.1)) == 0.0
+        sample = gp.sample(100_000, np.random.default_rng(8))
+        assert sample.min() >= 0.2
+        for p in (0.25, 0.5, 0.9):
+            assert abs(np.mean(sample <= gp.ppf(p)) - p) < 0.01
+
     def test_fit_requires_exceedances(self):
         with pytest.raises(ValueError):
             GeneralizedPareto.fit(np.array([1.0]), loc=0.0)
@@ -156,6 +194,15 @@ class TestSymmetricWrappers:
         sample = rng.laplace(0.0, 0.4, size=200_000)
         fitted = Laplace.fit(sample)
         assert np.isclose(fitted.scale, 0.4, rtol=0.02)
+
+    def test_laplace_fit_rejects_all_zero_or_empty_sample(self):
+        for values in (np.zeros(16), np.array([])):
+            with pytest.raises(ValueError, match="all-zero or empty"):
+                Laplace.fit(values)
+
+    def test_fit_flattens_a_multidimensional_sample(self):
+        sample = np.random.default_rng(9).laplace(0.0, 0.3, size=(40, 25))
+        assert Laplace.fit(sample) == Laplace.fit(sample.ravel())
 
     def test_double_gamma_absolute_is_gamma(self):
         d = DoubleGamma(shape=0.5, scale=2.0)

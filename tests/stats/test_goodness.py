@@ -25,6 +25,10 @@ class TestEmpirical:
         with pytest.raises(ValueError):
             empirical_cdf(np.array([]))
 
+    def test_empirical_pdf_empty_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            empirical_pdf(np.array([]))
+
     def test_empirical_pdf_integrates_to_one(self, rng):
         density = empirical_pdf(rng.laplace(size=5000), bins=100)
         widths = np.diff(density.centers).mean()
@@ -58,6 +62,14 @@ class TestTailError:
     def test_invalid_quantile_rejected(self):
         with pytest.raises(ValueError):
             tail_quantile_relative_error(np.ones(10), lambda p: p, quantile=1.5)
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            tail_quantile_relative_error(np.array([]), lambda p: p)
+
+    def test_zero_sample_quantile_gives_the_absolute_model_quantile(self):
+        # No relative error is defined against a zero quantile.
+        assert tail_quantile_relative_error(np.zeros(100), lambda p: -0.25) == 0.25
 
 
 class TestEvaluateFit:

@@ -36,6 +36,42 @@ class TestPublicAPI:
         assert not removed & set(repro.core.__all__)
         assert not [name for name in removed if hasattr(repro.core, name)]
 
+    # 4.0.0 removed what no product path reached, one family per test below.
+
+    def test_convergence_bounds_are_gone(self):
+        import repro.core
+
+        removed = {
+            "ConvergenceBound",
+            "contraction_factor",
+            "error_feedback_residual_bound",
+            "extra_iterations_fraction",
+            "iterations_to_sgd_rate",
+        }
+        assert not removed & set(repro.core.__all__)
+        assert not [name for name in removed if hasattr(repro.core, name)]
+
+    def test_lr_schedules_are_gone(self):
+        import repro.optim
+
+        removed = {"LRScheduler", "ConstantLR", "CosineAnnealing", "WarmupStepDecay"}
+        assert not removed & set(repro.optim.__all__)
+        assert not [name for name in removed if hasattr(repro.optim, name)]
+
+    def test_unused_nn_layers_are_gone(self):
+        import repro.nn
+
+        removed = {"Tanh", "Sigmoid", "Dropout"}
+        assert not removed & set(repro.nn.__all__)
+        assert not [name for name in removed if hasattr(repro.nn, name)]
+
+    def test_process_wide_sweep_cache_helpers_are_gone(self):
+        import repro.harness
+
+        removed = {"global_sweep_cache", "clear_sweep_caches"}
+        assert not removed & set(repro.harness.__all__)
+        assert not [name for name in removed if hasattr(repro.harness, name)]
+
     def test_distributed_surface_has_one_knob_bundle_and_no_pools(self):
         import repro.distributed
 

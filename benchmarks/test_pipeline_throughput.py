@@ -195,7 +195,7 @@ def test_emit_registry_throughput_artifact(sweep_timings, emit_artifact):
 @pytest.mark.skipif(SMOKE, reason="throughput floor calibrated to the 25M-element scale")
 def test_vectorized_bucketed_sidco_at_least_2x_throughput(gradient):
     plain = SIDCo("exponential")
-    bucketed = create_compressor("sidco-e-bucketed")
+    bucketed = CompressionPipeline(SIDCo.from_variant("sidco-e"))
 
     # The unbucketed path is the scalar SIDCo compress, timed through the
     # reference body as the registry sweep times the baselines'.

@@ -163,7 +163,7 @@ def test_emit_sched_throughput_artifact(worker_results, emit_artifact):
                 "num_nodes": topology.num_nodes,
                 "devices_per_node": topology.devices_per_node,
                 "num_workers": topology.num_workers,
-                "num_levels": topology.num_levels,
+                "num_levels": len(topology.levels),
             },
         },
         metrics={

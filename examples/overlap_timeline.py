@@ -48,7 +48,7 @@ def main(*, dimension: int = DIMENSION, sample: int = SAMPLE) -> None:
     baseline = timeline.baseline_iteration().total
 
     rows = []
-    names = [n for n in available_compressors() if n != "none" and not n.endswith("-bucketed")]
+    names = [n for n in available_compressors() if n != "none"]
     for name in sorted(names):
         pipeline = CompressionPipeline(create_compressor(name))
         for _ in range(2):  # settle adaptive stage controllers

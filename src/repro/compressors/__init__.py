@@ -10,7 +10,6 @@ from .registry import (
     SIDCO_VARIANTS,
     available_compressors,
     create_compressor,
-    register_compressor,
 )
 from .threshold_fixed import AdaptiveHardThreshold
 from .topk import NoCompression, TopK
@@ -31,5 +30,4 @@ __all__ = [
     "TopK",
     "available_compressors",
     "create_compressor",
-    "register_compressor",
 ]

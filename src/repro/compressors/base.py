@@ -110,8 +110,7 @@ class Compressor:
     many-bucket layout.
 
     Compressors may keep internal state that evolves across training
-    iterations (e.g. SIDCo's stage controller); ``reset`` clears it so one
-    instance can be reused across independent runs.
+    iterations (e.g. SIDCo's stage controller).
     """
 
     #: short identifier used by the registry, figures, and reports
@@ -150,9 +149,6 @@ class Compressor:
             )
             for fit in fit_group(self, rows, BucketLayout(total_size=d, bucket_size=d), ratio, group or [self])
         ]
-
-    def reset(self) -> None:
-        """Clear any cross-iteration state (no-op by default)."""
 
     def fit_all_buckets(
         self, gradient: np.ndarray, layout: "BucketLayout", ratio: float, group=None

@@ -48,11 +48,7 @@ class DGC(Compressor):
             raise ValueError(f"overshoot_trim must be >= 1, got {overshoot_trim}")
         self.sample_ratio = sample_ratio
         self.overshoot_trim = overshoot_trim
-        self._seed = seed
         self._rng = np.random.default_rng(seed)
-
-    def reset(self) -> None:
-        self._rng = np.random.default_rng(self._seed)
 
     @grouped
     def fit_all_buckets(self, rows: np.ndarray, layout, ratio: float, group) -> list[BucketedFit]:

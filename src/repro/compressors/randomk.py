@@ -20,12 +20,8 @@ class RandomK(Compressor):
     name = "randomk"
 
     def __init__(self, seed: int = 0, rescale: bool = True) -> None:
-        self._seed = seed
         self._rng = np.random.default_rng(seed)
         self.rescale = rescale
-
-    def reset(self) -> None:
-        self._rng = np.random.default_rng(self._seed)
 
     @grouped
     def fit_all_buckets(self, rows: np.ndarray, layout, ratio: float, group) -> list[BucketedFit]:

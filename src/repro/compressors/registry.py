@@ -28,21 +28,6 @@ def _sidco_factory(variant: str) -> Callable[..., Compressor]:
     return factory
 
 
-def _bucketed_sidco_factory(variant: str) -> Callable[..., Compressor]:
-    """Bucketed-pipeline SIDCo: all buckets fitted in one batched pass."""
-
-    def factory(*, bucket_bytes: int | None = None, **kwargs) -> Compressor:
-        from ..core.sidco import SIDCo
-        from ..pipeline import DEFAULT_BUCKET_BYTES, CompressionPipeline
-
-        return CompressionPipeline(
-            SIDCo.from_variant(variant, **kwargs),
-            bucket_bytes=DEFAULT_BUCKET_BYTES if bucket_bytes is None else bucket_bytes,
-        )
-
-    return factory
-
-
 _REGISTRY: dict[str, Callable[..., Compressor]] = {
     "none": NoCompression,
     "topk": TopK,
@@ -54,9 +39,6 @@ _REGISTRY: dict[str, Callable[..., Compressor]] = {
     "sidco-e": _sidco_factory("sidco-e"),
     "sidco-gp": _sidco_factory("sidco-gp"),
     "sidco-p": _sidco_factory("sidco-p"),
-    "sidco-e-bucketed": _bucketed_sidco_factory("sidco-e"),
-    "sidco-gp-bucketed": _bucketed_sidco_factory("sidco-gp"),
-    "sidco-p-bucketed": _bucketed_sidco_factory("sidco-p"),
 }
 
 #: The compressor line-up of the paper's main figures, in plotting order.
@@ -76,18 +58,10 @@ def create_compressor(name: str, **kwargs) -> Compressor:
     key = name.lower()
     if key not in _REGISTRY:
         # Like get_network/get_topology: the error names every registered
-        # compressor (including the sidco-*-bucketed pipeline variants), with
-        # the paper's figure line-up called out as the common subset.
+        # compressor, with the paper's figure line-up called out as the
+        # common subset.
         raise ValueError(
             f"unknown compressor {name!r}; known: {available_compressors()} "
             f"(paper line-up: {list(PAPER_COMPRESSORS)})"
         )
     return _REGISTRY[key](**kwargs)
-
-
-def register_compressor(name: str, factory: Callable[..., Compressor], *, overwrite: bool = False) -> None:
-    """Register a user-provided compressor factory under ``name``."""
-    key = name.lower()
-    if key in _REGISTRY and not overwrite:
-        raise ValueError(f"compressor {name!r} is already registered")
-    _REGISTRY[key] = factory

@@ -32,9 +32,6 @@ class AdaptiveHardThreshold(Compressor):
         self.adjustment_rate = adjustment_rate
         self._scale: float | None = None
 
-    def reset(self) -> None:
-        self._scale = None
-
     @grouped
     def fit_all_buckets(self, rows: np.ndarray, layout, ratio: float, group) -> list[BucketedFit]:
         segs = segments(layout, len(rows))

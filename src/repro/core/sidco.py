@@ -74,9 +74,6 @@ class SIDCo(Compressor):
             raise ValueError(f"unknown SIDCo variant {variant!r}; expected one of {sorted(VARIANT_TO_SID)}")
         return cls(sid=VARIANT_TO_SID[key], **kwargs)
 
-    def reset(self) -> None:
-        self.controller.reset()
-
     @property
     def num_stages(self) -> int:
         """Current number of fitting stages chosen by the controller."""

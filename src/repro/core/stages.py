@@ -72,23 +72,11 @@ class StageController:
         self._stages = self.config.initial_stages
         self._window_sum = 0.0
         self._window_count = 0
-        self._history: list[int] = [self._stages]
 
     @property
     def num_stages(self) -> int:
         """Number of fitting stages to use for the next compression call."""
         return self._stages
-
-    @property
-    def history(self) -> list[int]:
-        """Stage counts after every adaptation decision (for diagnostics)."""
-        return list(self._history)
-
-    def reset(self) -> None:
-        self._stages = self.config.initial_stages
-        self._window_sum = 0.0
-        self._window_count = 0
-        self._history = [self._stages]
 
     def observe(self, achieved_k: int, target_k: int) -> int:
         """Record one iteration's selection size; adapt every ``Q`` observations.
@@ -118,4 +106,3 @@ class StageController:
             delta = 1 if (over or under) else 0
         if delta:
             self._stages = int(min(max(self._stages + delta, 1), cfg.max_stages))
-        self._history.append(self._stages)

@@ -3,17 +3,15 @@
 from .images import make_image_classification
 from .loader import BatchIterator, shard_dataset
 from .sequence import make_sequence_classification
-from .synthetic import ArrayDataset, make_blobs_classification, make_regression
+from .synthetic import ArrayDataset
 from .text import LanguageModelingDataset, make_language_modeling
 
 __all__ = [
     "ArrayDataset",
     "BatchIterator",
     "LanguageModelingDataset",
-    "make_blobs_classification",
     "make_image_classification",
     "make_language_modeling",
-    "make_regression",
     "make_sequence_classification",
     "shard_dataset",
 ]

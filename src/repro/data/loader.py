@@ -9,8 +9,6 @@ shard so the trainer can run an arbitrary number of iterations.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from .synthetic import ArrayDataset
@@ -50,12 +48,6 @@ class BatchIterator:
         self._cursor = 0
         self.epochs_completed = 0
 
-    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        return self
-
-    def __next__(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.next_batch()
-
     def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
         """Return the next ``(inputs, targets)`` batch, reshuffling at epoch ends."""
         n = len(self.dataset)
@@ -76,10 +68,3 @@ class BatchIterator:
             self._cursor += self.batch_size
         subset = self.dataset.subset(indices)
         return subset.inputs, subset.targets
-
-    @property
-    def batches_per_epoch(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return int(np.ceil(n / self.batch_size))

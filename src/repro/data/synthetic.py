@@ -1,4 +1,4 @@
-"""Synthetic vector-classification data (Gaussian blobs with class structure)."""
+"""The in-memory array dataset every synthetic task builds on."""
 
 from __future__ import annotations
 
@@ -25,42 +25,3 @@ class ArrayDataset:
 
     def subset(self, indices: np.ndarray) -> "ArrayDataset":
         return ArrayDataset(inputs=self.inputs[indices], targets=self.targets[indices])
-
-
-def make_blobs_classification(
-    num_examples: int = 512,
-    num_features: int = 32,
-    num_classes: int = 10,
-    *,
-    class_separation: float = 2.0,
-    noise: float = 1.0,
-    seed: int = 0,
-) -> ArrayDataset:
-    """Gaussian-blob classification: one anchored cluster per class plus noise.
-
-    The separation/noise ratio controls how quickly a small model's loss
-    drops, which lets integration tests assert "training reduces loss" without
-    long runs.
-    """
-    if num_examples < num_classes:
-        raise ValueError("need at least one example per class")
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(0.0, class_separation, size=(num_classes, num_features))
-    targets = rng.integers(0, num_classes, size=num_examples)
-    inputs = centers[targets] + rng.normal(0.0, noise, size=(num_examples, num_features))
-    return ArrayDataset(inputs=inputs, targets=targets)
-
-
-def make_regression(
-    num_examples: int = 512,
-    num_features: int = 16,
-    *,
-    noise: float = 0.1,
-    seed: int = 0,
-) -> ArrayDataset:
-    """Linear regression data ``y = X w + noise`` with a dense ground-truth weight."""
-    rng = np.random.default_rng(seed)
-    weights = rng.normal(0.0, 1.0, size=num_features)
-    inputs = rng.normal(0.0, 1.0, size=(num_examples, num_features))
-    targets = inputs @ weights + rng.normal(0.0, noise, size=num_examples)
-    return ArrayDataset(inputs=inputs, targets=targets[:, None])

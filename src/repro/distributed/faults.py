@@ -104,11 +104,6 @@ class ClusterProfile:
     def num_workers(self) -> int:
         return len(self.workers)
 
-    @property
-    def homogeneous_nominal(self) -> bool:
-        """True when every worker runs at the nominal (1.0, 1.0) rates."""
-        return all(p.compute == 1.0 and p.link == 1.0 for p in self.workers)
-
     @classmethod
     def homogeneous(cls, num_workers: int) -> "ClusterProfile":
         """The perfect cluster every earlier PR priced: all rates 1.0."""
@@ -179,12 +174,6 @@ class WorkerRates:
     @property
     def active_indices(self) -> list[int]:
         return [int(w) for w in np.flatnonzero(self.active)]
-
-    @property
-    def nominal(self) -> bool:
-        """True when every active worker runs at exactly (1.0, 1.0)."""
-        act = self.active
-        return bool(np.all(self.compute[act] == 1.0) and np.all(self.link[act] == 1.0))
 
 
 @dataclass(frozen=True)

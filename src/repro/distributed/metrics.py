@@ -57,9 +57,6 @@ class TrainingMetrics:
     def append(self, record: IterationRecord) -> None:
         self.records.append(record)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     # -- series ---------------------------------------------------------------
 
     @property
@@ -77,10 +74,6 @@ class TrainingMetrics:
     def loss_curve(self) -> tuple[np.ndarray, np.ndarray]:
         """(iteration, loss) — Figure 4a/c."""
         return np.array([r.iteration for r in self.records]), self.losses
-
-    def loss_vs_walltime(self) -> tuple[np.ndarray, np.ndarray]:
-        """(simulated seconds, loss) — Figure 10."""
-        return self.wall_times, self.losses
 
     def running_average_ratio(self, window: int = 20) -> np.ndarray:
         """Smoothed achieved compression ratio — Figure 9 traces."""

@@ -43,12 +43,6 @@ class NetworkModel:
     def bytes_per_second(self) -> float:
         return self.bandwidth_gbps * 1e9 / 8.0 * self.efficiency
 
-    def transfer_time(self, num_bytes: float) -> float:
-        """Time to push ``num_bytes`` over one link (single message)."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        return self.latency_s + num_bytes / self.bytes_per_second
-
     def allreduce_time(self, num_bytes: float, num_workers: int) -> float:
         """Ring all-reduce of a dense buffer of ``num_bytes`` across ``num_workers``."""
         self._check_workers(num_workers)

@@ -161,19 +161,8 @@ class ScheduleArrays:
         return self.phase_mask
 
     @property
-    def total_compress_seconds(self) -> float:
-        return sum((self.compress_end - self.compress_start).tolist())
-
-    @property
     def total_comm_seconds(self) -> float:
         return sum((self.comm_end - self.comm_start).tolist())
-
-    @property
-    def overlap_saving(self) -> float:
-        """Fraction of the serialised iteration the overlap policy saved."""
-        if self.serialized_seconds <= 0.0:
-            return 0.0
-        return 1.0 - self.iteration_seconds / self.serialized_seconds
 
     def link_utilization(self) -> dict[str, dict[str, float]]:
         """Per-link busy time over the network's active window, by fabric.

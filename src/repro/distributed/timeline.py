@@ -550,13 +550,6 @@ class TimelineModel:
 
         return scale_ops(result.ops, self.dimension_scale)
 
-    def communication_overhead_fraction(self) -> float:
-        """Fraction of the baseline iteration spent communicating (Table 1's last column)."""
-        baseline = self.baseline_iteration()
-        if baseline.total == 0.0:
-            return 0.0
-        return baseline.communication / baseline.total
-
 
 def compute_time_for_overhead(
     network: NetworkModel,

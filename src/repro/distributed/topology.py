@@ -121,15 +121,6 @@ class SparseAggregateModel:
             return cap
         return min((1.0 - (1.0 - density) ** participants) / density, cap)
 
-    def union_payload_bytes(self, payload_bytes: float, density: float, participants: int) -> float:
-        """Expected deduplicated aggregate of ``participants`` payloads of ``payload_bytes``."""
-        _check_payload(payload_bytes)
-        return payload_bytes * self.union_factor(density, participants)
-
-    def dedup_ratio(self, density: float, participants: int) -> float:
-        """Concatenated-over-deduplicated size: how much the reduce shrinks the aggregate."""
-        return participants / self.union_factor(density, participants)
-
 
 @dataclass(frozen=True)
 class LinkLevel:
@@ -255,10 +246,6 @@ class ClusterTopology:
         return self.num_nodes * self.devices_per_node
 
     @property
-    def num_levels(self) -> int:
-        return len(self.levels)
-
-    @property
     def is_single_level(self) -> bool:
         """True when at most one level has more than one participant."""
         return sum(1 for level in self.levels if level.fanout > 1) <= 1
@@ -344,21 +331,12 @@ class CollectiveCost:
         return total
 
     @property
-    def is_pipelined(self) -> bool:
-        """True when any phase carries an explicit pipelined placement."""
-        return any(phase.start is not None for phase in self.phases)
-
-    @property
     def serial_seconds(self) -> float:
         """The back-to-back traversal time: plain sum of every phase duration."""
         total = 0.0
         for phase in self.phases:
             total += phase.seconds
         return total
-
-    @property
-    def volume_bytes(self) -> float:
-        return sum(phase.volume_bytes for phase in self.phases)
 
 
 def _phase_label(phase: CollectivePhase) -> str:
@@ -1032,12 +1010,6 @@ class CollectiveModel:
                 priced[key] = self.allgather_cost(key[0], density=key[1])
             costs.append(priced[key])
         return PhaseTable.from_costs(costs)
-
-    def allreduce_time(self, num_bytes: float) -> float:
-        return self.allreduce_cost(num_bytes).total
-
-    def allgather_time(self, payload_bytes_per_worker: float) -> float:
-        return self.allgather_cost(payload_bytes_per_worker).total
 
 
 #: Appendix D, Cluster 1: 8 single-GPU servers on 10 Gbps (or 25 Gbps) TCP

@@ -249,12 +249,10 @@ class DistributedTrainer:
             # The dense baseline all-reduces one fused buffer regardless.
             return built
         if isinstance(built, CompressionPipeline):
-            # Already bucketed (e.g. a "sidco-*-bucketed" registry name): the
-            # trainer config's bucket size and layer layout win over the
-            # factory defaults.
-            built.bucket_bytes = int(bucket_bytes)
-            built.flat_spec = flat_spec
-            return built
+            raise ValueError(
+                "the compressor is already a CompressionPipeline; set its bucket_bytes "
+                "or knobs.bucket_bytes, not both"
+            )
         return CompressionPipeline(built, bucket_bytes=bucket_bytes, flat_spec=flat_spec)
 
     # -- training ---------------------------------------------------------------
@@ -264,7 +262,6 @@ class DistributedTrainer:
         cfg = self.config
         metrics = TrainingMetrics()
         wall_time = 0.0
-        self.model.train()
 
         for iteration in range(cfg.iterations):
             wall_time = self._run_iteration(iteration, metrics, wall_time)
@@ -369,7 +366,6 @@ class DistributedTrainer:
 
     def evaluate(self, dataset, *, batch_size: int = 64) -> dict[str, float]:
         """Mean loss, top-1 accuracy and perplexity of the current model on ``dataset``."""
-        self.model.eval()
         n = len(dataset)
         losses: list[float] = []
         accuracies: list[float] = []
@@ -380,30 +376,9 @@ class DistributedTrainer:
             loss, _ = cross_entropy(logits, subset.targets)
             losses.append(loss)
             accuracies.append(accuracy(logits, subset.targets))
-        self.model.train()
         mean_loss = float(np.mean(losses))
         return {
             "loss": mean_loss,
             "accuracy": float(np.mean(accuracies)),
             "perplexity": perplexity(mean_loss),
         }
-
-
-def train_baseline_and_compressed(
-    model_factory,
-    dataset,
-    compressors: list[str],
-    config: TrainerConfig,
-    **trainer_kwargs,
-) -> dict[str, TrainingRunResult]:
-    """Train the same task once per compressor (plus the dense baseline).
-
-    ``model_factory`` must build a freshly initialised (but identically seeded)
-    model per run so every compressor starts from the same weights.
-    """
-    results: dict[str, TrainingRunResult] = {}
-    for name in ["none", *compressors]:
-        model = model_factory()
-        trainer = DistributedTrainer(model, dataset, name, config, **trainer_kwargs)
-        results[name] = trainer.run()
-    return results

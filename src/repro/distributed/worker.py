@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +31,6 @@ from ..nn.module import Module, Parameter
 from ..optim.clip import clip_flat_by_norm
 from ..optim.error_feedback import ErrorFeedback
 from ..tensor.flatten import FlatSpec, flatten
-
-
-@dataclass
-class WorkerStep:
-    """Everything one worker produced for one training iteration."""
-
-    loss: float
-    compression: CompressionResult
-    gradient_norm: float
-    corrected_gradient: np.ndarray
 
 
 class Worker:
@@ -75,23 +64,6 @@ class Worker:
         #: Layout of the flat gradient; a trainer's workers share one.
         self.flat_spec = flat_spec
         self.error_feedback = ErrorFeedback(self.flat_spec.total_size) if use_error_feedback else None
-
-    def compute_gradient(self) -> tuple[float, np.ndarray]:
-        """Run one forward/backward on the next local batch; return (loss, flat gradient)."""
-        [(_, loss, flat)] = compute_gradients([self])
-        return loss, flat
-
-    def step(self, ratio: float) -> WorkerStep:
-        """Compute, (optionally) clip + error-correct, and compress this worker's gradient."""
-        loss, flat = self.compute_gradient()
-        [result], [norm] = compress_gradients([self], flat[None], ratio)
-        return WorkerStep(loss=loss, compression=result, gradient_norm=norm, corrected_gradient=flat)
-
-    def reset(self) -> None:
-        """Clear per-run state (compressor adaptation and residual memory)."""
-        self.compressor.reset()
-        if self.error_feedback is not None:
-            self.error_feedback.reset()
 
 
 def compute_gradients(

@@ -1,27 +1,11 @@
 """Gradient synthesis and capture utilities."""
 
 from .capture import GradientCapture
-from .synthetic import (
-    MODEL_DIMENSIONS,
-    SYNTHETIC_TENSOR_SIZES,
-    double_gamma_gradient,
-    double_gpareto_gradient,
-    evolving_gradients,
-    laplace_gradient,
-    model_sized_gradient,
-    realistic_gradient,
-    sid_gradient,
-)
+from .synthetic import MODEL_DIMENSIONS, SYNTHETIC_TENSOR_SIZES, realistic_gradient
 
 __all__ = [
     "MODEL_DIMENSIONS",
     "SYNTHETIC_TENSOR_SIZES",
     "GradientCapture",
-    "double_gamma_gradient",
-    "double_gpareto_gradient",
-    "evolving_gradients",
-    "laplace_gradient",
-    "model_sized_gradient",
     "realistic_gradient",
-    "sid_gradient",
 ]

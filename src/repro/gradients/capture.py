@@ -60,13 +60,3 @@ class GradientCapture:
             if norm > 0.0:
                 vec = vec / norm
         self.snapshots[iteration] = vec.copy()
-
-    def get(self, iteration: int) -> np.ndarray:
-        """Return the snapshot captured at ``iteration``."""
-        if iteration not in self.snapshots:
-            raise KeyError(f"no snapshot captured at iteration {iteration}")
-        return self.snapshots[iteration]
-
-    @property
-    def captured_iterations(self) -> list[int]:
-        return sorted(self.snapshots)

@@ -2,7 +2,7 @@
 
 from .conv import Conv2d, GlobalAvgPool2d, MaxPool2d, ResidualBlock
 from .layers import Flatten, Linear, ReLU, Sequential
-from .losses import accuracy, cross_entropy, mse, perplexity, softmax
+from .losses import accuracy, cross_entropy, perplexity, softmax
 from .models import (
     CNNClassifier,
     LSTMLanguageModel,
@@ -35,7 +35,6 @@ __all__ = [
     "accuracy",
     "build_model",
     "cross_entropy",
-    "mse",
     "perplexity",
     "softmax",
 ]

@@ -39,18 +39,6 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     return loss, grad.reshape(logits.shape)
 
 
-def mse(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error and its gradient with respect to the predictions."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if predictions.shape != targets.shape:
-        raise ValueError("predictions and targets must have the same shape")
-    diff = predictions - targets
-    loss = float(np.mean(diff**2))
-    grad = 2.0 * diff / diff.size
-    return loss, grad
-
-
 def accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
     """Top-1 accuracy for classification logits."""
     logits = np.asarray(logits)

@@ -83,7 +83,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: dict[str, Parameter] = {}
         self._modules: dict[str, "Module"] = {}
-        self.training = True
         #: Length of the leading worker axis of a stacked pass, ``None`` unstacked.
         self.workers: int | None = None
 
@@ -150,42 +149,6 @@ class Module:
                 f"but got an input of shape {np.shape(x)}"
             )
         return (self.workers,)
-
-    # -- state round-trips (used by tests and checkpoint-free workers) -------
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: param.data.copy() for name, param in self.named_parameters().items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        params = self.named_parameters()
-        missing = set(params) - set(state)
-        if missing:
-            raise KeyError(f"state dict is missing parameters: {sorted(missing)}")
-        for name, param in params.items():
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != param.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: expected {param.data.shape}, got {value.shape}"
-                )
-            param.data[...] = value
-
-    def gradient_dict(self) -> dict[str, np.ndarray]:
-        """Current accumulated gradients keyed like ``named_parameters``."""
-        return {name: param.grad.copy() for name, param in self.named_parameters().items()}
-
-    # -- mode ----------------------------------------------------------------
-
-    def train(self) -> "Module":
-        self.training = True
-        for module in self._modules.values():
-            module.train()
-        return self
-
-    def eval(self) -> "Module":
-        self.training = False
-        for module in self._modules.values():
-            module.eval()
-        return self
 
     # -- computation ----------------------------------------------------------
 

@@ -5,23 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def clip_by_global_norm(gradients: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the (possibly rescaled) gradients and the pre-clip global norm.
-    """
-    if max_norm <= 0.0:
-        raise ValueError("max_norm must be positive")
-    total_sq = 0.0
-    for grad in gradients.values():
-        total_sq += float(np.sum(np.asarray(grad, dtype=np.float64) ** 2))
-    norm = float(np.sqrt(total_sq))
-    if norm <= max_norm or norm == 0.0:
-        return gradients, norm
-    scale = max_norm / norm
-    return {name: np.asarray(grad, dtype=np.float64) * scale for name, grad in gradients.items()}, norm
-
-
 def clip_flat_by_norm(gradient: np.ndarray, max_norm: float) -> tuple[np.ndarray, float]:
     """Clip a flattened gradient vector by its L2 norm."""
     if max_norm <= 0.0:

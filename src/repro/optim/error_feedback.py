@@ -24,14 +24,6 @@ class ErrorFeedback:
         self.dimension = dimension
         self._memory = np.zeros(dimension, dtype=np.float64)
 
-    @property
-    def memory(self) -> np.ndarray:
-        """The residual currently stored (a copy, for inspection)."""
-        return self._memory.copy()
-
-    def reset(self) -> None:
-        self._memory.fill(0.0)
-
     def correct(self, gradient: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Return ``gradient + residual`` — the vector that should be compressed — into ``out`` if given."""
         grad = np.asarray(gradient, dtype=np.float64).ravel()
@@ -49,16 +41,3 @@ class ErrorFeedback:
         residual = corrected.copy()
         residual[transmitted.indices] -= transmitted.values
         self._memory = residual
-
-    def step(self, gradient: np.ndarray, compress) -> tuple[SparseGradient, np.ndarray]:
-        """Convenience: correct, compress with ``compress(corrected)``, update memory.
-
-        ``compress`` must return an object with a ``sparse`` attribute (a
-        :class:`CompressionResult`) or a :class:`SparseGradient` directly.
-        Returns ``(sparse, corrected)``.
-        """
-        corrected = self.correct(gradient)
-        result = compress(corrected)
-        sparse = result.sparse if hasattr(result, "sparse") else result
-        self.update(corrected, sparse)
-        return sparse, corrected

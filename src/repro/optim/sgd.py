@@ -84,6 +84,3 @@ class SGD:
             else:
                 update = grad
             param.data -= self.lr * update
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: v.copy() for name, v in self._velocity.items()}

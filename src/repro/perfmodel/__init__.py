@@ -1,15 +1,13 @@
 """Device performance model for compression latency."""
 
-from .costs import PRIMITIVES, CostBreakdown, DeviceProfile, breakdown, distribute_cost, scale_ops
-from .device import CPU_XEON, DEVICES, GPU_V100, get_device
+from .costs import PRIMITIVES, DeviceProfile, distribute_cost, scale_ops
+from .device import CPU_XEON, DEVICES, GPU_V100
 from .estimator import (
     DEFAULT_SAMPLE_CAP,
     LatencyEstimate,
     compression_throughput,
     estimate_latency,
     estimate_latency_for_dimension,
-    latency_breakdown,
-    speedup_over_reference,
 )
 
 __all__ = [
@@ -18,16 +16,11 @@ __all__ = [
     "DEVICES",
     "GPU_V100",
     "PRIMITIVES",
-    "CostBreakdown",
     "DeviceProfile",
     "LatencyEstimate",
-    "breakdown",
     "compression_throughput",
     "distribute_cost",
     "estimate_latency",
     "estimate_latency_for_dimension",
-    "get_device",
-    "latency_breakdown",
     "scale_ops",
-    "speedup_over_reference",
 ]

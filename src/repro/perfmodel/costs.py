@@ -21,7 +21,7 @@ dimension ``d``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,32 +66,6 @@ class DeviceProfile:
     def trace_cost(self, ops: list[OpRecord]) -> float:
         """Estimated seconds for a full operation trace."""
         return float(sum(self.op_cost(op) for op in ops))
-
-
-@dataclass
-class CostBreakdown:
-    """Latency estimate decomposed per primitive (for reports and ablations)."""
-
-    device: str
-    total_seconds: float
-    per_primitive_seconds: dict[str, float] = field(default_factory=dict)
-    num_ops: int = 0
-
-
-def breakdown(ops: list[OpRecord], device: DeviceProfile) -> CostBreakdown:
-    """Decompose the cost of an operation trace per primitive."""
-    per_primitive: dict[str, float] = {}
-    total = 0.0
-    for record in ops:
-        cost = device.op_cost(record)
-        per_primitive[record.op] = per_primitive.get(record.op, 0.0) + cost
-        total += cost
-    return CostBreakdown(
-        device=device.name,
-        total_seconds=total,
-        per_primitive_seconds=per_primitive,
-        num_ops=len(ops),
-    )
 
 
 def distribute_cost(total_seconds: float, weights) -> np.ndarray:

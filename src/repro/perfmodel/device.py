@@ -53,14 +53,3 @@ DEVICES: dict[str, DeviceProfile] = {
     "gpu": GPU_V100,
     "cpu": CPU_XEON,
 }
-
-
-def get_device(name: str) -> DeviceProfile:
-    """Look up a device profile by short name (``gpu`` or ``cpu``) or full name."""
-    key = name.lower()
-    if key in DEVICES:
-        return DEVICES[key]
-    for profile in DEVICES.values():
-        if profile.name == key:
-            return profile
-    raise ValueError(f"unknown device {name!r}; known: {sorted(DEVICES)}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..compressors.base import Compressor, CompressionResult
-from .costs import CostBreakdown, DeviceProfile, breakdown, scale_ops
+from .costs import DeviceProfile, scale_ops
 
 #: Largest vector actually materialised when extrapolating to huge models.
 DEFAULT_SAMPLE_CAP = 1_000_000
@@ -24,11 +24,6 @@ DEFAULT_SAMPLE_CAP = 1_000_000
 def estimate_latency(result: CompressionResult, device: DeviceProfile) -> float:
     """Seconds the compression call would take on ``device``."""
     return device.trace_cost(result.ops)
-
-
-def latency_breakdown(result: CompressionResult, device: DeviceProfile) -> CostBreakdown:
-    """Per-primitive latency decomposition of a compression call on ``device``."""
-    return breakdown(result.ops, device)
 
 
 def compression_throughput(result: CompressionResult, device: DeviceProfile) -> float:
@@ -89,16 +84,3 @@ def estimate_latency_for_dimension(
         seconds=seconds,
         achieved_ratio=result.achieved_ratio,
     )
-
-
-def speedup_over_reference(estimates: dict[str, float], reference: str = "topk") -> dict[str, float]:
-    """Normalise a mapping of compressor -> seconds by a reference compressor.
-
-    This is the "Norm. Comp. Speedup (X)" axis of Figures 1, 14 and 16.
-    """
-    if reference not in estimates:
-        raise KeyError(f"reference compressor {reference!r} not in estimates")
-    ref = estimates[reference]
-    if ref <= 0.0:
-        raise ValueError("reference latency must be positive")
-    return {name: ref / max(seconds, 1e-300) for name, seconds in estimates.items()}

@@ -143,10 +143,6 @@ class BucketLayout:
         rem = self.total_size % self.bucket_size
         return rem if rem else self.bucket_size
 
-    @property
-    def is_ragged(self) -> bool:
-        return self.last_bucket_size != self.bucket_size
-
     def starts(self) -> np.ndarray:
         """Offset of each bucket into the flat vector."""
         if self.boundaries is not None:

@@ -78,9 +78,6 @@ class CompressionPipeline(Compressor):
         self.flat_spec = flat_spec
         self.name = f"{compressor.name}-bucketed"
 
-    def reset(self) -> None:
-        self.compressor.reset()
-
     def layout_for(self, size: int) -> BucketLayout:
         """Bucket layout the pipeline uses for a ``size``-element gradient.
 

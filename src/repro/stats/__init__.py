@@ -3,9 +3,7 @@
 from .compressibility import (
     CompressibilityReport,
     fit_power_law_decay,
-    power_law_envelope,
     sorted_magnitudes,
-    sparsification_error,
     sparsification_error_curve,
 )
 from .distributions import (
@@ -27,10 +25,8 @@ from .fitting import (
     validate_sid,
 )
 from .goodness import (
-    EmpiricalDensity,
     FitQuality,
     empirical_cdf,
-    empirical_pdf,
     evaluate_fit,
     ks_statistic,
     log_likelihood,
@@ -44,7 +40,6 @@ __all__ = [
     "CompressibilityReport",
     "DoubleGamma",
     "DoubleGeneralizedPareto",
-    "EmpiricalDensity",
     "Exponential",
     "FitQuality",
     "FitResult",
@@ -52,16 +47,13 @@ __all__ = [
     "GeneralizedPareto",
     "Laplace",
     "empirical_cdf",
-    "empirical_pdf",
     "estimate_threshold",
     "evaluate_fit",
     "fit_absolute",
     "fit_power_law_decay",
     "ks_statistic",
     "log_likelihood",
-    "power_law_envelope",
     "sorted_magnitudes",
-    "sparsification_error",
     "sparsification_error_curve",
     "tail_quantile_relative_error",
     "threshold_from_fit",

@@ -30,18 +30,6 @@ def sorted_magnitudes(gradient: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(np.asarray(gradient, dtype=np.float64).ravel()))[::-1]
 
 
-def sparsification_error(gradient: np.ndarray, k: int) -> float:
-    """Best-k sparsification error ``sigma_k(g) = ||g - T_k{g}||_2`` (Eq. 2)."""
-    g = np.asarray(gradient, dtype=np.float64).ravel()
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    if k >= g.size:
-        return 0.0
-    mags = np.sort(np.abs(g))  # ascending: first d-k entries are the dropped tail
-    tail = mags[: g.size - k]
-    return float(np.sqrt(np.sum(tail * tail)))
-
-
 def sparsification_error_curve(gradient: np.ndarray, ks: np.ndarray | list[int]) -> np.ndarray:
     """Vector of ``sigma_k`` values for each ``k`` in ``ks`` (Figure 7b series)."""
     g = np.asarray(gradient, dtype=np.float64).ravel()
@@ -95,9 +83,3 @@ def fit_power_law_decay(
         is_compressible=decay_exponent > 0.5,
         dimension=int(np.asarray(gradient).size),
     )
-
-
-def power_law_envelope(dimension: int, constant: float, exponent: float) -> np.ndarray:
-    """Reference envelope ``c * j^{-p}`` for plotting against sorted magnitudes."""
-    j = np.arange(1, dimension + 1, dtype=np.float64)
-    return constant * np.power(j, -exponent)

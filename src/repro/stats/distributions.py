@@ -67,9 +67,6 @@ class Exponential:
         _validate_probability(p)
         return float(-self.scale * np.log1p(-p))
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.exponential(self.scale, size=size)
-
     @classmethod
     def fit(cls, abs_values: np.ndarray) -> "Exponential":
         """MLE fit: the scale is the sample mean of the absolute values."""
@@ -117,12 +114,6 @@ class Gamma:
     def ppf(self, p: float) -> float:
         _validate_probability(p)
         return float(self.scale * special.inv_reg_lower_incomplete_gamma(self.shape, p))
-
-    def mean(self) -> float:
-        return self.shape * self.scale
-
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.gamma(self.shape, self.scale, size=size)
 
     @classmethod
     def fit(cls, abs_values: np.ndarray, *, exact_mle: bool = False) -> "Gamma":
@@ -208,12 +199,6 @@ class GeneralizedPareto:
             return float(self.loc - self.scale * np.log1p(-p))
         return float(self.loc + self.scale / self.shape * (np.exp(-self.shape * np.log1p(-p)) - 1.0))
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.uniform(0.0, 1.0, size=size)
-        if abs(self.shape) < self._SHAPE_EPS:
-            return self.loc - self.scale * np.log1p(-u)
-        return self.loc + self.scale / self.shape * (np.power(1.0 - u, -self.shape) - 1.0)
-
     @classmethod
     def fit(cls, abs_values: np.ndarray, *, loc: float = 0.0) -> "GeneralizedPareto":
         """Moment-matching fit per Corollary 1.3 / Lemma 2 (Eq. 29, 38).
@@ -279,17 +264,6 @@ class Laplace:
             return float(self.scale * np.log(2.0 * p))
         return float(-self.scale * np.log(2.0 * (1.0 - p)))
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.laplace(0.0, self.scale, size=size)
-
-    @classmethod
-    def fit(cls, values: np.ndarray) -> "Laplace":
-        arr = np.abs(_as_positive_array(values))
-        mean = float(arr.mean()) if arr.size else 0.0
-        if mean <= 0.0:
-            raise ValueError("cannot fit a Laplace to an all-zero or empty sample")
-        return cls(scale=mean)
-
 
 @dataclass(frozen=True)
 class DoubleGamma:
@@ -326,11 +300,6 @@ class DoubleGamma:
             return self.absolute.ppf(2.0 * p - 1.0)
         return -self.absolute.ppf(1.0 - 2.0 * p)
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        magnitude = self.absolute.sample(size, rng)
-        signs = rng.choice(np.array([-1.0, 1.0]), size=size)
-        return magnitude * signs
-
 
 @dataclass(frozen=True)
 class DoubleGeneralizedPareto:
@@ -366,16 +335,6 @@ class DoubleGeneralizedPareto:
         if p > 0.5:
             return self.absolute.ppf(2.0 * p - 1.0)
         return -self.absolute.ppf(1.0 - 2.0 * p)
-
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        magnitude = self.absolute.sample(size, rng)
-        signs = rng.choice(np.array([-1.0, 1.0]), size=size)
-        return magnitude * signs
-
-    @classmethod
-    def fit(cls, values: np.ndarray) -> "DoubleGeneralizedPareto":
-        fitted = GeneralizedPareto.fit(np.abs(np.asarray(values, dtype=np.float64)).ravel(), loc=0.0)
-        return cls(shape=fitted.shape, scale=fitted.scale)
 
 
 SYMMETRIC_SIDS = {

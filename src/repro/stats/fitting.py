@@ -29,15 +29,6 @@ class FitResult:
     sample_mean: float
     sample_var: float
 
-    @property
-    def params(self) -> dict[str, float]:
-        dist = self.distribution
-        if isinstance(dist, Exponential):
-            return {"scale": dist.scale}
-        if isinstance(dist, Gamma):
-            return {"shape": dist.shape, "scale": dist.scale}
-        return {"shape": dist.shape, "scale": dist.scale, "loc": dist.loc}
-
 
 def validate_sid(sid: str) -> str:
     if sid not in VALID_SIDS:

@@ -16,14 +16,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class EmpiricalDensity:
-    """Histogram-based empirical PDF over bin centers."""
-
-    centers: np.ndarray
-    density: np.ndarray
-
-
-@dataclass(frozen=True)
 class FitQuality:
     """Scalar summary of how well a fitted distribution matches a sample."""
 
@@ -39,16 +31,6 @@ def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("empirical_cdf requires a non-empty sample")
     probs = np.arange(1, arr.size + 1, dtype=np.float64) / arr.size
     return arr, probs
-
-
-def empirical_pdf(values: np.ndarray, bins: int = 200) -> EmpiricalDensity:
-    """Histogram-density estimate of the sample PDF (Figure 2a/2c style)."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("empirical_pdf requires a non-empty sample")
-    density, edges = np.histogram(arr, bins=bins, density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return EmpiricalDensity(centers=centers, density=density)
 
 
 def ks_statistic(values: np.ndarray, cdf_callable) -> float:

@@ -41,20 +41,6 @@ class FlatSpec:
             offset += size
         return cls(slots=tuple(slots), total_size=offset)
 
-    @classmethod
-    def from_arrays(cls, named_arrays: dict[str, np.ndarray]) -> "FlatSpec":
-        return cls.from_named_shapes({name: tuple(arr.shape) for name, arr in named_arrays.items()})
-
-    def slot(self, name: str) -> TensorSlot:
-        for s in self.slots:
-            if s.name == name:
-                return s
-        raise KeyError(f"no tensor named {name!r} in FlatSpec")
-
-    def offsets(self) -> np.ndarray:
-        """Start offset of every slot, in layout order."""
-        return np.asarray([s.offset for s in self.slots], dtype=np.int64)
-
 
 def flatten(
     named_arrays: dict[str, np.ndarray],

@@ -73,13 +73,6 @@ class SparseGradient:
         return dense
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SparseGradient":
-        """Build a sparse gradient from a dense vector, keeping exact non-zeros."""
-        dense = np.asarray(dense, dtype=np.float64).ravel()
-        indices = np.flatnonzero(dense)
-        return cls(indices=indices, values=dense[indices], dense_size=dense.size)
-
-    @classmethod
     def from_mask(cls, dense: np.ndarray, mask: np.ndarray) -> "SparseGradient":
         """Build a sparse gradient keeping only elements where ``mask`` is True."""
         dense = np.asarray(dense, dtype=np.float64).ravel()

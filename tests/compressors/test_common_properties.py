@@ -5,16 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compressors import available_compressors, create_compressor
+from repro.compressors import SIDCO_VARIANTS, available_compressors, create_compressor
 from repro.gradients import realistic_gradient
+from repro.pipeline import CompressionPipeline
 
-ALL_NAMES = [n for n in available_compressors() if n != "none"]
+#: Every registry compressor, then each SIDCo variant behind a default-size
+#: ``CompressionPipeline`` (the bucketed SIDCo path).
+NAMES = available_compressors() + [f"{variant}-bucketed" for variant in SIDCO_VARIANTS]
+ALL_NAMES = [n for n in NAMES if n != "none"]
+
+
+def _build(name: str):
+    if name.endswith("-bucketed"):
+        return CompressionPipeline(create_compressor(name.removesuffix("-bucketed")))
+    return create_compressor(name)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 class TestCompressorContract:
     def test_values_come_from_original_vector(self, name, small_gradient):
-        compressor = create_compressor(name)
+        compressor = _build(name)
         result = compressor.compress(small_gradient, 0.05)
         sparse = result.sparse
         if name == "randomk":
@@ -25,41 +35,45 @@ class TestCompressorContract:
             assert np.allclose(sparse.values, small_gradient[sparse.indices])
 
     def test_indices_unique_and_in_range(self, name, small_gradient):
-        result = create_compressor(name).compress(small_gradient, 0.05)
+        result = _build(name).compress(small_gradient, 0.05)
         idx = result.sparse.indices
         assert idx.size == np.unique(idx).size
         assert idx.min() >= 0 and idx.max() < small_gradient.size
 
     def test_dense_size_preserved(self, name, small_gradient):
-        result = create_compressor(name).compress(small_gradient, 0.05)
+        result = _build(name).compress(small_gradient, 0.05)
         assert result.sparse.dense_size == small_gradient.size
 
     def test_ops_trace_nonempty(self, name, small_gradient):
-        result = create_compressor(name).compress(small_gradient, 0.05)
+        result = _build(name).compress(small_gradient, 0.05)
         assert len(result.ops) >= 1
         assert all(op.size >= 0 for op in result.ops)
 
     def test_achieved_ratio_reported(self, name, small_gradient):
-        result = create_compressor(name).compress(small_gradient, 0.05)
+        result = _build(name).compress(small_gradient, 0.05)
         assert result.target_ratio == 0.05
         assert 0.0 < result.achieved_ratio <= 1.0
         assert result.achieved_k == result.sparse.nnz
 
     def test_empty_gradient_rejected(self, name):
         with pytest.raises(ValueError):
-            create_compressor(name).compress(np.array([]), 0.1)
+            _build(name).compress(np.array([]), 0.1)
 
     @pytest.mark.parametrize("ratio", [0.0, -0.1, 1.5])
     def test_invalid_ratio_rejected(self, name, ratio, small_gradient):
         with pytest.raises(ValueError):
-            create_compressor(name).compress(small_gradient, ratio)
+            _build(name).compress(small_gradient, ratio)
 
-    def test_reset_is_safe(self, name, small_gradient):
-        compressor = create_compressor(name)
-        compressor.compress(small_gradient, 0.01)
-        compressor.reset()
-        result = compressor.compress(small_gradient, 0.01)
-        assert result.achieved_k >= 1
+    def test_fresh_instance_repeats_a_used_ones_first_call(self, name, small_gradient):
+        # Nothing resets a compressor: callers build a fresh one, which must
+        # not share adaptive or RNG state with instances already in use.
+        used = _build(name)
+        first = used.compress(small_gradient, 0.01)
+        for scale in (3.0, 0.5):
+            used.compress(small_gradient * scale, 0.01)
+        again = _build(name).compress(small_gradient, 0.01)
+        np.testing.assert_array_equal(again.sparse.indices, first.sparse.indices)
+        np.testing.assert_array_equal(again.sparse.values, first.sparse.values)
 
 
 @pytest.mark.parametrize("name", ["topk", "dgc", "sidco-e", "sidco-gp", "sidco-p"])
@@ -101,7 +115,7 @@ def _degenerate_case(name: str) -> np.ndarray:
 
 
 @pytest.mark.parametrize("case", ["tiny", "ragged-noncontiguous", "all-zero", "single-element"])
-@pytest.mark.parametrize("name", available_compressors())
+@pytest.mark.parametrize("name", NAMES)
 class TestRegistryWideEdgeInputs:
     """Every registered compressor must survive awkward-but-legal inputs.
 
@@ -120,7 +134,7 @@ class TestRegistryWideEdgeInputs:
 
     def test_structurally_valid_result(self, name, case):
         arr = _degenerate_case(case)
-        result = create_compressor(name).compress(arr, self.RATIO)
+        result = _build(name).compress(arr, self.RATIO)
         idx = result.sparse.indices
         assert result.sparse.dense_size == arr.size
         assert idx.size == np.unique(idx).size
@@ -133,7 +147,7 @@ class TestRegistryWideEdgeInputs:
         if case == "all-zero":
             pytest.skip("no magnitude distribution to select from")
         arr = _degenerate_case(case)
-        result = create_compressor(name).compress(arr, self.RATIO)
+        result = _build(name).compress(arr, self.RATIO)
         target = result.target_ratio  # NoCompression normalises the target to 1.0
         bound = max(1, int(np.ceil(self.SLACK * target * arr.size)))
         assert result.achieved_k <= bound
@@ -142,7 +156,7 @@ class TestRegistryWideEdgeInputs:
         # Adaptive compressors update internal state from degenerate calls;
         # the follow-up call must still produce a valid result.
         arr = _degenerate_case(case)
-        compressor = create_compressor(name)
+        compressor = _build(name)
         compressor.compress(arr, self.RATIO)
         result = compressor.compress(arr, self.RATIO)
         assert result.sparse.indices.size == np.unique(result.sparse.indices).size
@@ -189,7 +203,7 @@ def _bucketed_pipeline(name: str, *, reference: bool = False):
 
 
 @pytest.mark.parametrize("case", ["tiny", "ragged-noncontiguous", "all-zero", "single-element"])
-@pytest.mark.parametrize("name", [n for n in available_compressors() if not n.endswith("-bucketed")])
+@pytest.mark.parametrize("name", available_compressors())
 class TestRegistryWideBucketedEdgeInputs:
     """The batched ``fit_all_buckets`` paths on the same awkward inputs.
 

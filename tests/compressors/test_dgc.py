@@ -32,14 +32,6 @@ class TestDGC:
         b = DGC(seed=42).compress(small_gradient, 0.01)
         assert np.array_equal(a.sparse.indices, b.sparse.indices)
 
-    def test_reset_restores_rng(self, small_gradient):
-        compressor = DGC(seed=7)
-        first = compressor.compress(small_gradient, 0.01)
-        compressor.compress(small_gradient, 0.01)
-        compressor.reset()
-        again = compressor.compress(small_gradient, 0.01)
-        assert np.array_equal(first.sparse.indices, again.sparse.indices)
-
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             DGC(sample_ratio=0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compressors import GaussianKSGD
-from repro.gradients import laplace_gradient
+from tests.synthetic import laplace_gradient
 
 
 class TestGaussianKSGD:

@@ -8,7 +8,6 @@ from repro.compressors import (
     Compressor,
     available_compressors,
     create_compressor,
-    register_compressor,
 )
 from repro.core import SIDCo
 
@@ -42,7 +41,7 @@ class TestRegistry:
 
     def test_unknown_name_error_lists_every_registered_compressor(self):
         # Mirrors get_network/get_topology: the error is self-documenting and
-        # names every registry key, including the sidco-*-bucketed variants.
+        # names every registry key.
         with pytest.raises(ValueError, match="unknown compressor") as excinfo:
             create_compressor("does-not-exist")
         message = str(excinfo.value)
@@ -50,21 +49,3 @@ class TestRegistry:
             assert name in message, name
         for name in PAPER_COMPRESSORS:
             assert name in message, name
-
-    def test_register_custom_compressor(self, small_gradient):
-        class Dummy(Compressor):
-            name = "dummy"
-
-            def fit_all_buckets(self, gradient, layout, ratio):
-                from repro.compressors import TopK
-
-                return TopK().fit_all_buckets(gradient, layout, ratio)
-
-        register_compressor("dummy-test", Dummy, overwrite=True)
-        assert "dummy-test" in available_compressors()
-        result = create_compressor("dummy-test").compress(small_gradient, 0.1)
-        assert result.achieved_k >= 1
-
-    def test_register_duplicate_rejected(self):
-        with pytest.raises(ValueError):
-            register_compressor("topk", lambda: None)

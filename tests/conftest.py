@@ -7,8 +7,10 @@ import random
 import numpy as np
 import pytest
 
-from repro.data import make_blobs_classification, make_image_classification, make_language_modeling
+from repro.data import make_image_classification, make_language_modeling
 from repro.gradients import realistic_gradient
+
+from .synthetic import make_blobs_classification
 
 
 @pytest.fixture(autouse=True)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import SIDCo, StageControllerConfig
-from repro.gradients import evolving_gradients, laplace_gradient, realistic_gradient
+from repro.gradients import realistic_gradient
+from tests.synthetic import evolving_gradients, laplace_gradient
 
 
 class TestConstruction:
@@ -66,14 +67,6 @@ class TestCompression:
         assert result.metadata["sid"] == "exponential"
         assert result.metadata["stages_used"] >= 1
         assert result.metadata["stages_used"] <= result.metadata["num_stages_configured"]
-
-    def test_reset_restores_single_stage(self):
-        compressor = SIDCo("exponential")
-        for i in range(15):
-            compressor.compress(realistic_gradient(100_000, seed=i), 0.001)
-        assert compressor.num_stages > 1
-        compressor.reset()
-        assert compressor.num_stages == 1
 
     def test_handles_evolving_sparsity(self):
         # Gradients become sparser over "training" (Figure 2); quality should

@@ -93,17 +93,10 @@ class TestAdaptation:
         with pytest.raises(ValueError):
             controller.observe(achieved_k=10, target_k=0)
 
-    def test_reset_restores_initial_state(self):
+    def test_observe_returns_each_decision(self):
         controller = StageController(StageControllerConfig(adaptation_interval=1))
-        for _ in range(4):
-            controller.observe(achieved_k=1000, target_k=100)
-        assert controller.num_stages > 1
-        controller.reset()
-        assert controller.num_stages == 1
-        assert controller.history == [1]
-
-    def test_history_records_decisions(self):
-        controller = StageController(StageControllerConfig(adaptation_interval=1))
-        controller.observe(achieved_k=1000, target_k=100)
-        controller.observe(achieved_k=100, target_k=100)
-        assert controller.history == [1, 2, 2]
+        decisions = [
+            controller.observe(achieved_k=1000, target_k=100),
+            controller.observe(achieved_k=100, target_k=100),
+        ]
+        assert decisions == [2, 2]

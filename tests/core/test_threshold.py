@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.threshold import DEFAULT_FIRST_STAGE_RATIO, stage_sid
-from repro.gradients import laplace_gradient, realistic_gradient
+from repro.gradients import realistic_gradient
 from repro.pipeline import BucketLayout, estimate_multi_stage_bucketed
+from tests.synthetic import laplace_gradient
 
 
 def estimate_multi_stage(abs_grad, delta, sid, num_stages):

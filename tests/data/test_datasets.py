@@ -5,12 +5,11 @@ import pytest
 
 from repro.data import (
     ArrayDataset,
-    make_blobs_classification,
     make_image_classification,
     make_language_modeling,
-    make_regression,
     make_sequence_classification,
 )
+from tests.synthetic import make_blobs_classification, make_regression
 
 
 class TestArrayDataset:

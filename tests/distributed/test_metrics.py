@@ -37,9 +37,8 @@ class TestSeries:
         metrics = _metrics(5)
         iterations, losses = metrics.loss_curve()
         assert len(iterations) == 5
-        times, losses_t = metrics.loss_vs_walltime()
-        assert times[-1] == pytest.approx(0.5)
-        assert np.array_equal(losses, losses_t)
+        assert metrics.wall_times[-1] == pytest.approx(0.5)
+        assert np.array_equal(losses, metrics.losses)
 
     def test_running_average_ratio(self):
         metrics = TrainingMetrics()
@@ -55,7 +54,7 @@ class TestSeries:
 
     def test_empty_metrics_safe(self):
         metrics = TrainingMetrics()
-        assert len(metrics) == 0
+        assert len(metrics.records) == 0
         assert metrics.total_time == 0.0
         assert metrics.average_throughput() == 0.0
         assert metrics.time_to_loss(1.0) is None

@@ -6,15 +6,10 @@ from repro.distributed import CLUSTER_ETHERNET_10G, NODE_INFINIBAND_100G, Networ
 
 
 class TestNetworkModel:
-    def test_transfer_time_includes_latency(self):
-        net = NetworkModel(bandwidth_gbps=8.0, latency_s=1e-3, efficiency=1.0)
-        # 1e9 bytes at 1 GB/s = 1 s, plus 1 ms latency.
-        assert net.transfer_time(1e9) == pytest.approx(1.001)
-
     def test_efficiency_reduces_effective_bandwidth(self):
         fast = NetworkModel(bandwidth_gbps=10.0, efficiency=1.0)
         slow = NetworkModel(bandwidth_gbps=10.0, efficiency=0.5)
-        assert slow.transfer_time(1e8) > fast.transfer_time(1e8)
+        assert slow.allreduce_time(1e8, 8) > fast.allreduce_time(1e8, 8)
 
     def test_allreduce_single_worker_is_free(self):
         assert NetworkModel().allreduce_time(1e9, 1) == 0.0
@@ -42,10 +37,6 @@ class TestNetworkModel:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             NetworkModel(**kwargs)
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkModel().transfer_time(-1)
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):

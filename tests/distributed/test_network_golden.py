@@ -81,8 +81,8 @@ class TestGoldenClosedForms:
         # Bit-exact, not approx: the single-level collective model must be a
         # drop-in replacement for the old closed forms.
         model = CollectiveModel.flat(get_network(network), num_workers)
-        assert model.allreduce_time(num_bytes) == allreduce_s
-        assert model.allgather_time(num_bytes) == allgather_s
+        assert model.allreduce_cost(num_bytes).total == allreduce_s
+        assert model.allgather_cost(num_bytes).total == allgather_s
 
     def test_explicit_knobs_off_keeps_the_closed_forms(
         self, network, num_workers, num_bytes, allreduce_s, allgather_s
@@ -92,8 +92,8 @@ class TestGoldenClosedForms:
         model = CollectiveModel.flat(
             get_network(network), num_workers, pipeline_chunks=1, allgather_dedup=None
         )
-        assert model.allreduce_time(num_bytes) == allreduce_s
-        assert model.allgather_time(num_bytes) == allgather_s
+        assert model.allreduce_cost(num_bytes).total == allreduce_s
+        assert model.allgather_cost(num_bytes).total == allgather_s
 
 
 #: (preset, payload_bytes, [(phase, link, seconds, volume_bytes)...],
@@ -196,8 +196,8 @@ def test_single_worker_collectives_are_free(network):
     assert net.allreduce_time(1e9, 1) == 0.0
     assert net.allgather_time(1e9, 1) == 0.0
     model = CollectiveModel.flat(net, 1)
-    assert model.allreduce_time(1e9) == 0.0
-    assert model.allgather_time(1e9) == 0.0
+    assert model.allreduce_cost(1e9).total == 0.0
+    assert model.allgather_cost(1e9).total == 0.0
     assert model.allreduce_cost(1e9).phases == ()
 
 

@@ -440,11 +440,8 @@ class TestScheduleArraysSurface:
         assert arrays.phase_mask is None and arrays.present.all()
         comm = timeline.bucket_communication_times(bucketed_results)
         assert arrays.total_comm_seconds == pytest.approx(sum(comm))
-        assert arrays.total_compress_seconds > 0.0
-        assert 0.0 < arrays.overlap_saving < 1.0
-        assert arrays.iteration_seconds == pytest.approx(
-            arrays.serialized_seconds * (1.0 - arrays.overlap_saving)
-        )
+        assert (arrays.compress_end - arrays.compress_start).sum() > 0.0
+        assert 0.0 < arrays.iteration_seconds < arrays.serialized_seconds
 
     def test_link_utilization_sums_present_phases_per_link(self, bucketed_results):
         arrays = _timeline("torus-2d").schedule_iteration(bucketed_results)

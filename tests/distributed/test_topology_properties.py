@@ -139,8 +139,8 @@ class TestDegenerateFlatModel:
     )
     def test_reproduces_network_closed_forms_exactly(self, network, num_workers, num_bytes):
         model = CollectiveModel.flat(network, num_workers)
-        assert model.allreduce_time(num_bytes) == network.allreduce_time(num_bytes, num_workers)
-        assert model.allgather_time(num_bytes) == network.allgather_time(num_bytes, num_workers)
+        assert model.allreduce_cost(num_bytes).total == network.allreduce_time(num_bytes, num_workers)
+        assert model.allgather_cost(num_bytes).total == network.allgather_time(num_bytes, num_workers)
 
 
 @st.composite
@@ -199,12 +199,11 @@ class TestDedupInvariants:
     )
     def test_union_payload_bounded_by_max_and_sum(self, assumption, density, participants, payload):
         model = SparseAggregateModel(assumption)
-        union = model.union_payload_bytes(payload, density, participants)
+        union = payload * model.union_factor(density, participants)
         # Never smaller than the largest contribution, never larger than the
         # concatenation of all of them (nor the dense bucket itself).
         assert payload - 1e-12 <= union <= participants * payload + 1e-9
         assert union <= (payload / density) * (1.0 + 1e-9) + 1e-9
-        assert model.dedup_ratio(density, participants) >= 1.0 - 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -282,7 +281,7 @@ class TestPipeliningInvariants:
             topology, "allgather", num_bytes,
             pipeline_chunks=chunks, density=density, dedup=dedup,
         )
-        if not piped.is_pipelined:
+        if piped.pipeline_chunks == 1:
             return  # chunking lost to the extra latencies: serial fallback
         # Per-chunk phase-sum invariant: every chunk traverses the same
         # serial stage times.
@@ -305,7 +304,8 @@ class TestPipeliningInvariants:
         algo = COLLECTIVE_ALGORITHMS["hierarchical"]
         serial = algo.cost(topology, "allgather", num_bytes)
         piped = algo.cost(topology, "allgather", num_bytes, pipeline_chunks=chunks)
-        assert piped.volume_bytes == pytest.approx(serial.volume_bytes, rel=1e-9, abs=1e-9)
+        volumes = [sum(p.volume_bytes for p in cost.phases) for cost in (piped, serial)]
+        assert volumes[0] == pytest.approx(volumes[1], rel=1e-9, abs=1e-9)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -326,8 +326,8 @@ class TestPipeliningInvariants:
             pipeline_chunks=chunks,
             allgather_dedup=SparseAggregateModel("uniform"),
         )
-        assert knobs.allgather_cost(num_bytes, density=0.05).total == flat.allgather_time(num_bytes)
-        assert knobs.allreduce_cost(num_bytes).total == flat.allreduce_time(num_bytes)
+        assert knobs.allgather_cost(num_bytes, density=0.05).total == flat.allgather_cost(num_bytes).total
+        assert knobs.allreduce_cost(num_bytes).total == flat.allreduce_cost(num_bytes).total
 
 
 MULTI_LEVEL_PRESETS = ["fat-tree-128", "dragonfly-64"]

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.data import make_blobs_classification, make_language_modeling, make_sequence_classification
+from repro.compressors import SIDCO_VARIANTS, create_compressor
+from repro.data import make_language_modeling, make_sequence_classification
 from repro.distributed import (
     KNOB_FIELDS,
     DistributedTrainer,
@@ -11,11 +12,11 @@ from repro.distributed import (
     TrainerConfig,
     WorkerChurn,
     price_iteration,
-    train_baseline_and_compressed,
 )
 from repro.gradients import GradientCapture
 from repro.harness.configs import get_benchmark
 from repro.nn import build_model
+from tests.synthetic import make_blobs_classification
 
 
 def _dataset(seed=0):
@@ -44,7 +45,7 @@ class TestTrainingLoop:
 
     def test_metrics_recorded_every_iteration(self):
         result = DistributedTrainer(_model(), _dataset(), "topk", _config(iterations=12)).run()
-        assert len(result.metrics) == 12
+        assert len(result.metrics.records) == 12
         assert result.metrics.total_time > 0.0
 
     def test_baseline_matches_target_ratio_one(self):
@@ -86,8 +87,8 @@ class TestTrainingLoop:
         capture = GradientCapture(iterations={2, 5}, normalize=False)
         config = _config(iterations=8)
         DistributedTrainer(_model(), _dataset(), "topk", config, capture=capture).run()
-        assert capture.captured_iterations == [2, 5]
-        assert capture.get(2).size == _model().num_parameters()
+        assert sorted(capture.snapshots) == [2, 5]
+        assert capture.snapshots[2].size == _model().num_parameters()
 
     def test_records_carry_the_optimizer_learning_rate(self):
         config = _config(iterations=4, lr=0.05)
@@ -121,13 +122,6 @@ class TestTrainingLoop:
 
 
 class TestHelpers:
-    def test_train_baseline_and_compressed(self):
-        results = train_baseline_and_compressed(
-            _model, _dataset(), ["topk", "sidco-e"], _config(iterations=10)
-        )
-        assert set(results) == {"none", "topk", "sidco-e"}
-        assert all(len(r.metrics) == 10 for r in results.values())
-
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             TrainerConfig(num_workers=0)
@@ -236,16 +230,30 @@ class TestBucketedPipeline:
         assert all(isinstance(w.compressor, CompressionPipeline) for w in trainer.workers)
         assert trainer.compressor_name == "sidco-e-bucketed"
         result = trainer.run()
-        assert len(result.metrics) == 30
+        assert len(result.metrics.records) == 30
         assert result.metrics.final_loss < result.metrics.records[0].loss
 
-    def test_bucket_bytes_overrides_prebucketed_registry_default(self):
-        # Asking for an already-bucketed compressor name must still honour the
-        # trainer config's bucket size, not the factory's 4 MiB default.
-        trainer = DistributedTrainer(
-            _model(), _dataset(), "sidco-e-bucketed", _config(bucket_bytes=512)
-        )
-        assert all(w.compressor.bucket_bytes == 512 for w in trainer.workers)
+    @pytest.mark.parametrize("variant", SIDCO_VARIANTS)
+    def test_prebuilt_pipeline_and_bucket_bytes_rejected(self, variant):
+        # Two bucket sizes for one run: the trainer must not pick one by
+        # overwriting the caller's pipeline.
+        from repro.pipeline import CompressionPipeline
+
+        pipeline = CompressionPipeline(create_compressor(variant), bucket_bytes=1024)
+        with pytest.raises(ValueError, match="already a CompressionPipeline"):
+            DistributedTrainer(_model(), _dataset(), pipeline, _config(bucket_bytes=512))
+        assert pipeline.bucket_bytes == 1024 and pipeline.flat_spec is None
+
+    @pytest.mark.parametrize("variant", SIDCO_VARIANTS)
+    def test_prebuilt_pipeline_trains_at_its_own_bucket_size(self, variant):
+        from repro.pipeline import CompressionPipeline
+
+        pipeline = CompressionPipeline(create_compressor(variant), bucket_bytes=512)
+        trainer = DistributedTrainer(_model(), _dataset(), pipeline, _config(num_workers=1, iterations=5))
+        assert trainer.workers[0].compressor is pipeline
+        assert trainer.compressor_name == f"{variant}-bucketed"
+        result = trainer.run()
+        assert all(r.achieved_ratio < 1.0 for r in result.metrics.records)
 
     def test_baseline_is_never_bucketed(self):
         trainer = DistributedTrainer(_model(), _dataset(), "none", _config(bucket_bytes=512))
@@ -279,7 +287,7 @@ class TestBucketedPipeline:
         assert worker.compressor.flat_spec is not None
         layout = worker.compressor.layout_for(worker.flat_spec.total_size)
         assert not layout.is_uniform
-        slot_offsets = set(worker.flat_spec.offsets().tolist())
+        slot_offsets = {slot.offset for slot in worker.flat_spec.slots}
         capacity = layout.bucket_size
         for boundary in layout.boundaries:
             # Every cut is a layer boundary, or a budget-sized cut inside an

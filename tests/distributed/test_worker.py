@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.compressors import create_compressor
-from repro.data import BatchIterator, make_blobs_classification, make_language_modeling, shard_dataset
-from repro.distributed.worker import Worker, compute_gradients
+from repro.data import BatchIterator, make_language_modeling, shard_dataset
+from repro.distributed.worker import Worker, compress_gradients, compute_gradients
 from repro.nn import build_model
+from tests.synthetic import make_blobs_classification
 
 
 def _worker(compressor="topk", use_ec=True, clip=None, seed=0):
@@ -18,44 +19,48 @@ def _worker(compressor="topk", use_ec=True, clip=None, seed=0):
     return Worker(0, model, batches, create_compressor(compressor), use_error_feedback=use_ec, clip_norm=clip)
 
 
+def _step(worker, ratio):
+    """One worker's gradient pass and compression: ``(loss, flat gradient, result, norm)``."""
+    [(_, loss, flat)] = compute_gradients([worker])
+    rows = flat[None].copy()
+    [result], [norm] = compress_gradients([worker], rows, ratio)
+    return loss, flat, result, norm
+
+
+def _residual(worker):
+    return worker.error_feedback.correct(np.zeros(worker.flat_spec.total_size))
+
+
 class TestWorker:
-    def test_compute_gradient_shape(self):
+    def test_gradient_shape(self):
         worker = _worker()
-        loss, flat = worker.compute_gradient()
+        loss, flat, _, _ = _step(worker, 0.1)
         assert flat.shape == (worker.flat_spec.total_size,)
         assert np.isfinite(loss)
         assert np.any(flat != 0.0)
 
-    def test_step_returns_compression_result(self):
+    def test_compression_result(self):
         worker = _worker()
-        step = worker.step(0.1)
-        assert step.compression.target_ratio == 0.1
-        assert step.compression.sparse.dense_size == worker.flat_spec.total_size
-        assert step.gradient_norm > 0.0
+        _, _, result, norm = _step(worker, 0.1)
+        assert result.target_ratio == 0.1
+        assert result.sparse.dense_size == worker.flat_spec.total_size
+        assert norm > 0.0
 
     def test_error_feedback_memory_updated(self):
         worker = _worker(compressor="topk", use_ec=True)
-        worker.step(0.01)
-        assert np.count_nonzero(worker.error_feedback.memory) > 0
+        _step(worker, 0.01)
+        assert np.count_nonzero(_residual(worker)) > 0
 
     def test_no_error_feedback_option(self):
         worker = _worker(use_ec=False)
         assert worker.error_feedback is None
-        step = worker.step(0.1)
-        assert step.compression.achieved_k >= 1
+        _, _, result, _ = _step(worker, 0.1)
+        assert result.achieved_k >= 1
 
     def test_clip_norm_bounds_gradient(self):
         worker = _worker(clip=0.001)
-        step = worker.step(1.0)
-        assert step.gradient_norm <= 0.001 + 1e-9
-
-    def test_reset_clears_state(self):
-        worker = _worker(compressor="sidco-e")
-        for _ in range(10):
-            worker.step(0.001)
-        worker.reset()
-        assert np.allclose(worker.error_feedback.memory, 0.0)
-        assert worker.compressor.num_stages == 1
+        _, _, _, norm = _step(worker, 1.0)
+        assert norm <= 0.001 + 1e-9
 
     def test_workers_on_different_shards_get_different_batches(self):
         dataset = make_blobs_classification(num_examples=64, num_features=8, num_classes=3, seed=0)
@@ -63,8 +68,8 @@ class TestWorker:
         model = build_model("mlp", input_dim=8, hidden_dims=(16,), num_classes=3, seed=0)
         w0 = Worker(0, model, BatchIterator(shards[0], 8, seed=1), create_compressor("topk"))
         w1 = Worker(1, model, BatchIterator(shards[1], 8, seed=2), create_compressor("topk"))
-        _, g0 = w0.compute_gradient()
-        _, g1 = w1.compute_gradient()
+        [(_, _, g0)] = compute_gradients([w0])
+        [(_, _, g1)] = compute_gradients([w1])
         assert not np.allclose(g0, g1)
 
 
@@ -102,13 +107,6 @@ class TestComputeGradients:
             shapes.update(w.batches.batch_size for w in active)
             shapes.update(len(w.batches.dataset) % w.batches.batch_size for w in active)
         assert len(shapes) > 1  # the shards really give ragged batches
-
-    def test_worker_step_is_a_group_of_one(self):
-        a, b = _lstm_workers()[0], _lstm_workers()[0]
-        loss, flat = a.compute_gradient()
-        [(worker, group_loss, row)] = compute_gradients([b])
-        assert worker is b and group_loss == loss
-        assert np.array_equal(row, flat)
 
     def test_model_left_unstacked(self):
         workers = _lstm_workers()
@@ -152,8 +150,8 @@ class TestComputeGradients:
         ):
             list(compute_gradients(workers, iteration=0))
 
-    def test_worker_step_rejects_a_nan_gradient(self):
+    def test_one_worker_rejects_a_nan_gradient(self):
         worker = _worker()
         worker.model.named_parameters()["net.0.bias"].data[0] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="worker 0"):
-            worker.step(0.1)
+            _step(worker, 0.1)

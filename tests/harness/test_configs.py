@@ -72,7 +72,8 @@ class TestProxyConstruction:
             num_workers=8,
             model_dimension=config.full_dimension,
         )
-        assert timeline.communication_overhead_fraction() == pytest.approx(config.comm_overhead, rel=1e-6)
+        baseline = timeline.baseline_iteration()
+        assert baseline.communication / baseline.total == pytest.approx(config.comm_overhead, rel=1e-6)
 
     def test_high_overhead_benchmarks_have_less_compute(self):
         ptb = get_benchmark("lstm-ptb")

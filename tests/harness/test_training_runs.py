@@ -11,7 +11,7 @@ from repro.harness.training_runs import _grown_to_one_batch_per_worker
 class TestRunBenchmark:
     def test_single_run_produces_metrics_and_evaluation(self):
         result = run_benchmark("resnet20-cifar10", "sidco-e", 0.01, num_workers=2, iterations=12, seed=0)
-        assert len(result.metrics) == 12
+        assert len(result.metrics.records) == 12
         assert "accuracy" in result.final_evaluation
         assert result.compressor_name == "sidco-e"
 

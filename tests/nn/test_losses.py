@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import accuracy, cross_entropy, mse, perplexity, softmax
+from repro.nn import accuracy, cross_entropy, perplexity, softmax
 
 
 class TestSoftmax:
@@ -53,23 +53,6 @@ class TestCrossEntropy:
     def test_target_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
-
-
-class TestMSE:
-    def test_zero_for_exact_prediction(self, rng):
-        x = rng.normal(size=(4, 2))
-        loss, grad = mse(x, x)
-        assert loss == 0.0
-        assert np.allclose(grad, 0.0)
-
-    def test_gradient_direction(self):
-        loss, grad = mse(np.array([[2.0]]), np.array([[0.0]]))
-        assert loss == pytest.approx(4.0)
-        assert grad[0, 0] == pytest.approx(4.0)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mse(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 class TestMetrics:

@@ -37,41 +37,8 @@ class TestModuleTraversal:
         model.zero_grad()
         assert np.all(model.parameters()[0].grad == 0.0)
 
-    def test_train_eval_propagates(self):
-        relu = ReLU()
-        model = Sequential(Linear(2, 2), relu)
-        model.eval()
-        assert not model.training and not relu.training
-        model.train()
-        assert model.training and relu.training
 
-
-class TestStateDict:
-    def test_roundtrip(self):
-        model = Sequential(Linear(4, 3, rng=np.random.default_rng(0)))
-        state = model.state_dict()
-        model.parameters()[0].data += 5.0
-        model.load_state_dict(state)
-        assert np.allclose(model.parameters()[0].data, state["0.weight"])
-
-    def test_missing_key_rejected(self):
-        model = Sequential(Linear(4, 3))
-        with pytest.raises(KeyError):
-            model.load_state_dict({})
-
-    def test_shape_mismatch_rejected(self):
-        model = Sequential(Linear(4, 3))
-        state = model.state_dict()
-        state["0.weight"] = np.zeros((1, 1))
-        with pytest.raises(ValueError):
-            model.load_state_dict(state)
-
-    def test_gradient_dict_matches_parameters(self):
-        model = Sequential(Linear(4, 3))
-        grads = model.gradient_dict()
-        assert set(grads) == set(model.named_parameters())
-        assert all(np.all(g == 0.0) for g in grads.values())
-
+class TestAbstractModule:
     def test_abstract_forward_backward(self):
         with pytest.raises(NotImplementedError):
             Module().forward(np.zeros(1))

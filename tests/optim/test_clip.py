@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.optim import clip_by_global_norm, clip_flat_by_norm
+from repro.optim import clip_flat_by_norm
 
 
 class TestClipFlat:
@@ -24,22 +24,3 @@ class TestClipFlat:
     def test_invalid_max_norm_rejected(self):
         with pytest.raises(ValueError):
             clip_flat_by_norm(np.ones(3), 0.0)
-
-
-class TestClipGlobal:
-    def test_global_norm_across_tensors(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        clipped, norm = clip_by_global_norm(grads, 1.0)
-        assert norm == pytest.approx(5.0)
-        total = np.sqrt(sum(float(np.sum(g**2)) for g in clipped.values()))
-        assert total == pytest.approx(1.0)
-
-    def test_zero_gradient_untouched(self):
-        grads = {"a": np.zeros(3)}
-        clipped, norm = clip_by_global_norm(grads, 1.0)
-        assert norm == 0.0
-        assert np.allclose(clipped["a"], 0.0)
-
-    def test_invalid_max_norm_rejected(self):
-        with pytest.raises(ValueError):
-            clip_by_global_norm({"a": np.ones(2)}, -1.0)

@@ -11,13 +11,17 @@ def _model(seed=0):
     return Sequential(Linear(3, 2, rng=np.random.default_rng(seed)))
 
 
+def _weights(model):
+    return {name: p.data.copy() for name, p in model.named_parameters().items()}
+
+
 class TestVanillaSGD:
     def test_step_with_explicit_gradients(self):
         model = _model()
-        before = model.state_dict()
+        before = _weights(model)
         grads = {name: np.ones_like(p.data) for name, p in model.named_parameters().items()}
         SGD(model, lr=0.1).step(grads)
-        after = model.state_dict()
+        after = _weights(model)
         for name in before:
             assert np.allclose(after[name], before[name] - 0.1)
 
@@ -25,7 +29,7 @@ class TestVanillaSGD:
         model = _model()
         for p in model.parameters():
             p.grad += 2.0
-        before = model.state_dict()
+        before = _weights(model)
         SGD(model, lr=0.5).step()
         for name, p in model.named_parameters().items():
             assert np.allclose(p.data, before[name] - 1.0)
@@ -68,10 +72,10 @@ class TestMomentum:
         model = _model()
         opt = SGD(model, lr=1.0, momentum=0.9)
         grads = {name: np.ones_like(p.data) for name, p in model.named_parameters().items()}
-        before = model.state_dict()
+        before = _weights(model)
         opt.step(grads)  # velocity = 1, update = 1
         opt.step(grads)  # velocity = 1.9, update = 1.9
-        after = model.state_dict()
+        after = _weights(model)
         for name in before:
             assert np.allclose(after[name], before[name] - 1.0 - 1.9)
 
@@ -83,11 +87,3 @@ class TestMomentum:
         SGD(nesterov, lr=1.0, momentum=0.9, nesterov=True).step(grads)
         # Nesterov's first step is larger: grad + momentum * velocity = 1.9 vs 1.0.
         assert nesterov.parameters()[0].data.mean() < plain.parameters()[0].data.mean()
-
-    def test_state_dict_exposes_velocity(self):
-        model = _model()
-        opt = SGD(model, lr=0.1, momentum=0.9)
-        grads = {name: np.ones_like(p.data) for name, p in model.named_parameters().items()}
-        opt.step(grads)
-        state = opt.state_dict()
-        assert set(state) == set(model.named_parameters())

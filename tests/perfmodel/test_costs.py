@@ -3,7 +3,7 @@
 import pytest
 
 from repro.compressors import OpRecord
-from repro.perfmodel import DeviceProfile, PRIMITIVES, breakdown, distribute_cost, scale_ops
+from repro.perfmodel import DeviceProfile, PRIMITIVES, distribute_cost, scale_ops
 
 
 def _profile(launch=1e-6):
@@ -43,16 +43,6 @@ class TestDeviceProfile:
         profile = _profile(launch=0.0)
         ops = [OpRecord("elementwise", 100), OpRecord("reduce", 100)]
         assert profile.trace_cost(ops) == pytest.approx(sum(profile.op_cost(o) for o in ops))
-
-
-class TestBreakdown:
-    def test_per_primitive_totals(self):
-        profile = _profile(launch=0.0)
-        ops = [OpRecord("elementwise", 100), OpRecord("elementwise", 100), OpRecord("reduce", 50)]
-        result = breakdown(ops, profile)
-        assert result.num_ops == 3
-        assert set(result.per_primitive_seconds) == {"elementwise", "reduce"}
-        assert result.total_seconds == pytest.approx(sum(result.per_primitive_seconds.values()))
 
 
 class TestScaleOps:

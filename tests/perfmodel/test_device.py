@@ -1,20 +1,7 @@
 """Tests for the calibrated device profiles (the Figure 1 asymmetries)."""
 
-import pytest
-
 from repro.compressors import OpRecord
-from repro.perfmodel import CPU_XEON, GPU_V100, get_device
-
-
-class TestLookup:
-    def test_short_and_full_names(self):
-        assert get_device("gpu") is GPU_V100
-        assert get_device("cpu") is CPU_XEON
-        assert get_device("gpu-v100") is GPU_V100
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            get_device("tpu")
+from repro.perfmodel import CPU_XEON, GPU_V100
 
 
 class TestCalibratedAsymmetries:

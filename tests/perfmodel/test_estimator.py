@@ -10,9 +10,12 @@ from repro.perfmodel import (
     GPU_V100,
     estimate_latency,
     estimate_latency_for_dimension,
-    latency_breakdown,
-    speedup_over_reference,
 )
+
+
+def _speedups(latencies, reference="topk"):
+    """Each compressor's latency normalised by ``reference``'s (Figure 1's y axis)."""
+    return {name: latencies[reference] / seconds for name, seconds in latencies.items()}
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +30,6 @@ class TestEstimateLatency:
         cpu = estimate_latency(result, CPU_XEON)
         assert gpu > 0.0 and cpu > 0.0
         assert cpu > gpu  # streaming + selection is faster on the accelerator
-
-    def test_breakdown_sums_to_total(self, sample):
-        result = create_compressor("sidco-e").compress(sample, 0.01)
-        total = estimate_latency(result, GPU_V100)
-        parts = latency_breakdown(result, GPU_V100)
-        assert parts.total_seconds == pytest.approx(total)
 
 
 class TestDimensionScaling:
@@ -72,23 +69,19 @@ class TestPaperOrderings:
         return out
 
     def test_gpu_every_compressor_beats_topk(self, latencies):
-        speedups = speedup_over_reference(latencies["gpu-v100"])
+        speedups = _speedups(latencies["gpu-v100"])
         for name in ("dgc", "redsync", "gaussiank", "sidco-e"):
             assert speedups[name] > 1.0
 
     def test_gpu_sidco_fastest(self, latencies):
-        speedups = speedup_over_reference(latencies["gpu-v100"])
+        speedups = _speedups(latencies["gpu-v100"])
         assert speedups["sidco-e"] == max(speedups.values())
         assert speedups["sidco-e"] > 10.0
 
     def test_cpu_dgc_slower_than_topk(self, latencies):
-        speedups = speedup_over_reference(latencies["cpu-xeon"])
+        speedups = _speedups(latencies["cpu-xeon"])
         assert speedups["dgc"] < 1.0
 
     def test_cpu_sidco_faster_than_topk(self, latencies):
-        speedups = speedup_over_reference(latencies["cpu-xeon"])
+        speedups = _speedups(latencies["cpu-xeon"])
         assert 1.0 < speedups["sidco-e"] < 10.0
-
-    def test_reference_missing_rejected(self):
-        with pytest.raises(KeyError):
-            speedup_over_reference({"dgc": 1.0}, reference="topk")

@@ -12,7 +12,6 @@ class TestBucketLayout:
     def test_even_split(self):
         layout = BucketLayout(total_size=1000, bucket_size=250)
         assert layout.num_buckets == 4
-        assert not layout.is_ragged
         assert layout.last_bucket_size == 250
         assert layout.sizes().tolist() == [250] * 4
         assert layout.starts().tolist() == [0, 250, 500, 750]
@@ -20,7 +19,6 @@ class TestBucketLayout:
     def test_ragged_split(self):
         layout = BucketLayout(total_size=1003, bucket_size=250)
         assert layout.num_buckets == 5
-        assert layout.is_ragged
         assert layout.last_bucket_size == 3
         assert layout.sizes().tolist() == [250, 250, 250, 250, 3]
         assert layout.bounds(4) == (1000, 1003)
@@ -65,7 +63,7 @@ class TestLayerAwareLayout:
         spec = self._spec([30, 50, 40, 10, 60])
         layout = BucketLayout.from_flat_spec(spec, self._element_budget(100))
         assert not layout.is_uniform
-        slot_offsets = set(spec.offsets().tolist())
+        slot_offsets = {slot.offset for slot in spec.slots}
         assert all(b in slot_offsets for b in layout.boundaries)
         # [30+50], [40+10], [60]
         assert layout.starts().tolist() == [0, 80, 130]
@@ -75,7 +73,7 @@ class TestLayerAwareLayout:
         sizes = rng.integers(1, 90, size=40).tolist()
         spec = self._spec(sizes)
         layout = BucketLayout.from_flat_spec(spec, self._element_budget(100))
-        slot_edges = set(spec.offsets().tolist())
+        slot_edges = {slot.offset for slot in spec.slots}
         assert all(b in slot_edges for b in layout.boundaries)
         assert int(layout.sizes().sum()) == spec.total_size
         assert (layout.sizes() <= 100).all()
@@ -89,10 +87,10 @@ class TestLayerAwareLayout:
         assert (layout.sizes() <= 100).all()
         # Boundaries inside the flat vector are either slot offsets or cuts
         # inside the single oversized slot.
-        big = spec.slot("p1")
+        big = spec.slots[1]  # "p1"
         for b in layout.boundaries:
             inside_big = big.offset < b < big.offset + big.size
-            assert b in set(spec.offsets().tolist()) or inside_big
+            assert b in {slot.offset for slot in spec.slots} or inside_big
 
     def test_single_slot_smaller_than_budget(self):
         spec = self._spec([7])
@@ -126,7 +124,7 @@ class TestLayerAwareLayout:
         flat = rng.normal(size=spec.total_size)
         views = split_into_buckets(flat, layout)
         assert [v.size for v in views] == layout.sizes().tolist()
-        merged = merge_sparse_buckets([SparseGradient.from_dense(v) for v in views], layout)
+        merged = merge_sparse_buckets([SparseGradient.from_mask(v, v != 0) for v in views], layout)
         np.testing.assert_array_equal(merged.to_dense(), flat)
 
     def test_invalid_boundaries_rejected(self):
@@ -152,7 +150,7 @@ class TestSplitMergeRoundTrip:
         # Views are zero-copy slices that tile the vector exactly.
         assert all(v.base is flat or v.base is v for v in views)
         assert np.array_equal(np.concatenate(views), flat)
-        merged = merge_sparse_buckets([SparseGradient.from_dense(v) for v in views], layout)
+        merged = merge_sparse_buckets([SparseGradient.from_mask(v, v != 0) for v in views], layout)
         np.testing.assert_array_equal(merged.to_dense(), flat)
 
     def test_sparse_round_trip_ragged_last_bucket(self, rng):
@@ -172,10 +170,10 @@ class TestSplitMergeRoundTrip:
     def test_merge_validates_bucket_shapes(self, rng):
         flat = rng.normal(size=100)
         layout = BucketLayout(total_size=100, bucket_size=50)
-        good = [SparseGradient.from_dense(v) for v in split_into_buckets(flat, layout)]
+        good = [SparseGradient.from_mask(v, v != 0) for v in split_into_buckets(flat, layout)]
         with pytest.raises(ValueError):
             merge_sparse_buckets(good[:1], layout)
-        bad = [good[0], SparseGradient.from_dense(np.ones(3))]
+        bad = [good[0], SparseGradient(indices=np.arange(3), values=np.ones(3), dense_size=3)]
         with pytest.raises(ValueError):
             merge_sparse_buckets(bad, layout)
 

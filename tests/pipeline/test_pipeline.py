@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compressors import available_compressors, create_compressor
+from repro.compressors import SIDCO_VARIANTS, available_compressors, create_compressor
 from repro.compressors.topk import NoCompression, TopK
 from repro.pipeline import CompressionPipeline
 from repro.tensor.sparse import FLOAT_BYTES, INDEX_BYTES
@@ -17,12 +17,11 @@ class TestConstruction:
         assert isinstance(pipeline.compressor, TopK)
         assert pipeline.name == "topk-bucketed"
 
-    def test_bucketed_sidco_registered(self):
-        for name in ("sidco-e-bucketed", "sidco-gp-bucketed", "sidco-p-bucketed"):
-            assert name in available_compressors()
-            built = create_compressor(name, bucket_bytes=2048)
-            assert isinstance(built, CompressionPipeline)
-            assert built.name == name
+    @pytest.mark.parametrize("variant", SIDCO_VARIANTS)
+    def test_bucketed_sidco_is_labelled_bucketed(self, variant):
+        built = CompressionPipeline(create_compressor(variant), bucket_bytes=2048)
+        assert built.name == f"{variant}-bucketed"
+        assert built.name not in available_compressors()
 
     def test_rejects_nesting_and_bad_budget(self):
         with pytest.raises(ValueError):
@@ -30,13 +29,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CompressionPipeline("topk", bucket_bytes=2, element_bytes=4)
 
-    def test_reset_propagates_to_inner(self, small_gradient):
-        pipeline = create_compressor("sidco-e-bucketed", bucket_bytes=8 * 1024)
-        for _ in range(12):
-            pipeline.compress(small_gradient, 0.001)
-        assert pipeline.compressor.controller.num_stages > 1
-        pipeline.reset()
-        assert pipeline.compressor.controller.num_stages == 1
 
 
 class TestGenericBucketing:
@@ -88,7 +80,7 @@ class TestGenericBucketing:
 class TestSIDCoBucketing:
     def test_achieved_ratio_within_controller_band(self, medium_gradient):
         target = 0.01
-        pipeline = create_compressor("sidco-e-bucketed", bucket_bytes=32 * 1024)
+        pipeline = CompressionPipeline(create_compressor("sidco-e"), bucket_bytes=32 * 1024)
         result = None
         for _ in range(15):
             result = pipeline.compress(medium_gradient, target)
@@ -98,15 +90,19 @@ class TestSIDCoBucketing:
         assert abs(result.achieved_ratio / target - 1.0) <= tolerance + 0.05
 
     def test_controller_observes_globally_once_per_call(self, medium_gradient):
-        pipeline = create_compressor("sidco-e-bucketed", bucket_bytes=32 * 1024)
+        pipeline = CompressionPipeline(create_compressor("sidco-e"), bucket_bytes=32 * 1024)
         interval = pipeline.compressor.controller.config.adaptation_interval
-        for _ in range(interval):
+        controller = pipeline.compressor.controller
+        for _ in range(interval - 1):
             pipeline.compress(medium_gradient, 0.001)
-        # One observation per compress call -> exactly one adaptation decision.
-        assert len(pipeline.compressor.controller.history) == 2
+        assert controller.num_stages == 1
+        # One observation per compress call -> exactly one adaptation decision,
+        # on the interval-th call (the first calls overshoot the target).
+        pipeline.compress(medium_gradient, 0.001)
+        assert controller.num_stages == 2
 
     def test_all_zero_gradient_degrades_gracefully(self):
-        pipeline = create_compressor("sidco-e-bucketed", bucket_bytes=1024)
+        pipeline = CompressionPipeline(create_compressor("sidco-e"), bucket_bytes=1024)
         result = pipeline.compress(np.zeros(5000), 0.01)
         assert result.achieved_k == max(1, round(0.01 * 5000))
         assert np.all(np.isfinite(result.sparse.values))
@@ -116,21 +112,21 @@ class TestSIDCoBucketing:
         assert sum(result.metadata["bucket_payload_bytes"]) == result.sparse.payload_bytes()
 
     def test_single_element_gradient_keeps_the_element(self):
-        for name in ("sidco-e-bucketed", "sidco-gp-bucketed", "sidco-p-bucketed"):
-            result = create_compressor(name).compress(np.array([0.5]), 0.5)
+        for variant in SIDCO_VARIANTS:
+            result = CompressionPipeline(create_compressor(variant)).compress(np.array([0.5]), 0.5)
             assert result.achieved_k == 1
             assert result.metadata["num_buckets"] == 1
 
     def test_zero_bucket_inside_nonzero_gradient_selects_nothing_there(self, rng):
         flat = rng.laplace(size=4096)
         flat[1024:2048] = 0.0
-        pipeline = create_compressor("sidco-e-bucketed", bucket_bytes=1024 * FLOAT_BYTES)
+        pipeline = CompressionPipeline(create_compressor("sidco-e"), bucket_bytes=1024 * FLOAT_BYTES)
         result = pipeline.compress(flat, 0.05)
         assert result.metadata["bucket_nnz"][1] == 0
         assert result.achieved_k > 0
 
     def test_threshold_is_mean_of_finite_bucket_thresholds(self, medium_gradient):
-        result = create_compressor("sidco-e-bucketed", bucket_bytes=64 * 1024).compress(
+        result = CompressionPipeline(create_compressor("sidco-e"), bucket_bytes=64 * 1024).compress(
             medium_gradient, 0.01
         )
         thresholds = np.asarray(result.metadata["bucket_thresholds"])

@@ -14,16 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compressors import BucketedFit, Compressor, available_compressors, create_compressor
+from repro.compressors import (
+    SIDCO_VARIANTS,
+    BucketedFit,
+    Compressor,
+    available_compressors,
+    create_compressor,
+)
 from repro.gradients import realistic_gradient
 from repro.pipeline import CompressionPipeline
 
 from .compressor_reference import ReferencePipeline
 
-#: Every registry name that is a raw compressor (the ``sidco-*-bucketed``
-#: entries are already pipelines; they are exercised in
-#: :class:`TestBucketedRegistryVariants`).
-PLAIN_NAMES = [n for n in available_compressors() if not n.endswith("-bucketed")]
+NAMES = available_compressors()
 
 
 def _twin_pipelines(name: str, bucket_bytes: int = 4000) -> tuple[CompressionPipeline, ReferencePipeline]:
@@ -69,7 +72,7 @@ def _rtol_for(name: str) -> float:
     return 1e-9 if name.startswith("sidco") else 0.0
 
 
-@pytest.mark.parametrize("name", PLAIN_NAMES)
+@pytest.mark.parametrize("name", NAMES)
 class TestMatchesScalarLoopRegistryWide:
     def test_single_call_matches_bit_for_bit(self, name, small_gradient):
         batched, loop = _twin_pipelines(name)
@@ -132,12 +135,12 @@ class TestAdaptiveStateEquality:
         )
 
 
-class TestBucketedRegistryVariants:
-    @pytest.mark.parametrize("name", [n for n in available_compressors() if n.endswith("-bucketed")])
-    def test_bucketed_registry_names_match_their_scalar_loop(self, name, medium_gradient):
-        rv = create_compressor(name, bucket_bytes=32 * 1024).compress(medium_gradient, 0.01)
-        inner = create_compressor(name.removesuffix("-bucketed"))
-        rl = ReferencePipeline(inner, bucket_bytes=32 * 1024).compress(medium_gradient, 0.01)
+class TestBucketedSIDCo:
+    @pytest.mark.parametrize("variant", SIDCO_VARIANTS)
+    def test_bucketed_sidco_matches_its_scalar_loop(self, variant, medium_gradient):
+        rv, rl = (
+            pipeline.compress(medium_gradient, 0.01) for pipeline in _twin_pipelines(variant, 32 * 1024)
+        )
         np.testing.assert_array_equal(rv.sparse.indices, rl.sparse.indices)
         np.testing.assert_array_equal(rv.sparse.values, rl.sparse.values)
         assert rv.metadata["bucket_nnz"] == rl.metadata["bucket_nnz"]
@@ -154,13 +157,13 @@ class TestFitContract:
         with pytest.raises(NotImplementedError, match="Opaque"):
             CompressionPipeline(Opaque(), bucket_bytes=4000).compress(small_gradient, 0.02)
 
-    @pytest.mark.parametrize("name", [n for n in PLAIN_NAMES if not n.startswith("sidco")])
+    @pytest.mark.parametrize("name", [n for n in NAMES if not n.startswith("sidco")])
     def test_compress_carries_no_bucket_metadata(self, name, small_gradient):
         # TimelineModel prices per bucket when bucket_payload_bytes is present.
         result = create_compressor(name).compress(small_gradient, 0.02)
         assert not any(key.startswith("bucket_") for key in result.metadata)
 
-    @pytest.mark.parametrize("name", [n for n in PLAIN_NAMES if not n.startswith("sidco")])
+    @pytest.mark.parametrize("name", [n for n in NAMES if not n.startswith("sidco")])
     def test_fit_is_bucket_major_and_consistent(self, name, small_gradient):
         pipeline = CompressionPipeline(create_compressor(name), bucket_bytes=4000)
         layout = pipeline.layout_for(small_gradient.size)
@@ -183,7 +186,7 @@ class TestFitContract:
 
 class TestPropertyBasedEquivalence:
     @given(
-        name=st.sampled_from([n for n in PLAIN_NAMES if n != "none"]),
+        name=st.sampled_from([n for n in NAMES if n != "none"]),
         size=st.integers(min_value=64, max_value=9000),
         ratio=st.sampled_from([0.5, 0.1, 0.02]),
         seed=st.integers(min_value=0, max_value=500),

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from repro.gradients import realistic_gradient
 from repro.stats.compressibility import (
     fit_power_law_decay,
-    power_law_envelope,
     sorted_magnitudes,
-    sparsification_error,
     sparsification_error_curve,
 )
 
@@ -22,31 +20,37 @@ class TestSortedMagnitudes:
         assert np.allclose(mags, [3.0, 2.0, 1.0, 0.5])
 
 
+def _sigma(g, k):
+    """``sigma_k(g)``, read off the curve at one ``k``."""
+    return sparsification_error_curve(g, [k])[0]
+
+
 class TestSparsificationError:
     def test_zero_when_keeping_everything(self):
         g = np.array([1.0, -2.0, 3.0])
-        assert sparsification_error(g, 3) == 0.0
-        assert sparsification_error(g, 10) == 0.0
+        assert _sigma(g, 3) == 0.0
+        assert _sigma(g, 10) == 0.0
 
     def test_full_norm_when_keeping_nothing(self):
         g = np.array([3.0, 4.0])
-        assert np.isclose(sparsification_error(g, 0), 5.0)
+        assert np.isclose(_sigma(g, 0), 5.0)
 
     def test_matches_manual_topk(self):
         g = np.array([0.1, -5.0, 2.0, 0.3, -1.0])
         # keep top 2 -> drop {0.1, 0.3, 1.0}
-        assert np.isclose(sparsification_error(g, 2), np.sqrt(0.01 + 0.09 + 1.0))
+        assert np.isclose(_sigma(g, 2), np.sqrt(0.01 + 0.09 + 1.0))
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            sparsification_error(np.ones(4), -1)
+            _sigma(np.ones(4), -1)
 
     def test_curve_matches_pointwise(self):
         rng = np.random.default_rng(0)
         g = rng.laplace(size=500)
         ks = [0, 5, 50, 499, 500]
         curve = sparsification_error_curve(g, ks)
-        expected = [sparsification_error(g, k) for k in ks]
+        mags = np.sort(np.abs(g))  # ascending: the first d - k entries are dropped
+        expected = [np.sqrt(np.sum(mags[: g.size - k] ** 2)) for k in ks]
         assert np.allclose(curve, expected)
 
     @given(st.integers(min_value=2, max_value=200))
@@ -89,9 +93,3 @@ class TestPowerLawFit:
     def test_invalid_head_fraction_rejected(self):
         with pytest.raises(ValueError):
             fit_power_law_decay(np.ones(100), head_fraction=0.0)
-
-    def test_envelope_shape(self):
-        env = power_law_envelope(100, 3.0, 0.7)
-        assert env.shape == (100,)
-        assert env[0] == pytest.approx(3.0)
-        assert np.all(np.diff(env) < 0)

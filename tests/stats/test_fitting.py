@@ -33,19 +33,19 @@ class TestFitAbsolute:
         assert isinstance(fit.distribution, Exponential)
         assert fit.sample_size == 50_000
         assert np.isclose(fit.sample_mean, sample.mean())
-        assert np.isclose(fit.params["scale"], sample.mean())
+        assert np.isclose(fit.distribution.scale, sample.mean())
 
     def test_gamma_fit_type(self, rng):
         sample = rng.gamma(0.5, 1.0, size=50_000)
         fit = fit_absolute(sample, "gamma")
         assert isinstance(fit.distribution, Gamma)
-        assert 0.4 < fit.params["shape"] < 0.6
+        assert 0.4 < fit.distribution.shape < 0.6
 
     def test_gpareto_fit_carries_location(self, rng):
         sample = 2.0 + rng.exponential(1.0, size=50_000)
         fit = fit_absolute(sample, "gpareto", loc=2.0)
         assert isinstance(fit.distribution, GeneralizedPareto)
-        assert fit.params["loc"] == 2.0
+        assert fit.distribution.loc == 2.0
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -55,7 +55,7 @@ class TestFitAbsolute:
         base = rng.exponential(0.5, size=100_000)
         shifted = base + 3.0
         fit = fit_absolute(shifted, "exponential", loc=3.0)
-        assert np.isclose(fit.params["scale"], 0.5, rtol=0.02)
+        assert np.isclose(fit.distribution.scale, 0.5, rtol=0.02)
 
 
 class TestThresholds:

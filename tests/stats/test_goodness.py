@@ -6,12 +6,12 @@ import pytest
 from repro.stats.distributions import Laplace
 from repro.stats.goodness import (
     empirical_cdf,
-    empirical_pdf,
     evaluate_fit,
     ks_statistic,
     log_likelihood,
     tail_quantile_relative_error,
 )
+from tests.synthetic import draw
 
 
 class TestEmpirical:
@@ -25,20 +25,11 @@ class TestEmpirical:
         with pytest.raises(ValueError):
             empirical_cdf(np.array([]))
 
-    def test_empirical_pdf_empty_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            empirical_pdf(np.array([]))
-
-    def test_empirical_pdf_integrates_to_one(self, rng):
-        density = empirical_pdf(rng.laplace(size=5000), bins=100)
-        widths = np.diff(density.centers).mean()
-        assert np.isclose(np.sum(density.density) * widths, 1.0, atol=0.05)
-
 
 class TestKS:
     def test_ks_small_for_correct_model(self, rng):
         dist = Laplace(scale=0.5)
-        sample = dist.sample(20_000, rng)
+        sample = draw(dist, 20_000, rng)
         assert ks_statistic(sample, dist.cdf) < 0.02
 
     def test_ks_large_for_wrong_model(self, rng):
@@ -50,7 +41,7 @@ class TestKS:
 class TestTailError:
     def test_zero_for_matching_distribution(self, rng):
         dist = Laplace(scale=1.0)
-        sample = dist.sample(500_000, rng)
+        sample = draw(dist, 500_000, rng)
         err = tail_quantile_relative_error(sample, dist.ppf, quantile=0.99)
         assert err < 0.05
 
@@ -75,7 +66,7 @@ class TestTailError:
 class TestEvaluateFit:
     def test_bundles_all_metrics(self, rng):
         dist = Laplace(scale=0.3)
-        sample = dist.sample(20_000, rng)
+        sample = draw(dist, 20_000, rng)
         quality = evaluate_fit(sample, dist)
         assert quality.ks_statistic < 0.02
         assert quality.tail_quantile_rel_error < 0.2
@@ -83,7 +74,7 @@ class TestEvaluateFit:
 
     def test_better_model_has_higher_likelihood(self, rng):
         true = Laplace(scale=0.3)
-        sample = true.sample(10_000, rng)
+        sample = draw(true, 10_000, rng)
         good = log_likelihood(sample, true.pdf)
         bad = log_likelihood(sample, Laplace(scale=3.0).pdf)
         assert good > bad

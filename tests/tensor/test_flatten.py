@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tensor.flatten import FlatSpec, flatten, unflatten
+from repro.tensor.flatten import flatten, unflatten
 
 
 def _named_arrays(rng):
@@ -20,15 +20,11 @@ def _named_arrays(rng):
 class TestFlatSpec:
     def test_offsets_and_sizes(self, rng):
         arrays = _named_arrays(rng)
-        spec = FlatSpec.from_arrays(arrays)
+        spec = flatten(arrays)[1]
+        slots = {slot.name: slot for slot in spec.slots}
         assert spec.total_size == 12 + 4 + 8 + 1
-        assert spec.slot("layer1.bias").offset == 12
-        assert spec.slot("scalar").size == 1
-
-    def test_missing_slot_raises(self, rng):
-        spec = FlatSpec.from_arrays(_named_arrays(rng))
-        with pytest.raises(KeyError):
-            spec.slot("nope")
+        assert slots["layer1.bias"].offset == 12
+        assert slots["scalar"].size == 1
 
 
 class TestRoundTrip:
@@ -73,7 +69,7 @@ class TestRoundTrip:
 class TestWorkerRows:
     def test_stacked_arrays_pack_one_row_per_worker(self, rng):
         arrays = _named_arrays(rng)
-        spec = FlatSpec.from_arrays(arrays)
+        spec = flatten(arrays)[1]
         stacked = {name: np.stack([np.asarray(a) * (w + 1) for w in range(3)]) for name, a in arrays.items()}
         rows, _ = flatten(stacked, spec, workers=3)
         assert rows.shape == (3, spec.total_size)
@@ -85,11 +81,11 @@ class TestWorkerRows:
         arrays = _named_arrays(rng)
         stacked = {name: np.stack([a, a]) for name, a in arrays.items()}
         _, spec = flatten(stacked, workers=2)
-        assert spec == FlatSpec.from_arrays(arrays)
+        assert spec == flatten(arrays)[1]
 
     def test_wrong_worker_count_rejected(self, rng):
         arrays = _named_arrays(rng)
-        spec = FlatSpec.from_arrays(arrays)
+        spec = flatten(arrays)[1]
         stacked = {name: np.stack([a, a]) for name, a in arrays.items()}
         with pytest.raises(ValueError):
             flatten(stacked, spec, workers=3)

@@ -33,9 +33,9 @@ class TestConstruction:
 
 
 class TestRoundTrip:
-    def test_to_dense_from_dense(self):
+    def test_to_dense_from_nonzero_mask(self):
         dense = np.array([0.0, 1.5, 0.0, -2.0, 0.0])
-        sp = SparseGradient.from_dense(dense)
+        sp = SparseGradient.from_mask(dense, dense != 0)
         assert sp.nnz == 2
         assert np.allclose(sp.to_dense(), dense)
 
@@ -55,7 +55,7 @@ class TestRoundTrip:
     def test_property_roundtrip(self, size):
         rng = np.random.default_rng(size)
         dense = rng.normal(size=size) * (rng.uniform(size=size) > 0.7)
-        sp = SparseGradient.from_dense(dense)
+        sp = SparseGradient.from_mask(dense, dense != 0)
         assert np.allclose(sp.to_dense(), dense)
         assert sp.nnz == np.count_nonzero(dense)
 

@@ -70,7 +70,7 @@ class TestWorkerConsistency:
         trainer = DistributedTrainer(model, dataset, "sidco-e", config)
         trainer.run()
         # Workers share the model object; their flat specs agree.
-        specs = {tuple(sorted(w.flat_spec.slot(s.name).offset for s in w.flat_spec.slots)) for w in trainer.workers}
+        specs = {tuple(sorted(s.offset for s in w.flat_spec.slots)) for w in trainer.workers}
         assert len(specs) == 1
 
     def test_per_worker_compressor_state_is_independent(self):

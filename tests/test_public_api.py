@@ -1,5 +1,9 @@
 """Tests for the top-level public API surface."""
 
+import importlib
+
+import pytest
+
 import repro
 from repro import (
     PAPER_COMPRESSORS,
@@ -9,6 +13,91 @@ from repro import (
     available_compressors,
     create_compressor,
 )
+from tests import synthetic
+
+#: ``(package, name)`` of each export 5.0.0 deleted.
+DROPPED_EXPORTS = [
+    ("repro.distributed", "train_baseline_and_compressed"),
+    ("repro.distributed", "WorkerStep"),
+    ("repro.perfmodel", "CostBreakdown"),
+    ("repro.perfmodel", "breakdown"),
+    ("repro.perfmodel", "get_device"),
+    ("repro.perfmodel", "latency_breakdown"),
+    ("repro.perfmodel", "speedup_over_reference"),
+    ("repro.nn", "mse"),
+    ("repro.stats", "sparsification_error"),
+    ("repro.stats", "power_law_envelope"),
+    ("repro.stats", "empirical_pdf"),
+    ("repro.stats", "EmpiricalDensity"),
+    ("repro.optim", "clip_by_global_norm"),
+    ("repro.compressors", "register_compressor"),
+]
+
+#: ``(package, name)`` of each export 5.0.0 moved to ``tests/synthetic.py``.
+MOVED_FIXTURES = [
+    ("repro.gradients", "laplace_gradient"),
+    ("repro.gradients", "double_gamma_gradient"),
+    ("repro.gradients", "double_gpareto_gradient"),
+    ("repro.gradients", "sid_gradient"),
+    ("repro.gradients", "model_sized_gradient"),
+    ("repro.gradients", "evolving_gradients"),
+    ("repro.data", "make_blobs_classification"),
+    ("repro.data", "make_regression"),
+]
+
+#: ``(package.Class, member)`` of each class member 5.0.0 deleted.
+DROPPED_MEMBERS = [
+    ("repro.distributed.Worker", "compute_gradient"),
+    ("repro.distributed.Worker", "step"),
+    ("repro.distributed.Worker", "reset"),
+    ("repro.distributed.NetworkModel", "transfer_time"),
+    ("repro.distributed.CollectiveModel", "allreduce_time"),
+    ("repro.distributed.CollectiveModel", "allgather_time"),
+    ("repro.distributed.CollectiveCost", "is_pipelined"),
+    ("repro.distributed.CollectiveCost", "volume_bytes"),
+    ("repro.distributed.SparseAggregateModel", "union_payload_bytes"),
+    ("repro.distributed.SparseAggregateModel", "dedup_ratio"),
+    ("repro.distributed.ClusterTopology", "num_levels"),
+    ("repro.distributed.TrainingMetrics", "__len__"),
+    ("repro.distributed.TrainingMetrics", "loss_vs_walltime"),
+    ("repro.distributed.TimelineModel", "communication_overhead_fraction"),
+    ("repro.distributed.ScheduleArrays", "overlap_saving"),
+    ("repro.distributed.ScheduleArrays", "total_compress_seconds"),
+    ("repro.nn.Module", "train"),
+    ("repro.nn.Module", "eval"),
+    ("repro.nn.Module", "state_dict"),
+    ("repro.nn.Module", "load_state_dict"),
+    ("repro.nn.Module", "gradient_dict"),
+    ("repro.optim.SGD", "state_dict"),
+    ("repro.optim.ErrorFeedback", "step"),
+    ("repro.optim.ErrorFeedback", "reset"),
+    ("repro.data.BatchIterator", "__iter__"),
+    ("repro.data.BatchIterator", "__next__"),
+    ("repro.data.BatchIterator", "batches_per_epoch"),
+    ("repro.gradients.GradientCapture", "get"),
+    ("repro.gradients.GradientCapture", "captured_iterations"),
+    ("repro.tensor.FlatSpec", "slot"),
+    ("repro.tensor.FlatSpec", "offsets"),
+    ("repro.tensor.FlatSpec", "from_arrays"),
+    ("repro.tensor.SparseGradient", "from_dense"),
+    ("repro.pipeline.BucketLayout", "is_ragged"),
+    ("repro.stats.FitResult", "params"),
+    ("repro.stats.Gamma", "mean"),
+    ("repro.stats.Laplace", "fit"),
+    ("repro.stats.DoubleGeneralizedPareto", "fit"),
+    ("repro.compressors.Compressor", "reset"),
+    ("repro.compressors.DGC", "reset"),
+    ("repro.compressors.RandomK", "reset"),
+    ("repro.compressors.AdaptiveHardThreshold", "reset"),
+    ("repro.core.SIDCo", "reset"),
+    ("repro.core.StageController", "reset"),
+    ("repro.pipeline.CompressionPipeline", "reset"),
+]
+
+
+def _still_exported(module, removed: set[str]) -> list[str]:
+    """The names of ``removed`` that ``module`` still lists or still has."""
+    return sorted(name for name in removed if name in module.__all__ or hasattr(module, name))
 
 
 class TestPublicAPI:
@@ -72,6 +161,38 @@ class TestPublicAPI:
         assert not removed & set(repro.harness.__all__)
         assert not [name for name in removed if hasattr(repro.harness, name)]
 
+    # 5.0.0 removed what only tier-1 reached: one case per name in the tables
+    # above. The test fixtures among it moved to tests/synthetic.py.
+
+    @pytest.mark.parametrize("package, name", DROPPED_EXPORTS)
+    def test_dropped_export_is_gone(self, package, name):
+        assert _still_exported(importlib.import_module(package), {name}) == []
+
+    @pytest.mark.parametrize("package, name", MOVED_FIXTURES)
+    def test_fixture_moved_to_the_tests(self, package, name):
+        assert _still_exported(importlib.import_module(package), {name}) == []
+        assert callable(getattr(synthetic, name))
+
+    @pytest.mark.parametrize("owner, member", DROPPED_MEMBERS)
+    def test_dropped_member_is_gone(self, owner, member):
+        package, _, cls = owner.rpartition(".")
+        assert not hasattr(getattr(importlib.import_module(package), cls), member)
+
+    def test_dropped_instance_state_is_gone(self):
+        from repro.core.stages import StageController
+        from repro.nn import Module
+        from repro.optim import ErrorFeedback
+
+        assert not hasattr(Module(), "training")
+        assert not hasattr(ErrorFeedback(4), "memory")
+        assert not hasattr(StageController(), "history")
+
+    @pytest.mark.parametrize("name", ["sidco-e-bucketed", "sidco-gp-bucketed", "sidco-p-bucketed"])
+    def test_bucketed_sidco_registry_name_is_gone(self, name):
+        assert name not in available_compressors()
+        with pytest.raises(ValueError, match="unknown compressor"):
+            create_compressor(name)
+
     def test_distributed_surface_has_one_knob_bundle_and_no_pools(self):
         import repro.distributed
 
@@ -117,7 +238,7 @@ class TestPublicAPI:
         # The sweep grid's tail is exactly the SimulationKnobs field order.
         assert SWEEP_KNOBS[2:] == tuple(SimulationKnobs().as_dict())
         assert SimulationKnobs().faulted is False
-        assert ClusterProfile.homogeneous(4).homogeneous_nominal
+        assert ClusterProfile.homogeneous(4).num_workers == 4
         assert get_sync_policy("full-sync").name == "full-sync"
         assert WorkerCountConstraint().admits(
             {"backup_workers": 0, "topology": "ethernet-4x8"}

@@ -1,9 +1,10 @@
 """The reach probe's bookkeeping: which ``def``s it sees, stubs, classes, records.
 
 ``benchmarks/reach_probe.py`` gates CI on "no non-stub function is reached by
-nothing", so its parts must agree with the interpreter: a key it builds from
-the source must be the key a code object yields, a stub must be exactly a body
-that only raises ``NotImplementedError``, and every function must land in
+nothing" and "every tier-1-only function is on the allowlist, which holds no
+stale entry", so its parts must agree with the interpreter: a key it builds
+from the source must be the key a code object yields, a stub must be exactly a
+body that only raises ``NotImplementedError``, and every function must land in
 exactly one class.  The full probe (every product path plus this suite) runs
 in the benchmarks job; these tests run its parts on small inputs.
 """
@@ -150,6 +151,56 @@ class TestClassify:
     def test_every_function_lands_in_exactly_one_class(self):
         keys = [key for members in self._classes().values() for key in members]
         assert sorted(keys) == sorted(self.FOUND)
+
+
+class TestAllowlist:
+    FOUND = {
+        ("a.py", 1, "shipped"): {"name": "a.py::shipped", "stub": False},
+        ("a.py", 5, "kept"): {"name": "a.py::kept", "stub": False},
+        ("a.py", 9, "forgotten"): {"name": "a.py::forgotten", "stub": False},
+        ("a.py", 12, "dead"): {"name": "a.py::dead", "stub": False},
+    }
+    PRODUCT = {("a.py", 1, "shipped")}
+    TIER1 = {("a.py", 5, "kept"), ("a.py", 9, "forgotten")}
+
+    def _check(self, allowlist):
+        classes = probe.classify(self.FOUND, self.PRODUCT, self.TIER1)
+        return probe.check_allowlist(self.FOUND, classes, allowlist)
+
+    def test_a_listed_tier1_only_function_passes(self):
+        assert self._check({"a.py::kept": "why", "a.py::forgotten": "why"}) == ([], {})
+
+    def test_an_unlisted_tier1_only_function_is_reported(self):
+        unlisted, stale = self._check({"a.py::kept": "why"})
+        assert unlisted == ["a.py::forgotten"]
+        assert stale == {}
+
+    def test_stale_entries_are_reported_with_why(self):
+        allowlist = {
+            "a.py::kept": "why",
+            "a.py::forgotten": "why",
+            "a.py::shipped": "a product path reaches it now",
+            "a.py::dead": "nothing reaches it now",
+            "a.py::deleted": "the def is gone",
+        }
+        unlisted, stale = self._check(allowlist)
+        assert unlisted == []
+        assert stale == {
+            "a.py::dead": "now nothing",
+            "a.py::deleted": "gone",
+            "a.py::shipped": "now product",
+        }
+
+    def test_the_checked_in_list_is_short_and_every_entry_names_a_def_and_a_reason(self, found):
+        names = {info["name"] for info in found.values()}
+        assert len(probe.ALLOWLIST) <= 40
+        assert sorted(set(probe.ALLOWLIST) - names) == []
+        assert all(reason.strip() for reason in probe.ALLOWLIST.values())
+
+
+def test_src_lines_counts_newlines_like_wc():
+    expected = sum(path.read_bytes().count(b"\n") for path in (REPO / "src").rglob("*.py"))
+    assert probe.src_lines() == expected
 
 
 def test_product_runs_cover_every_product_path(tmp_path):

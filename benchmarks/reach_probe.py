@@ -20,12 +20,19 @@ Each run is a fresh subprocess of this script that records, with
 
     PYTHONPATH=src python benchmarks/reach_probe.py            # report
     PYTHONPATH=src python benchmarks/reach_probe.py --check    # exit 1 on dead code
+    PYTHONPATH=src python benchmarks/reach_probe.py --lines src/repro/distributed/timeline.py
 
 ``--check`` fails when any non-stub function is reached by nothing, when a
 tier-1-only function is not on :data:`ALLOWLIST`, when an allowlist entry is
 stale (its function is gone, or is no longer tier-1 only), or when a run fails
 (its reach would be incomplete).  The report ends with the line count of
 ``src/`` (``wc -l`` over ``src/**/*.py``).
+
+``--lines PATH`` looks inside one module instead: it runs only the product
+paths, under a ``sys.settrace`` line tracer limited to that module's frames,
+and prints the module's executable lines (those its compiled code objects
+map instructions to) that no product run executes.  It is an on-demand
+check, not a CI gate.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -181,9 +189,27 @@ def functions() -> dict[tuple[str, int, str], dict]:
 # -- one recorded run ---------------------------------------------------------
 
 
-def record(out: Path, argv: list[str]) -> int:
-    """Run ``python argv`` in this process, then write the package code it entered."""
+def executable_lines(path: Path) -> set[int]:
+    """The lines of a module that its compiled code objects map instructions to.
+
+    Line 0 (the module's own entry instruction) and unnumbered ones are left out.
+    """
+    lines, codes = set(), [compile(path.read_text(), str(path), "exec")]
+    while codes:
+        code = codes.pop()
+        lines.update(line for _, _, line in code.co_lines() if line)
+        codes.extend(const for const in code.co_consts if isinstance(const, types.CodeType))
+    return lines
+
+
+def record(out: Path, argv: list[str], lines: Path | None = None) -> int:
+    """Run ``python argv`` in this process, then write the package code it entered.
+
+    With ``lines``, write instead the line numbers of that module it executed.
+    """
     entered: dict[int, object] = {}
+    executed: set[int] = set()
+    target = None if lines is None else str(lines.resolve())
 
     def profile(frame, event, arg):
         if event == "call":
@@ -191,25 +217,37 @@ def record(out: Path, argv: list[str]) -> int:
             if id(code) not in entered:
                 entered[id(code)] = code
 
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            executed.add(frame.f_lineno)
+        return trace_lines
+
+    def trace(frame, event, arg):
+        return trace_lines if frame.f_code.co_filename == target else None
+
     # Lay out argv and sys.path[0] as ``python argv`` would.
     if argv[0] == "-m":
         sys.argv = [argv[1], *argv[2:]]
-        target, run = argv[1], runpy.run_module
+        script, run = argv[1], runpy.run_module
         sys.path[0] = os.getcwd()
     else:
         sys.argv = list(argv)
-        target, run = argv[0], runpy.run_path
-        sys.path[0] = str(Path(target).resolve().parent)
+        script, run = argv[0], runpy.run_path
+        sys.path[0] = str(Path(script).resolve().parent)
     status = 0
-    sys.setprofile(profile)
+    if lines is None:
+        sys.setprofile(profile)
+    else:
+        sys.settrace(trace)
     try:
-        run(target, run_name="__main__")
+        run(script, run_name="__main__")
     except SystemExit as stop:
         status = stop.code if isinstance(stop.code, int) else int(stop.code is not None)
     finally:
         sys.setprofile(None)
+        sys.settrace(None)
         prefix = str(PACKAGE) + os.sep
-        reached = sorted({
+        reached = sorted(executed) if lines is not None else sorted({
             (str(Path(code.co_filename).relative_to(REPO)), code.co_firstlineno, code.co_name)
             for code in entered.values() if code.co_filename.startswith(prefix)
         })
@@ -217,8 +255,8 @@ def record(out: Path, argv: list[str]) -> int:
     return status
 
 
-def reach(runs, scratch: Path) -> tuple[set, list[str]]:
-    """Union of what ``runs`` enter, and the labels of the runs that failed."""
+def reach(runs, scratch: Path, lines: Path | None = None) -> tuple[set, list[str]]:
+    """Union of what ``runs`` enter (or execute of ``lines``), and the runs that failed."""
     env = {**os.environ, "SIDCO_SMOKE_DIMENSION": SMOKE_DIMENSION,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
@@ -226,8 +264,9 @@ def reach(runs, scratch: Path) -> tuple[set, list[str]]:
     for index, (label, argv) in enumerate(runs):
         out = scratch / f"reach-{label.replace(' ', '-')}-{index}.json"
         start = time.perf_counter()
+        module = [] if lines is None else ["--lines", str(lines.resolve())]
         proc = subprocess.run(
-            [sys.executable, __file__, "--record", str(out), "--", *argv],
+            [sys.executable, __file__, "--record", str(out), *module, "--", *argv],
             cwd=REPO, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
         print(f"  {label}: {time.perf_counter() - start:.0f} s"
@@ -236,7 +275,8 @@ def reach(runs, scratch: Path) -> tuple[set, list[str]]:
             failed.append(label)
             print(proc.stdout[-3000:], file=sys.stderr)
         if out.exists():
-            reached |= {tuple(key) for key in json.loads(out.read_text())}
+            keys = json.loads(out.read_text())
+            reached |= set(keys) if lines is not None else {tuple(key) for key in keys}
     return reached, failed
 
 
@@ -277,17 +317,39 @@ def src_lines() -> int:
     return sum(len(path.read_bytes().splitlines()) for path in (REPO / "src").rglob("*.py"))
 
 
+def report_lines(path: Path) -> int:
+    """Print ``path``'s executable lines that no product path executes."""
+    source = path.read_text().splitlines()
+    with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
+        print("product paths:", flush=True)
+        executed, failed = reach(product_runs(Path(tmp)), Path(tmp), lines=path)
+    executable = executable_lines(path)
+    missed = sorted(executable - executed)
+    print(f"\n{path}: {len(executable)} executable lines, "
+          f"{len(missed)} executed by no product path")
+    for line in missed:
+        print(f"  {path}:{line}: {source[line - 1].strip()}")
+    if failed:
+        print(f"\nfailed runs (reach incomplete): {', '.join(failed)}")
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="exit 1 on code reached by nothing, an unlisted tier-1-only "
                              "function, a stale allowlist entry, or a failed run")
+    parser.add_argument("--lines", type=Path, metavar="PATH",
+                        help="print the executable lines of one module that no product "
+                             "path executes")
     parser.add_argument("--record", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("command", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.record is not None:
         command = args.command[1:] if args.command[:1] == ["--"] else args.command
-        return record(args.record, command)
+        return record(args.record, command, args.lines)
+    if args.lines is not None:
+        return report_lines(args.lines)
 
     found = functions()
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:

@@ -90,12 +90,11 @@ def _timeline(collective: CollectiveModel, *, cross_bucket: bool) -> TimelineMod
         topology.inter_node, topology.num_workers, DIMENSION, COMM_OVERHEAD
     )
     return TimelineModel(
-        network=topology.inter_node,
+        collective=collective,
         device=GPU_V100,
         compute_seconds=compute,
-        num_workers=topology.num_workers,
         model_dimension=DIMENSION,
-        collective=collective,
+        overlap="comm",
         cross_bucket_pipeline=cross_bucket,
     )
 
@@ -116,12 +115,8 @@ def worker_results():
 
 def _timings(preset: str, results, *, tuned: bool):
     model = _tuned_model(preset) if tuned else _serial_model(preset)
-    serial_lane = _timeline(model, cross_bucket=False).compressed_iteration(
-        results, overlap="comm"
-    )
-    cross = _timeline(model, cross_bucket=True).compressed_iteration(
-        results, overlap="comm"
-    )
+    serial_lane = _timeline(model, cross_bucket=False).compressed_iteration(results)
+    cross = _timeline(model, cross_bucket=True).compressed_iteration(results)
     return serial_lane, cross
 
 

@@ -82,12 +82,11 @@ def _timeline(collective: CollectiveModel) -> TimelineModel:
         topology.inter_node, topology.num_workers, DIMENSION, COMM_OVERHEAD
     )
     return TimelineModel(
-        network=topology.inter_node,
+        collective=collective,
         device=GPU_V100,
         compute_seconds=compute,
-        num_workers=topology.num_workers,
         model_dimension=DIMENSION,
-        collective=collective,
+        overlap="comm",
     )
 
 
@@ -136,12 +135,8 @@ def test_acceptance_speedup_at_paper_density(preset):
 
 
 def test_iteration_time_speedup_clears_1_3x(worker_results):
-    serial = _timeline(_serial_model("ethernet-4x8")).compressed_iteration(
-        worker_results, overlap="comm"
-    )
-    tuned = _timeline(_tuned_model("ethernet-4x8")).compressed_iteration(
-        worker_results, overlap="comm"
-    )
+    serial = _timeline(_serial_model("ethernet-4x8")).compressed_iteration(worker_results)
+    tuned = _timeline(_tuned_model("ethernet-4x8")).compressed_iteration(worker_results)
     assert tuned.dedup_ratio > 1.0
     speedup = serial.total / tuned.total
     assert speedup >= 1.3, (
@@ -173,12 +168,8 @@ def test_emit_dedup_bench_artifact(worker_results, emit_artifact):
                 }
             )
 
-    serial = _timeline(_serial_model("ethernet-4x8")).compressed_iteration(
-        worker_results, overlap="comm"
-    )
-    tuned = _timeline(_tuned_model("ethernet-4x8")).compressed_iteration(
-        worker_results, overlap="comm"
-    )
+    serial = _timeline(_serial_model("ethernet-4x8")).compressed_iteration(worker_results)
+    tuned = _timeline(_tuned_model("ethernet-4x8")).compressed_iteration(worker_results)
     written = emit_artifact(
         ARTIFACT_PATH,
         "dedup_pipeline_speedup",

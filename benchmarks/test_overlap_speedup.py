@@ -19,12 +19,18 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/test_overlap_speedup.py -v
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.compressors import create_compressor
-from repro.distributed import OVERLAP_POLICIES, TimelineModel, compute_time_for_overhead
+from repro.distributed import (
+    OVERLAP_POLICIES,
+    CollectiveModel,
+    TimelineModel,
+    compute_time_for_overhead,
+)
 from repro.distributed.network import CLUSTER_ETHERNET_10G
 from repro.gradients import realistic_gradient
 from repro.perfmodel import GPU_V100
@@ -46,10 +52,9 @@ def timeline():
         CLUSTER_ETHERNET_10G, NUM_WORKERS, DIMENSION, COMM_OVERHEAD
     )
     return TimelineModel(
-        network=CLUSTER_ETHERNET_10G,
+        collective=CollectiveModel.flat(CLUSTER_ETHERNET_10G, NUM_WORKERS),
         device=GPU_V100,
         compute_seconds=compute,
-        num_workers=NUM_WORKERS,
         model_dimension=DIMENSION,
     )
 
@@ -67,7 +72,7 @@ def worker_results():
 def test_overlapped_iteration_never_slower_than_serialized(timeline, worker_results):
     assert worker_results[0].metadata["num_buckets"] > 1
     timings = {
-        policy: timeline.compressed_iteration(worker_results, overlap=policy)
+        policy: replace(timeline, overlap=policy).compressed_iteration(worker_results)
         for policy in OVERLAP_POLICIES
     }
     serialized = timings["none"].total
@@ -84,7 +89,7 @@ def test_overlapped_iteration_never_slower_than_serialized(timeline, worker_resu
 def test_emit_overlap_bench_artifact(timeline, worker_results, emit_artifact):
     result = worker_results[0]
     timings = {
-        policy: timeline.compressed_iteration(worker_results, overlap=policy)
+        policy: replace(timeline, overlap=policy).compressed_iteration(worker_results)
         for policy in OVERLAP_POLICIES
     }
     serialized = timings["none"].total

@@ -75,13 +75,11 @@ def _timeline(*, cross_bucket: bool) -> TimelineModel:
         topology.inter_node, topology.num_workers, DIMENSION, COMM_OVERHEAD
     )
     return TimelineModel(
-        network=topology.inter_node,
+        collective=collective,
         device=GPU_V100,
         compute_seconds=compute,
-        num_workers=topology.num_workers,
         model_dimension=DIMENSION,
         overlap="comm+compress",
-        collective=collective,
         cross_bucket_pipeline=cross_bucket,
     )
 

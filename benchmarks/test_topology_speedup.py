@@ -59,12 +59,11 @@ def _timeline(collective: CollectiveModel) -> TimelineModel:
         TOPOLOGY.inter_node, TOPOLOGY.num_workers, DIMENSION, COMM_OVERHEAD
     )
     return TimelineModel(
-        network=TOPOLOGY.inter_node,
+        collective=collective,
         device=GPU_V100,
         compute_seconds=compute,
-        num_workers=TOPOLOGY.num_workers,
         model_dimension=DIMENSION,
-        collective=collective,
+        overlap="comm",
     )
 
 
@@ -98,8 +97,8 @@ def test_hierarchical_beats_flat_at_every_paper_ratio(ratio):
 
 def test_timeline_iteration_cheaper_with_hierarchical(worker_results):
     assert worker_results[0].metadata["num_buckets"] > 1
-    flat_timing = _timeline(FLAT).compressed_iteration(worker_results, overlap="comm")
-    hier_timing = _timeline(HIERARCHICAL).compressed_iteration(worker_results, overlap="comm")
+    flat_timing = _timeline(FLAT).compressed_iteration(worker_results)
+    hier_timing = _timeline(HIERARCHICAL).compressed_iteration(worker_results)
     assert hier_timing.communication < flat_timing.communication
     assert hier_timing.total < flat_timing.total
     # Per-phase placements ride in the schedule trace.
@@ -126,8 +125,8 @@ def test_emit_topology_bench_artifact(worker_results, emit_artifact):
                 },
             }
         )
-    flat_timing = _timeline(FLAT).compressed_iteration(worker_results, overlap="comm")
-    hier_timing = _timeline(HIERARCHICAL).compressed_iteration(worker_results, overlap="comm")
+    flat_timing = _timeline(FLAT).compressed_iteration(worker_results)
+    hier_timing = _timeline(HIERARCHICAL).compressed_iteration(worker_results)
     topology = {
         "name": TOPOLOGY.name,
         "num_nodes": TOPOLOGY.num_nodes,

@@ -17,8 +17,10 @@ Run with:  PYTHONPATH=src python examples/overlap_timeline.py
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.compressors import available_compressors, create_compressor
-from repro.distributed import TimelineModel, compute_time_for_overhead
+from repro.distributed import CollectiveModel, TimelineModel, compute_time_for_overhead
 from repro.distributed.network import CLUSTER_ETHERNET_10G
 from repro.gradients import realistic_gradient
 from repro.perfmodel import GPU_V100
@@ -37,10 +39,9 @@ def main(*, dimension: int = DIMENSION, sample: int = SAMPLE) -> None:
         CLUSTER_ETHERNET_10G, NUM_WORKERS, dimension, COMM_OVERHEAD
     )
     timeline = TimelineModel(
-        network=CLUSTER_ETHERNET_10G,
+        collective=CollectiveModel.flat(CLUSTER_ETHERNET_10G, NUM_WORKERS),
         device=GPU_V100,
         compute_seconds=compute,
-        num_workers=NUM_WORKERS,
         model_dimension=sample,
         dimension_scale=dimension / sample,
     )
@@ -54,7 +55,7 @@ def main(*, dimension: int = DIMENSION, sample: int = SAMPLE) -> None:
         for _ in range(2):  # settle adaptive stage controllers
             result = pipeline.compress(gradient, RATIO)
         timings = {
-            policy: timeline.compressed_iteration([result], overlap=policy)
+            policy: replace(timeline, overlap=policy).compressed_iteration([result])
             for policy in ("none", "comm", "comm+compress")
         }
         rows.append(

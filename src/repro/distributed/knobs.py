@@ -16,17 +16,21 @@ in its ``knobs`` field, ``run_benchmark``/``compare_compressors`` take one as
 ``knobs=``, and validation — including cross-knob consistency like
 ``backup_workers`` requiring the ``backup-workers`` policy — happens once, in
 ``__post_init__``.  A knob added here is automatically a sweepable axis and a
-trainer setting; it can no longer miss the grid.
+trainer setting; it can no longer miss the grid.  Each knob's own check lives
+in :data:`KNOB_CHECKS`, which the sweep runs on every axis value too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from numbers import Real
+from typing import Callable
 
 from .faults import ClusterProfile, SyncPolicy, get_sync_policy, validate_sync_policy
 from .schedule import validate_cross_bucket, validate_overlap
 from .topology import (
+    ClusterTopology,
     SparseAggregateModel,
     get_collective_algorithm,
     get_topology,
@@ -45,6 +49,47 @@ def validate_scheduler_backend(backend: str) -> str:
             f"unknown scheduler backend {backend!r}; known: {list(_INERT_SCHEDULER_BACKENDS)}"
         )
     return backend
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def _check_factor(name: str, value) -> None:
+    real = isinstance(value, Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value >= 1.0):
+        raise ValueError(f"{name} must be >= 1 and finite, got {value!r}")
+
+
+def _check_topology(topology) -> None:
+    if isinstance(topology, str):
+        get_topology(topology)  # fail fast on unknown preset names
+    elif topology is not None and not isinstance(topology, ClusterTopology):
+        raise ValueError(
+            f"topology must be a preset name, a ClusterTopology or None, got {topology!r}"
+        )
+
+
+#: Each knob's own check, in field order: :class:`SimulationKnobs` runs them
+#: on its fields and the sweep on every axis value, so the two accept the
+#: same values.  Cross-knob rules stay in ``SimulationKnobs.__post_init__``.
+KNOB_CHECKS: dict[str, Callable] = {
+    "bucket_bytes": lambda v: v is None or _check_count("bucket_bytes", v, 1),
+    "overlap": validate_overlap,
+    "topology": _check_topology,
+    "allreduce_algorithm": lambda v: get_collective_algorithm(v, op="allreduce"),
+    "allgather_algorithm": lambda v: get_collective_algorithm(v, op="allgather"),
+    "pipeline_chunks": validate_pipeline_chunks,
+    "dedup_assumption": lambda v: v is None or SparseAggregateModel(v),
+    "cross_bucket_pipeline": validate_cross_bucket,
+    "scheduler_backend": validate_scheduler_backend,
+    "sync_policy": validate_sync_policy,
+    "backup_workers": lambda v: _check_count("backup_workers", v, 0),
+    "time_window_factor": lambda v: v is None or _check_factor("time_window_factor", v),
+    "straggler_severity": lambda v: _check_factor("straggler_severity", v),
+    "link_degradation": lambda v: _check_factor("link_degradation", v),
+}
 
 
 @dataclass(frozen=True)
@@ -94,40 +139,18 @@ class SimulationKnobs:
     link_degradation: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.bucket_bytes is not None and (isinstance(self.bucket_bytes, bool) or self.bucket_bytes < 1):
-            raise ValueError(f"bucket_bytes must be a positive int when set, got {self.bucket_bytes!r}")
-        validate_overlap(self.overlap)
-        if isinstance(self.topology, str):
-            get_topology(self.topology)  # fail fast on unknown preset names
-        get_collective_algorithm(self.allreduce_algorithm, op="allreduce")
-        get_collective_algorithm(self.allgather_algorithm, op="allgather")
-        validate_pipeline_chunks(self.pipeline_chunks)
-        if self.dedup_assumption is not None:
-            SparseAggregateModel(self.dedup_assumption)  # fail fast on unknown assumptions
-        validate_cross_bucket(self.cross_bucket_pipeline)
-        validate_scheduler_backend(self.scheduler_backend)
-        validate_sync_policy(self.sync_policy)
-        if isinstance(self.backup_workers, bool) or self.backup_workers < 0:
-            raise ValueError(f"backup_workers must be an int >= 0, got {self.backup_workers!r}")
+        for name, check in KNOB_CHECKS.items():
+            check(getattr(self, name))
         if self.backup_workers > 0 and self.sync_policy != "backup-workers":
             raise ValueError(
                 "backup_workers > 0 requires sync_policy='backup-workers', "
                 f"got {self.sync_policy!r}"
             )
-        if self.time_window_factor is not None:
-            if not math.isfinite(self.time_window_factor) or self.time_window_factor < 1.0:
-                raise ValueError(
-                    f"time_window_factor must be >= 1, got {self.time_window_factor!r}"
-                )
-            if self.sync_policy != "time-window":
-                raise ValueError(
-                    "time_window_factor requires sync_policy='time-window', "
-                    f"got {self.sync_policy!r}"
-                )
-        for name in ("straggler_severity", "link_degradation"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 1.0:
-                raise ValueError(f"{name} must be a finite multiplier >= 1, got {value!r}")
+        if self.time_window_factor is not None and self.sync_policy != "time-window":
+            raise ValueError(
+                "time_window_factor requires sync_policy='time-window', "
+                f"got {self.sync_policy!r}"
+            )
 
     @property
     def faulted(self) -> bool:

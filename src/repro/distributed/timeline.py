@@ -21,13 +21,13 @@ for ``"comm+compress"``, with the tail of backpropagation) the way
 DDP/Horovod stacks actually run.  Bucketed results are priced as one
 ``(bucket, phase)`` :class:`~repro.distributed.topology.PhaseTable` and
 scheduled from it; unbucketed results price one single-payload all-gather and
-carry no schedule.
+carry no schedule.  A worker pool that mixes the two, or whose results disagree
+on the bucket count, raises :class:`ValueError`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -54,12 +54,12 @@ from .schedule import (
 from .topology import ClusterTopology, CollectiveModel, PhaseTable, SparseAggregateModel
 
 
-def _payload_density(payload_bytes: float, dense_elements: float) -> float | None:
+def _payload_density(payload_bytes: float, dense_elements: int) -> float | None:
     """Non-zero fraction a sparse (index, value) payload covers of its dense span.
 
-    Returns ``None`` (dedup unavailable) for empty payloads or unknown spans.
+    Returns ``None`` (dedup unavailable) for an empty payload.
     """
-    if payload_bytes <= 0.0 or dense_elements <= 0:
+    if payload_bytes <= 0.0:
         return None
     elements = payload_bytes / (FLOAT_BYTES + INDEX_BYTES)
     return min(1.0, elements / dense_elements)
@@ -79,28 +79,6 @@ def _table_dedup_ratio(table: PhaseTable) -> float:
         return 1.0
     ratios = table.dedup_ratios.tolist()
     return float(sum(w * r for w, r in zip(weights, ratios)) / total)
-
-
-def _bucket_layout(metadata: dict, num_buckets: int) -> tuple[list, list]:
-    """Bucket sizes and gradient-ready fractions for scheduling, with fallbacks.
-
-    Sizes fall back to an equal split when the layout is unknown; fractions
-    fall back to reverse-order readiness derived from the sizes (backprop
-    fills the flat gradient back-to-front, so bucket *i* is ready once all
-    elements from its start offset onwards have gradients).
-    """
-    sizes = metadata.get("bucket_sizes")
-    if sizes is None or len(sizes) != num_buckets:
-        sizes = [1] * num_buckets  # equal split when the layout is unknown
-    fractions = metadata.get("bucket_ready_fractions")
-    if fractions is None or len(fractions) != num_buckets:
-        total = float(sum(sizes))
-        acc = 0.0
-        fractions = []
-        for size in sizes:
-            fractions.append((total - acc) / total if total > 0.0 else 1.0)
-            acc += size
-    return sizes, fractions
 
 
 @dataclass(frozen=True)
@@ -153,35 +131,32 @@ class TimelineModel:
     """Prices one iteration of synchronous data-parallel training.
 
     Communication is priced by the collective-algorithm layer
-    (:class:`~repro.distributed.topology.CollectiveModel`).  When no explicit
-    ``collective`` is given, a degenerate single-level model over ``network``
-    is built — which reproduces the pre-topology closed forms exactly.
+    (:class:`~repro.distributed.topology.CollectiveModel`), the one source of
+    the fabric and the worker count; ``CollectiveModel.flat(network, n)`` is
+    the degenerate single-level model, which reproduces the pre-topology
+    closed forms exactly.  The overlap and cross-bucket policies are fields
+    too: to compare policies, ``dataclasses.replace`` the timeline.
 
     The trainer and the sweep planner both build their timeline with
     :meth:`from_knobs` and price iterations with :meth:`price`, so the two
     cannot drift apart.
     """
 
-    network: NetworkModel
+    #: Topology + collective algorithms pricing every collective.
+    collective: CollectiveModel
     device: DeviceProfile
     compute_seconds: float
-    num_workers: int
     model_dimension: int
     update_seconds: float = 0.0
     #: Scale factor mapping the proxy model's gradient dimension to the
     #: full-size model of Table 1 (wire volume and compression cost both scale
     #: linearly in the dimension).
     dimension_scale: float = 1.0
-    #: Default overlap policy for :meth:`compressed_iteration` — ``"none"``
+    #: Overlap policy of :meth:`compressed_iteration` — ``"none"``
     #: (serial closed-form sum), ``"comm"`` (communication overlaps
     #: compute/compression) or ``"comm+compress"`` (compression additionally
     #: overlaps backprop at per-bucket gradient-ready times).
     overlap: str = "none"
-    #: Topology + collective algorithms pricing every collective.  ``None``
-    #: builds the degenerate single-level model over ``network``; an explicit
-    #: model is the sole source of communication prices (``network`` is then
-    #: not read).
-    collective: CollectiveModel | None = None
     #: Schedule buckets on per-link network lanes so bucket *i+1*'s intra-node
     #: phase overlaps bucket *i*'s inter-node phase (see
     #: :func:`~repro.distributed.schedule.simulate_iteration_arrays`).
@@ -194,10 +169,10 @@ class TimelineModel:
     memo: Callable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.collective, CollectiveModel):
+            raise ValueError(f"collective must be a CollectiveModel, got {self.collective!r}")
         validate_duration("compute_seconds", self.compute_seconds)
         validate_duration("update_seconds", self.update_seconds)
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
         if self.model_dimension < 1:
             raise ValueError("model_dimension must be >= 1")
         if not math.isfinite(self.dimension_scale) or self.dimension_scale <= 0.0:
@@ -206,15 +181,10 @@ class TimelineModel:
             )
         validate_overlap(self.overlap)
         validate_cross_bucket(self.cross_bucket_pipeline)
-        if self.collective is None:
-            object.__setattr__(
-                self, "collective", CollectiveModel.flat(self.network, self.num_workers)
-            )
-        elif self.collective.num_workers != self.num_workers:
-            raise ValueError(
-                f"collective topology has {self.collective.num_workers} workers "
-                f"but the timeline models {self.num_workers}"
-            )
+
+    @property
+    def num_workers(self) -> int:
+        return self.collective.num_workers
 
     @classmethod
     def from_knobs(
@@ -243,14 +213,12 @@ class TimelineModel:
             allgather_dedup=None if dedup is None else SparseAggregateModel(dedup),
         )
         return cls(
-            network=topology.inter_node,
+            collective=collective,
             device=device,
             compute_seconds=compute_seconds,
-            num_workers=topology.num_workers,
             model_dimension=model_dimension,
             dimension_scale=dimension_scale,
             overlap=knobs.overlap,
-            collective=collective,
             cross_bucket_pipeline=knobs.cross_bucket_pipeline,
             memo=memo,
         )
@@ -268,8 +236,11 @@ class TimelineModel:
         With ``rates``, every active worker's iteration is priced at its lane
         rates and ``policy`` (default: full sync) prices the barrier; the
         nominal (1.0, 1.0) pair reuses the nominal timing, so those workers
-        finish bit-for-bit at ``timing.total``.
+        finish bit-for-bit at ``timing.total``.  ``rates`` must describe this
+        timeline's workers, or :class:`ValueError` is raised.
         """
+        if rates is not None and rates.num_workers != self.num_workers:
+            raise ValueError(f"rates describe {rates.num_workers} workers, not {self.num_workers}")
         if worker_results is None:
             iteration = self.baseline_iteration
         else:
@@ -337,8 +308,6 @@ class TimelineModel:
         self,
         worker_results: list[CompressionResult],
         *,
-        overlap: str | None = None,
-        cross_bucket_pipeline: bool | None = None,
         compute_scale: float = 1.0,
         comm_scale: float = 1.0,
     ) -> IterationTiming:
@@ -353,10 +322,6 @@ class TimelineModel:
         ``total`` becomes the critical-path time; ``overlap="none"`` keeps the
         exact closed-form sum of the pre-schedule timeline.
 
-        ``cross_bucket_pipeline`` overrides the model's default for this call:
-        ``True`` schedules the buckets' per-link collective phases on
-        independent fabric lanes so consecutive buckets overlap across links.
-
         ``compute_scale``/``comm_scale`` price the iteration at one worker's
         fault-layer lane rates: the compute lane (backprop, compression
         stream, update) is slowed by ``compute_scale`` and the network lane by
@@ -367,10 +332,6 @@ class TimelineModel:
         """
         if not worker_results:
             raise ValueError("need at least one worker result")
-        policy = validate_overlap(self.overlap if overlap is None else overlap)
-        cross_bucket = (
-            self.cross_bucket_pipeline if cross_bucket_pipeline is None else cross_bucket_pipeline
-        )
         compute_scale = validate_rate("compute_scale", compute_scale)
         comm_scale = validate_rate("comm_scale", comm_scale)
         compression = self._compression_seconds(worker_results)
@@ -389,17 +350,16 @@ class TimelineModel:
         else:
             comm = float(sum(table.totals.tolist()))
             dedup_ratio = _table_dedup_ratio(table)
-            if policy != "none":
+            if self.overlap != "none":
                 schedule = self._schedule(
-                    worker_results[0].metadata, table, compression, policy, cross_bucket,
-                    compute_scale, comm_scale,
+                    worker_results[0].metadata, table, compression, compute_scale, comm_scale
                 )
         return IterationTiming(
             compute=self.compute_seconds * compute_scale,
             compression=compression * compute_scale,
             communication=comm * comm_scale,
             update=self.update_seconds * compute_scale,
-            overlap=policy,
+            overlap=self.overlap,
             schedule=schedule,
             dedup_ratio=dedup_ratio,
         )
@@ -409,8 +369,6 @@ class TimelineModel:
         worker_results: list[CompressionResult],
         *,
         compression_seconds: float | None = None,
-        overlap: str | None = None,
-        cross_bucket_pipeline: bool | None = None,
     ) -> ScheduleArrays:
         """Build just the iteration schedule for bucketed worker results.
 
@@ -423,22 +381,16 @@ class TimelineModel:
         """
         if not worker_results:
             raise ValueError("need at least one worker result")
-        policy = validate_overlap(self.overlap if overlap is None else overlap)
-        if policy == "none":
+        if self.overlap == "none":
             raise ValueError(
                 'overlap="none" builds no schedule; use compressed_iteration for the flat sum'
             )
-        cross_bucket = (
-            self.cross_bucket_pipeline if cross_bucket_pipeline is None else cross_bucket_pipeline
-        )
         if compression_seconds is None:
             compression_seconds = self._compression_seconds(worker_results)
         table = self._phase_table(worker_results)
         if table is None:
             raise ValueError("worker results carry no per-bucket payloads; nothing to schedule")
-        return self._schedule(
-            worker_results[0].metadata, table, compression_seconds, policy, cross_bucket
-        )
+        return self._schedule(worker_results[0].metadata, table, compression_seconds)
 
     def bucket_communication_times(
         self, worker_results: list[CompressionResult]
@@ -458,10 +410,8 @@ class TimelineModel:
 
         All workers compress replicas of the same gradient, so their results
         must agree on the bucket structure: a mix of bucketed and unbucketed
-        results, or differing bucket counts, indicates a mis-assembled worker
-        pool — those fall back to single-payload pricing with a
-        :class:`RuntimeWarning` instead of silently under-pricing.  Python's
-        warning registry shows a repeated warning once per calling location.
+        results, or differing bucket counts, is a mis-assembled worker pool
+        and raises :class:`ValueError`.
 
         Per-bucket payload density feeds the sparse-dedup model: the
         dimension scale multiplies payloads and bucket sizes alike, so the
@@ -470,26 +420,17 @@ class TimelineModel:
         payload_lists = [r.metadata.get("bucket_payload_bytes") for r in worker_results]
         missing = sum(p is None for p in payload_lists)
         if missing == len(payload_lists):
-            return None  # plain unbucketed compressors: nothing to warn about
-        counts = {len(p) for p in payload_lists if p is not None}
-        if missing or len(counts) != 1:
-            if missing:
-                reason = (
-                    f"{missing}/{len(payload_lists)} worker results lack "
-                    "metadata['bucket_payload_bytes'] (mixed bucketed/unbucketed workers)"
-                )
-            else:
-                reason = f"worker results disagree on the number of buckets: {sorted(counts)}"
-            warnings.warn(
-                "falling back to single-payload all-gather pricing: " + reason,
-                RuntimeWarning,
-                stacklevel=3,
+            return None  # plain unbucketed compressors
+        if missing:
+            raise ValueError(
+                f"{missing}/{len(payload_lists)} worker results lack "
+                "metadata['bucket_payload_bytes'] (mixed bucketed/unbucketed workers)"
             )
-            return None
+        counts = {len(p) for p in payload_lists}
+        if len(counts) != 1:
+            raise ValueError(f"worker results disagree on the number of buckets: {sorted(counts)}")
         per_bucket = [max(column) for column in zip(*payload_lists)]
-        sizes = worker_results[0].metadata.get("bucket_sizes")
-        if sizes is None or len(sizes) != len(per_bucket):
-            sizes = [0] * len(per_bucket)  # unknown layout: density (and dedup) unavailable
+        sizes = worker_results[0].metadata["bucket_sizes"]
         densities = [_payload_density(payload, size) for payload, size in zip(per_bucket, sizes)]
         payloads = np.asarray(per_bucket, dtype=float) * self.dimension_scale
         return self._memoized(
@@ -511,10 +452,11 @@ class TimelineModel:
         self, metadata: dict, table: PhaseTable, compression_seconds: float
     ) -> dict:
         """The per-bucket jobs the scheduler and its lower bound both read."""
-        sizes, fractions = _bucket_layout(metadata, table.num_buckets)
         return dict(
-            ready_seconds=ready_times_from_fractions(fractions, self.compute_seconds),
-            compress_seconds=distribute_cost(compression_seconds, sizes),
+            ready_seconds=ready_times_from_fractions(
+                metadata["bucket_ready_fractions"], self.compute_seconds
+            ),
+            compress_seconds=distribute_cost(compression_seconds, metadata["bucket_sizes"]),
             phase_seconds=table.seconds,
             phase_links=table.links,
             phase_offsets=table.offsets,
@@ -528,8 +470,6 @@ class TimelineModel:
         metadata: dict,
         table: PhaseTable,
         compression_seconds: float,
-        policy: str,
-        cross_bucket_pipeline: bool,
         compute_scale: float = 1.0,
         comm_scale: float = 1.0,
     ) -> ScheduleArrays:
@@ -537,8 +477,8 @@ class TimelineModel:
         return simulate_iteration_arrays(
             **self._schedule_inputs(metadata, table, compression_seconds),
             phase_names=table.names,
-            overlap=policy,
-            cross_bucket_pipeline=cross_bucket_pipeline,
+            overlap=self.overlap,
+            cross_bucket_pipeline=self.cross_bucket_pipeline,
             compute_scale=compute_scale,
             comm_scale=comm_scale,
         )

@@ -380,14 +380,10 @@ class PhaseTable:
     mask: np.ndarray | None = None
 
     @property
-    def num_buckets(self) -> int:
-        return self.seconds.shape[0]
-
-    @property
     def totals(self) -> np.ndarray:
         """(B,) collective totals: the serial cursor walk, or the placed makespan."""
         if self.seconds.shape[1] == 0:
-            return np.zeros(self.num_buckets)
+            return np.zeros(self.seconds.shape[0])
         if self.offsets is None:
             return np.cumsum(self.seconds, axis=1)[:, -1]
         return (self.offsets + self.seconds).max(axis=1)

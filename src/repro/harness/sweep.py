@@ -49,16 +49,9 @@ import numpy as np
 from ..compressors.registry import available_compressors, create_compressor
 from ..gradients.synthetic import realistic_gradient
 from ..pipeline import CompressionPipeline
-from ..distributed.faults import validate_sync_policy
-from ..distributed.knobs import KNOB_FIELDS, SimulationKnobs, validate_scheduler_backend
-from ..distributed.schedule import validate_cross_bucket, validate_overlap
+from ..distributed.knobs import KNOB_CHECKS, KNOB_FIELDS, SimulationKnobs
 from ..distributed.timeline import TimelineModel, compute_time_for_overhead
-from ..distributed.topology import (
-    SparseAggregateModel,
-    get_collective_algorithm,
-    get_topology,
-    validate_pipeline_chunks,
-)
+from ..distributed.topology import ClusterTopology, get_topology
 from .configs import get_benchmark, scale_bucket_bytes
 
 #: Every knob a sweep point carries, in canonical order: the two compression
@@ -186,13 +179,18 @@ class WorkerCountConstraint:
     reads = ("backup_workers", "topology")
 
     def admits(self, config: Mapping) -> bool:
-        backups = config["backup_workers"]
-        if backups == 0:
-            return True
-        topology = config["topology"]
-        resolved = get_topology(topology) if isinstance(topology, str) else topology
-        num_workers = getattr(resolved, "num_workers", None)
-        return num_workers is None or num_workers > backups
+        backups, topology = config["backup_workers"], config["topology"]
+        return backups == 0 or topology is None or _backups_fit(backups, _cluster(topology))
+
+
+def _cluster(topology) -> ClusterTopology:
+    """A point's cluster: its preset name resolved, or the topology it carries."""
+    return get_topology(topology) if isinstance(topology, str) else topology
+
+
+def _backups_fit(backup_workers: int, topology: ClusterTopology) -> bool:
+    """Whether cutting ``backup_workers`` leaves a participant, as ``TrainerConfig`` requires."""
+    return backup_workers < topology.num_workers
 
 
 #: Structural implications every default sweep honours: only the hierarchical
@@ -275,24 +273,12 @@ class SweepPoint:
         )
 
 
-_KNOB_VALIDATORS: dict[str, Callable] = {
-    "overlap": validate_overlap,
-    "cross_bucket_pipeline": validate_cross_bucket,
-    "scheduler_backend": validate_scheduler_backend,
-    "pipeline_chunks": validate_pipeline_chunks,
-    "topology": get_topology,
-    "allreduce_algorithm": lambda name: get_collective_algorithm(name, op="allreduce"),
-    "allgather_algorithm": lambda name: get_collective_algorithm(name, op="allgather"),
-    "sync_policy": validate_sync_policy,
-}
-
-
 def _validate_knob_value(knob: str, value) -> None:
-    """Fail fast on invalid axis values at spec-construction time."""
-    validator = _KNOB_VALIDATORS.get(knob)
-    if validator is not None:
-        validator(value)
-        return
+    """Fail fast on invalid axis values at spec-construction time.
+
+    The simulation knobs run :data:`~repro.distributed.knobs.KNOB_CHECKS`,
+    the checks :class:`~repro.distributed.knobs.SimulationKnobs` runs.
+    """
     if knob == "compressor":
         if value not in available_compressors():
             raise ValueError(
@@ -301,23 +287,8 @@ def _validate_knob_value(knob: str, value) -> None:
     elif knob == "ratio":
         if not 0.0 < float(value) <= 1.0:
             raise ValueError(f"ratio must be in (0, 1], got {value}")
-    elif knob == "bucket_bytes":
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 1):
-            raise ValueError(f"bucket_bytes must be a positive int or None, got {value!r}")
-    elif knob == "dedup_assumption":
-        if value is not None:
-            SparseAggregateModel(value)
-    elif knob == "backup_workers":
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"backup_workers must be a non-negative int, got {value!r}")
-    elif knob == "time_window_factor":
-        if value is not None and (not math.isfinite(float(value)) or float(value) < 1.0):
-            raise ValueError(
-                f"time_window_factor must be a finite factor >= 1 or None, got {value!r}"
-            )
-    elif knob in ("straggler_severity", "link_degradation"):
-        if not math.isfinite(float(value)) or float(value) < 1.0:
-            raise ValueError(f"{knob} must be a finite slowdown >= 1, got {value!r}")
+    else:
+        KNOB_CHECKS[knob](value)
 
 
 @dataclass(frozen=True)
@@ -511,11 +482,21 @@ def _point_timeline(workload: WorkloadSpec, point: SweepPoint, cache: SweepCache
     :class:`~repro.distributed.knobs.SimulationKnobs` bundle, its compressed
     proxy gradient, and the timeline :meth:`TimelineModel.from_knobs
     <repro.distributed.timeline.TimelineModel.from_knobs>` builds for them.
+    A point without a topology, or whose ``backup_workers`` would cut every
+    worker of its topology (``TrainerConfig`` rejects the same cut), raises
+    :class:`ValueError`.
     """
     config = point.config
     knobs = SimulationKnobs(**{name: config[name] for name in KNOB_FIELDS})
+    if knobs.topology is None:
+        raise ValueError("a sweep point needs a topology: a preset name or a ClusterTopology")
+    topology = _cluster(knobs.topology)
+    if not _backups_fit(knobs.backup_workers, topology):
+        raise ValueError(
+            f"backup_workers ({knobs.backup_workers}) must leave at least one participant "
+            f"out of the topology's {topology.num_workers} workers"
+        )
     result = _compress_proxy(workload, config, cache)
-    topology = get_topology(knobs.topology)
     timeline = TimelineModel.from_knobs(
         knobs,
         topology,

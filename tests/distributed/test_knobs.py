@@ -12,8 +12,9 @@ from dataclasses import fields
 import pytest
 
 from repro.distributed import KNOB_FIELDS, SimulationKnobs, TrainerConfig
+from repro.distributed.knobs import KNOB_CHECKS
 from repro.harness import BenchmarkConfig
-from repro.harness.sweep import DEFAULT_KNOBS, SWEEP_KNOBS
+from repro.harness.sweep import DEFAULT_KNOBS, SWEEP_KNOBS, SweepSpec, WorkloadSpec
 
 
 class TestSingleSourceOfTruth:
@@ -93,6 +94,43 @@ class TestValidation:
         assert knobs.replace(overlap="comm").overlap == "comm"
         with pytest.raises(ValueError):
             knobs.replace(backup_workers=1)
+
+
+class TestOneCheckPerKnob:
+    """Each knob's own check is defined once, and the bundle and the sweep run it."""
+
+    #: A mistyped value per knob: a fraction for a count, a string or bool for
+    #: a factor, a number for a topology.
+    MISTYPED = {
+        "bucket_bytes": 100.5,
+        "topology": 42,
+        "backup_workers": 1.5,
+        "time_window_factor": "2.0",
+        "straggler_severity": "2.0",
+        "link_degradation": True,
+    }
+
+    def test_every_knob_has_one_check_in_field_order(self):
+        assert tuple(KNOB_CHECKS) == KNOB_FIELDS
+
+    def test_fractional_bucket_bytes_and_backup_workers_rejected(self):
+        with pytest.raises(ValueError, match="bucket_bytes"):
+            SimulationKnobs(bucket_bytes=100.5)
+        with pytest.raises(ValueError, match="backup_workers"):
+            SimulationKnobs(backup_workers=1.5, sync_policy="backup-workers")
+
+    @pytest.mark.parametrize("knob", sorted(MISTYPED))
+    def test_bundle_and_sweep_reject_alike(self, knob):
+        value = self.MISTYPED[knob]
+        policy = {"backup_workers": "backup-workers", "time_window_factor": "time-window"}
+        overrides = {knob: value}
+        if knob in policy:
+            overrides["sync_policy"] = policy[knob]
+        with pytest.raises(ValueError, match=knob):
+            SimulationKnobs(**overrides)
+        workload = WorkloadSpec(name="w", dimension=100_000, comm_overhead=0.5)
+        with pytest.raises(ValueError, match=knob):
+            SweepSpec(workloads=(workload,), axes={knob: (value,)})
 
 
 #: One off-default value per knob; a knob missing here fails the test below,

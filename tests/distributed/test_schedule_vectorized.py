@@ -306,15 +306,13 @@ def _timeline(
         pipeline_chunks=pipeline_chunks,
     )
     return TimelineModel(
-        network=NetworkModel(bandwidth_gbps=10.0, latency_s=1e-5, efficiency=1.0),
+        collective=collective,
         device=GPU_V100,
         compute_seconds=0.005,
-        num_workers=topology.num_workers,
         model_dimension=20_000,
         update_seconds=0.001,
         dimension_scale=dimension_scale,
         overlap=overlap,
-        collective=collective,
         cross_bucket_pipeline=cross_bucket,
     )
 
@@ -495,7 +493,7 @@ class TestPhaseTableFromCosts:
         table = PhaseTable.from_costs([one_worker.allgather_cost(1e5)])
         assert table.seconds.shape == (1, 0)
         assert table.totals.tolist() == [0.0]
-        assert PhaseTable.from_costs([]).num_buckets == 0
+        assert PhaseTable.from_costs([]).seconds.shape[0] == 0
 
 
 class TestScheduleIterationErrors:

@@ -339,7 +339,7 @@ class TestCrossBucketNeverLater:
     def test_no_bucket_ends_later_than_on_the_serial_lane(
         self, table, policy, comm_scale, compute, compress
     ):
-        n = table.num_buckets
+        n = table.seconds.shape[0]
         kwargs = dict(
             ready_seconds=[compute * (n - i) / n for i in range(n)],
             compress_seconds=[compress] * n,

@@ -1,8 +1,8 @@
 """Tests for the iteration-time model."""
 
+import inspect
 import math
-import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -20,14 +20,17 @@ from repro.perfmodel import GPU_V100
 from tests.schedule_checks import check_schedule, phase_rows
 
 
-def _timeline(compute=0.01, workers=8, dim=1_000_000, scale=1.0, efficiency=1.0):
+NETWORK = NetworkModel(bandwidth_gbps=10.0, latency_s=1e-5, efficiency=1.0)
+
+
+def _timeline(compute=0.01, workers=8, dim=1_000_000, scale=1.0, overlap="none"):
     return TimelineModel(
-        network=NetworkModel(bandwidth_gbps=10.0, latency_s=1e-5, efficiency=efficiency),
+        collective=CollectiveModel.flat(NETWORK, workers),
         device=GPU_V100,
         compute_seconds=compute,
-        num_workers=workers,
         model_dimension=dim,
         dimension_scale=scale,
+        overlap=overlap,
     )
 
 
@@ -45,11 +48,11 @@ class TestBaseline:
 
     def test_dimension_scale_multiplies_volume(self):
         def comm(scale):
+            network = NetworkModel(bandwidth_gbps=10.0, latency_s=0.0, efficiency=1.0)
             return TimelineModel(
-                network=NetworkModel(bandwidth_gbps=10.0, latency_s=0.0, efficiency=1.0),
+                collective=CollectiveModel.flat(network, 8),
                 device=GPU_V100,
                 compute_seconds=0.0,
-                num_workers=8,
                 model_dimension=1_000_000,
                 dimension_scale=scale,
             ).baseline_iteration().communication
@@ -76,20 +79,39 @@ class TestCompressedIteration:
             _timeline().compressed_iteration([])
 
     def test_invalid_config_rejected(self):
+        pair = CollectiveModel.flat(NetworkModel(), 2)
+
+        def build(**overrides):
+            return TimelineModel(
+                pair, GPU_V100, **{"compute_seconds": 0.0, "model_dimension": 10, **overrides}
+            )
+
         with pytest.raises(ValueError):
-            TimelineModel(NetworkModel(), GPU_V100, compute_seconds=-1.0, num_workers=2, model_dimension=10)
+            build(compute_seconds=-1.0)
         with pytest.raises(ValueError):
-            TimelineModel(NetworkModel(), GPU_V100, compute_seconds=0.0, num_workers=0, model_dimension=10)
+            CollectiveModel.flat(NetworkModel(), 0)  # no zero-worker fabric to price over
         with pytest.raises(ValueError):
-            TimelineModel(NetworkModel(), GPU_V100, compute_seconds=0.0, num_workers=2, model_dimension=10, dimension_scale=0.0)
+            build(dimension_scale=0.0)
         # Non-finite times would price every iteration as NaN/inf.
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="compute_seconds"):
-                TimelineModel(NetworkModel(), GPU_V100, compute_seconds=bad, num_workers=2, model_dimension=10)
-            with pytest.raises(ValueError, match="update_seconds"):
-                TimelineModel(NetworkModel(), GPU_V100, compute_seconds=0.0, num_workers=2, model_dimension=10, update_seconds=bad)
-            with pytest.raises(ValueError, match="dimension_scale"):
-                TimelineModel(NetworkModel(), GPU_V100, compute_seconds=0.0, num_workers=2, model_dimension=10, dimension_scale=bad)
+            for name in ("compute_seconds", "update_seconds", "dimension_scale"):
+                with pytest.raises(ValueError, match=name):
+                    build(**{name: bad})
+
+    def test_each_input_has_one_source(self):
+        # The fabric and worker count come from the collective alone, and the
+        # policies from the model alone: no mirrored field, no per-call override.
+        names = {f.name for f in fields(TimelineModel)}
+        assert "network" not in names and "num_workers" not in names
+        assert _timeline(workers=3).num_workers == 3
+        for method in (TimelineModel.compressed_iteration, TimelineModel.schedule_iteration):
+            parameters = inspect.signature(method).parameters
+            assert "overlap" not in parameters and "cross_bucket_pipeline" not in parameters
+        with pytest.raises(TypeError):
+            _timeline().compressed_iteration([], overlap="comm")
+        # A 5.x positional call passes a NetworkModel where the collective goes.
+        with pytest.raises(ValueError, match="collective must be a CollectiveModel"):
+            TimelineModel(NETWORK, GPU_V100, 0.01, 8, 1000)
 
 
 class TestComputeTimeForOverhead:
@@ -97,7 +119,7 @@ class TestComputeTimeForOverhead:
         network = NetworkModel(bandwidth_gbps=10.0, latency_s=0.0, efficiency=1.0)
         dim = 25_000_000
         compute = compute_time_for_overhead(network, 8, dim, 0.72)
-        timeline = TimelineModel(network, GPU_V100, compute, 8, dim)
+        timeline = TimelineModel(CollectiveModel.flat(network, 8), GPU_V100, compute, dim)
         baseline = timeline.baseline_iteration()
         assert baseline.communication / baseline.total == pytest.approx(0.72, rel=1e-6)
 
@@ -112,31 +134,48 @@ class TestComputeTimeForOverhead:
             compute_time_for_overhead(NetworkModel(), 8, 100, 1.0)
 
 
-def _price_mixed_worker_pool():
-    """Price a mis-assembled (mixed bucketed/unbucketed) worker pool.
-
-    Both tests below call through this one line, so their warnings share a
-    location in Python's per-location warning registry.
-    """
+def _inconsistent_pool(kind):
+    """A mis-assembled worker pool and the reason the timeline gives for it."""
     from repro.pipeline import CompressionPipeline
 
     gradient = realistic_gradient(20_000, seed=13)
-    bucketed = CompressionPipeline(create_compressor("topk"), bucket_bytes=16_000)
-    results = [bucketed.compress(gradient, 0.05), create_compressor("topk").compress(gradient, 0.05)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        assert _timeline(workers=2).bucket_communication_times(results) is None
-    return [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    coarse = CompressionPipeline(create_compressor("topk"), bucket_bytes=16_000)
+    if kind == "mixed":
+        plain = create_compressor("topk").compress(gradient, 0.05)
+        return [coarse.compress(gradient, 0.05), plain], "1/2 worker results lack"
+    fine = CompressionPipeline(create_compressor("topk"), bucket_bytes=8_000)
+    pool = [coarse.compress(gradient, 0.05), fine.compress(gradient, 0.05)]
+    return pool, "disagree on the number of buckets"
 
 
-class TestFallbackWarningCarriesNoProcessState:
-    """The same misconfiguration warns again in the next test, with no reset hook."""
+@pytest.mark.parametrize("kind", ["mixed", "disagree"])
+@pytest.mark.parametrize(
+    "entry",
+    ["price", "compressed_iteration", "schedule_iteration", "lower_bound",
+     "bucket_communication_times"],
+)
+def test_inconsistent_worker_pool_raises_at_every_entry_point(entry, kind):
+    # Replicas of one gradient must agree on the bucket structure; a pool that
+    # does not is a configuration error, never priced as something else.
+    results, reason = _inconsistent_pool(kind)
+    timeline = _timeline(workers=2, dim=20_000, overlap="comm")
+    with pytest.raises(ValueError, match=reason):
+        getattr(timeline, entry)(results)
 
-    def test_first_test_sees_the_warning(self):
-        assert len(_price_mixed_worker_pool()) == 1
 
-    def test_next_test_sees_it_again(self):
-        assert len(_price_mixed_worker_pool()) == 1
+@pytest.mark.parametrize("num_workers", [2, 6])
+def test_price_rejects_rates_for_another_cluster_size(num_workers):
+    from repro.distributed import ClusterProfile
+
+    timeline = _timeline(workers=4, dim=20_000)
+    results = [create_compressor("topk").compress(realistic_gradient(20_000, seed=13), 0.05)]
+    rates = ClusterProfile.degraded(num_workers, compute=2.0).rates()
+    with pytest.raises(ValueError, match=f"rates describe {num_workers} workers, not 4"):
+        timeline.price(results, rates)
+    with pytest.raises(ValueError, match="rates describe"):
+        timeline.price(None, rates)
+    _, faulted = timeline.price(results, ClusterProfile.degraded(4, compute=2.0).rates())
+    assert faulted.outcome.num_participating == 4
 
 
 class TestBucketedCommunication:
@@ -164,71 +203,15 @@ class TestBucketedCommunication:
         times = timeline.bucket_communication_times(results)
         assert timing.communication == pytest.approx(sum(times))
 
-    def test_unbucketed_results_fall_back_to_single_payload(self, recwarn):
+    def test_unbucketed_results_price_one_payload(self):
+        # Uniformly unbucketed workers are the normal plain-compressor path.
         timeline = _timeline(workers=2)
         gradient = realistic_gradient(20_000, seed=13)
         results = [create_compressor("topk").compress(gradient, 0.05) for _ in range(2)]
         assert timeline.bucket_communication_times(results) is None
         timing = timeline.compressed_iteration(results)
         payload = max(r.sparse.payload_bytes() for r in results)
-        assert timing.communication == pytest.approx(
-            timeline.network.allgather_time(payload, 2)
-        )
-        # Uniformly unbucketed workers are the normal plain-compressor path,
-        # not an inconsistency: no warning.
-        assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
-
-    def _mixed_results(self):
-        bucketed = self._bucketed_results()[0]
-        plain = create_compressor("topk").compress(realistic_gradient(20_000, seed=13), 0.05)
-        return [bucketed, plain]
-
-    def test_mixed_results_fall_back_with_warning(self):
-        timeline = _timeline(workers=2)
-        with pytest.warns(RuntimeWarning, match="single-payload"):
-            assert timeline.bucket_communication_times(self._mixed_results()) is None
-        # Every pricing entry point reports the fallback and prices one payload.
-        with pytest.warns(RuntimeWarning, match="single-payload"):
-            timing = timeline.compressed_iteration(self._mixed_results(), overlap="comm")
-        assert timing.schedule is None
-
-    def test_repeated_fallback_shows_once_per_calling_location(self):
-        # Python's warning registry, not module state, keeps a long training
-        # run from repeating the warning every iteration.
-        timeline = _timeline(workers=2)
-        results = self._mixed_results()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for _ in range(3):
-                timeline.compressed_iteration(results)
-        assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) == 1
-        assert caught[0].filename == __file__  # attributed to the caller
-
-    def test_mismatched_bucket_counts_fall_back_with_warning(self):
-        from repro.pipeline import CompressionPipeline
-
-        timeline = _timeline(workers=2)
-        gradient = realistic_gradient(20_000, seed=13)
-        coarse = CompressionPipeline(create_compressor("topk"), bucket_bytes=16_000)
-        fine = CompressionPipeline(create_compressor("topk"), bucket_bytes=8_000)
-        results = [coarse.compress(gradient, 0.05), fine.compress(gradient, 0.05)]
-        with pytest.warns(RuntimeWarning, match="disagree"):
-            assert timeline.bucket_communication_times(results) is None
-
-    def test_each_fallback_category_warns_independently(self):
-        # Warning about one misconfiguration must not suppress the warning for
-        # a different one later in the same process.
-        from repro.pipeline import CompressionPipeline
-
-        timeline = _timeline(workers=2)
-        gradient = realistic_gradient(20_000, seed=13)
-        bucketed = self._bucketed_results()[0]
-        plain = create_compressor("topk").compress(gradient, 0.05)
-        with pytest.warns(RuntimeWarning, match="single-payload"):
-            timeline.bucket_communication_times([bucketed, plain])
-        fine = CompressionPipeline(create_compressor("topk"), bucket_bytes=8_000)
-        with pytest.warns(RuntimeWarning, match="disagree"):
-            timeline.bucket_communication_times([bucketed, fine.compress(gradient, 0.05)])
+        assert timing.communication == pytest.approx(NETWORK.allgather_time(payload, 2))
 
     def test_bucketing_pays_per_message_latency(self):
         # Identical total payload, but each bucket's all-gather pays the
@@ -239,7 +222,7 @@ class TestBucketedCommunication:
         results = self._bucketed_results(num_workers=4)
         bucketed_comm = sum(timeline.bucket_communication_times(results))
         payload = max(r.sparse.payload_bytes() for r in results)
-        assert bucketed_comm >= timeline.network.allgather_time(payload, 4)
+        assert bucketed_comm >= NETWORK.allgather_time(payload, 4)
 
     def test_bucket_times_scale_with_dimension(self):
         results = self._bucketed_results()
@@ -265,7 +248,7 @@ class TestOverlapPolicies:
         # pre-refactor TimelineModel priced, to float tolerance.
         timeline = _timeline(workers=2, dim=20_000, compute=0.02)
         results = self._bucketed_results()
-        timing = timeline.compressed_iteration(results, overlap="none")
+        timing = timeline.compressed_iteration(results)
         compression = max(timeline.device.trace_cost(r.ops) for r in results)
         comm = sum(timeline.bucket_communication_times(results))
         assert timing.schedule is None
@@ -291,9 +274,9 @@ class TestOverlapPolicies:
         timeline = _timeline(workers=2, dim=20_000, compute=0.02)
         results = self._bucketed_results()
         assert results[0].metadata["num_buckets"] > 1
-        none = timeline.compressed_iteration(results, overlap="none")
-        comm = timeline.compressed_iteration(results, overlap="comm")
-        both = timeline.compressed_iteration(results, overlap="comm+compress")
+        none = timeline.compressed_iteration(results)
+        comm = replace(timeline, overlap="comm").compressed_iteration(results)
+        both = replace(timeline, overlap="comm+compress").compressed_iteration(results)
         assert comm.total < none.total
         assert both.total < none.total
         assert both.total <= comm.total
@@ -305,9 +288,9 @@ class TestOverlapPolicies:
             assert 0.0 < timing.overlap_saving < 1.0
 
     def test_schedule_trace_attached_and_consistent(self):
-        timeline = _timeline(workers=2, dim=20_000, compute=0.02)
+        timeline = _timeline(workers=2, dim=20_000, compute=0.02, overlap="comm+compress")
         results = self._bucketed_results()
-        timing = timeline.compressed_iteration(results, overlap="comm+compress")
+        timing = timeline.compressed_iteration(results)
         schedule = timing.schedule
         assert schedule is not None
         assert schedule.policy == "comm+compress"
@@ -319,10 +302,9 @@ class TestOverlapPolicies:
     def test_instance_default_policy_used(self):
         results = self._bucketed_results()
         base = dict(
-            network=NetworkModel(bandwidth_gbps=10.0, latency_s=1e-5, efficiency=1.0),
+            collective=CollectiveModel.flat(NETWORK, 2),
             device=GPU_V100,
             compute_seconds=0.02,
-            num_workers=2,
             model_dimension=20_000,
         )
         serial = TimelineModel(**base)  # default overlap="none"
@@ -333,47 +315,40 @@ class TestOverlapPolicies:
         gradient = realistic_gradient(20_000, seed=13)
         results = [create_compressor("topk").compress(gradient, 0.05) for _ in range(2)]
         timeline = _timeline(workers=2, dim=20_000)
-        none = timeline.compressed_iteration(results, overlap="none")
-        both = timeline.compressed_iteration(results, overlap="comm+compress")
+        none = timeline.compressed_iteration(results)
+        both = replace(timeline, overlap="comm+compress").compressed_iteration(results)
         assert both.schedule is None
         assert both.total == pytest.approx(none.total)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            _timeline().compressed_iteration(self._bucketed_results(), overlap="pipelined")
+            replace(_timeline(), overlap="pipelined")
         with pytest.raises(ValueError):
             TimelineModel(
-                NetworkModel(), GPU_V100, compute_seconds=0.0, num_workers=2,
+                CollectiveModel.flat(NetworkModel(), 2), GPU_V100, compute_seconds=0.0,
                 model_dimension=10, overlap="everything",
             )
 
-    def test_flat_topology_reproduces_default_totals_exactly(self):
-        # Acceptance pin: an overlap-enabled timeline with an *explicit*
-        # single-level topology and flat-allgather must reproduce the
-        # pre-topology IterationTiming.total bit-for-bit under every policy.
-        network = NetworkModel(bandwidth_gbps=10.0, latency_s=1e-5, efficiency=1.0)
-        base = dict(
-            network=network,
-            device=GPU_V100,
-            compute_seconds=0.02,
-            num_workers=2,
-            model_dimension=20_000,
-        )
+    def test_flat_collective_matches_explicit_single_level_topology(self):
+        # Acceptance pin: an overlap-enabled timeline over ``CollectiveModel.flat``
+        # and one over an explicit single-level topology with flat-allgather
+        # price every policy bit-for-bit alike.
+        base = dict(device=GPU_V100, compute_seconds=0.02, model_dimension=20_000)
         results = self._bucketed_results()
-        explicit = CollectiveModel(
-            topology=ClusterTopology.flat(network, 2), allgather_algorithm="flat-allgather"
+        flat = TimelineModel(collective=CollectiveModel.flat(NETWORK, 2), **base)
+        explicit = TimelineModel(
+            collective=CollectiveModel(
+                topology=ClusterTopology.flat(NETWORK, 2), allgather_algorithm="flat-allgather"
+            ),
+            **base,
         )
         for policy in ("none", "comm", "comm+compress"):
-            default = TimelineModel(**base).compressed_iteration(results, overlap=policy)
-            topo = TimelineModel(**base, collective=explicit).compressed_iteration(
-                results, overlap=policy
-            )
+            default = replace(flat, overlap=policy).compressed_iteration(results)
+            topo = replace(explicit, overlap=policy).compressed_iteration(results)
             assert topo.total == default.total
             assert topo.serialized == default.serialized
             assert topo.communication == default.communication
-        baseline_default = TimelineModel(**base).baseline_iteration()
-        baseline_topo = TimelineModel(**base, collective=explicit).baseline_iteration()
-        assert baseline_topo.total == baseline_default.total
+        assert explicit.baseline_iteration().total == flat.baseline_iteration().total
 
     def test_layer_aware_ready_fractions_feed_schedule(self):
         # Layer-aware pipelines record per-bucket ready fractions; the
@@ -388,8 +363,8 @@ class TestOverlapPolicies:
         )
         results = [pipeline.compress(gradient, 0.05) for _ in range(2)]
         assert results[0].metadata["layer_aware"]
-        timeline = _timeline(workers=2, dim=spec.total_size, compute=0.05)
-        timing = timeline.compressed_iteration(results, overlap="comm+compress")
+        timeline = _timeline(workers=2, dim=spec.total_size, compute=0.05, overlap="comm+compress")
+        timing = timeline.compressed_iteration(results)
         assert timing.schedule.compress_start[-1] < timeline.compute_seconds
 
 
@@ -405,14 +380,13 @@ class TestTopologyAwareTimeline:
         )
         return CollectiveModel(topology, allgather_algorithm=allgather)
 
-    def _timeline(self, collective):
+    def _timeline(self, collective, overlap="none"):
         return TimelineModel(
-            network=self.INTER,
+            collective=collective,
             device=GPU_V100,
             compute_seconds=0.02,
-            num_workers=collective.num_workers,
             model_dimension=20_000,
-            collective=collective,
+            overlap=overlap,
         )
 
     def _bucketed_results(self, num_workers=2):
@@ -422,23 +396,9 @@ class TestTopologyAwareTimeline:
         pipeline = CompressionPipeline(create_compressor("topk"), bucket_bytes=16_000)
         return [pipeline.compress(gradient, 0.05) for _ in range(num_workers)]
 
-    def test_worker_count_mismatch_rejected(self):
-        collective = self._two_level()  # 8 workers
-        with pytest.raises(ValueError, match="workers"):
-            TimelineModel(
-                network=self.INTER,
-                device=GPU_V100,
-                compute_seconds=0.0,
-                num_workers=4,
-                model_dimension=10,
-                collective=collective,
-            )
-
-    def test_default_collective_is_flat_over_network(self):
-        timeline = _timeline(workers=8)
-        assert timeline.collective.topology.is_single_level
-        assert timeline.collective.topology.num_workers == 8
-        assert timeline.collective.allgather_algorithm == "flat-allgather"
+    def test_num_workers_reads_the_collective(self):
+        timeline = self._timeline(self._two_level())
+        assert timeline.num_workers == timeline.collective.num_workers == 8
 
     def test_hierarchical_allgather_prices_cheaper_than_flat(self):
         results = self._bucketed_results()
@@ -451,8 +411,8 @@ class TestTopologyAwareTimeline:
 
     def test_schedule_carries_collective_phases(self):
         results = self._bucketed_results()
-        timeline = self._timeline(self._two_level(allgather="hierarchical"))
-        schedule = timeline.compressed_iteration(results, overlap="comm").schedule
+        timeline = self._timeline(self._two_level(allgather="hierarchical"), overlap="comm")
+        schedule = timeline.compressed_iteration(results).schedule
         assert schedule is not None
         assert schedule.present.all()
         assert schedule.phase_names == ("intra-gather", "inter-allgather", "intra-broadcast")
@@ -463,8 +423,8 @@ class TestTopologyAwareTimeline:
 
     def test_flat_allgather_single_phase_span(self):
         results = self._bucketed_results()
-        timeline = self._timeline(self._two_level(allgather="flat-allgather"))
-        schedule = timeline.compressed_iteration(results, overlap="comm").schedule
+        timeline = self._timeline(self._two_level(allgather="flat-allgather"), overlap="comm")
+        schedule = timeline.compressed_iteration(results).schedule
         assert schedule.phase_names == ("ring-allgather",)
         assert schedule.present.all()
 
@@ -491,15 +451,14 @@ class TestDedupAndPipelinedTimeline:
         )
         return CollectiveModel(topology, allgather_algorithm="hierarchical", **kwargs)
 
-    def _timeline(self, collective, compute=0.02, scale=1.0):
+    def _timeline(self, collective, compute=0.02, scale=1.0, overlap="none"):
         return TimelineModel(
-            network=self.INTER,
+            collective=collective,
             device=GPU_V100,
             compute_seconds=compute,
-            num_workers=collective.num_workers,
             model_dimension=20_000,
             dimension_scale=scale,
-            collective=collective,
+            overlap=overlap,
         )
 
     def _bucketed_results(self, num_workers=2, ratio=0.05):
@@ -536,12 +495,12 @@ class TestDedupAndPipelinedTimeline:
         # Proxy payloads are latency-bound (where chunking rightly falls back
         # to serial), so price them at full-model scale to see the overlap win.
         results = self._bucketed_results()
-        serial = self._timeline(self._collective(), scale=1000.0).compressed_iteration(
-            results, overlap="comm"
-        )
+        serial = self._timeline(
+            self._collective(), scale=1000.0, overlap="comm"
+        ).compressed_iteration(results)
         piped = self._timeline(
-            self._collective(pipeline_chunks=4), scale=1000.0
-        ).compressed_iteration(results, overlap="comm")
+            self._collective(pipeline_chunks=4), scale=1000.0, overlap="comm"
+        ).compressed_iteration(results)
         assert piped.communication < serial.communication
         assert piped.total < serial.total
         phases = phase_rows(check_schedule(piped.schedule))[0]
@@ -570,8 +529,8 @@ class TestDedupAndPipelinedTimeline:
         default = self._timeline(self._collective())
         knobs_off = self._timeline(self._collective(pipeline_chunks=1, allgather_dedup=None))
         for policy in ("none", "comm", "comm+compress"):
-            a = default.compressed_iteration(results, overlap=policy)
-            b = knobs_off.compressed_iteration(results, overlap=policy)
+            a = replace(default, overlap=policy).compressed_iteration(results)
+            b = replace(knobs_off, overlap=policy).compressed_iteration(results)
             assert a.total == b.total
             assert a.communication == b.communication
             assert b.dedup_ratio == 1.0
@@ -589,16 +548,14 @@ class TestCrossBucketTimeline:
         )
         return CollectiveModel(topology, allgather_algorithm="hierarchical", **kwargs)
 
-    def _timeline(self, cross=False, compute=0.02, scale=1000.0):
-        collective = self._collective()
+    def _timeline(self, cross=False, compute=0.02, scale=1000.0, overlap="comm"):
         return TimelineModel(
-            network=self.INTER,
+            collective=self._collective(),
             device=GPU_V100,
             compute_seconds=compute,
-            num_workers=collective.num_workers,
             model_dimension=20_000,
             dimension_scale=scale,
-            collective=collective,
+            overlap=overlap,
             cross_bucket_pipeline=cross,
         )
 
@@ -610,14 +567,14 @@ class TestCrossBucketTimeline:
         return [pipeline.compress(gradient, ratio) for _ in range(num_workers)]
 
     def test_model_default_keeps_serial_lane(self):
-        timing = self._timeline().compressed_iteration(self._bucketed_results(), overlap="comm")
+        timing = self._timeline().compressed_iteration(self._bucketed_results())
         assert not timing.cross_bucket_pipeline
         assert not timing.schedule.cross_bucket
 
     def test_cross_bucket_faster_never_changes_component_sum(self):
         results = self._bucketed_results()
-        serial = self._timeline(cross=False).compressed_iteration(results, overlap="comm")
-        cross = self._timeline(cross=True).compressed_iteration(results, overlap="comm")
+        serial = self._timeline(cross=False).compressed_iteration(results)
+        cross = self._timeline(cross=True).compressed_iteration(results)
         # Scheduling moves work between lanes; it never reprices the work.
         assert cross.communication == serial.communication
         assert cross.compression == serial.compression
@@ -629,20 +586,9 @@ class TestCrossBucketTimeline:
             serial.schedule.total_comm_seconds
         )
 
-    def test_per_call_override_wins_over_model_default(self):
-        results = self._bucketed_results()
-        model = self._timeline(cross=False)
-        overridden = model.compressed_iteration(
-            results, overlap="comm", cross_bucket_pipeline=True
-        )
-        assert overridden.cross_bucket_pipeline
-        assert overridden.total == self._timeline(cross=True).compressed_iteration(
-            results, overlap="comm"
-        ).total
-
     def test_overlap_none_prices_without_schedule(self):
-        timing = self._timeline(cross=True).compressed_iteration(
-            self._bucketed_results(), overlap="none"
+        timing = self._timeline(cross=True, overlap="none").compressed_iteration(
+            self._bucketed_results()
         )
         assert timing.schedule is None
         assert not timing.cross_bucket_pipeline
@@ -651,7 +597,7 @@ class TestCrossBucketTimeline:
     def test_unbucketed_results_report_serial_lane(self):
         gradient = realistic_gradient(20_000, seed=13)
         results = [create_compressor("topk").compress(gradient, 0.1) for _ in range(2)]
-        timing = self._timeline(cross=True).compressed_iteration(results, overlap="comm")
+        timing = self._timeline(cross=True).compressed_iteration(results)
         assert timing.schedule is None
         assert not timing.cross_bucket_pipeline
 
@@ -661,8 +607,8 @@ class TestCrossBucketTimeline:
 
     def test_link_utilization_rises_with_cross_bucket(self):
         results = self._bucketed_results()
-        serial = self._timeline(cross=False).compressed_iteration(results, overlap="comm")
-        cross = self._timeline(cross=True).compressed_iteration(results, overlap="comm")
+        serial = self._timeline(cross=False).compressed_iteration(results)
+        cross = self._timeline(cross=True).compressed_iteration(results)
         serial_util = serial.schedule.link_utilization()
         cross_util = cross.schedule.link_utilization()
         assert set(cross_util) == {"intra", "inter"}

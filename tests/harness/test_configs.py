@@ -60,16 +60,15 @@ class TestProxyConstruction:
         assert scale == pytest.approx(config.full_dimension / config.build_proxy_model().num_parameters())
 
     def test_compute_seconds_reproduces_comm_overhead(self):
-        from repro.distributed import CLUSTER_ETHERNET_10G, TimelineModel
+        from repro.distributed import CLUSTER_ETHERNET_10G, CollectiveModel, TimelineModel
         from repro.perfmodel import GPU_V100
 
         config = get_benchmark("vgg16-cifar10")
         compute = config.compute_seconds()
         timeline = TimelineModel(
-            network=CLUSTER_ETHERNET_10G,
+            collective=CollectiveModel.flat(CLUSTER_ETHERNET_10G, 8),
             device=GPU_V100,
             compute_seconds=compute,
-            num_workers=8,
             model_dimension=config.full_dimension,
         )
         baseline = timeline.baseline_iteration()

@@ -141,6 +141,31 @@ class TestFaultPricing:
         with pytest.raises(ValueError, match="time_window_factor requires"):
             evaluate_point(WORKLOAD, _point(time_window_factor=1.5))
 
+    @pytest.mark.parametrize("backups", [32, 40])
+    def test_a_cut_of_every_worker_raises_like_the_trainer(self, backups):
+        # ethernet-4x8 has 32 workers: TrainerConfig rejects backup_workers >= 32,
+        # so the planner must not price the point as one participant.
+        from repro.harness.sweep import bound_point
+
+        point = _point(
+            topology="ethernet-4x8", bucket_bytes=None, sync_policy="backup-workers",
+            backup_workers=backups,
+        )
+        assert not WorkerCountConstraint().admits(point.config)
+        with pytest.raises(ValueError, match="at least one participant"):
+            evaluate_point(WORKLOAD, point)
+        with pytest.raises(ValueError, match="at least one participant"):
+            bound_point(WORKLOAD, point)
+
+    def test_a_cut_leaving_one_worker_prices_it(self):
+        point = _point(
+            topology="ethernet-4x8", bucket_bytes=None, sync_policy="backup-workers",
+            backup_workers=31,
+        )
+        assert WorkerCountConstraint().admits(point.config)
+        metrics = evaluate_point(WORKLOAD, point)
+        assert (metrics["participating_workers"], metrics["stragglers_cut"]) == (1, 31)
+
     def test_fault_points_cache_cleanly(self):
         from repro.harness import SweepCache
 

@@ -260,6 +260,26 @@ EQUIVALENCE_SPEC_AXES = {
 }
 
 
+class TestTopologyValues:
+    """The sweep takes the topology values ``SimulationKnobs`` takes."""
+
+    def test_an_explicit_topology_prices_as_its_preset_name(self):
+        from repro.distributed import get_topology
+
+        named = SweepPoint.from_config("wl", {"topology": "torus-2d"})
+        explicit = SweepPoint.from_config("wl", {"topology": get_topology("torus-2d")})
+        SweepSpec(workloads=(_workload(),), axes={"topology": (get_topology("torus-2d"),)})
+        assert evaluate_point(_workload(), explicit, cache=None) == evaluate_point(
+            _workload(), named, cache=None
+        )
+
+    def test_a_point_without_a_topology_raises(self):
+        SweepSpec(workloads=(_workload(),), axes={"topology": (None,)})
+        point = SweepPoint.from_config("wl", {"topology": None})
+        with pytest.raises(ValueError, match="needs a topology"):
+            evaluate_point(_workload(), point, cache=None)
+
+
 class TestExecutionEquivalence:
     @pytest.fixture(scope="class")
     def spec(self):

@@ -261,3 +261,80 @@ def test_a_failing_run_reports_its_exit_status_and_still_writes_its_reach(tmp_pa
     )
     assert status == 3
     assert _key(SweepCache.stats) in reached
+
+
+#: A toy module for the line tracer: each line a product run leaves
+#: unexecuted ends in ``# missed``.
+TOY_MODULE = '''"""A toy module."""
+
+import math
+
+
+def used(x):
+    """Only the positive branch runs."""
+    if x > 0:
+        return math.sqrt(x)
+    return -1.0  # missed
+
+
+def never(y):
+    total = (  # missed
+        y  # missed
+        + 1  # missed
+    )
+    return total  # missed
+
+
+class Thing:
+    size = 3
+
+    def method(self):
+        return [i for i in range(self.size)]
+'''
+
+TOY_RUN = "import toy\ntoy.used(4.0)\ntoy.Thing().method()\n"
+
+
+def _toy(tmp_path: Path) -> tuple[Path, Path, set[int]]:
+    module, script = tmp_path / "toy.py", tmp_path / "run_toy.py"
+    module.write_text(TOY_MODULE)
+    script.write_text(TOY_RUN)
+    missed = {n for n, line in enumerate(TOY_MODULE.splitlines(), 1) if line.endswith("# missed")}
+    return module, script, missed
+
+
+def test_executable_lines_are_the_lines_code_objects_map_to(tmp_path):
+    module, _, missed = _toy(tmp_path)
+    lines = probe.executable_lines(module)
+    source = TOY_MODULE.splitlines()
+    assert missed <= lines
+    assert 0 not in lines
+    # Docstrings and blank lines carry no instruction.
+    assert not any(source[n - 1].strip() in ("", '"""Only the positive branch runs."""')
+                   for n in lines)
+    assert {source[n - 1].strip() for n in lines} >= {"import math", "size = 3"}
+
+
+def test_a_line_recorded_run_lists_the_module_lines_it_executed(tmp_path):
+    module, script, missed = _toy(tmp_path)
+    out = tmp_path / "lines.json"
+    proc = subprocess.run(
+        [sys.executable, str(PROBE_PATH), "--record", str(out), "--lines", str(module),
+         "--", str(script)],
+        cwd=REPO, env={"PYTHONPATH": str(REPO / "src"), "PATH": ""},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    executed = set(json.loads(out.read_text()))
+    assert probe.executable_lines(module) - executed == missed
+
+
+def test_the_lines_report_prints_what_no_product_run_executes(tmp_path, monkeypatch, capsys):
+    module, script, missed = _toy(tmp_path)
+    monkeypatch.setattr(probe, "product_runs", lambda out_dir: [("toy", [str(script)])])
+    assert probe.main(["--lines", str(module)]) == 0
+    report = capsys.readouterr().out
+    listed = {int(line.split(":")[1]) for line in report.splitlines()
+              if line.startswith(f"  {module}:")}
+    assert listed == missed
+    assert f"{len(missed)} executed by no product path" in report

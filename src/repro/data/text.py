@@ -9,6 +9,7 @@ PTB proxy benchmark needs.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,13 @@ def make_language_modeling(
     rng = np.random.default_rng(seed)
     transitions = _markov_transition_matrix(vocab_size, branching, rng)
     total_tokens = num_sequences * (seq_len + 1)
-    stream = np.empty(total_tokens, dtype=np.int64)
-    stream[0] = rng.integers(0, vocab_size)
-    for t in range(1, total_tokens):
-        stream[t] = rng.choice(vocab_size, p=transitions[stream[t - 1]])
-    windows = stream[: num_sequences * (seq_len + 1)].reshape(num_sequences, seq_len + 1)
+    tokens = [int(rng.integers(0, vocab_size))]
+    # ``rng.choice(vocab_size, p=row)`` per token, with its draws taken at
+    # once: one uniform each, looked up in the row's CDF normalised by its
+    # last entry with a right-side search.
+    cdf = transitions.cumsum(axis=1)
+    cdf_rows = (cdf / cdf[:, -1:]).tolist()
+    for u in rng.random(total_tokens - 1).tolist():
+        tokens.append(bisect.bisect_right(cdf_rows[tokens[-1]], u))
+    windows = np.array(tokens, dtype=np.int64).reshape(num_sequences, seq_len + 1)
     return LanguageModelingDataset(inputs=windows[:, :-1], targets=windows[:, 1:], vocab_size=vocab_size)

@@ -5,14 +5,16 @@
 of a :class:`~repro.pipeline.bucketing.BucketLayout` on its own, runs all
 buckets through each fitting stage together, and selects each bucket's
 elements at or above its final threshold; unbucketed SIDCo is its one-bucket
-case.  It streams the gradient in blocks of whole buckets through one reused
-scratch buffer, so it allocates no array the size of the gradient (unless one
-bucket is the whole gradient).  A ``(G, D)`` matrix of G workers' gradients
-is fitted in the same pass over its (worker, bucket) segments, and each worker
-gets the fit its own call makes:
+case.  It streams the gradient once, in blocks of whole buckets through one
+reused scratch buffer, so it allocates no array the size of the gradient
+(unless one bucket is the whole gradient).  A ``(G, D)`` matrix of G workers'
+gradients is fitted in the same pass over its (worker, bucket) segments, and
+each worker gets the fit its own call makes:
 
-* pass 1 takes each bucket's stage-one moments of ``|g|``;
-* pass 2 keeps each bucket's elements at or above its stage-one cutoff;
+* stage one fits each bucket from that bucket's own moments of ``|g|``, so
+  each block is fitted as its moments land and its elements at or above
+  their bucket's stage-one cutoff are kept from the ``|g|`` still in the
+  scratch buffer;
 * later stages reduce those carried exceedances, which lie contiguous by
   bucket.  Stage thresholds never decrease, so the final selection filters
   the carried set too;
@@ -84,11 +86,36 @@ def _spread(per_bucket: np.ndarray, sizes: np.ndarray):
     return per_bucket[0] if per_bucket.size == 1 else np.repeat(per_bucket, sizes)
 
 
-def _stage_one_moments(arr: np.ndarray, segs, sid: str, scratch: np.ndarray):
-    """Pass 1: ``(sums, sqdev, pos_counts, pos_logsums)`` of each segment's ``|g|``.
+def _flatnonzero_ge(mags: np.ndarray, cutoff, mask: np.ndarray) -> np.ndarray:
+    """``np.flatnonzero(mags >= cutoff)`` in ``mask``, a bool buffer of ``n + n // 9 + 1`` or more.
+
+    NumPy scans a bool array that is at most 10% set with one ``memchr`` per
+    set entry, which takes about twice as long as its branchless scan of a
+    denser array once 5% are set (stage one keeps 8.5% of
+    ``compress-sidco``'s gradient).  Such a mask gets trailing ``True``
+    entries that lift it past 10%, and their indices are cut off.
+    """
+    n = mags.size
+    hit = np.greater_equal(mags, cutoff, out=mask[:n])
+    count = np.count_nonzero(hit)
+    if not n // 20 < count <= n // 10:
+        return np.flatnonzero(hit)
+    pad = (n - 10 * count) // 9 + 1
+    mask[n : n + pad] = True
+    return np.flatnonzero(mask[: n + pad])[:count]
+
+
+def _stage_one_moments(arr: np.ndarray, segs, sid: str, delta_1: np.ndarray, scratch: np.ndarray):
+    """Stage one in the only pass over the gradient: ``(sums, carried)``.
+
+    Per block, takes each segment's moments of ``|g|``, fits its stage-one
+    threshold at ratio ``delta_1`` (clamped at 0, as later stages are at the
+    one before) and carries the block's elements at or above it, read from
+    the scratch buffer that still holds the block's ``|g|``.  ``sums`` are
+    the segments' sums of ``|g|``; ``carried.cutoff`` holds the thresholds.
 
     Gamma fits the positive magnitudes only: its ``sums`` are theirs, with
-    their count and log-sum.  The GP SID also gets ``sqdev``, each segment's
+    their count and log-sum.  The GP SID also takes ``sqdev``, each segment's
     sum of squared deviations from its mean.  A segment's sum is non-finite
     when it holds a NaN or an infinity, or when finite magnitudes overflow;
     only then is the max read.
@@ -99,9 +126,11 @@ def _stage_one_moments(arr: np.ndarray, segs, sid: str, scratch: np.ndarray):
         sqdev, work = np.empty(num), np.empty_like(scratch)
     elif sid == "gamma":
         pos_counts, pos_logsums = np.empty(num, dtype=np.int64), np.empty(num)
-    # Block 0 last: pass 2 starts with it and finds its |g| still in the scratch buffer.
-    for start, stop, b0, b1, edges in reversed(segs.blocks):
+    carried = _Exceedances(segs, np.empty(num))
+    mask = np.empty(scratch.size + scratch.size // 9 + 1, dtype=bool)
+    for i, (start, stop, b0, b1, edges) in enumerate(segs.blocks):
         mags = abs_block(arr, start, stop, scratch)
+        sizes = segs.sizes[b0:b1]
         values, at = mags, edges
         if pos_counts is not None:
             # ``~(<= 0)`` keeps NaNs, which must reach the finiteness check.
@@ -112,46 +141,38 @@ def _stage_one_moments(arr: np.ndarray, segs, sid: str, scratch: np.ndarray):
         if not np.isfinite(sums[b0:b1]).all() and not math.isfinite(mags.max()):
             raise ValueError("gradient contains NaN or infinite values")
         if sqdev is not None:
-            sizes = segs.sizes[b0:b1]
             dev = np.subtract(mags, _spread(sums[b0:b1] / sizes, sizes), out=work[: stop - start])
             sqdev[b0:b1] = _segment_sums(np.multiply(dev, dev, out=dev), edges, one_bucket)
         elif pos_counts is not None:
             pos_logsums[b0:b1] = _segment_sums(np.log(values), at, one_bucket)
-    return sums, sqdev, pos_counts, pos_logsums
+        eta = _fit_stage_thresholds(
+            sid, delta_1[b0:b1], sizes, sums[b0:b1],
+            *(None if a is None else a[b0:b1] for a in (sqdev, pos_counts, pos_logsums)),
+            np.zeros(b1 - b0), np.ones(b1 - b0, dtype=bool),
+        )
+        cutoff = carried.cutoff[b0:b1] = np.maximum(eta, 0.0)
+        hits = _flatnonzero_ge(mags, _spread(cutoff, sizes), mask)
+        carried.carry(i, hits, mags[hits])
+    return sums, carried
 
 
 class _Exceedances:
-    """Per block, the elements at or above their bucket's cutoff (pass 2 onwards).
+    """Per block, the elements at or above their bucket's cutoff (from stage one on).
 
     A block carries ``(indices, values, at)``: ascending block-relative
     indices, their ``|g|`` and each bucket's first position among them (plus
     their count).  ``counts`` holds the carried elements per bucket,
-    ``cutoff`` the cutoffs last applied.
+    ``cutoff`` the cutoffs last applied.  :func:`_stage_one_moments` fills
+    every block as it streams.
     """
 
-    def __init__(self, arr, segs, cutoff: np.ndarray, scratch: np.ndarray):
+    def __init__(self, segs, cutoff: np.ndarray):
         self.blocks, self.cutoff, self.one_bucket = segs.blocks, cutoff, segs.buckets == 1
         self.counts = np.empty(segs.sizes.size, dtype=np.int64)
         self.carried: list = [None] * len(self.blocks)
-        for i, (start, stop, b0, b1, _) in enumerate(self.blocks):
-            spread = _spread(cutoff[b0:b1], segs.sizes[b0:b1])
-            # Pass 1 ends on block 0: a one-piece block 0 is still in scratch.
-            reuse = i == 0 and stop - start <= bucketed.BLOCK_ELEMENTS
-            # Elements are independent here, so a bucket larger than a block
-            # is compared in block-sized pieces that stay cache-resident.
-            hits, values = [], []
-            for lo in range(start, stop, bucketed.BLOCK_ELEMENTS):
-                hi = min(lo + bucketed.BLOCK_ELEMENTS, stop)
-                mags = scratch[: hi - lo] if reuse else abs_block(arr, lo, hi, scratch)
-                hit = np.flatnonzero(mags >= spread)
-                values.append(mags[hit])
-                hit += lo - start
-                hits.append(hit)
-            if len(hits) > 1:
-                hits, values = [np.concatenate(hits)], [np.concatenate(values)]
-            self._carry(i, hits[0], values[0])
 
-    def _carry(self, i: int, indices: np.ndarray, values: np.ndarray) -> None:
+    def carry(self, i: int, indices: np.ndarray, values: np.ndarray) -> None:
+        """Carry ``indices`` (block-relative, ascending) and their ``values`` for block ``i``."""
         _, _, b0, b1, edges = self.blocks[i]
         at = np.searchsorted(indices, edges)
         self.counts[b0:b1] = at[1:] - at[:-1]
@@ -161,7 +182,7 @@ class _Exceedances:
         """Per-bucket sums of the carried values' excess over ``loc`` (and of its squared deviations).
 
         Taken for the blocks holding an active bucket; each bucket's carried
-        values lie contiguous, so they reduce as segments like pass 1.
+        values lie contiguous, so they reduce as segments like stage one.
         """
         sums, sqdev = np.zeros(active.size), np.zeros(active.size) if squares else None
         for (_, _, b0, b1, _), (_, values, at) in zip(self.blocks, self.carried):
@@ -181,7 +202,7 @@ class _Exceedances:
             if changed[b0:b1].any():
                 indices, values, _ = self.carried[i]
                 keep = np.flatnonzero(values >= _spread(cutoff[b0:b1], self.counts[b0:b1]))
-                self._carry(i, indices[keep], values[keep])
+                self.carry(i, indices[keep], values[keep])
 
     def selection(self) -> np.ndarray:
         """Ascending flat indices of every carried element."""
@@ -284,105 +305,75 @@ def estimate_multi_stage_bucketed(
     segs = bucketed.segments(layout, workers)
     sizes, num = segs.sizes, segs.sizes.size
     target_k = delta * sizes.astype(np.float64)
-    scratch = segs.scratch()
-    stage_one = _stage_one_moments(arr, segs, stage_sid(sid, 0), scratch)
+    needed = np.minimum(np.where(sizes > 0, target_k / np.maximum(sizes, 1), np.inf), 0.999)
+    # Stage one's inputs follow from the bucket sizes.  Tiny buckets get a
+    # single-stage fit on the whole bucket at the raw target ratio.
+    fallback = sizes < min_stage_sample
+    is_last = fallback | (num_stages == 1) | (needed >= first_stage_ratio)
+    delta_1 = np.where(fallback, delta, np.where(is_last, needed, first_stage_ratio))
+    first_sid = stage_sid(sid, 0)
+    sums, carried = _stage_one_moments(arr, segs, first_sid, delta_1, segs.scratch())
+    eta, counts = carried.cutoff, sizes
 
-    thresholds = np.full(num, np.inf)
-    eta_prev = np.zeros(num)
+    # Each bucket's latest stage threshold: its final one once it stops fitting.
+    thresholds = np.zeros(num)
     active = np.ones(num, dtype=bool)
     stages_used = np.zeros(num, dtype=np.int64)
-    ops: list[list[OpRecord]] = [[] for _ in range(workers)]
+    ops = [_batched_fit_ops(first_sid, n) for n in segs.per_worker(sizes)]
     # Workers still in the stage loop: a worker's own call leaves the loop
     # once none of its buckets is active, so its trace stops there too.
     live = np.ones(workers, dtype=bool)
 
-    # Stage one reduces in pass 1; later stages over the carried exceedances.
-    carried: _Exceedances | None = None
-
-    for m in range(num_stages):
-        counts = sizes if m == 0 else np.where(active, carried.counts, 0)
-
-        fallback = np.zeros(num, dtype=bool)
-        if m == 0:
-            # Tiny buckets: single-stage fit on the whole bucket at the raw
-            # target ratio.
-            fallback = active & (counts < min_stage_sample)
-        else:
-            # Exceedance set too small to fit another stage: stop refining and
-            # keep the previous stage's threshold.
-            shrunk = active & (counts < min_stage_sample)
-            thresholds[shrunk] = eta_prev[shrunk]
-            active = active & ~shrunk
-        live &= active.reshape(workers, -1).any(axis=1)
-        if not live.any():
-            break
-
-        needed = np.where(counts > 0, target_k / np.maximum(counts, 1), np.inf)
-        needed = np.minimum(needed, 0.999)
-        remaining = num_stages - m
-        if remaining == 1:
-            is_last = active.copy()
-        else:
-            is_last = active & (needed >= first_stage_ratio)
-        if m == 0:
-            delta_m = np.where(is_last, needed, first_stage_ratio)
-            delta_m = np.where(fallback, delta, delta_m)
-            is_last = is_last | fallback
-        else:
-            # Python's ``**`` (libm ``pow``), as the scalar fit: ``np.power``
-            # over an array rounds differently.
-            geometric, refine = needed.copy(), active & ~is_last
-            geometric[refine] = [x ** (1.0 / remaining) for x in needed[refine].tolist()]
-            delta_m = np.where(is_last, needed, np.maximum(geometric, needed))
-
-        this_sid = stage_sid(sid, m)
-        active_elems = segs.per_worker(np.where(active, counts, 0))
-        if m == 0:
-            sums, sqdev, pos_counts, pos_logsums = stage_one
-            loc = np.zeros(num)
-        else:
-            loc = eta_prev
-            sums, sqdev = carried.moments(active, loc, this_sid == "gpareto")
-            pos_counts = pos_logsums = None
-        for g in np.flatnonzero(live).tolist():
-            ops[g].extend(_batched_fit_ops(this_sid, active_elems[g]))
-
-        eta = _fit_stage_thresholds(
-            this_sid, delta_m, counts, sums, sqdev, pos_counts, pos_logsums, loc, active
-        )
-        eta = np.maximum(eta, eta_prev)
+    # Settle stage m - 1, then fit stage m over the carried exceedances.  The
+    # last stage settles every bucket, so the loop always ends at a break.
+    for m in range(1, num_stages + 1):
         stages_used[active] += 1
-
-        finished = active & is_last
-        thresholds[finished] = eta[finished]
-        eta_prev = np.where(active, eta, eta_prev)
+        thresholds = np.where(active, eta, thresholds)
         active = active & ~is_last
-        # Still-fitting buckets carry their exceedances of this stage's eta
-        # into the next; finished ones carry their final selection.
-        cutoff = np.where(active, eta_prev, thresholds)
-        if m == 0:
-            carried = _Exceedances(arr, segs, cutoff, scratch)
         live &= active.reshape(workers, -1).any(axis=1)
         if not live.any():
             break
-        if m > 0:
-            carried.compact(cutoff)
+        # Still-fitting buckets carry their exceedances of this stage's eta
+        # into the next; finished ones carry their final selection.  Stage
+        # one's cutoffs were applied as it streamed.
+        carried.compact(thresholds)
         streamed = segs.per_worker(counts)
         kept = segs.per_worker(np.where(active, carried.counts, 0))
         for g in np.flatnonzero(live).tolist():
             ops[g] += [OpRecord("elementwise", streamed[g]), OpRecord("compact", streamed[g], kept[g])]
 
-    # Any bucket never finalised (loop exhausted while shrinking) keeps its
-    # last stage threshold.
-    unfinished = np.isinf(thresholds) & (eta_prev > 0.0) & (stages_used > 0)
-    thresholds[unfinished] = eta_prev[unfinished]
+        counts = np.where(active, carried.counts, 0)
+        # Exceedance set too small to fit another stage: stop refining and
+        # keep the previous stage's threshold.
+        active = active & (counts >= min_stage_sample)
+        live &= active.reshape(workers, -1).any(axis=1)
+        if not live.any():
+            break
+
+        needed = np.minimum(np.where(counts > 0, target_k / np.maximum(counts, 1), np.inf), 0.999)
+        remaining = num_stages - m
+        is_last = active.copy() if remaining == 1 else active & (needed >= first_stage_ratio)
+        # Python's ``**`` (libm ``pow``), as the scalar fit: ``np.power``
+        # over an array rounds differently.
+        geometric, refine = needed.copy(), active & ~is_last
+        geometric[refine] = [x ** (1.0 / remaining) for x in needed[refine].tolist()]
+        delta_m = np.where(is_last, needed, np.maximum(geometric, needed))
+
+        this_sid = stage_sid(sid, m)
+        active_elems = segs.per_worker(np.where(active, counts, 0))
+        for g in np.flatnonzero(live).tolist():
+            ops[g].extend(_batched_fit_ops(this_sid, active_elems[g]))
+        moments = carried.moments(active, thresholds, this_sid == "gpareto")
+        eta = _fit_stage_thresholds(this_sid, delta_m, counts, *moments, None, None, thresholds, active)
+        eta = np.maximum(eta, thresholds)
+
     carried.compact(thresholds)
     return BucketedThresholdEstimate(
         thresholds=thresholds,
         stages_used=stages_used,
         indices=carried.selection(),
         bucket_nnz=carried.counts,
-        has_tail=stage_one[0].reshape(workers, -1).any(axis=1),
+        has_tail=sums.reshape(workers, -1).any(axis=1),
         ops=ops,
     )
 

@@ -9,7 +9,19 @@ from repro.data import (
     make_language_modeling,
     make_sequence_classification,
 )
+from repro.data import text
 from tests.synthetic import make_blobs_classification, make_regression
+
+
+def reference_language_modeling(num_sequences, seq_len, vocab_size, *, branching=4, seed=0):
+    """``make_language_modeling``'s tokens drawn with ``rng.choice(p=row)`` one token at a time."""
+    rng = np.random.default_rng(seed)
+    transitions = text._markov_transition_matrix(vocab_size, branching, rng)
+    stream = np.empty(num_sequences * (seq_len + 1), dtype=np.int64)
+    stream[0] = rng.integers(0, vocab_size)
+    for t in range(1, stream.size):
+        stream[t] = rng.choice(vocab_size, p=transitions[stream[t - 1]])
+    return stream.reshape(num_sequences, seq_len + 1)
 
 
 class TestArrayDataset:
@@ -116,6 +128,25 @@ class TestLanguageModeling:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             make_language_modeling(**kwargs)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("vocab_size", [2, 16, 64, 301])
+    @pytest.mark.parametrize("branching", [1, 4, 64])
+    def test_tokens_equal_one_choice_per_token(self, seed, vocab_size, branching):
+        ds = make_language_modeling(
+            num_sequences=12, seq_len=9, vocab_size=vocab_size, branching=branching, seed=seed
+        )
+        windows = reference_language_modeling(12, 9, vocab_size, branching=branching, seed=seed)
+        assert ds.inputs.dtype == ds.targets.dtype == np.int64
+        assert np.array_equal(ds.inputs, windows[:, :-1])
+        assert np.array_equal(ds.targets, windows[:, 1:])
+
+    def test_proxy_corpus_equals_one_choice_per_token(self):
+        # The LSTM-PTB proxy's corpus, at its configured size.
+        ds = make_language_modeling(num_sequences=160, seq_len=16, vocab_size=64, seed=0)
+        windows = reference_language_modeling(160, 16, 64, seed=0)
+        assert np.array_equal(ds.inputs, windows[:, :-1])
+        assert np.array_equal(ds.targets, windows[:, 1:])
 
 
 class TestSequences:

@@ -21,6 +21,7 @@ from repro.core import SIDCo, StageControllerConfig
 from repro.gradients import realistic_gradient
 from repro.pipeline import BucketLayout, CompressionPipeline, estimate_multi_stage_bucketed
 from repro.compressors import bucketed
+from repro.pipeline import vectorized
 
 from . import sidco_reference as reference
 from .compressor_reference import reference_compress
@@ -225,3 +226,87 @@ class TestBlocks:
         assert fit.metadata["stages_used"] == 3
         # The whole-gradient fit held |g| plus a keep-mask: 1.125x the gradient.
         assert peak < gradient.nbytes
+
+
+#: Block size of the mixed layout below.
+MIXED_BLOCK = 4096
+
+
+def mixed_group(sid, stages):
+    """Three rows, a layout mixing many-bucket blocks with buckets larger than a block, one member per row."""
+    rows = np.stack([realistic_gradient(30_000, seed=seed) for seed in (21, 22, 23)])
+    # Four 500-element buckets share a block; the 16,000 and 12,000 ones exceed it.
+    layout = BucketLayout(
+        total_size=30_000, bucket_size=16_000, boundaries=(0, 500, 1000, 1500, 2000, 18_000)
+    )
+    members = [
+        SIDCo(sid, controller=StageControllerConfig(initial_stages=n, max_stages=4, adaptation_interval=1))
+        for n in stages
+    ]
+    return rows, layout, members
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("sid", SIDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("stages", [(2, 2, 2), (1, 1, 3)], ids=["one-estimate", "two-estimates"])
+    def test_non_finite_last_block_raises_and_leaves_every_controller(self, sid, bad, stages):
+        # Earlier blocks are fitted and selected before the last one raises.
+        # With (1, 1, 3), rows 0 and 1 keep a stage count apart from row 2's,
+        # so their whole estimator pass completes first.
+        rows, layout, members = mixed_group(sid, stages)
+        with block_elements(MIXED_BLOCK):
+            members[0].fit_all_buckets(rows, layout, 0.001, group=members)
+            twins = copy.deepcopy(members)
+            poisoned = rows.copy()
+            poisoned[-1, 29_000] = bad
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                members[0].fit_all_buckets(poisoned, layout, 0.001, group=members)
+            fits = members[0].fit_all_buckets(rows, layout, 0.001, group=members)
+            expected = twins[0].fit_all_buckets(rows, layout, 0.001, group=twins)
+        for member, twin in zip(members, twins):
+            assert vars(member.controller) == vars(twin.controller)
+        for fit, want in zip(fits, expected):
+            for name in FIT_FIELDS:
+                assert same(getattr(fit, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("sid", SIDS)
+    @pytest.mark.parametrize("stages", [1, 3])
+    def test_stage_one_reads_each_element_once(self, monkeypatch, sid, stages):
+        reads = []
+
+        def counting_abs_block(arr, start, stop, scratch):
+            reads.append((start, stop))
+            return bucketed.abs_block(arr, start, stop, scratch)
+
+        monkeypatch.setattr(vectorized, "abs_block", counting_abs_block)
+        rows, layout, members = mixed_group(sid, (stages,) * 3)
+        with block_elements(MIXED_BLOCK):
+            fits = members[0].fit_all_buckets(rows, layout, 0.001, group=members)
+            blocks = bucketed.segments(layout, 3).blocks
+        sizes = [stop - start for start, stop, *_ in blocks]
+        assert max(sizes) > MIXED_BLOCK and any(s1 - s0 > 1 for *_, s0, s1, _ in blocks)
+        assert max(fit.metadata["stages_used"] for fit in fits) == stages
+        assert reads == [(start, stop) for start, stop, *_ in blocks]
+
+
+class TestStageOneSelection:
+    @given(
+        n=st.integers(1, 5000),
+        share=st.sampled_from(["zero", "twentieth", "above-twentieth", "tenth", "above-tenth", "any"]),
+        seed=st.integers(0, 2**20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_padded_scan_equals_flatnonzero(self, n, share, seed):
+        # Kept counts at and around the 5% and 10% lines the scan switches on.
+        rng = np.random.default_rng(seed)
+        mags = rng.permutation(n).astype(np.float64)
+        count = {
+            "zero": 0, "twentieth": n // 20, "above-twentieth": n // 20 + 1,
+            "tenth": n // 10, "above-tenth": n // 10 + 1, "any": int(rng.integers(0, n + 1)),
+        }[share]
+        cutoff = float(n - count) if count else np.inf
+        mask = np.empty(n + n // 9 + 1, dtype=bool)
+        assert same(vectorized._flatnonzero_ge(mags, cutoff, mask), np.flatnonzero(mags >= cutoff))
+        per_element = np.full(n, cutoff)
+        assert same(vectorized._flatnonzero_ge(mags, per_element, mask), np.flatnonzero(mags >= cutoff))

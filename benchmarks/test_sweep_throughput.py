@@ -44,8 +44,9 @@ SMOKE = "SIDCO_SMOKE_DIMENSION" in os.environ
 
 PRESET = "ethernet-4x8"
 #: The warm cache must answer at least this many times more tuner queries per
-#: second than a cold one.  Five full-scale runs on a 2-vCPU VM read 39-49x,
-#: against 11-14x before warm queries stopped rebuilding their points.
+#: second than a cold one.  Five full-scale runs on a 2-vCPU VM read 37-40x
+#: (40-58x before cold queries stopped paying the bound's table and result
+#: work per point; 11-14x before warm queries stopped rebuilding their points).
 MIN_WARM_SPEEDUP = 10.0
 #: Cold/warm query batches timed for the artifact (cold rebuilds the cache).
 TIMED_QUERIES = 3

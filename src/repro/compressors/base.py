@@ -139,6 +139,7 @@ class Compressor:
 
         rows = np.asarray(gradients, dtype=np.float64)
         d = self._validate(rows[0], ratio).size
+        self._check_finite(rows)
         return [
             CompressionResult(
                 sparse=SparseGradient(indices=fit.indices, values=fit.values, dense_size=d),
@@ -181,6 +182,16 @@ class Compressor:
         if not 0.0 < ratio <= 1.0:
             raise ValueError(f"ratio must be in (0, 1], got {ratio}")
         return arr
+
+    def _check_finite(self, rows: np.ndarray) -> None:
+        """Reject a NaN or infinite element in any row.
+
+        Every compressor's grouped entry runs this once over all rows, so no
+        compressor selects around, drops or passes through a non-finite
+        value.  A compressor whose fit raises on one itself overrides it.
+        """
+        if not np.isfinite(rows).all():
+            raise ValueError("gradient contains NaN or infinite values")
 
     @staticmethod
     def _target_k(size: int, ratio: float) -> int:

@@ -79,6 +79,9 @@ class SIDCo(Compressor):
         """Current number of fitting stages chosen by the controller."""
         return self.controller.num_stages
 
+    def _check_finite(self, rows: np.ndarray) -> None:
+        """Nothing: the stage-one pass raises on a NaN or infinite element itself."""
+
     @grouped
     def fit_all_buckets(self, rows: np.ndarray, layout, ratio: float, group) -> list[BucketedFit]:
         """Batched per-bucket SID fitting, streamed block by block over the buckets.

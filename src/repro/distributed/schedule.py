@@ -609,26 +609,79 @@ LOWER_BOUND_SLACK = 1e-9
 _FIT_TOLERANCE = 1e-12
 
 
+@dataclass(frozen=True, eq=False)
+class PhaseReductions:
+    """What :func:`iteration_lower_bound` reads of a ``(bucket, phase)`` table.
+
+    The reductions depend on the table alone, so a memoized
+    :class:`~repro.distributed.topology.PhaseTable` computes them once
+    (:attr:`~repro.distributed.topology.PhaseTable.reductions`) and every
+    bound over it reuses them.  Built by :func:`reduce_phases`.
+    """
+
+    #: (B,) per-bucket communication seconds: the serial row sum, or the
+    #: latest present phase end of a placed row.
+    comm: np.ndarray
+    #: ``float(comm.sum())``: the one network lane's busy seconds.
+    comm_total: float
+    #: ``(link, busy seconds, phase count)`` per link, in first-column order.
+    links: tuple[tuple[str, float, int], ...]
+
+
+def reduce_phases(
+    phase_seconds, phase_links, phase_offsets=None, phase_mask=None
+) -> PhaseReductions:
+    """The table half of :func:`iteration_lower_bound`: absent phases count for nothing."""
+    seconds = np.asarray(phase_seconds, dtype=float)
+    present = True if phase_mask is None else np.asarray(phase_mask, dtype=bool)
+    if phase_mask is not None:
+        seconds = np.where(present, seconds, 0.0)
+    if phase_offsets is None:
+        comm = seconds.sum(axis=1)
+    else:
+        comm = np.where(present, np.asarray(phase_offsets, dtype=float) + seconds, 0.0)
+        comm = comm.max(axis=1, initial=0.0)
+    busy: dict[str, float] = {}
+    phases: dict[str, int] = {}
+    columns = zip(
+        phase_links, seconds.sum(axis=0).tolist(), np.count_nonzero(seconds, axis=0).tolist()
+    )
+    for link, column_seconds, column_phases in columns:
+        busy[link] = busy.get(link, 0.0) + column_seconds
+        phases[link] = phases.get(link, 0) + column_phases
+    return PhaseReductions(
+        comm=comm,
+        comm_total=float(comm.sum()),
+        links=tuple((link, busy[link], phases[link]) for link in busy),
+    )
+
+
 def iteration_lower_bound(
     *,
     ready_seconds,
     compress_seconds,
-    phase_seconds,
-    phase_links: tuple[str, ...],
+    phase_seconds=None,
+    phase_links: tuple[str, ...] = (),
     compute_seconds: float,
     overlap: str = "none",
     update_seconds: float = 0.0,
     cross_bucket_pipeline: bool = False,
     phase_offsets=None,
     phase_mask=None,
+    reductions: PhaseReductions | None = None,
 ) -> float:
     """A lower bound on :func:`simulate_iteration_arrays`'s ``iteration_seconds``.
 
     Takes the scheduler's own inputs (nominal lane rates) and places no
-    template, so it costs a few array reductions.  The iteration ends after
-    the update, which follows the latest of the backward pass, the
-    compression stream and the last communication, and each of those is
-    bounded from below:
+    template, so it costs a few array reductions: :func:`reduce_phases`
+    reduces the phase table, then the reductions are combined with the
+    per-bucket ready and compression times.  A caller that holds the
+    table's reductions already (a memoized
+    :class:`~repro.distributed.topology.PhaseTable` keeps its own) passes
+    ``reductions`` in place of the phase arrays and pays only the
+    combination.  The iteration ends after the update, which follows the
+    latest of the backward pass, the compression stream and the last
+    communication, and each of those is bounded from below:
 
     * the backward pass is ``compute_seconds``;
     * the compression stream runs its jobs one at a time from the earliest
@@ -649,37 +702,25 @@ def iteration_lower_bound(
     point.  Absent phases (``phase_mask`` False) count for nothing.
     """
     validate_overlap(overlap)
+    if (reductions is None) == (phase_seconds is None):
+        raise ValueError("pass either the phase arrays or their reductions")
+    if reductions is None:
+        reductions = reduce_phases(phase_seconds, phase_links, phase_offsets, phase_mask)
     ready = np.asarray(ready_seconds, dtype=float)
     compress = np.asarray(compress_seconds, dtype=float)
-    seconds = np.asarray(phase_seconds, dtype=float)
-    present = True if phase_mask is None else np.asarray(phase_mask, dtype=bool)
-    seconds = np.where(present, seconds, 0.0)
-    if phase_offsets is None:
-        comm = seconds.sum(axis=1)
-    else:
-        comm = np.where(present, np.asarray(phase_offsets, dtype=float) + seconds, 0.0)
-        comm = comm.max(axis=1, initial=0.0)
     lanes = [compute_seconds]
     if len(ready):
         gate = ready if overlap == "comm+compress" else np.maximum(ready, compute_seconds)
         stream = float(gate.min()) + float(compress.sum())
         comm_gate = stream if overlap == "none" else gate + compress
-        earliest = float(np.min(comm_gate))
-        lanes += [stream, float((comm_gate + comm).max())]
+        earliest = stream if overlap == "none" else float(comm_gate.min())
+        lanes += [stream, float((comm_gate + reductions.comm).max())]
         if not cross_bucket_pipeline:
-            lanes.append(earliest + float(comm.sum()))
-        busy: dict[str, float] = {}
-        phases: dict[str, int] = {}
-        columns = zip(
-            phase_links, seconds.sum(axis=0).tolist(), np.count_nonzero(seconds, axis=0).tolist()
-        )
-        for link, column_seconds, column_phases in columns:
-            busy[link] = busy.get(link, 0.0) + column_seconds
-            phases[link] = phases.get(link, 0) + column_phases
-        for link, link_seconds in busy.items():
+            lanes.append(earliest + reductions.comm_total)
+        for _, link_seconds, link_phases in reductions.links:
             end = earliest + link_seconds
             # Each phase may overlap a neighbour on either side by the tolerance.
-            lanes.append(end - 2 * phases[link] * _FIT_TOLERANCE * max(1.0, end))
+            lanes.append(end - 2 * link_phases * _FIT_TOLERANCE * max(1.0, end))
     return (max(lanes) + update_seconds) * (1.0 - LOWER_BOUND_SLACK)
 
 

@@ -22,20 +22,23 @@ DDP/Horovod stacks actually run.  Bucketed results are priced as one
 ``(bucket, phase)`` :class:`~repro.distributed.topology.PhaseTable` and
 scheduled from it; unbucketed results price one single-payload all-gather and
 carry no schedule.  A worker pool that mixes the two, or whose results disagree
-on the bucket count, raises :class:`ValueError`.
+on the bucket count, raises :class:`ValueError`.  What pricing reads off a
+pool's results (per-bucket payloads and densities, ready and compression
+times) is derived once, as :class:`ResultFacts`, which every pricing method
+also accepts in place of the results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..compressors.base import CompressionResult
-from ..perfmodel.costs import DeviceProfile, distribute_cost
+from ..perfmodel.costs import DeviceProfile, distribute_cost, scale_ops
 from ..perfmodel.device import GPU_V100
 from ..tensor.sparse import FLOAT_BYTES, INDEX_BYTES
 from .faults import FaultedIteration, FullSync, SyncPolicy, WorkerRates, price_iteration
@@ -51,18 +54,18 @@ from .schedule import (
     validate_overlap,
     validate_rate,
 )
-from .topology import ClusterTopology, CollectiveModel, PhaseTable, SparseAggregateModel
+from .topology import CollectiveModel, PhaseTable
 
 
-def _payload_density(payload_bytes: float, dense_elements: int) -> float | None:
-    """Non-zero fraction a sparse (index, value) payload covers of its dense span.
+def _payload_densities(payload_bytes: np.ndarray, dense_elements) -> np.ndarray:
+    """(B,) the non-zero fraction each sparse (index, value) payload covers of its dense span.
 
-    Returns ``None`` (dedup unavailable) for an empty payload.
+    NaN (dedup unavailable) for an empty payload.
     """
-    if payload_bytes <= 0.0:
-        return None
     elements = payload_bytes / (FLOAT_BYTES + INDEX_BYTES)
-    return min(1.0, elements / dense_elements)
+    densities = np.minimum(1.0, elements / np.asarray(dense_elements, dtype=float))
+    densities[payload_bytes <= 0.0] = math.nan
+    return densities
 
 
 def _table_dedup_ratio(table: PhaseTable) -> float:
@@ -79,6 +82,75 @@ def _table_dedup_ratio(table: PhaseTable) -> float:
         return 1.0
     ratios = table.dedup_ratios.tolist()
     return float(sum(w * r for w, r in zip(weights, ratios)) / total)
+
+
+@dataclass(frozen=True, eq=False)
+class ResultFacts:
+    """What pricing reads off one iteration's worker results, derived once.
+
+    :meth:`TimelineModel.result_facts` derives it, and every timeline method
+    that prices a compressed iteration accepts it in place of the results:
+    the trainer derives it once per iteration, the sweep planner memoizes it
+    per compression (:class:`~repro.harness.sweep.SweepCache`), so the facts
+    of a pool of results are paid once however many points price or bound
+    it.
+
+    The facts depend on the results and on the timeline's ``basis``: its
+    device (the trace cost), dimension scale (payloads and trace sizes) and
+    compute seconds (ready times).  A timeline with another basis rejects
+    them.  Bucketed results carry the per-bucket all-gather inputs;
+    unbucketed ones carry one payload and its density.  The ready and
+    compression times are derived on first use.
+    """
+
+    results: tuple[CompressionResult, ...]
+    #: ``(device, dimension_scale, compute_seconds)`` the facts were derived under.
+    basis: tuple
+    #: (B,) per-bucket all-gather payload bytes: the slowest worker's bucket
+    #: payload, dimension-scaled.  ``None`` for unbucketed results.
+    payloads: np.ndarray | None = None
+    #: Per-bucket payload densities (``None`` entries disable dedup there).
+    densities: tuple = ()
+    #: The phase table's memo payload: the payloads and densities (NaN for
+    #: ``None``) as bytes.
+    table_key: bytes = b""
+    #: Unbucketed results: the slowest worker's scaled payload and its density.
+    payload: float = 0.0
+    density: float | None = None
+
+    @property
+    def bucketed(self) -> bool:
+        return self.payloads is not None
+
+    @cached_property
+    def compression_seconds(self) -> float:
+        """The slowest worker's compression cost: the ring waits for the last."""
+        device, scale, _ = self.basis
+        if scale == 1.0:
+            return max(device.trace_cost(r.ops) for r in self.results)
+        return max(device.trace_cost(scale_ops(r.ops, scale)) for r in self.results)
+
+    @cached_property
+    def ready_seconds(self) -> np.ndarray:
+        """(B,) per-bucket gradient-ready times within the backward pass."""
+        fractions = self.results[0].metadata["bucket_ready_fractions"]
+        return _frozen(ready_times_from_fractions(fractions, self.basis[2]))
+
+    @cached_property
+    def compress_seconds(self) -> np.ndarray:
+        """(B,) the compression cost spread over the buckets by size."""
+        return _frozen(self.compress_seconds_for(self.compression_seconds))
+
+    def compress_seconds_for(self, compression_seconds: float) -> np.ndarray:
+        """(B,) ``compression_seconds`` spread over the buckets by size."""
+        return distribute_cost(compression_seconds, self.results[0].metadata["bucket_sizes"])
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float array: result facts are shared by every point that reads them."""
+    array = np.asarray(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -138,8 +210,8 @@ class TimelineModel:
     too: to compare policies, ``dataclasses.replace`` the timeline.
 
     The trainer and the sweep planner both build their timeline with
-    :meth:`from_knobs` and price iterations with :meth:`price`, so the two
-    cannot drift apart.
+    :meth:`from_knobs`, derive a worker pool's facts with :meth:`result_facts`
+    and price iterations with :meth:`price`, so the two cannot drift apart.
     """
 
     #: Topology + collective algorithms pricing every collective.
@@ -190,7 +262,7 @@ class TimelineModel:
     def from_knobs(
         cls,
         knobs: SimulationKnobs,
-        topology: ClusterTopology,
+        collective: CollectiveModel,
         *,
         compute_seconds: float,
         model_dimension: int,
@@ -198,20 +270,14 @@ class TimelineModel:
         device: DeviceProfile = GPU_V100,
         memo: Callable | None = None,
     ) -> "TimelineModel":
-        """The timeline ``knobs`` describe over the resolved ``topology``.
+        """The timeline ``knobs`` describe over ``collective``.
 
-        The collective model takes the bundle's algorithm, chunking and dedup
-        knobs; the timeline takes its overlap and cross-bucket policies.
-        ``memo`` is passed through to the :attr:`memo` field.
+        ``collective`` is :meth:`CollectiveModel.from_knobs
+        <repro.distributed.topology.CollectiveModel.from_knobs>` of the same
+        bundle (it takes the algorithm, chunking and dedup knobs); the
+        timeline takes the overlap and cross-bucket policies.  ``memo`` is
+        passed through to the :attr:`memo` field.
         """
-        dedup = knobs.dedup_assumption
-        collective = CollectiveModel(
-            topology=topology,
-            allreduce_algorithm=knobs.allreduce_algorithm,
-            allgather_algorithm=knobs.allgather_algorithm,
-            pipeline_chunks=knobs.pipeline_chunks,
-            allgather_dedup=None if dedup is None else SparseAggregateModel(dedup),
-        )
         return cls(
             collective=collective,
             device=device,
@@ -225,26 +291,27 @@ class TimelineModel:
 
     def price(
         self,
-        worker_results: list[CompressionResult] | None,
+        worker_results: Sequence[CompressionResult] | ResultFacts | None,
         rates: WorkerRates | None = None,
         policy: SyncPolicy | None = None,
     ) -> tuple[IterationTiming, FaultedIteration | None]:
         """Price one iteration: the nominal timing and, under faults, the verdict.
 
-        ``worker_results`` prices the compressed iteration; ``None`` prices
-        the dense baseline.  Without ``rates`` the second item is ``None``.
-        With ``rates``, every active worker's iteration is priced at its lane
-        rates and ``policy`` (default: full sync) prices the barrier; the
-        nominal (1.0, 1.0) pair reuses the nominal timing, so those workers
-        finish bit-for-bit at ``timing.total``.  ``rates`` must describe this
-        timeline's workers, or :class:`ValueError` is raised.
+        ``worker_results`` (or their :class:`ResultFacts`) prices the
+        compressed iteration; ``None`` prices the dense baseline.  Without
+        ``rates`` the second item is ``None``.  With ``rates``, every active
+        worker's iteration is priced at its lane rates and ``policy``
+        (default: full sync) prices the barrier; the nominal (1.0, 1.0) pair
+        reuses the nominal timing, so those workers finish bit-for-bit at
+        ``timing.total``.  ``rates`` must describe this timeline's workers,
+        or :class:`ValueError` is raised.
         """
         if rates is not None and rates.num_workers != self.num_workers:
             raise ValueError(f"rates describe {rates.num_workers} workers, not {self.num_workers}")
         if worker_results is None:
             iteration = self.baseline_iteration
         else:
-            iteration = partial(self.compressed_iteration, worker_results)
+            iteration = partial(self.compressed_iteration, self._facts(worker_results))
         timing = iteration()
         if rates is None:
             return timing, None
@@ -256,25 +323,33 @@ class TimelineModel:
 
         return timing, price_iteration(finish, rates, FullSync() if policy is None else policy)
 
-    def lower_bound(self, worker_results: list[CompressionResult]) -> float | None:
+    def lower_bound(
+        self, worker_results: Sequence[CompressionResult] | ResultFacts
+    ) -> float | None:
         """A sound lower bound on the nominal ``compressed_iteration(...).total``.
 
-        Reads the (memoized) phase table and the compression cost, and
-        simulates nothing: :func:`~repro.distributed.schedule.iteration_lower_bound`
-        over the scheduler's own inputs.  ``overlap="none"`` prices the flat
-        sum, which is the serial-lane schedule, so its bound is the flat sum
-        (deflated).  Unbucketed results have no phase table and return
-        ``None``.
+        Simulates nothing: :func:`~repro.distributed.schedule.iteration_lower_bound`
+        over the scheduler's own inputs, given the (memoized) phase table's
+        cached :attr:`~repro.distributed.topology.PhaseTable.reductions` in
+        place of its arrays, so it only combines them with the results'
+        ready and compression times.  A bound thus pays only for what is its
+        own: given :class:`ResultFacts`, the results' facts are paid once
+        per compression, and a memoized table's reductions once per table.
+        ``overlap="none"`` prices the flat sum, which is the serial-lane
+        schedule, so its bound is the flat sum (deflated).  Unbucketed
+        results have no phase table and return ``None``.
         """
-        table = self._phase_table(worker_results)
+        facts = self._facts(worker_results)
+        table = self._phase_table(facts)
         if table is None:
             return None
-        inputs = self._schedule_inputs(
-            worker_results[0].metadata, table, self._compression_seconds(worker_results)
-        )
         return iteration_lower_bound(
-            **inputs,
+            reductions=table.reductions,
+            ready_seconds=facts.ready_seconds,
+            compress_seconds=facts.compress_seconds,
+            compute_seconds=self.compute_seconds,
             overlap=self.overlap,
+            update_seconds=self.update_seconds,
             cross_bucket_pipeline=self.cross_bucket_pipeline and self.overlap != "none",
         )
 
@@ -306,7 +381,7 @@ class TimelineModel:
 
     def compressed_iteration(
         self,
-        worker_results: list[CompressionResult],
+        worker_results: Sequence[CompressionResult] | ResultFacts,
         *,
         compute_scale: float = 1.0,
         comm_scale: float = 1.0,
@@ -330,20 +405,16 @@ class TimelineModel:
         price (the scheduler skips its scaling branch and ``x * 1.0`` is an
         IEEE identity).
         """
-        if not worker_results:
-            raise ValueError("need at least one worker result")
+        facts = self._facts(worker_results)
         compute_scale = validate_rate("compute_scale", compute_scale)
         comm_scale = validate_rate("comm_scale", comm_scale)
-        compression = self._compression_seconds(worker_results)
-        table = self._phase_table(worker_results)
+        compression = facts.compression_seconds
+        table = self._phase_table(facts)
         schedule = None
         if table is None:
-            slowest = max(worker_results, key=lambda r: r.sparse.payload_bytes())
-            payload = slowest.sparse.payload_bytes() * self.dimension_scale
-            density = slowest.sparse.density or None
             cost = self._memoized(
-                lambda: self.collective.allgather_cost(payload, density=density),
-                "allgather", payload, density,
+                lambda: self.collective.allgather_cost(facts.payload, density=facts.density),
+                "allgather", facts.payload, facts.density,
             )
             comm = cost.total
             dedup_ratio = cost.dedup_ratio
@@ -352,7 +423,7 @@ class TimelineModel:
             dedup_ratio = _table_dedup_ratio(table)
             if self.overlap != "none":
                 schedule = self._schedule(
-                    worker_results[0].metadata, table, compression, compute_scale, comm_scale
+                    facts, table, facts.compress_seconds, compute_scale, comm_scale
                 )
         return IterationTiming(
             compute=self.compute_seconds * compute_scale,
@@ -366,7 +437,7 @@ class TimelineModel:
 
     def schedule_iteration(
         self,
-        worker_results: list[CompressionResult],
+        worker_results: Sequence[CompressionResult] | ResultFacts,
         *,
         compression_seconds: float | None = None,
     ) -> ScheduleArrays:
@@ -379,48 +450,60 @@ class TimelineModel:
         for ``overlap="none"`` (no schedule exists there) and for unbucketed
         worker results.
         """
-        if not worker_results:
-            raise ValueError("need at least one worker result")
+        facts = self._facts(worker_results)
         if self.overlap == "none":
             raise ValueError(
                 'overlap="none" builds no schedule; use compressed_iteration for the flat sum'
             )
-        if compression_seconds is None:
-            compression_seconds = self._compression_seconds(worker_results)
-        table = self._phase_table(worker_results)
+        table = self._phase_table(facts)
         if table is None:
             raise ValueError("worker results carry no per-bucket payloads; nothing to schedule")
-        return self._schedule(worker_results[0].metadata, table, compression_seconds)
+        if compression_seconds is None:
+            compress = facts.compress_seconds
+        else:
+            compress = facts.compress_seconds_for(compression_seconds)
+        return self._schedule(facts, table, compress)
 
     def bucket_communication_times(
-        self, worker_results: list[CompressionResult]
+        self, worker_results: Sequence[CompressionResult] | ResultFacts
     ) -> list[float] | None:
         """Per-bucket all-gather times, or ``None`` if the results are unbucketed."""
-        table = self._phase_table(worker_results)
+        table = self._phase_table(self._facts(worker_results))
         if table is None:
             return None
         return table.totals.tolist()
 
-    def _phase_table(self, worker_results: list[CompressionResult]) -> PhaseTable | None:
-        """Price every bucket's all-gather as one table (``None`` if unbucketed).
+    def result_facts(self, worker_results: Sequence[CompressionResult]) -> ResultFacts:
+        """Derive what pricing reads off ``worker_results``, once (see :class:`ResultFacts`).
 
         Bucket ``i`` of the synchronous all-gather completes when the slowest
         worker's bucket-``i`` payload has made it around the ring, so each
-        bucket is priced at the per-bucket maximum across workers.
+        bucket is priced at the per-bucket maximum across workers; unbucketed
+        results price the slowest worker's whole payload.
 
         All workers compress replicas of the same gradient, so their results
         must agree on the bucket structure: a mix of bucketed and unbucketed
         results, or differing bucket counts, is a mis-assembled worker pool
-        and raises :class:`ValueError`.
+        and raises :class:`ValueError`, as does an empty one.
 
         Per-bucket payload density feeds the sparse-dedup model: the
         dimension scale multiplies payloads and bucket sizes alike, so the
         density is scale-free and computed from the proxy-sized metadata.
         """
-        payload_lists = [r.metadata.get("bucket_payload_bytes") for r in worker_results]
+        if not worker_results:
+            raise ValueError("need at least one worker result")
+        results = tuple(worker_results)
+        basis = self._basis
+        payload_lists = [r.metadata.get("bucket_payload_bytes") for r in results]
         missing = sum(p is None for p in payload_lists)
-        if missing == len(payload_lists):
-            return None  # plain unbucketed compressors
+        if missing == len(payload_lists):  # plain unbucketed compressors
+            slowest = max(results, key=lambda r: r.sparse.payload_bytes())
+            return ResultFacts(
+                results=results,
+                basis=basis,
+                payload=slowest.sparse.payload_bytes() * self.dimension_scale,
+                density=slowest.sparse.density or None,
+            )
         if missing:
             raise ValueError(
                 f"{missing}/{len(payload_lists)} worker results lack "
@@ -429,13 +512,41 @@ class TimelineModel:
         counts = {len(p) for p in payload_lists}
         if len(counts) != 1:
             raise ValueError(f"worker results disagree on the number of buckets: {sorted(counts)}")
-        per_bucket = [max(column) for column in zip(*payload_lists)]
-        sizes = worker_results[0].metadata["bucket_sizes"]
-        densities = [_payload_density(payload, size) for payload, size in zip(per_bucket, sizes)]
-        payloads = np.asarray(per_bucket, dtype=float) * self.dimension_scale
+        per_bucket = np.asarray(payload_lists, dtype=float).max(axis=0)
+        densities = _payload_densities(per_bucket, results[0].metadata["bucket_sizes"])
+        payloads = _frozen(per_bucket * self.dimension_scale)
+        return ResultFacts(
+            results=results,
+            basis=basis,
+            payloads=payloads,
+            densities=tuple(None if math.isnan(d) else d for d in densities.tolist()),
+            # Exact and content-based like a tuple of the floats, but a
+            # ``bytes`` object hashes once, however many points look it up.
+            table_key=payloads.tobytes() + densities.tobytes(),
+        )
+
+    @property
+    def _basis(self) -> tuple:
+        """The timeline facts :class:`ResultFacts` depend on."""
+        return (self.device, self.dimension_scale, self.compute_seconds)
+
+    def _facts(self, worker_results) -> ResultFacts:
+        """``worker_results``' :class:`ResultFacts`, derived unless already given."""
+        if not isinstance(worker_results, ResultFacts):
+            return self.result_facts(worker_results)
+        if worker_results.basis != self._basis:
+            raise ValueError(
+                "result facts were derived under another device, dimension scale or compute time"
+            )
+        return worker_results
+
+    def _phase_table(self, facts: ResultFacts) -> PhaseTable | None:
+        """Price every bucket's all-gather as one table (``None`` if unbucketed)."""
+        if not facts.bucketed:
+            return None
         return self._memoized(
-            lambda: self.collective.allgather_phase_table(payloads, densities),
-            "table", tuple(payloads.tolist()), tuple(densities),
+            lambda: self.collective.allgather_phase_table(facts.payloads, facts.densities),
+            "table", facts.table_key,
         )
 
     def _memoized(self, build: Callable, kind: str, *payload):
@@ -444,51 +555,30 @@ class TimelineModel:
             return build()
         return self.memo((self.collective, kind, *payload), build)
 
-    def _compression_seconds(self, worker_results: list[CompressionResult]) -> float:
-        """The slowest worker's compression cost: the ring waits for the last."""
-        return max(self.device.trace_cost(self._scaled_ops(r)) for r in worker_results)
-
-    def _schedule_inputs(
-        self, metadata: dict, table: PhaseTable, compression_seconds: float
-    ) -> dict:
-        """The per-bucket jobs the scheduler and its lower bound both read."""
-        return dict(
-            ready_seconds=ready_times_from_fractions(
-                metadata["bucket_ready_fractions"], self.compute_seconds
-            ),
-            compress_seconds=distribute_cost(compression_seconds, metadata["bucket_sizes"]),
-            phase_seconds=table.seconds,
-            phase_links=table.links,
-            phase_offsets=table.offsets,
-            phase_mask=table.mask,
-            compute_seconds=self.compute_seconds,
-            update_seconds=self.update_seconds,
-        )
-
     def _schedule(
         self,
-        metadata: dict,
+        facts: ResultFacts,
         table: PhaseTable,
-        compression_seconds: float,
+        compress_seconds: np.ndarray,
         compute_scale: float = 1.0,
         comm_scale: float = 1.0,
     ) -> ScheduleArrays:
         """Place per-bucket compress/all-gather jobs on the event timeline."""
         return simulate_iteration_arrays(
-            **self._schedule_inputs(metadata, table, compression_seconds),
+            ready_seconds=facts.ready_seconds,
+            compress_seconds=compress_seconds,
+            phase_seconds=table.seconds,
             phase_names=table.names,
+            phase_links=table.links,
+            phase_offsets=table.offsets,
+            phase_mask=table.mask,
+            compute_seconds=self.compute_seconds,
+            update_seconds=self.update_seconds,
             overlap=self.overlap,
             cross_bucket_pipeline=self.cross_bucket_pipeline,
             compute_scale=compute_scale,
             comm_scale=comm_scale,
         )
-
-    def _scaled_ops(self, result: CompressionResult):
-        if self.dimension_scale == 1.0:
-            return result.ops
-        from ..perfmodel.costs import scale_ops
-
-        return scale_ops(result.ops, self.dimension_scale)
 
 
 def compute_time_for_overhead(

@@ -44,6 +44,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -54,6 +56,10 @@ from .network import (
     NetworkModel,
     lookup_preset,
 )
+from .schedule import PhaseReductions, reduce_phases
+
+if TYPE_CHECKING:
+    from .knobs import SimulationKnobs
 
 #: Collective operations the algorithm layer knows how to price.
 COLLECTIVE_OPS: tuple[str, ...] = ("allreduce", "allgather")
@@ -387,6 +393,16 @@ class PhaseTable:
         if self.offsets is None:
             return np.cumsum(self.seconds, axis=1)[:, -1]
         return (self.offsets + self.seconds).max(axis=1)
+
+    @cached_property
+    def reductions(self) -> PhaseReductions:
+        """What every lower bound over this table reads of it, reduced once.
+
+        A memoized table serves many sweep points; each point's bound then
+        combines these with its own ready and compression times
+        (:func:`~repro.distributed.schedule.iteration_lower_bound`).
+        """
+        return reduce_phases(self.seconds, self.links, self.offsets, self.mask)
 
     @classmethod
     def from_costs(cls, costs) -> "PhaseTable":
@@ -941,6 +957,30 @@ class CollectiveModel:
         get_collective_algorithm(self.allreduce_algorithm, op="allreduce")
         get_collective_algorithm(self.allgather_algorithm, op="allgather")
         validate_pipeline_chunks(self.pipeline_chunks)
+
+    def __hash__(self) -> int:
+        # Every memoized price is keyed on the model, so its hash reads only
+        # fields that hash cheaply, not the topology's levels and links.
+        # Equal models agree on them, so the hash is consistent with equality.
+        return hash((
+            self.topology.name, self.topology.num_workers, self.allreduce_algorithm,
+            self.allgather_algorithm, self.pipeline_chunks, self.allgather_dedup,
+        ))
+
+    @classmethod
+    def from_knobs(cls, knobs: "SimulationKnobs", topology: ClusterTopology) -> "CollectiveModel":
+        """The collective model ``knobs`` describe over the resolved ``topology``.
+
+        Takes the bundle's algorithm, chunking and dedup knobs.
+        """
+        dedup = knobs.dedup_assumption
+        return cls(
+            topology=topology,
+            allreduce_algorithm=knobs.allreduce_algorithm,
+            allgather_algorithm=knobs.allgather_algorithm,
+            pipeline_chunks=knobs.pipeline_chunks,
+            allgather_dedup=None if dedup is None else SparseAggregateModel(dedup),
+        )
 
     @property
     def num_workers(self) -> int:

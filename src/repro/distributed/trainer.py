@@ -44,7 +44,7 @@ from .knobs import SimulationKnobs
 from .metrics import IterationRecord, TrainingMetrics
 from .network import CLUSTER_ETHERNET_10G, NetworkModel
 from .timeline import TimelineModel
-from .topology import ClusterTopology, get_topology
+from .topology import ClusterTopology, CollectiveModel, get_topology
 from .worker import Worker, compress_gradients, compute_gradients
 
 
@@ -219,7 +219,7 @@ class DistributedTrainer:
 
         self.timeline = TimelineModel.from_knobs(
             knobs,
-            config.resolve_topology(network),
+            CollectiveModel.from_knobs(knobs, config.resolve_topology(network)),
             compute_seconds=config.compute_seconds,
             model_dimension=flat_spec.total_size,
             dimension_scale=config.dimension_scale,

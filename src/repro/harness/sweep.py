@@ -20,11 +20,13 @@ crossed with a config grid:
   set-up but bounds the iteration time from the phase table instead of
   scheduling it, which is what the tuner prunes with.
 * :class:`SweepCache` — memoizes the expensive layers (gradients,
-  compression results, dense baselines, whole point evaluations and their
-  lower bounds, and the timeline's :class:`~repro.distributed.CollectiveCost`s and batched phase
+  compression results and their result facts, collective models, dense
+  baselines, whole point evaluations and their lower bounds, and the
+  timeline's :class:`~repro.distributed.CollectiveCost`s and batched phase
   tables keyed on the collective model plus payload and density), so
-  repeated points are priced once.  Memoized results are bit-for-bit equal
-  to memoization-off runs — every cached value is the output of a
+  repeated points are priced once and a point bounds with only its own
+  arithmetic.  Memoized results are bit-for-bit equal to
+  memoization-off runs — every cached value is the output of a
   deterministic pure function.
 * :func:`run_sweep` — evaluates every point of a spec in order, returning a
   :class:`SweepResult` of one flat record per point.  Each record carries
@@ -50,8 +52,8 @@ from ..compressors.registry import available_compressors, create_compressor
 from ..gradients.synthetic import realistic_gradient
 from ..pipeline import CompressionPipeline
 from ..distributed.knobs import KNOB_CHECKS, KNOB_FIELDS, SimulationKnobs
-from ..distributed.timeline import TimelineModel, compute_time_for_overhead
-from ..distributed.topology import ClusterTopology, get_topology
+from ..distributed.timeline import ResultFacts, TimelineModel, compute_time_for_overhead
+from ..distributed.topology import ClusterTopology, CollectiveModel, get_topology
 from .configs import get_benchmark, scale_bucket_bytes
 
 #: Every knob a sweep point carries, in canonical order: the two compression
@@ -359,6 +361,8 @@ class SweepSpec:
 
 # -- memoization ---------------------------------------------------------------
 
+_MISSING = object()
+
 
 @dataclass
 class SweepCache:
@@ -367,10 +371,25 @@ class SweepCache:
     Each layer caches one deterministic pure function of its key, so cached
     and uncached evaluation are bit-for-bit identical; ``hits``/``misses``
     decompose cache-warm vs cache-cold throughput in the sweep benchmark.
+
+    What a bound pays for follows the layers: a compression (and the
+    :class:`~repro.distributed.timeline.ResultFacts` derived from it, in
+    :attr:`facts`) once per compression key, a phase table (and its
+    :attr:`~repro.distributed.topology.PhaseTable.reductions`, cached on the
+    table) once per collective model, payloads and densities, and a point
+    only the arithmetic that combines the two.
     """
 
     gradients: dict = field(default_factory=dict)
     compressions: dict = field(default_factory=dict)
+    #: Per compression (and the timeline facts it is priced under), its
+    #: :class:`~repro.distributed.timeline.ResultFacts`: what every point
+    #: pricing or bounding that compression reads off it, derived once.
+    facts: dict = field(default_factory=dict)
+    #: One :class:`~repro.distributed.topology.CollectiveModel` per distinct
+    #: collective setting: points share it, so the phase-table memo's key
+    #: comparisons stop at identity.
+    collectives: dict = field(default_factory=dict)
     collective_costs: dict = field(default_factory=dict)
     phase_tables: dict = field(default_factory=dict)
     baselines: dict = field(default_factory=dict)
@@ -382,9 +401,10 @@ class SweepCache:
     misses: int = 0
 
     def fetch(self, store: dict, key, build: Callable):
-        if key in store:
+        value = store.get(key, _MISSING)  # one hash of the key on a hit
+        if value is not _MISSING:
             self.hits += 1
-            return store[key]
+            return value
         self.misses += 1
         value = store[key] = build()
         return value
@@ -403,6 +423,8 @@ class SweepCache:
             "points": len(self.points),
             "bounds": len(self.bounds),
             "compressions": len(self.compressions),
+            "facts": len(self.facts),
+            "collectives": len(self.collectives),
             "collective_costs": len(self.collective_costs),
             "phase_tables": len(self.phase_tables),
         }
@@ -436,26 +458,65 @@ def _proxy_gradient(workload: WorkloadSpec, cache: SweepCache | None) -> np.ndar
     return cache.fetch(cache.gradients, key, build)
 
 
-def _compress_proxy(workload: WorkloadSpec, config: Mapping, cache: SweepCache | None):
-    """Compress the workload's proxy gradient under the point's pipeline knobs.
+def _compression_key(workload: WorkloadSpec, config: Mapping) -> tuple:
+    """What the compression of the point's proxy gradient depends on."""
+    proxy_bucket = workload.proxy_bucket_bytes(config["bucket_bytes"])
+    return (workload.proxy_elements, workload.seed, config["compressor"], proxy_bucket,
+            config["ratio"])
+
+
+def _compress_proxy(workload: WorkloadSpec, key: tuple, cache: SweepCache | None):
+    """Compress the workload's proxy gradient as :func:`_compression_key` ``key`` says.
 
     A fresh compressor is built per (cache-miss) call so adaptive compressor
     state can never leak between points.
     """
-    proxy_bucket = workload.proxy_bucket_bytes(config["bucket_bytes"])
-    key = (workload.proxy_elements, workload.seed, config["compressor"], proxy_bucket,
-           config["ratio"])
+    _, _, name, proxy_bucket, ratio = key
 
     def build():
         gradient = _proxy_gradient(workload, cache)
-        compressor = create_compressor(config["compressor"])
+        compressor = create_compressor(name)
         if proxy_bucket is not None:
             compressor = CompressionPipeline(compressor, bucket_bytes=proxy_bucket)
-        return compressor.compress(gradient, config["ratio"])
+        return compressor.compress(gradient, ratio)
 
     if cache is None:
         return build()
     return cache.fetch(cache.compressions, key, build)
+
+
+def _result_facts(
+    workload: WorkloadSpec, config: Mapping, timeline: TimelineModel, cache: SweepCache | None
+) -> ResultFacts:
+    """The compressed proxy's :class:`~repro.distributed.timeline.ResultFacts` under ``timeline``.
+
+    Memoized per compression and the timeline facts they depend on (the
+    sweep prices every point on the timeline's default device).
+    """
+    key = _compression_key(workload, config)
+    build = lambda: timeline.result_facts([_compress_proxy(workload, key, cache)])  # noqa: E731
+    if cache is None:
+        return build()
+    return cache.fetch(
+        cache.facts, (*key, timeline.dimension_scale, timeline.compute_seconds), build
+    )
+
+
+def _collective(
+    knobs: SimulationKnobs, topology: ClusterTopology, config: Mapping, cache: SweepCache | None
+) -> CollectiveModel:
+    """The point's collective model, one per distinct collective setting."""
+    build = lambda: CollectiveModel.from_knobs(knobs, topology)  # noqa: E731
+    if cache is None:
+        return build()
+    key = (
+        config["topology"],
+        config["allreduce_algorithm"],
+        config["allgather_algorithm"],
+        config["pipeline_chunks"],
+        config["dedup_assumption"],
+    )
+    return cache.fetch(cache.collectives, key, build)
 
 
 def _dense_baseline_seconds(
@@ -476,15 +537,16 @@ def _dense_baseline_seconds(
 
 
 def _point_timeline(workload: WorkloadSpec, point: SweepPoint, cache: SweepCache | None):
-    """``(knobs, result, timeline)``: what pricing and bounding a point share.
+    """``(knobs, facts, timeline)``: what pricing and bounding a point share.
 
     The point's knobs validated as one
-    :class:`~repro.distributed.knobs.SimulationKnobs` bundle, its compressed
-    proxy gradient, and the timeline :meth:`TimelineModel.from_knobs
-    <repro.distributed.timeline.TimelineModel.from_knobs>` builds for them.
-    A point without a topology, or whose ``backup_workers`` would cut every
-    worker of its topology (``TrainerConfig`` rejects the same cut), raises
-    :class:`ValueError`.
+    :class:`~repro.distributed.knobs.SimulationKnobs` bundle, the timeline
+    :meth:`TimelineModel.from_knobs
+    <repro.distributed.timeline.TimelineModel.from_knobs>` builds for them,
+    and the :class:`~repro.distributed.timeline.ResultFacts` of its compressed
+    proxy gradient under that timeline.  A point without a topology, or
+    whose ``backup_workers`` would cut every worker of its topology
+    (``TrainerConfig`` rejects the same cut), raises :class:`ValueError`.
     """
     config = point.config
     knobs = SimulationKnobs(**{name: config[name] for name in KNOB_FIELDS})
@@ -496,10 +558,9 @@ def _point_timeline(workload: WorkloadSpec, point: SweepPoint, cache: SweepCache
             f"backup_workers ({knobs.backup_workers}) must leave at least one participant "
             f"out of the topology's {topology.num_workers} workers"
         )
-    result = _compress_proxy(workload, config, cache)
     timeline = TimelineModel.from_knobs(
         knobs,
-        topology,
+        _collective(knobs, topology, config, cache),
         compute_seconds=compute_time_for_overhead(
             topology.inter_node, topology.num_workers, workload.dimension, workload.comm_overhead
         ),
@@ -507,7 +568,7 @@ def _point_timeline(workload: WorkloadSpec, point: SweepPoint, cache: SweepCache
         dimension_scale=workload.dimension_scale,
         memo=None if cache is None else cache.fetch_collective,
     )
-    return knobs, result, timeline
+    return knobs, _result_facts(workload, config, timeline, cache), timeline
 
 
 def bound_point(
@@ -528,8 +589,8 @@ def bound_point(
         if bound is not None:
             cache.hits += 1
             return bound
-    knobs, result, timeline = _point_timeline(workload, point, cache)
-    bound = None if knobs.faulted else timeline.lower_bound([result])
+    knobs, facts, timeline = _point_timeline(workload, point, cache)
+    bound = None if knobs.faulted else timeline.lower_bound(facts)
     if bound is None:
         bound = -math.inf
     if cache is not None:
@@ -579,10 +640,11 @@ def evaluate_point(
         if cached is not None:
             cache.hits += 1
             return dict(cached)
-    knobs, result, timeline = _point_timeline(workload, point, cache)
+    knobs, facts, timeline = _point_timeline(workload, point, cache)
     rates = knobs.straggler_profile(timeline.num_workers).rates() if knobs.faulted else None
     policy = knobs.build_sync_policy()
-    timing, faulted = timeline.price([result], rates, policy)
+    timing, faulted = timeline.price(facts, rates, policy)
+    [result] = facts.results
     baseline = _dense_baseline_seconds(workload, point.config, timeline, cache)
     metrics = {
         "iteration_seconds": timing.total,

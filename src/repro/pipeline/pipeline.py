@@ -91,6 +91,10 @@ class CompressionPipeline(Compressor):
             )
         return BucketLayout.from_bytes(size, self.bucket_bytes, element_bytes=self.element_bytes)
 
+    def _check_finite(self, rows: np.ndarray) -> None:
+        # A pipeline's fit is its inner compressor's, over many buckets.
+        self.compressor._check_finite(rows)
+
     def compress(self, gradient: np.ndarray, ratio: float) -> CompressionResult:
         [result] = self.compress_group(self._validate(gradient, ratio)[None], ratio)
         return result
@@ -99,6 +103,7 @@ class CompressionPipeline(Compressor):
         """:meth:`Compressor.compress_group` of pipelines: one ``fit_all_buckets`` fits all rows' buckets."""
         rows = np.asarray(gradients, dtype=np.float64)
         layout = self.layout_for(self._validate(rows[0], ratio).size)
+        self._check_finite(rows)
         inners = [pipeline.compressor for pipeline in group or [self]]
         fits = fit_group(self.compressor, rows, layout, ratio, inners)
         return [self._result_from_fit(fit, layout) for fit in fits]

@@ -34,6 +34,13 @@ def _timeline(compute=0.01, workers=8, dim=1_000_000, scale=1.0, overlap="none")
     )
 
 
+def _priced(timing) -> tuple:
+    """An iteration's components and, when scheduled, its per-bucket ends, exactly."""
+    ends = None if timing.schedule is None else timing.schedule.comm_end.tolist()
+    return (timing.compute, timing.compression, timing.communication, timing.total,
+            timing.dedup_ratio, ends)
+
+
 class TestBaseline:
     def test_components_positive(self):
         timing = _timeline().baseline_iteration()
@@ -269,6 +276,35 @@ class TestOverlapPolicies:
                     assert bound == pytest.approx(total, rel=2e-9)
         unbucketed = create_compressor("topk").compress(realistic_gradient(20_000, seed=13), 0.05)
         assert timeline.lower_bound([unbucketed]) is None
+
+    def test_result_facts_price_and_bound_as_the_results_do(self):
+        timeline = _timeline(workers=2, dim=20_000, compute=0.02, scale=3.0)
+        for results in (
+            self._bucketed_results(),
+            [create_compressor("topk").compress(realistic_gradient(20_000, seed=13), 0.05)],
+        ):
+            for policy in ("none", "comm+compress"):
+                model = replace(timeline, overlap=policy)
+                facts = model.result_facts(results)
+                assert _priced(model.compressed_iteration(facts)) == _priced(
+                    model.compressed_iteration(results)
+                )
+                assert model.lower_bound(facts) == model.lower_bound(results)
+                assert model.bucket_communication_times(facts) == (
+                    model.bucket_communication_times(results)
+                )
+
+    def test_result_facts_are_rejected_by_a_timeline_with_another_basis(self):
+        timeline = _timeline(workers=2, dim=20_000, compute=0.02)
+        facts = timeline.result_facts(self._bucketed_results())
+        for other in (
+            replace(timeline, compute_seconds=0.03),
+            replace(timeline, dimension_scale=2.0),
+        ):
+            with pytest.raises(ValueError, match="derived under another"):
+                other.price(facts)
+        # The policies are not part of the basis: a replaced overlap reuses them.
+        replace(timeline, overlap="comm").price(facts)
 
     def test_overlap_policies_strictly_faster_on_multi_bucket(self):
         timeline = _timeline(workers=2, dim=20_000, compute=0.02)

@@ -1,8 +1,8 @@
 """Scheduler throughput: schedules per second of the array scheduler.
 
 Every bucketed iteration prices its buckets as one ``(bucket, phase)``
-:class:`~repro.distributed.topology.PhaseTable` and places them with
-:func:`~repro.distributed.schedule.simulate_iteration_arrays`.  This
+:class:`~repro.distributed.schedule.PhaseTable` and places them with
+``simulate_iteration_arrays(..., table=...)``.  This
 benchmark times that hot path, ``TimelineModel.schedule_iteration`` with
 precomputed compression seconds, on the 128-node ``fat-tree-128`` preset
 (1024 workers, 7 phase columns) with a ~96-bucket top-k pipeline result.

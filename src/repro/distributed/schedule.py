@@ -8,8 +8,8 @@ overstates the iteration time of every real DDP/Horovod deployment.
 
 This module replaces the closed-form sum with a small event-driven simulator,
 :func:`simulate_iteration_arrays`.  One iteration is a set of per-bucket jobs,
-given as ``(bucket,)`` ready/compress arrays plus a ``(bucket, phase)``
-collective table, scheduled on two resource lanes:
+given as ``(bucket,)`` ready/compress arrays plus one ``(bucket, phase)``
+:class:`PhaseTable` of collective phases, scheduled on two resource lanes:
 
 * the **compute lane** runs backpropagation from ``t = 0`` to
   ``compute_seconds`` and produces each bucket's gradient at its
@@ -51,7 +51,9 @@ The simulator returns the full per-bucket trace as one
 :class:`ScheduleArrays` plus the critical-path iteration time, so callers can
 report overlapped vs serialised time, the overlap efficiency and per-link
 utilisation, not just a single scalar.  :func:`iteration_lower_bound` bounds
-the same iteration from the same inputs without scheduling it.
+the same iteration from the same inputs, after the same input checks,
+without scheduling it.  Both read each bucket's communication time from one
+derivation, :attr:`PhaseTable.totals`.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,16 +115,189 @@ def validate_duration(name: str, value: float) -> float:
     return value
 
 
+def _check_times(name: str, values: np.ndarray) -> None:
+    # A NaN propagates through both reductions and fails both comparisons.
+    if not (
+        0.0 <= np.minimum.reduce(values, axis=None, initial=0.0)
+        and np.maximum.reduce(values, axis=None, initial=0.0) < math.inf
+    ):
+        raise ValueError(f"per-bucket times must be finite and non-negative ({name})")
+
+
+def _phase_label(phase) -> str:
+    """A phase's schedule name: pipelined phases carry their chunk index."""
+    return phase.name if phase.chunk is None else f"{phase.name}[c{phase.chunk}]"
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseReductions:
+    """What :func:`iteration_lower_bound` reads of a :class:`PhaseTable`.
+
+    The reductions depend on the table alone, so :attr:`PhaseTable.reductions`
+    computes them once and every bound over a memoized table reuses them.
+    """
+
+    #: (B,) per-bucket communication seconds: :attr:`PhaseTable.totals`.
+    comm: np.ndarray
+    #: ``float(comm.sum())``: the one network lane's busy seconds.
+    comm_total: float
+    #: ``(link, busy seconds, phase count)`` per link, in first-column order.
+    links: tuple[tuple[str, float, int], ...]
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseTable:
+    """One iteration's collectives: one ``(bucket, phase)`` matrix per field.
+
+    ``B`` buckets price as ``(B, P)`` matrices sharing per-column names and
+    links.  Row ``b`` is elementwise bit-identical to the scalar
+    :class:`~repro.distributed.topology.CollectiveCost` of bucket ``b``,
+    which is what keeps the scheduler's timings equal to per-bucket pricing.
+
+    Every table is placed: ``offsets`` holds each phase's start inside its
+    bucket's collective and ``mask`` the phases each row has, and a bucket's
+    communication time is its latest present phase end (:attr:`totals`).
+    :meth:`serial` builds back-to-back phases, each starting where the
+    previous column ended (the unchunked
+    :meth:`~repro.distributed.topology.CollectiveAlgorithm.allgather_table`).
+    :meth:`from_costs` packs chunk-pipelined costs, whose rows are ragged: a
+    latency-bound payload falls back to the serial phases while a large one
+    pipelines into chunk phases, so one template holds both column blocks
+    and each row fills only its own.  Absent phases must last zero seconds.
+    """
+
+    names: tuple[str, ...]
+    links: tuple[str, ...]
+    #: (B, P) per-phase durations (0.0 where a phase is absent).
+    seconds: np.ndarray
+    #: (B, P) per-phase wire volumes (0.0 where a phase is absent).
+    volumes: np.ndarray
+    #: (B,) per-bucket achieved dedup ratios.
+    dedup_ratios: np.ndarray
+    #: (B, P) phase start offsets inside each bucket's collective.
+    offsets: np.ndarray
+    #: (B, P) True where the row has the phase.
+    mask: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = self.seconds.shape
+        if len(shape) != 2 or len(self.names) != shape[1] or len(self.links) != shape[1]:
+            raise ValueError(
+                f"phase seconds must be (num_buckets, num_phases) with one name and link "
+                f"per column, got {shape} for {len(self.names)} names, {len(self.links)} links"
+            )
+        for name in ("offsets", "mask", "volumes"):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"phase {name} must match phase seconds in shape")
+        if self.mask.dtype != bool:
+            raise ValueError("the phase mask must hold bools")
+        _check_times("phase seconds", self.seconds)
+        _check_times("phase offsets", self.offsets)
+        if self.seconds[~self.mask].any():
+            raise ValueError("absent phases (mask False) must last zero seconds")
+
+    @classmethod
+    def serial(cls, names, links, seconds, volumes, dedup_ratios) -> "PhaseTable":
+        """A table of ``(B, P)`` ``seconds`` whose rows have every phase, back-to-back.
+
+        A phase starts where the previous column ended: the offsets are the
+        row's running sum, so each bucket's total is its cursor walk.
+        """
+        offsets = np.zeros_like(seconds)
+        # ``...`` lets a ``seconds`` of the wrong rank reach the shape check.
+        offsets[..., 1:] = np.cumsum(seconds[..., :-1], axis=-1)
+        return cls(
+            names, links, seconds, volumes, dedup_ratios, offsets, np.ones(seconds.shape, bool)
+        )
+
+    @classmethod
+    def from_costs(cls, costs) -> "PhaseTable":
+        """Pack per-bucket :class:`~repro.distributed.topology.CollectiveCost` objects.
+
+        Each distinct phase sequence (names and links, in order) gets one
+        contiguous block of columns the first time a cost shows it; a row
+        fills its own block, so iterating a row's present columns replays its
+        cost's phases in order.  Offsets follow the cost's cursor walk, so
+        every row's total equals its cost's bit for bit.
+        """
+        blocks: dict[tuple, int] = {}
+        names: list[str] = []
+        links: list[str] = []
+        firsts = []
+        for cost in costs:
+            signature = tuple((_phase_label(phase), phase.link) for phase in cost.phases)
+            if signature not in blocks:
+                blocks[signature] = len(names)
+                names.extend(name for name, _ in signature)
+                links.extend(link for _, link in signature)
+            firsts.append(blocks[signature])
+        shape = (len(firsts), len(names))
+        seconds, volumes, offsets = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        mask = np.zeros(shape, dtype=bool)
+        for row, (cost, first) in enumerate(zip(costs, firsts)):
+            cursor = 0.0
+            for column, phase in enumerate(cost.phases, start=first):
+                start = cursor if phase.start is None else phase.start
+                seconds[row, column] = phase.seconds
+                volumes[row, column] = phase.volume_bytes
+                offsets[row, column] = start
+                mask[row, column] = True
+                cursor = start + phase.seconds
+        return cls(
+            names=tuple(names),
+            links=tuple(links),
+            seconds=seconds,
+            volumes=volumes,
+            dedup_ratios=np.array([cost.dedup_ratio for cost in costs], dtype=float),
+            offsets=offsets,
+            mask=mask,
+        )
+
+    @cached_property
+    def totals(self) -> np.ndarray:
+        """(B,) each bucket's communication seconds: its latest present phase end.
+
+        The one derivation of a bucket's collective time, read by the
+        scheduler, the lower bound and the timeline's communication sum.
+        """
+        totals = np.where(self.mask, self.offsets + self.seconds, 0.0).max(axis=1, initial=0.0)
+        totals.flags.writeable = False
+        return totals
+
+    @cached_property
+    def reductions(self) -> PhaseReductions:
+        """What every lower bound over this table reads of it, reduced once.
+
+        A memoized table serves many sweep points; each point's bound then
+        combines these with its own ready and compression times
+        (:func:`iteration_lower_bound`).
+        """
+        busy: dict[str, float] = {}
+        phases: dict[str, int] = {}
+        columns = zip(
+            self.links,
+            self.seconds.sum(axis=0).tolist(),
+            np.count_nonzero(self.seconds, axis=0).tolist(),
+        )
+        for link, column_seconds, column_phases in columns:
+            busy[link] = busy.get(link, 0.0) + column_seconds
+            phases[link] = phases.get(link, 0) + column_phases
+        return PhaseReductions(
+            comm=self.totals,
+            comm_total=float(self.totals.sum()),
+            links=tuple((link, busy[link], phases[link]) for link in busy),
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class ScheduleArrays:
     """One simulated iteration: the scheduler's trace as NumPy arrays.
 
     Per-bucket times are ``(bucket,)`` arrays and phase placements are
     ``(bucket, phase)`` matrices, both in bucket-index order.  The ``P``
-    phase columns share one ``phase_names``/``phase_links`` template; when
-    rows are ragged (chunk-pipelined and serial collectives in one
-    iteration) ``phase_mask`` marks the phases each row has, and
-    :attr:`present` is that mask with ``None`` spelled out.
+    phase columns share one ``phase_names``/``phase_links`` template, and
+    ``present`` marks the phases each row has (its table's mask), so ragged
+    rows (chunk-pipelined and serial collectives in one iteration) share it.
     """
 
     policy: str
@@ -146,19 +322,12 @@ class ScheduleArrays:
     #: (B, P) absolute phase placements.
     phase_start: np.ndarray
     phase_end: np.ndarray
-    #: (B, P) True where the row has the phase, or ``None`` when all do.
-    phase_mask: np.ndarray | None = None
+    #: (B, P) True where bucket ``b`` has phase column ``p``.
+    present: np.ndarray
 
     @property
     def num_buckets(self) -> int:
         return len(self.ready)
-
-    @property
-    def present(self) -> np.ndarray:
-        """(B, P) bools: True where bucket ``b`` has phase column ``p``."""
-        if self.phase_mask is None:
-            return np.ones(self.phase_start.shape, dtype=bool)
-        return self.phase_mask
 
     @property
     def total_comm_seconds(self) -> float:
@@ -398,40 +567,56 @@ def _unambiguous(targets: np.ndarray, lower: float, start: float, width: float) 
     return True
 
 
-def _check_bucket_times(name: str, values: np.ndarray) -> None:
-    if not ((values >= 0.0) & (values < math.inf)).all():
-        raise ValueError(f"per-bucket times must be finite and non-negative ({name})")
+def _checked_inputs(
+    ready_seconds, compress_seconds, table: PhaseTable, compute_seconds, update_seconds,
+    overlap: str, cross_bucket_pipeline: bool,
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Check one iteration's inputs; return ``(ready, compress, compute, update)``.
+
+    :func:`simulate_iteration_arrays` and :func:`iteration_lower_bound` both
+    run these checks, so an input one rejects the other rejects too.  The
+    table checked its own arrays when it was built.
+    """
+    validate_overlap(overlap)
+    validate_cross_bucket(cross_bucket_pipeline)
+    compute_seconds = validate_duration("compute_seconds", compute_seconds)
+    update_seconds = validate_duration("update_seconds", update_seconds)
+    ready = np.asarray(ready_seconds, dtype=float)
+    if ready.ndim != 1:
+        raise ValueError(
+            f"ready_seconds must be 1-D (one time per bucket), got shape {ready.shape}"
+        )
+    compress = np.asarray(compress_seconds, dtype=float)
+    if compress.shape != ready.shape:
+        raise ValueError("compress_seconds must match ready_seconds in shape")
+    if table.seconds.shape[0] != ready.shape[0]:
+        raise ValueError(
+            f"the phase table has {table.seconds.shape[0]} rows for {ready.shape[0]} buckets"
+        )
+    _check_times("ready_seconds", ready)
+    _check_times("compress_seconds", compress)
+    return ready, compress, compute_seconds, update_seconds
 
 
 def simulate_iteration_arrays(
     *,
     ready_seconds,
     compress_seconds,
-    phase_seconds,
-    phase_names: tuple[str, ...],
-    phase_links: tuple[str, ...],
+    table: PhaseTable,
     compute_seconds: float,
     overlap: str = "none",
     update_seconds: float = 0.0,
     cross_bucket_pipeline: bool = False,
     compute_scale: float = 1.0,
     comm_scale: float = 1.0,
-    phase_offsets=None,
-    phase_mask=None,
 ) -> ScheduleArrays:
     """Schedule per-bucket compress/all-gather jobs and return the event trace.
 
-    The workload comes as arrays: ``ready_seconds`` and ``compress_seconds``
-    of shape ``(B,)`` plus a ``(B, P)`` matrix of per-phase communication
-    durations sharing one ``phase_names``/``phase_links`` template.  By
-    default the phases are serial — each starts where the previous column
-    ended, so a bucket's communication time is its row's cumulative sum.
-    ``phase_offsets`` (``(B, P)``) instead places every phase explicitly
-    inside its bucket's collective (chunk-pipelined phases on different links
-    overlap), and the bucket's communication time is its latest phase end;
-    ``phase_mask`` (``(B, P)`` bools) marks the phases each row has, so ragged
-    rows share one template (absent phases must last zero seconds).  A
-    :class:`~repro.distributed.topology.PhaseTable` carries all three.
+    The workload comes as ``ready_seconds`` and ``compress_seconds`` of
+    shape ``(B,)`` plus a :class:`PhaseTable` of ``B`` rows: every phase
+    placed at its offset inside its bucket's collective (chunk-pipelined
+    phases on different links overlap), and a bucket's communication time
+    is the table's :attr:`~PhaseTable.totals`.
 
     Buckets are processed in gradient-ready order (ties broken by index),
     which is how DDP-style stacks drain their fusion buffers — and, for
@@ -463,54 +648,14 @@ def simulate_iteration_arrays(
     unscaled durations and then scaled, like the durations themselves.  At
     the nominal ``(1.0, 1.0)`` the scaling branch is not taken at all.
     """
-    validate_overlap(overlap)
-    validate_cross_bucket(cross_bucket_pipeline)
-    compute_seconds = validate_duration("compute_seconds", compute_seconds)
-    update_seconds = validate_duration("update_seconds", update_seconds)
+    ready, compress, compute_seconds, update_seconds = _checked_inputs(
+        ready_seconds, compress_seconds, table, compute_seconds, update_seconds,
+        overlap, cross_bucket_pipeline,
+    )
     compute_scale = validate_rate("compute_scale", compute_scale)
     comm_scale = validate_rate("comm_scale", comm_scale)
-    ready = np.asarray(ready_seconds, dtype=float)
-    if ready.ndim != 1:
-        raise ValueError(
-            f"ready_seconds must be 1-D (one time per bucket), got shape {ready.shape}"
-        )
-    compress = np.asarray(compress_seconds, dtype=float)
     num_buckets = ready.shape[0]
-    phase_seconds = np.asarray(phase_seconds, dtype=float)
-    if phase_seconds.ndim != 2 or phase_seconds.shape[0] != num_buckets:
-        raise ValueError(
-            f"phase_seconds must be (num_buckets, num_phases), got {phase_seconds.shape}"
-        )
-    num_phases = phase_seconds.shape[1]
-    if len(phase_names) != num_phases or len(phase_links) != num_phases:
-        raise ValueError("phase_names and phase_links must match phase_seconds columns")
-    if compress.shape != (num_buckets,):
-        raise ValueError("compress_seconds must match ready_seconds in shape")
-    _check_bucket_times("ready_seconds", ready)
-    _check_bucket_times("compress_seconds", compress)
-    _check_bucket_times("phase_seconds", phase_seconds)
-    if phase_mask is not None:
-        phase_mask = np.asarray(phase_mask, dtype=bool)
-        if phase_mask.shape != phase_seconds.shape:
-            raise ValueError("phase_mask must match phase_seconds in shape")
-        if phase_seconds[~phase_mask].any():
-            raise ValueError("absent phases (phase_mask False) must last zero seconds")
-    if phase_offsets is not None:
-        offsets = np.asarray(phase_offsets, dtype=float)
-        if offsets.shape != phase_seconds.shape:
-            raise ValueError("phase_offsets must match phase_seconds in shape")
-        _check_bucket_times("phase_offsets", offsets)
-        comm = (offsets + phase_seconds).max(axis=1) if num_phases else np.zeros(num_buckets)
-    else:
-        # Serial phase offsets: the cursor walk is a cumulative sum, so
-        # offset[:, p] is the end of column p-1.
-        ends = np.cumsum(phase_seconds, axis=1)
-        offsets = np.zeros_like(phase_seconds)
-        if num_phases:
-            offsets[:, 1:] = ends[:, :-1]
-            comm = ends[:, -1]
-        else:
-            comm = np.zeros(num_buckets)
+    offsets, phase_seconds, comm = table.offsets, table.seconds, table.totals
     if compute_scale != 1.0 or comm_scale != 1.0:
         ready = ready * compute_scale
         compress = compress * compute_scale
@@ -550,7 +695,7 @@ def simulate_iteration_arrays(
     comm_end_list = [0.0] * num_buckets
     comm_free = 0.0
     if cross_bucket_pipeline:
-        lanes = _LinkLanes(tuple(phase_links), all_compressed + sum(comm_list))
+        lanes = _LinkLanes(table.links, all_compressed + sum(comm_list))
         link_ids = lanes.link_ids.tolist()
         layouts = [
             [
@@ -591,11 +736,11 @@ def simulate_iteration_arrays(
         compress_end=np.asarray(compress_end_list),
         comm_start=comm_start,
         comm_end=np.asarray(comm_end_list),
-        phase_names=tuple(phase_names),
-        phase_links=tuple(phase_links),
+        phase_names=table.names,
+        phase_links=table.links,
         phase_start=phase_start,
         phase_end=phase_start + phase_seconds,
-        phase_mask=phase_mask,
+        present=table.mask,
     )
 
 
@@ -609,79 +754,26 @@ LOWER_BOUND_SLACK = 1e-9
 _FIT_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseReductions:
-    """What :func:`iteration_lower_bound` reads of a ``(bucket, phase)`` table.
-
-    The reductions depend on the table alone, so a memoized
-    :class:`~repro.distributed.topology.PhaseTable` computes them once
-    (:attr:`~repro.distributed.topology.PhaseTable.reductions`) and every
-    bound over it reuses them.  Built by :func:`reduce_phases`.
-    """
-
-    #: (B,) per-bucket communication seconds: the serial row sum, or the
-    #: latest present phase end of a placed row.
-    comm: np.ndarray
-    #: ``float(comm.sum())``: the one network lane's busy seconds.
-    comm_total: float
-    #: ``(link, busy seconds, phase count)`` per link, in first-column order.
-    links: tuple[tuple[str, float, int], ...]
-
-
-def reduce_phases(
-    phase_seconds, phase_links, phase_offsets=None, phase_mask=None
-) -> PhaseReductions:
-    """The table half of :func:`iteration_lower_bound`: absent phases count for nothing."""
-    seconds = np.asarray(phase_seconds, dtype=float)
-    present = True if phase_mask is None else np.asarray(phase_mask, dtype=bool)
-    if phase_mask is not None:
-        seconds = np.where(present, seconds, 0.0)
-    if phase_offsets is None:
-        comm = seconds.sum(axis=1)
-    else:
-        comm = np.where(present, np.asarray(phase_offsets, dtype=float) + seconds, 0.0)
-        comm = comm.max(axis=1, initial=0.0)
-    busy: dict[str, float] = {}
-    phases: dict[str, int] = {}
-    columns = zip(
-        phase_links, seconds.sum(axis=0).tolist(), np.count_nonzero(seconds, axis=0).tolist()
-    )
-    for link, column_seconds, column_phases in columns:
-        busy[link] = busy.get(link, 0.0) + column_seconds
-        phases[link] = phases.get(link, 0) + column_phases
-    return PhaseReductions(
-        comm=comm,
-        comm_total=float(comm.sum()),
-        links=tuple((link, busy[link], phases[link]) for link in busy),
-    )
-
-
 def iteration_lower_bound(
     *,
     ready_seconds,
     compress_seconds,
-    phase_seconds=None,
-    phase_links: tuple[str, ...] = (),
+    table: PhaseTable,
     compute_seconds: float,
     overlap: str = "none",
     update_seconds: float = 0.0,
     cross_bucket_pipeline: bool = False,
-    phase_offsets=None,
-    phase_mask=None,
-    reductions: PhaseReductions | None = None,
 ) -> float:
     """A lower bound on :func:`simulate_iteration_arrays`'s ``iteration_seconds``.
 
-    Takes the scheduler's own inputs (nominal lane rates) and places no
-    template, so it costs a few array reductions: :func:`reduce_phases`
-    reduces the phase table, then the reductions are combined with the
-    per-bucket ready and compression times.  A caller that holds the
-    table's reductions already (a memoized
-    :class:`~repro.distributed.topology.PhaseTable` keeps its own) passes
-    ``reductions`` in place of the phase arrays and pays only the
-    combination.  The iteration ends after the update, which follows the
-    latest of the backward pass, the compression stream and the last
-    communication, and each of those is bounded from below:
+    Takes the scheduler's own inputs (nominal lane rates), runs the
+    scheduler's own input checks, and places no template: it combines the
+    table's :attr:`~PhaseTable.reductions` (computed once per table, so a
+    memoized table pays them once for every bound over it) with the
+    per-bucket ready and compression times.  The iteration ends after the
+    update, which follows the latest of the backward pass, the compression
+    stream and the last communication, and each of those is bounded from
+    below:
 
     * the backward pass is ``compute_seconds``;
     * the compression stream runs its jobs one at a time from the earliest
@@ -696,18 +788,16 @@ def iteration_lower_bound(
     * without ``cross_bucket_pipeline`` the one network lane carries whole
       collectives one at a time, so all bucket totals follow it.
 
-    With ``overlap="none"`` on the serial lane the bound is the exact flat
-    sum ``compute + sum(compress) + sum(comm) + update``.  The result is
+    With ``overlap="none"`` on the serial lane the bound is the flat sum
+    ``compute + sum(compress) + sum(comm) + update``.  The result is
     deflated by :data:`LOWER_BOUND_SLACK`, which makes it sound in floating
-    point.  Absent phases (``phase_mask`` False) count for nothing.
+    point.  Absent phases count for nothing.
     """
-    validate_overlap(overlap)
-    if (reductions is None) == (phase_seconds is None):
-        raise ValueError("pass either the phase arrays or their reductions")
-    if reductions is None:
-        reductions = reduce_phases(phase_seconds, phase_links, phase_offsets, phase_mask)
-    ready = np.asarray(ready_seconds, dtype=float)
-    compress = np.asarray(compress_seconds, dtype=float)
+    ready, compress, compute_seconds, update_seconds = _checked_inputs(
+        ready_seconds, compress_seconds, table, compute_seconds, update_seconds,
+        overlap, cross_bucket_pipeline,
+    )
+    reductions = table.reductions
     lanes = [compute_seconds]
     if len(ready):
         gate = ready if overlap == "comm+compress" else np.maximum(ready, compute_seconds)

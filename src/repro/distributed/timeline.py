@@ -19,7 +19,7 @@ simulator (:func:`~repro.distributed.schedule.simulate_iteration_arrays`),
 which overlaps bucket *i*'s all-gather with bucket *i+1*'s compression (and,
 for ``"comm+compress"``, with the tail of backpropagation) the way
 DDP/Horovod stacks actually run.  Bucketed results are priced as one
-``(bucket, phase)`` :class:`~repro.distributed.topology.PhaseTable` and
+``(bucket, phase)`` :class:`~repro.distributed.schedule.PhaseTable` and
 scheduled from it; unbucketed results price one single-payload all-gather and
 carry no schedule.  A worker pool that mixes the two, or whose results disagree
 on the bucket count, raises :class:`ValueError`.  What pricing reads off a
@@ -45,6 +45,7 @@ from .faults import FaultedIteration, FullSync, SyncPolicy, WorkerRates, price_i
 from .knobs import SimulationKnobs
 from .network import NetworkModel
 from .schedule import (
+    PhaseTable,
     ScheduleArrays,
     iteration_lower_bound,
     ready_times_from_fractions,
@@ -54,7 +55,7 @@ from .schedule import (
     validate_overlap,
     validate_rate,
 )
-from .topology import CollectiveModel, PhaseTable
+from .topology import CollectiveModel
 
 
 def _payload_densities(payload_bytes: np.ndarray, dense_elements) -> np.ndarray:
@@ -329,12 +330,12 @@ class TimelineModel:
         """A sound lower bound on the nominal ``compressed_iteration(...).total``.
 
         Simulates nothing: :func:`~repro.distributed.schedule.iteration_lower_bound`
-        over the scheduler's own inputs, given the (memoized) phase table's
-        cached :attr:`~repro.distributed.topology.PhaseTable.reductions` in
-        place of its arrays, so it only combines them with the results'
-        ready and compression times.  A bound thus pays only for what is its
-        own: given :class:`ResultFacts`, the results' facts are paid once
-        per compression, and a memoized table's reductions once per table.
+        over the scheduler's own inputs, which combines the (memoized) phase
+        table's cached :attr:`~repro.distributed.schedule.PhaseTable.reductions`
+        with the results' ready and compression times.  A bound thus pays
+        only for what is its own: given :class:`ResultFacts`, the results'
+        facts are paid once per compression, and a memoized table's
+        reductions once per table.
         ``overlap="none"`` prices the flat sum, which is the serial-lane
         schedule, so its bound is the flat sum (deflated).  Unbucketed
         results have no phase table and return ``None``.
@@ -344,7 +345,7 @@ class TimelineModel:
         if table is None:
             return None
         return iteration_lower_bound(
-            reductions=table.reductions,
+            table=table,
             ready_seconds=facts.ready_seconds,
             compress_seconds=facts.compress_seconds,
             compute_seconds=self.compute_seconds,
@@ -567,11 +568,7 @@ class TimelineModel:
         return simulate_iteration_arrays(
             ready_seconds=facts.ready_seconds,
             compress_seconds=compress_seconds,
-            phase_seconds=table.seconds,
-            phase_names=table.names,
-            phase_links=table.links,
-            phase_offsets=table.offsets,
-            phase_mask=table.mask,
+            table=table,
             compute_seconds=self.compute_seconds,
             update_seconds=self.update_seconds,
             overlap=self.overlap,

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -56,7 +55,7 @@ from .network import (
     NetworkModel,
     lookup_preset,
 )
-from .schedule import PhaseReductions, reduce_phases
+from .schedule import PhaseTable
 
 if TYPE_CHECKING:
     from .knobs import SimulationKnobs
@@ -345,109 +344,6 @@ class CollectiveCost:
         return total
 
 
-def _phase_label(phase: CollectivePhase) -> str:
-    """A phase's schedule name: pipelined phases carry their chunk index."""
-    return phase.name if phase.chunk is None else f"{phase.name}[c{phase.chunk}]"
-
-
-@dataclass(frozen=True, eq=False)
-class PhaseTable:
-    """Batched collective pricing: one (bucket, phase) matrix per field.
-
-    ``B`` buckets price as ``(B, P)`` matrices sharing per-column names and
-    links.  Row ``b`` is elementwise bit-identical to the scalar
-    :class:`CollectiveCost` of bucket ``b``, which is what keeps the array
-    scheduler's timings equal to per-bucket pricing.
-
-    Two layouts exist.  Serial tables (``offsets is None``), from
-    :meth:`CollectiveAlgorithm.allgather_table`, give every bucket the same
-    phases back-to-back in column order — trivial levels contribute no
-    phases regardless of payload, and the affine per-phase pricing ``steps *
-    (latency + payload / bandwidth)`` commutes with batching.  Placed tables, from
-    :meth:`from_costs`, carry each phase's start offset and a present-phase
-    mask instead, because chunk pipelining makes rows ragged: a latency-bound
-    payload falls back to the serial phases while a large one pipelines into
-    chunk phases, so one template holds both column blocks and each row
-    fills only its own.
-    """
-
-    names: tuple[str, ...]
-    links: tuple[str, ...]
-    #: (B, P) per-phase durations (0.0 where a phase is absent).
-    seconds: np.ndarray
-    #: (B, P) per-phase wire volumes (0.0 where a phase is absent).
-    volumes: np.ndarray
-    #: (B,) per-bucket achieved dedup ratios.
-    dedup_ratios: np.ndarray
-    #: (B, P) phase start offsets inside each bucket's collective, or ``None``
-    #: for serial rows (each phase starts where the previous column ended).
-    offsets: np.ndarray | None = None
-    #: (B, P) True where the row has the phase, or ``None`` when all do.
-    mask: np.ndarray | None = None
-
-    @property
-    def totals(self) -> np.ndarray:
-        """(B,) collective totals: the serial cursor walk, or the placed makespan."""
-        if self.seconds.shape[1] == 0:
-            return np.zeros(self.seconds.shape[0])
-        if self.offsets is None:
-            return np.cumsum(self.seconds, axis=1)[:, -1]
-        return (self.offsets + self.seconds).max(axis=1)
-
-    @cached_property
-    def reductions(self) -> PhaseReductions:
-        """What every lower bound over this table reads of it, reduced once.
-
-        A memoized table serves many sweep points; each point's bound then
-        combines these with its own ready and compression times
-        (:func:`~repro.distributed.schedule.iteration_lower_bound`).
-        """
-        return reduce_phases(self.seconds, self.links, self.offsets, self.mask)
-
-    @classmethod
-    def from_costs(cls, costs) -> "PhaseTable":
-        """Pack per-bucket :class:`CollectiveCost` objects into one placed table.
-
-        Each distinct phase sequence (names and links, in order) gets one
-        contiguous block of columns the first time a cost shows it; a row
-        fills its own block, so iterating a row's present columns replays its
-        cost's phases in order.  Offsets follow :attr:`CollectiveCost.total`'s
-        cursor walk, so every row's total equals its cost's bit for bit.
-        """
-        blocks: dict[tuple, int] = {}
-        names: list[str] = []
-        links: list[str] = []
-        firsts = []
-        for cost in costs:
-            signature = tuple((_phase_label(phase), phase.link) for phase in cost.phases)
-            if signature not in blocks:
-                blocks[signature] = len(names)
-                names.extend(name for name, _ in signature)
-                links.extend(link for _, link in signature)
-            firsts.append(blocks[signature])
-        shape = (len(firsts), len(names))
-        seconds, volumes, offsets = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-        mask = np.zeros(shape, dtype=bool)
-        for row, (cost, first) in enumerate(zip(costs, firsts)):
-            cursor = 0.0
-            for column, phase in enumerate(cost.phases, start=first):
-                start = cursor if phase.start is None else phase.start
-                seconds[row, column] = phase.seconds
-                volumes[row, column] = phase.volume_bytes
-                offsets[row, column] = start
-                mask[row, column] = True
-                cursor = start + phase.seconds
-        return cls(
-            names=tuple(names),
-            links=tuple(links),
-            seconds=seconds,
-            volumes=volumes,
-            dedup_ratios=np.array([cost.dedup_ratio for cost in costs], dtype=float),
-            offsets=offsets,
-            mask=mask,
-        )
-
-
 def _check_payload(num_bytes) -> None:
     """Raise unless the payload (a float or an array of them) is finite and >= 0."""
     if isinstance(num_bytes, np.ndarray):
@@ -678,6 +574,7 @@ class CollectiveAlgorithm:
         The same specs :meth:`cost` evaluates, with ``(B,)`` payload arrays
         in place of one float: row ``b`` is bit-identical to the scalar cost
         of bucket ``b`` — the contract the array scheduler's timings build on.
+        The phases run back-to-back (:meth:`PhaseTable.serial`).
         """
         payloads = np.asarray(payloads, dtype=float)
         _check_payload(payloads)
@@ -687,7 +584,7 @@ class CollectiveAlgorithm:
         for column, spec in enumerate(specs):
             seconds[:, column] = spec.seconds()
             volumes[:, column] = spec.volume_bytes()
-        return PhaseTable(
+        return PhaseTable.serial(
             names=tuple(spec.name for spec in specs),
             links=tuple(spec.link.name for spec in specs),
             seconds=seconds,

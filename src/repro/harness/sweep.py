@@ -375,7 +375,7 @@ class SweepCache:
     What a bound pays for follows the layers: a compression (and the
     :class:`~repro.distributed.timeline.ResultFacts` derived from it, in
     :attr:`facts`) once per compression key, a phase table (and its
-    :attr:`~repro.distributed.topology.PhaseTable.reductions`, cached on the
+    :attr:`~repro.distributed.schedule.PhaseTable.reductions`, cached on the
     table) once per collective model, payloads and densities, and a point
     only the arithmetic that combines the two.
     """

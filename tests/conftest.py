@@ -71,15 +71,17 @@ def two_fabric_schedule():
     """
     from repro.distributed import simulate_iteration_arrays
 
-    from .schedule_checks import check_schedule
+    from .schedule_checks import check_schedule, serial_table
 
     def build(cross: bool):
         schedule = simulate_iteration_arrays(
             ready_seconds=[0.3 * (3 - i) / 3 for i in range(3)],
             compress_seconds=[0.01] * 3,
-            phase_seconds=[[0.1, 0.5, 0.08]] * 3,
-            phase_names=("gather", "exchange", "broadcast"),
-            phase_links=("intra", "inter", "intra"),
+            table=serial_table(
+                [[0.1, 0.5, 0.08]] * 3,
+                ("gather", "exchange", "broadcast"),
+                ("intra", "inter", "intra"),
+            ),
             compute_seconds=0.3,
             overlap="comm",
             cross_bucket_pipeline=cross,

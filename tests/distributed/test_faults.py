@@ -38,7 +38,7 @@ from repro.distributed import (
     worker_finish_times,
 )
 from repro.nn import build_model
-from tests.schedule_checks import assert_same_schedule, check_schedule
+from tests.schedule_checks import assert_same_schedule, check_schedule, serial_table
 from tests.synthetic import make_blobs_classification
 
 
@@ -52,9 +52,9 @@ def _simulate(durations, compute=1.0, **kwargs):
     return simulate_iteration_arrays(
         ready_seconds=[compute * (n - i) / n for i in range(n)],
         compress_seconds=[c for c, _ in durations],
-        phase_seconds=[[0.25 * m, 0.75 * m] for _, m in durations],
-        phase_names=("gather", "exchange"),
-        phase_links=("intra", "inter"),
+        table=serial_table(
+            [[0.25 * m, 0.75 * m] for _, m in durations], ("gather", "exchange"), ("intra", "inter")
+        ),
         compute_seconds=compute,
         **kwargs,
     )

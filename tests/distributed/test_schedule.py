@@ -1,5 +1,6 @@
 """Tests for the event-driven iteration schedule simulator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from repro.distributed import (
     validate_overlap,
 )
 from repro.distributed.schedule import LOWER_BOUND_SLACK
-from tests.schedule_checks import assert_same_schedule, check_schedule, phase_rows, simulate_table
+from tests.schedule_checks import assert_same_schedule, check_schedule, phase_rows, serial_table
 
 
 def _reverse_ready(n, compute):
@@ -32,9 +33,9 @@ def _single_phase(durations, *, ready=None, compute=1.0, **kwargs):
     return simulate_iteration_arrays(
         ready_seconds=_reverse_ready(n, compute) if ready is None else ready,
         compress_seconds=[c for c, _ in durations],
-        phase_seconds=np.array([m for _, m in durations], dtype=float).reshape(n, 1),
-        phase_names=("allgather",),
-        phase_links=("net",),
+        table=serial_table(
+            np.array([m for _, m in durations], dtype=float).reshape(n, 1), ("allgather",), ("net",)
+        ),
         compute_seconds=compute,
         **kwargs,
     )
@@ -146,9 +147,11 @@ class TestPhases:
         return simulate_iteration_arrays(
             ready_seconds=[0.0] * num_buckets if ready is None else ready,
             compress_seconds=[0.1] * num_buckets,
-            phase_seconds=[[seconds for _, seconds in self.PHASES]] * num_buckets,
-            phase_names=tuple(name for name, _ in self.PHASES),
-            phase_links=("intra", "inter", "intra"),
+            table=serial_table(
+                [[seconds for _, seconds in self.PHASES]] * num_buckets,
+                tuple(name for name, _ in self.PHASES),
+                ("intra", "inter", "intra"),
+            ),
             compute_seconds=compute,
             overlap=overlap,
         )
@@ -167,8 +170,8 @@ class TestPhases:
     def test_phaseless_collectives_keep_empty_trace(self):
         # A one-worker collective has no phases: no communication at all.
         schedule = simulate_iteration_arrays(
-            ready_seconds=[0.0], compress_seconds=[0.1], phase_seconds=np.zeros((1, 0)),
-            phase_names=(), phase_links=(), compute_seconds=0.5, overlap="comm",
+            ready_seconds=[0.0], compress_seconds=[0.1],
+            table=serial_table(np.zeros((1, 0)), (), ()), compute_seconds=0.5, overlap="comm",
         )
         check_schedule(schedule)
         assert phase_rows(schedule) == [()]
@@ -187,10 +190,7 @@ class TestPhases:
 
     def test_negative_phase_duration_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            simulate_iteration_arrays(
-                ready_seconds=[0.0], compress_seconds=[0.0], phase_seconds=[[-0.5, 0.5]],
-                phase_names=("bad", "worse"), phase_links=("a", "a"), compute_seconds=0.0,
-            )
+            serial_table([[-0.5, 0.5]], ("bad", "worse"), ("a", "a"))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -204,20 +204,19 @@ class TestPhases:
     )
     def test_lane_consistency_with_random_phase_splits(self, policy, compute, splits):
         # Ragged serial rows share one padded template; the mask hides the
-        # padding, so each bucket shows exactly its own phases.
+        # padding, so each bucket shows exactly its own phases.  The table is
+        # the serial one with that mask in place of the all-True one.
         width = max(len(durations) for durations in splits)
         seconds = np.zeros((len(splits), width))
         mask = np.zeros((len(splits), width), dtype=bool)
         for i, durations in enumerate(splits):
             seconds[i, : len(durations)] = durations
             mask[i, : len(durations)] = True
+        table = serial_table(seconds, tuple(f"phase-{j}" for j in range(width)), ("net",) * width)
         schedule = simulate_iteration_arrays(
             ready_seconds=_reverse_ready(len(splits), compute),
             compress_seconds=[0.05] * len(splits),
-            phase_seconds=seconds,
-            phase_names=tuple(f"phase-{j}" for j in range(width)),
-            phase_links=("net",) * width,
-            phase_mask=mask,
+            table=dataclasses.replace(table, mask=mask),
             compute_seconds=compute,
             overlap=policy,
         )
@@ -249,10 +248,7 @@ class TestPlacedPhases:
         return simulate_iteration_arrays(
             ready_seconds=ready,
             compress_seconds=[0.05] * len(ready),
-            phase_seconds=[[seconds for _, seconds, _, _ in self.PLACED]] * len(ready),
-            phase_offsets=[[start for _, _, start, _ in self.PLACED]] * len(ready),
-            phase_names=tuple(name for name, _, _, _ in self.PLACED),
-            phase_links=tuple(link for _, _, _, link in self.PLACED),
+            table=PhaseTable.from_costs([_placed_cost(self.PLACED)] * len(ready)),
             compute_seconds=0.2,
             overlap="comm",
             **kwargs,
@@ -280,12 +276,9 @@ class TestPlacedPhases:
         check_schedule(self._schedule([0.2, 0.1], cross_bucket_pipeline=cross))
 
     def test_negative_start_rejected(self):
+        table = serial_table([[0.2]], ("p0",), ("a",))
         with pytest.raises(ValueError, match="non-negative"):
-            simulate_iteration_arrays(
-                ready_seconds=[0.0], compress_seconds=[0.0], phase_seconds=[[0.2]],
-                phase_offsets=[[-0.1]], phase_names=("p0",), phase_links=("a",),
-                compute_seconds=0.0,
-            )
+            dataclasses.replace(table, offsets=np.array([[-0.1]]))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -313,8 +306,8 @@ class TestPlacedPhases:
         )
         table = PhaseTable.from_costs([cost] * num_buckets)
         assert table.totals.tolist() == [cost.total] * num_buckets
-        schedule = simulate_table(
-            table,
+        schedule = simulate_iteration_arrays(
+            table=table,
             ready_seconds=_reverse_ready(num_buckets, 1.0),
             compress_seconds=[0.01] * num_buckets,
             compute_seconds=1.0,
@@ -398,12 +391,13 @@ class TestLowerBound:
         inputs = dict(
             ready_seconds=ready,
             compress_seconds=[c for c, _ in durations],
-            phase_seconds=[[m, m / 3.0] for _, m in durations],
-            phase_links=("intra", "inter"),
+            table=serial_table(
+                [[m, m / 3.0] for _, m in durations], ("gather", "exchange"), ("intra", "inter")
+            ),
             compute_seconds=compute,
             update_seconds=update,
         )
-        schedule = simulate_iteration_arrays(**inputs, phase_names=("gather", "exchange"))
+        schedule = simulate_iteration_arrays(**inputs)
         bound = iteration_lower_bound(**inputs)
         assert bound <= schedule.iteration_seconds
         assert bound == pytest.approx(schedule.iteration_seconds, rel=2 * LOWER_BOUND_SLACK)
@@ -419,8 +413,7 @@ class TestLowerBound:
         bound = iteration_lower_bound(
             ready_seconds=np.zeros(phases),
             compress_seconds=np.zeros(phases),
-            phase_seconds=np.ones((phases, 1)),
-            phase_links=("net",),
+            table=serial_table(np.ones((phases, 1)), ("allgather",), ("net",)),
             compute_seconds=0.0,
             overlap="comm+compress",
             cross_bucket_pipeline=True,
@@ -429,20 +422,52 @@ class TestLowerBound:
         assert bound <= end
 
     def test_absent_phases_count_for_nothing(self):
+        # An absent phase's offset extends nothing; an absent phase with
+        # seconds cannot be built at all.
         kwargs = dict(
             ready_seconds=[0.0, 0.0],
             compress_seconds=[0.0, 0.0],
-            phase_links=("a", "b"),
             compute_seconds=0.0,
             overlap="comm",
         )
-        masked = iteration_lower_bound(
-            phase_seconds=[[1.0, 5.0], [1.0, 0.0]],
-            phase_offsets=[[0.0, 9.0], [0.0, 0.0]],
-            phase_mask=[[True, False], [True, True]],
-            **kwargs,
+        serial = serial_table([[1.0, 0.0], [1.0, 0.0]], ("p", "q"), ("a", "b"))
+        masked = dataclasses.replace(
+            serial,
+            offsets=np.array([[0.0, 9.0], [0.0, 0.0]]),
+            mask=np.array([[True, False], [True, True]]),
         )
-        assert masked == iteration_lower_bound(phase_seconds=[[1.0, 0.0], [1.0, 0.0]], **kwargs)
+        assert masked.totals.tolist() == serial.totals.tolist() == [1.0, 1.0]
+        assert iteration_lower_bound(table=masked, **kwargs) == iteration_lower_bound(
+            table=serial, **kwargs
+        )
+        with pytest.raises(ValueError, match="zero seconds"):
+            dataclasses.replace(masked, seconds=np.array([[1.0, 5.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"compute_seconds": math.nan},
+            {"update_seconds": -5.0},
+            {"compress_seconds": [0.1, math.nan]},
+            {"ready_seconds": [0.0]},
+        ],
+        ids=["nan-compute", "negative-update", "nan-compression", "one-ready-two-buckets"],
+    )
+    def test_bad_inputs_raise_like_the_scheduler(self, bad):
+        # The bound runs the scheduler's own checks: before, it returned
+        # nan, a negative time, or a silently broadcast number here.
+        inputs = dict(
+            ready_seconds=[0.0, 0.0],
+            compress_seconds=[0.1, 0.1],
+            table=serial_table([[0.3], [0.3]], ("allgather",), ("net",)),
+            compute_seconds=1.0,
+            overlap="comm",
+        )
+        inputs.update(bad)
+        with pytest.raises(ValueError):
+            simulate_iteration_arrays(**inputs)
+        with pytest.raises(ValueError):
+            iteration_lower_bound(**inputs)
 
 
 class TestCrossBucketPipeline:
@@ -454,9 +479,9 @@ class TestCrossBucketPipeline:
         return simulate_iteration_arrays(
             ready_seconds=_reverse_ready(n, compute),
             compress_seconds=[0.02] * n,
-            phase_seconds=[[0.1, 0.5, 0.08]] * n,
-            phase_names=("gather", "exchange", "broadcast"),
-            phase_links=("a", "b", "a"),
+            table=serial_table(
+                [[0.1, 0.5, 0.08]] * n, ("gather", "exchange", "broadcast"), ("a", "b", "a")
+            ),
             compute_seconds=compute,
             overlap=overlap,
             cross_bucket_pipeline=cross,
@@ -546,8 +571,8 @@ def _linked_workloads(draw):
 
 def _run_linked(workload, policy, cross):
     table, costs, compress, compute, update = workload
-    return simulate_table(
-        table,
+    return simulate_iteration_arrays(
+        table=table,
         ready_seconds=_reverse_ready(len(costs), compute),
         compress_seconds=compress,
         compute_seconds=compute,
@@ -601,8 +626,8 @@ class TestCrossBucketInvariants:
             _placed_cost([("a", 0.5, 0.0, "intra"), ("b", 0.25, 0.5, "intra"),
                           ("tiny", 2.6597885605377292e-155, 0.75, "bus")]),
         ])
-        schedule = simulate_table(
-            table,
+        schedule = simulate_iteration_arrays(
+            table=table,
             ready_seconds=[0.5, 0.125],
             compress_seconds=[0.0, 0.07625499513491063],
             compute_seconds=0.5,
@@ -642,8 +667,8 @@ class TestCrossBucketInvariants:
             compute_seconds=1.0,
             overlap=policy,
         )
-        serial = simulate_table(table, **kwargs)
-        cross = simulate_table(table, cross_bucket_pipeline=True, **kwargs)
+        serial = simulate_iteration_arrays(table=table, **kwargs)
+        cross = simulate_iteration_arrays(table=table, cross_bucket_pipeline=True, **kwargs)
         check_schedule(serial)
         check_schedule(cross)
         assert cross.iteration_seconds <= serial.iteration_seconds + 1e-9
@@ -668,8 +693,8 @@ class TestLinkUtilization:
 
     def test_unnamed_link_reported_under_empty_key(self):
         schedule = simulate_iteration_arrays(
-            ready_seconds=[0.0], compress_seconds=[0.0], phase_seconds=[[0.4]],
-            phase_names=("allgather",), phase_links=("",), compute_seconds=0.1, overlap="comm",
+            ready_seconds=[0.0], compress_seconds=[0.0],
+            table=serial_table([[0.4]], ("allgather",), ("",)), compute_seconds=0.1, overlap="comm",
         )
         util = schedule.link_utilization()
         assert set(util) == {""}
@@ -683,8 +708,8 @@ class TestLinkUtilization:
         # sentinel that leaks inf/NaN into utilizations — the contract is an
         # empty dict, same as a schedule with no buckets.
         schedule = simulate_iteration_arrays(
-            ready_seconds=[0.0] * 3, compress_seconds=[0.1] * 3, phase_seconds=np.zeros((3, 0)),
-            phase_names=(), phase_links=(), compute_seconds=0.1, overlap="comm",
+            ready_seconds=[0.0] * 3, compress_seconds=[0.1] * 3,
+            table=serial_table(np.zeros((3, 0)), (), ()), compute_seconds=0.1, overlap="comm",
             cross_bucket_pipeline=cross,
         )
         assert schedule.link_utilization() == {}
@@ -726,8 +751,8 @@ class TestPr4GoldenSchedules:
             pipeline_chunks=chunks,
         )
         n = len(self.PAYLOADS)
-        schedule = simulate_table(
-            model.allgather_phase_table(self.PAYLOADS, [None] * n),
+        schedule = simulate_iteration_arrays(
+            table=model.allgather_phase_table(self.PAYLOADS, [None] * n),
             ready_seconds=_reverse_ready(n, self.COMPUTE),
             compress_seconds=[0.001 * (i + 1) for i in range(n)],
             compute_seconds=self.COMPUTE,

@@ -8,6 +8,7 @@ the two paths where its arithmetic differed from, or bypassed, the batched
 core: ragged chunk-pipelined collectives and non-nominal lane rates.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from repro.distributed import (
 from repro.gradients import realistic_gradient
 from repro.perfmodel import GPU_V100
 from repro.pipeline import CompressionPipeline
-from tests.schedule_checks import assert_same_schedule, check_schedule, phase_rows
+from tests.schedule_checks import assert_same_schedule, check_schedule, phase_rows, serial_table
 
 ALL_PRESETS = sorted(TOPOLOGIES)
 
@@ -404,15 +405,18 @@ class TestInvariantsAcrossPresets:
             assert timing.total == timing.schedule.iteration_seconds
             assert timing.schedule.serialized_seconds == pytest.approx(timing.serialized)
 
+    @pytest.mark.parametrize("preset", ["fat-tree-128", "dragonfly-64"])
     @pytest.mark.parametrize("algorithm", ["flat-allgather", "recursive-doubling", "hierarchical"])
     @pytest.mark.parametrize("dedup", [None, "uniform"])
     @pytest.mark.parametrize("pipeline_chunks", [1, 4])
     def test_table_rows_equal_per_bucket_costs(
-        self, algorithm, dedup, pipeline_chunks, bucketed_results
+        self, preset, algorithm, dedup, pipeline_chunks, bucketed_results
     ):
-        # Row b of the priced table is bucket b's CollectiveCost, bit for bit.
+        # Row b of the priced table is bucket b's CollectiveCost, bit for bit,
+        # and the table, its reductions and the schedule agree on each
+        # bucket's communication time.
         timeline = _timeline(
-            "fat-tree-128", algorithm=algorithm, dedup=dedup, pipeline_chunks=pipeline_chunks
+            preset, algorithm=algorithm, dedup=dedup, pipeline_chunks=pipeline_chunks
         )
         metadata = bucketed_results[0].metadata
         payloads = [
@@ -424,8 +428,29 @@ class TestInvariantsAcrossPresets:
             timeline.collective.allgather_cost(p * 50.0, density=d)
             for p, d in zip(payloads, densities)
         ]
-        assert timeline.bucket_communication_times(bucketed_results) == [c.total for c in costs]
-        check_schedule(timeline.schedule_iteration(bucketed_results))
+        times = timeline.bucket_communication_times(bucketed_results)
+        assert times == [c.total for c in costs]
+        schedule = check_schedule(timeline.schedule_iteration(bucketed_results))
+        assert schedule.comm_end.tolist() == (schedule.comm_start + times).tolist()
+        # 64 random payloads: with 8 or more serial phases a row sum pairs its
+        # terms and the cursor walk does not, so a second derivation of the
+        # bucket times would disagree with the table here.
+        payloads = np.random.default_rng(0).random(64) * 1e6
+        table = timeline.collective.allgather_phase_table(payloads, [None] * 64)
+        assert table.totals.tolist() == [
+            timeline.collective.allgather_cost(p).total for p in payloads.tolist()
+        ]
+        assert table.reductions.comm.tolist() == table.totals.tolist()
+        for cross_bucket in (False, True):
+            schedule = simulate_iteration_arrays(
+                ready_seconds=np.linspace(0.005, 0.0, 64),
+                compress_seconds=np.full(64, 1e-4),
+                table=table,
+                compute_seconds=0.005,
+                overlap="comm+compress",
+                cross_bucket_pipeline=cross_bucket,
+            )
+            assert schedule.comm_end.tolist() == (schedule.comm_start + table.totals).tolist()
 
 
 class TestScheduleArraysSurface:
@@ -435,7 +460,7 @@ class TestScheduleArraysSurface:
         timeline = _timeline("ethernet-4x8")
         arrays = timeline.schedule_iteration(bucketed_results)
         assert arrays.num_buckets == bucketed_results[0].metadata["num_buckets"]
-        assert arrays.phase_mask is None and arrays.present.all()
+        assert arrays.present.all()
         comm = timeline.bucket_communication_times(bucketed_results)
         assert arrays.total_comm_seconds == pytest.approx(sum(comm))
         assert (arrays.compress_end - arrays.compress_start).sum() > 0.0
@@ -459,8 +484,7 @@ class TestChunkedAndUnbucketed:
         timeline = _timeline("ethernet-4x8", pipeline_chunks=4, dimension_scale=100.0)
         schedule = timeline.schedule_iteration(_results(36_000))
         assert isinstance(schedule, ScheduleArrays)
-        assert schedule.phase_mask is not None
-        assert schedule.phase_mask.sum(axis=1).tolist() == [12, 12, 3]
+        assert schedule.present.sum(axis=1).tolist() == [12, 12, 3]
 
     def test_unbucketed_results_price_one_payload_without_schedule(self):
         gradient = realistic_gradient(5_000, seed=7)
@@ -514,13 +538,16 @@ class TestScheduleIterationErrors:
 
 
 class TestSimulateIterationArraysValidation:
+    SECONDS = [[0.1, 0.2], [0.1, 0.2]]
+
+    def _table(self, seconds=SECONDS, names=("gather", "broadcast")):
+        return serial_table(seconds, names, ("intra", "inter"))
+
     def _valid_kwargs(self):
         return dict(
             ready_seconds=[0.1, 0.2],
             compress_seconds=[0.01, 0.01],
-            phase_seconds=[[0.1, 0.2], [0.1, 0.2]],
-            phase_names=("gather", "broadcast"),
-            phase_links=("intra", "inter"),
+            table=self._table(),
             compute_seconds=0.3,
             overlap="comm",
         )
@@ -542,15 +569,15 @@ class TestSimulateIterationArraysValidation:
 
     def test_phase_matrix_shape_enforced(self):
         kwargs = self._valid_kwargs()
-        kwargs["phase_seconds"] = [[0.1, 0.2]]  # one row for two buckets
-        with pytest.raises(ValueError, match="num_buckets, num_phases"):
+        kwargs["table"] = self._table([[0.1, 0.2]])  # one row for two buckets
+        with pytest.raises(ValueError, match="1 rows for 2 buckets"):
             simulate_iteration_arrays(**kwargs)
+        with pytest.raises(ValueError, match="num_buckets, num_phases"):
+            self._table([0.1, 0.2])
 
     def test_phase_template_length_enforced(self):
-        kwargs = self._valid_kwargs()
-        kwargs["phase_names"] = ("gather",)
-        with pytest.raises(ValueError, match="phase_names and phase_links"):
-            simulate_iteration_arrays(**kwargs)
+        with pytest.raises(ValueError, match="one name and link per column"):
+            self._table(names=("gather",))
 
     def test_compress_shape_enforced(self):
         kwargs = self._valid_kwargs()
@@ -559,16 +586,14 @@ class TestSimulateIterationArraysValidation:
             simulate_iteration_arrays(**kwargs)
 
     def test_offsets_and_mask_shapes_enforced(self):
-        with pytest.raises(ValueError, match="phase_offsets"):
-            simulate_iteration_arrays(**self._valid_kwargs(), phase_offsets=[[0.0, 0.1]])
-        with pytest.raises(ValueError, match="phase_mask"):
-            simulate_iteration_arrays(**self._valid_kwargs(), phase_mask=[[True, True]])
+        with pytest.raises(ValueError, match="offsets"):
+            dataclasses.replace(self._table(), offsets=np.array([[0.0, 0.1]]))
+        with pytest.raises(ValueError, match="mask"):
+            dataclasses.replace(self._table(), mask=np.array([[True, True]]))
 
     def test_absent_phases_must_be_empty(self):
         with pytest.raises(ValueError, match="zero seconds"):
-            simulate_iteration_arrays(
-                **self._valid_kwargs(), phase_mask=[[True, False], [True, True]]
-            )
+            dataclasses.replace(self._table(), mask=np.array([[True, False], [True, True]]))
 
     def test_negative_times_rejected(self):
         kwargs = self._valid_kwargs()
@@ -588,22 +613,25 @@ class TestSimulateIterationArraysValidation:
         for field, value in (
             ("ready_seconds", [bad, 0.2]),
             ("compress_seconds", [0.01, bad]),
-            ("phase_seconds", [[0.1, bad], [0.1, 0.2]]),
         ):
             with pytest.raises(ValueError, match="finite"):
                 simulate_iteration_arrays(**{**self._valid_kwargs(), field: value})
         with pytest.raises(ValueError, match="finite"):
-            simulate_iteration_arrays(**self._valid_kwargs(), phase_offsets=[[0.0, bad]] * 2)
+            self._table([[0.1, bad], [0.1, 0.2]])
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(self._table(), offsets=np.array([[0.0, bad]] * 2))
 
     @pytest.mark.parametrize("cross_bucket", [False, True])
     @pytest.mark.parametrize("comm_scale", [1.0, 1.7])
     def test_serial_offsets_given_explicitly_change_nothing(self, cross_bucket, comm_scale):
-        # Offsets equal to the serial cursor walk reproduce the default path.
+        # Offsets equal to the serial cursor walk reproduce the serial table.
         kwargs = dict(self._valid_kwargs(), cross_bucket_pipeline=cross_bucket,
                       comm_scale=comm_scale)
-        seconds = np.asarray(kwargs["phase_seconds"])
-        offsets = np.zeros_like(seconds)
-        offsets[:, 1:] = np.cumsum(seconds, axis=1)[:, :-1]
-        implicit = simulate_iteration_arrays(**kwargs)
-        explicit = simulate_iteration_arrays(**kwargs, phase_offsets=offsets)
-        assert_same_schedule(explicit, implicit)
+        table = kwargs.pop("table")
+        offsets = np.zeros_like(table.seconds)
+        offsets[:, 1:] = np.cumsum(table.seconds, axis=1)[:, :-1]
+        serial = simulate_iteration_arrays(table=table, **kwargs)
+        explicit = simulate_iteration_arrays(
+            table=dataclasses.replace(table, offsets=offsets), **kwargs
+        )
+        assert_same_schedule(explicit, serial)

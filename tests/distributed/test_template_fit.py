@@ -27,7 +27,7 @@ from repro.distributed import (
 )
 from repro.harness.sweep import SweepCache, SweepSpec, WorkloadSpec, run_sweep
 from tests.distributed.template_fit_reference import _earliest_template_fit as reference_fit
-from tests.schedule_checks import check_schedule, simulate_table
+from tests.schedule_checks import check_schedule, serial_table
 
 #: Durations whose sums round: serial offsets built from them land a phase's
 #: end on a committed start within an ulp or two, the abutting case.
@@ -239,8 +239,8 @@ class TestTemplateFitOracle:
             _cost([("a", 0.5, 0.0, "intra"), ("b", 0.25, 0.5, "intra"),
                    ("tiny", 2.6597885605377292e-155, 0.75, "bus")]),
         ])
-        simulate_table(
-            table,
+        schedule.simulate_iteration_arrays(
+            table=table,
             ready_seconds=[0.5, 0.125],
             compress_seconds=[0.0, 0.07625499513491063],
             compute_seconds=0.5,
@@ -347,8 +347,10 @@ class TestCrossBucketNeverLater:
             overlap=policy,
             comm_scale=comm_scale,
         )
-        serial = check_schedule(simulate_table(table, **kwargs))
-        cross = check_schedule(simulate_table(table, cross_bucket_pipeline=True, **kwargs))
+        serial = check_schedule(schedule.simulate_iteration_arrays(table=table, **kwargs))
+        cross = check_schedule(
+            schedule.simulate_iteration_arrays(table=table, cross_bucket_pipeline=True, **kwargs)
+        )
         # Rigid sliding never starts a bucket after the serial lane would.
         # A committed phase ends at (start + offset) + seconds, rounded apart
         # from the bucket's start + total, so the lanes may differ by ulps.
@@ -365,9 +367,7 @@ def test_schedules_with_shadowed_lanes_are_unchanged(monkeypatch, policy):
     kwargs = dict(
         ready_seconds=np.linspace(1.0, 0.0, 24),
         compress_seconds=np.full(24, 0.01),
-        phase_seconds=seconds,
-        phase_names=("a0", "b0", "a1", "b1"),
-        phase_links=("a", "b", "a", "b"),
+        table=serial_table(seconds, ("a0", "b0", "a1", "b1"), ("a", "b", "a", "b")),
         compute_seconds=1.0,
         overlap=policy,
         cross_bucket_pipeline=True,

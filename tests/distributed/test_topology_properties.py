@@ -30,8 +30,9 @@ from repro.distributed import (
     PhaseTable,
     SparseAggregateModel,
     get_topology,
+    simulate_iteration_arrays,
 )
-from tests.schedule_checks import check_schedule, simulate_table
+from tests.schedule_checks import check_schedule
 
 ALGORITHM_OPS = [
     (name, op)
@@ -293,8 +294,8 @@ class TestPipeliningInvariants:
         assert set(by_chunk) == set(range(chunks))
         assert all(s == pytest.approx(sums[0], rel=1e-9, abs=1e-15) for s in sums)
         # One link never carries two chunks' phases at once.
-        check_schedule(simulate_table(
-            PhaseTable.from_costs([piped]),
+        check_schedule(simulate_iteration_arrays(
+            table=PhaseTable.from_costs([piped]),
             ready_seconds=[0.0], compress_seconds=[0.0], compute_seconds=0.0, overlap="comm",
         ))
 
@@ -477,8 +478,8 @@ class TestMultiLevelPresets:
             assert table.links == tuple(p.link for p in cost.phases)
         num_buckets = len(payload_list)
         for cross_bucket in (False, True):
-            check_schedule(simulate_table(
-                table,
+            check_schedule(simulate_iteration_arrays(
+                table=table,
                 ready_seconds=[0.01 * (num_buckets - b) for b in range(num_buckets)],
                 compress_seconds=[0.001] * num_buckets,
                 compute_seconds=0.01 * num_buckets,

@@ -18,11 +18,12 @@ The same cold query also checks what a bound pays for: a compression's
 result facts are derived once, and a phase table is reduced once.
 """
 
+import functools
 import itertools
 
 import pytest
 
-from repro.distributed import timeline, topology
+from repro.distributed import schedule, timeline
 from repro.harness import SweepCache, SweepPoint, WorkloadSpec, autotune, bound_point
 
 MiB = 2**20
@@ -413,18 +414,20 @@ def test_cold_query_trace_matches_golden_exactly(memoized):
 def test_cold_query_derives_each_compressions_facts_and_reduces_each_table_once(monkeypatch):
     counts = {"facts": 0, "reductions": 0}
     result_facts = timeline.TimelineModel.result_facts
-    reduce_phases = topology.reduce_phases
+    reductions = schedule.PhaseTable.reductions.func
 
     def counted_result_facts(self, worker_results):
         counts["facts"] += 1
         return result_facts(self, worker_results)
 
-    def counted_reduce_phases(*args):
+    def counted_reductions(self):
         counts["reductions"] += 1
-        return reduce_phases(*args)
+        return reductions(self)
 
+    counted = functools.cached_property(counted_reductions)
+    counted.__set_name__(schedule.PhaseTable, "reductions")
     monkeypatch.setattr(timeline.TimelineModel, "result_facts", counted_result_facts)
-    monkeypatch.setattr(topology, "reduce_phases", counted_reduce_phases)
+    monkeypatch.setattr(schedule.PhaseTable, "reductions", counted)
     cache = SweepCache()
     cold = _cold_query(cache=cache)
     # 78 bounded points share 24 compressions (12 DGC, 6 Top-k, 6 SIDCo)

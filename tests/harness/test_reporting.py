@@ -172,15 +172,17 @@ class TestLinkUtilizationReport:
     def _schedule(self, phase_seconds, links):
         from repro.distributed import simulate_iteration_arrays
 
-        from tests.schedule_checks import check_schedule
+        from tests.schedule_checks import check_schedule, serial_table
 
         num_buckets = len(phase_seconds)
         schedule = simulate_iteration_arrays(
             ready_seconds=[0.0] * num_buckets,
             compress_seconds=[0.0] * num_buckets,
-            phase_seconds=np.reshape(phase_seconds, (num_buckets, len(links))),
-            phase_names=tuple(f"phase-{j}" for j in range(len(links))),
-            phase_links=links,
+            table=serial_table(
+                np.reshape(phase_seconds, (num_buckets, len(links))),
+                tuple(f"phase-{j}" for j in range(len(links))),
+                links,
+            ),
             compute_seconds=0.1,
             overlap="comm",
         )

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributed import iteration_lower_bound, simulate_iteration_arrays
+from repro.distributed import PhaseTable, iteration_lower_bound
 
 #: Relative slack for comparisons that mix differently associated float sums.
 TOLERANCE = 1e-9
@@ -24,6 +24,32 @@ def _assert_disjoint(spans, what: str) -> None:
         assert b_start >= a_end - _slack(a_end), (
             f"{what}: [{a_start!r}, {a_end!r}] overlaps [{b_start!r}, {b_end!r}]"
         )
+
+
+def serial_table(seconds, names, links) -> PhaseTable:
+    """A :meth:`~repro.distributed.PhaseTable.serial` table of bare durations.
+
+    For tests that schedule hand-written ``(bucket, phase)`` durations: no
+    wire volumes, no dedup.
+    """
+    seconds = np.asarray(seconds, dtype=float)
+    return PhaseTable.serial(
+        names, links, seconds, np.zeros(seconds.shape), np.ones(seconds.shape[0])
+    )
+
+
+def schedule_table(schedule) -> PhaseTable:
+    """The placed table of ``schedule``'s own phase durations and offsets."""
+    present = schedule.present
+    return PhaseTable(
+        names=schedule.phase_names,
+        links=schedule.phase_links,
+        seconds=np.where(present, schedule.phase_end - schedule.phase_start, 0.0),
+        volumes=np.zeros(present.shape),
+        dedup_ratios=np.ones(present.shape[0]),
+        offsets=np.where(present, schedule.phase_start - schedule.comm_start[:, None], 0.0),
+        mask=present,
+    )
 
 
 def check_schedule(schedule):
@@ -42,8 +68,8 @@ def check_schedule(schedule):
     * ``iteration_seconds`` equals the latest lane end (compute, compression
       stream, network) plus the update, exactly;
     * :func:`~repro.distributed.iteration_lower_bound`, fed the schedule's
-      own durations, does not exceed ``iteration_seconds`` (the bound the
-      tuner prunes with is sound).
+      own durations as a table (:func:`schedule_table`), does not exceed
+      ``iteration_seconds`` (the bound the tuner prunes with is sound).
     """
     ready = schedule.ready.tolist()
     compress_start = schedule.compress_start.tolist()
@@ -78,14 +104,10 @@ def check_schedule(schedule):
         assert min(comm_start) >= max(compress_end)
     lane_end = max([schedule.compute_seconds] + compress_end + comm_end)
     assert schedule.iteration_seconds == lane_end + schedule.update_seconds
-    present = schedule.present
     bound = iteration_lower_bound(
         ready_seconds=schedule.ready,
         compress_seconds=schedule.compress_end - schedule.compress_start,
-        phase_seconds=np.where(present, schedule.phase_end - schedule.phase_start, 0.0),
-        phase_links=schedule.phase_links,
-        phase_offsets=np.where(present, schedule.phase_start - schedule.comm_start[:, None], 0.0),
-        phase_mask=schedule.phase_mask,
+        table=schedule_table(schedule),
         compute_seconds=schedule.compute_seconds,
         overlap=schedule.policy,
         update_seconds=schedule.update_seconds,
@@ -110,7 +132,7 @@ def phase_rows(schedule) -> list[tuple[tuple[str, float, float, str], ...]]:
 
 _SCHEDULE_ARRAYS = (
     "ready", "compress_start", "compress_end", "comm_start", "comm_end",
-    "phase_start", "phase_end",
+    "phase_start", "phase_end", "present",
 )
 _SCHEDULE_SCALARS = (
     "policy", "compute_seconds", "update_seconds", "iteration_seconds",
@@ -121,28 +143,11 @@ _SCHEDULE_SCALARS = (
 def assert_same_schedule(a, b) -> None:
     """Assert two :class:`~repro.distributed.ScheduleArrays` match exactly.
 
-    Scalars and the phase template compare with ``==``; every array compares
-    with :func:`numpy.array_equal` (shape and every element), and
-    ``phase_mask`` must be ``None`` on both sides or equal.
+    Scalars and the phase template compare with ``==``; every array,
+    ``present`` included, compares with :func:`numpy.array_equal` (shape and
+    every element).
     """
     for name in _SCHEDULE_SCALARS:
         assert getattr(a, name) == getattr(b, name), name
     for name in _SCHEDULE_ARRAYS:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert (a.phase_mask is None) == (b.phase_mask is None), "phase_mask"
-    if a.phase_mask is not None:
-        assert np.array_equal(a.phase_mask, b.phase_mask), "phase_mask"
-
-
-def simulate_table(table, *, ready_seconds, compress_seconds, **kwargs):
-    """Schedule a :class:`~repro.distributed.PhaseTable`'s buckets directly."""
-    return simulate_iteration_arrays(
-        ready_seconds=ready_seconds,
-        compress_seconds=compress_seconds,
-        phase_seconds=table.seconds,
-        phase_names=table.names,
-        phase_links=table.links,
-        phase_offsets=table.offsets,
-        phase_mask=table.mask,
-        **kwargs,
-    )

@@ -219,6 +219,17 @@ class TestPublicAPI:
         assert not removed & exported
         assert not [name for name in removed if hasattr(repro.distributed, name)]
 
+    def test_phase_table_is_the_schedulers_one_input_format(self):
+        # One table class, exported by the scheduler and by the collective
+        # layer that builds it; its reductions replace ``reduce_phases``.
+        import repro.distributed
+        from repro.distributed import schedule, topology
+
+        assert schedule.PhaseTable is topology.PhaseTable is repro.distributed.PhaseTable
+        for module in (schedule, topology, repro.distributed):
+            assert not hasattr(module, "reduce_phases")
+        assert "reduce_phases" not in repro.distributed.__all__
+
     def test_fault_and_knob_surfaces_exposed(self):
         from repro.distributed import (
             SYNC_POLICIES,

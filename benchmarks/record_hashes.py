@@ -1,4 +1,4 @@
-"""Fingerprint eleven trainer runs, so two trees can be checked bit for bit.
+"""Fingerprint twelve trainer runs, so two trees can be checked bit for bit.
 
 Each run trains one proxy through ``DistributedTrainer`` and is reduced to the
 sha256 of ``repr(metrics.records) + repr(final_evaluation)``.  Running this
@@ -7,13 +7,15 @@ every record and final evaluation exactly.  The hashes are not pinned
 anywhere: GEMM bits differ across CPUs, so only two trees run on the same
 machine can be compared.
 
-The eleven runs cover SIDCo (bucketed and unbucketed, exponential and
+The twelve runs cover SIDCo (bucketed and unbucketed, exponential and
 generalized Pareto), DGC, Top-k and the dense baseline; both LSTM proxies, the
 VGG proxy (conv and max pool) and the ResNet proxy (residual blocks and
 global average pooling); the clean path, a straggler with backup workers, warm-up
-iterations, ragged shards (every group size from 1 to 8) and worker churn::
+iterations, ragged shards (every group size from 1 to 8) and worker churn; and
+an unbucketed pool priced under an overlap policy, sparse dedup and
+cross-bucket lanes (its one-bucket schedule)::
 
-    PYTHONPATH=src python benchmarks/record_hashes.py            # all eleven
+    PYTHONPATH=src python benchmarks/record_hashes.py            # all twelve
     PYTHONPATH=src python benchmarks/record_hashes.py --only lstm-ptb-dgc
 """
 
@@ -45,6 +47,12 @@ CNN_KNOBS = SimulationKnobs(
 RESNET_KNOBS = SimulationKnobs(bucket_bytes=MiB, overlap="comm+compress")
 STRAGGLER_KNOBS = SimulationKnobs(
     topology="torus-2d", straggler_severity=2.0, sync_policy="backup-workers", backup_workers=1,
+)
+#: No buckets, but every knob the one-bucket schedule reads: an overlap
+#: policy, hierarchical dedup, chunk pipelining and cross-bucket lanes.
+UNBUCKETED_KNOBS = SimulationKnobs(
+    overlap="comm+compress", topology="ethernet-4x8", allgather_algorithm="hierarchical",
+    dedup_assumption="uniform", cross_bucket_pipeline=True, pipeline_chunks=4,
 )
 
 
@@ -85,6 +93,7 @@ RUNS = {
     "lstm-ptb-none-ragged": _ragged_run("lstm-ptb", "none", churn=False, warmup_iterations=0),
     # Unbucketed SIDCo-p over 8 workers: one grouped one-bucket fit per iteration.
     "lstm-ptb-sidco-p": _benchmark_run("lstm-ptb", "sidco-p", 0.01, seed=4),
+    "lstm-ptb-topk-unbucketed": _benchmark_run("lstm-ptb", "topk", 0.01, seed=5, knobs=UNBUCKETED_KNOBS),
 }
 
 

@@ -18,14 +18,15 @@ closed-form sum survives as ``overlap="none"``; with ``"comm"`` or
 simulator (:func:`~repro.distributed.schedule.simulate_iteration_arrays`),
 which overlaps bucket *i*'s all-gather with bucket *i+1*'s compression (and,
 for ``"comm+compress"``, with the tail of backpropagation) the way
-DDP/Horovod stacks actually run.  Bucketed results are priced as one
+DDP/Horovod stacks actually run.  Every pool is priced as one
 ``(bucket, phase)`` :class:`~repro.distributed.schedule.PhaseTable` and
-scheduled from it; unbucketed results price one single-payload all-gather and
-carry no schedule.  A worker pool that mixes the two, or whose results disagree
-on the bucket count, raises :class:`ValueError`.  What pricing reads off a
-pool's results (per-bucket payloads and densities, ready and compression
-times) is derived once, as :class:`ResultFacts`, which every pricing method
-also accepts in place of the results.
+scheduled from it: an unbucketed pool is the one-bucket case, ready at the end
+of the backward pass.  A worker pool that mixes bucketed and unbucketed
+results, or whose results disagree on the bucket count, raises
+:class:`ValueError`.  What pricing reads off a pool's results (per-bucket
+payloads and densities, ready and compression times) is derived once, as
+:class:`ResultFacts`, which every pricing method also accepts in place of the
+results.
 """
 
 from __future__ import annotations
@@ -75,13 +76,16 @@ def _table_dedup_ratio(table: PhaseTable) -> float:
     Replays the per-cost arithmetic on the table's rows — Python sums in
     phase order (absent phases add an exact ``0.0``), then the weighted
     mean — so the result is bit-identical to weighting each bucket's
-    :class:`~repro.distributed.topology.CollectiveCost` by its volume.
+    :class:`~repro.distributed.topology.CollectiveCost` by its volume.  One
+    row is its cost's own ratio: weighting it, ``(w * r) / w``, can round.
     """
     weights = [sum(row) for row in table.volumes.tolist()]
     total = sum(weights)
     if total <= 0.0:
         return 1.0
     ratios = table.dedup_ratios.tolist()
+    if len(ratios) == 1:
+        return float(ratios[0])
     return float(sum(w * r for w, r in zip(weights, ratios)) / total)
 
 
@@ -99,8 +103,7 @@ class ResultFacts:
     The facts depend on the results and on the timeline's ``basis``: its
     device (the trace cost), dimension scale (payloads and trace sizes) and
     compute seconds (ready times).  A timeline with another basis rejects
-    them.  Bucketed results carry the per-bucket all-gather inputs;
-    unbucketed ones carry one payload and its density.  The ready and
+    them.  An unbucketed pool is described as one bucket.  The ready and
     compression times are derived on first use.
     """
 
@@ -108,20 +111,19 @@ class ResultFacts:
     #: ``(device, dimension_scale, compute_seconds)`` the facts were derived under.
     basis: tuple
     #: (B,) per-bucket all-gather payload bytes: the slowest worker's bucket
-    #: payload, dimension-scaled.  ``None`` for unbucketed results.
-    payloads: np.ndarray | None = None
+    #: payload, dimension-scaled.
+    payloads: np.ndarray
     #: Per-bucket payload densities (``None`` entries disable dedup there).
-    densities: tuple = ()
+    densities: tuple
     #: The phase table's memo payload: the payloads and densities (NaN for
     #: ``None``) as bytes.
-    table_key: bytes = b""
-    #: Unbucketed results: the slowest worker's scaled payload and its density.
-    payload: float = 0.0
-    density: float | None = None
-
-    @property
-    def bucketed(self) -> bool:
-        return self.payloads is not None
+    table_key: bytes
+    #: (B,) per-bucket gradient-ready fractions of the backward pass.
+    ready_fractions: Sequence[float]
+    #: (B,) weights the compression time is spread over the buckets by: the
+    #: bucket sizes.  An unbucketed pool's one bucket weighs 1.0, which hands
+    #: it the whole time exactly (``c * d / d`` is not always ``c``).
+    compress_weights: Sequence[float]
 
     @cached_property
     def compression_seconds(self) -> float:
@@ -134,8 +136,7 @@ class ResultFacts:
     @cached_property
     def ready_seconds(self) -> np.ndarray:
         """(B,) per-bucket gradient-ready times within the backward pass."""
-        fractions = self.results[0].metadata["bucket_ready_fractions"]
-        return _frozen(ready_times_from_fractions(fractions, self.basis[2]))
+        return _frozen(ready_times_from_fractions(self.ready_fractions, self.basis[2]))
 
     @cached_property
     def compress_seconds(self) -> np.ndarray:
@@ -144,7 +145,7 @@ class ResultFacts:
 
     def compress_seconds_for(self, compression_seconds: float) -> np.ndarray:
         """(B,) ``compression_seconds`` spread over the buckets by size."""
-        return distribute_cost(compression_seconds, self.results[0].metadata["bucket_sizes"])
+        return distribute_cost(compression_seconds, self.compress_weights)
 
 
 def _frozen(values) -> np.ndarray:
@@ -324,9 +325,7 @@ class TimelineModel:
 
         return timing, price_iteration(finish, rates, FullSync() if policy is None else policy)
 
-    def lower_bound(
-        self, worker_results: Sequence[CompressionResult] | ResultFacts
-    ) -> float | None:
+    def lower_bound(self, worker_results: Sequence[CompressionResult] | ResultFacts) -> float:
         """A sound lower bound on the nominal ``compressed_iteration(...).total``.
 
         Simulates nothing: :func:`~repro.distributed.schedule.iteration_lower_bound`
@@ -338,14 +337,11 @@ class TimelineModel:
         reductions once per table.
         ``overlap="none"`` prices the flat sum, which is the serial-lane
         schedule, so its bound is the flat sum (deflated).  Unbucketed
-        results have no phase table and return ``None``.
+        results are bounded as their one-bucket table.
         """
         facts = self._facts(worker_results)
-        table = self._phase_table(facts)
-        if table is None:
-            return None
         return iteration_lower_bound(
-            table=table,
+            table=self._phase_table(facts),
             ready_seconds=facts.ready_seconds,
             compress_seconds=facts.compress_seconds,
             compute_seconds=self.compute_seconds,
@@ -389,10 +385,11 @@ class TimelineModel:
     ) -> IterationTiming:
         """Iteration timing for a set of per-worker compression results.
 
-        When every worker's result carries per-bucket payload sizes (the
-        bucketed pipeline records them in ``metadata["bucket_payload_bytes"]``),
-        communication is priced bucket by bucket: one all-gather per bucket,
-        each bounded by the slowest worker's payload for that bucket.  With an
+        Communication is priced bucket by bucket from the pool's phase table:
+        one all-gather per bucket, each bounded by the slowest worker's
+        payload for that bucket (bucketed results record their payloads in
+        ``metadata["bucket_payload_bytes"]``; an unbucketed pool is one
+        bucket of the slowest worker's whole payload).  With an
         overlap policy other than ``"none"``, the per-bucket jobs are placed on
         compute/network lanes by the event-driven schedule simulator and
         ``total`` becomes the critical-path time; ``overlap="none"`` keeps the
@@ -409,31 +406,18 @@ class TimelineModel:
         facts = self._facts(worker_results)
         compute_scale = validate_rate("compute_scale", compute_scale)
         comm_scale = validate_rate("comm_scale", comm_scale)
-        compression = facts.compression_seconds
         table = self._phase_table(facts)
         schedule = None
-        if table is None:
-            cost = self._memoized(
-                lambda: self.collective.allgather_cost(facts.payload, density=facts.density),
-                "allgather", facts.payload, facts.density,
-            )
-            comm = cost.total
-            dedup_ratio = cost.dedup_ratio
-        else:
-            comm = float(sum(table.totals.tolist()))
-            dedup_ratio = _table_dedup_ratio(table)
-            if self.overlap != "none":
-                schedule = self._schedule(
-                    facts, table, facts.compress_seconds, compute_scale, comm_scale
-                )
+        if self.overlap != "none":
+            schedule = self._schedule(facts, table, facts.compress_seconds, compute_scale, comm_scale)
         return IterationTiming(
             compute=self.compute_seconds * compute_scale,
-            compression=compression * compute_scale,
-            communication=comm * comm_scale,
+            compression=facts.compression_seconds * compute_scale,
+            communication=float(sum(table.totals.tolist())) * comm_scale,
             update=self.update_seconds * compute_scale,
             overlap=self.overlap,
             schedule=schedule,
-            dedup_ratio=dedup_ratio,
+            dedup_ratio=_table_dedup_ratio(table),
         )
 
     def schedule_iteration(
@@ -442,45 +426,41 @@ class TimelineModel:
         *,
         compression_seconds: float | None = None,
     ) -> ScheduleArrays:
-        """Build just the iteration schedule for bucketed worker results.
+        """Build just the iteration schedule for the worker results.
 
         This is the scheduler hot path the throughput benchmark times:
         pricing the per-bucket collectives and placing them on the lanes.
         ``compression_seconds`` may be passed precomputed (e.g. once per
-        sweep) to keep device-model pricing out of the timed region.  Raises
-        for ``overlap="none"`` (no schedule exists there) and for unbucketed
-        worker results.
+        sweep) to keep device-model pricing out of the timed region.  An
+        unbucketed pool schedules as one bucket.  Raises for
+        ``overlap="none"`` (no schedule exists there).
         """
         facts = self._facts(worker_results)
         if self.overlap == "none":
             raise ValueError(
                 'overlap="none" builds no schedule; use compressed_iteration for the flat sum'
             )
-        table = self._phase_table(facts)
-        if table is None:
-            raise ValueError("worker results carry no per-bucket payloads; nothing to schedule")
         if compression_seconds is None:
             compress = facts.compress_seconds
         else:
             compress = facts.compress_seconds_for(compression_seconds)
-        return self._schedule(facts, table, compress)
+        return self._schedule(facts, self._phase_table(facts), compress)
 
     def bucket_communication_times(
         self, worker_results: Sequence[CompressionResult] | ResultFacts
-    ) -> list[float] | None:
-        """Per-bucket all-gather times, or ``None`` if the results are unbucketed."""
-        table = self._phase_table(self._facts(worker_results))
-        if table is None:
-            return None
-        return table.totals.tolist()
+    ) -> list[float]:
+        """Per-bucket all-gather times (one for an unbucketed pool)."""
+        return self._phase_table(self._facts(worker_results)).totals.tolist()
 
     def result_facts(self, worker_results: Sequence[CompressionResult]) -> ResultFacts:
         """Derive what pricing reads off ``worker_results``, once (see :class:`ResultFacts`).
 
         Bucket ``i`` of the synchronous all-gather completes when the slowest
         worker's bucket-``i`` payload has made it around the ring, so each
-        bucket is priced at the per-bucket maximum across workers; unbucketed
-        results price the slowest worker's whole payload.
+        bucket is priced at the per-bucket maximum across workers.  An
+        unbucketed pool is one bucket: the slowest worker's whole payload and
+        its density, ready when the backward pass ends and compressed for the
+        whole compression time.
 
         All workers compress replicas of the same gradient, so their results
         must agree on the bucket structure: a mix of bucketed and unbucketed
@@ -497,24 +477,27 @@ class TimelineModel:
         basis = self._basis
         payload_lists = [r.metadata.get("bucket_payload_bytes") for r in results]
         missing = sum(p is None for p in payload_lists)
-        if missing == len(payload_lists):  # plain unbucketed compressors
+        if missing == len(payload_lists):  # plain unbucketed compressors: one bucket
             slowest = max(results, key=lambda r: r.sparse.payload_bytes())
-            return ResultFacts(
-                results=results,
-                basis=basis,
-                payload=slowest.sparse.payload_bytes() * self.dimension_scale,
-                density=slowest.sparse.density or None,
-            )
-        if missing:
+            per_bucket = np.array([slowest.sparse.payload_bytes()], dtype=float)
+            densities = np.array([slowest.sparse.density or math.nan])
+            ready_fractions = compress_weights = (1.0,)
+        elif missing:
             raise ValueError(
                 f"{missing}/{len(payload_lists)} worker results lack "
                 "metadata['bucket_payload_bytes'] (mixed bucketed/unbucketed workers)"
             )
-        counts = {len(p) for p in payload_lists}
-        if len(counts) != 1:
-            raise ValueError(f"worker results disagree on the number of buckets: {sorted(counts)}")
-        per_bucket = np.asarray(payload_lists, dtype=float).max(axis=0)
-        densities = _payload_densities(per_bucket, results[0].metadata["bucket_sizes"])
+        else:
+            counts = {len(p) for p in payload_lists}
+            if len(counts) != 1:
+                raise ValueError(
+                    f"worker results disagree on the number of buckets: {sorted(counts)}"
+                )
+            metadata = results[0].metadata
+            per_bucket = np.asarray(payload_lists, dtype=float).max(axis=0)
+            densities = _payload_densities(per_bucket, metadata["bucket_sizes"])
+            ready_fractions = metadata["bucket_ready_fractions"]
+            compress_weights = metadata["bucket_sizes"]
         payloads = _frozen(per_bucket * self.dimension_scale)
         return ResultFacts(
             results=results,
@@ -524,6 +507,8 @@ class TimelineModel:
             # Exact and content-based like a tuple of the floats, but a
             # ``bytes`` object hashes once, however many points look it up.
             table_key=payloads.tobytes() + densities.tobytes(),
+            ready_fractions=ready_fractions,
+            compress_weights=compress_weights,
         )
 
     @property
@@ -541,10 +526,8 @@ class TimelineModel:
             )
         return worker_results
 
-    def _phase_table(self, facts: ResultFacts) -> PhaseTable | None:
-        """Price every bucket's all-gather as one table (``None`` if unbucketed)."""
-        if not facts.bucketed:
-            return None
+    def _phase_table(self, facts: ResultFacts) -> PhaseTable:
+        """Price every bucket's all-gather as one table."""
         return self._memoized(
             lambda: self.collective.allgather_phase_table(facts.payloads, facts.densities),
             "table", facts.table_key,

@@ -22,8 +22,8 @@ crossed with a config grid:
 * :class:`SweepCache` — memoizes the expensive layers (gradients,
   compression results and their result facts, collective models, dense
   baselines, whole point evaluations and their lower bounds, and the
-  timeline's :class:`~repro.distributed.CollectiveCost`s and batched phase
-  tables keyed on the collective model plus payload and density), so
+  timeline's dense all-reduce :class:`~repro.distributed.CollectiveCost`s and
+  batched phase tables keyed on the collective model plus payload and density), so
   repeated points are priced once and a point bounds with only its own
   arithmetic.  Memoized results are bit-for-bit equal to
   memoization-off runs — every cached value is the output of a
@@ -412,7 +412,7 @@ class SweepCache:
     def fetch_collective(self, key, build: Callable):
         """The collective-pricing memo sweep timelines consult
         (:attr:`TimelineModel.memo`): phase tables in their own store,
-        single collective costs in another."""
+        dense all-reduce costs in another."""
         store = self.phase_tables if key[1] == "table" else self.collective_costs
         return self.fetch(store, key, build)
 
@@ -580,9 +580,9 @@ def bound_point(
     :func:`evaluate_point` would, then bounds the iteration with
     :meth:`TimelineModel.lower_bound
     <repro.distributed.timeline.TimelineModel.lower_bound>` instead of
-    scheduling it.  Unbucketed points have no phase table and faulted points
-    are priced by their sync policy, so neither has a bound: they get the
-    trivial ``-inf``.  Memoized in :attr:`SweepCache.bounds`.
+    scheduling it; an unbucketed point is bounded as its one-bucket table.
+    Faulted points are priced by their sync policy, so they have no bound:
+    they get the trivial ``-inf``.  Memoized in :attr:`SweepCache.bounds`.
     """
     if cache is not None:
         bound = cache.bounds.get((workload, point))
@@ -590,9 +590,7 @@ def bound_point(
             cache.hits += 1
             return bound
     knobs, facts, timeline = _point_timeline(workload, point, cache)
-    bound = None if knobs.faulted else timeline.lower_bound(facts)
-    if bound is None:
-        bound = -math.inf
+    bound = -math.inf if knobs.faulted else timeline.lower_bound(facts)
     if cache is not None:
         cache.misses += 1
         cache.bounds[(workload, point)] = bound

@@ -23,7 +23,7 @@ fully auditable:
    candidate is skipped by the same test against the current incumbent.
 
 Only the ``iteration_seconds`` target is bounded; other targets price every
-point, as do points without a bound (unbucketed or faulted ones).
+point, as do faulted points, which have no bound.
 
 Every point, priced or bounded, lands in the provenance ``trace`` (a
 :class:`~repro.harness.sweep.SweepRecord` per unique config: the coarse grid

@@ -486,15 +486,25 @@ class TestChunkedAndUnbucketed:
         assert isinstance(schedule, ScheduleArrays)
         assert schedule.present.sum(axis=1).tolist() == [12, 12, 3]
 
-    def test_unbucketed_results_price_one_payload_without_schedule(self):
+    def test_unbucketed_results_price_one_payload_as_one_bucket(self):
         gradient = realistic_gradient(5_000, seed=7)
         results = [create_compressor("topk").compress(gradient, 0.05)]
         timeline = _timeline("torus-2d")
         timing = timeline.compressed_iteration(results)
-        assert timing.schedule is None
+        assert check_schedule(timing.schedule).num_buckets == 1
         payload = results[0].sparse.payload_bytes() * 50.0
         expected = timeline.collective.allgather_cost(payload, density=results[0].sparse.density)
         assert timing.communication == expected.total
+        assert timing.total == timing.serialized
+
+    def test_unbucketed_results_schedule_one_bucket(self):
+        gradient = realistic_gradient(5_000, seed=7)
+        results = [create_compressor("topk").compress(gradient, 0.05)]
+        timeline = _timeline("torus-2d")
+        schedule = check_schedule(timeline.schedule_iteration(results))
+        assert schedule.num_buckets == 1
+        assert schedule.ready.tolist() == [timeline.compute_seconds]
+        assert_same_schedule(schedule, timeline.compressed_iteration(results).schedule)
 
 
 class TestPhaseTableFromCosts:
@@ -529,12 +539,6 @@ class TestScheduleIterationErrors:
         timeline = _timeline("torus-2d", overlap="none")
         with pytest.raises(ValueError, match="builds no schedule"):
             timeline.schedule_iteration(bucketed_results)
-
-    def test_unbucketed_results_rejected(self):
-        gradient = realistic_gradient(5_000, seed=7)
-        results = [create_compressor("topk").compress(gradient, 0.05)]
-        with pytest.raises(ValueError, match="no per-bucket payloads"):
-            _timeline("torus-2d").schedule_iteration(results)
 
 
 class TestSimulateIterationArraysValidation:

@@ -215,8 +215,9 @@ class TestBucketedCommunication:
         timeline = _timeline(workers=2)
         gradient = realistic_gradient(20_000, seed=13)
         results = [create_compressor("topk").compress(gradient, 0.05) for _ in range(2)]
-        assert timeline.bucket_communication_times(results) is None
         timing = timeline.compressed_iteration(results)
+        # One bucket: the slowest worker's whole payload.
+        assert timeline.bucket_communication_times(results) == [timing.communication]
         payload = max(r.sparse.payload_bytes() for r in results)
         assert timing.communication == pytest.approx(NETWORK.allgather_time(payload, 2))
 
@@ -274,8 +275,16 @@ class TestOverlapPolicies:
                 if policy == "none":
                     # The flat sum, whatever the lanes: nothing is scheduled.
                     assert bound == pytest.approx(total, rel=2e-9)
-        unbucketed = create_compressor("topk").compress(realistic_gradient(20_000, seed=13), 0.05)
-        assert timeline.lower_bound([unbucketed]) is None
+        # An unbucketed pool is bounded as its one-bucket table.
+        unbucketed = [
+            create_compressor("topk").compress(realistic_gradient(20_000, seed=13), 0.05)
+        ]
+        for policy in ("none", "comm", "comm+compress"):
+            for cross in (False, True):
+                model = replace(timeline, overlap=policy, cross_bucket_pipeline=cross)
+                bound = model.lower_bound(unbucketed)
+                assert math.isfinite(bound)
+                assert bound <= model.compressed_iteration(unbucketed).total
 
     def test_result_facts_price_and_bound_as_the_results_do(self):
         timeline = _timeline(workers=2, dim=20_000, compute=0.02, scale=3.0)
@@ -353,8 +362,9 @@ class TestOverlapPolicies:
         timeline = _timeline(workers=2, dim=20_000)
         none = timeline.compressed_iteration(results)
         both = replace(timeline, overlap="comm+compress").compressed_iteration(results)
-        assert both.schedule is None
-        assert both.total == pytest.approx(none.total)
+        # One bucket, ready when the backward pass ends: nothing to overlap.
+        assert check_schedule(both.schedule).num_buckets == 1
+        assert both.total == none.total
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -630,12 +640,15 @@ class TestCrossBucketTimeline:
         assert not timing.cross_bucket_pipeline
         assert timing.total == timing.serialized
 
-    def test_unbucketed_results_report_serial_lane(self):
+    def test_unbucketed_results_schedule_one_bucket_on_the_models_lanes(self):
         gradient = realistic_gradient(20_000, seed=13)
         results = [create_compressor("topk").compress(gradient, 0.1) for _ in range(2)]
-        timing = self._timeline(cross=True).compressed_iteration(results)
-        assert timing.schedule is None
-        assert not timing.cross_bucket_pipeline
+        for cross in (False, True):
+            timing = self._timeline(cross=cross).compressed_iteration(results)
+            assert check_schedule(timing.schedule).num_buckets == 1
+            assert timing.schedule.cross_bucket == cross
+            assert timing.cross_bucket_pipeline == cross
+            assert timing.total == timing.serialized
 
     def test_non_bool_flag_rejected_at_model_construction(self):
         with pytest.raises(ValueError, match="cross_bucket_pipeline"):

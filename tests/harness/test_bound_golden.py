@@ -1,12 +1,15 @@
 """Golden pins on the planner's lower bound, captured before the bound was memoized.
 
 The tuner tests compare memoized runs with memo-off runs, which cannot see a
-bound that moves on both paths alike; these pins can.  Two matrices, every
-value the exact float the engine produced when they were captured:
+bound that moves on both paths alike; these pins can.  Three matrices, every
+value the exact float the engine produced when they were captured (the
+unbucketed one when unbucketed points first got a bound):
 
 * ``BOUNDS``: :func:`~repro.harness.bound_point` on a small proxy over
   compressor x dedup assumption x cross-bucket lanes x overlap policy x
   chunk pipelining, on ``fat-tree-128`` and ``torus-2d``;
+  ``UNBUCKETED_BOUNDS`` the same cells without buckets, each also checked
+  sound against the point's priced iteration time;
 * ``TRACE``: every record of the cache-cold planner query the end-to-end
   benchmark times (``vgg16-cifar10``, seed 0, ``fat-tree-128``, the grid
   below): the lower bound of each skipped point and every metric of each
@@ -24,7 +27,14 @@ import itertools
 import pytest
 
 from repro.distributed import schedule, timeline
-from repro.harness import SweepCache, SweepPoint, WorkloadSpec, autotune, bound_point
+from repro.harness import (
+    SweepCache,
+    SweepPoint,
+    WorkloadSpec,
+    autotune,
+    bound_point,
+    evaluate_point,
+)
 
 MiB = 2**20
 
@@ -204,6 +214,154 @@ BOUNDS = {('fat-tree-128', 'topk', None, False, 'none', 1): 0.8535254625818487,
  ('torus-2d', 'sidco-e', 'uniform', True, 'comm+compress', 1): 0.013908804757909758,
  ('torus-2d', 'sidco-e', 'uniform', True, 'comm+compress', 4): 0.01705880471275975}
 
+#: ``bound_point`` per cell of :data:`CELLS` with ``bucket_bytes=None``: an
+#: unbucketed point is bounded as its one-bucket phase table, ready at the end
+#: of the backward pass, so the overlap policy does not move its bound.
+UNBUCKETED_BOUNDS = {('fat-tree-128', 'topk', None, False, 'none', 1): 0.9104212214535244,
+ ('fat-tree-128', 'topk', None, False, 'none', 4): 0.7099414783504326,
+ ('fat-tree-128', 'topk', None, False, 'comm', 1): 0.9104212214535244,
+ ('fat-tree-128', 'topk', None, False, 'comm', 4): 0.7099414783504326,
+ ('fat-tree-128', 'topk', None, False, 'comm+compress', 1): 0.9104212214535244,
+ ('fat-tree-128', 'topk', None, False, 'comm+compress', 4): 0.7099414783504326,
+ ('fat-tree-128', 'topk', None, True, 'none', 1): 0.9104212214535244,
+ ('fat-tree-128', 'topk', None, True, 'none', 4): 0.7099414783504326,
+ ('fat-tree-128', 'topk', None, True, 'comm', 1): 0.9104212214535244,
+ ('fat-tree-128', 'topk', None, True, 'comm', 4): 0.7099414783504326,
+ ('fat-tree-128', 'topk', None, True, 'comm+compress', 1): 0.9104212214535244,
+ ('fat-tree-128', 'topk', None, True, 'comm+compress', 4): 0.7099414783504326,
+ ('fat-tree-128', 'topk', 'uniform', False, 'none', 1): 0.330600765907206,
+ ('fat-tree-128', 'topk', 'uniform', False, 'none', 4): 0.2953159171308634,
+ ('fat-tree-128', 'topk', 'uniform', False, 'comm', 1): 0.330600765907206,
+ ('fat-tree-128', 'topk', 'uniform', False, 'comm', 4): 0.2953159171308634,
+ ('fat-tree-128', 'topk', 'uniform', False, 'comm+compress', 1): 0.330600765907206,
+ ('fat-tree-128', 'topk', 'uniform', False, 'comm+compress', 4): 0.2953159171308634,
+ ('fat-tree-128', 'topk', 'uniform', True, 'none', 1): 0.330600765907206,
+ ('fat-tree-128', 'topk', 'uniform', True, 'none', 4): 0.2953159171308634,
+ ('fat-tree-128', 'topk', 'uniform', True, 'comm', 1): 0.330600765907206,
+ ('fat-tree-128', 'topk', 'uniform', True, 'comm', 4): 0.2953159171308634,
+ ('fat-tree-128', 'topk', 'uniform', True, 'comm+compress', 1): 0.330600765907206,
+ ('fat-tree-128', 'topk', 'uniform', True, 'comm+compress', 4): 0.2953159171308634,
+ ('fat-tree-128', 'dgc', None, False, 'none', 1): 0.9061191020578266,
+ ('fat-tree-128', 'dgc', None, False, 'none', 4): 0.7056393589547347,
+ ('fat-tree-128', 'dgc', None, False, 'comm', 1): 0.9061191020578266,
+ ('fat-tree-128', 'dgc', None, False, 'comm', 4): 0.7056393589547347,
+ ('fat-tree-128', 'dgc', None, False, 'comm+compress', 1): 0.9061191020578266,
+ ('fat-tree-128', 'dgc', None, False, 'comm+compress', 4): 0.7056393589547347,
+ ('fat-tree-128', 'dgc', None, True, 'none', 1): 0.9061191020578266,
+ ('fat-tree-128', 'dgc', None, True, 'none', 4): 0.7056393589547347,
+ ('fat-tree-128', 'dgc', None, True, 'comm', 1): 0.9061191020578266,
+ ('fat-tree-128', 'dgc', None, True, 'comm', 4): 0.7056393589547347,
+ ('fat-tree-128', 'dgc', None, True, 'comm+compress', 1): 0.9061191020578266,
+ ('fat-tree-128', 'dgc', None, True, 'comm+compress', 4): 0.7056393589547347,
+ ('fat-tree-128', 'dgc', 'uniform', False, 'none', 1): 0.3262986465115081,
+ ('fat-tree-128', 'dgc', 'uniform', False, 'none', 4): 0.29101379773516556,
+ ('fat-tree-128', 'dgc', 'uniform', False, 'comm', 1): 0.3262986465115081,
+ ('fat-tree-128', 'dgc', 'uniform', False, 'comm', 4): 0.29101379773516556,
+ ('fat-tree-128', 'dgc', 'uniform', False, 'comm+compress', 1): 0.3262986465115081,
+ ('fat-tree-128', 'dgc', 'uniform', False, 'comm+compress', 4): 0.29101379773516556,
+ ('fat-tree-128', 'dgc', 'uniform', True, 'none', 1): 0.3262986465115081,
+ ('fat-tree-128', 'dgc', 'uniform', True, 'none', 4): 0.29101379773516556,
+ ('fat-tree-128', 'dgc', 'uniform', True, 'comm', 1): 0.3262986465115081,
+ ('fat-tree-128', 'dgc', 'uniform', True, 'comm', 4): 0.29101379773516556,
+ ('fat-tree-128', 'dgc', 'uniform', True, 'comm+compress', 1): 0.3262986465115081,
+ ('fat-tree-128', 'dgc', 'uniform', True, 'comm+compress', 4): 0.29101379773516556,
+ ('fat-tree-128', 'sidco-e', None, False, 'none', 1): 4.955698479313009,
+ ('fat-tree-128', 'sidco-e', None, False, 'none', 4): 3.775073647904348,
+ ('fat-tree-128', 'sidco-e', None, False, 'comm', 1): 4.955698479313009,
+ ('fat-tree-128', 'sidco-e', None, False, 'comm', 4): 3.775073647904348,
+ ('fat-tree-128', 'sidco-e', None, False, 'comm+compress', 1): 4.955698479313009,
+ ('fat-tree-128', 'sidco-e', None, False, 'comm+compress', 4): 3.775073647904348,
+ ('fat-tree-128', 'sidco-e', None, True, 'none', 1): 4.955698479313009,
+ ('fat-tree-128', 'sidco-e', None, True, 'none', 4): 3.775073647904348,
+ ('fat-tree-128', 'sidco-e', None, True, 'comm', 1): 4.955698479313009,
+ ('fat-tree-128', 'sidco-e', None, True, 'comm', 4): 3.775073647904348,
+ ('fat-tree-128', 'sidco-e', None, True, 'comm+compress', 1): 4.955698479313009,
+ ('fat-tree-128', 'sidco-e', None, True, 'comm+compress', 4): 3.775073647904348,
+ ('fat-tree-128', 'sidco-e', 'uniform', False, 'none', 1): 0.3799730866815133,
+ ('fat-tree-128', 'sidco-e', 'uniform', False, 'none', 4): 0.3168565579590271,
+ ('fat-tree-128', 'sidco-e', 'uniform', False, 'comm', 1): 0.3799730866815133,
+ ('fat-tree-128', 'sidco-e', 'uniform', False, 'comm', 4): 0.3168565579590271,
+ ('fat-tree-128', 'sidco-e', 'uniform', False, 'comm+compress', 1): 0.3799730866815133,
+ ('fat-tree-128', 'sidco-e', 'uniform', False, 'comm+compress', 4): 0.3168565579590271,
+ ('fat-tree-128', 'sidco-e', 'uniform', True, 'none', 1): 0.3799730866815133,
+ ('fat-tree-128', 'sidco-e', 'uniform', True, 'none', 4): 0.3168565579590271,
+ ('fat-tree-128', 'sidco-e', 'uniform', True, 'comm', 1): 0.3799730866815133,
+ ('fat-tree-128', 'sidco-e', 'uniform', True, 'comm', 4): 0.3168565579590271,
+ ('fat-tree-128', 'sidco-e', 'uniform', True, 'comm+compress', 1): 0.3799730866815133,
+ ('fat-tree-128', 'sidco-e', 'uniform', True, 'comm+compress', 4): 0.3168565579590271,
+ ('torus-2d', 'topk', None, False, 'none', 1): 0.016294081616358983,
+ ('torus-2d', 'topk', None, False, 'none', 4): 0.01575568875975452,
+ ('torus-2d', 'topk', None, False, 'comm', 1): 0.016294081616358983,
+ ('torus-2d', 'topk', None, False, 'comm', 4): 0.01575568875975452,
+ ('torus-2d', 'topk', None, False, 'comm+compress', 1): 0.016294081616358983,
+ ('torus-2d', 'topk', None, False, 'comm+compress', 4): 0.01575568875975452,
+ ('torus-2d', 'topk', None, True, 'none', 1): 0.016294081616358983,
+ ('torus-2d', 'topk', None, True, 'none', 4): 0.01575568875975452,
+ ('torus-2d', 'topk', None, True, 'comm', 1): 0.016294081616358983,
+ ('torus-2d', 'topk', None, True, 'comm', 4): 0.01575568875975452,
+ ('torus-2d', 'topk', None, True, 'comm+compress', 1): 0.016294081616358983,
+ ('torus-2d', 'topk', None, True, 'comm+compress', 4): 0.01575568875975452,
+ ('torus-2d', 'topk', 'uniform', False, 'none', 1): 0.016177357117535648,
+ ('torus-2d', 'topk', 'uniform', False, 'none', 4): 0.01570193832396405,
+ ('torus-2d', 'topk', 'uniform', False, 'comm', 1): 0.016177357117535648,
+ ('torus-2d', 'topk', 'uniform', False, 'comm', 4): 0.01570193832396405,
+ ('torus-2d', 'topk', 'uniform', False, 'comm+compress', 1): 0.016177357117535648,
+ ('torus-2d', 'topk', 'uniform', False, 'comm+compress', 4): 0.01570193832396405,
+ ('torus-2d', 'topk', 'uniform', True, 'none', 1): 0.016177357117535648,
+ ('torus-2d', 'topk', 'uniform', True, 'none', 4): 0.01570193832396405,
+ ('torus-2d', 'topk', 'uniform', True, 'comm', 1): 0.016177357117535648,
+ ('torus-2d', 'topk', 'uniform', True, 'comm', 4): 0.01570193832396405,
+ ('torus-2d', 'topk', 'uniform', True, 'comm+compress', 1): 0.016177357117535648,
+ ('torus-2d', 'topk', 'uniform', True, 'comm+compress', 4): 0.01570193832396405,
+ ('torus-2d', 'dgc', None, False, 'none', 1): 0.011991962220661102,
+ ('torus-2d', 'dgc', None, False, 'none', 4): 0.011453569364056638,
+ ('torus-2d', 'dgc', None, False, 'comm', 1): 0.011991962220661102,
+ ('torus-2d', 'dgc', None, False, 'comm', 4): 0.011453569364056638,
+ ('torus-2d', 'dgc', None, False, 'comm+compress', 1): 0.011991962220661102,
+ ('torus-2d', 'dgc', None, False, 'comm+compress', 4): 0.011453569364056638,
+ ('torus-2d', 'dgc', None, True, 'none', 1): 0.011991962220661102,
+ ('torus-2d', 'dgc', None, True, 'none', 4): 0.011453569364056638,
+ ('torus-2d', 'dgc', None, True, 'comm', 1): 0.011991962220661102,
+ ('torus-2d', 'dgc', None, True, 'comm', 4): 0.011453569364056638,
+ ('torus-2d', 'dgc', None, True, 'comm+compress', 1): 0.011991962220661102,
+ ('torus-2d', 'dgc', None, True, 'comm+compress', 4): 0.011453569364056638,
+ ('torus-2d', 'dgc', 'uniform', False, 'none', 1): 0.011875237721837769,
+ ('torus-2d', 'dgc', 'uniform', False, 'none', 4): 0.011399818928266168,
+ ('torus-2d', 'dgc', 'uniform', False, 'comm', 1): 0.011875237721837769,
+ ('torus-2d', 'dgc', 'uniform', False, 'comm', 4): 0.011399818928266168,
+ ('torus-2d', 'dgc', 'uniform', False, 'comm+compress', 1): 0.011875237721837769,
+ ('torus-2d', 'dgc', 'uniform', False, 'comm+compress', 4): 0.011399818928266168,
+ ('torus-2d', 'dgc', 'uniform', True, 'none', 1): 0.011875237721837769,
+ ('torus-2d', 'dgc', 'uniform', True, 'none', 4): 0.011399818928266168,
+ ('torus-2d', 'dgc', 'uniform', True, 'comm', 1): 0.011875237721837769,
+ ('torus-2d', 'dgc', 'uniform', True, 'comm', 4): 0.011399818928266168,
+ ('torus-2d', 'dgc', 'uniform', True, 'comm+compress', 1): 0.011875237721837769,
+ ('torus-2d', 'dgc', 'uniform', True, 'comm+compress', 4): 0.011399818928266168,
+ ('torus-2d', 'sidco-e', None, False, 'none', 1): 0.028996938746513268,
+ ('torus-2d', 'sidco-e', None, False, 'none', 4): 0.02363711732330166,
+ ('torus-2d', 'sidco-e', None, False, 'comm', 1): 0.028996938746513268,
+ ('torus-2d', 'sidco-e', None, False, 'comm', 4): 0.02363711732330166,
+ ('torus-2d', 'sidco-e', None, False, 'comm+compress', 1): 0.028996938746513268,
+ ('torus-2d', 'sidco-e', None, False, 'comm+compress', 4): 0.02363711732330166,
+ ('torus-2d', 'sidco-e', None, True, 'none', 1): 0.028996938746513268,
+ ('torus-2d', 'sidco-e', None, True, 'none', 4): 0.02363711732330166,
+ ('torus-2d', 'sidco-e', None, True, 'comm', 1): 0.028996938746513268,
+ ('torus-2d', 'sidco-e', None, True, 'comm', 4): 0.02363711732330166,
+ ('torus-2d', 'sidco-e', None, True, 'comm+compress', 1): 0.028996938746513268,
+ ('torus-2d', 'sidco-e', None, True, 'comm+compress', 4): 0.02363711732330166,
+ ('torus-2d', 'sidco-e', 'uniform', False, 'none', 1): 0.025558027938497957,
+ ('torus-2d', 'sidco-e', 'uniform', False, 'none', 4): 0.021955824117435515,
+ ('torus-2d', 'sidco-e', 'uniform', False, 'comm', 1): 0.025558027938497957,
+ ('torus-2d', 'sidco-e', 'uniform', False, 'comm', 4): 0.021955824117435515,
+ ('torus-2d', 'sidco-e', 'uniform', False, 'comm+compress', 1): 0.025558027938497957,
+ ('torus-2d', 'sidco-e', 'uniform', False, 'comm+compress', 4): 0.021955824117435515,
+ ('torus-2d', 'sidco-e', 'uniform', True, 'none', 1): 0.025558027938497957,
+ ('torus-2d', 'sidco-e', 'uniform', True, 'none', 4): 0.021955824117435515,
+ ('torus-2d', 'sidco-e', 'uniform', True, 'comm', 1): 0.025558027938497957,
+ ('torus-2d', 'sidco-e', 'uniform', True, 'comm', 4): 0.021955824117435515,
+ ('torus-2d', 'sidco-e', 'uniform', True, 'comm+compress', 1): 0.025558027938497957,
+ ('torus-2d', 'sidco-e', 'uniform', True, 'comm+compress', 4): 0.021955824117435515}
+
 #: Per record of the cold query's trace: (compressor, ratio, bucket_bytes,
 #: dedup_assumption, cross_bucket_pipeline) and the bound of a skipped point or
 #: the metrics of a priced one.
@@ -351,7 +509,7 @@ TRACE = [(('topk', 0.1, 1048576, None, False), 123.6638310830231),
  (('dgc', 0.002, 2097152, 'uniform', True), 1.1848534663151618)]
 
 
-def _point(cell) -> SweepPoint:
+def _point(cell, bucket_bytes=2**19) -> SweepPoint:
     topology, compressor, dedup, cross, overlap, chunks = cell
     return SweepPoint.from_config(
         WORKLOAD.name,
@@ -359,7 +517,7 @@ def _point(cell) -> SweepPoint:
             topology=topology,
             compressor=compressor,
             ratio=0.01,
-            bucket_bytes=2**19,
+            bucket_bytes=bucket_bytes,
             allgather_algorithm="hierarchical",
             dedup_assumption=dedup,
             cross_bucket_pipeline=cross,
@@ -369,12 +527,14 @@ def _point(cell) -> SweepPoint:
     )
 
 
-def _bounds(cache) -> dict:
-    return {cell: bound_point(WORKLOAD, _point(cell), cache=cache) for cell in CELLS}
+def _bounds(cache, bucket_bytes=2**19) -> dict:
+    return {
+        cell: bound_point(WORKLOAD, _point(cell, bucket_bytes), cache=cache) for cell in CELLS
+    }
 
 
 def test_bound_matrix_covers_every_cell():
-    assert list(BOUNDS) == CELLS
+    assert list(BOUNDS) == list(UNBUCKETED_BOUNDS) == CELLS
     assert len(CELLS) == 144
 
 
@@ -383,6 +543,17 @@ def test_every_bound_matches_golden_exactly(memoized):
     actual = _bounds(SweepCache() if memoized else None)
     for cell in CELLS:
         assert actual[cell] == BOUNDS[cell], f"{cell}: {actual[cell]!r} != {BOUNDS[cell]!r}"
+
+
+@pytest.mark.parametrize("memoized", [True, False], ids=["memoized", "memo-off"])
+def test_every_unbucketed_bound_matches_golden_exactly_and_is_sound(memoized):
+    cache = SweepCache() if memoized else None
+    actual = _bounds(cache, bucket_bytes=None)
+    for cell in CELLS:
+        expected = UNBUCKETED_BOUNDS[cell]
+        assert actual[cell] == expected, f"{cell}: {actual[cell]!r} != {expected!r}"
+        priced = evaluate_point(WORKLOAD, _point(cell, None), cache=cache)
+        assert actual[cell] <= priced["iteration_seconds"], cell
 
 
 def _cold_query(**memo):

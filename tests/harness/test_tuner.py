@@ -25,7 +25,7 @@ from repro.harness import (
     bound_point,
     run_sweep,
 )
-from repro.harness.tuner import _argbest
+from repro.harness.tuner import _argbest, _coarse_grid
 
 SMALL_AXES = {
     "compressor": ("topk", "dgc"),
@@ -188,6 +188,25 @@ class TestBranchAndBound:
                 assert record.metrics == {"lower_bound_seconds": bound}
             else:
                 assert record.metrics == priced.metrics
+
+    def test_unbucketed_points_are_bounded_and_keep_the_exhaustive_argbest(self, workload):
+        axes = {**SMALL_AXES, "bucket_bytes": (None, 2**20)}
+        spec = SweepSpec(workloads=(workload,), axes={**axes, "topology": (PRESET,)})
+        points = spec.expand()
+        exhaustive = run_sweep(spec, memoize=False)
+        oracle = _argbest(exhaustive.records, "iteration_seconds", "min")
+        unbucketed = [p for p in points if p.config["bucket_bytes"] is None]
+        assert unbucketed
+        for point, priced in zip(points, exhaustive.records):
+            bound = bound_point(workload, point)
+            assert -math.inf < bound <= priced.metrics["iteration_seconds"]
+        for prune in (True, False):
+            _, priced = _coarse_grid(workload, points, "iteration_seconds", prune, SweepCache())
+            best = _argbest(priced, "iteration_seconds", "min")
+            assert (best.point, best.metrics) == (oracle.point, oracle.metrics)
+        result = autotune(workload, PRESET, axes=axes, refine_rounds=0, cache=SweepCache())
+        assert (result.best.point, result.best.metrics) == (oracle.point, oracle.metrics)
+        assert any(_bounded(r) for r in result.trace if r.config["bucket_bytes"] is None)
 
     @pytest.mark.parametrize("target", sorted(set(TUNE_TARGETS) - {"iteration_seconds"}))
     def test_other_targets_price_every_point(self, workload, cache, target):

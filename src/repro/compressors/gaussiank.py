@@ -12,8 +12,8 @@ producing the orders-of-magnitude under-selection the paper reports.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as _sp
 
+from ..stats.special import erfinv
 from .base import BucketedFit, Compressor, OpRecord
 from .bucketed import (
     abs_block,
@@ -61,7 +61,7 @@ class GaussianKSGD(Compressor):
         # The Gaussian quantile factor depends only on the target ratio, so it
         # is computed once for every bucket; the multiplication order below
         # matches the one-bucket formula.
-        erfinv_tail = _sp.erfinv(1.0 - ratio)
+        erfinv_tail = erfinv(1.0 - ratio)
         sqrt2 = np.sqrt(2.0)
 
         # |g - mean| probes and the final |g| selection run segment by segment

@@ -1,9 +1,12 @@
 """Tests for the synthetic gradient generators (the realistic one and the test fixtures)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.gradients import MODEL_DIMENSIONS, realistic_gradient
+from repro.gradients.synthetic import _CHUNK
 from repro.stats import Exponential, fit_power_law_decay
 from tests.synthetic import (
     double_gamma_gradient,
@@ -63,18 +66,49 @@ class TestRealisticGradient:
         with pytest.raises(ValueError):
             realistic_gradient(100, sparsity=1.0)
 
-    @pytest.mark.parametrize("size", [1, 7, 10_000, 250_001])
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, -1e-4])
+    @pytest.mark.parametrize("name", ["bulk_scale", "tail_scale"])
+    def test_non_finite_or_negative_scale_rejected(self, name, scale):
+        with pytest.raises(ValueError, match=name):
+            realistic_gradient(100, seed=0, **{name: scale})
+
+    @pytest.mark.parametrize("name", ["bulk_scale", "tail_scale"])
+    def test_zero_scale_allowed(self, name):
+        g = realistic_gradient(1000, seed=0, **{name: 0.0})
+        assert np.all(np.isfinite(g))
+        assert np.count_nonzero(g == 0.0) > 0
+
+    @pytest.mark.parametrize(
+        "size", [0, 1, 7, 10_000, 250_001, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1]
+    )
     @pytest.mark.parametrize("seed", [0, 3, 2021])
-    def test_equals_the_where_formula(self, size, seed):
-        # Built in place, but bit-for-bit the three-draw ``np.where`` mixture.
+    @pytest.mark.parametrize(
+        "sparsity, bulk_scale, tail_scale", [(0.9, 1e-4, 5e-3), (0.55, 3e-4, 2e-2)]
+    )
+    def test_equals_the_where_formula(self, size, seed, sparsity, bulk_scale, tail_scale):
+        # Built in place from chunked draws, but bit-for-bit the three-draw
+        # ``np.where`` mixture.
         rng = np.random.default_rng(seed)
-        is_bulk = rng.uniform(size=size) < 0.9
-        bulk = rng.laplace(0.0, 1e-4, size=size)
-        tail = rng.laplace(0.0, 5e-3, size=size)
+        is_bulk = rng.uniform(size=size) < sparsity
+        bulk = rng.laplace(0.0, bulk_scale, size=size)
+        tail = rng.laplace(0.0, tail_scale, size=size)
         expected = np.where(is_bulk, bulk, tail)
-        actual = realistic_gradient(size, seed=seed)
+        actual = realistic_gradient(
+            size, sparsity=sparsity, bulk_scale=bulk_scale, tail_scale=tail_scale, seed=seed
+        )
         assert actual.dtype == expected.dtype
         assert actual.tobytes() == expected.tobytes()
+
+    def test_peak_allocation_stays_near_the_output(self):
+        # The output, a bool mask and one chunk: three full-size draws read 2.13x.
+        size = 1 << 22
+        tracemalloc.start()
+        try:
+            g = realistic_gradient(size, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * g.nbytes
 
 
 class TestModelSized:

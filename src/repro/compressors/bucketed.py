@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import pickle
+import threading
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -35,6 +36,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pipeline imports us)
 #: Most elements in a block of consecutive whole segments (a larger segment is
 #: a block of its own), so a fit's NumPy call count does not grow with them.
 BLOCK_ELEMENTS = 1 << 16
+
+#: Most elements of the scratch buffer a thread keeps between fits: one
+#: default bucket (4 MiB of fp32).  A fit's first call allocates it and later
+#: calls reuse it, so no fit hands an 8 MiB buffer back to the C heap.
+#: Whether the allocator then returns those pages to the OS, for the next
+#: call to fault in again, depends on what else the heap holds, so a fresh
+#: buffer per call makes the same fit's cost differ from process to process.
+KEPT_SCRATCH_ELEMENTS = 1 << 20
+
+_kept = threading.local()
 
 
 def bucket_target_ks(sizes: np.ndarray, ratio: float) -> np.ndarray:
@@ -73,8 +84,20 @@ class Segments:
         self.blocks = tuple(blocks)
 
     def scratch(self) -> np.ndarray:
-        """A float64 buffer for the largest block, reused across one call's blocks."""
-        return np.empty(max(stop - start for start, stop, *_ in self.blocks))
+        """A float64 buffer for the largest block, reused across one call's blocks.
+
+        Up to :data:`KEPT_SCRATCH_ELEMENTS`, it is a prefix of the calling
+        thread's kept buffer (grown when a larger block needs it), so the
+        next fit in this thread overwrites it; a larger block gets a fresh
+        buffer.  No fit returns a view of it.
+        """
+        size = max(stop - start for start, stop, *_ in self.blocks)
+        if size > KEPT_SCRATCH_ELEMENTS:
+            return np.empty(size)
+        kept = getattr(_kept, "buffer", None)
+        if kept is None or kept.size < size:
+            kept = _kept.buffer = np.empty(size)
+        return kept[:size]
 
     def per_worker(self, values: np.ndarray) -> list:
         """Per-worker sums of a per-segment array, as Python numbers."""

@@ -34,6 +34,15 @@ class TestCompressorContract:
         else:
             assert np.allclose(sparse.values, small_gradient[sparse.indices])
 
+    def test_a_result_survives_the_next_call(self, name, small_gradient):
+        # Fits reuse a kept scratch buffer: no result may be a view of it.
+        compressor = _build(name)
+        first = compressor.compress(small_gradient, 0.05).sparse
+        indices, values = first.indices.copy(), first.values.copy()
+        compressor.compress(realistic_gradient(small_gradient.size, seed=99), 0.05)
+        assert np.array_equal(first.indices, indices)
+        assert np.array_equal(first.values, values)
+
     def test_indices_unique_and_in_range(self, name, small_gradient):
         result = _build(name).compress(small_gradient, 0.05)
         idx = result.sparse.indices

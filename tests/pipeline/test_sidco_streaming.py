@@ -10,6 +10,7 @@ larger than a block and blocks of many buckets all occur at test sizes.
 
 import contextlib
 import copy
+import threading
 import tracemalloc
 
 import numpy as np
@@ -212,6 +213,23 @@ class TestBlocks:
                 assert (following[0], following[2]) == (stop, b1)
                 # Greedy: the next bucket would not have fitted.
                 assert stop - start + sizes[b1] > block
+
+    def test_scratch_is_kept_per_thread_up_to_one_default_bucket(self):
+        cap = bucketed.KEPT_SCRATCH_ELEMENTS
+        small, large = (bucketed.segments(BucketLayout.from_bytes(n, 8 * n)) for n in (1000, cap))
+        kept = small.scratch()
+        assert kept.size == 1000
+        assert np.shares_memory(large.scratch(), small.scratch())
+        assert large.scratch().size == cap
+        other = []
+        thread = threading.Thread(target=lambda: other.append(small.scratch()))
+        thread.start()
+        thread.join()
+        assert not np.shares_memory(other[0], small.scratch())
+        beyond = bucketed.segments(BucketLayout.from_bytes(cap + 1, 8 * (cap + 1)))
+        assert beyond.scratch().size == cap + 1
+        assert not np.shares_memory(beyond.scratch(), beyond.scratch())
+        assert not np.shares_memory(beyond.scratch(), small.scratch())
 
     def test_no_allocation_as_large_as_the_gradient(self):
         gradient = realistic_gradient(2_000_000, seed=1)

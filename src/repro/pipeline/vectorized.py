@@ -6,10 +6,10 @@ of a :class:`~repro.pipeline.bucketing.BucketLayout` on its own, runs all
 buckets through each fitting stage together, and selects each bucket's
 elements at or above its final threshold; unbucketed SIDCo is its one-bucket
 case.  It streams the gradient once, in blocks of whole buckets through one
-reused scratch buffer, so it allocates no array the size of the gradient
-(unless one bucket is the whole gradient).  A ``(G, D)`` matrix of G workers'
-gradients is fitted in the same pass over its (worker, bucket) segments, and
-each worker gets the fit its own call makes:
+reused scratch buffer per thread, so it allocates no array the size of the
+gradient (unless one bucket is the whole gradient).  A ``(G, D)`` matrix of G
+workers' gradients is fitted in the same pass over its (worker, bucket)
+segments, and each worker gets the fit its own call makes:
 
 * stage one fits each bucket from that bucket's own moments of ``|g|``, so
   each block is fitted as its moments land and its elements at or above
@@ -105,7 +105,7 @@ def _flatnonzero_ge(mags: np.ndarray, cutoff, mask: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask[: n + pad])[:count]
 
 
-def _stage_one_moments(arr: np.ndarray, segs, sid: str, delta_1: np.ndarray, scratch: np.ndarray):
+def _stage_one_moments(arr: np.ndarray, segs, sid: str, delta_1: np.ndarray):
     """Stage one in the only pass over the gradient: ``(sums, carried)``.
 
     Per block, takes each segment's moments of ``|g|``, fits its stage-one
@@ -113,6 +113,9 @@ def _stage_one_moments(arr: np.ndarray, segs, sid: str, delta_1: np.ndarray, scr
     one before) and carries the block's elements at or above it, read from
     the scratch buffer that still holds the block's ``|g|``.  ``sums`` are
     the segments' sums of ``|g|``; ``carried.cutoff`` holds the thresholds.
+    Blocks are independent: :func:`~repro.compressors.bucketed.drain_blocks`
+    may share them between threads, each with its own scratch, and each
+    block writes only its own segments' entries.
 
     Gamma fits the positive magnitudes only: its ``sums`` are theirs, with
     their count and log-sum.  The GP SID also takes ``sqdev``, each segment's
@@ -123,36 +126,43 @@ def _stage_one_moments(arr: np.ndarray, segs, sid: str, delta_1: np.ndarray, scr
     num, one_bucket = segs.sizes.size, segs.buckets == 1
     sums, sqdev, pos_counts, pos_logsums = np.empty(num), None, None, None
     if sid == "gpareto":
-        sqdev, work = np.empty(num), np.empty_like(scratch)
+        sqdev = np.empty(num)
     elif sid == "gamma":
         pos_counts, pos_logsums = np.empty(num, dtype=np.int64), np.empty(num)
     carried = _Exceedances(segs, np.empty(num))
-    mask = np.empty(scratch.size + scratch.size // 9 + 1, dtype=bool)
-    for i, (start, stop, b0, b1, edges) in enumerate(segs.blocks):
-        mags = abs_block(arr, start, stop, scratch)
-        sizes = segs.sizes[b0:b1]
-        values, at = mags, edges
-        if pos_counts is not None:
-            # ``~(<= 0)`` keeps NaNs, which must reach the finiteness check.
-            kept = np.flatnonzero(~(mags <= 0.0))
-            values, at = mags[kept], np.searchsorted(kept, edges)
-            pos_counts[b0:b1] = np.diff(at)
-        sums[b0:b1] = _segment_sums(values, at, one_bucket)
-        if not np.isfinite(sums[b0:b1]).all() and not math.isfinite(mags.max()):
-            raise ValueError("gradient contains NaN or infinite values")
-        if sqdev is not None:
-            dev = np.subtract(mags, _spread(sums[b0:b1] / sizes, sizes), out=work[: stop - start])
-            sqdev[b0:b1] = _segment_sums(np.multiply(dev, dev, out=dev), edges, one_bucket)
-        elif pos_counts is not None:
-            pos_logsums[b0:b1] = _segment_sums(np.log(values), at, one_bucket)
-        eta = _fit_stage_thresholds(
-            sid, delta_1[b0:b1], sizes, sums[b0:b1],
-            *(None if a is None else a[b0:b1] for a in (sqdev, pos_counts, pos_logsums)),
-            np.zeros(b1 - b0), np.ones(b1 - b0, dtype=bool),
-        )
-        cutoff = carried.cutoff[b0:b1] = np.maximum(eta, 0.0)
-        hits = _flatnonzero_ge(mags, _spread(cutoff, sizes), mask)
-        carried.carry(i, hits, mags[hits])
+
+    def drain(blocks):
+        scratch = segs.scratch()
+        mask = segs.scratch("mask", bool, scratch.size // 9 + 1)
+        work = segs.scratch("work") if sqdev is not None else None
+        for i in blocks:
+            start, stop, b0, b1, edges = segs.blocks[i]
+            mags = abs_block(arr, start, stop, scratch)
+            sizes = segs.sizes[b0:b1]
+            values, at = mags, edges
+            if pos_counts is not None:
+                # ``~(<= 0)`` keeps NaNs, which must reach the finiteness check.
+                kept = np.flatnonzero(~(mags <= 0.0))
+                values, at = mags[kept], np.searchsorted(kept, edges)
+                pos_counts[b0:b1] = np.diff(at)
+            sums[b0:b1] = _segment_sums(values, at, one_bucket)
+            if not np.isfinite(sums[b0:b1]).all() and not math.isfinite(mags.max()):
+                raise ValueError("gradient contains NaN or infinite values")
+            if sqdev is not None:
+                dev = np.subtract(mags, _spread(sums[b0:b1] / sizes, sizes), out=work[: stop - start])
+                sqdev[b0:b1] = _segment_sums(np.multiply(dev, dev, out=dev), edges, one_bucket)
+            elif pos_counts is not None:
+                pos_logsums[b0:b1] = _segment_sums(np.log(values), at, one_bucket)
+            eta = _fit_stage_thresholds(
+                sid, delta_1[b0:b1], sizes, sums[b0:b1],
+                *(None if a is None else a[b0:b1] for a in (sqdev, pos_counts, pos_logsums)),
+                np.zeros(b1 - b0), np.ones(b1 - b0, dtype=bool),
+            )
+            cutoff = carried.cutoff[b0:b1] = np.maximum(eta, 0.0)
+            hits = _flatnonzero_ge(mags, _spread(cutoff, sizes), mask)
+            carried.carry(i, hits, mags[hits])
+
+    bucketed.drain_blocks(segs, drain)
     return sums, carried
 
 
@@ -312,7 +322,7 @@ def estimate_multi_stage_bucketed(
     is_last = fallback | (num_stages == 1) | (needed >= first_stage_ratio)
     delta_1 = np.where(fallback, delta, np.where(is_last, needed, first_stage_ratio))
     first_sid = stage_sid(sid, 0)
-    sums, carried = _stage_one_moments(arr, segs, first_sid, delta_1, segs.scratch())
+    sums, carried = _stage_one_moments(arr, segs, first_sid, delta_1)
     eta, counts = carried.cutoff, sizes
 
     # Each bucket's latest stage threshold: its final one once it stops fitting.

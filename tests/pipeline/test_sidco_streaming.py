@@ -5,13 +5,21 @@
 streaming rewrite must reproduce every field exactly: indices, values,
 per-bucket counts, thresholds, stages used, the op trace and the metadata.
 Small cases shrink the block size so that multi-block layouts, buckets
-larger than a block and blocks of many buckets all occur at test sizes.
+larger than a block and blocks of many buckets all occur at test sizes, and
+lower the floor above which stage one's blocks are shared with helper threads.
 """
 
+import collections
 import contextlib
 import copy
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +49,22 @@ def block_elements(size: int):
     finally:
         bucketed.BLOCK_ELEMENTS = saved
         bucketed.segments.cache_clear()
+
+
+@contextlib.contextmanager
+def threaded_elements(size: int):
+    """Run with a different floor for sharing stage one's blocks with helper threads."""
+    saved = bucketed.THREADED_ELEMENTS
+    bucketed.THREADED_ELEMENTS = size
+    try:
+        yield
+    finally:
+        bucketed.THREADED_ELEMENTS = saved
+
+
+#: CPUs this process may run on; helpers need two or more.
+CPUS = bucketed._cpus()
+needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="one CPU: stage one runs on the caller alone")
 
 
 def same(a, b) -> bool:
@@ -230,6 +254,12 @@ class TestBlocks:
         assert beyond.scratch().size == cap + 1
         assert not np.shares_memory(beyond.scratch(), beyond.scratch())
         assert not np.shares_memory(beyond.scratch(), small.scratch())
+        # Each name is a buffer of its own, kept under the same rule.
+        mask = small.scratch("mask", bool, 112)
+        assert mask.dtype == bool and mask.size == 1112
+        assert np.shares_memory(mask, small.scratch("mask", bool, 112))
+        assert not np.shares_memory(mask, small.scratch())
+        assert not np.shares_memory(beyond.scratch("mask", bool), beyond.scratch("mask", bool))
 
     def test_no_allocation_as_large_as_the_gradient(self):
         gradient = realistic_gradient(2_000_000, seed=1)
@@ -268,12 +298,15 @@ class TestSinglePass:
     @pytest.mark.parametrize("sid", SIDS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("stages", [(2, 2, 2), (1, 1, 3)], ids=["one-estimate", "two-estimates"])
-    def test_non_finite_last_block_raises_and_leaves_every_controller(self, sid, bad, stages):
+    @pytest.mark.parametrize("floor", [bucketed.THREADED_ELEMENTS, 1], ids=["caller", "helpers"])
+    def test_non_finite_last_block_raises_and_leaves_every_controller(self, sid, bad, stages, floor):
         # Earlier blocks are fitted and selected before the last one raises.
         # With (1, 1, 3), rows 0 and 1 keep a stage count apart from row 2's,
-        # so their whole estimator pass completes first.
+        # so their whole estimator pass completes first.  With helpers, the
+        # thread that reads the last block raises, and the next fit on the
+        # same pool gives the same bits.
         rows, layout, members = mixed_group(sid, stages)
-        with block_elements(MIXED_BLOCK):
+        with block_elements(MIXED_BLOCK), threaded_elements(floor):
             members[0].fit_all_buckets(rows, layout, 0.001, group=members)
             twins = copy.deepcopy(members)
             poisoned = rows.copy()
@@ -290,7 +323,8 @@ class TestSinglePass:
 
     @pytest.mark.parametrize("sid", SIDS)
     @pytest.mark.parametrize("stages", [1, 3])
-    def test_stage_one_reads_each_element_once(self, monkeypatch, sid, stages):
+    @pytest.mark.parametrize("floor", [bucketed.THREADED_ELEMENTS, 1], ids=["caller", "helpers"])
+    def test_stage_one_reads_each_element_once(self, monkeypatch, sid, stages, floor):
         reads = []
 
         def counting_abs_block(arr, start, stop, scratch):
@@ -299,13 +333,166 @@ class TestSinglePass:
 
         monkeypatch.setattr(vectorized, "abs_block", counting_abs_block)
         rows, layout, members = mixed_group(sid, (stages,) * 3)
-        with block_elements(MIXED_BLOCK):
+        with block_elements(MIXED_BLOCK), threaded_elements(floor):
             fits = members[0].fit_all_buckets(rows, layout, 0.001, group=members)
             blocks = bucketed.segments(layout, 3).blocks
         sizes = [stop - start for start, stop, *_ in blocks]
         assert max(sizes) > MIXED_BLOCK and any(s1 - s0 > 1 for *_, s0, s1, _ in blocks)
         assert max(fit.metadata["stages_used"] for fit in fits) == stages
-        assert reads == [(start, stop) for start, stop, *_ in blocks]
+        expected = [(start, stop) for start, stop, *_ in blocks]
+        if floor == 1:  # threads take blocks in any order, each once
+            assert collections.Counter(reads) == collections.Counter(expected)
+        else:
+            assert reads == expected
+
+
+class TestThreadedStageOne:
+    @pytest.mark.parametrize("sid", SIDS)
+    @pytest.mark.parametrize("stages", [1, 3])
+    def test_threaded_group_fit_is_bit_for_bit(self, sid, stages):
+        rows, layout, members = mixed_group(sid, (stages,) * 3)
+        with block_elements(MIXED_BLOCK), threaded_elements(1):
+            for _ in range(3):  # the controllers move; every call is held
+                twins = copy.deepcopy(members)  # the reference does not observe them
+                fits = members[0].fit_all_buckets(rows, layout, 0.001, group=members)
+                for fit, twin, row in zip(fits, twins, rows):
+                    want = reference.fit_all_buckets(twin, row, layout, 0.001)
+                    for name in FIT_FIELDS:
+                        assert same(getattr(fit, name), getattr(want, name)), name
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("sid", SIDS)
+    def test_two_threads_share_a_fit_at_the_floor(self, monkeypatch, sid):
+        # Two 4 MiB buckets, one block each: the caller and one helper each
+        # read one, and neither reads on until both hold theirs.
+        gradient = realistic_gradient(bucketed.THREADED_ELEMENTS, seed=6)
+        layout = BucketLayout.from_bytes(gradient.size, 4 * 1024 * 1024)
+        meet, readers = threading.Barrier(2, timeout=30), set()
+
+        def meeting_abs_block(arr, start, stop, scratch):
+            if threading.get_ident() not in readers:
+                readers.add(threading.get_ident())
+                meet.wait()
+            return bucketed.abs_block(arr, start, stop, scratch)
+
+        monkeypatch.setattr(vectorized, "abs_block", meeting_abs_block)
+        assert len(bucketed.segments(layout).blocks) == 2
+        assert_same_fit(layout, gradient, sid, 3, 0.001)
+        assert len(readers) == 2
+
+    def test_a_fit_below_the_floor_never_touches_the_pool(self, monkeypatch):
+        def no_pool(helpers):
+            raise AssertionError("the helper pool was asked for")
+
+        monkeypatch.setattr(bucketed, "_helper_pool", no_pool)
+        floor = bucketed.THREADED_ELEMENTS
+        rows, layout, members = mixed_group("gpareto", (3, 3, 3))
+        members[0].fit_all_buckets(rows, layout, 0.001, group=members)
+        # One element short of the floor in many blocks; the floor in one block
+        # (4 bytes per element).
+        for size, bucket_bytes in ((floor - 1, 256 * 1024), (floor, 4 * floor)):
+            gradient = realistic_gradient(size, seed=2)
+            SIDCo("exponential").fit_all_buckets(
+                gradient, BucketLayout.from_bytes(size, bucket_bytes), 0.001
+            )
+        if CPUS > 1:  # the floor in two blocks asks for it
+            gradient = realistic_gradient(floor, seed=2)
+            with pytest.raises(AssertionError, match="helper pool"):
+                SIDCo("exponential").fit_all_buckets(
+                    gradient, BucketLayout.from_bytes(floor, 2 * floor), 0.001
+                )
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("failing", ["caller", "helpers"])
+    def test_a_failure_stops_every_thread_and_the_caller_waits(self, failing):
+        # Eight 1 MiB buckets, one block each.  Every thread holds a block
+        # when the failing side raises; the others finish theirs slowly and
+        # must then get no other block.
+        segs = bucketed.segments(BucketLayout.from_bytes(bucketed.THREADED_ELEMENTS, 1024 * 1024))
+        threads = min(CPUS, bucketed.MAX_BLOCK_THREADS)
+        caller, meet, finished = threading.get_ident(), threading.Barrier(threads, timeout=30), []
+
+        def drain(blocks):
+            for i in blocks:
+                meet.wait()
+                if (threading.get_ident() == caller) == (failing == "caller"):
+                    raise ValueError(f"{failing} failed")
+                time.sleep(0.2)
+                finished.append(i)
+
+        assert len(segs.blocks) == 8
+        with pytest.raises(ValueError, match=f"{failing} failed"):
+            bucketed.drain_blocks(segs, drain)
+        assert len(finished) == (threads - 1 if failing == "caller" else 1)
+
+    def test_blocks_are_handed_out_once_under_contention(self):
+        # More threads than CPUs, switching every microsecond.
+        count, blocks = 20_000, bucketed._Blocks(20_000)
+        taken = [[] for _ in range(8)]
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda got: got.extend(blocks), args=(got,)) for got in taken]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(got == sorted(got) for got in taken)
+        assert sorted(i for got in taken for i in got) == list(range(count))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_forked_child_fits_with_its_own_helpers(self):
+        rows, layout, members = mixed_group("gamma", (3, 3, 3))
+        with block_elements(MIXED_BLOCK), threaded_elements(1):
+            members[0].fit_all_buckets(rows, layout, 0.001, group=members)
+            twins = copy.deepcopy(members)
+            expected = twins[0].fit_all_buckets(rows, layout, 0.001, group=twins)
+            child = os.fork()
+            if child == 0:  # pragma: no cover - runs in the child
+                status = 1
+                try:
+                    fits = members[0].fit_all_buckets(rows, layout, 0.001, group=members)
+                    fresh = CPUS < 2 or bucketed._pool[0] == os.getpid()
+                    status = 0 if fresh and same(
+                        [[getattr(f, n) for n in FIT_FIELDS] for f in fits],
+                        [[getattr(f, n) for n in FIT_FIELDS] for f in expected],
+                    ) else 1
+                finally:
+                    os._exit(status)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(child, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+            pytest.fail("the forked child's fit did not finish within 60 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_concurrent_futures_stays_unloaded_until_blocks_are_shared(self):
+        # A fresh interpreter: pytest itself may have it loaded.
+        src = Path(bucketed.__file__).resolve().parents[2]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-c", _UNSHARED_FIT], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.split() == ["False"]
+
+
+#: A below-the-floor fit in a fresh interpreter, then whether the pool's module loaded.
+_UNSHARED_FIT = """
+import sys
+import repro
+from repro.gradients import realistic_gradient
+from repro.pipeline import BucketLayout, CompressionPipeline
+from repro import create_compressor
+gradient = realistic_gradient(100_000, seed=0)
+CompressionPipeline(create_compressor("sidco-e"), bucket_bytes=64 * 1024).compress(gradient, 0.01)
+print("concurrent.futures" in sys.modules)
+"""
 
 
 class TestStageOneSelection:

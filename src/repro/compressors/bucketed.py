@@ -13,22 +13,20 @@ traces) is vectorised across segments: row-wise ``partition``,
 ``argpartition`` and reductions over a C-contiguous stack of equal-length rows
 are bit-identical to the same 1-D call per row.  Element passes stream through
 one cache-hot scratch buffer, segment by segment or in blocks of whole
-segments; :func:`drain_blocks` shares a large fit's blocks between the calling
-thread and helper threads.  Per-segment arithmetic stays exact (contiguous
-1-D pairwise reductions, :func:`bucket_target_ks` rounding like
-``Compressor._target_k``, ascending selection within each segment, segments in
-layout order), so each segment's selection is bit-for-bit the one-bucket fit
-of that bucket alone.
+segments; SIDCo's stage one shares a large fit's blocks between the calling
+thread and helper threads (:func:`repro.blockpool.drain_blocks`).
+Per-segment arithmetic stays exact (contiguous 1-D pairwise reductions,
+:func:`bucket_target_ks` rounding like ``Compressor._target_k``, ascending
+selection within each segment, segments in layout order), so each segment's
+selection is bit-for-bit the one-bucket fit of that bucket alone.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
-import os
 import pickle
 import threading
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -41,10 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pipeline imports us)
 #: a block of its own), so a fit's NumPy call count does not grow with them.
 BLOCK_ELEMENTS = 1 << 16
 
-#: Fewest elements a fit streams, in two or more blocks, before
-#: :func:`drain_blocks` shares its blocks with helper threads.  Below it a
-#: helper costs more than it saves.  Best of five SIDCo-e calls on a 2-vCPU
-#: x86 VM, the caller alone against the caller plus one helper:
+#: Fewest elements a SIDCo fit streams, in two or more blocks, before its
+#: stage one shares them with helper threads
+#: (:func:`repro.blockpool.drain_blocks`).  Below it a helper costs more than
+#: it saves.  Best of five SIDCo-e calls on a 2-vCPU x86 VM, the caller alone
+#: against the caller plus one helper:
 #:
 #: ========  ==========  =======  ===============
 #: elements  block size  serial   caller + helper
@@ -57,12 +56,6 @@ BLOCK_ELEMENTS = 1 << 16
 #: ========  ==========  =======  ===============
 THREADED_ELEMENTS = 1 << 21
 
-#: Most threads, the caller's included, that share one fit's blocks; fewer
-#: when the process's affinity mask holds fewer CPUs or the fit fewer blocks.
-#: Each helper keeps its own scratch buffers (up to about 9 MiB, 17 MiB for
-#: the GP SID).  Only two threads, on 2 CPUs, have been measured.
-MAX_BLOCK_THREADS = 4
-
 #: Most elements of the scratch buffer a thread keeps between fits: one
 #: default bucket (4 MiB of fp32).  A fit's first call allocates it and later
 #: calls reuse it, so no fit hands an 8 MiB buffer back to the C heap.
@@ -72,9 +65,6 @@ MAX_BLOCK_THREADS = 4
 KEPT_SCRATCH_ELEMENTS = 1 << 20
 
 _kept = threading.local()
-
-#: ``(pid, helpers, executor)`` of :func:`_helper_pool`'s pool.
-_pool: tuple = (None, 0, None)
 
 
 def bucket_target_ks(sizes: np.ndarray, ratio: float) -> np.ndarray:
@@ -158,93 +148,6 @@ class Segments:
 
 #: :class:`Segments` memoized per ``(layout, workers)``.
 segments = functools.lru_cache(maxsize=64)(Segments)
-
-
-def drain_blocks(segs: Segments, drain: Callable[[Iterator[int]], None]) -> None:
-    """Run ``drain(blocks)`` on the calling thread and on the helpers that share ``segs``' blocks.
-
-    ``blocks`` hands out each index of ``segs.blocks`` once, in order, to
-    whichever thread asks next, so ``drain`` must write only what its blocks
-    own and take any scratch it needs on its own thread.  Helpers join when
-    the fit streams at least :data:`THREADED_ELEMENTS` in two or more blocks:
-    min(CPUs in the affinity mask, :data:`MAX_BLOCK_THREADS`, blocks) threads
-    in all, each running in a copy of the caller's context (NumPy's
-    ``errstate`` included).  Otherwise the caller drains every block in
-    order.  The first failure stops the handing out; the caller waits for
-    every helper, then raises its own failure or else the first helper's.
-    """
-    count = len(segs.blocks)
-    blocks, helpers = _Blocks(count), []
-    if count > 1 and segs.bounds[-1] >= THREADED_ELEMENTS:
-        threads = min(_cpus(), MAX_BLOCK_THREADS)
-        if threads > 1:
-            pool = _helper_pool(threads - 1)
-            helpers = [
-                pool.submit(contextvars.copy_context().run, blocks.drain, drain)
-                for _ in range(min(threads, count) - 1)
-            ]
-    try:
-        blocks.drain(drain)
-    finally:
-        for helper in helpers:
-            helper.exception()  # waits; a helper's failure is raised below
-    for helper in helpers:
-        helper.result()
-
-
-class _Blocks:
-    """Block indices, each handed out once to the next thread that asks; a failure ends them."""
-
-    def __init__(self, count: int) -> None:
-        self._indices, self._lock, self._failed = iter(range(count)), threading.Lock(), False
-
-    def __iter__(self) -> "_Blocks":
-        return self
-
-    def __next__(self) -> int:
-        with self._lock:
-            if self._failed:
-                raise StopIteration
-            return next(self._indices)
-
-    def drain(self, drain: Callable[[Iterator[int]], None]) -> None:
-        """``drain(self)``; if it raises, no thread gets another block."""
-        try:
-            drain(self)
-        except BaseException:
-            self._failed = True
-            raise
-
-
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def _helper_pool(helpers: int):
-    """This process's pool of ``helpers`` threads, created on first use.
-
-    ``concurrent.futures`` is imported here, so a process that never shares
-    blocks does not load it.  The pool is keyed on the process id, so a
-    forked child, which has none of its parent's threads, builds its own;
-    and on its size, so a process never holds more helper threads (and
-    their kept buffers) than its affinity mask has use for.  Two threads
-    that race here may each build one; the pool not kept is dropped, and its
-    threads exit once their work is done.
-    """
-    global _pool
-    pid, size, pool = _pool
-    if pid != os.getpid() or size != helpers:
-        from concurrent.futures import ThreadPoolExecutor
-
-        if pid == os.getpid():
-            pool.shutdown(wait=False)
-        pool = ThreadPoolExecutor(helpers, thread_name_prefix="repro-blocks")
-        _pool = (os.getpid(), helpers, pool)
-    return pool
 
 
 def grouped(fit):

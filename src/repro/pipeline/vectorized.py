@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..blockpool import drain_blocks
 from ..compressors import bucketed
 from ..compressors.base import OpRecord
 from ..compressors.bucketed import abs_block
@@ -113,9 +114,10 @@ def _stage_one_moments(arr: np.ndarray, segs, sid: str, delta_1: np.ndarray):
     one before) and carries the block's elements at or above it, read from
     the scratch buffer that still holds the block's ``|g|``.  ``sums`` are
     the segments' sums of ``|g|``; ``carried.cutoff`` holds the thresholds.
-    Blocks are independent: :func:`~repro.compressors.bucketed.drain_blocks`
-    may share them between threads, each with its own scratch, and each
-    block writes only its own segments' entries.
+    Blocks are independent: :func:`~repro.blockpool.drain_blocks` shares
+    them between threads when the fit streams at least
+    :data:`~repro.compressors.bucketed.THREADED_ELEMENTS`, each thread with
+    its own scratch, and each block writes only its own segments' entries.
 
     Gamma fits the positive magnitudes only: its ``sums`` are theirs, with
     their count and log-sum.  The GP SID also takes ``sqdev``, each segment's
@@ -162,7 +164,7 @@ def _stage_one_moments(arr: np.ndarray, segs, sid: str, delta_1: np.ndarray):
             hits = _flatnonzero_ge(mags, _spread(cutoff, sizes), mask)
             carried.carry(i, hits, mags[hits])
 
-    bucketed.drain_blocks(segs, drain)
+    drain_blocks(len(segs.blocks), drain, share=segs.bounds[-1] >= bucketed.THREADED_ELEMENTS)
     return sums, carried
 
 

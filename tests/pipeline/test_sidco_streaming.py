@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from repro.core import SIDCo, StageControllerConfig
 from repro.gradients import realistic_gradient
 from repro.pipeline import BucketLayout, CompressionPipeline, estimate_multi_stage_bucketed
+from repro import blockpool
 from repro.compressors import bucketed
 from repro.pipeline import vectorized
 
@@ -63,7 +64,7 @@ def threaded_elements(size: int):
 
 
 #: CPUs this process may run on; helpers need two or more.
-CPUS = bucketed._cpus()
+CPUS = blockpool._cpus()
 needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="one CPU: stage one runs on the caller alone")
 
 
@@ -384,22 +385,22 @@ class TestThreadedStageOne:
         def no_pool(helpers):
             raise AssertionError("the helper pool was asked for")
 
-        monkeypatch.setattr(bucketed, "_helper_pool", no_pool)
+        # The generator shares its blocks too, so the gradients come first.
         floor = bucketed.THREADED_ELEMENTS
+        gradients = {size: realistic_gradient(size, seed=2) for size in (floor - 1, floor)}
+        monkeypatch.setattr(blockpool, "_helper_pool", no_pool)
         rows, layout, members = mixed_group("gpareto", (3, 3, 3))
         members[0].fit_all_buckets(rows, layout, 0.001, group=members)
         # One element short of the floor in many blocks; the floor in one block
         # (4 bytes per element).
         for size, bucket_bytes in ((floor - 1, 256 * 1024), (floor, 4 * floor)):
-            gradient = realistic_gradient(size, seed=2)
             SIDCo("exponential").fit_all_buckets(
-                gradient, BucketLayout.from_bytes(size, bucket_bytes), 0.001
+                gradients[size], BucketLayout.from_bytes(size, bucket_bytes), 0.001
             )
         if CPUS > 1:  # the floor in two blocks asks for it
-            gradient = realistic_gradient(floor, seed=2)
             with pytest.raises(AssertionError, match="helper pool"):
                 SIDCo("exponential").fit_all_buckets(
-                    gradient, BucketLayout.from_bytes(floor, 2 * floor), 0.001
+                    gradients[floor], BucketLayout.from_bytes(floor, 2 * floor), 0.001
                 )
 
     @needs_two_cpus
@@ -409,7 +410,7 @@ class TestThreadedStageOne:
         # when the failing side raises; the others finish theirs slowly and
         # must then get no other block.
         segs = bucketed.segments(BucketLayout.from_bytes(bucketed.THREADED_ELEMENTS, 1024 * 1024))
-        threads = min(CPUS, bucketed.MAX_BLOCK_THREADS)
+        threads = min(CPUS, blockpool.MAX_BLOCK_THREADS)
         caller, meet, finished = threading.get_ident(), threading.Barrier(threads, timeout=30), []
 
         def drain(blocks):
@@ -422,12 +423,12 @@ class TestThreadedStageOne:
 
         assert len(segs.blocks) == 8
         with pytest.raises(ValueError, match=f"{failing} failed"):
-            bucketed.drain_blocks(segs, drain)
+            blockpool.drain_blocks(len(segs.blocks), drain, share=True)
         assert len(finished) == (threads - 1 if failing == "caller" else 1)
 
     def test_blocks_are_handed_out_once_under_contention(self):
         # More threads than CPUs, switching every microsecond.
-        count, blocks = 20_000, bucketed._Blocks(20_000)
+        count, blocks = 20_000, blockpool._Blocks(20_000)
         taken = [[] for _ in range(8)]
         saved = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -456,7 +457,7 @@ class TestThreadedStageOne:
                 status = 1
                 try:
                     fits = members[0].fit_all_buckets(rows, layout, 0.001, group=members)
-                    fresh = CPUS < 2 or bucketed._pool[0] == os.getpid()
+                    fresh = CPUS < 2 or blockpool._pool[0] == os.getpid()
                     status = 0 if fresh and same(
                         [[getattr(f, n) for n in FIT_FIELDS] for f in fits],
                         [[getattr(f, n) for n in FIT_FIELDS] for f in expected],

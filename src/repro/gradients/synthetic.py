@@ -98,7 +98,8 @@ def realistic_gradient(
             streams = [_jumped(seeded, k * size + lo) for k in range(3)]
             starts = [g.bit_generator.state["state"] for g in streams]
             _mixture(streams, out, is_tail, lo, hi, *params)
-            spans[i] = [(start, g.bit_generator.state["state"]) for start, g in zip(starts, streams)]
+            ends = [g.bit_generator.state["state"] for g in streams]
+            spans[i] = list(zip(starts, ends))
 
     drain_blocks(len(spans), drain, share=True)
     # The (start, end) states of every block of each stream, in serial order.

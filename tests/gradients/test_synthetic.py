@@ -170,7 +170,13 @@ class TestRealisticGradient:
 
     @pytest.mark.parametrize(
         "block, size",
-        [(1000, 1001), (1000, 2001), (1000, 10_000), (4096, 3 * _CHUNK + 1), (_CHUNK + 5, 2 * _CHUNK + 11)],
+        [
+            (1000, 1001),
+            (1000, 2001),
+            (1000, 10_000),
+            (4096, 3 * _CHUNK + 1),
+            (_CHUNK + 5, 2 * _CHUNK + 11),
+        ],
     )
     @pytest.mark.parametrize("seed", [0, 3, 2021])
     @pytest.mark.parametrize("sparsity, bulk_scale, tail_scale", MIXTURES)
@@ -219,7 +225,9 @@ class TestSharedBlocks:
             ("tail", 4, False),  # nothing is drawn after the last block
         ],
     )
-    def test_a_rejected_zero_uniform_keeps_the_serial_bytes(self, monkeypatch, stream, block, redraw):
+    def test_a_rejected_zero_uniform_keeps_the_serial_bytes(
+        self, monkeypatch, stream, block, redraw
+    ):
         # Five blocks, the last of 7 elements.  A Laplace draw rejects a zero
         # uniform and takes the next output, so every later block would start
         # one output early; the draw is then redone serially.
@@ -287,7 +295,8 @@ class TestSharedBlocks:
         # Affinity masks are per thread, so two threads may ask for pools of
         # different sizes.  Each takes its pool, then waits until the other
         # has replaced it with its own: the replaced pool must still run work.
-        cpus, meet, pool = threading.local(), threading.Barrier(2, timeout=30), blockpool._helper_pool
+        cpus, meet = threading.local(), threading.Barrier(2, timeout=30)
+        pool = blockpool._helper_pool
 
         def pool_then_meet(helpers):
             kept = pool(helpers)
@@ -320,9 +329,14 @@ class TestSharedBlocks:
     def test_concurrent_futures_stays_unloaded_by_one_block_draws(self):
         # A fresh interpreter: pytest itself may have it loaded.
         src = Path(synthetic.__file__).resolve().parents[2]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
         run = subprocess.run(
-            [sys.executable, "-c", _ONE_BLOCK_DRAWS], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", _ONE_BLOCK_DRAWS],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
         )
         assert run.stdout.split() == ["False"]
 

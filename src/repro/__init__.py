@@ -23,7 +23,7 @@ from .core import SIDCo, StageController, StageControllerConfig
 from .pipeline import DEFAULT_BUCKET_BYTES, BucketLayout, CompressionPipeline
 from .tensor import SparseGradient
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "DEFAULT_BUCKET_BYTES",

@@ -174,7 +174,6 @@ class DistributedTrainer:
         *,
         network: NetworkModel = CLUSTER_ETHERNET_10G,
         device: DeviceProfile = GPU_V100,
-        compressor_kwargs: dict | None = None,
         capture: GradientCapture | None = None,
     ) -> None:
         self.model = model
@@ -190,7 +189,6 @@ class DistributedTrainer:
         for worker_id, shard in enumerate(shards):
             comp = self._make_compressor(
                 compressor,
-                compressor_kwargs,
                 knobs.bucket_bytes,
                 flat_spec=flat_spec if config.layer_aware_buckets else None,
             )
@@ -235,7 +233,6 @@ class DistributedTrainer:
     @staticmethod
     def _make_compressor(
         compressor: str | Compressor,
-        kwargs: dict | None,
         bucket_bytes: int | None = None,
         flat_spec: FlatSpec | None = None,
     ) -> Compressor:
@@ -244,7 +241,7 @@ class DistributedTrainer:
             # pre-built compressor is only allowed for single-worker runs.
             built = compressor
         else:
-            built = create_compressor(compressor, **(kwargs or {}))
+            built = create_compressor(compressor)
         if bucket_bytes is None or isinstance(built, NoCompression):
             # The dense baseline all-reduces one fused buffer regardless.
             return built

@@ -25,9 +25,11 @@ crossed with a config grid:
   timeline's dense all-reduce :class:`~repro.distributed.CollectiveCost`s and
   batched phase tables keyed on the collective model plus payload and density), so
   repeated points are priced once and a point bounds with only its own
-  arithmetic.  Memoized results are bit-for-bit equal to
-  memoization-off runs — every cached value is the output of a
-  deterministic pure function.
+  arithmetic.  Every query memoizes into one: the caller's ``cache``, or a
+  fresh one made for that call, so no state outlives a query the caller
+  did not hand a cache to.  Every cached value is the output of a
+  deterministic pure function, so a point priced against a shared cache is
+  bit-for-bit the point priced alone.
 * :func:`run_sweep` — evaluates every point of a spec in order, returning a
   :class:`SweepResult` of one flat record per point.  Each record carries
   the point it prices, so nothing downstream rebuilds it from the config.
@@ -368,9 +370,11 @@ _MISSING = object()
 class SweepCache:
     """Layered memo for sweep evaluation, shared across points and queries.
 
-    Each layer caches one deterministic pure function of its key, so cached
-    and uncached evaluation are bit-for-bit identical; ``hits``/``misses``
-    decompose cache-warm vs cache-cold throughput in the sweep benchmark.
+    Each layer caches one deterministic pure function of its key, so a point
+    priced against a cache other points filled is bit-for-bit the point
+    priced alone in a fresh one; ``hits``/``misses`` decompose cache-warm vs
+    cache-cold throughput in the sweep benchmark.  A query given no cache
+    makes a fresh one, which lives as long as that query.
 
     What a bound pays for follows the layers: a compression (and the
     :class:`~repro.distributed.timeline.ResultFacts` derived from it, in
@@ -430,31 +434,12 @@ class SweepCache:
         }
 
 
-#: Process-wide default cache.
-_GLOBAL_CACHE = SweepCache()
-
-
-def _active_cache(cache: SweepCache | None, memoize: bool) -> SweepCache | None:
-    """The cache a query memoizes into: ``cache``, else the process-wide one, or none.
-
-    ``memoize=False`` with a ``cache`` asks for two contradictory things and
-    raises :class:`ValueError`.
-    """
-    if not memoize:
-        if cache is not None:
-            raise ValueError("memoize=False bypasses all caching; do not also pass a cache")
-        return None
-    return _GLOBAL_CACHE if cache is None else cache
-
-
 # -- point evaluation ----------------------------------------------------------
 
 
-def _proxy_gradient(workload: WorkloadSpec, cache: SweepCache | None) -> np.ndarray:
+def _proxy_gradient(workload: WorkloadSpec, cache: SweepCache) -> np.ndarray:
     key = (workload.proxy_elements, workload.seed)
     build = lambda: realistic_gradient(workload.proxy_elements, seed=workload.seed)  # noqa: E731
-    if cache is None:
-        return build()
     return cache.fetch(cache.gradients, key, build)
 
 
@@ -465,7 +450,7 @@ def _compression_key(workload: WorkloadSpec, config: Mapping) -> tuple:
             config["ratio"])
 
 
-def _compress_proxy(workload: WorkloadSpec, key: tuple, cache: SweepCache | None):
+def _compress_proxy(workload: WorkloadSpec, key: tuple, cache: SweepCache):
     """Compress the workload's proxy gradient as :func:`_compression_key` ``key`` says.
 
     A fresh compressor is built per (cache-miss) call so adaptive compressor
@@ -480,13 +465,11 @@ def _compress_proxy(workload: WorkloadSpec, key: tuple, cache: SweepCache | None
             compressor = CompressionPipeline(compressor, bucket_bytes=proxy_bucket)
         return compressor.compress(gradient, ratio)
 
-    if cache is None:
-        return build()
     return cache.fetch(cache.compressions, key, build)
 
 
 def _result_facts(
-    workload: WorkloadSpec, config: Mapping, timeline: TimelineModel, cache: SweepCache | None
+    workload: WorkloadSpec, config: Mapping, timeline: TimelineModel, cache: SweepCache
 ) -> ResultFacts:
     """The compressed proxy's :class:`~repro.distributed.timeline.ResultFacts` under ``timeline``.
 
@@ -495,20 +478,16 @@ def _result_facts(
     """
     key = _compression_key(workload, config)
     build = lambda: timeline.result_facts([_compress_proxy(workload, key, cache)])  # noqa: E731
-    if cache is None:
-        return build()
     return cache.fetch(
         cache.facts, (*key, timeline.dimension_scale, timeline.compute_seconds), build
     )
 
 
 def _collective(
-    knobs: SimulationKnobs, topology: ClusterTopology, config: Mapping, cache: SweepCache | None
+    knobs: SimulationKnobs, topology: ClusterTopology, config: Mapping, cache: SweepCache
 ) -> CollectiveModel:
     """The point's collective model, one per distinct collective setting."""
     build = lambda: CollectiveModel.from_knobs(knobs, topology)  # noqa: E731
-    if cache is None:
-        return build()
     key = (
         config["topology"],
         config["allreduce_algorithm"],
@@ -520,7 +499,7 @@ def _collective(
 
 
 def _dense_baseline_seconds(
-    workload: WorkloadSpec, config: Mapping, timeline: TimelineModel, cache: SweepCache | None
+    workload: WorkloadSpec, config: Mapping, timeline: TimelineModel, cache: SweepCache
 ) -> float:
     key = (
         workload.dimension,
@@ -531,12 +510,10 @@ def _dense_baseline_seconds(
         config["pipeline_chunks"],
     )
     build = lambda: timeline.baseline_iteration().total  # noqa: E731
-    if cache is None:
-        return build()
     return cache.fetch(cache.baselines, key, build)
 
 
-def _point_timeline(workload: WorkloadSpec, point: SweepPoint, cache: SweepCache | None):
+def _point_timeline(workload: WorkloadSpec, point: SweepPoint, cache: SweepCache):
     """``(knobs, facts, timeline)``: what pricing and bounding a point share.
 
     The point's knobs validated as one
@@ -544,10 +521,15 @@ def _point_timeline(workload: WorkloadSpec, point: SweepPoint, cache: SweepCache
     :meth:`TimelineModel.from_knobs
     <repro.distributed.timeline.TimelineModel.from_knobs>` builds for them,
     and the :class:`~repro.distributed.timeline.ResultFacts` of its compressed
-    proxy gradient under that timeline.  A point without a topology, or
-    whose ``backup_workers`` would cut every worker of its topology
-    (``TrainerConfig`` rejects the same cut), raises :class:`ValueError`.
+    proxy gradient under that timeline.  A point of another workload, a
+    point without a topology, or one whose ``backup_workers`` would cut
+    every worker of its topology (``TrainerConfig`` rejects the same cut)
+    raises :class:`ValueError`, before anything is cached.
     """
+    if point.workload != workload.name:
+        raise ValueError(
+            f"point belongs to workload {point.workload!r}, not {workload.name!r}"
+        )
     config = point.config
     knobs = SimulationKnobs(**{name: config[name] for name in KNOB_FIELDS})
     if knobs.topology is None:
@@ -566,7 +548,7 @@ def _point_timeline(workload: WorkloadSpec, point: SweepPoint, cache: SweepCache
         ),
         model_dimension=workload.proxy_elements,
         dimension_scale=workload.dimension_scale,
-        memo=None if cache is None else cache.fetch_collective,
+        memo=cache.fetch_collective,
     )
     return knobs, _result_facts(workload, config, timeline, cache), timeline
 
@@ -582,18 +564,18 @@ def bound_point(
     <repro.distributed.timeline.TimelineModel.lower_bound>` instead of
     scheduling it; an unbucketed point is bounded as its one-bucket table.
     Faulted points are priced by their sync policy, so they have no bound:
-    they get the trivial ``-inf``.  Memoized in :attr:`SweepCache.bounds`.
+    they get the trivial ``-inf``.  Memoized in :attr:`SweepCache.bounds`
+    of ``cache``, or of a fresh cache when it is ``None``.
     """
-    if cache is not None:
-        bound = cache.bounds.get((workload, point))
-        if bound is not None:
-            cache.hits += 1
-            return bound
+    cache = SweepCache() if cache is None else cache
+    bound = cache.bounds.get((workload, point))
+    if bound is not None:
+        cache.hits += 1
+        return bound
     knobs, facts, timeline = _point_timeline(workload, point, cache)
     bound = -math.inf if knobs.faulted else timeline.lower_bound(facts)
-    if cache is not None:
-        cache.misses += 1
-        cache.bounds[(workload, point)] = bound
+    cache.misses += 1
+    cache.bounds[(workload, point)] = bound
     return bound
 
 
@@ -604,8 +586,10 @@ def evaluate_point(
 
     Deterministic in its inputs: the proxy gradient is seeded, compression
     and collective pricing are pure, and the schedule simulator is
-    event-driven — which is what makes the memoized path bit-for-bit equal
-    to a memoization-off run.
+    event-driven — which is what makes a point priced against a shared
+    ``cache`` bit-for-bit equal to the point priced alone.  Memoized in
+    :attr:`SweepCache.points` of ``cache``, or of a fresh cache when it is
+    ``None``.
 
     The point's knobs are validated as one
     :class:`~repro.distributed.knobs.SimulationKnobs` bundle, so a point the
@@ -629,15 +613,11 @@ def evaluate_point(
     metrics are bit-for-bit the fault-free ones, with
     ``straggler_overhead == 1.0``.
     """
-    if point.workload != workload.name:
-        raise ValueError(
-            f"point belongs to workload {point.workload!r}, not {workload.name!r}"
-        )
-    if cache is not None:
-        cached = cache.points.get((workload, point))
-        if cached is not None:
-            cache.hits += 1
-            return dict(cached)
+    cache = SweepCache() if cache is None else cache
+    cached = cache.points.get((workload, point))
+    if cached is not None:
+        cache.hits += 1
+        return dict(cached)
     knobs, facts, timeline = _point_timeline(workload, point, cache)
     rates = knobs.straggler_profile(timeline.num_workers).rates() if knobs.faulted else None
     policy = knobs.build_sync_policy()
@@ -675,9 +655,8 @@ def evaluate_point(
         )
         metrics["participating_workers"] = faulted.outcome.num_participating
         metrics["stragglers_cut"] = faulted.outcome.stragglers_cut
-    if cache is not None:
-        cache.misses += 1
-        cache.points[(workload, point)] = dict(metrics)
+    cache.misses += 1
+    cache.points[(workload, point)] = dict(metrics)
     return metrics
 
 
@@ -710,22 +689,17 @@ class SweepResult:
     records: list[SweepRecord]
 
 
-def run_sweep(
-    spec: SweepSpec,
-    *,
-    memoize: bool = True,
-    cache: SweepCache | None = None,
-) -> SweepResult:
+def run_sweep(spec: SweepSpec, *, cache: SweepCache | None = None) -> SweepResult:
     """Expand ``spec`` and evaluate every point, in order.
 
-    Points memoize into ``cache`` (default: the process-wide cache);
-    ``memoize=False`` bypasses all caching, so passing a ``cache`` with it
-    raises :class:`ValueError`.  Results are bit-for-bit identical either way.
+    Points memoize into ``cache``, or into a fresh cache for this call when
+    it is ``None``; pass one cache to several queries to share their work.
+    Results are bit-for-bit those of each point priced alone.
     """
     by_name = {workload.name: workload for workload in spec.workloads}
-    active = _active_cache(cache, memoize)
+    cache = SweepCache() if cache is None else cache
     records = [
-        SweepRecord(p.workload, p.config, evaluate_point(by_name[p.workload], p, cache=active), p)
+        SweepRecord(p.workload, p.config, evaluate_point(by_name[p.workload], p, cache=cache), p)
         for p in spec.expand()
     ]
     return SweepResult(workloads=spec.workloads, records=records)

@@ -33,10 +33,11 @@ in expansion order, then refinement candidates in visit order), and
 ``{"lower_bound_seconds": bound}``, which says why it lost.  So a tuning
 decision can always be replayed and audited.  Ties break deterministically
 on the point's stable key, formatted only for records tied on the metric.
-Repeated queries share a :class:`~repro.harness.sweep.SweepCache`, which
-holds each point's bound next to its evaluation: a warm query prices and
-bounds nothing, and its cost is its cache lookups (the warm/cold floor is
-ratcheted in ``benchmarks/test_sweep_throughput.py``).
+A query memoizes into the :class:`~repro.harness.sweep.SweepCache` it is
+passed, or into a fresh one made for that query.  Queries passed the same
+cache share it; it holds each point's bound next to its evaluation, so a
+warm query prices and bounds nothing, and its cost is its cache lookups
+(the warm/cold floor is ratcheted in ``benchmarks/test_sweep_throughput.py``).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ..distributed.topology import ClusterTopology
 from .sweep import (
     DEFAULT_CONSTRAINTS,
     SweepCache,
@@ -52,7 +54,6 @@ from .sweep import (
     SweepRecord,
     SweepSpec,
     WorkloadSpec,
-    _active_cache,
     bound_point,
     evaluate_point,
 )
@@ -136,7 +137,7 @@ def _coarse_grid(
     points: list[SweepPoint],
     target: str,
     prune: bool,
-    cache: SweepCache | None,
+    cache: SweepCache,
 ) -> tuple[list[SweepRecord], list[SweepRecord]]:
     """``(trace, priced)``: one record per point in expansion order, and the priced ones.
 
@@ -184,7 +185,7 @@ def _refinement_candidates(config: Mapping, ratio_step: float, bucket_step: floa
 
 def autotune(
     workload: WorkloadSpec | str,
-    topology: str | Sequence[str],
+    topology: str | ClusterTopology | Sequence[str | ClusterTopology],
     *,
     target: str = "iteration_seconds",
     axes: Mapping[str, tuple] | None = None,
@@ -193,20 +194,20 @@ def autotune(
     ratio_step: float = 0.5,
     bucket_step: float = 0.5,
     cache: SweepCache | None = None,
-    memoize: bool = True,
 ) -> TuneResult:
     """Best knob settings for ``workload`` on ``topology`` under ``target``.
 
     ``workload`` may be a :class:`WorkloadSpec` or a Table 1 benchmark name
     (resolved via :meth:`WorkloadSpec.from_benchmark`).  ``topology`` is a
-    preset name, or several to let the tuner pick the fabric too.  With
-    ``refine_rounds=0`` the answer is exactly the exhaustive argbest of the
-    coarse grid; each refinement round then probes multiplicative
-    ratio/bucket neighbours of the incumbent, halving the step whenever a
-    round yields no improvement.  Under ``target="iteration_seconds"`` a
+    preset name or a :class:`~repro.distributed.topology.ClusterTopology`
+    (one fabric either way), or a sequence of them to let the tuner pick the
+    fabric too.  With ``refine_rounds=0`` the answer is exactly the
+    exhaustive argbest of the coarse grid; each refinement round then probes
+    multiplicative ratio/bucket neighbours of the incumbent, halving the
+    step whenever a round yields no improvement.  Under ``target="iteration_seconds"`` a
     point whose lower bound is strictly above the incumbent is bounded
-    instead of priced (see the module docstring).  ``cache`` and ``memoize``
-    behave as in :func:`~repro.harness.sweep.run_sweep`.
+    instead of priced (see the module docstring).  Points memoize into
+    ``cache``, or into a fresh cache for this query when it is ``None``.
     """
     if isinstance(workload, str):
         workload = WorkloadSpec.from_benchmark(workload)
@@ -219,13 +220,14 @@ def autotune(
             raise ValueError(f"{name} must be in (0, 1), got {step}")
     mode = TUNE_TARGETS[target]
     grid_axes = dict(DEFAULT_TUNE_AXES if axes is None else axes)
-    grid_axes["topology"] = (topology,) if isinstance(topology, str) else tuple(topology)
+    one_fabric = isinstance(topology, (str, ClusterTopology))
+    grid_axes["topology"] = (topology,) if one_fabric else tuple(topology)
     spec = SweepSpec(workloads=(workload,), axes=grid_axes, constraints=constraints)
 
-    active = _active_cache(cache, memoize)
+    cache = SweepCache() if cache is None else cache
     prune = target == "iteration_seconds"
     points = spec.expand()
-    trace, priced = _coarse_grid(workload, points, target, prune, active)
+    trace, priced = _coarse_grid(workload, points, target, prune, cache)
     seen: set[SweepPoint] = set(points)
     best = _argbest(priced, target, mode)
 
@@ -238,11 +240,11 @@ def autotune(
             if point in seen:
                 continue
             seen.add(point)
-            bound = bound_point(workload, point, cache=active) if prune else -math.inf
+            bound = bound_point(workload, point, cache=cache) if prune else -math.inf
             if bound > best.metrics[target]:
                 trace.append(_bounded(workload, point, bound))
                 continue
-            metrics = evaluate_point(workload, point, cache=active)
+            metrics = evaluate_point(workload, point, cache=cache)
             record = SweepRecord(workload.name, point.config, metrics, point)
             trace.append(record)
             if _argbest((best, record), target, mode) is record:

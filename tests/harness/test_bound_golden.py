@@ -1,9 +1,10 @@
 """Golden pins on the planner's lower bound, captured before the bound was memoized.
 
-The tuner tests compare memoized runs with memo-off runs, which cannot see a
-bound that moves on both paths alike; these pins can.  Three matrices, every
-value the exact float the engine produced when they were captured (the
-unbucketed one when unbucketed points first got a bound):
+The tuner tests compare queries sharing one cache with each point priced
+alone in a fresh cache, which cannot see a bound that moves on both paths
+alike; these pins can.  Three matrices, every value the exact float the
+engine produced when they were captured (the unbucketed one when unbucketed
+points first got a bound):
 
 * ``BOUNDS``: :func:`~repro.harness.bound_point` on a small proxy over
   compressor x dedup assumption x cross-bucket lanes x overlap policy x
@@ -35,6 +36,7 @@ from repro.harness import (
     bound_point,
     evaluate_point,
 )
+from tests.harness.priced_alone import priced_alone
 
 MiB = 2**20
 
@@ -538,16 +540,17 @@ def test_bound_matrix_covers_every_cell():
     assert len(CELLS) == 144
 
 
-@pytest.mark.parametrize("memoized", [True, False], ids=["memoized", "memo-off"])
-def test_every_bound_matches_golden_exactly(memoized):
-    actual = _bounds(SweepCache() if memoized else None)
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "alone"])
+def test_every_bound_matches_golden_exactly(shared):
+    # Without a cache, each bound_point call prices its point in a fresh one.
+    actual = _bounds(SweepCache() if shared else None)
     for cell in CELLS:
         assert actual[cell] == BOUNDS[cell], f"{cell}: {actual[cell]!r} != {BOUNDS[cell]!r}"
 
 
-@pytest.mark.parametrize("memoized", [True, False], ids=["memoized", "memo-off"])
-def test_every_unbucketed_bound_matches_golden_exactly_and_is_sound(memoized):
-    cache = SweepCache() if memoized else None
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "alone"])
+def test_every_unbucketed_bound_matches_golden_exactly_and_is_sound(shared):
+    cache = SweepCache() if shared else None
     actual = _bounds(cache, bucket_bytes=None)
     for cell in CELLS:
         expected = UNBUCKETED_BOUNDS[cell]
@@ -556,15 +559,20 @@ def test_every_unbucketed_bound_matches_golden_exactly_and_is_sound(memoized):
         assert actual[cell] <= priced["iteration_seconds"], cell
 
 
-def _cold_query(**memo):
+def _cold_query(cache=None):
     return autotune(
-        WorkloadSpec.from_benchmark("vgg16-cifar10", seed=0), "fat-tree-128", axes=COLD_AXES, **memo
+        WorkloadSpec.from_benchmark("vgg16-cifar10", seed=0), "fat-tree-128", axes=COLD_AXES,
+        cache=cache,
     )
 
 
-@pytest.mark.parametrize("memoized", [True, False], ids=["memoized", "memo-off"])
-def test_cold_query_trace_matches_golden_exactly(memoized):
-    result = _cold_query(**({"cache": SweepCache()} if memoized else {"memoize": False}))
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "alone"])
+def test_cold_query_trace_matches_golden_exactly(shared):
+    if shared:
+        result = _cold_query(SweepCache())
+    else:
+        with priced_alone():
+            result = _cold_query()
     assert len(result.trace) == len(TRACE) == 78
     for record, (cell, expected) in zip(result.trace, TRACE):
         config = record.config
@@ -610,4 +618,5 @@ def test_cold_query_derives_each_compressions_facts_and_reduces_each_table_once(
     assert again.trace == cold.trace
     _cold_query(cache=cache)  # warm: nothing is derived or reduced again
     assert counts == {"facts": 48, "reductions": 74}
-    assert _cold_query(memoize=False).trace == cold.trace
+    with priced_alone():
+        assert _cold_query().trace == cold.trace

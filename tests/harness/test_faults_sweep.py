@@ -12,6 +12,7 @@ from repro.harness import (
     run_sweep,
 )
 from repro.harness.sweep import SweepPoint, SweepSpec
+from tests.harness.priced_alone import priced_alone
 
 WORKLOAD = WorkloadSpec(name="lstm-ptb", dimension=66_034_000, comm_overhead=0.94)
 
@@ -136,8 +137,8 @@ class TestFaultPricing:
         assert evaluate_point(WORKLOAD, consistent)["stragglers_cut"] == 0
         with pytest.raises(ValueError, match="backup_workers > 0 requires"):
             evaluate_point(WORKLOAD, contradictory)
-        with pytest.raises(ValueError, match="backup_workers > 0 requires"):
-            run_sweep(spec, memoize=False)
+        with pytest.raises(ValueError, match="backup_workers > 0 requires"), priced_alone():
+            run_sweep(spec)
         with pytest.raises(ValueError, match="time_window_factor requires"):
             evaluate_point(WORKLOAD, _point(time_window_factor=1.5))
 
@@ -203,7 +204,8 @@ class TestTunerAndReporting:
                 "straggler_severity": (1.0, 4.0),
             },
         )
-        result = run_sweep(spec, memoize=False)
+        with priced_alone():
+            result = run_sweep(spec)
         assert len(result.records) == 4
         assert all("straggler_overhead" in r.metrics for r in result.records)
         rendered = format_straggler_summary(result.records)

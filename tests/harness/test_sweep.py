@@ -6,8 +6,8 @@ Two contracts, hypothesis-driven:
   cross-product of the axes (workloads slowest, knobs in canonical order),
   with no duplicates, defaults filled for unswept knobs, and every
   constraint honoured;
-* **memoization transparency** — a memoized run is bit-for-bit equal to a
-  memoization-off run of the same spec.
+* **memoization transparency** — a run sharing one cache across its points
+  is bit-for-bit equal to each point priced alone, in a fresh cache.
 """
 
 import itertools
@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.compressors import create_compressor
 from repro.harness import (
     DEFAULT_CONSTRAINTS,
     DEFAULT_KNOBS,
@@ -31,9 +32,12 @@ from repro.harness import (
     SweepSpec,
     WorkloadSpec,
     autotune,
+    bound_point,
     evaluate_point,
     run_sweep,
+    sweep,
 )
+from tests.harness.priced_alone import priced_alone
 
 #: Small but structurally diverse axis pools the property tests draw from.
 AXIS_POOLS = {
@@ -287,9 +291,10 @@ class TestExecutionEquivalence:
 
     @pytest.fixture(scope="class")
     def uncached(self, spec):
-        return run_sweep(spec, memoize=False)
+        with priced_alone():
+            return run_sweep(spec)
 
-    def test_memoized_equals_memoization_off_bit_for_bit(self, spec, uncached):
+    def test_shared_cache_equals_each_point_priced_alone_bit_for_bit(self, spec, uncached):
         cache = SweepCache()
         memoized = run_sweep(spec, cache=cache)
         assert memoized.records == uncached.records
@@ -297,13 +302,11 @@ class TestExecutionEquivalence:
         # The tuner over the same grid, bounds and refinement included.
         query = {"axes": EQUIVALENCE_SPEC_AXES}
         tuned = autotune(_workload(), "ethernet-4x8", cache=cache, **query)
-        assert tuned.trace == autotune(_workload(), "ethernet-4x8", memoize=False, **query).trace
+        with priced_alone():
+            alone = autotune(_workload(), "ethernet-4x8", **query)
+        assert tuned.trace == alone.trace
         assert any("lower_bound_seconds" in r.metrics for r in tuned.trace)
         assert cache.stats()["bounds"] == len(cache.bounds) > 0
-
-    def test_memoize_off_with_a_cache_rejected(self, spec):
-        with pytest.raises(ValueError, match="memoize=False"):
-            run_sweep(spec, cache=SweepCache(), memoize=False)
 
     def test_warm_cache_replays_bit_for_bit(self, spec, uncached):
         cache = SweepCache()
@@ -314,10 +317,34 @@ class TestExecutionEquivalence:
         # Every point replays from the point-level cache.
         assert cache.hits - hits_before == len(uncached.records)
 
-    def test_evaluate_point_rejects_foreign_workload(self):
-        point = SweepPoint.from_config("other", {})
-        with pytest.raises(ValueError, match="belongs to workload"):
-            evaluate_point(_workload(), point)
+    @pytest.mark.parametrize("price", [evaluate_point, bound_point])
+    def test_a_point_of_another_workload_raises_before_anything_is_cached(self, price):
+        cache = SweepCache()
+        point = SweepPoint.from_config("other", {"topology": "ethernet-4x8"})
+        with pytest.raises(ValueError, match="belongs to workload 'other'"):
+            price(_workload(), point, cache=cache)
+        assert cache == SweepCache()
+
+
+class TestOneMemoPath:
+    def test_queries_without_a_cache_share_nothing(self, monkeypatch):
+        built = []
+
+        def counted(name):
+            built.append(name)
+            return create_compressor(name)
+
+        monkeypatch.setattr(sweep, "create_compressor", counted)
+        query = {"axes": {"ratio": (0.1, 0.01)}, "refine_rounds": 0}
+        first = autotune(_workload(), "ethernet-4x8", **query)
+        compressed = len(built)
+        second = autotune(_workload(), "ethernet-4x8", **query)
+        assert compressed == 2
+        assert len(built) == 2 * compressed
+        assert second.trace == first.trace
+
+    def test_the_sweep_module_holds_no_cache(self):
+        assert not [name for name, value in vars(sweep).items() if isinstance(value, SweepCache)]
 
 
 class TestSerialization:

@@ -18,6 +18,7 @@ import pytest
 
 from repro.distributed import TOPOLOGIES
 from repro.harness import SweepSpec, WorkloadSpec, run_sweep
+from tests.harness.priced_alone import priced_alone
 
 WORKLOAD = WorkloadSpec(
     name="golden", dimension=1_000_000, comm_overhead=0.7, proxy_elements=4096, seed=7
@@ -67,7 +68,8 @@ GOLDEN = {
 
 @pytest.fixture(scope="module")
 def result():
-    return run_sweep(SweepSpec(workloads=(WORKLOAD,), axes=AXES), memoize=False)
+    with priced_alone():
+        return run_sweep(SweepSpec(workloads=(WORKLOAD,), axes=AXES))
 
 
 def test_matrix_covers_every_preset_and_knob_cell(result):

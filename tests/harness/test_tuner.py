@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed import timeline
+from repro.distributed import get_topology, timeline
 from repro.harness import (
     TUNE_TARGETS,
     SweepCache,
@@ -26,6 +26,7 @@ from repro.harness import (
     run_sweep,
 )
 from repro.harness.tuner import _argbest, _coarse_grid
+from tests.harness.priced_alone import priced_alone
 
 SMALL_AXES = {
     "compressor": ("topk", "dgc"),
@@ -162,7 +163,8 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("refine_rounds", [0, 2])
     def test_trace_does_not_depend_on_the_cache(self, workload, refine_rounds):
         query = {"axes": SMALL_AXES, "refine_rounds": refine_rounds}
-        uncached = autotune(workload, PRESET, memoize=False, **query)
+        with priced_alone():
+            uncached = autotune(workload, PRESET, **query)
         cache = SweepCache()
         cold = autotune(workload, PRESET, cache=cache, **query)
         warm = autotune(workload, PRESET, cache=cache, **query)
@@ -179,7 +181,8 @@ class TestBranchAndBound:
 
     def test_grid_points_are_priced_exactly_where_their_bound_can_win(self, workload):
         result = autotune(workload, PRESET, axes=SMALL_AXES, refine_rounds=0, cache=SweepCache())
-        exhaustive = run_sweep(_small_grid(workload), memoize=False)
+        with priced_alone():
+            exhaustive = run_sweep(_small_grid(workload))
         assert [r.point for r in result.trace] == [r.point for r in exhaustive.records]
         for record, priced in zip(result.trace, exhaustive.records):
             bound = bound_point(workload, record.point)
@@ -193,7 +196,8 @@ class TestBranchAndBound:
         axes = {**SMALL_AXES, "bucket_bytes": (None, 2**20)}
         spec = SweepSpec(workloads=(workload,), axes={**axes, "topology": (PRESET,)})
         points = spec.expand()
-        exhaustive = run_sweep(spec, memoize=False)
+        with priced_alone():
+            exhaustive = run_sweep(spec)
         oracle = _argbest(exhaustive.records, "iteration_seconds", "min")
         unbucketed = [p for p in points if p.config["bucket_bytes"] is None]
         assert unbucketed
@@ -262,9 +266,13 @@ class TestTunerInterface:
         with pytest.raises(ValueError, match="unknown tuning target"):
             autotune(workload, PRESET, target="accuracy")
 
-    def test_memoize_off_with_a_cache_rejected(self, workload):
-        with pytest.raises(ValueError, match="memoize=False"):
-            autotune(workload, PRESET, axes=SMALL_AXES, cache=SweepCache(), memoize=False)
+    def test_an_explicit_topology_tunes_as_its_preset_name(self, workload, cache):
+        query = {"axes": {"ratio": (0.1, 0.01)}, "refine_rounds": 1, "cache": cache}
+        named = autotune(workload, "torus-2d", **query)
+        explicit = autotune(workload, get_topology("torus-2d"), **query)
+        assert explicit.best_metric == named.best_metric
+        assert [r.metrics for r in explicit.trace] == [r.metrics for r in named.trace]
+        assert {r.config["topology"] for r in explicit.trace} == {get_topology("torus-2d")}
 
     def test_invalid_refinement_parameters_rejected(self, workload):
         with pytest.raises(ValueError, match="refine_rounds"):
